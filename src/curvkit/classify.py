@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .chart import CurvatureBundle
 from .errors import (DimensionMismatch, InvalidParams, NotQuasiConstant,
@@ -98,6 +97,17 @@ def _canonical_sign(w: np.ndarray) -> np.ndarray:
     return w
 
 
+def _generalized_eigh(s: np.ndarray, g: Metric):
+    """Solve S v = lam g v, ascending lam, with eigenvectors normalized to
+    v^T g v = 1: reduce by the Cholesky factor g = L L^T to the ordinary
+    symmetric problem (L^-1 S L^-T) w = lam w and map back v = L^-T w."""
+    chol = np.linalg.cholesky(g.mat)
+    half = np.linalg.solve(chol, s)                  # L^-1 S
+    reduced = np.linalg.solve(chol, half.T)          # L^-1 S^T L^-T = L^-1 S L^-T
+    lam, w = np.linalg.eigh(0.5 * (reduced + reduced.T))
+    return lam, np.linalg.solve(chol.T, w)
+
+
 def quasi_einstein_decompose(s, g: Metric, tol: float = 1e-6) -> QuasiEinsteinFit:
     """Decompose S = p*g + q*omega(x)omega with omega g-unit and q != 0.
 
@@ -112,7 +122,7 @@ def quasi_einstein_decompose(s, g: Metric, tol: float = 1e-6) -> QuasiEinsteinFi
     s = _check_bilinear(s, g)
     scale = max_abs(s)
     c0 = math.ldexp(1.0, math.frexp(scale)[1]) if scale > 0.0 else 1.0
-    lam, vec = scipy.linalg.eigh(s / c0, g.mat)
+    lam, vec = _generalized_eigh(s / c0, g)
     spread_all = lam[-1] - lam[0]
     lam_scale = max(1e-300, float(np.max(np.abs(lam))))
     if spread_all <= tol * lam_scale:

@@ -241,20 +241,23 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--at", default=None,
                        help="comma-separated point (defaults to the "
                             "manifest's first sample point)")
+        return p
+
+    def add_tol(p):
         p.add_argument("--tol", type=float, default=1e-8,
                        help="pass/fail tolerance (default 1e-8)")
-        return p
 
     p_curv = add_point_command("curvature", "full curvature report at a point")
     p_curv.add_argument("--format", choices=("json", "text"), default="json")
 
     p_cls = add_point_command("classify", "classification verdicts at a point")
+    add_tol(p_cls)
     p_cls.add_argument("--a", type=float, default=1.0,
                        help="weight of the curvature block (default 1)")
     p_cls.add_argument("--b", type=float, default=1.0,
                        help="weight of the Ricci block (default 1)")
 
-    add_point_command("wrs", "recover the weak-Ricci-symmetry 1-forms")
+    add_tol(add_point_command("wrs", "recover the weak-Ricci-symmetry 1-forms"))
 
     p_ver = sub.add_parser("verify", help="run the seeded identity harness")
     p_ver.add_argument("--section", choices=("2", "3", "4", "all"), default="all")

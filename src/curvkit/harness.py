@@ -212,7 +212,7 @@ def flat_ricci_form(g: Metric, b_form, b_bar, d_form, d_bar, r: float
     b_bar = np.asarray(b_bar, float)
     d_bar = np.asarray(d_bar, float)
     a_form = -(b_bar + d_bar) / r
-    s_matrix, s = product_ricci_form(g, a_form, d_form, b_form, b_bar)
+    s_matrix, _ = product_ricci_form(g, a_form, d_form, b_form, b_bar)
     return s_matrix
 
 
@@ -460,7 +460,6 @@ def _qc_quasi_constant_check(rng, config):
 def _pp_quasi_constant_check(rng, config):
     """Same closed-form recovery for the pseudo-projective reconstruction of
     rank-one Ricci data, against the two-term shape family."""
-    from .classify import pseudo_quasi_constant_fit
     n = config.n
     params = config.params
 

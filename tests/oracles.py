@@ -1,13 +1,17 @@
 """Independent oracles for the test suite.
 
-Everything here is deliberately written as explicit index loops or finite
-differences, sharing no code path with the package's vectorized/symbolic
-implementations.
+Everything here is deliberately written as explicit index loops, finite
+differences or sympy/mpmath arithmetic, sharing no code path with the
+package's vectorized/symbolic implementations.
 """
 
 from __future__ import annotations
 
+import itertools
+
+import mpmath
 import numpy as np
+import sympy
 
 
 # --------------------------------------------------------------------------
@@ -143,6 +147,32 @@ def random_spd(rng: np.random.Generator, n: int) -> np.ndarray:
     return m.T @ m + n * np.eye(n)
 
 
+def random_chart(seed: int, n: int):
+    """A seeded polynomial/trigonometric chart: coords, upper-triangle entry
+    text and a point.  Diagonal entries are 2 plus two small terms and the
+    off-diagonal ones are small, so the metric is positive definite on the
+    sampled box |x| <= 0.6."""
+    rng = np.random.default_rng([seed, n])
+    coords = [f"x{i}" for i in range(1, n + 1)]
+    shapes = ["{a}^2", "{a}*{b}", "sin({a})", "cos({a})*{b}", "exp(0.3*{a})",
+              "{a}^3", "sin({a})*cos({b})"]
+
+    def term():
+        a, b = rng.choice(coords, size=2)
+        return shapes[rng.integers(len(shapes))].format(a=a, b=b)
+
+    def coeff(lo, hi):
+        return f"{rng.uniform(lo, hi) * rng.choice([-1, 1]):.3f}"
+
+    entries = {}
+    for i in range(n):
+        entries[i, i] = f"2 + {coeff(0.05, 0.2)}*{term()} + {coeff(0.05, 0.2)}*{term()}"
+        for j in range(i + 1, n):
+            entries[i, j] = f"{coeff(0.01, 0.08)}*{term()}"
+    point = tuple(float(v) for v in np.round(rng.uniform(-0.6, 0.6, n), 3))
+    return coords, entries, point
+
+
 # --------------------------------------------------------------------------
 # Finite-difference oracles over a MetricField
 
@@ -241,3 +271,122 @@ def fd_nabla_riemann(field, point, h: float = 1e-5) -> np.ndarray:
                                     + gamma[p, m, l] * rb[i, j, k, p])
                         out[m, i, j, k, l] = acc
     return out
+
+
+# --------------------------------------------------------------------------
+# Exact oracle: sympy derivatives of the metric entries, mpmath contractions
+
+def exact_curvature(coords, entries, point, dps: int = 40) -> dict:
+    """The curvature package of a chart at a point, to `dps` digits.
+
+    Each metric entry (upper triangle, keyed by coordinate names or indices,
+    values as curvkit expression text or numbers) is parsed by sympy and
+    differentiated exactly up to third order; the derivatives are evaluated
+    at the point to `dps` digits.  Everything after that -- the inverse
+    metric and its first two derivatives, Christoffel symbols and their first
+    two derivatives, R, S, r, nabla S, dr and nabla R -- is textbook index
+    loops in mpmath at the same precision.  Returns float arrays keyed
+    gamma / riemann / ricci / r / nabla_ricci / dr / nabla_riemann, in the
+    package's conventions: R[i,j,k,l] = g(R(e_i,e_j)e_k, e_l),
+    nabla_ricci[i,j,k] = (nabla_i S)_jk.
+    """
+    n = len(coords)
+    syms = {name: sympy.Symbol(name) for name in coords}
+    at = {syms[name]: sympy.Float(float(v), dps) for name, v in zip(coords, point)}
+    index = {name: i for i, name in enumerate(coords)}
+    exprs = {}
+    for (i, j), text in entries.items():
+        i, j = index.get(i, i), index.get(j, j)
+        exprs[min(i, j), max(i, j)] = sympy.sympify(str(text).replace("^", "**"),
+                                                    locals=syms)
+    # d[(a1..ak)][i][j] = d^k g_ij / dx_a1..dx_ak for sorted a's, k <= 3
+    d = {}
+    with mpmath.workdps(dps):
+        for i in range(n):
+            for j in range(i, n):
+                e = exprs.get((i, j), sympy.Integer(0))
+                partial = {(): e}
+                for key in itertools.chain.from_iterable(  # prefixes come first
+                        itertools.combinations_with_replacement(range(n), k)
+                        for k in range(4)):
+                    if key:
+                        partial[key] = sympy.diff(partial[key[:-1]],
+                                                  syms[coords[key[-1]]])
+                    val = mpmath.mpf(partial[key].evalf(dps, subs=at))
+                    d.setdefault(key, [[None] * n for _ in range(n)])
+                    d[key][i][j] = d[key][j][i] = val
+        out = _exact_contractions(n, d)
+    return {k: np.array(v, dtype=float) for k, v in out.items()}
+
+
+def _exact_contractions(n, d):
+    rn = range(n)
+
+    def D(*idx):  # metric partials with the derivative indices unsorted
+        *a, i, j = idx
+        return d[tuple(sorted(a))][i][j]
+
+    g = mpmath.matrix([[D(i, j) for j in rn] for i in rn])
+    h = mpmath.inverse(g)
+    h1 = [[[-mpmath.fsum(h[k, p] * D(a, p, q) * h[q, l] for p in rn for q in rn)
+            for l in rn] for k in rn] for a in rn]
+    h2 = [[[[-mpmath.fsum(h1[b][k][p] * D(a, p, q) * h[q, l]
+                          + h[k, p] * D(a, b, p, q) * h[q, l]
+                          + h[k, p] * D(a, p, q) * h1[b][q][l]
+                          for p in rn for q in rn)
+             for l in rn] for k in rn] for b in rn] for a in rn]
+
+    def first_kind(*a):  # c_{l,ij} differentiated along a
+        return [[[(D(*a, i, j, l) + D(*a, j, i, l) - D(*a, l, i, j)) / 2
+                  for j in rn] for i in rn] for l in rn]
+
+    c = first_kind()
+    c1 = [first_kind(a) for a in rn]
+    c2 = [[first_kind(a, b) for b in rn] for a in rn]
+    gam = [[[mpmath.fsum(h[k, l] * c[l][i][j] for l in rn) for j in rn]
+            for i in rn] for k in rn]
+    gam1 = [[[[mpmath.fsum(h1[a][k][l] * c[l][i][j] + h[k, l] * c1[a][l][i][j]
+                           for l in rn) for j in rn] for i in rn] for k in rn]
+            for a in rn]
+    gam2 = [[[[[mpmath.fsum(h2[a][b][k][l] * c[l][i][j]
+                            + h1[a][k][l] * c1[b][l][i][j]
+                            + h1[b][k][l] * c1[a][l][i][j]
+                            + h[k, l] * c2[a][b][l][i][j] for l in rn)
+                for j in rn] for i in rn] for k in rn] for b in rn] for a in rn]
+
+    # up[l][i][j][k]: component of R(e_i, e_j) e_k along e_l, and its partials
+    up = [[[[gam1[i][l][j][k] - gam1[j][l][i][k]
+             + mpmath.fsum(gam[l][i][m] * gam[m][j][k] - gam[l][j][m] * gam[m][i][k]
+                           for m in rn)
+             for k in rn] for j in rn] for i in rn] for l in rn]
+    dup = [[[[[gam2[a][i][l][j][k] - gam2[a][j][l][i][k]
+               + mpmath.fsum(gam1[a][l][i][m] * gam[m][j][k]
+                             + gam[l][i][m] * gam1[a][m][j][k]
+                             - gam1[a][l][j][m] * gam[m][i][k]
+                             - gam[l][j][m] * gam1[a][m][i][k] for m in rn)
+               for k in rn] for j in rn] for i in rn] for l in rn] for a in rn]
+    riem = [[[[mpmath.fsum(D(l, m) * up[m][i][j][k] for m in rn) for l in rn]
+              for k in rn] for j in rn] for i in rn]
+    driem = [[[[[mpmath.fsum(D(a, l, m) * up[m][i][j][k] + D(l, m) * dup[a][m][i][j][k]
+                             for m in rn) for l in rn] for k in rn] for j in rn]
+               for i in rn] for a in rn]
+    ric = [[mpmath.fsum(up[i][i][j][k] for i in rn) for k in rn] for j in rn]
+    dric = [[[mpmath.fsum(dup[a][i][i][j][k] for i in rn) for k in rn] for j in rn]
+            for a in rn]
+    r = mpmath.fsum(h[j, k] * ric[j][k] for j in rn for k in rn)
+    dr = [mpmath.fsum(h1[a][j][k] * ric[j][k] + h[j, k] * dric[a][j][k]
+                      for j in rn for k in rn) for a in rn]
+    nabla_ricci = [[[dric[i][j][k]
+                     - mpmath.fsum(gam[l][i][j] * ric[l][k] + gam[l][i][k] * ric[j][l]
+                                   for l in rn)
+                     for k in rn] for j in rn] for i in rn]
+    nabla_riemann = [[[[[driem[m][i][j][k][l]
+                         - mpmath.fsum(gam[p][m][i] * riem[p][j][k][l]
+                                       + gam[p][m][j] * riem[i][p][k][l]
+                                       + gam[p][m][k] * riem[i][j][p][l]
+                                       + gam[p][m][l] * riem[i][j][k][p]
+                                       for p in rn)
+                         for l in rn] for k in rn] for j in rn] for i in rn]
+                     for m in rn]
+    return {"gamma": gam, "riemann": riem, "ricci": ric, "r": r,
+            "nabla_ricci": nabla_ricci, "dr": dr, "nabla_riemann": nabla_riemann}

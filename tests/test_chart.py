@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import euclidean_field
+from conftest import GOLDEN, euclidean_field
 from curvkit.chart import MetricField, christoffel, curvature_bundle, nabla_riemann
-from curvkit.errors import DimensionMismatch, DomainError, SingularMetric
+from curvkit.errors import CurvError, DimensionMismatch, DomainError, SingularMetric
 from curvkit.tensor import max_abs, scalar_curvature
-from oracles import fd_christoffel, fd_nabla_ricci, fd_nabla_riemann, fd_riemann
+from oracles import (exact_curvature, fd_christoffel, fd_nabla_ricci, fd_nabla_riemann,
+                     fd_riemann, random_chart)
 
 
 # --------------------------------------------------------------------------
@@ -143,12 +144,47 @@ def test_scalar_trace_consistency(golden):
         assert abs(b.r - scalar_curvature(b.ricci, b.g)) <= 1e-12 * (1 + abs(b.r))
 
 
-def test_dr_equals_symbolic_derivative(poly3):
+def test_dr_matches_exact_oracle(poly3):
     point = GOLDEN_POINTS["poly3"]
-    b = poly3.curvature_bundle(point)
-    r_expr = poly3.scalar_curvature_expression()
-    for i, coord in enumerate(poly3.coords):
-        assert b.dr[i] == r_expr.diff(coord)(point)  # same symbolic nodes: exact
+    want = exact_curvature(*GOLDEN["poly3"], point)["dr"]
+    got = poly3.curvature_bundle(point).dr
+    assert max_abs(got - want) <= 1e-13 * max_abs(want)
+
+
+def test_scalar_curvature_expression_is_deprecated(poly3):
+    with pytest.raises(CurvError, match=r"curvature_bundle\(point\)\.r"):
+        poly3.scalar_curvature_expression()
+
+
+# --------------------------------------------------------------------------
+# Exact oracle: sympy derivatives of the entries, 40-digit contractions
+
+def _assert_matches_exact(field, coords, entries, point):
+    """Every output within 1e-12 of the exact value, relative to the larger
+    of the quantity and the curvature (the floor for quantities that vanish
+    identically, such as nabla S on a round sphere)."""
+    want = exact_curvature(coords, entries, point)
+    b = field.curvature_bundle(point)
+    got = {"gamma": field.christoffel(point), "riemann": b.riemann.values,
+           "ricci": b.ricci, "r": b.r, "nabla_ricci": b.nabla_ricci, "dr": b.dr,
+           "nabla_riemann": field.nabla_riemann(point)}
+    curvature = max_abs(want["riemann"])
+    for key, value in got.items():
+        scale = max(max_abs(want[key]), curvature)
+        assert max_abs(value - want[key]) <= 1e-12 * scale, key
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_matches_exact_oracle(name, golden):
+    point = GOLDEN_POINTS.get(name, (0.3, 0.6, 0.9))
+    _assert_matches_exact(golden[name], *GOLDEN[name], point)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_random_chart_matches_exact_oracle(n, seed):
+    coords, entries, point = random_chart(seed, n)
+    _assert_matches_exact(MetricField(coords, entries), coords, entries, point)
 
 
 def test_nabla_ricci_symmetry(poly3):
@@ -171,6 +207,17 @@ def test_domain_error_propagates():
     field = MetricField(["x", "y"], {(0, 0): "log(x)", (1, 1): "1"})
     with pytest.raises(DomainError):
         field.curvature_bundle((-1.0, 0.0))
+
+
+def test_domain_error_only_from_queries_that_need_it():
+    # x^2.5 has finite first and second derivatives at x = 0, not a third
+    field = MetricField(["x", "y"], {(0, 0): "1 + x^2.5", (1, 1): "1"})
+    point = (0.0, 0.3)
+    assert max_abs(field.christoffel(point)) == 0.0
+    with pytest.raises(DomainError):
+        field.curvature_bundle(point)
+    with pytest.raises(DomainError):
+        field.nabla_riemann(point)
 
 
 def test_wrong_point_length(sphere2):

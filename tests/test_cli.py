@@ -138,6 +138,16 @@ def test_curvature_bad_point_dimension(sphere_path, capsys):
     assert main(["curvature", sphere_path, "--at", "1,2,3"]) == 2
 
 
+def test_tol_only_on_commands_that_use_it(sphere_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["curvature", sphere_path, "--tol", "1e-6"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+    for command in ("classify", "wrs"):
+        assert main([command, sphere_path, "--tol", "1e-6"]) == 0
+        assert json.loads(capsys.readouterr().out)["input"]["tol"] == 1e-6
+
+
 def test_missing_manifest(capsys):
     assert main(["curvature", "/nonexistent/file.txt"]) == 2
 
