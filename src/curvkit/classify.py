@@ -18,9 +18,9 @@ from .chart import CurvatureBundle
 from .errors import (DimensionMismatch, InvalidParams, NotQuasiConstant,
                      NotQuasiEinstein)
 from .gencurv import GenCurvParams, pseudo_projective, quasi_conformal, w2, weyl
-from .tensor import (Metric, Tensor04, hyper_shape, max_abs, pseudo_shape,
-                     quasi_constant_shape, ricci_contract, scalar_curvature,
-                     wedge_gg)
+from .tensor import (Metric, Tensor04, _check_bilinear, _hyper_block,
+                     _pseudo_block, max_abs, quasi_constant_shape,
+                     ricci_contract, scalar_curvature, wedge_gg)
 
 __all__ = [
     "EinsteinFit", "QuasiEinsteinFit", "QuasiConstantFit",
@@ -73,16 +73,9 @@ class PseudoQuasiConstantFit:
     kernel_dim: int
 
 
-def _check_bilinear(s, g: Metric) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    if s.shape != (g.n, g.n):
-        raise DimensionMismatch(f"bilinear must have shape ({g.n},{g.n}), got {s.shape}")
-    return s
-
-
 def einstein_check(s, g: Metric, tol: float = 1e-8) -> EinsteinFit:
     """Fit S = alpha * g with alpha = r/n; residual is max-norm relative."""
-    s = _check_bilinear(s, g)
+    s = _check_bilinear(s, g.n)
     alpha = scalar_curvature(s, g) / g.n
     residual = max_abs(s - alpha * g.mat) / (1.0 + max_abs(s))
     return EinsteinFit(alpha=alpha, residual=residual, ok=residual <= tol)
@@ -119,7 +112,7 @@ def quasi_einstein_decompose(s, g: Metric, tol: float = 1e-6) -> QuasiEinsteinFi
     Raises NotQuasiEinstein when the pattern is absent, or when it collapses
     to Einstein (q ~ 0), in which case `einstein_alpha` is set on the error.
     """
-    s = _check_bilinear(s, g)
+    s = _check_bilinear(s, g.n)
     scale = max_abs(s)
     c0 = math.ldexp(1.0, math.frexp(scale)[1]) if scale > 0.0 else 1.0
     lam, vec = _generalized_eigh(s / c0, g)
@@ -224,30 +217,45 @@ def _weyl_of(riemann: Tensor04, g: Metric) -> np.ndarray:
     return weyl_from_tensors(riemann, g).values
 
 
-def _linear_fit(riemann: Tensor04, g: Metric, shape_fn,
-                gauge_weight: float) -> tuple[float, np.ndarray, float, int]:
-    """Least-squares fit R ~ a * wedge_gg + shape_fn(g, P) over (a, P), with
-    the trace part of P moved into a (`gauge_weight` wedges per unit trace)."""
+def _linear_fit(riemann: Tensor04, g: Metric, block, gauge_weight: float,
+                antisym_kl: bool) -> tuple[float, np.ndarray, float, int]:
+    """Least-squares fit R ~ a * wedge_gg + block(g, P) over (a, P), with the
+    trace part of P moved into a (`gauge_weight` wedges per unit trace).
+
+    `block` is a block kernel of `tensor`; the design is its image of the
+    stacked identity basis of bilinears, built in one call.  Every column is
+    antisymmetric in (i, j), and in (k, l) too when `antisym_kl`, so each
+    design row outside i < j (and k < l) is zero or a signed copy of a kept
+    row.  The fit builds and solves only the kept rows, against the target
+    antisymmetrized the same way: the least-squares solution is the same,
+    and every singular value scales by one common factor, so the relative
+    rank cut-off and `kernel_dim` do not change.  The residual is measured
+    on the full grid."""
     if riemann.n != g.n:
         raise DimensionMismatch(f"riemann n={riemann.n} vs metric n={g.n}")
     n = g.n
+    rv = riemann.values
     gw = wedge_gg(g).values
-    columns = [gw.ravel()]
-    for u in range(n):
-        for v in range(n):
-            basis = np.zeros((n, n))
-            basis[u, v] = 1.0
-            columns.append(shape_fn(g, basis).values.ravel())
-    design = np.stack(columns, axis=1)
-    sol, _, _, sigma = np.linalg.lstsq(design, riemann.values.ravel(), rcond=1e-10)
+    iu, ju = np.triu_indices(n, 1)
+    if antisym_kl:
+        i, j, k, l = rows = (iu[:, None], ju[:, None], iu, ju)
+        target = 0.25 * (rv[i, j, k, l] - rv[j, i, k, l]
+                         - rv[i, j, l, k] + rv[j, i, l, k])
+    else:
+        i, j, k, l = rows = (iu[:, None, None], ju[:, None, None],
+                             np.arange(n)[:, None], np.arange(n))
+        target = 0.5 * (rv[i, j, k, l] - rv[j, i, k, l])
+    basis = np.eye(n * n).reshape(n * n, n, n)
+    design = np.concatenate([gw[rows][None], block(g.mat, basis, rows)])
+    design = design.reshape(n * n + 1, -1).T
+    sol, _, _, sigma = np.linalg.lstsq(design, target.ravel(), rcond=1e-10)
     kernel_dim = design.shape[1] - int(np.sum(sigma > 1e-10 * sigma[0]))
     a0 = float(sol[0])
     p0 = sol[1:].reshape(n, n)
     trace = float(np.einsum("ij,ij->", g.inv, p0))
     p_hat = p0 - (trace / n) * g.mat
     a_hat = a0 + gauge_weight * trace / n
-    residual = max_abs(riemann.values - a_hat * gw - shape_fn(g, p_hat).values) \
-        / (1.0 + max_abs(riemann.values))
+    residual = max_abs(rv - a_hat * gw - block(g.mat, p_hat)) / (1.0 + max_abs(rv))
     return a_hat, p_hat, residual, kernel_dim
 
 
@@ -257,7 +265,8 @@ def hyper_quasi_constant_fit(riemann: Tensor04, g: Metric,
     trace-free (P -> P + c*g is absorbed by a -> a - 2c).  Always returns;
     `residual` says how well the fit explains the input and `kernel_dim`
     reports the null directions of the design operator (>= 1, the gauge)."""
-    a, p, residual, kernel = _linear_fit(riemann, g, hyper_shape, gauge_weight=2.0)
+    a, p, residual, kernel = _linear_fit(riemann, g, _hyper_block,
+                                         gauge_weight=2.0, antisym_kl=True)
     return HyperQuasiConstantFit(a=a, p=p, residual=residual, kernel_dim=kernel)
 
 
@@ -266,7 +275,8 @@ def pseudo_quasi_constant_fit(riemann: Tensor04, g: Metric,
     """Fit R = a * wedge_gg(g) + pseudo_shape(g, P), trace-free gauge
     (P -> P + c*g is absorbed by a -> a + c).  Accepts generalized inputs;
     the two-term shape need not be riemann-like."""
-    a, p, residual, kernel = _linear_fit(riemann, g, pseudo_shape, gauge_weight=1.0)
+    a, p, residual, kernel = _linear_fit(riemann, g, _pseudo_block,
+                                         gauge_weight=1.0, antisym_kl=False)
     return PseudoQuasiConstantFit(a=a, p=p, residual=residual, kernel_dim=kernel)
 
 

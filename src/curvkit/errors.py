@@ -46,6 +46,11 @@ class DimensionMismatch(CurvError):
     """Operands do not share the expected dimension."""
 
 
+class NumericalInconsistency(CurvError):
+    """A computed result failed an internal consistency check (an identity
+    it must satisfy exactly does not hold within rounding)."""
+
+
 class SingularMetric(CurvError):
     """Metric is not symmetric positive definite at the queried point."""
 

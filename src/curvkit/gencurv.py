@@ -28,8 +28,8 @@ import numpy as np
 
 from .chart import CurvatureBundle
 from .errors import DegenerateParams, DimensionMismatch, InvalidParams
-from .tensor import (Metric, Tensor04, is_symmetric, scalar_curvature,
-                     wedge_gg)
+from .tensor import (Metric, Tensor04, _hyper_block, _pseudo_block,
+                     is_symmetric, scalar_curvature, wedge_gg)
 
 __all__ = [
     "GenCurvParams",
@@ -75,12 +75,6 @@ class GenCurvParams:
         return d
 
 
-def _swedge(g: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Four-term block  S_jk g_il - S_ik g_jl + g_jk S_il - g_ik S_jl."""
-    return (np.einsum("jk,il->ijkl", s, g) - np.einsum("ik,jl->ijkl", s, g)
-            + np.einsum("jk,il->ijkl", g, s) - np.einsum("ik,jl->ijkl", g, s))
-
-
 # --------------------------------------------------------------------------
 # Forward combinations
 
@@ -93,7 +87,7 @@ def quasi_conformal(bundle: CurvatureBundle, params: GenCurvParams) -> Tensor04:
     _need_riemann(bundle)
     coeff = (r / n) * (params.a / (n - 1) + 2.0 * params.b)
     vals = (params.a * bundle.riemann.values
-            + params.b * _swedge(g.mat, s)
+            + params.b * _hyper_block(g.mat, s)
             - coeff * wedge_gg(g).values)
     return Tensor04(vals)
 
@@ -106,21 +100,16 @@ def pseudo_projective(bundle: CurvatureBundle, params: GenCurvParams) -> Tensor0
     params.require_pp()
     n, g, s, r = bundle.n, bundle.g, bundle.ricci, bundle.r
     _need_riemann(bundle)
-    half_block = (np.einsum("jk,il->ijkl", s, g.mat)
-                  - np.einsum("ik,jl->ijkl", s, g.mat))
     coeff = (r / n) * (params.a / (n - 1) + params.b)
-    vals = (params.a * bundle.riemann.values + params.b * half_block
+    vals = (params.a * bundle.riemann.values + params.b * _pseudo_block(g.mat, s)
             - coeff * wedge_gg(g).values)
     return Tensor04(vals)
 
 
 def w2(bundle: CurvatureBundle) -> Tensor04:
     """R + 1/(n-1) * [g_ik S_jl - g_jk S_il]."""
-    n, g, s = bundle.n, bundle.g, bundle.ricci
     _need_riemann(bundle)
-    corr = (np.einsum("ik,jl->ijkl", g.mat, s)
-            - np.einsum("jk,il->ijkl", g.mat, s)) / (n - 1)
-    return Tensor04(bundle.riemann.values + corr)
+    return Tensor04(bundle.riemann.values - _w2_flat_values(bundle.ricci, bundle.g))
 
 
 def weyl(bundle: CurvatureBundle) -> Tensor04:
@@ -149,7 +138,7 @@ def weyl_from_tensors(riemann: Tensor04, g: Metric,
         ricci = ricci_contract(riemann, g)
     if r is None:
         r = scalar_curvature(ricci, g)
-    vals = (riemann.values - _swedge(g.mat, np.asarray(ricci, float)) / (n - 2)
+    vals = (riemann.values - _hyper_block(g.mat, np.asarray(ricci, float)) / (n - 2)
             + (r / ((n - 1) * (n - 2))) * wedge_gg(g).values)
     return Tensor04(vals)
 
@@ -185,11 +174,7 @@ def reconstruct_qc_flat(s, g: Metric, r: float, params: GenCurvParams,
     """
     params.require_qc()
     s = _check_sr(s, g, r, strict)
-    n = g.n
-    ba = params.b / params.a
-    vals = (-ba * _swedge(g.mat, s)
-            + (r / n) * (1.0 / (n - 1) + 2.0 * ba) * wedge_gg(g).values)
-    return Tensor04(vals, riemann_like=is_symmetric(s))
+    return Tensor04(_qc_flat_values(s, g, r, params), riemann_like=is_symmetric(s))
 
 
 def reconstruct_pp_flat(s, g: Metric, r: float, params: GenCurvParams,
@@ -200,12 +185,7 @@ def reconstruct_pp_flat(s, g: Metric, r: float, params: GenCurvParams,
     """
     params.require_pp()
     s = _check_sr(s, g, r, strict)
-    n = g.n
-    ba = params.b / params.a
-    half_block = (np.einsum("jk,il->ijkl", s, g.mat)
-                  - np.einsum("ik,jl->ijkl", s, g.mat))
-    coeff = (r / (params.a * n)) * (params.a / (n - 1) + params.b)
-    return Tensor04(-ba * half_block + coeff * wedge_gg(g).values)
+    return Tensor04(_pp_flat_values(s, g, r, params))
 
 
 def reconstruct_w2_flat(s, g: Metric, strict: bool = False) -> Tensor04:
@@ -216,10 +196,32 @@ def reconstruct_w2_flat(s, g: Metric, strict: bool = False) -> Tensor04:
     s = np.asarray(s, dtype=float)
     if s.shape != (g.n, g.n):
         raise DimensionMismatch(f"ricci must have shape ({g.n},{g.n}), got {s.shape}")
+    return Tensor04(_w2_flat_values(s, g))
+
+
+# The value grids of the three reconstructions, for S stacked on leading axes
+# (..., n, n) -> (..., n, n, n, n), unchecked.  The public functions above
+# wrap them, and the harness applies them to a whole basis in one call.
+
+def _qc_flat_values(s: np.ndarray, g: Metric, r: float,
+                    params: GenCurvParams) -> np.ndarray:
     n = g.n
-    vals = (np.einsum("jk,il->ijkl", g.mat, s)
-            - np.einsum("ik,jl->ijkl", g.mat, s)) / (n - 1)
-    return Tensor04(vals)
+    ba = params.b / params.a
+    return (-ba * _hyper_block(g.mat, s)
+            + (r / n) * (1.0 / (n - 1) + 2.0 * ba) * wedge_gg(g).values)
+
+
+def _pp_flat_values(s: np.ndarray, g: Metric, r: float,
+                    params: GenCurvParams) -> np.ndarray:
+    n = g.n
+    coeff = (r / (params.a * n)) * (params.a / (n - 1) + params.b)
+    return -(params.b / params.a) * _pseudo_block(g.mat, s) + coeff * wedge_gg(g).values
+
+
+def _w2_flat_values(s: np.ndarray, g: Metric) -> np.ndarray:
+    # g_jk S_il - g_ik S_jl is the two-term block with k and l exchanged,
+    # negated
+    return -np.swapaxes(_pseudo_block(g.mat, s), -1, -2) / (g.n - 1)
 
 
 # --------------------------------------------------------------------------

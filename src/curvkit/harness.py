@@ -17,6 +17,15 @@ Degenerate draws (near-zero difference form, near-equal pairings) are
 rejected and redrawn, with a cap; genuinely degenerate *inputs* raise the
 designated guard errors, and each guard has a dedicated trial asserting
 exactly that.
+
+The contraction checks solve for the Ricci tensor that a vanishing
+generalized tensor forces (`selfconsistent_ricci`).  The linear operator of
+that system is built in one call: the library's own flat reconstruction is
+applied to the stacked basis [0, E_1, ..., E_{n^2}] of bilinears, the n^2 + 1
+grids are Ricci-contracted in one einsum, and the operator's columns are the
+images of the E_m minus the image of 0.  It is not a closed form, so the
+check of the closed-form alpha stays independent of it; the brute-force twin
+trials certify the reconstruction itself with index loops.
 """
 
 from __future__ import annotations
@@ -32,11 +41,13 @@ from .classify import (einstein_check, hyper_quasi_constant_fit,
                        quasi_einstein_decompose)
 from .errors import (CurvError, DegenerateParams, InvalidParams,
                      ZeroScalarCurvature)
-from .gencurv import (GenCurvParams, pp_flat_alpha, qc_flat_alpha,
+from .gencurv import (GenCurvParams, _pp_flat_values, _qc_flat_values,
+                      _w2_flat_values, pp_flat_alpha, qc_flat_alpha,
                       reconstruct_pp_flat, reconstruct_qc_flat,
                       reconstruct_w2_flat, w2, w2_flat_alpha)
-from .tensor import (Metric, Tensor04, hyper_shape, max_abs, pseudo_shape,
-                     quasi_constant_shape, ricci_contract, scalar_curvature)
+from .tensor import (Metric, Tensor04, _ricci_contract_values, hyper_shape,
+                     max_abs, pseudo_shape, quasi_constant_shape,
+                     ricci_contract, scalar_curvature)
 from .wrs import OneFormSystem, a_from_bd, t_identities
 
 __all__ = [
@@ -237,34 +248,29 @@ def selfconsistent_ricci(g: Metric, r: float, params: GenCurvParams,
                          flavor: str) -> np.ndarray:
     """Solve S = ricci_contract(reconstruct_<flavor>_flat(S, g, r)) for S,
     with the scalar curvature pinned by the extra row tr_g(S) = r, as a dense
-    linear system over all n^2 components.  The solution is the unique Ricci
-    tensor consistent with the vanishing of the chosen generalized tensor at
-    this (g, r).  (The trace row matters for the W2 flavor, whose fixed-point
-    set without it is the whole Einstein line; for the other two it is
-    consistent with the already-unique fixed point.)"""
+    linear system over all n^2 components, whose operator is the contracted
+    reconstruction of the stacked basis (see the module docstring).  The
+    solution is the unique Ricci tensor consistent with the vanishing of the
+    chosen generalized tensor at this (g, r).  (The trace row matters for the
+    W2 flavor, whose fixed-point set without it is the whole Einstein line;
+    for the other two it is consistent with the already-unique fixed
+    point.)"""
     n = g.n
-
-    def reconstruct(s):
-        if flavor == "qc":
-            return reconstruct_qc_flat(s, g, r, params)
-        if flavor == "pp":
-            return reconstruct_pp_flat(s, g, r, params)
-        if flavor == "w2":
-            return reconstruct_w2_flat(s, g)
-        raise InvalidParams(f"unknown flavor {flavor!r}")
-
+    # the zero bilinear, then the identity basis E_1 ... E_{n^2}
+    basis = np.eye(n * n + 1, n * n, k=-1).reshape(n * n + 1, n, n)
     if flavor == "qc":
         params.qc_denominator(n)
+        values = _qc_flat_values(basis, g, r, params)
     elif flavor == "pp":
         params.pp_denominator(n)
-
-    affine = ricci_contract(reconstruct(np.zeros((n, n))), g).ravel()
-    op = np.empty((n * n, n * n))
-    for col in range(n * n):
-        basis = np.zeros(n * n)
-        basis[col] = 1.0
-        image = ricci_contract(reconstruct(basis.reshape(n, n)), g).ravel()
-        op[:, col] = image - affine
+        values = _pp_flat_values(basis, g, r, params)
+    elif flavor == "w2":
+        values = _w2_flat_values(basis, g)
+    else:
+        raise InvalidParams(f"unknown flavor {flavor!r}")
+    images = _ricci_contract_values(g.inv, values).reshape(n * n + 1, n * n)
+    affine = images[0]
+    op = (images[1:] - affine).T
     lhs = np.vstack([np.eye(n * n) - op, g.inv.ravel()])
     rhs = np.concatenate([affine, [r]])
     solution, _, rank, sigma = np.linalg.lstsq(lhs, rhs, rcond=1e-12)

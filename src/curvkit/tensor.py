@@ -16,6 +16,7 @@ Storage is dense; the intended regime is desk scale (n up to ~10).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,7 +59,7 @@ class Metric:
     quality of the cached inverse (g @ ginv = I within 1e-10).
     """
 
-    __slots__ = ("n", "mat", "inv")
+    __slots__ = ("n", "mat", "inv", "_wedge")
 
     def __init__(self, components):
         g = _as_square(components, "metric")
@@ -85,6 +86,7 @@ class Metric:
         self.n = n
         self.mat = g
         self.inv = inv
+        self._wedge = None  # wedge_gg(self), built on first use
 
     def raise_index(self, covector) -> np.ndarray:
         """Metric dual of a 1-form: v^i = ginv[i,j] w_j."""
@@ -206,7 +208,12 @@ def ricci_contract(tensor: Tensor04, g: Metric) -> np.ndarray:
     riemann-like; general bilinear otherwise."""
     if tensor.n != g.n:
         raise DimensionMismatch(f"tensor n={tensor.n} vs metric n={g.n}")
-    return np.einsum("il,ijkl->jk", g.inv, tensor.values)
+    return _ricci_contract_values(g.inv, tensor.values)
+
+
+def _ricci_contract_values(ginv: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """`ricci_contract` of grids stacked on leading axes, unchecked."""
+    return np.einsum("il,...ijkl->...jk", ginv, values)
 
 
 def scalar_curvature(ricci, g: Metric) -> float:
@@ -223,13 +230,41 @@ def ricci_operator(ricci, g: Metric) -> np.ndarray:
 
 # --------------------------------------------------------------------------
 # Curvature-shaped builders
+#
+# The two block kernels act on bilinears stacked on leading axes, so that a
+# linear map can be applied to a whole basis in one call: P of shape
+# (..., n, n) gives (..., n, n, n, n).  `rows` = (i, j, k, l), index arrays
+# that broadcast together, selects entries instead, of shape (...,) + their
+# broadcast shape.  Every builder here and in `gencurv` is a thin wrapper
+# over them.  Each entry is a fixed sum of products, so a stacked call, or a
+# selection of rows, equals the full item-by-item grids bit for bit.
+
+@functools.lru_cache(maxsize=16)
+def _full_grid(n: int):
+    return np.ix_(*[np.arange(n)] * 4)
+
+
+def _pseudo_block(gm: np.ndarray, p: np.ndarray, rows=None) -> np.ndarray:
+    """The two-term block  P[j,k] g[i,l] - P[i,k] g[j,l]."""
+    i, j, k, l = _full_grid(gm.shape[0]) if rows is None else rows
+    return p[..., j, k] * gm[i, l] - p[..., i, k] * gm[j, l]
+
+
+def _hyper_block(gm: np.ndarray, p: np.ndarray, rows=None) -> np.ndarray:
+    """The four-term block
+    P[j,k] g[i,l] - P[i,k] g[j,l] + g[j,k] P[i,l] - g[i,k] P[j,l]."""
+    i, j, k, l = _full_grid(gm.shape[0]) if rows is None else rows
+    return (p[..., j, k] * gm[i, l] - p[..., i, k] * gm[j, l]
+            + gm[j, k] * p[..., i, l] - gm[i, k] * p[..., j, l])
+
 
 def wedge_gg(g: Metric) -> Tensor04:
     """G[i,j,k,l] = g[j,k] g[i,l] - g[i,k] g[j,l]; the constant-curvature shape.
-    Its Ricci contraction is (n-1) g."""
-    gm = g.mat
-    vals = np.einsum("jk,il->ijkl", gm, gm) - np.einsum("ik,jl->ijkl", gm, gm)
-    return Tensor04(vals, riemann_like=True)
+    Its Ricci contraction is (n-1) g.  Built and validated once per metric;
+    every later call returns the same read-only tensor."""
+    if g._wedge is None:
+        g._wedge = Tensor04(_pseudo_block(g.mat, g.mat), riemann_like=True)
+    return g._wedge
 
 
 def quasi_constant_shape(g: Metric, a_form) -> Tensor04:
@@ -240,11 +275,7 @@ def quasi_constant_shape(g: Metric, a_form) -> Tensor04:
     Riemann-like for every covector A.  Callers apply their own scalar weight.
     """
     a = _check_oneform(a_form, g.n)
-    gm = g.mat
-    aa = np.outer(a, a)
-    vals = (np.einsum("il,jk->ijkl", gm, aa) - np.einsum("ik,jl->ijkl", gm, aa)
-            + np.einsum("jk,il->ijkl", gm, aa) - np.einsum("jl,ik->ijkl", gm, aa))
-    return Tensor04(vals, riemann_like=True)
+    return Tensor04(_hyper_block(g.mat, np.outer(a, a)), riemann_like=True)
 
 
 def hyper_shape(g: Metric, p) -> Tensor04:
@@ -256,10 +287,7 @@ def hyper_shape(g: Metric, p) -> Tensor04:
     exactly when P is symmetric.  Gauge: replacing P by P + c*g adds
     2c * wedge_gg(g)."""
     p = _check_bilinear(p, g.n)
-    gm = g.mat
-    vals = (np.einsum("il,jk->ijkl", gm, p) - np.einsum("ik,jl->ijkl", gm, p)
-            + np.einsum("jk,il->ijkl", gm, p) - np.einsum("jl,ik->ijkl", gm, p))
-    return Tensor04(vals, riemann_like=is_symmetric(p))
+    return Tensor04(_hyper_block(g.mat, p), riemann_like=is_symmetric(p))
 
 
 def pseudo_shape(g: Metric, p) -> Tensor04:
@@ -268,6 +296,4 @@ def pseudo_shape(g: Metric, p) -> Tensor04:
     Not riemann-like in general (no second-pair antisymmetry).  Gauge:
     replacing P by P + c*g adds c * wedge_gg(g)."""
     p = _check_bilinear(p, g.n)
-    gm = g.mat
-    vals = np.einsum("jk,il->ijkl", p, gm) - np.einsum("ik,jl->ijkl", p, gm)
-    return Tensor04(vals, riemann_like=False)
+    return Tensor04(_pseudo_block(g.mat, p), riemann_like=False)

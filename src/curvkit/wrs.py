@@ -136,8 +136,7 @@ def weak_symmetry_residual_tensors(nabla_riemann: np.ndarray,
 
 def weak_symmetry_residual(field: MetricField, point, forms: OneFormSystem) -> float:
     """Curvature-level residual evaluated on a chart metric at a point."""
-    nr = field.nabla_riemann(point)
-    rb = field.curvature_bundle(point).riemann.values
+    rb, nr = field._riemann_and_nabla(point)
     return weak_symmetry_residual_tensors(nr, rb, forms)
 
 

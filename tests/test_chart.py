@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import GOLDEN, euclidean_field
-from curvkit.chart import MetricField, christoffel, curvature_bundle, nabla_riemann
-from curvkit.errors import CurvError, DimensionMismatch, DomainError, SingularMetric
-from curvkit.tensor import max_abs, scalar_curvature
+from curvkit.chart import (CurvatureBundle, MetricField, _check_bundle, christoffel,
+                           curvature_bundle, nabla_riemann)
+from curvkit.errors import (CurvError, DimensionMismatch, DomainError,
+                            NumericalInconsistency, SingularMetric)
+from curvkit.tensor import Metric, max_abs, scalar_curvature
 from oracles import (exact_curvature, fd_christoffel, fd_nabla_ricci, fd_nabla_riemann,
                      fd_riemann, random_chart)
 
@@ -191,6 +193,18 @@ def test_nabla_ricci_symmetry(poly3):
     b = poly3.curvature_bundle(GOLDEN_POINTS["poly3"])
     ns = b.nabla_ricci
     assert max_abs(ns - np.swapaxes(ns, 1, 2)) <= 1e-9 * (1.0 + max_abs(ns))
+
+
+def test_check_bundle_rejects_asymmetric_nabla_ricci():
+    g = Metric(np.eye(3))
+    nabla = np.zeros((3, 3, 3))
+    nabla[0, 1, 2] = nabla[0, 2, 1] = 1.0
+    _check_bundle(CurvatureBundle.from_tensors(g, ricci=np.eye(3), nabla_ricci=nabla))
+    nabla[0, 2, 1] = 0.0
+    with pytest.raises(NumericalInconsistency, match="symmetry"):
+        _check_bundle(CurvatureBundle.from_tensors(g, ricci=np.eye(3),
+                                                   nabla_ricci=nabla))
+    assert issubclass(NumericalInconsistency, CurvError)  # exit status 2
 
 
 # --------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -336,3 +338,54 @@ def test_classification_report_generic():
     assert d["quasi_constant"]["verdict"] == "fail"
     assert "reason" in d["quasi_constant"]
     assert d["hyper_quasi_constant"]["residual"] > 1e-8
+
+
+# --------------------------------------------------------------------------
+# The reduced-row fits against the full n^4-row least squares
+
+# (sign, metric slots, P slots) of each term of the two shapes, as written
+# in their docstrings
+HYPER_TERMS = ((1, "il", "jk"), (-1, "ik", "jl"), (1, "jk", "il"), (-1, "jl", "ik"))
+PSEUDO_TERMS = ((1, "il", "jk"), (-1, "jl", "ik"))
+
+
+def full_row_fit(rv, g: Metric, terms, gauge_weight):
+    """The fit R ~ a * G + shape(P) on all n^4 rows, with the design written
+    out entry by entry from the formulas."""
+    n = g.n
+    gm = g.mat
+    design = np.zeros((n ** 4, n * n + 1))
+    for row, (i, j, k, l) in enumerate(itertools.product(range(n), repeat=4)):
+        at = {"i": i, "j": j, "k": k, "l": l}
+        design[row, 0] = gm[j, k] * gm[i, l] - gm[i, k] * gm[j, l]
+        for sign, gs, ps in terms:
+            design[row, 1 + at[ps[0]] * n + at[ps[1]]] += sign * gm[at[gs[0]], at[gs[1]]]
+    sol, _, _, sigma = np.linalg.lstsq(design, rv.ravel(), rcond=1e-10)
+    kernel_dim = design.shape[1] - int(np.sum(sigma > 1e-10 * sigma[0]))
+    p0 = sol[1:].reshape(n, n)
+    trace = float(np.sum(g.inv * p0))
+    p_hat = p0 - (trace / n) * gm
+    a_hat = sol[0] + gauge_weight * trace / n
+    fitted = design @ np.concatenate([[a_hat], p_hat.ravel()])
+    residual = np.max(np.abs(rv.ravel() - fitted)) / (1.0 + np.max(np.abs(rv)))
+    return a_hat, p_hat, residual, kernel_dim
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("target", ["general", "riemann-like"])
+def test_fits_match_full_row_reference(n, target):
+    rng = np.random.default_rng(500 + n)
+    g = Metric(random_spd(rng, n))
+    if target == "general":
+        rv = rng.standard_normal((n,) * 4)
+    else:
+        rv = random_riemann_like(rng, n)
+    riemann = Tensor04(rv)
+    for fit_fn, terms, weight in ((hyper_quasi_constant_fit, HYPER_TERMS, 2.0),
+                                  (pseudo_quasi_constant_fit, PSEUDO_TERMS, 1.0)):
+        fit = fit_fn(riemann, g)
+        a, p, residual, kernel_dim = full_row_fit(rv, g, terms, weight)
+        assert abs(fit.a - a) <= 1e-10 * abs(a)
+        assert max_abs(fit.p - p) <= 1e-10 * max_abs(p)
+        assert abs(fit.residual - residual) <= 1e-10 * residual
+        assert fit.kernel_dim == kernel_dim

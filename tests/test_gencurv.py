@@ -3,7 +3,8 @@ import pytest
 
 from curvkit.chart import CurvatureBundle
 from curvkit.errors import DegenerateParams, DimensionMismatch, InvalidParams
-from curvkit.gencurv import (GenCurvParams, pp_flat_alpha, pseudo_projective,
+from curvkit.gencurv import (GenCurvParams, _pp_flat_values, _qc_flat_values,
+                             _w2_flat_values, pp_flat_alpha, pseudo_projective,
                              qc_flat_alpha, quasi_conformal,
                              reconstruct_pp_flat, reconstruct_qc_flat,
                              reconstruct_w2_flat, w2, w2_flat_alpha, weyl,
@@ -300,3 +301,19 @@ def test_round_sphere_chart_generalized_tensors(sphere3):
     assert max_abs(quasi_conformal(b, params).values) <= 1e-9 * scale
     assert max_abs(pseudo_projective(b, params).values) <= 1e-9 * scale
     assert max_abs(w2(b).values) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_stacked_reconstructions_match_single_calls(n):
+    rng = np.random.default_rng(400 + n)
+    g = Metric(random_spd(rng, n))
+    params = GenCurvParams(1.3, -0.4)
+    r = 2.7
+    stack = rng.standard_normal((5, n, n))
+    qc = _qc_flat_values(stack, g, r, params)
+    pp = _pp_flat_values(stack, g, r, params)
+    w2_vals = _w2_flat_values(stack, g)
+    for q, s in enumerate(stack):
+        assert np.array_equal(qc[q], reconstruct_qc_flat(s, g, r, params).values)
+        assert np.array_equal(pp[q], reconstruct_pp_flat(s, g, r, params).values)
+        assert np.array_equal(w2_vals[q], reconstruct_w2_flat(s, g).values)

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from curvkit.errors import DegenerateParams, InvalidParams
-from curvkit.gencurv import GenCurvParams
+from curvkit.gencurv import (GenCurvParams, reconstruct_pp_flat,
+                             reconstruct_qc_flat, reconstruct_w2_flat)
 from curvkit.harness import (PointModel, TrialConfig, flat_ricci_form,
                              product_ricci_form, random_point_model,
                              rank_one_coefficient, selfconsistent_ricci,
                              verify_all, verify_section2, verify_section4)
-from curvkit.tensor import Metric, max_abs
+from curvkit.tensor import Metric, max_abs, ricci_contract, scalar_curvature
+from oracles import random_spd
 
 
 def test_config_requires_n_above_3():
@@ -192,3 +194,32 @@ def test_point_model_dataclass_fields():
     model = random_point_model(0, 4, "generic-metric")
     assert isinstance(model, PointModel)
     assert model.ricci is None and model.forms is None
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("flavor", ["qc", "pp", "w2"])
+def test_selfconsistent_matches_column_by_column_solve(n, flavor):
+    rng = np.random.default_rng(600 + n)
+    g = Metric(random_spd(rng, n))
+    s0 = rng.standard_normal((n, n))
+    r = scalar_curvature(0.5 * (s0 + s0.T), g)
+    params = GenCurvParams(1.0, 0.5)
+
+    def image(s):
+        if flavor == "qc":
+            riemann = reconstruct_qc_flat(s, g, r, params)
+        elif flavor == "pp":
+            riemann = reconstruct_pp_flat(s, g, r, params)
+        else:
+            riemann = reconstruct_w2_flat(s, g)
+        return ricci_contract(riemann, g).ravel()
+
+    affine = image(np.zeros((n, n)))
+    op = np.empty((n * n, n * n))
+    for col in range(n * n):
+        op[:, col] = image(np.eye(n * n)[col].reshape(n, n)) - affine
+    lhs = np.vstack([np.eye(n * n) - op, g.inv.ravel()])
+    expected = np.linalg.lstsq(lhs, np.concatenate([affine, [r]]),
+                               rcond=1e-12)[0].reshape(n, n)
+    got = selfconsistent_ricci(g, r, params, flavor)
+    assert max_abs(got - expected) <= 1e-12 * (1.0 + max_abs(expected))

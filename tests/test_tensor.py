@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from curvkit.errors import DimensionMismatch, SingularMetric
-from curvkit.tensor import (Metric, Tensor04, hyper_shape, is_symmetric,
+from curvkit.tensor import (Metric, Tensor04, _hyper_block, _pseudo_block,
+                            hyper_shape, is_symmetric,
                             max_abs, pseudo_shape, quasi_constant_shape,
                             ricci_contract, ricci_operator, scalar_curvature,
                             wedge_gg)
@@ -260,3 +261,30 @@ def test_quasi_einstein_contraction_pattern():
         expected = ((a * (n - 1) + b * g.norm_sq(a_form)) * g.mat
                     + b * (n - 2) * np.outer(a_form, a_form))
         assert max_abs(s - expected) <= 1e-11 * (1 + max_abs(expected))
+
+
+@pytest.mark.parametrize("n", [2, 4, 7])
+def test_stacked_blocks_match_single_calls(n):
+    rng = np.random.default_rng(300 + n)
+    g = Metric(random_spd(rng, n))
+    stack = rng.standard_normal((2, 3, n, n))
+    stack[0, 0] = 0.5 * (stack[0, 0] + stack[0, 0].T)  # one symmetric item
+    hyper = _hyper_block(g.mat, stack)
+    pseudo = _pseudo_block(g.mat, stack)
+    assert hyper.shape == pseudo.shape == (2, 3) + (n,) * 4
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(hyper[idx], hyper_shape(g, stack[idx]).values)
+        assert np.array_equal(pseudo[idx], pseudo_shape(g, stack[idx]).values)
+    # a selection of rows is the same entries of the full grids
+    iu, ju = np.triu_indices(n, 1)
+    rows = (iu[:, None], ju[:, None], iu, ju)
+    assert np.array_equal(_hyper_block(g.mat, stack, rows), hyper[(Ellipsis,) + rows])
+    assert np.array_equal(_pseudo_block(g.mat, stack, rows), pseudo[(Ellipsis,) + rows])
+
+
+def test_wedge_built_once_per_metric():
+    g = Metric(random_spd(np.random.default_rng(8), 4))
+    first = wedge_gg(g)
+    assert wedge_gg(g) is first
+    assert not first.values.flags.writeable
+    assert np.array_equal(first.values, loop_wedge(g.mat))

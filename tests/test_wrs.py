@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from curvkit.chart import CurvatureBundle
-from curvkit.errors import (DegenerateRicci, DimensionMismatch,
+from conftest import GOLDEN
+from curvkit.chart import CurvatureBundle, MetricField
+from curvkit.errors import (DegenerateRicci, DimensionMismatch, DomainError,
                             ZeroScalarCurvature)
 from curvkit.tensor import Metric, Tensor04, max_abs
 from curvkit.wrs import (OneFormSystem, a_from_bd, check_dr_identity,
@@ -138,6 +139,31 @@ def test_weak_symmetry_random_forms_positive(sphere2):
                           d=rng.standard_normal(2))
     res = weak_symmetry_residual(sphere2, (0.8, 0.4), forms)
     assert res > 1e-3  # reported, not an error
+
+
+@pytest.mark.parametrize("name, point", [
+    ("sphere2", (1.05, 0.4)), ("sphere3", (1.0, 0.9, 0.5)),
+    ("conformal4", (0.3, -0.2, 0.5, 0.1)), ("poly3", (0.4, 0.7, -0.3)),
+    ("euclid3", (0.1, 0.2, 0.3))])
+def test_weak_symmetry_equals_separate_chart_queries(name, point):
+    # one evaluation of the chart gives bit for bit what nabla_riemann and
+    # curvature_bundle give when queried separately
+    field = MetricField(*GOLDEN[name])
+    rng = np.random.default_rng(45)
+    n = field.n
+    forms = OneFormSystem(a=rng.standard_normal(n), b=rng.standard_normal(n),
+                          d=rng.standard_normal(n))
+    separate = weak_symmetry_residual_tensors(
+        field.nabla_riemann(point), field.curvature_bundle(point).riemann.values,
+        forms)
+    assert weak_symmetry_residual(field, point, forms) == separate
+
+
+def test_weak_symmetry_domain_error():
+    field = MetricField(["x", "y"], {(0, 0): "1 + x^2.5", (1, 1): "1"})
+    forms = OneFormSystem(a=np.ones(2), b=np.ones(2), d=np.ones(2))
+    with pytest.raises(DomainError):
+        weak_symmetry_residual(field, (0.0, 0.3), forms)
 
 
 # --------------------------------------------------------------------------
