@@ -17,7 +17,8 @@ import numpy as np
 from .chart import CurvatureBundle
 from .errors import (DimensionMismatch, InvalidParams, NotQuasiConstant,
                      NotQuasiEinstein)
-from .gencurv import GenCurvParams, pseudo_projective, quasi_conformal, w2, weyl
+from .gencurv import (GenCurvParams, pseudo_projective, quasi_conformal, w2,
+                      weyl_from_tensors)
 from .tensor import (Metric, Tensor04, _check_bilinear, _hyper_block,
                      _pseudo_block, max_abs, quasi_constant_shape,
                      ricci_contract, scalar_curvature, wedge_gg)
@@ -138,23 +139,22 @@ def quasi_einstein_decompose(s, g: Metric, tol: float = 1e-6) -> QuasiEinsteinFi
             candidates.append((sep, simple_idx, cluster_idx))
     if not candidates:
         # best-effort reconstruction residual for reporting
-        best = _reconstruct_residual(s, g, lam * c0, vec, g.n - 1, slice(0, g.n - 1))
+        best = _split_fit(s, g, lam * c0, vec, g.n - 1, slice(0, g.n - 1))
         raise NotQuasiEinstein(
             "eigenvalue pattern {(n-1)-cluster, simple} is absent",
-            residual=best)
+            residual=best.residual)
     _, simple_idx, cluster_idx = max(candidates)
-    p = c0 * float(np.mean(lam[cluster_idx]))
-    q = c0 * float(lam[simple_idx]) - p
+    return _split_fit(s, g, lam * c0, vec, simple_idx, cluster_idx)
+
+
+def _split_fit(s, g: Metric, lam, vec, simple_idx, cluster_idx) -> QuasiEinsteinFit:
+    """S = p*g + q*omega(x)omega read off one split of the eigenvalues `lam`
+    (in the units of S) into a cluster and a simple one."""
+    p = float(np.mean(lam[cluster_idx]))
+    q = float(lam[simple_idx]) - p
     omega = _canonical_sign(g.mat @ vec[:, simple_idx])
     residual = max_abs(s - p * g.mat - q * np.outer(omega, omega)) / (1.0 + max_abs(s))
     return QuasiEinsteinFit(p=p, q=q, omega=omega, residual=residual)
-
-
-def _reconstruct_residual(s, g, lam, vec, simple_idx, cluster_idx) -> float:
-    p = float(np.mean(lam[cluster_idx]))
-    q = float(lam[simple_idx]) - p
-    omega = g.mat @ vec[:, simple_idx]
-    return max_abs(s - p * g.mat - q * np.outer(omega, omega)) / (1.0 + max_abs(s))
 
 
 def quasi_constant_fit(riemann: Tensor04, g: Metric,
@@ -176,7 +176,7 @@ def quasi_constant_fit(riemann: Tensor04, g: Metric,
     rv = riemann.values
     scale = 1.0 + max_abs(rv)
     gw = wedge_gg(g).values
-    weyl_norm = max_abs(_weyl_of(riemann, g))
+    weyl_norm = _weyl_norm(riemann, g)
     try:
         qe = quasi_einstein_decompose(ricci_contract(riemann, g), g)
     except NotQuasiEinstein as exc:
@@ -210,11 +210,13 @@ def quasi_constant_fit(riemann: Tensor04, g: Metric,
                             residual=residual, weyl_norm=weyl_norm)
 
 
-def _weyl_of(riemann: Tensor04, g: Metric) -> np.ndarray:
-    from .gencurv import weyl_from_tensors
+def _weyl_norm(riemann: Tensor04, g: Metric, ricci=None,
+               r: float | None = None) -> float:
+    """Max-norm of the Weyl tensor; 0 for n < 3, where it vanishes
+    identically (at n = 2 it is not even defined)."""
     if g.n < 3:
-        return np.zeros_like(riemann.values)
-    return weyl_from_tensors(riemann, g).values
+        return 0.0
+    return max_abs(weyl_from_tensors(riemann, g, ricci=ricci, r=r).values)
 
 
 def _linear_fit(riemann: Tensor04, g: Metric, block, gauge_weight: float,
@@ -259,8 +261,7 @@ def _linear_fit(riemann: Tensor04, g: Metric, block, gauge_weight: float,
     return a_hat, p_hat, residual, kernel_dim
 
 
-def hyper_quasi_constant_fit(riemann: Tensor04, g: Metric,
-                             tol: float = 1e-8) -> HyperQuasiConstantFit:
+def hyper_quasi_constant_fit(riemann: Tensor04, g: Metric) -> HyperQuasiConstantFit:
     """Fit R = a * wedge_gg(g) + hyper_shape(g, P) with P gauge-fixed to be
     trace-free (P -> P + c*g is absorbed by a -> a - 2c).  Always returns;
     `residual` says how well the fit explains the input and `kernel_dim`
@@ -270,8 +271,7 @@ def hyper_quasi_constant_fit(riemann: Tensor04, g: Metric,
     return HyperQuasiConstantFit(a=a, p=p, residual=residual, kernel_dim=kernel)
 
 
-def pseudo_quasi_constant_fit(riemann: Tensor04, g: Metric,
-                              tol: float = 1e-8) -> PseudoQuasiConstantFit:
+def pseudo_quasi_constant_fit(riemann: Tensor04, g: Metric) -> PseudoQuasiConstantFit:
     """Fit R = a * wedge_gg(g) + pseudo_shape(g, P), trace-free gauge
     (P -> P + c*g is absorbed by a -> a + c).  Accepts generalized inputs;
     the two-term shape need not be riemann-like."""
@@ -283,12 +283,11 @@ def pseudo_quasi_constant_fit(riemann: Tensor04, g: Metric,
 def conformally_flat_check(bundle: CurvatureBundle,
                            tol: float = 1e-8) -> tuple[float, bool]:
     """Max-norm of the Weyl tensor and the verdict `norm <= tol * (1 + |R|)`.
-    (For n <= 3 the Weyl tensor vanishes identically -- at n = 2 it is not
-    even defined -- so the verdict is vacuous there and only meaningful from
-    n = 4 on.)"""
-    if bundle.n < 3:
-        return 0.0, True
-    norm = max_abs(weyl(bundle).values)
+    (For n <= 3 the Weyl tensor vanishes identically, so the verdict is
+    vacuous there and only meaningful from n = 4 on.)"""
+    if bundle.riemann is None:
+        raise DimensionMismatch("bundle carries no (0,4) curvature tensor")
+    norm = _weyl_norm(bundle.riemann, bundle.g, bundle.ricci, bundle.r)
     return norm, norm <= tol * (1.0 + bundle.riemann.norm())
 
 
@@ -368,8 +367,8 @@ def classification_report(bundle: CurvatureBundle,
         qc = quasi_constant_fit(bundle.riemann, g, tol)
     except NotQuasiConstant as exc:
         qc_err = str(exc)
-    hyper = hyper_quasi_constant_fit(bundle.riemann, g, tol)
-    pseudo = pseudo_quasi_constant_fit(bundle.riemann, g, tol)
+    hyper = hyper_quasi_constant_fit(bundle.riemann, g)
+    pseudo = pseudo_quasi_constant_fit(bundle.riemann, g)
     weyl_norm, conf_flat = conformally_flat_check(bundle, tol)
     gen_norms = {
         "quasi_conformal": max_abs(quasi_conformal(bundle, params).values),

@@ -1,20 +1,28 @@
 """Generalized curvature tensors and their flat-case inversions.
 
-Three weighted combinations of Riemann, Ricci and metric blocks are built
-from a :class:`~curvkit.chart.CurvatureBundle` (all in the package's lowered
-(0,4) convention, G = wedge_gg(g)):
+Every tensor here has the one form
 
-* quasi-conformal:    a*R + b*(S-wedge block) - (r/n)(a/(n-1) + 2b) * G
-* pseudo-projective:  a*R + b*[S_jk g_il - S_ik g_jl] - (r/n)(a/(n-1) + b) * G
-* W2:                 R + 1/(n-1) * [g_ik S_jl - g_jk S_il]
+    K = a*R + b*B(S) - c*G,        G = wedge_gg(g),
 
-plus the Weyl tensor as the conformal-flatness predicate.
+a weighted sum of the (0,4) curvature R, a block kernel B of `tensor`
+applied to the Ricci form S, and the constant-curvature shape G, all in the
+package's lowered (0,4) convention and built from a
+:class:`~curvkit.chart.CurvatureBundle`.  The kinds differ only in their
+weights (`_weights`):
 
-Setting any of the three combinations to zero and solving for R gives the
-`reconstruct_*` functions; feeding a reconstruction back through its
-combination returns zero identically.  The reconstructions accept S and r
-independently so callers can probe inconsistent inputs; `strict=True`
-enforces r = trace(S).
+    kind              a   b          B(S)                     c
+    quasi-conformal   a   b          S-wedge (four-term)      (r/n)(a/(n-1) + 2b)
+    pseudo-projective a   b          S_jk g_il - S_ik g_jl    (r/n)(a/(n-1) + b)
+    W2                1   1/(n-1)    g_ik S_jl - g_jk S_il    0
+    Weyl              1   -1/(n-2)   S-wedge (four-term)      -r/((n-1)(n-2))
+
+The Weyl tensor serves as the conformal-flatness predicate.
+
+Setting any of the first three to zero and solving for R gives
+R = (c/a)*G - (b/a)*B(S), the `reconstruct_*` functions; feeding a
+reconstruction back through its combination returns zero identically.  The
+reconstructions accept S and r independently so callers can probe
+inconsistent inputs; `strict=True` enforces r = trace(S).
 
 The scalar curvature is one quantity and is named `r` throughout, whichever
 weighted combination it appears in.
@@ -28,8 +36,9 @@ import numpy as np
 
 from .chart import CurvatureBundle
 from .errors import DegenerateParams, DimensionMismatch, InvalidParams
-from .tensor import (Metric, Tensor04, _hyper_block, _pseudo_block,
-                     is_symmetric, scalar_curvature, wedge_gg)
+from .tensor import (Metric, Tensor04, _check_bilinear, _hyper_block,
+                     _pseudo_block, is_symmetric, ricci_contract,
+                     scalar_curvature, wedge_gg)
 
 __all__ = [
     "GenCurvParams",
@@ -61,18 +70,67 @@ class GenCurvParams:
         """1 + (b/a)(n-2); raises DegenerateParams near zero (the
         quasi-conformal Einstein-coefficient formula divides by it)."""
         self.require_qc()
-        d = 1.0 + (self.b / self.a) * (n - 2)
-        if abs(d) <= _GUARD_TOL * (1.0 + abs(self.b / self.a) * n):
-            raise DegenerateParams(f"1 + (b/a)(n-2) = {d:g} is numerically zero")
-        return d
+        return self._denominator(n, 2)
 
     def pp_denominator(self, n: int) -> float:
         """1 + (b/a)(n-1), the analogous guard for the pseudo-projective case."""
         self.require_pp()
-        d = 1.0 + (self.b / self.a) * (n - 1)
-        if abs(d) <= _GUARD_TOL * (1.0 + abs(self.b / self.a) * n):
-            raise DegenerateParams(f"1 + (b/a)(n-1) = {d:g} is numerically zero")
+        return self._denominator(n, 1)
+
+    def _denominator(self, n: int, k: int) -> float:
+        ba = self.b / self.a
+        d = 1.0 + ba * (n - k)
+        if abs(d) <= _GUARD_TOL * (1.0 + abs(ba) * n):
+            raise DegenerateParams(f"1 + (b/a)(n-{k}) = {d:g} is numerically zero")
         return d
+
+
+# --------------------------------------------------------------------------
+# The one form K = a*R + b*B(S) - c*G
+
+def _weights(kind: str, n: int, r: float, params: GenCurvParams | None):
+    """(a, b, B, c) of K = a*R + b*B(S) - c*G for one kind of tensor."""
+    if kind == "qc":
+        return (params.a, params.b, _hyper_block,
+                (r / n) * (params.a / (n - 1) + 2.0 * params.b))
+    if kind == "pp":
+        return (params.a, params.b, _pseudo_block,
+                (r / n) * (params.a / (n - 1) + params.b))
+    if kind == "w2":
+        return 1.0, 1.0 / (n - 1), _w2_block, 0.0
+    if n < 3:
+        raise DimensionMismatch("the Weyl tensor needs n >= 3")
+    return 1.0, -1.0 / (n - 2), _hyper_block, -r / ((n - 1) * (n - 2))
+
+
+def _w2_block(gm: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """g_ik S_jl - g_jk S_il: the two-term block with k and l exchanged."""
+    return np.swapaxes(_pseudo_block(gm, p), -1, -2)
+
+
+def _combine(kind: str, riemann: Tensor04 | None, g: Metric, s, r: float,
+             params: GenCurvParams | None = None) -> Tensor04:
+    if riemann is None:
+        raise DimensionMismatch("bundle carries no (0,4) curvature tensor")
+    if riemann.n != g.n:
+        raise DimensionMismatch(f"riemann n={riemann.n} vs metric n={g.n}")
+    a, b, block, c = _weights(kind, g.n, r, params)
+    return Tensor04(_minus_g(a * riemann.values + b * block(g.mat, s), c, g))
+
+
+def _flat_values(kind: str, s: np.ndarray, g: Metric, r: float,
+                 params: GenCurvParams | None) -> np.ndarray:
+    """The R that makes K vanish, (c/a)*G - (b/a)*B(S), for S stacked on
+    leading axes (..., n, n) -> (..., n, n, n, n), unchecked.  The public
+    reconstructions wrap it, and the harness applies it to a whole basis in
+    one call."""
+    a, b, block, c = _weights(kind, g.n, r, params)
+    return _minus_g(-(b / a) * block(g.mat, s), -c / a, g)
+
+
+def _minus_g(values: np.ndarray, c: float, g: Metric) -> np.ndarray:
+    """values - c*G; a zero weight (the W2 kind) builds no G."""
+    return values - c * wedge_gg(g).values if c else values
 
 
 # --------------------------------------------------------------------------
@@ -83,13 +141,7 @@ def quasi_conformal(bundle: CurvatureBundle, params: GenCurvParams) -> Tensor04:
 
     Vanishes identically on constant-curvature data for every (a, b).
     """
-    n, g, s, r = bundle.n, bundle.g, bundle.ricci, bundle.r
-    _need_riemann(bundle)
-    coeff = (r / n) * (params.a / (n - 1) + 2.0 * params.b)
-    vals = (params.a * bundle.riemann.values
-            + params.b * _hyper_block(g.mat, s)
-            - coeff * wedge_gg(g).values)
-    return Tensor04(vals)
+    return _combine("qc", bundle.riemann, bundle.g, bundle.ricci, bundle.r, params)
 
 
 def pseudo_projective(bundle: CurvatureBundle, params: GenCurvParams) -> Tensor04:
@@ -98,26 +150,18 @@ def pseudo_projective(bundle: CurvatureBundle, params: GenCurvParams) -> Tensor0
     Requires a != 0 and b != 0.  Not riemann-like in general.
     """
     params.require_pp()
-    n, g, s, r = bundle.n, bundle.g, bundle.ricci, bundle.r
-    _need_riemann(bundle)
-    coeff = (r / n) * (params.a / (n - 1) + params.b)
-    vals = (params.a * bundle.riemann.values + params.b * _pseudo_block(g.mat, s)
-            - coeff * wedge_gg(g).values)
-    return Tensor04(vals)
+    return _combine("pp", bundle.riemann, bundle.g, bundle.ricci, bundle.r, params)
 
 
 def w2(bundle: CurvatureBundle) -> Tensor04:
     """R + 1/(n-1) * [g_ik S_jl - g_jk S_il]."""
-    _need_riemann(bundle)
-    return Tensor04(bundle.riemann.values - _w2_flat_values(bundle.ricci, bundle.g))
+    return _combine("w2", bundle.riemann, bundle.g, bundle.ricci, bundle.r)
 
 
 def weyl(bundle: CurvatureBundle) -> Tensor04:
     """Weyl tensor of the bundle; identically zero at n = 3, the conformal
     curvature for n >= 4.  Totally trace-free."""
-    _need_riemann(bundle)
-    return weyl_from_tensors(bundle.riemann, bundle.g,
-                             ricci=bundle.ricci, r=bundle.r)
+    return _combine("weyl", bundle.riemann, bundle.g, bundle.ricci, bundle.r)
 
 
 def weyl_from_tensors(riemann: Tensor04, g: Metric,
@@ -128,33 +172,18 @@ def weyl_from_tensors(riemann: Tensor04, g: Metric,
 
     with S and r derived from `riemann` when not supplied.
     """
-    n = g.n
-    if n < 3:
-        raise DimensionMismatch("the Weyl tensor needs n >= 3")
-    if riemann.n != n:
-        raise DimensionMismatch(f"riemann n={riemann.n} vs metric n={g.n}")
     if ricci is None:
-        from .tensor import ricci_contract
         ricci = ricci_contract(riemann, g)
     if r is None:
         r = scalar_curvature(ricci, g)
-    vals = (riemann.values - _hyper_block(g.mat, np.asarray(ricci, float)) / (n - 2)
-            + (r / ((n - 1) * (n - 2))) * wedge_gg(g).values)
-    return Tensor04(vals)
-
-
-def _need_riemann(bundle: CurvatureBundle) -> None:
-    if bundle.riemann is None:
-        raise DimensionMismatch("bundle carries no (0,4) curvature tensor")
+    return _combine("weyl", riemann, g, _check_bilinear(ricci, g.n), r)
 
 
 # --------------------------------------------------------------------------
 # Flat reconstructions: solve <combination> = 0 for R
 
 def _check_sr(s, g: Metric, r: float, strict: bool) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    if s.shape != (g.n, g.n):
-        raise DimensionMismatch(f"ricci must have shape ({g.n},{g.n}), got {s.shape}")
+    s = _check_bilinear(s, g.n)
     if strict:
         tr = scalar_curvature(s, g)
         if abs(tr - r) > 1e-10 * (1.0 + abs(r)):
@@ -174,7 +203,7 @@ def reconstruct_qc_flat(s, g: Metric, r: float, params: GenCurvParams,
     """
     params.require_qc()
     s = _check_sr(s, g, r, strict)
-    return Tensor04(_qc_flat_values(s, g, r, params), riemann_like=is_symmetric(s))
+    return Tensor04(_flat_values("qc", s, g, r, params), riemann_like=is_symmetric(s))
 
 
 def reconstruct_pp_flat(s, g: Metric, r: float, params: GenCurvParams,
@@ -185,7 +214,7 @@ def reconstruct_pp_flat(s, g: Metric, r: float, params: GenCurvParams,
     """
     params.require_pp()
     s = _check_sr(s, g, r, strict)
-    return Tensor04(_pp_flat_values(s, g, r, params))
+    return Tensor04(_flat_values("pp", s, g, r, params))
 
 
 def reconstruct_w2_flat(s, g: Metric, strict: bool = False) -> Tensor04:
@@ -193,35 +222,7 @@ def reconstruct_w2_flat(s, g: Metric, strict: bool = False) -> Tensor04:
 
         R = 1/(n-1) * [g_jk S_il - g_ik S_jl]
     """
-    s = np.asarray(s, dtype=float)
-    if s.shape != (g.n, g.n):
-        raise DimensionMismatch(f"ricci must have shape ({g.n},{g.n}), got {s.shape}")
-    return Tensor04(_w2_flat_values(s, g))
-
-
-# The value grids of the three reconstructions, for S stacked on leading axes
-# (..., n, n) -> (..., n, n, n, n), unchecked.  The public functions above
-# wrap them, and the harness applies them to a whole basis in one call.
-
-def _qc_flat_values(s: np.ndarray, g: Metric, r: float,
-                    params: GenCurvParams) -> np.ndarray:
-    n = g.n
-    ba = params.b / params.a
-    return (-ba * _hyper_block(g.mat, s)
-            + (r / n) * (1.0 / (n - 1) + 2.0 * ba) * wedge_gg(g).values)
-
-
-def _pp_flat_values(s: np.ndarray, g: Metric, r: float,
-                    params: GenCurvParams) -> np.ndarray:
-    n = g.n
-    coeff = (r / (params.a * n)) * (params.a / (n - 1) + params.b)
-    return -(params.b / params.a) * _pseudo_block(g.mat, s) + coeff * wedge_gg(g).values
-
-
-def _w2_flat_values(s: np.ndarray, g: Metric) -> np.ndarray:
-    # g_jk S_il - g_ik S_jl is the two-term block with k and l exchanged,
-    # negated
-    return -np.swapaxes(_pseudo_block(g.mat, s), -1, -2) / (g.n - 1)
+    return Tensor04(_flat_values("w2", _check_bilinear(s, g.n), g, 0.0, None))
 
 
 # --------------------------------------------------------------------------

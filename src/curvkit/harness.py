@@ -8,10 +8,15 @@ residual at machine precision.  The identities are pointwise multilinear, so
 random tangent-space models are exactly the right arena; no global manifold
 construction is attempted.
 
-All randomness flows from `numpy.random.default_rng` seeded from the trial
-configuration, so a fixed config yields an identical report.  Trials are
-independent; they are executed in trial-index order and results merged in
-that order, so any parallel execution scheme would not change the output.
+The three sections are one table, `_SECTIONS`: per section the flavor of
+its chain (qc / pp / w2), its checks as (name, check, trials) and its guard
+trials, run by `_verify_section`.  All randomness flows from
+`numpy.random.default_rng([seed, section, index])`, where a check's rng
+index is its position in its section's table: a fixed config yields an
+identical report, and the order of the table fixes every check's draws.
+Trials are independent; they are executed in trial-index order and
+results merged in that order, so any parallel execution scheme would not
+change the output.
 
 Degenerate draws (near-zero difference form, near-equal pairings) are
 rejected and redrawn, with a cap; genuinely degenerate *inputs* raise the
@@ -20,8 +25,9 @@ exactly that.
 
 The contraction checks solve for the Ricci tensor that a vanishing
 generalized tensor forces (`selfconsistent_ricci`).  The linear operator of
-that system is built in one call: the library's own flat reconstruction is
-applied to the stacked basis [0, E_1, ..., E_{n^2}] of bilinears, the n^2 + 1
+that system is built in one call: the library's own flat reconstruction
+(`gencurv._flat_values`, the same one `reconstruct_*_flat` wrap) is applied
+to the stacked basis [0, E_1, ..., E_{n^2}] of bilinears, the n^2 + 1
 grids are Ricci-contracted in one einsum, and the operator's columns are the
 images of the E_m minus the image of 0.  It is not a closed form, so the
 check of the closed-form alpha stays independent of it; the brute-force twin
@@ -41,9 +47,8 @@ from .classify import (einstein_check, hyper_quasi_constant_fit,
                        quasi_einstein_decompose)
 from .errors import (CurvError, DegenerateParams, InvalidParams,
                      ZeroScalarCurvature)
-from .gencurv import (GenCurvParams, _pp_flat_values, _qc_flat_values,
-                      _w2_flat_values, pp_flat_alpha, qc_flat_alpha,
-                      reconstruct_pp_flat, reconstruct_qc_flat,
+from .gencurv import (GenCurvParams, _flat_values, pp_flat_alpha,
+                      qc_flat_alpha, reconstruct_pp_flat, reconstruct_qc_flat,
                       reconstruct_w2_flat, w2, w2_flat_alpha)
 from .tensor import (Metric, Tensor04, _ricci_contract_values, hyper_shape,
                      max_abs, pseudo_shape, quasi_constant_shape,
@@ -256,18 +261,15 @@ def selfconsistent_ricci(g: Metric, r: float, params: GenCurvParams,
     for the other two it is consistent with the already-unique fixed
     point.)"""
     n = g.n
-    # the zero bilinear, then the identity basis E_1 ... E_{n^2}
-    basis = np.eye(n * n + 1, n * n, k=-1).reshape(n * n + 1, n, n)
     if flavor == "qc":
         params.qc_denominator(n)
-        values = _qc_flat_values(basis, g, r, params)
     elif flavor == "pp":
         params.pp_denominator(n)
-        values = _pp_flat_values(basis, g, r, params)
-    elif flavor == "w2":
-        values = _w2_flat_values(basis, g)
-    else:
+    elif flavor != "w2":
         raise InvalidParams(f"unknown flavor {flavor!r}")
+    # the zero bilinear, then the identity basis E_1 ... E_{n^2}
+    basis = np.eye(n * n + 1, n * n, k=-1).reshape(n * n + 1, n, n)
+    values = _flat_values(flavor, basis, g, r, params)
     images = _ricci_contract_values(g.inv, values).reshape(n * n + 1, n * n)
     affine = images[0]
     op = (images[1:] - affine).T
@@ -320,9 +322,10 @@ def _run_check(name: str, fn: Callable, config: TrialConfig, section: int,
                        passed=worst <= config.tolerance, extra=extra)
 
 
-def _run_guard(name: str, fn: Callable, expected: type) -> CheckResult:
+def _run_guard(name: str, guard: Callable, config: TrialConfig,
+               expected: type) -> CheckResult:
     try:
-        fn()
+        guard(config)
     except expected:
         return CheckResult(name=name, trials=1, max_residual=0.0, passed=True,
                            note=f"raised {expected.__name__}")
@@ -417,6 +420,15 @@ def _flat_fit_check(flavor: str):
     return check
 
 
+def _draw_rank_one(rng: np.random.Generator, n: int) -> tuple[PointModel, float]:
+    """A rank-one Ricci model and its coefficient r / T(rho), redrawn while
+    the difference form is degenerate."""
+    def build():
+        model = random_point_model(rng, n, "rank1-ricci")
+        return model, rank_one_coefficient(model.g, model.ricci, model.t)
+    return _retry_degenerate(build, rng)
+
+
 def _rank_one_check(rng, config):
     """Rank-one Ricci data: the coefficient is exactly r / T(rho), and both
     T-identities hold with zero residual."""
@@ -437,13 +449,7 @@ def _qc_quasi_constant_check(rng, config):
     recover the closed-form wedge and block coefficients."""
     n = config.n
     params = config.params
-
-    def build():
-        model = random_point_model(rng, n, "rank1-ricci")
-        coeff = rank_one_coefficient(model.g, model.ricci, model.t)
-        return model, coeff
-
-    model, coeff = _retry_degenerate(build, rng)
+    model, coeff = _draw_rank_one(rng, n)
     g, t = model.g, model.t
     r = scalar_curvature(model.ricci, g)
     riemann = reconstruct_qc_flat(model.ricci, g, r, params)
@@ -468,13 +474,7 @@ def _pp_quasi_constant_check(rng, config):
     rank-one Ricci data, against the two-term shape family."""
     n = config.n
     params = config.params
-
-    def build():
-        model = random_point_model(rng, n, "rank1-ricci")
-        coeff = rank_one_coefficient(model.g, model.ricci, model.t)
-        return model, coeff
-
-    model, coeff = _retry_degenerate(build, rng)
+    model, coeff = _draw_rank_one(rng, n)
     g, t = model.g, model.t
     r = scalar_curvature(model.ricci, g)
     riemann = reconstruct_pp_flat(model.ricci, g, r, params)
@@ -492,10 +492,11 @@ def _pp_quasi_constant_check(rng, config):
                _rel(delta_rec - delta1, delta1))
 
 
-def _bd_expansion_check(shape_fn, rank_one_shape):
+def _bd_expansion_check(flavor: str):
     """Expanding the difference form t = b - d inside a t(x)t block must equal
-    the bilinear block built from b(x)b - b(x)d - d(x)b + d(x)d.
-    `rank_one_shape(g, t)` is the dedicated t(x)t builder being compared."""
+    the bilinear block built from b(x)b - b(x)d - d(x)b + d(x)d: for "qc" the
+    four-term block against the dedicated `quasi_constant_shape`, otherwise
+    the two-term block against itself at t(x)t."""
     def check(rng, config):
         n = config.n
         g = _draw_metric(rng, n)
@@ -505,8 +506,12 @@ def _bd_expansion_check(shape_fn, rank_one_shape):
         t = b_form - d_form
         bd_block = delta * (np.outer(b_form, b_form) - np.outer(b_form, d_form)
                             - np.outer(d_form, b_form) + np.outer(d_form, d_form))
-        lhs = shape_fn(g, bd_block).values
-        rhs = delta * rank_one_shape(g, t).values
+        if flavor == "qc":
+            lhs = hyper_shape(g, bd_block).values
+            rhs = delta * quasi_constant_shape(g, t).values
+        else:
+            lhs = pseudo_shape(g, bd_block).values
+            rhs = delta * pseudo_shape(g, np.outer(t, t)).values
         return max_abs(lhs - rhs) / (1.0 + max_abs(rhs))
     return check
 
@@ -515,14 +520,7 @@ def _w2_rank_one_check(rng, config):
     """Rank-one Ricci through the W2 reconstruction: the round trip through
     the W2 combination is exactly zero and the quasi-Einstein decomposition
     recovers (p, q, omega) = (0, r, t-direction)."""
-    n = config.n
-
-    def build():
-        model = random_point_model(rng, n, "rank1-ricci")
-        rank_one_coefficient(model.g, model.ricci, model.t)
-        return model
-
-    model = _retry_degenerate(build, rng)
+    model, _ = _draw_rank_one(rng, config.n)
     g, t = model.g, model.t
     s = model.ricci
     r = scalar_curvature(s, g)
@@ -632,84 +630,70 @@ def _guard_degenerate_weights(config):
 
 # --------------------------------------------------------------------------
 # Section drivers
+#
+# section -> (flavor, checks, guards).  Check names are prefixed with the
+# flavor, and `trials` None means config.trials.  A check's rng index is its
+# position (see the module docstring); tests/test_harness.py pins the layout.
+
+_SECTIONS = {
+    2: ("qc",
+        (("einstein_contraction", _contraction_check("qc"), None),
+         ("product_ricci_identity", _pairing_identity_check, None),
+         ("hyper_fit", _flat_fit_check("qc"), None),
+         ("rank_one_ricci", _rank_one_check, None),
+         ("quasi_constant_fit", _qc_quasi_constant_check, None),
+         ("bd_expansion", _bd_expansion_check("qc"), None),
+         ("brute_force_twin", _twin_check("qc"), 1)),
+        (("guard_zero_scalar_curvature", _guard_zero_scalar, ZeroScalarCurvature),
+         ("guard_equal_pairing", _guard_equal_pairing, DegenerateParams),
+         ("guard_zero_difference_form", _guard_zero_t, DegenerateParams),
+         ("guard_degenerate_weights", _guard_degenerate_weights, DegenerateParams))),
+    3: ("pp",
+        (("einstein_contraction", _contraction_check("pp"), None),
+         ("product_ricci_identity", _pairing_identity_check, None),
+         ("pseudo_fit", _flat_fit_check("pp"), None),
+         ("rank_one_ricci", _rank_one_check, None),
+         ("quasi_constant_fit", _pp_quasi_constant_check, None),
+         ("bd_expansion", _bd_expansion_check("pp"), None),
+         ("brute_force_twin", _twin_check("pp"), 1)),
+        (("guard_equal_pairing", _guard_equal_pairing, DegenerateParams),)),
+    4: ("w2",
+        (("einstein_contraction", _contraction_check("w2"), None),
+         ("product_ricci_identity", _pairing_identity_check, None),
+         ("rank_one_quasi_einstein", _w2_rank_one_check, None),
+         ("brute_force_twin", _twin_check("w2"), 1)),
+        (("guard_equal_pairing", _guard_equal_pairing, DegenerateParams),)),
+}
+
+
+def _verify_section(section: int, config: TrialConfig) -> HarnessReport:
+    flavor, checks, guards = _SECTIONS[section]
+    results = [_run_check(f"{flavor}_{name}", check, config, section, index, trials)
+               for index, (name, check, trials) in enumerate(checks)]
+    results += [_run_guard(name, guard, config, expected)
+                for name, guard, expected in guards]
+    return HarnessReport(section=section, config=config, checks=tuple(results))
+
 
 def verify_section2(config: TrialConfig) -> HarnessReport:
     """The quasi-conformally-flat chain: forced Einstein coefficient, the
     product Ricci form, the four-term (hyper) fit of the reconstruction, the
     rank-one Ricci consequences, the quasi-constant fit, the b/d expansion,
     and this section's share of the degeneracy guards."""
-    checks = (
-        _run_check("qc_einstein_contraction", _contraction_check("qc"),
-                   config, section=2, index=0),
-        _run_check("qc_product_ricci_identity", _pairing_identity_check,
-                   config, section=2, index=1),
-        _run_check("qc_hyper_fit", _flat_fit_check("qc"),
-                   config, section=2, index=2),
-        _run_check("qc_rank_one_ricci", _rank_one_check,
-                   config, section=2, index=3),
-        _run_check("qc_quasi_constant_fit", _qc_quasi_constant_check,
-                   config, section=2, index=4),
-        _run_check("qc_bd_expansion",
-                   _bd_expansion_check(hyper_shape, quasi_constant_shape),
-                   config, section=2, index=5),
-        _run_check("qc_brute_force_twin", _twin_check("qc"),
-                   config, section=2, index=6, trials=1),
-        _run_guard("guard_zero_scalar_curvature",
-                   lambda: _guard_zero_scalar(config), ZeroScalarCurvature),
-        _run_guard("guard_equal_pairing",
-                   lambda: _guard_equal_pairing(config), DegenerateParams),
-        _run_guard("guard_zero_difference_form",
-                   lambda: _guard_zero_t(config), DegenerateParams),
-        _run_guard("guard_degenerate_weights",
-                   lambda: _guard_degenerate_weights(config), DegenerateParams),
-    )
-    return HarnessReport(section=2, config=config, checks=checks)
+    return _verify_section(2, config)
 
 
 def verify_section3(config: TrialConfig) -> HarnessReport:
     """The pseudo-projectively-flat chain (Einstein contraction with
     alpha = r/n, product Ricci form, two-term fit of the reconstruction,
     rank-one consequences, and the b/d expansion)."""
-    checks = (
-        _run_check("pp_einstein_contraction", _contraction_check("pp"),
-                   config, section=3, index=0),
-        _run_check("pp_product_ricci_identity", _pairing_identity_check,
-                   config, section=3, index=1),
-        _run_check("pp_pseudo_fit", _flat_fit_check("pp"),
-                   config, section=3, index=2),
-        _run_check("pp_rank_one_ricci", _rank_one_check,
-                   config, section=3, index=3),
-        _run_check("pp_quasi_constant_fit", _pp_quasi_constant_check,
-                   config, section=3, index=4),
-        _run_check("pp_bd_expansion",
-                   _bd_expansion_check(
-                       pseudo_shape,
-                       lambda g, t: pseudo_shape(g, np.outer(t, t))),
-                   config, section=3, index=5),
-        _run_check("pp_brute_force_twin", _twin_check("pp"),
-                   config, section=3, index=6, trials=1),
-        _run_guard("guard_equal_pairing",
-                   lambda: _guard_equal_pairing(config), DegenerateParams),
-    )
-    return HarnessReport(section=3, config=config, checks=checks)
+    return _verify_section(3, config)
 
 
 def verify_section4(config: TrialConfig) -> HarnessReport:
     """The W2-flat chain (Einstein contraction with alpha = r/n, product
     Ricci form, rank-one Ricci with the quasi-Einstein conclusion)."""
-    checks = (
-        _run_check("w2_einstein_contraction", _contraction_check("w2"),
-                   config, section=4, index=0),
-        _run_check("w2_product_ricci_identity", _pairing_identity_check,
-                   config, section=4, index=1),
-        _run_check("w2_rank_one_quasi_einstein", _w2_rank_one_check,
-                   config, section=4, index=2),
-        _run_check("w2_brute_force_twin", _twin_check("w2"),
-                   config, section=4, index=3, trials=1),
-        _run_guard("guard_equal_pairing",
-                   lambda: _guard_equal_pairing(config), DegenerateParams),
-    )
-    return HarnessReport(section=4, config=config, checks=checks)
+    return _verify_section(4, config)
 
 
 def verify_all(config: TrialConfig) -> list[HarnessReport]:

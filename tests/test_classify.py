@@ -8,7 +8,7 @@ from curvkit.classify import (classification_report, conformally_flat_check,
                               einstein_check, hyper_quasi_constant_fit,
                               pseudo_quasi_constant_fit, quasi_constant_fit,
                               quasi_einstein_decompose)
-from curvkit.errors import NotQuasiConstant, NotQuasiEinstein
+from curvkit.errors import DimensionMismatch, NotQuasiConstant, NotQuasiEinstein
 from curvkit.gencurv import GenCurvParams
 from curvkit.tensor import (Metric, Tensor04, hyper_shape, max_abs,
                             pseudo_shape, quasi_constant_shape, wedge_gg)
@@ -306,6 +306,13 @@ def test_conformally_flat_check(conformal4, poly3):
     flat = CurvatureBundle.from_tensors(
         Metric(np.eye(4)), riemann=Tensor04(np.zeros((4,) * 4), riemann_like=True))
     assert conformally_flat_check(flat) == (0.0, True)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_conformally_flat_check_needs_riemann(n):
+    bundle = CurvatureBundle.from_tensors(Metric(np.eye(n)), ricci=np.eye(n))
+    with pytest.raises(DimensionMismatch):
+        conformally_flat_check(bundle)
 
 
 def test_conformally_flat_generic_failure():

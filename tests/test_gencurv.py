@@ -3,8 +3,8 @@ import pytest
 
 from curvkit.chart import CurvatureBundle
 from curvkit.errors import DegenerateParams, DimensionMismatch, InvalidParams
-from curvkit.gencurv import (GenCurvParams, _pp_flat_values, _qc_flat_values,
-                             _w2_flat_values, pp_flat_alpha, pseudo_projective,
+from curvkit.gencurv import (GenCurvParams, _flat_values, pp_flat_alpha,
+                             pseudo_projective,
                              qc_flat_alpha, quasi_conformal,
                              reconstruct_pp_flat, reconstruct_qc_flat,
                              reconstruct_w2_flat, w2, w2_flat_alpha, weyl,
@@ -154,6 +154,12 @@ def test_weyl_zero_identically_at_n3():
 def test_weyl_needs_n3():
     with pytest.raises(DimensionMismatch):
         weyl(flat_bundle(2))
+
+
+def test_weyl_from_tensors_checks_ricci_shape():
+    g = Metric(np.eye(4))
+    with pytest.raises(DimensionMismatch):
+        weyl_from_tensors(Tensor04(np.zeros((4,) * 4)), g, ricci=np.eye(3), r=1.0)
 
 
 def test_weyl_conformally_flat_chart(conformal4):
@@ -310,10 +316,10 @@ def test_stacked_reconstructions_match_single_calls(n):
     params = GenCurvParams(1.3, -0.4)
     r = 2.7
     stack = rng.standard_normal((5, n, n))
-    qc = _qc_flat_values(stack, g, r, params)
-    pp = _pp_flat_values(stack, g, r, params)
-    w2_vals = _w2_flat_values(stack, g)
-    for q, s in enumerate(stack):
-        assert np.array_equal(qc[q], reconstruct_qc_flat(s, g, r, params).values)
-        assert np.array_equal(pp[q], reconstruct_pp_flat(s, g, r, params).values)
-        assert np.array_equal(w2_vals[q], reconstruct_w2_flat(s, g).values)
+    for kind, single in (
+            ("qc", lambda s: reconstruct_qc_flat(s, g, r, params)),
+            ("pp", lambda s: reconstruct_pp_flat(s, g, r, params)),
+            ("w2", lambda s: reconstruct_w2_flat(s, g))):
+        stacked = _flat_values(kind, stack, g, r, params)
+        for q, s in enumerate(stack):
+            assert np.array_equal(stacked[q], single(s).values), (kind, q)

@@ -223,3 +223,37 @@ def test_selfconsistent_matches_column_by_column_solve(n, flavor):
                                rcond=1e-12)[0].reshape(n, n)
     got = selfconsistent_ricci(g, r, params, flavor)
     assert max_abs(got - expected) <= 1e-12 * (1.0 + max_abs(expected))
+
+
+def test_section_layout():
+    # A check draws from default_rng([seed, section, position]): reordering,
+    # inserting or dropping a check changes the draws of every later one.
+    trials = 3
+    reports = verify_all(TrialConfig(seed=0, trials=trials, n=4))
+    layout = {r.section: [(c.name, c.trials) for c in r.checks] for r in reports}
+    assert layout == {
+        2: [("qc_einstein_contraction", trials),
+            ("qc_product_ricci_identity", trials),
+            ("qc_hyper_fit", trials),
+            ("qc_rank_one_ricci", trials),
+            ("qc_quasi_constant_fit", trials),
+            ("qc_bd_expansion", trials),
+            ("qc_brute_force_twin", 1),
+            ("guard_zero_scalar_curvature", 1),
+            ("guard_equal_pairing", 1),
+            ("guard_zero_difference_form", 1),
+            ("guard_degenerate_weights", 1)],
+        3: [("pp_einstein_contraction", trials),
+            ("pp_product_ricci_identity", trials),
+            ("pp_pseudo_fit", trials),
+            ("pp_rank_one_ricci", trials),
+            ("pp_quasi_constant_fit", trials),
+            ("pp_bd_expansion", trials),
+            ("pp_brute_force_twin", 1),
+            ("guard_equal_pairing", 1)],
+        4: [("w2_einstein_contraction", trials),
+            ("w2_product_ricci_identity", trials),
+            ("w2_rank_one_quasi_einstein", trials),
+            ("w2_brute_force_twin", 1),
+            ("guard_equal_pairing", 1)],
+    }
