@@ -176,7 +176,6 @@ def quasi_constant_fit(riemann: Tensor04, g: Metric,
     rv = riemann.values
     scale = 1.0 + max_abs(rv)
     gw = wedge_gg(g).values
-    weyl_norm = _weyl_norm(riemann, g)
     try:
         qe = quasi_einstein_decompose(ricci_contract(riemann, g), g)
     except NotQuasiEinstein as exc:
@@ -207,7 +206,7 @@ def quasi_constant_fit(riemann: Tensor04, g: Metric,
             "fitted wedge coefficient is numerically zero",
             residual=residual)
     return QuasiConstantFit(a=float(a), b=float(b), a_form=qe.omega,
-                            residual=residual, weyl_norm=weyl_norm)
+                            residual=residual, weyl_norm=_weyl_norm(riemann, g))
 
 
 def _weyl_norm(riemann: Tensor04, g: Metric, ricci=None,

@@ -36,9 +36,9 @@ import numpy as np
 
 from .chart import CurvatureBundle
 from .errors import DegenerateParams, DimensionMismatch, InvalidParams
-from .tensor import (Metric, Tensor04, _check_bilinear, _hyper_block,
-                     _pseudo_block, is_symmetric, ricci_contract,
-                     scalar_curvature, wedge_gg)
+from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, _W2_TERMS, Metric,
+                     Tensor04, _check_bilinear, _contract_block, _expand_block,
+                     is_symmetric, ricci_contract, scalar_curvature, wedge_gg)
 
 __all__ = [
     "GenCurvParams",
@@ -89,23 +89,20 @@ class GenCurvParams:
 # The one form K = a*R + b*B(S) - c*G
 
 def _weights(kind: str, n: int, r: float, params: GenCurvParams | None):
-    """(a, b, B, c) of K = a*R + b*B(S) - c*G for one kind of tensor."""
+    """(a, b, B, c) of K = a*R + b*B(S) - c*G for one kind of tensor; B is
+    the term table of a `tensor` block kernel (W2's is the two-term block
+    with k and l exchanged, g_ik S_jl - g_jk S_il)."""
     if kind == "qc":
-        return (params.a, params.b, _hyper_block,
+        return (params.a, params.b, _HYPER_TERMS,
                 (r / n) * (params.a / (n - 1) + 2.0 * params.b))
     if kind == "pp":
-        return (params.a, params.b, _pseudo_block,
+        return (params.a, params.b, _PSEUDO_TERMS,
                 (r / n) * (params.a / (n - 1) + params.b))
     if kind == "w2":
-        return 1.0, 1.0 / (n - 1), _w2_block, 0.0
+        return 1.0, 1.0 / (n - 1), _W2_TERMS, 0.0
     if n < 3:
         raise DimensionMismatch("the Weyl tensor needs n >= 3")
-    return 1.0, -1.0 / (n - 2), _hyper_block, -r / ((n - 1) * (n - 2))
-
-
-def _w2_block(gm: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """g_ik S_jl - g_jk S_il: the two-term block with k and l exchanged."""
-    return np.swapaxes(_pseudo_block(gm, p), -1, -2)
+    return 1.0, -1.0 / (n - 2), _HYPER_TERMS, -r / ((n - 1) * (n - 2))
 
 
 def _combine(kind: str, riemann: Tensor04 | None, g: Metric, s, r: float,
@@ -115,17 +112,31 @@ def _combine(kind: str, riemann: Tensor04 | None, g: Metric, s, r: float,
     if riemann.n != g.n:
         raise DimensionMismatch(f"riemann n={riemann.n} vs metric n={g.n}")
     a, b, block, c = _weights(kind, g.n, r, params)
-    return Tensor04(_minus_g(a * riemann.values + b * block(g.mat, s), c, g))
+    values = a * riemann.values + b * _expand_block(block, g.mat, s)
+    return Tensor04(_minus_g(values, c, g))
 
 
 def _flat_values(kind: str, s: np.ndarray, g: Metric, r: float,
                  params: GenCurvParams | None) -> np.ndarray:
     """The R that makes K vanish, (c/a)*G - (b/a)*B(S), for S stacked on
     leading axes (..., n, n) -> (..., n, n, n, n), unchecked.  The public
-    reconstructions wrap it, and the harness applies it to a whole basis in
-    one call."""
+    reconstructions wrap it; `_flat_ricci` is its Ricci contraction."""
     a, b, block, c = _weights(kind, g.n, r, params)
-    return _minus_g(-(b / a) * block(g.mat, s), -c / a, g)
+    return _minus_g(-(b / a) * _expand_block(block, g.mat, s), -c / a, g)
+
+
+def _flat_ricci(kind: str, s: np.ndarray, g: Metric, r: float,
+                params: GenCurvParams | None) -> np.ndarray:
+    """The Ricci contraction of `_flat_values`,
+    (c/a)*contract(G) - (b/a)*contract(B(S)), for S stacked on leading axes
+    (..., n, n) -> (..., n, n), unchecked.  It contracts before expanding:
+    no n^4 grid is built, and contract(G) is the pseudo block's at P = g.
+    The harness applies it to a whole basis in one call."""
+    a, b, block, c = _weights(kind, g.n, r, params)
+    out = -(b / a) * _contract_block(block, g.inv, g.mat, s)
+    if c:
+        out = out + (c / a) * _contract_block(_PSEUDO_TERMS, g.inv, g.mat, g.mat)
+    return out
 
 
 def _minus_g(values: np.ndarray, c: float, g: Metric) -> np.ndarray:

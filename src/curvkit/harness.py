@@ -25,13 +25,16 @@ exactly that.
 
 The contraction checks solve for the Ricci tensor that a vanishing
 generalized tensor forces (`selfconsistent_ricci`).  The linear operator of
-that system is built in one call: the library's own flat reconstruction
-(`gencurv._flat_values`, the same one `reconstruct_*_flat` wrap) is applied
-to the stacked basis [0, E_1, ..., E_{n^2}] of bilinears, the n^2 + 1
-grids are Ricci-contracted in one einsum, and the operator's columns are the
-images of the E_m minus the image of 0.  It is not a closed form, so the
-check of the closed-form alpha stays independent of it; the brute-force twin
-trials certify the reconstruction itself with index loops.
+that system is built in one call, contracting before expanding: the Ricci
+contraction of the library's own flat reconstruction (`gencurv._flat_ricci`,
+read from the same weights and block term tables as the `_flat_values` that
+`reconstruct_*_flat` wrap) is applied to the stacked basis
+[0, E_1, ..., E_{n^2}] of bilinears.  Each block term sums g^-1 into its g
+factor first and then meets the stacked basis, so no n^4 grid is built.
+The operator's columns are the images of the E_m minus the image of 0, the
+contracted G term.  It is not a closed form, so the check of the
+closed-form alpha stays independent of it; the brute-force twin trials
+certify the reconstruction and its contraction with index loops.
 """
 
 from __future__ import annotations
@@ -47,12 +50,11 @@ from .classify import (einstein_check, hyper_quasi_constant_fit,
                        quasi_einstein_decompose)
 from .errors import (CurvError, DegenerateParams, InvalidParams,
                      ZeroScalarCurvature)
-from .gencurv import (GenCurvParams, _flat_values, pp_flat_alpha,
+from .gencurv import (GenCurvParams, _flat_ricci, pp_flat_alpha,
                       qc_flat_alpha, reconstruct_pp_flat, reconstruct_qc_flat,
                       reconstruct_w2_flat, w2, w2_flat_alpha)
-from .tensor import (Metric, Tensor04, _ricci_contract_values, hyper_shape,
-                     max_abs, pseudo_shape, quasi_constant_shape,
-                     ricci_contract, scalar_curvature)
+from .tensor import (Metric, Tensor04, hyper_shape, max_abs, pseudo_shape,
+                     quasi_constant_shape, ricci_contract, scalar_curvature)
 from .wrs import OneFormSystem, a_from_bd, t_identities
 
 __all__ = [
@@ -253,8 +255,10 @@ def selfconsistent_ricci(g: Metric, r: float, params: GenCurvParams,
                          flavor: str) -> np.ndarray:
     """Solve S = ricci_contract(reconstruct_<flavor>_flat(S, g, r)) for S,
     with the scalar curvature pinned by the extra row tr_g(S) = r, as a dense
-    linear system over all n^2 components, whose operator is the contracted
-    reconstruction of the stacked basis (see the module docstring).  The
+    linear system over all n^2 components.  Its operator is the Ricci
+    contraction of the reconstruction of each basis bilinear E_m, taken term
+    by term without building any reconstructed grid, and its affine part
+    that of the G term, zero for W2 (see the module docstring).  The
     solution is the unique Ricci tensor consistent with the vanishing of the
     chosen generalized tensor at this (g, r).  (The trace row matters for the
     W2 flavor, whose fixed-point set without it is the whole Einstein line;
@@ -269,8 +273,7 @@ def selfconsistent_ricci(g: Metric, r: float, params: GenCurvParams,
         raise InvalidParams(f"unknown flavor {flavor!r}")
     # the zero bilinear, then the identity basis E_1 ... E_{n^2}
     basis = np.eye(n * n + 1, n * n, k=-1).reshape(n * n + 1, n, n)
-    values = _flat_values(flavor, basis, g, r, params)
-    images = _ricci_contract_values(g.inv, values).reshape(n * n + 1, n * n)
+    images = _flat_ricci(flavor, basis, g, r, params).reshape(n * n + 1, n * n)
     affine = images[0]
     op = (images[1:] - affine).T
     lhs = np.vstack([np.eye(n * n) - op, g.inv.ravel()])

@@ -231,31 +231,70 @@ def ricci_operator(ricci, g: Metric) -> np.ndarray:
 # --------------------------------------------------------------------------
 # Curvature-shaped builders
 #
-# The two block kernels act on bilinears stacked on leading axes, so that a
-# linear map can be applied to a whole basis in one call: P of shape
-# (..., n, n) gives (..., n, n, n, n).  `rows` = (i, j, k, l), index arrays
-# that broadcast together, selects entries instead, of shape (...,) + their
-# broadcast shape.  Every builder here and in `gencurv` is a thin wrapper
-# over them.  Each entry is a fixed sum of products, so a stacked call, or a
+# Each block kernel is written once, as a table of signed terms
+# (sign, slots of P, slots of g) over the output slots ijkl: the entry
+# B(P)[i,j,k,l] is the signed sum of P[slots] * g[slots] in table order.
+# Two evaluators read a table.  `_expand_block` builds the grid for
+# bilinears stacked on leading axes, P of shape (..., n, n) giving
+# (..., n, n, n, n); `rows` = (i, j, k, l), index arrays that broadcast
+# together, selects entries instead, of shape (...,) + their broadcast
+# shape.  Each entry is a fixed sum of products, so a stacked call, or a
 # selection of rows, equals the full item-by-item grids bit for bit.
+# `_contract_block` returns the Ricci contraction of that grid without
+# building it.  Every builder here and in `gencurv` is a thin wrapper over
+# the two.
+
+_PSEUDO_TERMS = ((+1, "jk", "il"), (-1, "ik", "jl"))
+_HYPER_TERMS = _PSEUDO_TERMS + ((+1, "il", "jk"), (-1, "jl", "ik"))
+_W2_TERMS = ((+1, "jl", "ik"), (-1, "il", "jk"))
+
 
 @functools.lru_cache(maxsize=16)
 def _full_grid(n: int):
     return np.ix_(*[np.arange(n)] * 4)
 
 
+def _expand_block(terms, gm: np.ndarray, p: np.ndarray, rows=None) -> np.ndarray:
+    """The grid (or the `rows` selection) of the block that `terms` describe."""
+    slot = dict(zip("ijkl", _full_grid(gm.shape[0]) if rows is None else rows))
+    out = None
+    for sign, ps, gs in terms:
+        # every term spans all four slots, so each has the output's shape
+        term = p[..., slot[ps[0]], slot[ps[1]]] * gm[slot[gs[0]], slot[gs[1]]]
+        if out is None:  # every table opens with a + term
+            out = term
+        elif sign > 0:
+            out += term
+        else:
+            out -= term
+    return out
+
+
+def _contract_block(terms, ginv: np.ndarray, gm: np.ndarray,
+                    p: np.ndarray) -> np.ndarray:
+    """S[..., j, k] = ginv[i,l] B(P)[..., i, j, k, l] for the block that
+    `terms` describe, P stacked on leading axes, without building the grid:
+    per term, ginv is summed into the g factor first (one small unstacked
+    einsum), and what is left is contracted with the stacked P."""
+    out = 0.0
+    for sign, ps, gs in terms:
+        # the slots of ginv and g that P or the output still needs
+        kept = "".join(dict.fromkeys(c for c in "il" + gs if c in ps + "jk"))
+        weight = np.einsum(f"il,{gs}->{kept}", ginv, gm)
+        term = np.einsum(f"...{ps},{kept}->...jk", p, weight)
+        out = out + term if sign > 0 else out - term
+    return out
+
+
 def _pseudo_block(gm: np.ndarray, p: np.ndarray, rows=None) -> np.ndarray:
     """The two-term block  P[j,k] g[i,l] - P[i,k] g[j,l]."""
-    i, j, k, l = _full_grid(gm.shape[0]) if rows is None else rows
-    return p[..., j, k] * gm[i, l] - p[..., i, k] * gm[j, l]
+    return _expand_block(_PSEUDO_TERMS, gm, p, rows)
 
 
 def _hyper_block(gm: np.ndarray, p: np.ndarray, rows=None) -> np.ndarray:
     """The four-term block
     P[j,k] g[i,l] - P[i,k] g[j,l] + g[j,k] P[i,l] - g[i,k] P[j,l]."""
-    i, j, k, l = _full_grid(gm.shape[0]) if rows is None else rows
-    return (p[..., j, k] * gm[i, l] - p[..., i, k] * gm[j, l]
-            + gm[j, k] * p[..., i, l] - gm[i, k] * p[..., j, l])
+    return _expand_block(_HYPER_TERMS, gm, p, rows)
 
 
 def wedge_gg(g: Metric) -> Tensor04:

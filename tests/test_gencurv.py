@@ -3,14 +3,14 @@ import pytest
 
 from curvkit.chart import CurvatureBundle
 from curvkit.errors import DegenerateParams, DimensionMismatch, InvalidParams
-from curvkit.gencurv import (GenCurvParams, _flat_values, pp_flat_alpha,
-                             pseudo_projective,
+from curvkit.gencurv import (GenCurvParams, _flat_ricci, _flat_values,
+                             pp_flat_alpha, pseudo_projective,
                              qc_flat_alpha, quasi_conformal,
                              reconstruct_pp_flat, reconstruct_qc_flat,
                              reconstruct_w2_flat, w2, w2_flat_alpha, weyl,
                              weyl_from_tensors)
-from curvkit.tensor import (Metric, Tensor04, max_abs, ricci_contract,
-                            scalar_curvature, wedge_gg)
+from curvkit.tensor import (Metric, Tensor04, _ricci_contract_values, max_abs,
+                            ricci_contract, scalar_curvature, wedge_gg)
 from oracles import (loop_pseudo_projective, loop_quasi_conformal, loop_w2,
                      random_riemann_like, random_spd)
 
@@ -323,3 +323,17 @@ def test_stacked_reconstructions_match_single_calls(n):
         stacked = _flat_values(kind, stack, g, r, params)
         for q, s in enumerate(stack):
             assert np.array_equal(stacked[q], single(s).values), (kind, q)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("kind", ["qc", "pp", "w2"])
+def test_contracted_reconstructions_match_expanded(kind, n):
+    rng = np.random.default_rng(900 + n)
+    g = Metric(random_spd(rng, n))
+    params = GenCurvParams(1.3, -0.4)
+    r = 2.7
+    stack = rng.standard_normal((4, n, n))
+    expected = _ricci_contract_values(g.inv, _flat_values(kind, stack, g, r, params))
+    got = _flat_ricci(kind, stack, g, r, params)
+    assert got.shape == (4, n, n)
+    assert max_abs(got - expected) <= 1e-13 * max_abs(expected)

@@ -1,9 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 
 from curvkit.errors import DegenerateParams, InvalidParams
-from curvkit.gencurv import (GenCurvParams, reconstruct_pp_flat,
-                             reconstruct_qc_flat, reconstruct_w2_flat)
+from curvkit.gencurv import (GenCurvParams, pp_flat_alpha, qc_flat_alpha,
+                             reconstruct_pp_flat, reconstruct_qc_flat,
+                             reconstruct_w2_flat, w2_flat_alpha)
 from curvkit.harness import (PointModel, TrialConfig, flat_ricci_form,
                              product_ricci_form, random_point_model,
                              rank_one_coefficient, selfconsistent_ricci,
@@ -223,6 +226,27 @@ def test_selfconsistent_matches_column_by_column_solve(n, flavor):
                                rcond=1e-12)[0].reshape(n, n)
     got = selfconsistent_ricci(g, r, params, flavor)
     assert max_abs(got - expected) <= 1e-12 * (1.0 + max_abs(expected))
+
+
+def test_selfconsistent_builds_no_grid(monkeypatch):
+    # The operator is contracted term by term; expanding any block grid, for
+    # a basis or for G, is what this guards against (no timing involved).
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fixed-point operator expanded a block grid")
+
+    patched = [module for name, module in list(sys.modules.items())
+               if name.startswith("curvkit") and hasattr(module, "_expand_block")]
+    assert patched
+    for module in patched:
+        monkeypatch.setattr(module, "_expand_block", refuse)
+    n, r = 8, 3.5
+    g = Metric(random_spd(np.random.default_rng(5), n))
+    params = GenCurvParams(1.0, 0.5)
+    for flavor, alpha in (("qc", qc_flat_alpha(n, r, params)),
+                          ("pp", pp_flat_alpha(n, r, params)),
+                          ("w2", w2_flat_alpha(n, r))):
+        s = selfconsistent_ricci(g, r, params, flavor)
+        assert max_abs(s - alpha * g.mat) <= 1e-10 * (1.0 + abs(alpha))
 
 
 def test_section_layout():

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from curvkit.errors import DimensionMismatch, SingularMetric
-from curvkit.tensor import (Metric, Tensor04, _hyper_block, _pseudo_block,
-                            hyper_shape, is_symmetric,
+from curvkit.tensor import (_HYPER_TERMS, _PSEUDO_TERMS, _W2_TERMS, Metric,
+                            Tensor04, _contract_block, _expand_block,
+                            _hyper_block, _pseudo_block,
+                            _ricci_contract_values, hyper_shape, is_symmetric,
                             max_abs, pseudo_shape, quasi_constant_shape,
                             ricci_contract, ricci_operator, scalar_curvature,
                             wedge_gg)
@@ -280,6 +282,62 @@ def test_stacked_blocks_match_single_calls(n):
     rows = (iu[:, None], ju[:, None], iu, ju)
     assert np.array_equal(_hyper_block(g.mat, stack, rows), hyper[(Ellipsis,) + rows])
     assert np.array_equal(_pseudo_block(g.mat, stack, rows), pseudo[(Ellipsis,) + rows])
+
+
+# Each block kernel's docstring formula, one entry at a time (W2's is the
+# one in gencurv._weights); written apart from the term tables.
+BLOCK_FORMULAS = {
+    "pseudo": (_PSEUDO_TERMS,
+               lambda p, g, i, j, k, l: p[j][k] * g[i][l] - p[i][k] * g[j][l]),
+    "hyper": (_HYPER_TERMS,
+              lambda p, g, i, j, k, l: (p[j][k] * g[i][l] - p[i][k] * g[j][l]
+                                        + g[j][k] * p[i][l] - g[i][k] * p[j][l])),
+    "w2": (_W2_TERMS,
+           lambda p, g, i, j, k, l: g[i][k] * p[j][l] - g[j][k] * p[i][l]),
+}
+
+
+def loop_block(formula, gm, stack, rows):
+    """The formula at every stacked item and every entry of `rows`."""
+    grid = np.broadcast(*rows)
+    out = np.empty(stack.shape[:-2] + grid.shape)
+    g = gm.tolist()
+    for idx in np.ndindex(stack.shape[:-2]):
+        p = stack[idx].tolist()
+        for pos, (i, j, k, l) in zip(np.ndindex(grid.shape), np.broadcast(*rows)):
+            out[idx + pos] = formula(p, g, int(i), int(j), int(k), int(l))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("kind", sorted(BLOCK_FORMULAS))
+def test_expanded_blocks_match_loop_formulas(kind, n):
+    terms, formula = BLOCK_FORMULAS[kind]
+    rng = np.random.default_rng(700 + n)
+    g = Metric(random_spd(rng, n))
+    stack = rng.standard_normal((2, n, n))
+    iu, ju = np.triu_indices(n, 1)
+    every = np.arange(n)
+    for rows in (np.ix_(every, every, every, every),
+                 (iu[:, None], ju[:, None], iu, ju),
+                 (iu[:, None, None], ju[:, None, None], every[:, None], every)):
+        expected = loop_block(formula, g.mat, stack, rows)
+        assert np.array_equal(_expand_block(terms, g.mat, stack, rows), expected)
+    assert np.array_equal(_expand_block(terms, g.mat, stack),
+                          loop_block(formula, g.mat, stack, np.ix_(*[every] * 4)))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("kind", sorted(BLOCK_FORMULAS))
+def test_contracted_blocks_match_expanded(kind, n):
+    terms, _ = BLOCK_FORMULAS[kind]
+    rng = np.random.default_rng(800 + n)
+    g = Metric(random_spd(rng, n))
+    stack = rng.standard_normal((3, 2, n, n))
+    expected = _ricci_contract_values(g.inv, _expand_block(terms, g.mat, stack))
+    got = _contract_block(terms, g.inv, g.mat, stack)
+    assert got.shape == (3, 2, n, n)
+    assert max_abs(got - expected) <= 1e-13 * max_abs(expected)
 
 
 def test_wedge_built_once_per_metric():
