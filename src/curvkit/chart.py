@@ -3,8 +3,9 @@
 A :class:`MetricField` holds the metric components as symbolic expressions of
 the chart coordinates.  The only symbolic work is exact differentiation of
 those entries: their partials up to third order (the metric's 3-jet) are
-built once, on first use, and cached.  A point query evaluates the jet and
-computes everything else with numpy -- the inverse metric and its derivative,
+built once, on first use, and cached as one topologically ordered node list
+per order.  A point query evaluates those lists in flat loops, up to the
+order it needs, and computes everything else with numpy -- the inverse metric and its derivative,
 the Christoffel symbols, the (0,4) curvature and its derivative, Ricci as the
 contraction of the curvature, the scalar curvature and its differential, and
 the covariant derivatives.  No nested finite differences are involved.
@@ -93,12 +94,11 @@ class CurvatureBundle:
 
 # --------------------------------------------------------------------------
 
-def _normalize_entries(coords: Sequence[str],
-                       entries: Mapping) -> list[list[ex.Node]]:
-    """Build the full symmetric grid of AST nodes from upper-triangle input."""
+def _normalize_entries(coords: Sequence[str], entries: Mapping) -> list[ex.Node]:
+    """The upper-triangle AST nodes g_ij (i <= j), row by row; missing entries are zero."""
     n = len(coords)
     index = {name: i for i, name in enumerate(coords)}
-    grid: list[list[ex.Node | None]] = [[None] * n for _ in range(n)]
+    upper: dict[tuple[int, int], ex.Node] = {}
     for key, value in entries.items():
         i, j = key
         if isinstance(i, str):
@@ -113,15 +113,9 @@ def _normalize_entries(coords: Sequence[str],
             node = ex.num(value)
         else:
             node = ex.parse(str(value), coords).root
-        i, j = min(i, j), max(i, j)
-        grid[i][j] = node
+        upper[min(i, j), max(i, j)] = node
     zero = ex.num(0.0)
-    for i in range(n):
-        for j in range(i, n):
-            if grid[i][j] is None:
-                grid[i][j] = zero
-            grid[j][i] = grid[i][j]  # shared node: exact symmetry
-    return grid  # type: ignore[return-value]
+    return [upper.get((i, j), zero) for i in range(n) for j in range(i, n)]
 
 
 class MetricField:
@@ -144,63 +138,63 @@ class MetricField:
     @cached_property
     def _gamma(self):
         """The metric jet from which the Christoffel symbols and all curvature
-        are evaluated: the exact partials d^k g_ij / dx_a1 ... dx_ak for
+        are evaluated: g_ij and its exact partials d^k g_ij / dx_a1 ... dx_ak,
         k = 1, 2, 3.  (The name is kept for the benchmark's tracer, which
         times this build as the cold symbolic Christoffel build.)
 
-        Entry k-1 is ``(nodes, take)``: one node per sorted derivative index
-        tuple and upper-triangle pair (i <= j), and the index array that
-        scatters their values into the full (n,)*k + (n, n) grid, which makes
-        the symmetry in the derivative slots and in (i, j) exact.  One
-        differentiation memo per coordinate keeps shared subtrees shared
-        across entries and orders."""
+        Entry k is ``(nodes, roots, take)``: `roots` holds one node per sorted
+        derivative index tuple of length k and upper-triangle pair (i <= j);
+        `nodes` lists in topological order the nodes that entries 0..k-1 do
+        not reach, so evaluating entries 0..k in turn evaluates each node
+        once; `take` scatters the root values into the full (n,)*k + (n, n)
+        grid, which makes the symmetry in the derivative slots and in (i, j)
+        exact.  One differentiation memo per coordinate keeps shared subtrees
+        shared across entries and orders."""
         n = self.n
         pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        pair_index = {ij: p for p, ij in enumerate(pairs)}
-        pair_of = np.array([[pair_index[min(i, j), max(i, j)] for j in range(n)]
+        pair_of = np.array([[pairs.index((min(i, j), max(i, j))) for j in range(n)]
                             for i in range(n)])
         memos: list[dict] = [{} for _ in range(n)]
-        level = {(): [self._g[i][j] for i, j in pairs]}
+        level = {(): self._g}
+        known: set[int] = set()
         jet = []
-        for k in range(1, 4):
-            level = {key + (a,): [ex.diff_node(node, self.coords[a], memos[a])
-                                  for node in nodes]
-                     for key, nodes in level.items()
-                     for a in range(key[-1] if key else 0, n)}
+        for k in range(4):
+            if k:
+                level = {key + (a,): ex.diff_nodes(nodes, self.coords[a], memos[a])
+                         for key, nodes in level.items()
+                         for a in range(key[-1] if key else 0, n)}
             key_index = {key: q for q, key in enumerate(level)}
             key_of = np.array([key_index[tuple(sorted(idx))]
                                for idx in itertools.product(range(n), repeat=k)])
             take = key_of.reshape((n,) * k)[..., None, None] * len(pairs) + pair_of
-            jet.append(([node for nodes in level.values() for node in nodes], take))
+            roots = [node for nodes in level.values() for node in nodes]
+            nodes = ex.topological(roots, known)
+            known.update(map(id, nodes))
+            jet.append((nodes, roots, take))
         return jet
 
     # -- evaluation ----------------------------------------------------------
-
-    def _env(self, point: Sequence[float]) -> dict[str, float]:
-        if len(point) != self.n:
-            raise DimensionMismatch(
-                f"point has {len(point)} components, expected {self.n}")
-        return dict(zip(self.coords, (float(v) for v in point)))
-
-    def _eval(self, nodes, env, memo) -> np.ndarray:
-        # one memo per point query: expressions here share subtrees heavily
-        if isinstance(nodes, list):
-            return np.array([self._eval(sub, env, memo) for sub in nodes])
-        return ex.eval_node(nodes, env, memo)
 
     def _jet_at(self, point: Sequence[float], order: int):
         """The metric and its partials d^k g (k = 1..order) at the point.  No
         higher order is evaluated than the query needs, so a DomainError
         surfaces only from the queries whose results depend on it."""
-        env = self._env(point)
-        memo: dict = {}
-        g = Metric(self._eval(self._g, env, memo))
-        return g, [self._eval(nodes, env, memo)[take]
-                   for nodes, take in self._gamma[:order]]
+        if len(point) != self.n:
+            raise DimensionMismatch(f"point has {len(point)} components, expected {self.n}")
+        env = dict(zip(self.coords, (float(v) for v in point)))
+        values: dict = {}
+
+        def level(nodes, roots, take):
+            ex.eval_order(nodes, env, values)
+            return np.array([values[id(root)] for root in roots])[take]
+
+        g = Metric(level(*self._gamma[0]))
+        return g, [level(*entry) for entry in self._gamma[1:order + 1]]
 
     def metric_at(self, point: Sequence[float]) -> Metric:
-        """Evaluate the metric; raises SingularMetric where the chart degenerates."""
-        return Metric(self._eval(self._g, self._env(point), {}))
+        """Evaluate the metric; raises SingularMetric where the chart
+        degenerates.  The first call on a field builds its whole jet."""
+        return self._jet_at(point, 0)[0]
 
     def christoffel(self, point: Sequence[float]) -> np.ndarray:
         """Christoffel symbols gamma[k,i,j] at the point (exactly symmetric in i,j)."""

@@ -3,9 +3,12 @@
 The AST is deliberately small: numeric constants, coordinate variables, unary
 negation, the functions sin/cos/tan/exp/log/sqrt, and the binary operators
 ``+ - * / ^``.  Differentiation is exact and closed over this vocabulary;
-evaluation is plain float arithmetic.  There is no general simplifier, only
-constant folding and neutral-element elimination, enough to keep derivative
-trees from silting up with ``0*...`` and ``...^1`` debris.
+evaluation is plain float arithmetic.  Both are loops over one topological
+order of the expression DAG (:func:`topological`, an explicit-stack walk), so
+neither recurses, and expression size is bounded by memory alone.  There is
+no general simplifier, only constant folding and neutral-element elimination,
+enough to keep derivative trees from silting up with ``0*...`` and ``...^1``
+debris.
 
 Grammar (infix), as documented in the README::
 
@@ -17,7 +20,9 @@ Grammar (infix), as documented in the README::
 
 ``^`` binds tighter than unary minus, so ``-x^2`` parses as ``-(x^2)``.
 Identifiers match ``[A-Za-z_][A-Za-z0-9_]*``; numbers are ordinary decimal
-literals with optional fraction and exponent.
+literals with optional fraction and exponent.  The parser recurses, so it
+bounds nesting: a factor inside more than 100 parentheses, function calls,
+unary minuses and exponents is a ParseError at the first token that deep.
 
 Expressions are immutable after construction and safe to share between
 threads.
@@ -73,14 +78,7 @@ class BinOp(Node):
     right: Node
 
 
-_FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-}
+_FUNCTIONS = {name: getattr(math, name) for name in ("sin", "cos", "tan", "exp", "log", "sqrt")}
 
 _ZERO = Num(0.0)
 _ONE = Num(1.0)
@@ -221,59 +219,84 @@ def _fold_binop(op: str, a: Num, b: Num) -> Node:
 
 
 # --------------------------------------------------------------------------
-# Differentiation
+# Traversal, differentiation and evaluation
 #
 # Smart constructors share subtrees aggressively, so large expressions are
 # DAGs rather than trees (the same inverse-metric node appears in every
-# Christoffel symbol, say).  Differentiation and evaluation therefore memoize
-# on node identity -- nodes are immutable, so this is sound -- which keeps
-# both walks linear in the DAG size instead of exponential.
+# Christoffel symbol, say).  Differentiation and evaluation therefore both
+# loop over one topological order of the DAG and key their tables on node
+# identity -- nodes are immutable, so this is sound -- which keeps them
+# linear in the DAG size instead of exponential, and keeps the Python stack
+# flat however deep the expression is.
+
+def topological(roots: Iterable[Node], known=()) -> list[Node]:
+    """Every node reachable from `roots` whose id is not in `known`, once each,
+    children before parents, left before right: the order in which a
+    depth-first walk finishes them.  On the explicit stack, a None marks that
+    the node below it has all its children done."""
+    order: list[Node] = []
+    seen: set[int] = set()
+    for root in roots:
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if node is None:
+                order.append(stack.pop())
+            elif (key := id(node)) not in seen and key not in known:
+                seen.add(key)
+                stack += (node, None)
+                kind = type(node)
+                if kind is BinOp:
+                    stack += (node.right, node.left)
+                elif kind is Neg or kind is Fun:
+                    stack.append(node.arg)
+    return order
+
 
 def diff_node(node: Node, name: str, memo: dict | None = None) -> Node:
     """Exact partial derivative of `node` with respect to the coordinate `name`."""
+    return diff_nodes([node], name, memo)[0]
+
+
+def diff_nodes(nodes: Sequence[Node], name: str, memo: dict | None = None) -> list[Node]:
+    """The partials of several nodes along `name`, in one traversal.  `memo`
+    maps id(node) -> derivative; one dict passed across calls shares the
+    derivatives of common subtrees."""
     if memo is None:
         memo = {}
-    key = id(node)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    out = _diff_uncached(node, name, memo)
-    memo[key] = out
-    return out
+    for node in topological(nodes, memo):
+        memo[id(node)] = _diff_rule(node, name, memo)
+    return [memo[id(node)] for node in nodes]
 
 
-def _diff_uncached(node: Node, name: str, memo: dict) -> Node:
+# d f(u) / du for each function f, as a node in u
+_OUTER = {
+    "sin": lambda u: fun("cos", u),
+    "cos": lambda u: neg(fun("sin", u)),
+    "tan": lambda u: div(_ONE, power(fun("cos", u), Num(2.0))),
+    "exp": lambda u: fun("exp", u),
+    "log": lambda u: div(_ONE, u),
+    "sqrt": lambda u: div(_ONE, mul(Num(2.0), fun("sqrt", u))),
+}
+
+
+def _diff_rule(node: Node, name: str, memo: dict) -> Node:
+    """The derivative of `node`, given those of its children in `memo`."""
     if isinstance(node, Num):
         return _ZERO
     if isinstance(node, Var):
         return _ONE if node.name == name else _ZERO
     if isinstance(node, Neg):
-        return neg(diff_node(node.arg, name, memo))
+        return neg(memo[id(node.arg)])
     if isinstance(node, Fun):
-        du = diff_node(node.arg, name, memo)
-        u = node.arg
-        if node.name == "sin":
-            outer = fun("cos", u)
-        elif node.name == "cos":
-            outer = neg(fun("sin", u))
-        elif node.name == "tan":
-            outer = div(_ONE, power(fun("cos", u), Num(2.0)))
-        elif node.name == "exp":
-            outer = fun("exp", u)
-        elif node.name == "log":
-            outer = div(_ONE, u)
-        elif node.name == "sqrt":
-            outer = div(_ONE, mul(Num(2.0), fun("sqrt", u)))
-        else:  # pragma: no cover
-            raise AssertionError(node.name)
-        return mul(outer, du)
+        return mul(_OUTER[node.name](node.arg), memo[id(node.arg)])
     if isinstance(node, BinOp):
         a, b = node.left, node.right
-        da = diff_node(a, name, memo)
+        da = memo[id(a)]
         if node.op == "^" and isinstance(b, Num):
             # d(u^c) = c * u^(c-1) * u'
             return mul(mul(b, power(a, Num(b.value - 1.0))), da)
-        db = diff_node(b, name, memo)
+        db = memo[id(b)]
         if node.op == "+":
             return add(da, db)
         if node.op == "-":
@@ -292,40 +315,27 @@ def _diff_uncached(node: Node, name: str, memo: dict) -> Node:
 # --------------------------------------------------------------------------
 # Evaluation
 
-def eval_node(node: Node, env: Mapping[str, float],
-              memo: dict | None = None) -> float:
-    """Evaluate a node against a name -> value environment.  Passing one
-    `memo` dict across several evaluations with the same environment shares
-    work between expressions with common subtrees."""
-    if memo is None:
-        memo = {}
-    key = id(node)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(node, Num):
-        out = node.value
-    elif isinstance(node, Var):
-        out = env[node.name]
-    elif isinstance(node, Neg):
-        out = -eval_node(node.arg, env, memo)
-    elif isinstance(node, Fun):
-        x = eval_node(node.arg, env, memo)
+def eval_order(order: Iterable[Node], env: Mapping[str, float], values: dict) -> dict:
+    """Evaluate each node of `order` against a name -> value environment and
+    store it in `values` (id(node) -> float), which must already hold every
+    child that `order` does not list before its parent.  Returns `values`."""
+    for node in order:
+        kind = type(node)
         try:
-            out = _apply_fun(node.name, x)
+            if kind is BinOp:
+                out = _apply_binop(node.op, values[id(node.left)], values[id(node.right)])
+            elif kind is Fun:
+                out = _apply_fun(node.name, values[id(node.arg)])
+            elif kind is Neg:
+                out = -values[id(node.arg)]
+            elif kind is Var:
+                out = env[node.name]
+            else:
+                out = node.value
         except DomainError as exc:
             raise DomainError(exc.args[0], _error_context(node)) from None
-    elif isinstance(node, BinOp):
-        a = eval_node(node.left, env, memo)
-        b = eval_node(node.right, env, memo)
-        try:
-            out = _apply_binop(node.op, a, b)
-        except DomainError as exc:
-            raise DomainError(exc.args[0], _error_context(node)) from None
-    else:  # pragma: no cover
-        raise AssertionError(f"unreachable node {node!r}")
-    memo[key] = out
-    return out
+        values[id(node)] = out
+    return values
 
 
 def _error_context(node: Node, limit: int = 120) -> str:
@@ -413,28 +423,28 @@ _TOKEN_RE = re.compile(r"""
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """Return (kind, text, byte_offset) triples, terminated by ('end', '', n)."""
     tokens = []
-    pos = 0
+    pos = offset = 0  # character index and the byte offset it starts at
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}",
-                             _byte_offset(text, pos))
+            raise ParseError(f"unexpected character {text[pos]!r}", offset)
         kind = m.lastgroup
         if kind != "ws":
-            tokens.append((kind, m.group(), _byte_offset(text, pos)))
+            tokens.append((kind, m.group(), offset))
+        offset += len(m.group().encode("utf-8"))
         pos = m.end()
-    tokens.append(("end", "", _byte_offset(text, len(text))))
+    tokens.append(("end", "", offset))
     return tokens
 
 
-def _byte_offset(text: str, char_index: int) -> int:
-    return len(text[:char_index].encode("utf-8"))
+_MAX_NESTING = 100  # the deepest nesting the parser accepts (module docstring)
 
 
 class _Parser:
     def __init__(self, text: str, coords: Sequence[str]):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.coords = frozenset(coords)
 
     def peek(self):
@@ -481,11 +491,17 @@ class _Parser:
                 return node
 
     def factor(self) -> Node:
-        kind, text, _ = self.peek()
+        kind, text, offset = self.peek()
+        if self.depth > _MAX_NESTING:  # every recursion of the parser passes here
+            raise ParseError(f"expression nested deeper than {_MAX_NESTING} levels", offset)
+        self.depth += 1
         if kind == "op" and text == "-":
             self.advance()
-            return neg(self.factor())
-        return self.power()
+            node = neg(self.factor())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> Node:
         base = self.atom()
@@ -555,17 +571,6 @@ class Expression:
         self.root = root
         self.coords = tuple(coords)
 
-    # construction helpers -------------------------------------------------
-    @classmethod
-    def number(cls, value: float, coords: Sequence[str]) -> "Expression":
-        return cls(Num(float(value)), coords)
-
-    @classmethod
-    def coordinate(cls, name: str, coords: Sequence[str]) -> "Expression":
-        if name not in coords:
-            raise UnknownIdentifier(name)
-        return cls(Var(name), coords)
-
     # calculus --------------------------------------------------------------
     def diff(self, name: str) -> "Expression":
         if name not in self.coords:
@@ -577,7 +582,7 @@ class Expression:
             raise DomainError(
                 f"point has {len(point)} components, expected {len(self.coords)}")
         env = dict(zip(self.coords, (float(v) for v in point)))
-        return eval_node(self.root, env)
+        return eval_order(topological([self.root]), env, {})[id(self.root)]
 
     # arithmetic ------------------------------------------------------------
     def _coerce(self, other) -> Node:

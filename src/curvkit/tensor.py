@@ -37,7 +37,7 @@ INVERSE_TOL = 1e-10
 
 def max_abs(a) -> float:
     a = np.asarray(a, dtype=float)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
 def is_symmetric(a: np.ndarray, tol: float = SYMMETRY_TOL) -> bool:

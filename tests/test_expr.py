@@ -187,7 +187,15 @@ def _gen_ast(rng: random.Random, coords, depth: int) -> ex.Node:
 
 
 def _fd_corpus(count: int, seed: int):
-    """Yield `count` (expression, var, point) triples that evaluate cleanly."""
+    """Yield `count` (expression, derivative value, central finite
+    difference) triples that evaluate cleanly."""
+    for e, _, _, d_val, fd in _clean_cases(count, seed):
+        yield e, d_val, fd
+
+
+def _clean_cases(count: int, seed: int):
+    """Yield `count` cases that evaluate cleanly: (expression, var, point,
+    derivative value, central finite difference)."""
     rng = random.Random(seed)
     coords = ("u", "v")
     produced = 0
@@ -212,7 +220,7 @@ def _fd_corpus(count: int, seed: int):
             continue
         if any(abs(v) > 1e6 for v in (d_val, f_plus, f_minus)):
             continue
-        yield e, d_val, (f_plus - f_minus) / (2 * h)
+        yield e, var, point, d_val, (f_plus - f_minus) / (2 * h)
         produced += 1
     assert produced == count, f"only generated {produced} clean cases"
 
