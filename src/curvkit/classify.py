@@ -19,9 +19,10 @@ from .errors import (DimensionMismatch, InvalidParams, NotQuasiConstant,
                      NotQuasiEinstein)
 from .gencurv import (GenCurvParams, pseudo_projective, quasi_conformal, w2,
                       weyl_from_tensors)
-from .tensor import (Metric, Tensor04, _check_bilinear, _hyper_block,
-                     _pseudo_block, max_abs, quasi_constant_shape,
-                     ricci_contract, scalar_curvature, wedge_gg)
+from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, Metric, Tensor04,
+                     _check_bilinear, _expand_block, _lstsq_kernel, max_abs,
+                     quasi_constant_shape, ricci_contract, scalar_curvature,
+                     wedge_gg)
 
 __all__ = [
     "EinsteinFit", "QuasiEinsteinFit", "QuasiConstantFit",
@@ -32,6 +33,7 @@ __all__ = [
 ]
 
 COEFF_FLOOR = 1e-10  # relative threshold below which a fitted scalar counts as zero
+CLUSTER_TOL = 1e-6   # relative spread within which eigenvalues form one cluster
 
 
 @dataclass(frozen=True)
@@ -102,13 +104,13 @@ def _generalized_eigh(s: np.ndarray, g: Metric):
     return lam, np.linalg.solve(chol.T, w)
 
 
-def quasi_einstein_decompose(s, g: Metric, tol: float = 1e-6) -> QuasiEinsteinFit:
+def quasi_einstein_decompose(s, g: Metric) -> QuasiEinsteinFit:
     """Decompose S = p*g + q*omega(x)omega with omega g-unit and q != 0.
 
     Solves the g-relative symmetric eigenproblem; the pattern required is an
     (n-1)-fold eigenvalue cluster plus one simple eigenvalue (relative
-    clustering tolerance `tol`).  The input is prescaled by a power of two,
-    which makes the decomposition exactly equivariant under S -> 2^k S.
+    clustering tolerance CLUSTER_TOL).  The input is prescaled by a power of
+    two, which makes the decomposition exactly equivariant under S -> 2^k S.
 
     Raises NotQuasiEinstein when the pattern is absent, or when it collapses
     to Einstein (q ~ 0), in which case `einstein_alpha` is set on the error.
@@ -119,7 +121,7 @@ def quasi_einstein_decompose(s, g: Metric, tol: float = 1e-6) -> QuasiEinsteinFi
     lam, vec = _generalized_eigh(s / c0, g)
     spread_all = lam[-1] - lam[0]
     lam_scale = max(1e-300, float(np.max(np.abs(lam))))
-    if spread_all <= tol * lam_scale:
+    if spread_all <= CLUSTER_TOL * lam_scale:
         alpha = c0 * float(np.mean(lam))
         raise NotQuasiEinstein(
             "eigenvalues form a single cluster: Einstein, not quasi-Einstein",
@@ -129,7 +131,8 @@ def quasi_einstein_decompose(s, g: Metric, tol: float = 1e-6) -> QuasiEinsteinFi
         cluster = lam[cluster_idx]
         spread = float(np.max(cluster) - np.min(cluster))
         sep = abs(lam[simple_idx] - float(np.mean(cluster)))
-        return (spread <= tol * lam_scale and sep > tol * lam_scale), sep
+        tol = CLUSTER_TOL * lam_scale
+        return (spread <= tol and sep > tol), sep
 
     candidates = []
     for simple_idx, cluster_idx in ((g.n - 1, slice(0, g.n - 1)),
@@ -218,20 +221,20 @@ def _weyl_norm(riemann: Tensor04, g: Metric, ricci=None,
     return max_abs(weyl_from_tensors(riemann, g, ricci=ricci, r=r).values)
 
 
-def _linear_fit(riemann: Tensor04, g: Metric, block, gauge_weight: float,
+def _linear_fit(riemann: Tensor04, g: Metric, terms, gauge_weight: float,
                 antisym_kl: bool) -> tuple[float, np.ndarray, float, int]:
-    """Least-squares fit R ~ a * wedge_gg + block(g, P) over (a, P), with the
+    """Least-squares fit R ~ a * wedge_gg + B(P) over (a, P), with the
     trace part of P moved into a (`gauge_weight` wedges per unit trace).
 
-    `block` is a block kernel of `tensor`; the design is its image of the
-    stacked identity basis of bilinears, built in one call.  Every column is
-    antisymmetric in (i, j), and in (k, l) too when `antisym_kl`, so each
-    design row outside i < j (and k < l) is zero or a signed copy of a kept
-    row.  The fit builds and solves only the kept rows, against the target
-    antisymmetrized the same way: the least-squares solution is the same,
-    and every singular value scales by one common factor, so the relative
-    rank cut-off and `kernel_dim` do not change.  The residual is measured
-    on the full grid."""
+    `terms` is the term table of a `tensor` block kernel B; the design is
+    its image of the stacked identity basis of bilinears, built in one
+    call.  Every column is antisymmetric in (i, j), and in (k, l) too when
+    `antisym_kl`, so each design row outside i < j (and k < l) is zero or a
+    signed copy of a kept row.  The fit builds and solves only the kept
+    rows, against the target antisymmetrized the same way: the least-squares
+    solution is the same, and every singular value scales by one common
+    factor, so the relative rank cut-off (`tensor._lstsq_kernel`) and
+    `kernel_dim` do not change.  The residual is measured on the full grid."""
     if riemann.n != g.n:
         raise DimensionMismatch(f"riemann n={riemann.n} vs metric n={g.n}")
     n = g.n
@@ -247,16 +250,16 @@ def _linear_fit(riemann: Tensor04, g: Metric, block, gauge_weight: float,
                              np.arange(n)[:, None], np.arange(n))
         target = 0.5 * (rv[i, j, k, l] - rv[j, i, k, l])
     basis = np.eye(n * n).reshape(n * n, n, n)
-    design = np.concatenate([gw[rows][None], block(g.mat, basis, rows)])
+    design = np.concatenate([gw[rows][None], _expand_block(terms, g.mat, basis, rows)])
     design = design.reshape(n * n + 1, -1).T
-    sol, _, _, sigma = np.linalg.lstsq(design, target.ravel(), rcond=1e-10)
-    kernel_dim = design.shape[1] - int(np.sum(sigma > 1e-10 * sigma[0]))
+    sol, kernel_dim = _lstsq_kernel(design, target.ravel())
     a0 = float(sol[0])
     p0 = sol[1:].reshape(n, n)
     trace = float(np.einsum("ij,ij->", g.inv, p0))
     p_hat = p0 - (trace / n) * g.mat
     a_hat = a0 + gauge_weight * trace / n
-    residual = max_abs(rv - a_hat * gw - block(g.mat, p_hat)) / (1.0 + max_abs(rv))
+    block = _expand_block(terms, g.mat, p_hat)
+    residual = max_abs(rv - a_hat * gw - block) / (1.0 + max_abs(rv))
     return a_hat, p_hat, residual, kernel_dim
 
 
@@ -265,7 +268,7 @@ def hyper_quasi_constant_fit(riemann: Tensor04, g: Metric) -> HyperQuasiConstant
     trace-free (P -> P + c*g is absorbed by a -> a - 2c).  Always returns;
     `residual` says how well the fit explains the input and `kernel_dim`
     reports the null directions of the design operator (>= 1, the gauge)."""
-    a, p, residual, kernel = _linear_fit(riemann, g, _hyper_block,
+    a, p, residual, kernel = _linear_fit(riemann, g, _HYPER_TERMS,
                                          gauge_weight=2.0, antisym_kl=True)
     return HyperQuasiConstantFit(a=a, p=p, residual=residual, kernel_dim=kernel)
 
@@ -274,7 +277,7 @@ def pseudo_quasi_constant_fit(riemann: Tensor04, g: Metric) -> PseudoQuasiConsta
     """Fit R = a * wedge_gg(g) + pseudo_shape(g, P), trace-free gauge
     (P -> P + c*g is absorbed by a -> a + c).  Accepts generalized inputs;
     the two-term shape need not be riemann-like."""
-    a, p, residual, kernel = _linear_fit(riemann, g, _pseudo_block,
+    a, p, residual, kernel = _linear_fit(riemann, g, _PSEUDO_TERMS,
                                          gauge_weight=1.0, antisym_kl=False)
     return PseudoQuasiConstantFit(a=a, p=p, residual=residual, kernel_dim=kernel)
 

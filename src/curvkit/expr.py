@@ -20,7 +20,8 @@ Grammar (infix), as documented in the README::
 
 ``^`` binds tighter than unary minus, so ``-x^2`` parses as ``-(x^2)``.
 Identifiers match ``[A-Za-z_][A-Za-z0-9_]*``; numbers are ordinary decimal
-literals with optional fraction and exponent.  The parser recurses, so it
+literals with optional fraction and exponent, and one too large for a float
+(``1e999``) is a ParseError at its offset.  The parser recurses, so it
 bounds nesting: a factor inside more than 100 parentheses, function calls,
 unary minuses and exponents is a ParseError at the first token that deep.
 
@@ -253,9 +254,9 @@ def topological(roots: Iterable[Node], known=()) -> list[Node]:
     return order
 
 
-def diff_node(node: Node, name: str, memo: dict | None = None) -> Node:
+def diff_node(node: Node, name: str) -> Node:
     """Exact partial derivative of `node` with respect to the coordinate `name`."""
-    return diff_nodes([node], name, memo)[0]
+    return diff_nodes([node], name)[0]
 
 
 def diff_nodes(nodes: Sequence[Node], name: str, memo: dict | None = None) -> list[Node]:
@@ -372,41 +373,47 @@ def to_string(node: Node, depth_limit: int | None = None) -> str:
     """Canonical infix form; `parse(to_string(e))` reproduces `e` up to
     negative-constant normalization (stable from the second round trip on).
     `depth_limit` elides deeper subtrees as '...' (error messages only; the
-    elided form is not parseable)."""
-    if depth_limit is not None and depth_limit <= 0:
-        return "..."
-    deeper = None if depth_limit is None else depth_limit - 1
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Fun):
-        return f"{node.name}({to_string(node.arg, deeper)})"
-    if isinstance(node, Neg):
-        inner = to_string(node.arg, deeper)
-        if _prec(node.arg) <= _PREC_NEG:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, BinOp):
-        op = node.op
-        p = _prec(node)
-        ls = to_string(node.left, deeper)
-        rs = to_string(node.right, deeper)
-        if op == "^":
-            # right-associative; a negative-constant base needs parens
-            if _prec(node.left) <= p:
-                ls = f"({ls})"
-            if _prec(node.right) < p:
-                rs = f"({rs})"
+    elided form is not parseable).  Written left to right from an explicit
+    stack: a string item is emitted, a (node, depth_limit) item expands."""
+    out: list[str] = []
+    stack: list = [(node, depth_limit)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, limit = item
+        deeper = None if limit is None else limit - 1
+        if limit is not None and limit <= 0:
+            out.append("...")
+        elif isinstance(node, Num):
+            out.append(repr(node.value))
+        elif isinstance(node, Var):
+            out.append(node.name)
+        elif isinstance(node, Fun):
+            stack += (")", (node.arg, deeper), f"{node.name}(")
+        elif isinstance(node, Neg):
+            stack += _operand(node.arg, deeper, _prec(node.arg) <= _PREC_NEG) + ("-",)
         else:
-            if _prec(node.left) < p:
-                ls = f"({ls})"
-            # left-associative: parenthesize same-precedence right operands;
-            # also parenthesize leading-minus right operands for readability
-            if _prec(node.right) <= p:
-                rs = f"({rs})"
-        return f"{ls}{op}{rs}"
-    raise AssertionError(f"unreachable node {node!r}")  # pragma: no cover
+            p = _prec(node)
+            if node.op == "^":
+                # right-associative; a negative-constant base needs parens
+                left_parens = _prec(node.left) <= p
+                right_parens = _prec(node.right) < p
+            else:
+                left_parens = _prec(node.left) < p
+                # left-associative: parenthesize same-precedence right operands;
+                # also parenthesize leading-minus right operands for readability
+                right_parens = _prec(node.right) <= p
+            stack += (_operand(node.right, deeper, right_parens) + (node.op,)
+                      + _operand(node.left, deeper, left_parens))
+    return "".join(out)
+
+
+def _operand(node: Node, limit: int | None, parens: bool) -> tuple:
+    """The stack items that print `node`, in parentheses if `parens`, in the
+    order they are pushed (the stack pops them last to first)."""
+    return (")", (node, limit), "(") if parens else ((node, limit),)
 
 
 # --------------------------------------------------------------------------
@@ -514,7 +521,10 @@ class _Parser:
     def atom(self) -> Node:
         kind, text, offset = self.advance()
         if kind == "num":
-            return Num(float(text))
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(f"numeric literal {text!r} overflows a float", offset)
+            return Num(value)
         if kind == "ident":
             nxt_kind, nxt_text, _ = self.peek()
             if nxt_kind == "op" and nxt_text == "(":
@@ -559,10 +569,10 @@ def _check_coords(coords: Iterable[str]) -> tuple[str, ...]:
 class Expression:
     """A symbolic function of an ordered coordinate tuple.
 
-    Immutable.  Supports arithmetic operators (`+ - * / **`, unary `-`) with
-    other Expressions over the same coordinates or with plain numbers, exact
-    differentiation via :meth:`diff`, and evaluation by calling it with a
-    point (one value per coordinate, in order).
+    Immutable, and built only by :func:`parse`.  Supports exact
+    differentiation via :meth:`diff`, evaluation by calling it with a point
+    (one value per coordinate, in order), structural `==` and `hash`, and
+    printing in the canonical infix form.
     """
 
     __slots__ = ("root", "coords")
@@ -583,53 +593,6 @@ class Expression:
                 f"point has {len(point)} components, expected {len(self.coords)}")
         env = dict(zip(self.coords, (float(v) for v in point)))
         return eval_order(topological([self.root]), env, {})[id(self.root)]
-
-    # arithmetic ------------------------------------------------------------
-    def _coerce(self, other) -> Node:
-        if isinstance(other, Expression):
-            if other.coords != self.coords:
-                raise DomainError("cannot combine expressions over different coordinates")
-            return other.root
-        if isinstance(other, (int, float)):
-            return Num(float(other))
-        return NotImplemented
-
-    def _binary(self, other, build, swap=False):
-        rhs = self._coerce(other)
-        if rhs is NotImplemented:
-            return NotImplemented
-        a, b = (rhs, self.root) if swap else (self.root, rhs)
-        return Expression(build(a, b), self.coords)
-
-    def __add__(self, other):
-        return self._binary(other, add)
-
-    def __radd__(self, other):
-        return self._binary(other, add, swap=True)
-
-    def __sub__(self, other):
-        return self._binary(other, sub)
-
-    def __rsub__(self, other):
-        return self._binary(other, sub, swap=True)
-
-    def __mul__(self, other):
-        return self._binary(other, mul)
-
-    def __rmul__(self, other):
-        return self._binary(other, mul, swap=True)
-
-    def __truediv__(self, other):
-        return self._binary(other, div)
-
-    def __rtruediv__(self, other):
-        return self._binary(other, div, swap=True)
-
-    def __pow__(self, other):
-        return self._binary(other, power)
-
-    def __neg__(self):
-        return Expression(neg(self.root), self.coords)
 
     # identity ----------------------------------------------------------------
     def __eq__(self, other):

@@ -21,8 +21,10 @@ The Weyl tensor serves as the conformal-flatness predicate.
 Setting any of the first three to zero and solving for R gives
 R = (c/a)*G - (b/a)*B(S), the `reconstruct_*` functions; feeding a
 reconstruction back through its combination returns zero identically.  The
-reconstructions accept S and r independently so callers can probe
-inconsistent inputs; `strict=True` enforces r = trace(S).
+quasi-conformal and pseudo-projective reconstructions accept S and r
+independently so callers can probe inconsistent inputs; their `strict=True`
+enforces r = trace(S).  The W2 reconstruction takes no r: its weights do not
+involve it.
 
 The scalar curvature is one quantity and is named `r` throughout, whichever
 weighted combination it appears in.
@@ -228,7 +230,7 @@ def reconstruct_pp_flat(s, g: Metric, r: float, params: GenCurvParams,
     return Tensor04(_flat_values("pp", s, g, r, params))
 
 
-def reconstruct_w2_flat(s, g: Metric, strict: bool = False) -> Tensor04:
+def reconstruct_w2_flat(s, g: Metric) -> Tensor04:
     """R under a vanishing W2 combination:
 
         R = 1/(n-1) * [g_jk S_il - g_ik S_jl]

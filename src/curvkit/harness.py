@@ -90,15 +90,12 @@ class TrialConfig:
 
 @dataclass(frozen=True)
 class PointModel:
-    """Random pointwise data; which optional fields are set depends on `kind`."""
+    """Random pointwise data with a rank-one Ricci form S = coeff * t(x)t."""
 
-    kind: str
     g: Metric
-    ricci: np.ndarray | None = None
-    coeff: float | None = None          # rank1: S = coeff * t(x)t; einstein: S = coeff * g
-    t: np.ndarray | None = None         # rank1 difference form
-    forms: OneFormSystem | None = None  # wrs-synthetic generators
-    nabla_ricci: np.ndarray | None = None
+    ricci: np.ndarray
+    coeff: float
+    t: np.ndarray  # the difference form
 
 
 @dataclass(frozen=True)
@@ -164,38 +161,16 @@ def _draw_covector(rng: np.random.Generator, n: int) -> np.ndarray:
     raise DegenerateParams("could not draw a non-degenerate covector")
 
 
-def random_point_model(seed, n: int, kind: str) -> PointModel:
+def random_point_model(seed, n: int) -> PointModel:
     """Seeded pointwise data.  `seed` may be an int, a seed sequence, or an
-    existing Generator.  Kinds:
-
-    * ``generic-metric``: g = M^T M + n*I for random M (positive definite by
-      construction, smallest eigenvalue >= n).
-    * ``rank1-ricci``: additionally S = c * t(x)t with |c| bounded away from 0
-      and t bounded away from 0.
-    * ``einstein``: S = c * g.
-    * ``wrs-synthetic``: full-rank random symmetric S, random generator forms
-      (a, b, d), and nabla_ricci built from the decomposition's right side.
-    """
+    existing Generator.  g = M^T M + n*I for random M (positive definite by
+    construction, smallest eigenvalue >= n), and S = c * t(x)t with |c|
+    bounded away from 0 and t bounded away from 0."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     g = _draw_metric(rng, n)
-    if kind == "generic-metric":
-        return PointModel(kind=kind, g=g)
-    if kind == "rank1-ricci":
-        c = _draw_scalar(rng)
-        t = _draw_covector(rng, n)
-        return PointModel(kind=kind, g=g, ricci=c * np.outer(t, t), coeff=c, t=t)
-    if kind == "einstein":
-        c = _draw_scalar(rng)
-        return PointModel(kind=kind, g=g, ricci=c * g.mat, coeff=c)
-    if kind == "wrs-synthetic":
-        s = _draw_symmetric(rng, n) + (n + 1.0) * np.eye(n)  # full rank, spread spectrum
-        forms = OneFormSystem(a=_draw_covector(rng, n), b=_draw_covector(rng, n),
-                              d=_draw_covector(rng, n))
-        nabla = (np.einsum("i,jk->ijk", forms.a, s)
-                 + np.einsum("j,ik->ijk", forms.b, s)
-                 + np.einsum("k,ij->ijk", forms.d, s))
-        return PointModel(kind=kind, g=g, ricci=s, forms=forms, nabla_ricci=nabla)
-    raise InvalidParams(f"unknown model kind {kind!r}")
+    c = _draw_scalar(rng)
+    t = _draw_covector(rng, n)
+    return PointModel(g=g, ricci=c * np.outer(t, t), coeff=c, t=t)
 
 
 # --------------------------------------------------------------------------
@@ -427,7 +402,7 @@ def _draw_rank_one(rng: np.random.Generator, n: int) -> tuple[PointModel, float]
     """A rank-one Ricci model and its coefficient r / T(rho), redrawn while
     the difference form is degenerate."""
     def build():
-        model = random_point_model(rng, n, "rank1-ricci")
+        model = random_point_model(rng, n)
         return model, rank_one_coefficient(model.g, model.ricci, model.t)
     return _retry_degenerate(build, rng)
 
@@ -436,7 +411,7 @@ def _rank_one_check(rng, config):
     """Rank-one Ricci data: the coefficient is exactly r / T(rho), and both
     T-identities hold with zero residual."""
     n = config.n
-    model = random_point_model(rng, n, "rank1-ricci")
+    model = random_point_model(rng, n)
     bundle = CurvatureBundle.from_tensors(model.g, ricci=model.ricci)
     coeff = rank_one_coefficient(model.g, model.ricci, model.t)
     forms = OneFormSystem(a=np.zeros(n), b=model.t, d=np.zeros(n))
@@ -549,7 +524,7 @@ def _twin_check(flavor: str):
     def check(rng, config):
         n = config.n
         params = config.params
-        model = random_point_model(rng, n, "rank1-ricci")
+        model = random_point_model(rng, n)
         g, s = model.g, model.ricci
         r = scalar_curvature(s, g)
         gm, ginv = g.mat, g.inv

@@ -33,6 +33,7 @@ __all__ = [
 SYMMETRY_TOL = 1e-12
 RIEMANN_TOL = 1e-10
 INVERSE_TOL = 1e-10
+KERNEL_RCOND = 1e-10  # singular values below this times the largest count as zero
 
 
 def max_abs(a) -> float:
@@ -40,8 +41,16 @@ def max_abs(a) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
-def is_symmetric(a: np.ndarray, tol: float = SYMMETRY_TOL) -> bool:
-    return max_abs(a - a.T) <= tol * max(1.0, max_abs(a))
+def is_symmetric(a: np.ndarray) -> bool:
+    return max_abs(a - a.T) <= SYMMETRY_TOL * max(1.0, max_abs(a))
+
+
+def _lstsq_kernel(design: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
+    """The minimum-norm least-squares solution of design @ x = rhs, and the
+    kernel dimension of `design`: the columns less the singular values above
+    KERNEL_RCOND * sigma_max, the same cut-off the solve applies."""
+    sol, _, _, sigma = np.linalg.lstsq(design, rhs, rcond=KERNEL_RCOND)
+    return sol, design.shape[1] - int(np.sum(sigma > KERNEL_RCOND * sigma[0]))
 
 
 def _as_square(a, name: str) -> np.ndarray:
@@ -94,13 +103,6 @@ class Metric:
         if w.shape != (self.n,):
             raise DimensionMismatch(f"1-form must have shape ({self.n},), got {w.shape}")
         return self.inv @ w
-
-    def lower_index(self, vector) -> np.ndarray:
-        """Metric dual of a vector: w_i = g[i,j] v^j."""
-        v = np.asarray(vector, dtype=float)
-        if v.shape != (self.n,):
-            raise DimensionMismatch(f"vector must have shape ({self.n},), got {v.shape}")
-        return self.mat @ v
 
     def norm_sq(self, covector) -> float:
         """Squared metric norm of a 1-form: ginv[i,j] w_i w_j."""
@@ -157,32 +159,6 @@ class Tensor04:
             "first_bianchi": max_abs(v + v.transpose(1, 2, 0, 3)
                                      + v.transpose(2, 0, 1, 3)),
         }
-
-    def __add__(self, other):
-        if not isinstance(other, Tensor04):
-            return NotImplemented
-        _same_n(self, other)
-        return Tensor04(self.values + other.values,
-                        riemann_like=self.riemann_like and other.riemann_like)
-
-    def __sub__(self, other):
-        if not isinstance(other, Tensor04):
-            return NotImplemented
-        _same_n(self, other)
-        return Tensor04(self.values - other.values,
-                        riemann_like=self.riemann_like and other.riemann_like)
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, float)):
-            return NotImplemented
-        return Tensor04(self.values * float(scalar), riemann_like=self.riemann_like)
-
-    __rmul__ = __mul__
-
-
-def _same_n(a, b):
-    if a.n != b.n:
-        raise DimensionMismatch(f"dimension mismatch: {a.n} vs {b.n}")
 
 
 def _check_bilinear(p, n: int) -> np.ndarray:
@@ -241,8 +217,8 @@ def ricci_operator(ricci, g: Metric) -> np.ndarray:
 # shape.  Each entry is a fixed sum of products, so a stacked call, or a
 # selection of rows, equals the full item-by-item grids bit for bit.
 # `_contract_block` returns the Ricci contraction of that grid without
-# building it.  Every builder here and in `gencurv` is a thin wrapper over
-# the two.
+# building it.  The builders here and in `gencurv`, and the fits of
+# `classify`, pass their table to one of the two directly.
 
 _PSEUDO_TERMS = ((+1, "jk", "il"), (-1, "ik", "jl"))
 _HYPER_TERMS = _PSEUDO_TERMS + ((+1, "il", "jk"), (-1, "jl", "ik"))
@@ -286,23 +262,12 @@ def _contract_block(terms, ginv: np.ndarray, gm: np.ndarray,
     return out
 
 
-def _pseudo_block(gm: np.ndarray, p: np.ndarray, rows=None) -> np.ndarray:
-    """The two-term block  P[j,k] g[i,l] - P[i,k] g[j,l]."""
-    return _expand_block(_PSEUDO_TERMS, gm, p, rows)
-
-
-def _hyper_block(gm: np.ndarray, p: np.ndarray, rows=None) -> np.ndarray:
-    """The four-term block
-    P[j,k] g[i,l] - P[i,k] g[j,l] + g[j,k] P[i,l] - g[i,k] P[j,l]."""
-    return _expand_block(_HYPER_TERMS, gm, p, rows)
-
-
 def wedge_gg(g: Metric) -> Tensor04:
     """G[i,j,k,l] = g[j,k] g[i,l] - g[i,k] g[j,l]; the constant-curvature shape.
     Its Ricci contraction is (n-1) g.  Built and validated once per metric;
     every later call returns the same read-only tensor."""
     if g._wedge is None:
-        g._wedge = Tensor04(_pseudo_block(g.mat, g.mat), riemann_like=True)
+        g._wedge = Tensor04(_expand_block(_PSEUDO_TERMS, g.mat, g.mat), riemann_like=True)
     return g._wedge
 
 
@@ -314,7 +279,7 @@ def quasi_constant_shape(g: Metric, a_form) -> Tensor04:
     Riemann-like for every covector A.  Callers apply their own scalar weight.
     """
     a = _check_oneform(a_form, g.n)
-    return Tensor04(_hyper_block(g.mat, np.outer(a, a)), riemann_like=True)
+    return Tensor04(_expand_block(_HYPER_TERMS, g.mat, np.outer(a, a)), riemann_like=True)
 
 
 def hyper_shape(g: Metric, p) -> Tensor04:
@@ -326,7 +291,7 @@ def hyper_shape(g: Metric, p) -> Tensor04:
     exactly when P is symmetric.  Gauge: replacing P by P + c*g adds
     2c * wedge_gg(g)."""
     p = _check_bilinear(p, g.n)
-    return Tensor04(_hyper_block(g.mat, p), riemann_like=is_symmetric(p))
+    return Tensor04(_expand_block(_HYPER_TERMS, g.mat, p), riemann_like=is_symmetric(p))
 
 
 def pseudo_shape(g: Metric, p) -> Tensor04:
@@ -335,4 +300,5 @@ def pseudo_shape(g: Metric, p) -> Tensor04:
     Not riemann-like in general (no second-pair antisymmetry).  Gauge:
     replacing P by P + c*g adds c * wedge_gg(g)."""
     p = _check_bilinear(p, g.n)
-    return Tensor04(_pseudo_block(g.mat, p), riemann_like=False)
+    return Tensor04(_expand_block(_PSEUDO_TERMS, g.mat, p), riemann_like=False)
+

@@ -24,13 +24,15 @@ import numpy as np
 
 from .chart import CurvatureBundle, MetricField
 from .errors import DegenerateRicci, DimensionMismatch, ZeroScalarCurvature
-from .tensor import max_abs
+from .tensor import _lstsq_kernel, max_abs
 
 __all__ = [
     "OneFormSystem", "wrs_residual", "weak_symmetry_residual",
     "weak_symmetry_residual_tensors", "ws_to_wrs_condition",
     "check_dr_identity", "a_from_bd", "t_identities", "recover_one_forms",
 ]
+
+ZERO_R_TOL = 1e-12  # |r| at or below this counts as zero scalar curvature
 
 
 @dataclass(frozen=True)
@@ -76,11 +78,6 @@ class OneFormSystem:
     def t(self) -> np.ndarray:
         """Difference form t = b - d."""
         return self.b - self.d
-
-    @property
-    def is_nonzero(self) -> bool:
-        """True unless a, b, d all vanish (the degenerate system)."""
-        return max(max_abs(self.a), max_abs(self.b), max_abs(self.d)) > 0.0
 
     def full(self) -> tuple[np.ndarray, ...]:
         """(a, b, c, d, e) with the b/d defaults filled in."""
@@ -165,18 +162,18 @@ def check_dr_identity(bundle: CurvatureBundle, forms: OneFormSystem) -> float:
     return max_abs(bundle.dr - rhs)
 
 
-def a_from_bd(bundle: CurvatureBundle, b, d, tol: float = 1e-12) -> np.ndarray:
+def a_from_bd(bundle: CurvatureBundle, b, d) -> np.ndarray:
     """Closed form for the first 1-form under nonzero scalar curvature:
 
         a(X) = -(1/r) [ b(QX) + d(QX) ]
 
-    Raises ZeroScalarCurvature when |r| <= tol; in that regime the identity
-    degenerates to b(QX) + d(QX) = 0 instead."""
+    Raises ZeroScalarCurvature when |r| <= ZERO_R_TOL; in that regime the
+    identity degenerates to b(QX) + d(QX) = 0 instead."""
     b = np.asarray(b, dtype=float)
     d = np.asarray(d, dtype=float)
     if b.shape != (bundle.n,) or d.shape != (bundle.n,):
         raise DimensionMismatch("b and d must be length-n covectors")
-    if abs(bundle.r) <= tol:
+    if abs(bundle.r) <= ZERO_R_TOL:
         raise ZeroScalarCurvature(
             f"scalar curvature {bundle.r:g} is numerically zero; "
             "the closed form for the first 1-form does not apply")
@@ -201,17 +198,15 @@ def t_identities(bundle: CurvatureBundle, forms: OneFormSystem) -> tuple[float, 
 # --------------------------------------------------------------------------
 # Recovery
 
-def recover_one_forms(bundle: CurvatureBundle,
-                      singular_tol: float = 1e-10
-                      ) -> tuple[OneFormSystem, float, int]:
+def recover_one_forms(bundle: CurvatureBundle) -> tuple[OneFormSystem, float, int]:
     """Least-squares solve of the Ricci-level decomposition for (a, b, d).
 
     All n^3 component equations are stacked (the symmetric (j,k) redundancy
     is kept; it weights symmetric equations twice, consistently) and solved
     for the 3n unknowns in the Frobenius sense.  Returns the minimum-norm
     solution, the residual as reported by :func:`wrs_residual` on it, and the
-    kernel dimension of the design operator (singular values below
-    `singular_tol` * sigma_max count as zero).
+    kernel dimension of the design operator (`tensor._lstsq_kernel`:
+    singular values at or below KERNEL_RCOND * sigma_max count as zero).
 
     Raises DegenerateRicci when S is numerically zero (the system is vacuous).
     """
@@ -227,8 +222,7 @@ def recover_one_forms(bundle: CurvatureBundle,
     block_d = np.einsum("kp,ij->ijkp", eye, s).reshape(n**3, n)
     design = np.hstack([block_a, block_b, block_d])
     rhs = bundle.nabla_ricci.reshape(n**3)
-    solution, _, _, sigma = np.linalg.lstsq(design, rhs, rcond=singular_tol)
-    kernel_dim = 3 * n - int(np.sum(sigma > singular_tol * sigma[0])) if sigma.size else 3 * n
+    solution, kernel_dim = _lstsq_kernel(design, rhs)
     forms = OneFormSystem(a=solution[:n], b=solution[n:2 * n], d=solution[2 * n:])
     residual = wrs_residual(bundle, forms)
     return forms, residual, kernel_dim

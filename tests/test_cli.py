@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +151,17 @@ def test_tol_only_on_commands_that_use_it(sphere_path, capsys):
 
 def test_missing_manifest(capsys):
     assert main(["curvature", "/nonexistent/file.txt"]) == 2
+
+
+def test_overflowing_literal_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "inf.txt"
+    path.write_text("dim: 2\ncoords: x, y\ng: x,x = 1e999\ng: y,y = 1\npoint: 0.1, 0.2\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["curvature", str(path)]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "numeric literal '1e999' overflows a float (byte offset 0) (line 3)" in err
 
 
 def test_classify_sphere(sphere_path, capsys):

@@ -56,6 +56,15 @@ def test_parse_duplicate_coordinates_rejected():
         parse("x", ["x", "x"])
 
 
+@pytest.mark.parametrize("text,offset", [("1e999", 0), ("x + 1e999", 4),
+                                         ("2*(x - 9e400)", 7)])
+def test_parse_overflowing_literal_offset(text, offset):
+    with pytest.raises(ParseError) as err:
+        parse(text, ["x"])
+    assert err.value.offset == offset
+    assert "overflows" in str(err.value)
+
+
 @pytest.mark.parametrize("text,point,value", [
     ("x1+x2", (1.0, 2.0), 3.0),
     ("2^-3", (0.0, 0.0), 0.125),
@@ -310,23 +319,3 @@ def test_byte_offsets_in_long_input(pad):
     with pytest.raises(UnknownIdentifier) as err:
         parse(text, ["x"])
     assert err.value.offset == pad % 7
-
-
-# --------------------------------------------------------------------------
-# Expression arithmetic (used by the chart pipeline)
-
-def test_expression_operators():
-    x = parse("x", ["x", "y"])
-    y = parse("y", ["x", "y"])
-    combo = (x + y) * 2 - y / x
-    assert combo((3.0, 6.0)) == pytest.approx(16.0)
-    assert (-x)((2.0, 0.0)) == -2.0
-    assert (x ** 2)((3.0, 0.0)) == 9.0
-    assert (1 + x)((2.0, 0.0)) == 3.0
-
-
-def test_expression_coordinate_mismatch():
-    x = parse("x", ["x"])
-    other = parse("t", ["t"])
-    with pytest.raises(DomainError):
-        _ = x + other

@@ -23,7 +23,7 @@ def flat_bundle(n: int) -> CurvatureBundle:
 
 def constant_curvature_bundle(rng, n: int, kappa: float) -> CurvatureBundle:
     g = Metric(random_spd(rng, n))
-    riemann = kappa * wedge_gg(g)
+    riemann = Tensor04(kappa * wedge_gg(g).values, riemann_like=True)
     return CurvatureBundle.from_tensors(g, riemann=riemann)
 
 
@@ -290,7 +290,8 @@ def test_combinations_linear_in_bundle():
 
     b1, b2 = make(1), make(2)
     merged = CurvatureBundle.from_tensors(
-        g, riemann=b1.riemann + b2.riemann, ricci=b1.ricci + b2.ricci,
+        g, riemann=Tensor04(b1.riemann.values + b2.riemann.values, riemann_like=True),
+        ricci=b1.ricci + b2.ricci,
         r=b1.r + b2.r)
     for combo in (lambda b: quasi_conformal(b, params),
                   lambda b: pseudo_projective(b, params),

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -27,44 +28,25 @@ def test_config_requires_n_above_3():
 # random models
 
 def test_generic_metric_positive_definite():
-    model = random_point_model(3, 5, "generic-metric")
+    model = random_point_model(3, 5)
     # g = M^T M + n I has all eigenvalues >= n
     eigs = np.linalg.eigvalsh(model.g.mat)
     assert eigs.min() >= 5 * (1 - 1e-12)
 
 
 def test_model_determinism():
-    m1 = random_point_model(11, 4, "rank1-ricci")
-    m2 = random_point_model(11, 4, "rank1-ricci")
+    m1 = random_point_model(11, 4)
+    m2 = random_point_model(11, 4)
     assert np.array_equal(m1.g.mat, m2.g.mat)
     assert np.array_equal(m1.ricci, m2.ricci)
     assert m1.coeff == m2.coeff
 
 
 def test_rank1_model_rank():
-    model = random_point_model(5, 4, "rank1-ricci")
+    model = random_point_model(5, 4)
     sigma = np.linalg.svd(model.ricci, compute_uv=False)
     assert sigma[1] <= 1e-12 * sigma[0]
     assert abs(model.coeff) >= 0.2
-
-
-def test_einstein_model():
-    model = random_point_model(6, 4, "einstein")
-    assert max_abs(model.ricci - model.coeff * model.g.mat) == 0.0
-
-
-def test_wrs_synthetic_model():
-    model = random_point_model(7, 4, "wrs-synthetic")
-    s, forms = model.ricci, model.forms
-    rhs = (np.einsum("i,jk->ijk", forms.a, s)
-           + np.einsum("j,ik->ijk", forms.b, s)
-           + np.einsum("k,ij->ijk", forms.d, s))
-    assert np.array_equal(model.nabla_ricci, rhs)
-
-
-def test_unknown_model_kind():
-    with pytest.raises(InvalidParams):
-        random_point_model(0, 4, "nope")
 
 
 # --------------------------------------------------------------------------
@@ -194,9 +176,10 @@ def test_custom_params_pass():
 
 
 def test_point_model_dataclass_fields():
-    model = random_point_model(0, 4, "generic-metric")
+    model = random_point_model(0, 4)
     assert isinstance(model, PointModel)
-    assert model.ricci is None and model.forms is None
+    assert [f.name for f in dataclasses.fields(PointModel)] == ["g", "ricci", "coeff", "t"]
+    assert np.array_equal(model.ricci, model.coeff * np.outer(model.t, model.t))
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])

@@ -4,7 +4,6 @@ import pytest
 from curvkit.errors import DimensionMismatch, SingularMetric
 from curvkit.tensor import (_HYPER_TERMS, _PSEUDO_TERMS, _W2_TERMS, Metric,
                             Tensor04, _contract_block, _expand_block,
-                            _hyper_block, _pseudo_block,
                             _ricci_contract_values, hyper_shape, is_symmetric,
                             max_abs, pseudo_shape, quasi_constant_shape,
                             ricci_contract, ricci_operator, scalar_curvature,
@@ -63,7 +62,7 @@ def test_raise_lower_roundtrip():
     rng = np.random.default_rng(1)
     g = Metric(random_spd(rng, 5))
     w = rng.standard_normal(5)
-    assert np.allclose(g.lower_index(g.raise_index(w)), w, atol=1e-12)
+    assert np.allclose(g.mat @ g.raise_index(w), w, atol=1e-12)
     assert g.norm_sq(w) == pytest.approx(float(w @ g.inv @ w))
 
 
@@ -77,15 +76,6 @@ def test_riemann_like_flag_validates():
     assert all(v <= 1e-12 * t.norm() for v in t.symmetry_residuals().values())
     with pytest.raises(DimensionMismatch):
         Tensor04(rng.standard_normal((3, 3, 3, 3)), riemann_like=True)
-
-
-def test_tensor04_arithmetic():
-    rng = np.random.default_rng(3)
-    a = Tensor04(random_riemann_like(rng, 3), riemann_like=True)
-    b = Tensor04(random_riemann_like(rng, 3), riemann_like=True)
-    assert (a + b).riemann_like
-    assert (2.0 * a).riemann_like
-    assert max_abs((a - a).values) == 0.0
 
 
 # --------------------------------------------------------------------------
@@ -114,7 +104,7 @@ def test_ricci_contract_matches_loop_oracle():
     r4 = Tensor04(random_riemann_like(rng, 4), riemann_like=True)
     s = ricci_contract(r4, g)
     assert max_abs(s - loop_ricci_contract(r4.values, g.inv)) <= 1e-13
-    assert is_symmetric(s, tol=1e-12)
+    assert is_symmetric(s)
 
 
 def test_ricci_contract_dimension_mismatch():
@@ -271,8 +261,8 @@ def test_stacked_blocks_match_single_calls(n):
     g = Metric(random_spd(rng, n))
     stack = rng.standard_normal((2, 3, n, n))
     stack[0, 0] = 0.5 * (stack[0, 0] + stack[0, 0].T)  # one symmetric item
-    hyper = _hyper_block(g.mat, stack)
-    pseudo = _pseudo_block(g.mat, stack)
+    hyper = _expand_block(_HYPER_TERMS, g.mat, stack)
+    pseudo = _expand_block(_PSEUDO_TERMS, g.mat, stack)
     assert hyper.shape == pseudo.shape == (2, 3) + (n,) * 4
     for idx in np.ndindex(2, 3):
         assert np.array_equal(hyper[idx], hyper_shape(g, stack[idx]).values)
@@ -280,8 +270,10 @@ def test_stacked_blocks_match_single_calls(n):
     # a selection of rows is the same entries of the full grids
     iu, ju = np.triu_indices(n, 1)
     rows = (iu[:, None], ju[:, None], iu, ju)
-    assert np.array_equal(_hyper_block(g.mat, stack, rows), hyper[(Ellipsis,) + rows])
-    assert np.array_equal(_pseudo_block(g.mat, stack, rows), pseudo[(Ellipsis,) + rows])
+    assert np.array_equal(_expand_block(_HYPER_TERMS, g.mat, stack, rows),
+                          hyper[(Ellipsis,) + rows])
+    assert np.array_equal(_expand_block(_PSEUDO_TERMS, g.mat, stack, rows),
+                          pseudo[(Ellipsis,) + rows])
 
 
 # Each block kernel's docstring formula, one entry at a time (W2's is the

@@ -100,13 +100,28 @@ def test_oracle_matches_every_jet_value_on_golden_charts(path):
 # --------------------------------------------------------------------------
 # Long and deep input
 
-def test_long_left_deep_sum_parses_differentiates_and_evaluates():
-    terms = 20_000
-    e = parse(" + ".join(f"{k % 7 + 1}*x^2*y" for k in range(terms)), ["x", "y"])
-    weight = sum(k % 7 + 1 for k in range(terms))
+TERMS = 20_000
+
+
+@pytest.fixture(scope="module")
+def long_sum():
+    return parse(" + ".join(f"{k % 7 + 1}*x^2*y" for k in range(TERMS)), ["x", "y"])
+
+
+def test_long_left_deep_sum_parses_differentiates_and_evaluates(long_sum):
+    e = long_sum
+    weight = sum(k % 7 + 1 for k in range(TERMS))
     x, y = 0.5, 0.25
     assert e((x, y)) == pytest.approx(weight * x * x * y, rel=1e-12)
     assert e.diff("x")((x, y)) == pytest.approx(weight * 2 * x * y, rel=1e-12)
+
+
+def test_long_left_deep_sum_prints(long_sum):
+    # a factor 1 folds away, and literals print as floats
+    text = "+".join(f"{k % 7 + 1}.0*x^2.0*y" if k % 7 else "x^2.0*y"
+                    for k in range(TERMS))
+    assert str(long_sum) == text
+    assert repr(long_sum) == f"Expression({text!r}, coords=('x', 'y'))"
 
 
 def _manifest(path, entry):

@@ -32,9 +32,6 @@ def test_one_form_system_basics():
     forms = OneFormSystem(a=[1.0, 0.0], b=[2.0, 1.0], d=[0.5, 1.0])
     assert forms.n == 2
     assert np.allclose(forms.t, [1.5, 0.0])
-    assert forms.is_nonzero
-    zero = OneFormSystem(a=np.zeros(2), b=np.zeros(2), d=np.zeros(2))
-    assert not zero.is_nonzero
 
 
 def test_one_form_system_defaults_for_full_condition():
