@@ -9,6 +9,7 @@ residual.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -221,45 +222,109 @@ def _weyl_norm(riemann: Tensor04, g: Metric, ricci=None,
     return max_abs(weyl_from_tensors(riemann, g, ricci=ricci, r=r).values)
 
 
-def _linear_fit(riemann: Tensor04, g: Metric, terms, gauge_weight: float,
-                antisym_kl: bool) -> tuple[float, np.ndarray, float, int]:
+@functools.lru_cache(maxsize=32)
+def _eigenframe_plan(terms, n: int):
+    """The design of the fit R ~ a * G + B(P) where g = diag(mu), read off
+    the term table of the block kernel B.  There a term (sign, ps, gs) puts
+    sign * mu_m in the column of P_ab at the grid entry holding a, b in the
+    slots `ps` and m in both slots `gs`.  For both fitted tables each
+    off-diagonal column P_ab (a != b) has entries that no other column
+    touches, and the n diagonal columns P_aa share the 2n(n-1) coupled
+    entries (x,y,y,x) and (x,y,x,y), x != y, with G, which is
+    +-mu_x mu_y there and zero elsewhere.  Returns
+
+    * `rows`: the flat grid indices of the coupled entries, (x,y,y,x) for
+      the pairs x != y in row-major order, then (x,y,x,y);
+    * `(x, y)`: those pairs, which also index the off-diagonal columns;
+    * `lin`: the small design's column of P_aa is lin[:, a] @ mu;
+    * `off`: flat grid indices, signs and eigenvalue indices m, of shape
+      (3, n(n-1), k): the column of P_xy holds sign * mu[m] at those
+      entries.  Relabeling the indices maps one off-diagonal column onto
+      another, so all have the same k."""
+    # entries[t, a, b, m]: the flat grid index that term t writes in the
+    # column of P_ab for eigenvalue m (an entry determines m)
+    a, b, m = np.indices((n, n, n))
+    entries = []
+    for _, ps, gs in terms:
+        at = dict(zip(ps + gs, (a, b, m, m)))
+        i, j, k, l = (at[s] for s in "ijkl")
+        entries.append(((i * n + j) * n + k) * n + l)
+    entries = np.array(entries)
+    # terms that write one entry add, and may cancel; the first keeps the sum
+    same = entries[:, None] == entries[None]
+    coef = np.tensordot([t[0] for t in terms], same, axes=(0, 0))
+    earlier = np.tril(np.ones((len(terms),) * 2, dtype=bool), -1)
+    kept = (coef != 0) & ~np.any(same & earlier[..., None, None, None], axis=1)
+    m = np.broadcast_to(m, entries.shape)
+    x, y = np.nonzero(~np.eye(n, dtype=bool))
+    rows = np.concatenate([((x * n + y) * n + y) * n + x, ((x * n + y) * n + x) * n + y])
+    row_of = np.zeros(n ** 4, dtype=int)
+    row_of[rows] = np.arange(len(rows))
+    diagonal = kept & (a == b)
+    lin = np.zeros((len(rows), n, n))
+    lin[row_of[entries[diagonal]], np.nonzero(diagonal)[1], m[diagonal]] = coef[diagonal]
+    # the off-diagonal items grouped by column: (a, b) before term and m
+    off = kept & (a != b)
+    off = [v.transpose(1, 2, 0, 3)[off.transpose(1, 2, 0, 3)] for v in (entries, coef, m)]
+    return rows, (x, y), lin, np.reshape(off, (3, len(x), -1))
+
+
+def _rotate(rv: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """R'[a,b,c,d] = Q[i,a] Q[j,b] Q[k,c] Q[l,d] R[i,j,k,l]: each product
+    rotates the leading slot and moves it last, so four restore the order."""
+    n = q.shape[0]
+    for _ in range(4):
+        rv = rv.reshape(n, -1).T @ q
+    return rv.reshape(n, n, n, n)
+
+
+def _linear_fit(riemann: Tensor04, g: Metric, terms,
+                gauge_weight: float) -> tuple[float, np.ndarray, float, int]:
     """Least-squares fit R ~ a * wedge_gg + B(P) over (a, P), with the
     trace part of P moved into a (`gauge_weight` wedges per unit trace).
 
-    `terms` is the term table of a `tensor` block kernel B; the design is
-    its image of the stacked identity basis of bilinears, built in one
-    call.  Every column is antisymmetric in (i, j), and in (k, l) too when
-    `antisym_kl`, so each design row outside i < j (and k < l) is zero or a
-    signed copy of a kept row.  The fit builds and solves only the kept
-    rows, against the target antisymmetrized the same way: the least-squares
-    solution is the same, and every singular value scales by one common
-    factor, so the relative rank cut-off (`tensor._lstsq_kernel`) and
-    `kernel_dim` do not change.  The residual is measured on the full grid."""
+    `terms` is the term table of a `tensor` block kernel B.  The fit is the
+    minimum-norm solution over the full n^4 grid, solved in the frame of
+    eigh(g) = Q diag(mu) Q^T: rotating all four slots by Q keeps the
+    Frobenius norm, and the minimum-norm solution rotates with it (a stays,
+    P -> Q^T P Q).  There every off-diagonal P_ab column is orthogonal to
+    every other column (`_eigenframe_plan`), so it is one projection of the
+    rotated R divided by its squared norm; only a and the diagonal P_aa
+    couple, in one least-squares solve with n + 1 columns.  The singular
+    values of the full design are those of that solve and the off-diagonal
+    column norms, which no P_aa column exceeds, so `kernel_dim` counts both
+    against the one cut of `tensor._lstsq_kernel`.  The residual is measured
+    on the full coordinate grid."""
     if riemann.n != g.n:
         raise DimensionMismatch(f"riemann n={riemann.n} vs metric n={g.n}")
     n = g.n
+    rows, (x, y), lin, (entries, signs, m) = _eigenframe_plan(terms, n)
     rv = riemann.values
-    gw = wedge_gg(g).values
-    iu, ju = np.triu_indices(n, 1)
-    if antisym_kl:
-        i, j, k, l = rows = (iu[:, None], ju[:, None], iu, ju)
-        target = 0.25 * (rv[i, j, k, l] - rv[j, i, k, l]
-                         - rv[i, j, l, k] + rv[j, i, l, k])
-    else:
-        i, j, k, l = rows = (iu[:, None, None], ju[:, None, None],
-                             np.arange(n)[:, None], np.arange(n))
-        target = 0.5 * (rv[i, j, k, l] - rv[j, i, k, l])
-    basis = np.eye(n * n).reshape(n * n, n, n)
-    design = np.concatenate([gw[rows][None], _expand_block(terms, g.mat, basis, rows)])
-    design = design.reshape(n * n + 1, -1).T
-    sol, kernel_dim = _lstsq_kernel(design, target.ravel())
+    mu, q = np.linalg.eigh(g.mat)
+    rot = _rotate(rv, q).ravel()
+    wedge = mu[x] * mu[y]
+    design = np.empty((len(rows), n + 1))
+    design[:, 0] = np.concatenate([wedge, -wedge])
+    design[:, 1:] = lin @ mu
+    sol, kernel_dim, cut = _lstsq_kernel(design, rot[rows])
+    column = signs * mu[m]  # each off-diagonal column's entries
+    # a sum of squares of the entries left after the plan's cancellations:
+    # exactly 0 where all cancel (the hyper block at n = 2), never the
+    # rounding noise that a difference of sums would leave above the cut
+    norm_sq = np.einsum("ck,ck->c", column, column)
+    kept = np.sqrt(norm_sq) > cut
+    projection = np.einsum("ck,ck->c", column, rot[entries])
+    p_rot = np.zeros((n, n))
+    p_rot[x, y] = np.divide(projection, norm_sq, out=np.zeros(len(x)), where=kept)
+    p_rot.flat[::n + 1] = sol[1:]
+    kernel_dim += len(x) - int(np.count_nonzero(kept))
     a0 = float(sol[0])
-    p0 = sol[1:].reshape(n, n)
+    p0 = q @ p_rot @ q.T
     trace = float(np.einsum("ij,ij->", g.inv, p0))
     p_hat = p0 - (trace / n) * g.mat
     a_hat = a0 + gauge_weight * trace / n
     block = _expand_block(terms, g.mat, p_hat)
-    residual = max_abs(rv - a_hat * gw - block) / (1.0 + max_abs(rv))
+    residual = max_abs(rv - a_hat * wedge_gg(g).values - block) / (1.0 + max_abs(rv))
     return a_hat, p_hat, residual, kernel_dim
 
 
@@ -268,8 +333,7 @@ def hyper_quasi_constant_fit(riemann: Tensor04, g: Metric) -> HyperQuasiConstant
     trace-free (P -> P + c*g is absorbed by a -> a - 2c).  Always returns;
     `residual` says how well the fit explains the input and `kernel_dim`
     reports the null directions of the design operator (>= 1, the gauge)."""
-    a, p, residual, kernel = _linear_fit(riemann, g, _HYPER_TERMS,
-                                         gauge_weight=2.0, antisym_kl=True)
+    a, p, residual, kernel = _linear_fit(riemann, g, _HYPER_TERMS, gauge_weight=2.0)
     return HyperQuasiConstantFit(a=a, p=p, residual=residual, kernel_dim=kernel)
 
 
@@ -277,8 +341,7 @@ def pseudo_quasi_constant_fit(riemann: Tensor04, g: Metric) -> PseudoQuasiConsta
     """Fit R = a * wedge_gg(g) + pseudo_shape(g, P), trace-free gauge
     (P -> P + c*g is absorbed by a -> a + c).  Accepts generalized inputs;
     the two-term shape need not be riemann-like."""
-    a, p, residual, kernel = _linear_fit(riemann, g, _PSEUDO_TERMS,
-                                         gauge_weight=1.0, antisym_kl=False)
+    a, p, residual, kernel = _linear_fit(riemann, g, _PSEUDO_TERMS, gauge_weight=1.0)
     return PseudoQuasiConstantFit(a=a, p=p, residual=residual, kernel_dim=kernel)
 
 

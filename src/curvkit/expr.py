@@ -8,7 +8,8 @@ order of the expression DAG (:func:`topological`, an explicit-stack walk), so
 neither recurses, and expression size is bounded by memory alone.  There is
 no general simplifier, only constant folding and neutral-element elimination,
 enough to keep derivative trees from silting up with ``0*...`` and ``...^1``
-debris.
+debris.  The parser keeps any operand such a fold would drop (``0*u``,
+``0/u``, ``u^0``), so every subexpression of a parsed entry is evaluated.
 
 Grammar (infix), as documented in the README::
 
@@ -446,6 +447,18 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 _MAX_NESTING = 100  # the deepest nesting the parser accepts (module docstring)
 
+_BUILDERS = {"*": mul, "/": div, "^": power}  # add and sub keep both operands
+
+
+def _parsed_binop(op: str, a: Node, b: Node) -> Node:
+    """The smart constructor's node for `a op b`, unless it folded an operand
+    away (0*u, u*0, 0/u, u^0 give a literal): a parsed entry keeps every
+    subexpression, so evaluation still reaches u and its domain errors."""
+    node = _BUILDERS[op](a, b)
+    if isinstance(node, Num) and not (isinstance(a, Num) and isinstance(b, Num)):
+        return BinOp(op, a, b)
+    return node
+
 
 class _Parser:
     def __init__(self, text: str, coords: Sequence[str]):
@@ -493,7 +506,7 @@ class _Parser:
             if kind == "op" and text in "*/":
                 self.advance()
                 rhs = self.factor()
-                node = mul(node, rhs) if text == "*" else div(node, rhs)
+                node = _parsed_binop(text, node, rhs)
             else:
                 return node
 
@@ -515,7 +528,7 @@ class _Parser:
         kind, text, _ = self.peek()
         if kind == "op" and text == "^":
             self.advance()
-            return power(base, self.factor())
+            return _parsed_binop("^", base, self.factor())
         return base
 
     def atom(self) -> Node:

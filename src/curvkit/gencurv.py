@@ -212,11 +212,14 @@ def reconstruct_qc_flat(s, g: Metric, r: float, params: GenCurvParams,
         R = -(b/a) * (S-wedge) + (r/n)(1/(n-1) + 2b/a) * G
 
     Feeding the result back through `quasi_conformal` (with the same S, r)
-    returns zero identically.  Riemann-like whenever S is symmetric.
+    returns zero identically.  Riemann-like whenever S is symmetric: the
+    four-term block of a symmetric S and G have every curvature symmetry,
+    so the flag is set without checking the grid.
     """
     params.require_qc()
     s = _check_sr(s, g, r, strict)
-    return Tensor04(_flat_values("qc", s, g, r, params), riemann_like=is_symmetric(s))
+    return Tensor04._unvalidated(_flat_values("qc", s, g, r, params),
+                                 riemann_like=is_symmetric(s))
 
 
 def reconstruct_pp_flat(s, g: Metric, r: float, params: GenCurvParams,

@@ -45,12 +45,14 @@ def is_symmetric(a: np.ndarray) -> bool:
     return max_abs(a - a.T) <= SYMMETRY_TOL * max(1.0, max_abs(a))
 
 
-def _lstsq_kernel(design: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
-    """The minimum-norm least-squares solution of design @ x = rhs, and the
-    kernel dimension of `design`: the columns less the singular values above
-    KERNEL_RCOND * sigma_max, the same cut-off the solve applies."""
+def _lstsq_kernel(design: np.ndarray,
+                  rhs: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """The minimum-norm least-squares solution of design @ x = rhs, the
+    kernel dimension of `design` (the columns less the singular values above
+    the cut) and the cut, KERNEL_RCOND * sigma_max, which the solve applies."""
     sol, _, _, sigma = np.linalg.lstsq(design, rhs, rcond=KERNEL_RCOND)
-    return sol, design.shape[1] - int(np.sum(sigma > KERNEL_RCOND * sigma[0]))
+    cut = KERNEL_RCOND * float(sigma[0])
+    return sol, design.shape[1] - int(np.sum(sigma > cut)), cut
 
 
 def _as_square(a, name: str) -> np.ndarray:
@@ -122,7 +124,11 @@ class Tensor04:
     index pairs, pair exchange symmetry, and the first Bianchi identity, each
     within 1e-10 * max|values|.  Generalized curvature tensors (the
     quasi-conformal, pseudo-projective and W2 combinations) do not in general
-    enjoy all of these and carry `riemann_like=False`.
+    enjoy all of these and carry `riemann_like=False`.  The library's own
+    builders whose output has the symmetries by construction (`wedge_gg`,
+    `quasi_constant_shape`, and `hyper_shape` and
+    `gencurv.reconstruct_qc_flat` of a symmetric form) set the flag
+    unchecked.
     """
 
     values: np.ndarray
@@ -145,6 +151,16 @@ class Tensor04:
                 raise DimensionMismatch(
                     f"tensor flagged riemann-like violates curvature symmetries: {bad}")
         v.flags.writeable = False
+
+    @classmethod
+    def _unvalidated(cls, values, riemann_like: bool) -> "Tensor04":
+        """A tensor whose flag holds by construction, such as a four-term
+        block kernel of a symmetric form: set without the n^4 symmetry check.
+        Only the library's own builders use it; data from outside goes
+        through the constructor, which checks."""
+        tensor = cls(values)
+        object.__setattr__(tensor, "riemann_like", riemann_like)
+        return tensor
 
     def norm(self) -> float:
         return max_abs(self.values)
@@ -212,13 +228,14 @@ def ricci_operator(ricci, g: Metric) -> np.ndarray:
 # B(P)[i,j,k,l] is the signed sum of P[slots] * g[slots] in table order.
 # Two evaluators read a table.  `_expand_block` builds the grid for
 # bilinears stacked on leading axes, P of shape (..., n, n) giving
-# (..., n, n, n, n); `rows` = (i, j, k, l), index arrays that broadcast
-# together, selects entries instead, of shape (...,) + their broadcast
-# shape.  Each entry is a fixed sum of products, so a stacked call, or a
-# selection of rows, equals the full item-by-item grids bit for bit.
-# `_contract_block` returns the Ricci contraction of that grid without
-# building it.  The builders here and in `gencurv`, and the fits of
-# `classify`, pass their table to one of the two directly.
+# (..., n, n, n, n); each entry is a fixed sum of products, so a stacked
+# call equals the item-by-item grids bit for bit.  `_contract_block`
+# returns the Ricci contraction of that grid without building it.  The
+# builders here and in `gencurv` pass their table to one of the two
+# directly.  The fits of `classify` read the same tables a third way: in
+# the frame where g is diagonal, they list which grid entries each column
+# of P touches (`classify._eigenframe_plan`), and solve without a design
+# over the grid.
 
 _PSEUDO_TERMS = ((+1, "jk", "il"), (-1, "ik", "jl"))
 _HYPER_TERMS = _PSEUDO_TERMS + ((+1, "il", "jk"), (-1, "jl", "ik"))
@@ -230,9 +247,9 @@ def _full_grid(n: int):
     return np.ix_(*[np.arange(n)] * 4)
 
 
-def _expand_block(terms, gm: np.ndarray, p: np.ndarray, rows=None) -> np.ndarray:
-    """The grid (or the `rows` selection) of the block that `terms` describe."""
-    slot = dict(zip("ijkl", _full_grid(gm.shape[0]) if rows is None else rows))
+def _expand_block(terms, gm: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The grid of the block that `terms` describe."""
+    slot = dict(zip("ijkl", _full_grid(gm.shape[0])))
     out = None
     for sign, ps, gs in terms:
         # every term spans all four slots, so each has the output's shape
@@ -264,10 +281,11 @@ def _contract_block(terms, ginv: np.ndarray, gm: np.ndarray,
 
 def wedge_gg(g: Metric) -> Tensor04:
     """G[i,j,k,l] = g[j,k] g[i,l] - g[i,k] g[j,l]; the constant-curvature shape.
-    Its Ricci contraction is (n-1) g.  Built and validated once per metric;
+    Its Ricci contraction is (n-1) g.  Built once per metric;
     every later call returns the same read-only tensor."""
     if g._wedge is None:
-        g._wedge = Tensor04(_expand_block(_PSEUDO_TERMS, g.mat, g.mat), riemann_like=True)
+        g._wedge = Tensor04._unvalidated(_expand_block(_PSEUDO_TERMS, g.mat, g.mat),
+                                         riemann_like=True)
     return g._wedge
 
 
@@ -279,7 +297,8 @@ def quasi_constant_shape(g: Metric, a_form) -> Tensor04:
     Riemann-like for every covector A.  Callers apply their own scalar weight.
     """
     a = _check_oneform(a_form, g.n)
-    return Tensor04(_expand_block(_HYPER_TERMS, g.mat, np.outer(a, a)), riemann_like=True)
+    return Tensor04._unvalidated(_expand_block(_HYPER_TERMS, g.mat, np.outer(a, a)),
+                                 riemann_like=True)
 
 
 def hyper_shape(g: Metric, p) -> Tensor04:
@@ -291,7 +310,8 @@ def hyper_shape(g: Metric, p) -> Tensor04:
     exactly when P is symmetric.  Gauge: replacing P by P + c*g adds
     2c * wedge_gg(g)."""
     p = _check_bilinear(p, g.n)
-    return Tensor04(_expand_block(_HYPER_TERMS, g.mat, p), riemann_like=is_symmetric(p))
+    return Tensor04._unvalidated(_expand_block(_HYPER_TERMS, g.mat, p),
+                                 riemann_like=is_symmetric(p))
 
 
 def pseudo_shape(g: Metric, p) -> Tensor04:

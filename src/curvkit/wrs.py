@@ -222,7 +222,7 @@ def recover_one_forms(bundle: CurvatureBundle) -> tuple[OneFormSystem, float, in
     block_d = np.einsum("kp,ij->ijkp", eye, s).reshape(n**3, n)
     design = np.hstack([block_a, block_b, block_d])
     rhs = bundle.nabla_ricci.reshape(n**3)
-    solution, kernel_dim = _lstsq_kernel(design, rhs)
+    solution, kernel_dim, _ = _lstsq_kernel(design, rhs)
     forms = OneFormSystem(a=solution[:n], b=solution[n:2 * n], d=solution[2 * n:])
     residual = wrs_residual(bundle, forms)
     return forms, residual, kernel_dim

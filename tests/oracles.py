@@ -130,6 +130,18 @@ def loop_w2(r4, s, g, n):
 # --------------------------------------------------------------------------
 # Random tensors with curvature symmetries
 
+def loop_curvature_symmetry_defect(v: np.ndarray) -> float:
+    """The largest violation, entry by entry, of R_ijkl = -R_jikl = -R_ijlk
+    = R_klij and R_ijkl + R_jkil + R_kijl = 0."""
+    n = v.shape[0]
+    worst = 0.0
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        x = v[i, j, k, l]
+        worst = max(worst, abs(x + v[j, i, k, l]), abs(x + v[i, j, l, k]),
+                    abs(x - v[k, l, i, j]), abs(x + v[j, k, i, l] + v[k, i, j, l]))
+    return worst
+
+
 def random_riemann_like(rng: np.random.Generator, n: int) -> np.ndarray:
     """Generic algebraic curvature tensor: antisymmetrize a random grid in
     both index pairs, symmetrize the pair exchange, then project out the

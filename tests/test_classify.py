@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from curvkit.chart import CurvatureBundle
-from curvkit.classify import (classification_report, conformally_flat_check,
+from curvkit.classify import (_eigenframe_plan, classification_report,
+                              conformally_flat_check,
                               einstein_check, hyper_quasi_constant_fit,
                               pseudo_quasi_constant_fit, quasi_constant_fit,
                               quasi_einstein_decompose)
 from curvkit.errors import DimensionMismatch, NotQuasiConstant, NotQuasiEinstein
 from curvkit.gencurv import GenCurvParams
-from curvkit.tensor import (Metric, Tensor04, hyper_shape, max_abs,
-                            pseudo_shape, quasi_constant_shape, wedge_gg)
+from curvkit.tensor import (_HYPER_TERMS, _PSEUDO_TERMS, Metric, Tensor04,
+                            hyper_shape, max_abs, pseudo_shape,
+                            quasi_constant_shape, wedge_gg)
 from oracles import random_riemann_like, random_spd
 
 
@@ -396,3 +398,117 @@ def test_fits_match_full_row_reference(n, target):
         assert max_abs(fit.p - p) <= 1e-10 * max_abs(p)
         assert abs(fit.residual - residual) <= 1e-10 * residual
         assert fit.kernel_dim == kernel_dim
+
+
+# --------------------------------------------------------------------------
+# The eigenframe solve
+
+def assert_fits_match_reference(rv, g: Metric):
+    """Both fits against `full_row_fit`, with an absolute floor for targets
+    the fit reproduces (residual and coefficients at rounding level)."""
+    riemann = Tensor04(rv)
+    scale = 1.0 + max_abs(rv)
+    for fit_fn, terms, weight in ((hyper_quasi_constant_fit, HYPER_TERMS, 2.0),
+                                  (pseudo_quasi_constant_fit, PSEUDO_TERMS, 1.0)):
+        fit = fit_fn(riemann, g)
+        a, p, residual, kernel_dim = full_row_fit(rv, g, terms, weight)
+        assert abs(fit.a - a) <= 1e-10 * (abs(a) + scale)
+        assert max_abs(fit.p - p) <= 1e-10 * (max_abs(p) + scale)
+        assert abs(fit.residual - residual) <= 1e-10 * residual + 1e-14
+        assert fit.kernel_dim == kernel_dim
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_fits_match_reference_at_identity_metric(n):
+    # every eigenvalue of g = I is repeated, so eigh's frame is arbitrary
+    rng = np.random.default_rng(520 + n)
+    g = Metric(np.eye(n))
+    assert_fits_match_reference(rng.standard_normal((n,) * 4), g)
+    assert_fits_match_reference(random_riemann_like(rng, n), g)
+
+
+@pytest.mark.parametrize("name", ["euclid3", "conformal4"])
+def test_fits_match_reference_on_golden_metrics(name, request):
+    # both golden metrics are multiples of the identity at their points
+    field = request.getfixturevalue(name)
+    point = {"euclid3": (0.3, -0.7, 1.1), "conformal4": (0.3, -0.2, 0.5, 0.1)}[name]
+    bundle = field.curvature_bundle(point)
+    n = bundle.n
+    assert_fits_match_reference(bundle.riemann.values, bundle.g)
+    rng = np.random.default_rng(530 + n)
+    assert_fits_match_reference(rng.standard_normal((n,) * 4), bundle.g)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_fits_reproduce_exact_targets(n):
+    """R = a*G + shape(P) for a random P is fitted with zero residual, and
+    (a, P) come back in the trace-free gauge wherever the gauge is the only
+    null direction."""
+    rng = np.random.default_rng(540 + n)
+    g = Metric(random_spd(rng, n))
+    p = rng.standard_normal((n, n))
+    a = 0.7
+    trace = float(np.sum(g.inv * p))
+    for fit_fn, shape_fn, weight in ((hyper_quasi_constant_fit, hyper_shape, 2.0),
+                                     (pseudo_quasi_constant_fit, pseudo_shape, 1.0)):
+        rv = a * wedge_gg(g).values + shape_fn(g, p).values
+        fit = fit_fn(Tensor04(rv), g)
+        assert fit.residual <= 1e-13
+        if fit.kernel_dim == 1:
+            assert abs(fit.a - (a + weight * trace / n)) <= 1e-11
+            assert max_abs(fit.p - (p - (trace / n) * g.mat)) <= 1e-11
+
+
+def test_sphere2_hyper_kernel(sphere2):
+    # at n = 2 the off-diagonal hyper columns are exactly zero: with the
+    # wedge and the two diagonal columns of rank one, four null directions
+    bundle = sphere2.curvature_bundle((1.0471975511965976, 0.2))
+    fit = hyper_quasi_constant_fit(bundle.riemann, bundle.g)
+    assert fit.kernel_dim == 4
+    assert fit.residual <= 1e-14
+
+
+def test_eigenframe_plan_matches_closed_forms():
+    """The plan read off each term table: off-diagonal columns touch entries
+    of their own, and their squared norms are the closed forms
+    2 * sum_{m != a} mu_m^2 (pseudo) and 4 * sum_{m not in {a, b}} mu_m^2
+    (hyper)."""
+    rng = np.random.default_rng(550)
+    for n in range(2, 7):
+        mu = rng.uniform(0.5, 2.0, n)
+        for terms, count in ((_PSEUDO_TERMS, 2), (_HYPER_TERMS, 4)):
+            rows, (x, y), _, (entries, signs, m) = _eigenframe_plan(terms, n)
+            assert len(set(entries.ravel().tolist())) == entries.size
+            assert not set(entries.ravel().tolist()) & set(rows.tolist())
+            norm_sq = np.sum((signs * mu[m]) ** 2, axis=-1)
+            for a, b, got in zip(x, y, norm_sq):
+                others = [c for c in range(n)
+                          if c != a and (terms is _PSEUDO_TERMS or c != b)]
+                expected = count * sum(mu[c] ** 2 for c in others)
+                assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+def test_fits_solve_at_most_n_plus_one_columns(monkeypatch, sphere3, conformal4):
+    shapes = []
+    lstsq = np.linalg.lstsq
+
+    def recording(design, rhs, *args, **kwargs):
+        shapes.append(design.shape)
+        return lstsq(design, rhs, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", recording)
+    rng = np.random.default_rng(560)
+    for n in range(2, 9):
+        g = Metric(random_spd(rng, n))
+        riemann = Tensor04(rng.standard_normal((n,) * 4))
+        shapes.clear()
+        hyper_quasi_constant_fit(riemann, g)
+        pseudo_quasi_constant_fit(riemann, g)
+        assert len(shapes) == 2
+        assert all(cols <= n + 1 for _, cols in shapes)
+    for field, point in ((sphere3, (1.0, 0.9, 0.5)), (conformal4, (0.3, -0.2, 0.5, 0.1))):
+        shapes.clear()
+        classification_report(field.curvature_bundle(point))
+        n = len(point)
+        # quasi_constant_fit's own two-column solve is the only other one
+        assert shapes and all(cols <= n + 1 for _, cols in shapes)

@@ -164,6 +164,22 @@ def test_overflowing_literal_is_a_parse_error(tmp_path, capsys):
     assert "numeric literal '1e999' overflows a float (byte offset 0) (line 3)" in err
 
 
+@pytest.mark.parametrize("entry", ["0*log(x)", "log(x)*0", "0/log(x)", "log(x)^0"])
+def test_zero_factor_does_not_skip_evaluation(tmp_path, capsys, entry):
+    """A literal zero factor (or exponent) does not hide the domain error of
+    its other operand: the entry fails at x = 0 as `1*log(x)` does."""
+    def run(text):
+        path = tmp_path / "zero.txt"
+        path.write_text(f"dim: 2\ncoords: x, y\ng: x,x = 2 + {text}\ng: y,y = 1\n"
+                        "point: 0, 0.5\n")
+        code = main(["curvature", str(path)])
+        return code, capsys.readouterr().err
+
+    expected = run("1*log(x)")
+    assert expected[0] == 2 and "log of non-positive value" in expected[1]
+    assert run(entry) == expected
+
+
 def test_classify_sphere(sphere_path, capsys):
     assert main(["classify", sphere_path]) == 0
     report = json.loads(capsys.readouterr().out)

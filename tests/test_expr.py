@@ -103,6 +103,18 @@ def test_negative_base_fractional_power():
         evaluate(parse("x^0.5", ["x"]), (-2.0,))
 
 
+@pytest.mark.parametrize("text", ["0*log(x)", "log(x)*0", "0/log(x)", "log(x)^0",
+                                  "(1 - 1)*log(x)"])
+def test_zero_fold_keeps_operand(text):
+    # the parser keeps the operand, so evaluation reaches it; the
+    # derivative rules still fold, and d/dx of the entry is the literal 0
+    expression = parse(text, ["x"])
+    with pytest.raises(DomainError):
+        evaluate(expression, (0.0,))
+    if "^" not in text:
+        assert expression.diff("x").root == Num(0.0)
+
+
 def test_domain_error_reports_node():
     with pytest.raises(DomainError) as err:
         evaluate(parse("1 + log(x - 2)", ["x"]), (1.0,))

@@ -11,8 +11,9 @@ from curvkit.gencurv import (GenCurvParams, _flat_ricci, _flat_values,
                              weyl_from_tensors)
 from curvkit.tensor import (Metric, Tensor04, _ricci_contract_values, max_abs,
                             ricci_contract, scalar_curvature, wedge_gg)
-from oracles import (loop_pseudo_projective, loop_quasi_conformal, loop_w2,
-                     random_riemann_like, random_spd)
+from oracles import (loop_curvature_symmetry_defect, loop_pseudo_projective,
+                     loop_quasi_conformal, loop_w2, random_riemann_like,
+                     random_spd)
 
 
 def flat_bundle(n: int) -> CurvatureBundle:
@@ -213,6 +214,25 @@ def test_reconstruct_riemann_like_flag():
     assert reconstruct_qc_flat(s_sym, g, 1.0, GenCurvParams()).riemann_like
     s_gen = rng.standard_normal((4, 4))
     assert not reconstruct_qc_flat(s_gen, g, 1.0, GenCurvParams()).riemann_like
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_qc_reconstruction_has_curvature_symmetries(n, monkeypatch):
+    """The reconstruction flags itself riemann-like without checking its
+    grid; check the four symmetries entry by entry, and that the library
+    ran no check of its own."""
+    def refuse(self):
+        raise AssertionError("reconstruct_qc_flat re-validated its output")
+
+    monkeypatch.setattr(Tensor04, "symmetry_residuals", refuse)
+    rng = np.random.default_rng(900 + n)
+    g = Metric(random_spd(rng, n))
+    s = rng.standard_normal((n, n))
+    s = s + s.T
+    rec = reconstruct_qc_flat(s, g, scalar_curvature(s, g), GenCurvParams(1.3, -0.4))
+    assert rec.riemann_like
+    v = rec.values
+    assert loop_curvature_symmetry_defect(v) <= 1e-12 * float(np.abs(v).max())
 
 
 def test_qc_selfconsistent_einstein_spot_value():
