@@ -58,7 +58,6 @@ class QuasiConstantFit:
     b: float
     a_form: np.ndarray  # g-unit covector, sign-canonicalized
     residual: float
-    weyl_norm: float
 
 
 @dataclass(frozen=True)
@@ -168,8 +167,8 @@ def quasi_constant_fit(riemann: Tensor04, g: Metric,
 
     Strategy: the Ricci contraction of such an R is quasi-Einstein, and its
     simple eigendirection fixes A up to sign; (a, b) then come from a linear
-    least-squares fit.  The Weyl norm of the input is reported alongside (the
-    class definition additionally demands conformal flatness).
+    least-squares fit.  The class definition additionally demands conformal
+    flatness, which `conformally_flat_check` decides from the Weyl norm.
 
     Raises NotQuasiConstant when the Ricci pattern is absent, when the
     least-squares residual exceeds `tol`, or when the fitted b collapses to
@@ -194,7 +193,7 @@ def quasi_constant_fit(riemann: Tensor04, g: Metric,
             residual=res_cc) from None
     block = quasi_constant_shape(g, qe.omega).values
     design = np.stack([gw.ravel(), block.ravel()], axis=1)
-    (a, b), *_ = np.linalg.lstsq(design, rv.ravel(), rcond=None)
+    (a, b), _, _ = _lstsq_kernel(design, rv.ravel())
     residual = max_abs(rv - a * gw - b * block) / scale
     if residual > tol:
         raise NotQuasiConstant(
@@ -210,16 +209,7 @@ def quasi_constant_fit(riemann: Tensor04, g: Metric,
             "fitted wedge coefficient is numerically zero",
             residual=residual)
     return QuasiConstantFit(a=float(a), b=float(b), a_form=qe.omega,
-                            residual=residual, weyl_norm=_weyl_norm(riemann, g))
-
-
-def _weyl_norm(riemann: Tensor04, g: Metric, ricci=None,
-               r: float | None = None) -> float:
-    """Max-norm of the Weyl tensor; 0 for n < 3, where it vanishes
-    identically (at n = 2 it is not even defined)."""
-    if g.n < 3:
-        return 0.0
-    return max_abs(weyl_from_tensors(riemann, g, ricci=ricci, r=r).values)
+                            residual=residual)
 
 
 @functools.lru_cache(maxsize=32)
@@ -349,10 +339,12 @@ def conformally_flat_check(bundle: CurvatureBundle,
                            tol: float = 1e-8) -> tuple[float, bool]:
     """Max-norm of the Weyl tensor and the verdict `norm <= tol * (1 + |R|)`.
     (For n <= 3 the Weyl tensor vanishes identically, so the verdict is
-    vacuous there and only meaningful from n = 4 on.)"""
+    vacuous there and only meaningful from n = 4 on; the norm reads 0 at
+    n = 2, where the tensor is not even defined.)"""
     if bundle.riemann is None:
         raise DimensionMismatch("bundle carries no (0,4) curvature tensor")
-    norm = _weyl_norm(bundle.riemann, bundle.g, bundle.ricci, bundle.r)
+    norm = 0.0 if bundle.n < 3 else max_abs(weyl_from_tensors(
+        bundle.riemann, bundle.g, bundle.ricci, bundle.r).values)
     return norm, norm <= tol * (1.0 + bundle.riemann.norm())
 
 

@@ -25,7 +25,7 @@ from .classify import classification_report
 from .errors import CurvError
 from .gencurv import GenCurvParams
 from .harness import TrialConfig, verify_section2, verify_section3, verify_section4
-from .manifest import load_manifest
+from .manifest import load_manifest, parse_point
 from .tensor import max_abs
 from .wrs import (check_dr_identity, recover_one_forms, t_identities,
                   ws_to_wrs_condition)
@@ -84,18 +84,15 @@ def _envelope(command: str, input_info: dict, *, checks=None, residuals=None,
 # --------------------------------------------------------------------------
 # Shared helpers
 
-def _resolve_point(args, manifest) -> tuple[float, ...]:
-    if args.at is not None:
-        return tuple(float(v) for v in args.at.split(","))
-    if manifest.points:
-        return manifest.points[0]
-    raise CurvError("no point given: pass --at or add a 'point:' line "
-                    "to the manifest")
-
-
 def _bundle_from_args(args) -> tuple[MetricField, CurvatureBundle, tuple[float, ...]]:
     manifest = load_manifest(args.manifest)
-    point = _resolve_point(args, manifest)
+    if args.at is not None:
+        point = parse_point(args.at)
+    elif manifest.points:
+        point = manifest.points[0]
+    else:
+        raise CurvError("no point given: pass --at or add a 'point:' line "
+                        "to the manifest")
     field = manifest.to_field()
     return field, field.curvature_bundle(point), point
 
@@ -245,17 +242,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_tol(p):
         p.add_argument("--tol", type=float, default=1e-8,
-                       help="pass/fail tolerance (default 1e-8)")
+                       help="pass/fail tolerance, positive and finite "
+                            "(default 1e-8)")
+
+    def add_weights(p):
+        # GenCurvParams rejects a non-finite weight
+        p.add_argument("--a", type=float, default=1.0,
+                       help="weight of the curvature block (default 1)")
+        p.add_argument("--b", type=float, default=1.0,
+                       help="weight of the Ricci block (default 1)")
 
     p_curv = add_point_command("curvature", "full curvature report at a point")
     p_curv.add_argument("--format", choices=("json", "text"), default="json")
 
     p_cls = add_point_command("classify", "classification verdicts at a point")
     add_tol(p_cls)
-    p_cls.add_argument("--a", type=float, default=1.0,
-                       help="weight of the curvature block (default 1)")
-    p_cls.add_argument("--b", type=float, default=1.0,
-                       help="weight of the Ricci block (default 1)")
+    add_weights(p_cls)
 
     add_tol(add_point_command("wrs", "recover the weak-Ricci-symmetry 1-forms"))
 
@@ -264,9 +266,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--n", type=int, default=4, help="dimension (> 3)")
     p_ver.add_argument("--trials", type=int, default=100)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--tol", type=float, default=1e-8)
-    p_ver.add_argument("--a", type=float, default=1.0)
-    p_ver.add_argument("--b", type=float, default=1.0)
+    add_tol(p_ver)
+    add_weights(p_ver)
     return parser
 
 
@@ -281,6 +282,8 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if not 0.0 < getattr(args, "tol", 1.0) < math.inf:  # curvature takes no --tol
+        parser.error(f"--tol must be a positive finite number, got {args.tol}")
     try:
         return _HANDLERS[args.command](args)
     except (CurvError, OSError, ValueError) as exc:

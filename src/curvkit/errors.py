@@ -34,7 +34,8 @@ class DomainError(CurvError):
 
 
 class ManifestError(CurvError):
-    """Malformed metric manifest file.  Carries the offending line number."""
+    """Malformed metric manifest file or point.  Carries the offending line
+    number, None for a point given on the command line."""
 
     def __init__(self, message: str, line: int | None = None):
         where = f" (line {line})" if line is not None else ""

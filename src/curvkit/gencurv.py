@@ -32,6 +32,7 @@ weighted combination it appears in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,10 +56,14 @@ _GUARD_TOL = 1e-12
 @dataclass(frozen=True)
 class GenCurvParams:
     """The constant weights (a, b) of the quasi-conformal and
-    pseudo-projective combinations."""
+    pseudo-projective combinations; both must be finite."""
 
     a: float = 1.0
     b: float = 1.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise InvalidParams(f"weights must be finite, got a={self.a}, b={self.b}")
 
     def require_qc(self) -> None:
         if self.a == 0.0:

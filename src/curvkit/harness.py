@@ -39,6 +39,8 @@ certify the reconstruction and its contraction with index loops.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -52,9 +54,11 @@ from .errors import (CurvError, DegenerateParams, InvalidParams,
                      ZeroScalarCurvature)
 from .gencurv import (GenCurvParams, _flat_ricci, pp_flat_alpha,
                       qc_flat_alpha, reconstruct_pp_flat, reconstruct_qc_flat,
-                      reconstruct_w2_flat, w2, w2_flat_alpha)
-from .tensor import (Metric, Tensor04, hyper_shape, max_abs, pseudo_shape,
-                     quasi_constant_shape, ricci_contract, scalar_curvature)
+                      reconstruct_w2_flat, w2, w2_flat_alpha,
+                      weyl_from_tensors)
+from .tensor import (Metric, Tensor04, _lstsq_kernel, hyper_shape, max_abs,
+                     pseudo_shape, quasi_constant_shape, ricci_contract,
+                     scalar_curvature)
 from .wrs import OneFormSystem, a_from_bd, t_identities
 
 __all__ = [
@@ -84,8 +88,8 @@ class TrialConfig:
             raise InvalidParams(f"the verified chains require n > 3, got n={self.n}")
         if self.trials < 1:
             raise InvalidParams("trials must be >= 1")
-        if self.tolerance <= 0.0:
-            raise InvalidParams("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise InvalidParams("tolerance must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -238,7 +242,8 @@ def selfconsistent_ricci(g: Metric, r: float, params: GenCurvParams,
     chosen generalized tensor at this (g, r).  (The trace row matters for the
     W2 flavor, whose fixed-point set without it is the whole Einstein line;
     for the other two it is consistent with the already-unique fixed
-    point.)"""
+    point.)  The system is singular when it has a kernel under the one rank
+    rule of `tensor._lstsq_kernel`, the cut every fit applies."""
     n = g.n
     if flavor == "qc":
         params.qc_denominator(n)
@@ -253,8 +258,8 @@ def selfconsistent_ricci(g: Metric, r: float, params: GenCurvParams,
     op = (images[1:] - affine).T
     lhs = np.vstack([np.eye(n * n) - op, g.inv.ravel()])
     rhs = np.concatenate([affine, [r]])
-    solution, _, rank, sigma = np.linalg.lstsq(lhs, rhs, rcond=1e-12)
-    if rank < n * n:
+    solution, kernel_dim, _ = _lstsq_kernel(lhs, rhs)
+    if kernel_dim > 0:
         raise DegenerateParams(
             "the contraction fixed-point system is singular for these weights")
     gap = max_abs(lhs @ solution - rhs)
@@ -444,7 +449,7 @@ def _qc_quasi_constant_check(rng, config):
                 _rel(fit.b - b_true, b_true),
                 _rel(delta_rec - delta_true, delta_true),
                 a_form_gap),
-            {"weyl_norm": fit.weyl_norm})
+            {"weyl_norm": max_abs(weyl_from_tensors(riemann, g).values)})
 
 
 def _pp_quasi_constant_check(rng, config):
@@ -529,50 +534,39 @@ def _twin_check(flavor: str):
         r = scalar_curvature(s, g)
         gm, ginv = g.mat, g.inv
         a, b = params.a, params.b
-        loops = np.zeros((n, n, n, n))
+        # each flavor's entry R[i,j,k,l], as its reconstruction's docstring
+        # writes it
         if flavor == "qc":
             fast = reconstruct_qc_flat(s, g, r, params).values
             coeff = (r / n) * (1.0 / (n - 1) + 2.0 * b / a)
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        for l in range(n):
-                            loops[i, j, k, l] = (
-                                -(b / a) * (s[j, k] * gm[i, l] - s[i, k] * gm[j, l]
-                                            + gm[j, k] * s[i, l] - gm[i, k] * s[j, l])
-                                + coeff * (gm[j, k] * gm[i, l] - gm[i, k] * gm[j, l]))
+
+            def entry(i, j, k, l):
+                return (-(b / a) * (s[j, k] * gm[i, l] - s[i, k] * gm[j, l]
+                                    + gm[j, k] * s[i, l] - gm[i, k] * s[j, l])
+                        + coeff * (gm[j, k] * gm[i, l] - gm[i, k] * gm[j, l]))
         elif flavor == "pp":
             fast = reconstruct_pp_flat(s, g, r, params).values
             coeff = (r / (a * n)) * (a / (n - 1) + b)
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        for l in range(n):
-                            loops[i, j, k, l] = (
-                                -(b / a) * (s[j, k] * gm[i, l] - s[i, k] * gm[j, l])
-                                + coeff * (gm[j, k] * gm[i, l] - gm[i, k] * gm[j, l]))
+
+            def entry(i, j, k, l):
+                return (-(b / a) * (s[j, k] * gm[i, l] - s[i, k] * gm[j, l])
+                        + coeff * (gm[j, k] * gm[i, l] - gm[i, k] * gm[j, l]))
         else:
             fast = reconstruct_w2_flat(s, g).values
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        for l in range(n):
-                            loops[i, j, k, l] = (gm[j, k] * s[i, l]
-                                                 - gm[i, k] * s[j, l]) / (n - 1)
-        scale = 1.0 + max_abs(fast)
-        worst = max_abs(fast - loops) / scale
-        # contraction twin: quadruple loop against the einsum path
-        contracted = ricci_contract(Tensor04(fast), g)
+
+            def entry(i, j, k, l):
+                return (gm[j, k] * s[i, l] - gm[i, k] * s[j, l]) / (n - 1)
+        # one pass over the grid fills each entry and adds it into its
+        # contraction slow[j,k] = sum over (i, l) of ginv[i,l] * loops[i,j,k,l]
+        loops = np.zeros((n, n, n, n))
         slow = np.zeros((n, n))
-        for j in range(n):
-            for k in range(n):
-                acc = 0.0
-                for i in range(n):
-                    for l in range(n):
-                        acc += ginv[i, l] * loops[i, j, k, l]
-                slow[j, k] = acc
-        worst = max(worst, max_abs(contracted - slow) / (1.0 + max_abs(slow)))
-        return worst
+        for i, j, k, l in itertools.product(range(n), repeat=4):
+            loops[i, j, k, l] = entry(i, j, k, l)
+            slow[j, k] += ginv[i, l] * loops[i, j, k, l]
+        worst = max_abs(fast - loops) / (1.0 + max_abs(fast))
+        # contraction twin: the loop sums against the einsum path
+        contracted = ricci_contract(Tensor04(fast), g)
+        return max(worst, max_abs(contracted - slow) / (1.0 + max_abs(slow)))
     return check
 
 

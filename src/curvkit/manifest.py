@@ -15,6 +15,7 @@ are ignored, and missing upper-triangle entries are zero::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from .chart import MetricField
 from .errors import CurvError, ManifestError
 from .expr import parse as parse_expression
 
-__all__ = ["MetricManifest", "parse_manifest", "load_manifest"]
+__all__ = ["MetricManifest", "parse_point", "parse_manifest", "load_manifest"]
 
 
 @dataclass(frozen=True)
@@ -34,6 +35,18 @@ class MetricManifest:
 
     def to_field(self) -> MetricField:
         return MetricField(self.coords, dict(self.entries))
+
+
+def parse_point(text: str, line: int | None = None) -> tuple[float, ...]:
+    """The point `x1, x2, ...` of a `point:` line or of `--at`; ManifestError,
+    carrying `line`, on a component that is not a finite number."""
+    try:
+        point = tuple(float(c) for c in text.split(","))
+    except ValueError:
+        raise ManifestError(f"bad point {text!r}", line) from None
+    if not all(map(math.isfinite, point)):
+        raise ManifestError(f"point {text!r} has a non-finite component", line)
+    return point
 
 
 def parse_manifest(text: str) -> MetricManifest:
@@ -69,10 +82,7 @@ def parse_manifest(text: str) -> MetricManifest:
                 raise ManifestError(f"bad index pair {pair.strip()!r}", lineno)
             raw_entries.append((names[0], names[1], expr_text.strip(), lineno))
         elif key == "point":
-            try:
-                points.append(tuple(float(c) for c in value.split(",")))
-            except ValueError:
-                raise ManifestError(f"bad point {value!r}", lineno) from None
+            points.append(parse_point(value, lineno))
         else:
             raise ManifestError(f"unknown key {key!r}", lineno)
 

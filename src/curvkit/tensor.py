@@ -17,6 +17,7 @@ Storage is dense; the intended regime is desk scale (n up to ~10).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,9 +66,9 @@ def _as_square(a, name: str) -> np.ndarray:
 class Metric:
     """A positive definite symmetric bilinear form, with cached inverse.
 
-    Construction validates symmetry (within 1e-12 relative), positive
-    definiteness (Cholesky with pivot threshold 1e-12 * max|g|) and the
-    quality of the cached inverse (g @ ginv = I within 1e-10).
+    Construction validates finiteness, symmetry (within 1e-12 relative),
+    positive definiteness (Cholesky with pivot threshold 1e-12 * max|g|) and
+    the quality of the cached inverse (g @ ginv = I within 1e-10).
     """
 
     __slots__ = ("n", "mat", "inv", "_wedge")
@@ -77,7 +78,10 @@ class Metric:
         n = g.shape[0]
         if n < 2:
             raise DimensionMismatch(f"metric dimension must be >= 2, got {n}")
-        scale = max(1.0, max_abs(g))
+        size = max_abs(g)
+        if not math.isfinite(size):  # before any arithmetic that would warn on it
+            raise SingularMetric("metric has a non-finite component")
+        scale = max(1.0, size)
         if max_abs(g - g.T) > SYMMETRY_TOL * scale:
             raise SingularMetric("metric is not symmetric")
         g = 0.5 * (g + g.T)  # exact symmetrization of rounding noise

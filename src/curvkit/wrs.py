@@ -39,35 +39,24 @@ ZERO_R_TOL = 1e-12  # |r| at or below this counts as zero scalar curvature
 class OneFormSystem:
     """The coefficient 1-forms of the weak-symmetry conditions.
 
-    `a`, `b`, `d` are the three covectors of the Ricci-level condition; the
-    optional `c`, `e` extend to the full curvature-level condition (they
-    default to `b` and `d`, the reduction under which the curvature-level
-    condition collapses to the Ricci-level one).
+    `a`, `b`, `d` are the three covectors of the Ricci-level condition.  The
+    curvature-level condition is checked in its reduced form, where its
+    second pair of forms repeats (b, d) (`weak_symmetry_residual_tensors`).
     """
 
     a: np.ndarray
     b: np.ndarray
     d: np.ndarray
-    c: np.ndarray | None = None
-    e: np.ndarray | None = None
 
     def __post_init__(self):
-        arrays = {}
-        n = None
-        for name in ("a", "b", "d", "c", "e"):
-            v = getattr(self, name)
-            if v is None:
-                continue
-            v = np.asarray(v, dtype=float)
+        forms = {name: np.asarray(getattr(self, name), dtype=float)
+                 for name in ("a", "b", "d")}
+        for name, v in forms.items():
             if v.ndim != 1:
                 raise DimensionMismatch(f"1-form {name!r} must be a vector")
-            if n is None:
-                n = v.shape[0]
-            elif v.shape[0] != n:
+            if v.shape != forms["a"].shape:
                 raise DimensionMismatch("1-forms must share a common length")
             v.flags.writeable = False
-            arrays[name] = v
-        for name, v in arrays.items():
             object.__setattr__(self, name, v)
 
     @property
@@ -78,12 +67,6 @@ class OneFormSystem:
     def t(self) -> np.ndarray:
         """Difference form t = b - d."""
         return self.b - self.d
-
-    def full(self) -> tuple[np.ndarray, ...]:
-        """(a, b, c, d, e) with the b/d defaults filled in."""
-        c = self.b if self.c is None else self.c
-        e = self.d if self.e is None else self.e
-        return self.a, self.b, c, self.d, e
 
 
 def _check_forms(bundle: CurvatureBundle, forms: OneFormSystem) -> None:
@@ -110,24 +93,24 @@ def wrs_residual(bundle: CurvatureBundle, forms: OneFormSystem) -> float:
 def weak_symmetry_residual_tensors(nabla_riemann: np.ndarray,
                                    riemann: np.ndarray,
                                    forms: OneFormSystem) -> float:
-    """Max-norm residual of the curvature-level condition
+    """Max-norm residual of the reduced curvature-level condition
 
         (nabla_X R)(Y,Z,U,V) = a(X) R(Y,Z,U,V) + b(Y) R(X,Z,U,V)
-                               + c(Z) R(Y,X,U,V) + d(U) R(Y,Z,X,V)
-                               + e(V) R(Y,Z,U,X)
+                               + b(Z) R(Y,X,U,V) + d(U) R(Y,Z,X,V)
+                               + d(V) R(Y,Z,U,X)
 
-    on raw pointwise grids, normalized by (1 + max|nabla R|).  With c and e
-    left at their defaults this is the reduced (b = c, d = e) condition."""
+    on raw pointwise grids, normalized by (1 + max|nabla R|): the general
+    condition with five forms (a, b, c, d, e), reduced by c = b and e = d."""
     nr = np.asarray(nabla_riemann, dtype=float)
     rb = np.asarray(riemann, dtype=float)
-    a, b, c, d, e = forms.full()
+    a, b, d = forms.a, forms.b, forms.d
     if a.shape[0] != rb.shape[0]:
         raise DimensionMismatch(f"forms n={a.shape[0]} vs tensor n={rb.shape[0]}")
     rhs = (np.einsum("m,ijkl->mijkl", a, rb)
            + np.einsum("i,mjkl->mijkl", b, rb)
-           + np.einsum("j,imkl->mijkl", c, rb)
+           + np.einsum("j,imkl->mijkl", b, rb)
            + np.einsum("k,ijml->mijkl", d, rb)
-           + np.einsum("l,ijkm->mijkl", e, rb))
+           + np.einsum("l,ijkm->mijkl", d, rb))
     return max_abs(nr - rhs) / (1.0 + max_abs(nr))
 
 

@@ -1,9 +1,12 @@
 import itertools
+import pathlib
 
 import numpy as np
 import pytest
 
+from curvkit import gencurv
 from curvkit.chart import CurvatureBundle
+from curvkit.cli import main
 from curvkit.classify import (_eigenframe_plan, classification_report,
                               conformally_flat_check,
                               einstein_check, hyper_quasi_constant_fit,
@@ -11,8 +14,9 @@ from curvkit.classify import (_eigenframe_plan, classification_report,
                               quasi_einstein_decompose)
 from curvkit.errors import DimensionMismatch, NotQuasiConstant, NotQuasiEinstein
 from curvkit.gencurv import GenCurvParams
-from curvkit.tensor import (_HYPER_TERMS, _PSEUDO_TERMS, Metric, Tensor04,
-                            hyper_shape, max_abs, pseudo_shape,
+from curvkit.manifest import load_manifest
+from curvkit.tensor import (_HYPER_TERMS, _PSEUDO_TERMS, KERNEL_RCOND, Metric,
+                            Tensor04, hyper_shape, max_abs, pseudo_shape,
                             quasi_constant_shape, wedge_gg)
 from oracles import random_riemann_like, random_spd
 
@@ -512,3 +516,43 @@ def test_fits_solve_at_most_n_plus_one_columns(monkeypatch, sphere3, conformal4)
         n = len(point)
         # quasi_constant_fit's own two-column solve is the only other one
         assert shapes and all(cols <= n + 1 for _, cols in shapes)
+
+
+def test_every_solve_applies_the_one_rank_cut(monkeypatch, capsys):
+    # verify's fixed-point systems and every classify fit solve through
+    # tensor._lstsq_kernel, so each lstsq call cuts at KERNEL_RCOND
+    cuts = []
+    lstsq = np.linalg.lstsq
+
+    def recording(*args, **kwargs):
+        cuts.append(kwargs.get("rcond", args[2] if len(args) > 2 else "default"))
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", recording)
+    assert main(["verify", "--section", "all", "--n", "4", "--trials", "5"]) == 0
+    capsys.readouterr()
+    verify_calls = len(cuts)
+    for path in sorted(pathlib.Path(__file__).parent.parent.glob("manifests/*.txt")):
+        manifest = load_manifest(path)
+        classification_report(manifest.to_field().curvature_bundle(manifest.points[0]))
+    assert 0 < verify_calls < len(cuts)
+    assert set(cuts) == {KERNEL_RCOND}
+
+
+def test_quasi_constant_report_builds_one_weyl_grid(monkeypatch):
+    rng = np.random.default_rng(88)
+    g = Metric(random_spd(rng, 5))
+    riemann = Tensor04(2.0 * wedge_gg(g).values
+                       + 5.0 * quasi_constant_shape(g, unit_covector(rng, g)).values,
+                       riemann_like=True)
+    kinds = []
+    combine = gencurv._combine
+
+    def recording(kind, *args, **kwargs):
+        kinds.append(kind)
+        return combine(kind, *args, **kwargs)
+
+    monkeypatch.setattr(gencurv, "_combine", recording)
+    report = classification_report(CurvatureBundle.from_tensors(g, riemann=riemann))
+    assert report.quasi_constant is not None
+    assert kinds.count("weyl") == 1

@@ -253,3 +253,67 @@ def test_load_manifest_from_disk(tmp_path):
     path.write_text(EUCLID4)
     m = load_manifest(path)
     assert m.dim == 4
+
+
+# --------------------------------------------------------------------------
+# numbers from outside
+
+NAN_POINT = "dim: 2\ncoords: x, y\ng: x,x = x\ng: y,y = 1\npoint: nan, 0\n"
+
+
+def run_main(argv) -> int:
+    """main's exit code, including argparse's usage errors."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["curvature", "{nan_point}"],
+    ["classify", "{nan_point}"],
+    ["curvature", "{sphere}", "--at", "nan,0"],
+    ["curvature", "{sphere}", "--at", "1,inf"],
+    ["curvature", "{sphere}", "--at", "1,x"],
+    ["classify", "{sphere}", "--tol", "-1"],
+    ["classify", "{sphere}", "--tol", "inf"],
+    ["classify", "{sphere}", "--a", "nan"],
+    ["wrs", "{sphere}", "--tol", "-1"],
+    ["wrs", "{sphere}", "--tol", "nan"],
+    ["verify", "--tol", "nan"],
+    ["verify", "--tol", "inf"],
+    ["verify", "--tol", "0"],
+    ["verify", "--a", "nan"],
+    ["verify", "--b", "inf"],
+], ids=" ".join)
+def test_bad_numbers_exit_2(tmp_path, sphere_path, capfd, argv):
+    nan_point = tmp_path / "nan.txt"
+    nan_point.write_text(NAN_POINT)
+    argv = [arg.format(nan_point=nan_point, sphere=sphere_path) for arg in argv]
+    assert run_main(argv) == 2
+    out, err = capfd.readouterr()  # file-descriptor level: LAPACK writes there
+    assert out == ""
+    assert err
+    for text in ("Traceback", "DLASCL", "Warning"):
+        assert text not in err
+
+
+@pytest.mark.parametrize("text", ["0.5, 0.25", "1e-3,2", "nan, 0", "1, inf",
+                                  "1,x", "1,,2", ""])
+def test_point_line_and_at_parse_alike(tmp_path, capsys, text):
+    chart = "dim: 2\ncoords: x, y\ng: x,x = 1 + x^2\ng: y,y = 1\n"
+    with_point = tmp_path / "with_point.txt"
+    with_point.write_text(chart + f"point: {text}\n")
+    without = tmp_path / "without.txt"
+    without.write_text(chart)
+    code = main(["curvature", str(with_point)])
+    from_line = capsys.readouterr()
+    assert main(["curvature", str(without), "--at", text]) == code
+    from_at = capsys.readouterr()
+    if code == 0:
+        line, at = json.loads(from_line.out), json.loads(from_at.out)
+        assert line["input"]["point"] == at["input"]["point"]
+        assert line["result"] == at["result"]
+    else:
+        assert code == 2
+        assert from_line.err == from_at.err.replace("\n", " (line 5)\n")

@@ -122,6 +122,12 @@ def test_pseudo_projective_requires_nonzero_weights():
         pseudo_projective(bundle, GenCurvParams(1.0, 0.0))
 
 
+@pytest.mark.parametrize("a,b", [(np.nan, 1.0), (1.0, np.inf), (-np.inf, 0.5)])
+def test_params_must_be_finite(a, b):
+    with pytest.raises(InvalidParams, match="finite"):
+        GenCurvParams(a, b)
+
+
 def test_w2_matches_loop_oracle_and_correction_trace():
     rng = np.random.default_rng(28)
     bundle = random_bundle(rng, 4)

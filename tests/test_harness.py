@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from curvkit import harness
 from curvkit.errors import DegenerateParams, InvalidParams
 from curvkit.gencurv import (GenCurvParams, pp_flat_alpha, qc_flat_alpha,
                              reconstruct_pp_flat, reconstruct_qc_flat,
@@ -11,8 +12,10 @@ from curvkit.gencurv import (GenCurvParams, pp_flat_alpha, qc_flat_alpha,
 from curvkit.harness import (PointModel, TrialConfig, flat_ricci_form,
                              product_ricci_form, random_point_model,
                              rank_one_coefficient, selfconsistent_ricci,
-                             verify_all, verify_section2, verify_section4)
-from curvkit.tensor import Metric, max_abs, ricci_contract, scalar_curvature
+                             verify_all, verify_section2, verify_section3,
+                             verify_section4)
+from curvkit.tensor import (Metric, Tensor04, max_abs, ricci_contract,
+                            scalar_curvature)
 from oracles import random_spd
 
 
@@ -22,6 +25,12 @@ def test_config_requires_n_above_3():
     with pytest.raises(InvalidParams):
         TrialConfig(seed=0, trials=0)
     assert TrialConfig(seed=0, n=4).tolerance == 1e-8
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_config_tolerance_positive_and_finite(tol):
+    with pytest.raises(InvalidParams, match="positive and finite"):
+        TrialConfig(seed=0, tolerance=tol)
 
 
 # --------------------------------------------------------------------------
@@ -146,6 +155,23 @@ def test_brute_force_twins_present(small_reports):
     assert len(twins) == 3
     assert all(c.trials == 1 for c in twins)
     assert all(c.passed for c in twins)
+
+
+@pytest.mark.parametrize("verify,reconstruct", [
+    (verify_section2, "reconstruct_qc_flat"),
+    (verify_section3, "reconstruct_pp_flat"),
+    (verify_section4, "reconstruct_w2_flat"),
+])
+def test_twin_catches_a_wrong_reconstruction(monkeypatch, verify, reconstruct):
+    # the twin's loops share no code with the vectorized reconstruction, so
+    # an offset in it shows as the twin's residual
+    original = getattr(harness, reconstruct)
+    monkeypatch.setattr(harness, reconstruct,
+                        lambda *args: Tensor04(original(*args).values + 1e-6))
+    report = verify(TrialConfig(seed=5, trials=1, n=4))
+    twin = next(c for c in report.checks if c.name.endswith("brute_force_twin"))
+    assert not twin.passed
+    assert twin.max_residual > 1e-8
 
 
 def test_weyl_norm_reported_not_asserted(small_reports):

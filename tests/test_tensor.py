@@ -45,6 +45,13 @@ def test_metric_rejects_tiny_pivot():
         Metric(np.diag([1.0, 1e-15]))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_metric_rejects_non_finite(bad):
+    # raised before any arithmetic on the entry, so numpy warns of nothing
+    with pytest.raises(SingularMetric, match="non-finite"):
+        Metric([[1.0, bad], [bad, 1.0]])
+
+
 def test_metric_rejects_nonsquare_and_small():
     with pytest.raises(DimensionMismatch):
         Metric(np.ones((2, 3)))
