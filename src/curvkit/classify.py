@@ -10,6 +10,7 @@ residual.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,9 +22,9 @@ from .errors import (DimensionMismatch, InvalidParams, NotQuasiConstant,
 from .gencurv import (GenCurvParams, pseudo_projective, quasi_conformal, w2,
                       weyl_from_tensors)
 from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, Metric, Tensor04,
-                     _check_bilinear, _expand_block, _lstsq_kernel, max_abs,
-                     quasi_constant_shape, ricci_contract, scalar_curvature,
-                     wedge_gg)
+                     _check_bilinear, _expand_block, _lift, _lstsq_kernel,
+                     _max_abs_items, _scalar_curvature_values, max_abs,
+                     quasi_constant_shape, ricci_contract, wedge_gg)
 
 __all__ = [
     "EinsteinFit", "QuasiEinsteinFit", "QuasiConstantFit",
@@ -78,10 +79,17 @@ class PseudoQuasiConstantFit:
 
 def einstein_check(s, g: Metric, tol: float = 1e-8) -> EinsteinFit:
     """Fit S = alpha * g with alpha = r/n; residual is max-norm relative."""
-    s = _check_bilinear(s, g.n)
-    alpha = scalar_curvature(s, g) / g.n
-    residual = max_abs(s - alpha * g.mat) / (1.0 + max_abs(s))
-    return EinsteinFit(alpha=alpha, residual=residual, ok=residual <= tol)
+    alpha, residual = _einstein_values(_check_bilinear(s, g.n), g.mat, g.inv)
+    return EinsteinFit(alpha=float(alpha), residual=float(residual),
+                       ok=bool(residual <= tol))
+
+
+def _einstein_values(s: np.ndarray, gm: np.ndarray, ginv: np.ndarray):
+    """`einstein_check`'s alpha and residual for forms and metrics stacked
+    on leading axes, unchecked."""
+    alpha = _scalar_curvature_values(ginv, s) / gm.shape[-1]
+    residual = _max_abs_items(s - _lift(alpha, 2) * gm, 2) / (1.0 + _max_abs_items(s, 2))
+    return alpha, residual
 
 
 def _canonical_sign(w: np.ndarray) -> np.ndarray:
@@ -260,18 +268,23 @@ def _eigenframe_plan(terms, n: int):
 
 
 def _rotate(rv: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """R'[a,b,c,d] = Q[i,a] Q[j,b] Q[k,c] Q[l,d] R[i,j,k,l]: each product
-    rotates the leading slot and moves it last, so four restore the order."""
-    n = q.shape[0]
+    """R'[a,b,c,d] = Q[i,a] Q[j,b] Q[k,c] Q[l,d] R[i,j,k,l] for grids and
+    rotations stacked on the same leading axes: each product rotates the
+    leading slot and moves it last, so four restore the order."""
+    n = q.shape[-1]
+    lead = q.shape[:-2]
     for _ in range(4):
-        rv = rv.reshape(n, -1).T @ q
-    return rv.reshape(n, n, n, n)
+        rv = rv.reshape(*lead, n, -1).swapaxes(-1, -2) @ q
+    return rv.reshape(*lead, n, n, n, n)
 
 
-def _linear_fit(riemann: Tensor04, g: Metric, terms,
-                gauge_weight: float) -> tuple[float, np.ndarray, float, int]:
+def _linear_fit(rv: np.ndarray, gm: np.ndarray, ginv: np.ndarray, wedge: np.ndarray,
+                terms, gauge_weight: float):
     """Least-squares fit R ~ a * wedge_gg + B(P) over (a, P), with the
-    trace part of P moved into a (`gauge_weight` wedges per unit trace).
+    trace part of P moved into a (`gauge_weight` wedges per unit trace), for
+    grids R and metrics (with their G grids `wedge`) stacked on the same
+    leading axes, unchecked.
+    Returns a, P, the residual and the kernel dimension, each stacked.
 
     `terms` is the term table of a `tensor` block kernel B.  The fit is the
     minimum-norm solution over the full n^4 grid, solved in the frame of
@@ -280,42 +293,55 @@ def _linear_fit(riemann: Tensor04, g: Metric, terms,
     P -> Q^T P Q).  There every off-diagonal P_ab column is orthogonal to
     every other column (`_eigenframe_plan`), so it is one projection of the
     rotated R divided by its squared norm; only a and the diagonal P_aa
-    couple, in one least-squares solve with n + 1 columns.  The singular
-    values of the full design are those of that solve and the off-diagonal
-    column norms, which no P_aa column exceeds, so `kernel_dim` counts both
-    against the one cut of `tensor._lstsq_kernel`.  The residual is measured
-    on the full coordinate grid."""
-    if riemann.n != g.n:
-        raise DimensionMismatch(f"riemann n={riemann.n} vs metric n={g.n}")
-    n = g.n
+    couple, in one least-squares solve with n + 1 columns per fit (a loop:
+    `lstsq` does not stack).  The singular values of the full design are
+    those of that solve and the off-diagonal column norms, which no P_aa
+    column exceeds, so `kernel_dim` counts both against the one cut of
+    `tensor._lstsq_kernel`.  The residual is measured on the full
+    coordinate grid."""
+    n = gm.shape[-1]
+    lead = gm.shape[:-2]
     rows, (x, y), lin, (entries, signs, m) = _eigenframe_plan(terms, n)
-    rv = riemann.values
-    mu, q = np.linalg.eigh(g.mat)
-    rot = _rotate(rv, q).ravel()
-    wedge = mu[x] * mu[y]
-    design = np.empty((len(rows), n + 1))
-    design[:, 0] = np.concatenate([wedge, -wedge])
-    design[:, 1:] = lin @ mu
-    sol, kernel_dim, cut = _lstsq_kernel(design, rot[rows])
-    column = signs * mu[m]  # each off-diagonal column's entries
+    mu, q = np.linalg.eigh(gm)
+    rot = _rotate(rv, q).reshape(*lead, -1)
+    mu_xy = mu[..., x] * mu[..., y]  # G in the eigenframe, at the coupled entries
+    design = np.empty(lead + (len(rows), n + 1))
+    design[..., 0] = np.concatenate([mu_xy, -mu_xy], axis=-1)
+    design[..., 1:] = (lin @ mu[..., None, :, None])[..., 0]
+    sol = np.empty(lead + (n + 1,))
+    kernel_dim = np.empty(lead, dtype=int)
+    cut = np.empty(lead)
+    for k in itertools.product(*map(range, lead)):
+        sol[k], kernel_dim[k], cut[k] = _lstsq_kernel(design[k], rot[k][rows])
+    column = signs * mu[..., m]  # each off-diagonal column's entries
     # a sum of squares of the entries left after the plan's cancellations:
     # exactly 0 where all cancel (the hyper block at n = 2), never the
     # rounding noise that a difference of sums would leave above the cut
-    norm_sq = np.einsum("ck,ck->c", column, column)
-    kept = np.sqrt(norm_sq) > cut
-    projection = np.einsum("ck,ck->c", column, rot[entries])
-    p_rot = np.zeros((n, n))
-    p_rot[x, y] = np.divide(projection, norm_sq, out=np.zeros(len(x)), where=kept)
-    p_rot.flat[::n + 1] = sol[1:]
-    kernel_dim += len(x) - int(np.count_nonzero(kept))
-    a0 = float(sol[0])
-    p0 = q @ p_rot @ q.T
-    trace = float(np.einsum("ij,ij->", g.inv, p0))
-    p_hat = p0 - (trace / n) * g.mat
-    a_hat = a0 + gauge_weight * trace / n
-    block = _expand_block(terms, g.mat, p_hat)
-    residual = max_abs(rv - a_hat * wedge_gg(g).values - block) / (1.0 + max_abs(rv))
+    norm_sq = np.einsum("...ck,...ck->...c", column, column)
+    kept = np.sqrt(norm_sq) > cut[..., None]
+    projection = np.einsum("...ck,...ck->...c", column, rot[..., entries])
+    p_rot = np.zeros(lead + (n, n))
+    p_rot[..., x, y] = np.divide(projection, norm_sq, out=np.zeros(lead + (len(x),)),
+                                 where=kept)
+    diagonal = np.arange(n)
+    p_rot[..., diagonal, diagonal] = sol[..., 1:]
+    kernel_dim += len(x) - kept.sum(axis=-1)
+    p0 = q @ p_rot @ q.swapaxes(-1, -2)
+    trace = np.einsum("...ij,...ij->...", ginv, p0)
+    p_hat = p0 - _lift(trace / n, 2) * gm
+    a_hat = sol[..., 0] + gauge_weight * trace / n
+    misfit = rv - _lift(a_hat, 4) * wedge - _expand_block(terms, gm, p_hat)
+    residual = _max_abs_items(misfit, 4) / (1.0 + _max_abs_items(rv, 4))
     return a_hat, p_hat, residual, kernel_dim
+
+
+def _checked_fit(riemann: Tensor04, g: Metric, terms, gauge_weight: float):
+    """`_linear_fit` of one grid, as plain floats and an int."""
+    if riemann.n != g.n:
+        raise DimensionMismatch(f"riemann n={riemann.n} vs metric n={g.n}")
+    a, p, residual, kernel = _linear_fit(riemann.values, g.mat, g.inv, wedge_gg(g).values,
+                                         terms, gauge_weight)
+    return float(a), p, float(residual), int(kernel)
 
 
 def hyper_quasi_constant_fit(riemann: Tensor04, g: Metric) -> HyperQuasiConstantFit:
@@ -323,7 +349,7 @@ def hyper_quasi_constant_fit(riemann: Tensor04, g: Metric) -> HyperQuasiConstant
     trace-free (P -> P + c*g is absorbed by a -> a - 2c).  Always returns;
     `residual` says how well the fit explains the input and `kernel_dim`
     reports the null directions of the design operator (>= 1, the gauge)."""
-    a, p, residual, kernel = _linear_fit(riemann, g, _HYPER_TERMS, gauge_weight=2.0)
+    a, p, residual, kernel = _checked_fit(riemann, g, _HYPER_TERMS, gauge_weight=2.0)
     return HyperQuasiConstantFit(a=a, p=p, residual=residual, kernel_dim=kernel)
 
 
@@ -331,7 +357,7 @@ def pseudo_quasi_constant_fit(riemann: Tensor04, g: Metric) -> PseudoQuasiConsta
     """Fit R = a * wedge_gg(g) + pseudo_shape(g, P), trace-free gauge
     (P -> P + c*g is absorbed by a -> a + c).  Accepts generalized inputs;
     the two-term shape need not be riemann-like."""
-    a, p, residual, kernel = _linear_fit(riemann, g, _PSEUDO_TERMS, gauge_weight=1.0)
+    a, p, residual, kernel = _checked_fit(riemann, g, _PSEUDO_TERMS, gauge_weight=1.0)
     return PseudoQuasiConstantFit(a=a, p=p, residual=residual, kernel_dim=kernel)
 
 

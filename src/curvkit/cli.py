@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -279,9 +280,27 @@ _HANDLERS = {
 }
 
 
+# the start of a point whose first coordinate is negative: "-1,0.2", "-.5,1"
+_NEGATIVE_START = re.compile(r"-[0-9.]")
+
+
+def _glue_at_values(argv: list[str]) -> list[str]:
+    """argv with `--at V` written `--at=V` where V starts like a negative
+    number.  argparse takes a value that starts with '-' for an option
+    unless it is one plain negative number, so "-1,0.2" would be refused;
+    any other V, a real option included, is left for argparse to judge."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--at" and _NEGATIVE_START.match(arg):
+            out[-1] = f"--at={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_at_values(sys.argv[1:] if argv is None else argv))
     if not 0.0 < getattr(args, "tol", 1.0) < math.inf:  # curvature takes no --tol
         parser.error(f"--tol must be a positive finite number, got {args.tol}")
     try:

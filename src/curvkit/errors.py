@@ -2,7 +2,13 @@
 
 
 class CurvError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    `item` is set when the error comes from a computation over a stack of
+    items on leading array axes: the flat index of the first item that
+    failed.  It is None otherwise."""
+
+    item: int | None = None
 
 
 class ParseError(CurvError):

@@ -41,7 +41,8 @@ from .chart import CurvatureBundle
 from .errors import DegenerateParams, DimensionMismatch, InvalidParams
 from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, _W2_TERMS, Metric,
                      Tensor04, _check_bilinear, _contract_block, _expand_block,
-                     is_symmetric, ricci_contract, scalar_curvature, wedge_gg)
+                     _lift, is_symmetric, ricci_contract, scalar_curvature,
+                     wedge_gg)
 
 __all__ = [
     "GenCurvParams",
@@ -118,37 +119,48 @@ def _combine(kind: str, riemann: Tensor04 | None, g: Metric, s, r: float,
         raise DimensionMismatch("bundle carries no (0,4) curvature tensor")
     if riemann.n != g.n:
         raise DimensionMismatch(f"riemann n={riemann.n} vs metric n={g.n}")
-    a, b, block, c = _weights(kind, g.n, r, params)
-    values = a * riemann.values + b * _expand_block(block, g.mat, s)
-    return Tensor04(_minus_g(values, c, g))
+    return Tensor04(_combined_values(kind, riemann.values, g.mat, s, r, params,
+                                     wedge_gg(g).values))
 
 
-def _flat_values(kind: str, s: np.ndarray, g: Metric, r: float,
-                 params: GenCurvParams | None) -> np.ndarray:
-    """The R that makes K vanish, (c/a)*G - (b/a)*B(S), for S stacked on
-    leading axes (..., n, n) -> (..., n, n, n, n), unchecked.  The public
+def _combined_values(kind: str, rv: np.ndarray, gm: np.ndarray, s: np.ndarray,
+                     r, params: GenCurvParams | None, wedge) -> np.ndarray:
+    """K = a*R + b*B(S) - c*G for grids R, metrics g (with their G grids
+    `wedge`), forms S and scalars r stacked on the same leading axes,
+    unchecked.  `_combine` wraps it."""
+    a, b, block, c = _weights(kind, gm.shape[-1], r, params)
+    return _minus_g(a * rv + b * _expand_block(block, gm, s), c, wedge)
+
+
+def _flat_values(kind: str, s: np.ndarray, gm: np.ndarray, r,
+                 params: GenCurvParams | None, wedge) -> np.ndarray:
+    """The R that makes K vanish, (c/a)*G - (b/a)*B(S), for forms S, metrics
+    g (with their G grids `wedge`) and scalars r stacked on the same leading
+    axes, (..., n, n) -> (..., n, n, n, n), unchecked.  The public
     reconstructions wrap it; `_flat_ricci` is its Ricci contraction."""
-    a, b, block, c = _weights(kind, g.n, r, params)
-    return _minus_g(-(b / a) * _expand_block(block, g.mat, s), -c / a, g)
+    a, b, block, c = _weights(kind, gm.shape[-1], r, params)
+    return _minus_g(-(b / a) * _expand_block(block, gm, s), -c / a, wedge)
 
 
-def _flat_ricci(kind: str, s: np.ndarray, g: Metric, r: float,
-                params: GenCurvParams | None) -> np.ndarray:
+def _flat_ricci(kind: str, s: np.ndarray, gm: np.ndarray, ginv: np.ndarray,
+                r, params: GenCurvParams | None) -> np.ndarray:
     """The Ricci contraction of `_flat_values`,
-    (c/a)*contract(G) - (b/a)*contract(B(S)), for S stacked on leading axes
-    (..., n, n) -> (..., n, n), unchecked.  It contracts before expanding:
-    no n^4 grid is built, and contract(G) is the pseudo block's at P = g.
-    The harness applies it to a whole basis in one call."""
-    a, b, block, c = _weights(kind, g.n, r, params)
-    out = -(b / a) * _contract_block(block, g.inv, g.mat, s)
-    if c:
-        out = out + (c / a) * _contract_block(_PSEUDO_TERMS, g.inv, g.mat, g.mat)
+    (c/a)*contract(G) - (b/a)*contract(B(S)), for S, g, ginv and r on
+    leading axes that broadcast, (..., n, n) -> (..., n, n), unchecked.  It
+    contracts before expanding: no n^4 grid is built, and contract(G) is
+    the pseudo block's at P = g.  The harness applies it to a whole basis
+    for a stack of metrics in one call."""
+    a, b, block, c = _weights(kind, gm.shape[-1], r, params)
+    out = -(b / a) * _contract_block(block, ginv, gm, s)
+    if np.any(c):
+        out = out + _lift(c / a, 2) * _contract_block(_PSEUDO_TERMS, ginv, gm, gm)
     return out
 
 
-def _minus_g(values: np.ndarray, c: float, g: Metric) -> np.ndarray:
-    """values - c*G; a zero weight (the W2 kind) builds no G."""
-    return values - c * wedge_gg(g).values if c else values
+def _minus_g(values: np.ndarray, c, wedge) -> np.ndarray:
+    """values - c*G, c one scalar per metric; with a zero weight (the W2
+    kind) G is not read, so its callers pass None for it."""
+    return values - _lift(c, 4) * wedge if np.any(c) else values
 
 
 # --------------------------------------------------------------------------
@@ -223,7 +235,7 @@ def reconstruct_qc_flat(s, g: Metric, r: float, params: GenCurvParams,
     """
     params.require_qc()
     s = _check_sr(s, g, r, strict)
-    return Tensor04._unvalidated(_flat_values("qc", s, g, r, params),
+    return Tensor04._unvalidated(_flat_values("qc", s, g.mat, r, params, wedge_gg(g).values),
                                  riemann_like=is_symmetric(s))
 
 
@@ -235,7 +247,7 @@ def reconstruct_pp_flat(s, g: Metric, r: float, params: GenCurvParams,
     """
     params.require_pp()
     s = _check_sr(s, g, r, strict)
-    return Tensor04(_flat_values("pp", s, g, r, params))
+    return Tensor04(_flat_values("pp", s, g.mat, r, params, wedge_gg(g).values))
 
 
 def reconstruct_w2_flat(s, g: Metric) -> Tensor04:
@@ -243,7 +255,7 @@ def reconstruct_w2_flat(s, g: Metric) -> Tensor04:
 
         R = 1/(n-1) * [g_jk S_il - g_ik S_jl]
     """
-    return Tensor04(_flat_values("w2", _check_bilinear(s, g.n), g, 0.0, None))
+    return Tensor04(_flat_values("w2", _check_bilinear(s, g.n), g.mat, 0.0, None, None))
 
 
 # --------------------------------------------------------------------------

@@ -16,8 +16,7 @@ Storage is dense; the intended regime is desk scale (n up to ~10).
 
 from __future__ import annotations
 
-import functools
-import math
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +41,17 @@ def max_abs(a) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
+def _max_abs_items(a: np.ndarray, ndim: int) -> np.ndarray:
+    """`max_abs` of each item of a stack, taken over its last `ndim` axes."""
+    return np.abs(a).max(axis=tuple(range(-ndim, 0)), initial=0.0)
+
+
+def _lift(x, ndim: int) -> np.ndarray:
+    """Per-item scalars (shape s) reshaped to s + (1,) * ndim, so that they
+    scale items with `ndim` axes of their own."""
+    return np.asarray(x)[(...,) + (None,) * ndim]
+
+
 def is_symmetric(a: np.ndarray) -> bool:
     return max_abs(a - a.T) <= SYMMETRY_TOL * max(1.0, max_abs(a))
 
@@ -63,6 +73,51 @@ def _as_square(a, name: str) -> np.ndarray:
     return a
 
 
+def _checked_metrics(g: np.ndarray):
+    """Metrics stacked as (m, n, n), exactly symmetrized, and their
+    symmetrized inverses; or, when some metric fails a check, the reason
+    the first check that fails gives."""
+    size = _max_abs_items(g, 2)
+    if not np.isfinite(size).all():  # before any arithmetic that would warn on it
+        return "metric has a non-finite component"
+    g_t = g.swapaxes(-1, -2)
+    if not (_max_abs_items(g - g_t, 2) <= SYMMETRY_TOL * np.maximum(1.0, size)).all():
+        return "metric is not symmetric"
+    g = 0.5 * (g + g_t)  # exact symmetrization of rounding noise
+    try:
+        chol = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return "metric is not positive definite"
+    pivots = chol.diagonal(axis1=-2, axis2=-1).min(axis=-1)
+    if not (pivots ** 2 > 1e-12 * _max_abs_items(g, 2)).all():
+        return "metric is numerically singular (tiny Cholesky pivot)"
+    inv = np.linalg.inv(g)
+    inv = 0.5 * (inv + inv.swapaxes(-1, -2))
+    if not (_max_abs_items(g @ inv - np.eye(g.shape[-1]), 2) <= INVERSE_TOL).all():
+        return "metric inverse failed the identity check"
+    return g, inv
+
+
+def _validate_metrics(components: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validate metrics stacked on leading axes, (..., n, n), and return them
+    exactly symmetrized with their symmetrized inverses.  Each must be finite,
+    symmetric within SYMMETRY_TOL * max(1, max|g|), positive definite with
+    its smallest Cholesky pivot squared above 1e-12 * max|g|, and pass
+    g @ ginv = I within INVERSE_TOL.  Raises SingularMetric for the first
+    failing metric in C order, with its flat index as `item`."""
+    n = components.shape[-1]
+    g = components.reshape(-1, n, n)
+    checked = _checked_metrics(g)
+    if isinstance(checked, str):  # some metric fails: find the first, one at a time
+        for k in range(len(g)):
+            why = _checked_metrics(g[k:k + 1])
+            if isinstance(why, str):
+                error = SingularMetric(why)
+                error.item = k
+                raise error
+    return checked[0].reshape(components.shape), checked[1].reshape(components.shape)
+
+
 class Metric:
     """A positive definite symmetric bilinear form, with cached inverse.
 
@@ -75,31 +130,23 @@ class Metric:
 
     def __init__(self, components):
         g = _as_square(components, "metric")
-        n = g.shape[0]
-        if n < 2:
-            raise DimensionMismatch(f"metric dimension must be >= 2, got {n}")
-        size = max_abs(g)
-        if not math.isfinite(size):  # before any arithmetic that would warn on it
-            raise SingularMetric("metric has a non-finite component")
-        scale = max(1.0, size)
-        if max_abs(g - g.T) > SYMMETRY_TOL * scale:
-            raise SingularMetric("metric is not symmetric")
-        g = 0.5 * (g + g.T)  # exact symmetrization of rounding noise
-        try:
-            chol = np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
-            raise SingularMetric("metric is not positive definite") from None
-        pivot_floor = 1e-12 * max_abs(g)
-        if float(np.min(np.diagonal(chol)) ** 2) <= pivot_floor:
-            raise SingularMetric("metric is numerically singular (tiny Cholesky pivot)")
-        inv = np.linalg.inv(g)
-        inv = 0.5 * (inv + inv.T)
-        if max_abs(g @ inv - np.eye(n)) > INVERSE_TOL:
-            raise SingularMetric("metric inverse failed the identity check")
-        g.flags.writeable = False
+        if g.shape[0] < 2:
+            raise DimensionMismatch(f"metric dimension must be >= 2, got {g.shape[0]}")
+        self._hold(*_validate_metrics(g))
+
+    @classmethod
+    def _from_validated(cls, mat: np.ndarray, inv: np.ndarray) -> "Metric":
+        """One metric of a stack that `_validate_metrics` passed, with its
+        inverse from the same call, set without validating it again."""
+        metric = cls.__new__(cls)
+        metric._hold(mat, inv)
+        return metric
+
+    def _hold(self, mat: np.ndarray, inv: np.ndarray) -> None:
+        mat.flags.writeable = False
         inv.flags.writeable = False
-        self.n = n
-        self.mat = g
+        self.n = mat.shape[0]
+        self.mat = mat
         self.inv = inv
         self._wedge = None  # wedge_gg(self), built on first use
 
@@ -112,8 +159,7 @@ class Metric:
 
     def norm_sq(self, covector) -> float:
         """Squared metric norm of a 1-form: ginv[i,j] w_i w_j."""
-        w = np.asarray(covector, dtype=float)
-        return float(w @ self.inv @ w)
+        return float(_norm_sq_values(self.inv, np.asarray(covector, dtype=float)))
 
     def __repr__(self):
         return f"Metric(n={self.n})"
@@ -208,14 +254,24 @@ def ricci_contract(tensor: Tensor04, g: Metric) -> np.ndarray:
 
 
 def _ricci_contract_values(ginv: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """`ricci_contract` of grids stacked on leading axes, unchecked."""
-    return np.einsum("il,...ijkl->...jk", ginv, values)
+    """`ricci_contract` of grids stacked on leading axes, unchecked; ginv
+    has leading axes of its own or none."""
+    return np.einsum("...il,...ijkl->...jk", ginv, values)
 
 
 def scalar_curvature(ricci, g: Metric) -> float:
     """Full metric trace of a bilinear form: r = ginv[j,k] S[j,k]."""
-    s = _check_bilinear(ricci, g.n)
-    return float(np.einsum("jk,jk->", g.inv, s))
+    return float(_scalar_curvature_values(g.inv, _check_bilinear(ricci, g.n)))
+
+
+def _scalar_curvature_values(ginv: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """`scalar_curvature` of forms stacked on leading axes, unchecked."""
+    return np.einsum("...jk,...jk->...", ginv, s)
+
+
+def _norm_sq_values(ginv: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """`Metric.norm_sq` of 1-forms stacked on leading axes, unchecked."""
+    return ((w[..., None, :] @ ginv) @ w[..., :, None])[..., 0, 0]
 
 
 def ricci_operator(ricci, g: Metric) -> np.ndarray:
@@ -232,11 +288,11 @@ def ricci_operator(ricci, g: Metric) -> np.ndarray:
 # B(P)[i,j,k,l] is the signed sum of P[slots] * g[slots] in table order.
 # Two evaluators read a table.  `_expand_block` builds the grid for
 # bilinears stacked on leading axes, P of shape (..., n, n) giving
-# (..., n, n, n, n); each entry is a fixed sum of products, so a stacked
-# call equals the item-by-item grids bit for bit.  `_contract_block`
-# returns the Ricci contraction of that grid without building it.  The
-# builders here and in `gencurv` pass their table to one of the two
-# directly.  The fits of `classify` read the same tables a third way: in
+# (..., n, n, n, n), with g stacked the same way or not at all; each entry
+# is a fixed sum of products, so a stacked call equals the item-by-item
+# grids bit for bit.  `_contract_block` returns the Ricci contraction of
+# that grid without building it.  The builders here and in `gencurv` pass
+# their table to one of the two directly.  The fits of `classify` read the same tables a third way: in
 # the frame where g is diagonal, they list which grid entries each column
 # of P touches (`classify._eigenframe_plan`), and solve without a design
 # over the grid.
@@ -246,20 +302,27 @@ _HYPER_TERMS = _PSEUDO_TERMS + ((+1, "il", "jk"), (-1, "jl", "ik"))
 _W2_TERMS = ((+1, "jl", "ik"), (-1, "il", "jk"))
 
 
-@functools.lru_cache(maxsize=16)
-def _full_grid(n: int):
-    return np.ix_(*[np.arange(n)] * 4)
+def _on_slots(x: np.ndarray, slots: str) -> np.ndarray:
+    """A view of x[..., a, b] with a and b on the grid slots `slots`, two of
+    "ijkl", and length-1 axes on the other two."""
+    if slots[0] > slots[1]:
+        x, slots = x.swapaxes(-1, -2), slots[::-1]
+    return x[_SLOT_INDEX[slots]]
+
+
+_SLOT_INDEX = {a + b: (..., *(slice(None) if s in a + b else None for s in "ijkl"))
+               for a, b in itertools.combinations("ijkl", 2)}
 
 
 def _expand_block(terms, gm: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """The grid of the block that `terms` describe."""
-    slot = dict(zip("ijkl", _full_grid(gm.shape[0])))
-    out = None
+    """The grid of the block that `terms` describe.  Each term is one
+    broadcast product of a view of P and a view of g; every term spans all
+    four slots, so each has the output's shape."""
+    out = term = None
     for sign, ps, gs in terms:
-        # every term spans all four slots, so each has the output's shape
-        term = p[..., slot[ps[0]], slot[ps[1]]] * gm[slot[gs[0]], slot[gs[1]]]
+        term = np.multiply(_on_slots(p, ps), _on_slots(gm, gs), out=term)
         if out is None:  # every table opens with a + term
-            out = term
+            out, term = term, None
         elif sign > 0:
             out += term
         else:
@@ -270,15 +333,16 @@ def _expand_block(terms, gm: np.ndarray, p: np.ndarray) -> np.ndarray:
 def _contract_block(terms, ginv: np.ndarray, gm: np.ndarray,
                     p: np.ndarray) -> np.ndarray:
     """S[..., j, k] = ginv[i,l] B(P)[..., i, j, k, l] for the block that
-    `terms` describe, P stacked on leading axes, without building the grid:
-    per term, ginv is summed into the g factor first (one small unstacked
-    einsum), and what is left is contracted with the stacked P."""
+    `terms` describe, P, g and ginv stacked on leading axes that broadcast,
+    without building the grid: per term, ginv is summed into the g factor
+    first (one einsum over the metrics alone), and what is left is
+    contracted with P."""
     out = 0.0
     for sign, ps, gs in terms:
         # the slots of ginv and g that P or the output still needs
         kept = "".join(dict.fromkeys(c for c in "il" + gs if c in ps + "jk"))
-        weight = np.einsum(f"il,{gs}->{kept}", ginv, gm)
-        term = np.einsum(f"...{ps},{kept}->...jk", p, weight)
+        weight = np.einsum(f"...il,...{gs}->...{kept}", ginv, gm)
+        term = np.einsum(f"...{ps},...{kept}->...jk", p, weight)
         out = out + term if sign > 0 else out - term
     return out
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .chart import CurvatureBundle, MetricField
 from .errors import DegenerateRicci, DimensionMismatch, ZeroScalarCurvature
-from .tensor import _lstsq_kernel, max_abs
+from .tensor import _lift, _lstsq_kernel, max_abs
 
 __all__ = [
     "OneFormSystem", "wrs_residual", "weak_symmetry_residual",
@@ -49,7 +49,8 @@ class OneFormSystem:
     d: np.ndarray
 
     def __post_init__(self):
-        forms = {name: np.asarray(getattr(self, name), dtype=float)
+        # copies, so that freezing them leaves the caller's arrays writable
+        forms = {name: np.array(getattr(self, name), dtype=float)
                  for name in ("a", "b", "d")}
         for name, v in forms.items():
             if v.ndim != 1:
@@ -171,11 +172,17 @@ def t_identities(bundle: CurvatureBundle, forms: OneFormSystem) -> tuple[float, 
         res_ts  = max_{i,j,k} | T_j S_ik - T_k S_ij |
     """
     _check_forms(bundle, forms)
-    t = forms.t
-    res_tq = max_abs(t @ bundle.ricci_op - bundle.r * t)
-    s = bundle.ricci
-    res_ts = max_abs(np.einsum("j,ik->ijk", t, s) - np.einsum("k,ij->ijk", t, s))
-    return res_tq, res_ts
+    tq, ts = _t_identity_defects(forms.t, bundle.ricci_op, bundle.r, bundle.ricci)
+    return max_abs(tq), max_abs(ts)
+
+
+def _t_identity_defects(t: np.ndarray, q: np.ndarray, r, s: np.ndarray):
+    """The defects (T Q)_i - r T_i and T_j S_ik - T_k S_ij of `t_identities`
+    for 1-forms, Ricci operators, scalars and Ricci forms stacked on the same
+    leading axes, unchecked."""
+    tq = (t[..., None, :] @ q)[..., 0, :] - _lift(r, 1) * t
+    ts = np.einsum("...j,...ik->...ijk", t, s) - np.einsum("...k,...ij->...ijk", t, s)
+    return tq, ts
 
 
 # --------------------------------------------------------------------------

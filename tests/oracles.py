@@ -402,3 +402,25 @@ def _exact_contractions(n, d):
                      for m in rn]
     return {"gamma": gam, "riemann": riem, "ricci": ric, "r": r,
             "nabla_ricci": nabla_ricci, "dr": dr, "nabla_riemann": nabla_riemann}
+
+
+# --------------------------------------------------------------------------
+# The harness's redraw loop, one attempt at a time
+
+def sequential_trials(rng, draw, degenerate, trials: int, cap: int):
+    """The draws of `trials` trials as a loop that redraws each trial on
+    its own: `draw(rng)` draws one attempt (None when a draw gave up inside
+    it), and a trial takes the first attempt that is not None and not
+    `degenerate`.  `cap` consecutive failed attempts end the loop.  Returns
+    the accepted attempts and the trial at which the cap ran out (None when
+    every trial was filled)."""
+    accepted = []
+    for k in range(trials):
+        for _ in range(cap):
+            attempt = draw(rng)
+            if attempt is not None and not degenerate(attempt):
+                accepted.append(attempt)
+                break
+        else:
+            return accepted, k
+    return accepted, None

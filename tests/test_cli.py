@@ -149,6 +149,21 @@ def test_tol_only_on_commands_that_use_it(sphere_path, capsys):
         assert json.loads(capsys.readouterr().out)["input"]["tol"] == 1e-6
 
 
+def test_at_takes_a_negative_first_coordinate(sphere_path, capsys):
+    assert main(["curvature", sphere_path, "--at=-1,0.2"]) == 0
+    glued = capsys.readouterr().out
+    assert main(["curvature", sphere_path, "--at", "-1,0.2"]) == 0
+    assert capsys.readouterr().out == glued
+    assert main(["classify", sphere_path, "--at", "-.5,0.2"]) == 0
+
+
+def test_at_followed_by_an_option_is_a_usage_error(sphere_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["curvature", sphere_path, "--at", "--format", "text"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_missing_manifest(capsys):
     assert main(["curvature", "/nonexistent/file.txt"]) == 2
 
@@ -216,6 +231,16 @@ def test_verify_exit_codes(capsys):
     assert main(["verify", "--n", "3"]) == 2  # the chains require n > 3
     err = capsys.readouterr().err
     assert "n > 3" in err
+
+
+def test_verify_with_a_zero_reports_the_precondition(capsys):
+    # a = 0 violates the precondition of both reconstructions: each check
+    # that needs one ends with that error, none with a traceback
+    assert main(["verify", "--n", "4", "--trials", "2", "--a", "0"]) == 1
+    notes = {c["name"]: c["note"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert notes["s2.qc_hyper_fit"] == "error: quasi-conformal combination requires a != 0"
+    assert notes["s3.pp_pseudo_fit"] == ("error: pseudo-projective combination "
+                                         "requires a != 0 and b != 0")
 
 
 def test_verify_all_sections(capsys):

@@ -338,29 +338,38 @@ def test_round_sphere_chart_generalized_tensors(sphere3):
 
 @pytest.mark.parametrize("n", [4, 6])
 def test_stacked_reconstructions_match_single_calls(n):
+    # a stack of forms, metrics and scalar curvatures gives each item's
+    # single-call grid bit for bit, and so does a stack of forms at one point
     rng = np.random.default_rng(400 + n)
-    g = Metric(random_spd(rng, n))
+    metrics = [Metric(random_spd(rng, n)) for _ in range(5)]
+    gm = np.array([g.mat for g in metrics])
+    wedge = np.array([wedge_gg(g).values for g in metrics])
     params = GenCurvParams(1.3, -0.4)
-    r = 2.7
+    r = np.linspace(-2.0, 2.7, 5)
     stack = rng.standard_normal((5, n, n))
     for kind, single in (
-            ("qc", lambda s: reconstruct_qc_flat(s, g, r, params)),
-            ("pp", lambda s: reconstruct_pp_flat(s, g, r, params)),
-            ("w2", lambda s: reconstruct_w2_flat(s, g))):
-        stacked = _flat_values(kind, stack, g, r, params)
+            ("qc", lambda s, g, r: reconstruct_qc_flat(s, g, r, params)),
+            ("pp", lambda s, g, r: reconstruct_pp_flat(s, g, r, params)),
+            ("w2", lambda s, g, r: reconstruct_w2_flat(s, g))):
+        stacked = _flat_values(kind, stack, gm, r, params, wedge)
+        at_one_point = _flat_values(kind, stack, gm[0], r[0], params, wedge[0])
         for q, s in enumerate(stack):
-            assert np.array_equal(stacked[q], single(s).values), (kind, q)
+            assert np.array_equal(stacked[q], single(s, metrics[q], r[q]).values), (kind, q)
+            assert np.array_equal(at_one_point[q], single(s, metrics[0], r[0]).values), (kind, q)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 @pytest.mark.parametrize("kind", ["qc", "pp", "w2"])
 def test_contracted_reconstructions_match_expanded(kind, n):
     rng = np.random.default_rng(900 + n)
-    g = Metric(random_spd(rng, n))
+    metrics = [Metric(random_spd(rng, n)) for _ in range(4)]
+    gm = np.array([g.mat for g in metrics])
+    ginv = np.array([g.inv for g in metrics])
     params = GenCurvParams(1.3, -0.4)
-    r = 2.7
+    r = np.array([2.7, -1.0, 0.5, 3.0])
     stack = rng.standard_normal((4, n, n))
-    expected = _ricci_contract_values(g.inv, _flat_values(kind, stack, g, r, params))
-    got = _flat_ricci(kind, stack, g, r, params)
+    wedge = np.array([wedge_gg(g).values for g in metrics])
+    expected = _ricci_contract_values(ginv, _flat_values(kind, stack, gm, r, params, wedge))
+    got = _flat_ricci(kind, stack, gm, ginv, r, params)
     assert got.shape == (4, n, n)
     assert max_abs(got - expected) <= 1e-13 * max_abs(expected)

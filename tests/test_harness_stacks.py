@@ -1,0 +1,341 @@
+"""The harness draws each check's trials one attempt at a time and computes
+them as stacks, in blocks.  These tests pin what that must not change:
+every trial's draws (against a loop that redraws each trial on its own),
+the reports recorded before trials were stacked, and which trial a failure
+is charged to; and they bound, without timing anything, how often metrics
+are validated and how large a stacked grid gets."""
+
+import contextlib
+import io
+import json
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from curvkit import cli, harness, tensor
+from curvkit.errors import DegenerateParams, NotQuasiConstant
+from curvkit.harness import TrialConfig
+from oracles import sequential_trials
+
+REFERENCE = Path(__file__).parent / "data" / "verify_reference.json"
+
+
+# --------------------------------------------------------------------------
+# The attempt stream, drawn again one attempt at a time
+
+def _metric(rng, n):
+    m = rng.standard_normal((n, n))
+    return m.T @ m + n * np.eye(n)
+
+
+def _scalar(rng, lo=0.2, hi=2.0):
+    return float(rng.uniform(lo, hi) * rng.choice([-1.0, 1.0]))
+
+
+def _covector(rng, n):
+    for _ in range(harness.REDRAW_CAP):
+        w = rng.standard_normal(n)
+        if np.abs(w).max() > harness.REJECT_TOL:
+            return w
+    return None
+
+
+def _covectors(rng, n, count):
+    """`count` covectors, or None as soon as one gives up (the rest are not
+    drawn)."""
+    out = []
+    for _ in range(count):
+        w = _covector(rng, n)
+        if w is None:
+            return None
+        out.append(w)
+    return out
+
+
+def _pairing_degenerate(g, a_form, d_form, b_form):
+    s = (a_form - d_form) @ np.linalg.solve(g, b_form)
+    scale = ((1 + np.abs(a_form).max() + np.abs(d_form).max())
+             * (1 + np.abs(b_form).max()))
+    return abs(s) <= harness.REJECT_TOL * scale
+
+
+def _draw_pairing(rng, n):
+    g = _metric(rng, n)
+    forms = _covectors(rng, n, 4)
+    return None if forms is None else (g, *forms)
+
+
+def _pairing_rejects(attempt):
+    g, a_form, d_form, b_form, _ = attempt
+    return _pairing_degenerate(g, a_form, d_form, b_form)
+
+
+def _draw_flat(rng, n):
+    g = _metric(rng, n)
+    r = _scalar(rng, 0.5, 3.0) * n
+    forms = _covectors(rng, n, 4)
+    return None if forms is None else (g, r, *forms)
+
+
+def _flat_rejects(attempt):
+    g, r, b_form, b_bar, d_form, d_bar = attempt
+    if abs(r) <= harness.REJECT_TOL:
+        return True
+    return _pairing_degenerate(g, -(b_bar + d_bar) / r, d_form, b_form)
+
+
+def _draw_rank_one(rng, n):
+    g = _metric(rng, n)
+    c = _scalar(rng)
+    t = _covector(rng, n)
+    return None if t is None else (g, c, t)
+
+
+def _rank_one_rejects(attempt):
+    g, _, t = attempt
+    return t @ np.linalg.solve(g, t) <= harness.REJECT_TOL ** 2
+
+
+# (section, index) of each check whose trials come from these draws
+STREAMS = {
+    "pairing": (_draw_pairing, _pairing_rejects, [(2, 1), (3, 1), (4, 1)]),
+    "flat": (_draw_flat, _flat_rejects, [(2, 2), (3, 2)]),
+    "rank_one": (_draw_rank_one, _rank_one_rejects, [(2, 4), (3, 4), (4, 2)]),
+}
+
+
+def _recorded(section, index, config, trials=None):
+    """Run one check with its compute phase replaced by a recorder: the
+    report, and the draws each trial was computed on, stacked."""
+    name, check, _ = harness._SECTIONS[section][1][index]
+    seen = []
+
+    def record(config, gm, ginv, *draws):
+        seen.append((gm, *draws))
+        return np.zeros(len(gm)), {}
+
+    result = harness._run_check(name, check._replace(compute=record),
+                                config, section, index, trials)
+    return result, [np.concatenate(column) for column in zip(*seen)]
+
+
+def _sequential(stream, section, index, config, trials):
+    draw, rejects, _ = STREAMS[stream]
+    rng = np.random.default_rng([config.seed, section, index])
+    return sequential_trials(rng, lambda rng: draw(rng, config.n), rejects,
+                             trials, harness.REDRAW_CAP)
+
+
+def _assert_same_draws(columns, attempts):
+    assert len(columns[0]) == len(attempts)
+    for k, attempt in enumerate(attempts):
+        g = attempt[0]
+        assert np.array_equal(columns[0][k], 0.5 * (g + g.T)), k
+        for column, value in zip(columns[1:], attempt[1:]):
+            assert np.array_equal(column[k], value), k
+
+
+@pytest.mark.parametrize("n", [5, 8])
+@pytest.mark.parametrize("stream", sorted(STREAMS))
+def test_trials_get_the_draws_of_the_sequential_loop(stream, n):
+    for seed in (1, 3):
+        config = TrialConfig(seed=seed, trials=30, n=n)
+        for section, index in STREAMS[stream][2]:
+            result, columns = _recorded(section, index, config)
+            attempts, exhausted = _sequential(stream, section, index, config, 30)
+            assert exhausted is None and result.note == ""
+            _assert_same_draws(columns, attempts)
+
+
+@pytest.mark.parametrize("stream,tol", [("pairing", 0.02), ("flat", 0.02),
+                                        ("rank_one", 0.6)])
+def test_rejected_attempts_are_skipped_as_the_loop_skips_them(monkeypatch, stream, tol):
+    # at n = 4 these tolerances reject about a third of all attempts
+    monkeypatch.setattr(harness, "REJECT_TOL", tol)
+    config = TrialConfig(seed=2, trials=60, n=4)
+    for section, index in STREAMS[stream][2]:
+        _, columns = _recorded(section, index, config)
+        attempts, exhausted = _sequential(stream, section, index, config, 60)
+        assert exhausted is None
+        _assert_same_draws(columns, attempts)
+        # the rejections happened: the stream ran past the trials
+        rng = np.random.default_rng([config.seed, section, index])
+        draw, rejects, _ = STREAMS[stream]
+        rejected = sum(a is None or rejects(a)
+                       for a in (draw(rng, 4) for _ in range(60)))
+        assert 10 <= rejected <= 35
+
+
+def test_exhausted_redraw_cap_ends_the_check_at_its_trial(monkeypatch):
+    monkeypatch.setattr(harness, "REJECT_TOL", 0.6)
+    monkeypatch.setattr(harness, "REDRAW_CAP", 2)
+    section, index = 2, 4  # qc_quasi_constant_fit: rank-one draws, an extra
+    name, check, _ = harness._SECTIONS[section][1][index]
+    for seed in range(40):
+        config = TrialConfig(seed=seed, trials=40, n=4)
+        attempts, exhausted = _sequential("rank_one", section, index, config, 40)
+        if exhausted is not None and exhausted >= 2:
+            break
+    else:
+        pytest.fail("no seed exhausts the cap after trial 1")
+    result, columns = _recorded(section, index, config)
+    _assert_same_draws(columns, attempts)
+    assert len(attempts) == exhausted
+    result = harness._run_check(name, check, config, section, index)
+    assert result.note == "error: redraw cap exhausted"
+    assert math.isinf(result.max_residual) and not result.passed
+    before = harness._run_check(name, check, config, section, index, exhausted)
+    assert before.note == "" and set(before.extra) == {"weyl_norm"}
+    assert result.extra == before.extra
+
+
+# --------------------------------------------------------------------------
+# Reports recorded before trials were stacked
+
+def _verify(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("case", json.loads(REFERENCE.read_text()),
+                         ids=lambda case: " ".join(case["argv"][3:]))
+def test_verify_matches_the_recorded_reports(case):
+    code, report = _verify(case["argv"])
+    expected = case["report"]
+    assert code == case["exit"] == report["exit_status"] == expected["exit_status"]
+    assert report["verdicts"] == expected["verdicts"]
+    assert [c["name"] for c in report["checks"]] == [c["name"] for c in expected["checks"]]
+    for got, want in zip(report["checks"], expected["checks"]):
+        for key in ("trials", "passed", "note"):
+            assert got[key] == want[key], (got["name"], key)
+        assert sorted(got["extra"]) == sorted(want["extra"]), got["name"]
+        pairs = [(got["max_residual"], want["max_residual"])]
+        pairs += [(got["extra"][k], want["extra"][k]) for k in want["extra"]]
+        for value, recorded in pairs:
+            assert abs(value - recorded) <= 1e-12, got["name"]
+
+
+# --------------------------------------------------------------------------
+# Which trial a failure is charged to
+
+def test_compute_failure_is_charged_to_its_trial(monkeypatch):
+    section, index = 2, 4
+    name, check, _ = harness._SECTIONS[section][1][index]
+    config = TrialConfig(seed=7, trials=10, n=4)
+    _, columns = _recorded(section, index, config)
+    third = columns[0][3]
+    fit = harness.quasi_constant_fit
+
+    def failing(riemann, g, tol):
+        if np.array_equal(g.mat, third):
+            raise NotQuasiConstant(f"forced at g00 = {g.mat[0, 0]!r}")
+        return fit(riemann, g, tol=tol)
+
+    monkeypatch.setattr(harness, "quasi_constant_fit", failing)
+    result = harness._run_check(name, check, config, section, index)
+    assert result.note == f"error: forced at g00 = {third[0, 0]!r}"
+    assert math.isinf(result.max_residual) and not result.passed
+    before = harness._run_check(name, check, config, section, index, 3)
+    assert set(result.extra) == {"weyl_norm"}
+    assert result.extra == before.extra
+
+
+def test_singular_fixed_point_system_at_trial_3(monkeypatch):
+    section, index = 2, 0  # qc_einstein_contraction
+    name, check, _ = harness._SECTIONS[section][1][index]
+    solves = []
+    kernel = harness._lstsq_kernel
+
+    def fourth_singular(design, rhs):
+        solves.append(len(solves))
+        sol, kernel_dim, cut = kernel(design, rhs)
+        return sol, kernel_dim + (len(solves) == 4), cut
+
+    monkeypatch.setattr(harness, "_lstsq_kernel", fourth_singular)
+    result = harness._run_check(name, check, TrialConfig(seed=1, trials=10, n=4),
+                                section, index)
+    assert result.note == ("error: the contraction fixed-point system is "
+                           "singular for these weights")
+    assert result.extra == {} and not result.passed
+    # trials 0-3 solved once each, then trials 0-2 again for their extras
+    assert len(solves) == 7
+
+
+def test_stack_wide_failure_is_charged_to_the_first_trial():
+    config = TrialConfig(seed=1, trials=5, n=4,
+                         params=harness.GenCurvParams(a=1.0, b=-0.5))
+    report = harness.verify_section2(config)
+    contraction = report.checks[0]
+    assert contraction.note.startswith("error: 1 + (b/a)(n-2)")
+    assert contraction.extra == {}
+
+
+# --------------------------------------------------------------------------
+# Structure, not time
+
+def _blocks(config):
+    block = max(1, harness.BLOCK_BYTES // (8 * config.n ** 4))
+    return sum(-(-(config.trials if trials is None else trials) // block)
+               for _, checks, _ in harness._SECTIONS.values()
+               for _, _, trials in checks)
+
+
+def test_metric_validation_factors_once_per_block(monkeypatch):
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        if sys._getframe(1).f_code.co_name == "_checked_metrics":
+            calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    code, _ = _verify(["verify", "--section", "all", "--n", "5", "--trials", "100"])
+    assert code == 0
+    config = TrialConfig(seed=0, trials=100, n=5)
+    # one factorization per block; the guard trials build six metrics more
+    assert len(calls) <= _blocks(config) + 6 < 100
+    assert max(shape[0] for shape in calls if len(shape) == 3) > 1
+
+
+@pytest.mark.parametrize("n,trials", [(5, 100), (8, 20)])
+def test_no_stacked_grid_exceeds_the_block_budget(monkeypatch, n, trials):
+    largest = [0]
+    expand = tensor._expand_block
+
+    def measured(*args):
+        grid = expand(*args)
+        largest[0] = max(largest[0], grid.nbytes)
+        return grid
+
+    for module in [m for name, m in list(sys.modules.items())
+                   if name.startswith("curvkit") and hasattr(m, "_expand_block")]:
+        monkeypatch.setattr(module, "_expand_block", measured)
+    code, _ = _verify(["verify", "--section", "all", "--n", str(n),
+                       "--trials", str(trials)])
+    assert code == 0
+    assert 8 * n ** 4 < largest[0] <= harness.BLOCK_BYTES
+
+
+def test_degenerate_covector_draw_is_a_rejected_attempt(monkeypatch):
+    # a draw that gives up inside an attempt of a redrawing check is a
+    # rejection, as a DegenerateParams from its build was in the loop
+    calls = [0]
+    draw = harness._draw_covector
+
+    def flaky(rng, n):
+        calls[0] += 1
+        if calls[0] == 2:
+            rng.standard_normal(n)
+            raise DegenerateParams("could not draw a non-degenerate covector")
+        return draw(rng, n)
+
+    monkeypatch.setattr(harness, "_draw_covector", flaky)
+    name, check, _ = harness._SECTIONS[2][1][1]
+    result = harness._run_check(name, check, TrialConfig(seed=1, trials=5, n=4), 2, 1)
+    assert result.passed and result.note == ""

@@ -43,6 +43,14 @@ def test_one_form_system_holds_a_b_d():
     assert not forms.b.flags.writeable
 
 
+def test_one_form_system_leaves_the_callers_arrays_writable():
+    w = np.array([0.5, 2.0, 3.0])
+    forms = OneFormSystem(a=w, b=w, d=w)
+    w[0] = 1.0
+    assert forms.a[0] == forms.b[0] == forms.d[0] == 0.5
+    assert not forms.a.flags.writeable
+
+
 def test_one_form_length_mismatch():
     with pytest.raises(DimensionMismatch):
         OneFormSystem(a=[1.0, 2.0], b=[1.0], d=[1.0, 2.0])
