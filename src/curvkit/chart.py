@@ -25,7 +25,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import expr as ex
-from .errors import CurvError, DimensionMismatch, NumericalInconsistency
+from .errors import (CurvError, DimensionMismatch, NumericalInconsistency,
+                     UnknownIdentifier)
 from .tensor import (Metric, Tensor04, max_abs, ricci_contract, ricci_operator,
                      scalar_curvature)
 
@@ -108,6 +109,10 @@ def _normalize_entries(coords: Sequence[str], entries: Mapping) -> list[ex.Node]
         if not (0 <= i < n and 0 <= j < n):
             raise DimensionMismatch(f"metric entry index {key!r} out of range")
         if isinstance(value, ex.Expression):
+            # its variables are bound by name: each must be a chart coordinate
+            stray = [c for c in value.coords if c not in index]
+            if stray:
+                raise UnknownIdentifier(stray[0])
             node = value.root
         elif isinstance(value, (int, float)):
             node = ex.num(value)

@@ -26,24 +26,31 @@ Genuinely degenerate *inputs* raise the designated guard errors, and each
 guard has a dedicated trial asserting exactly that.  The compute phase
 validates the block's metrics in one call and runs the check's arithmetic
 once over the stack: one residual per trial, the worst of which is the
-check's.  Only the small least-squares solves and the branching
+check's.  Only the fits' small least-squares solves and the branching
 classifiers run trial by trial, on rows of the stack.  A failure is
 charged to its trial: the check ends there, with the extras of the trials
-before it.  Blocks hold as many trials as keep one stacked n^4 grid within
-BLOCK_BYTES, which bounds the memory the stacks take.
+before it.  Blocks hold as many trials as keep the largest array a trial
+stacks within BLOCK_BYTES, which bounds the memory the stacks take: an n^4
+curvature grid, or for the contraction checks the n + 3 probe images of
+n x n below.
 
 The contraction checks solve for the Ricci tensor that a vanishing
-generalized tensor forces (`selfconsistent_ricci`).  The linear operator of
-that system is built in one call, contracting before expanding: the Ricci
-contraction of the library's own flat reconstruction (`gencurv._flat_ricci`,
-read from the same weights and block term tables as the `_flat_values` that
-`reconstruct_*_flat` wrap) is applied to the stacked basis
-[0, E_1, ..., E_{n^2}] of bilinears.  Each block term sums g^-1 into its g
-factor first and then meets the stacked basis, so no n^4 grid is built.
-The operator's columns are the images of the E_m minus the image of 0, the
-contracted G term.  It is not a closed form, so the check of the
-closed-form alpha stays independent of it; the brute-force twin trials
-certify the reconstruction and its contraction with index loops.
+generalized tensor forces (`selfconsistent_ricci`): S = F(S) with the trace
+row tr_g(S) = r, F the Ricci contraction of the library's own flat
+reconstruction (`gencurv._flat_ricci`, from the same weights and term
+tables as `reconstruct_*_flat`).  It is solved in the frame of
+eigh(g) = Q diag(mu) Q^T, orthogonal on both sides of the system, so the
+singular values stay and the minimum-norm solution rotates back as
+S = Q S' Q^T.  There F commutes with flipping the sign of any one axis:
+the image of E_ab (a != b) lies in span{E_ab, E_ba}, and E_aa and the
+affine G term map to diagonal forms.  The system splits into n(n-1)/2
+blocks of 2 x 2 and one (n+1) x n block of the diagonal and the trace row
+diag(1/mu); as their images do not overlap, n + 3 probes read every
+coefficient: the zero form, the sum of the E_ab with a < b, that with
+a > b, and each E_aa, contracted term by term without an n^4 grid.  F is
+not a closed form, so the check of the closed-form alpha stays independent
+of it; the brute-force twin trials certify the reconstruction and its
+contraction with index loops.
 """
 
 from __future__ import annotations
@@ -64,8 +71,8 @@ from .gencurv import (GenCurvParams, _combined_values, _flat_ricci,
                       _flat_values, pp_flat_alpha, qc_flat_alpha,
                       reconstruct_pp_flat, reconstruct_qc_flat,
                       reconstruct_w2_flat, w2_flat_alpha)
-from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, Metric, Tensor04,
-                     _check_oneform, _expand_block, _lift, _lstsq_kernel,
+from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, MAX_DIM, Metric, Tensor04,
+                     _check_oneform, _expand_block, _kernel_rule, _lift,
                      _max_abs_items, _norm_sq_values, _ricci_contract_values,
                      _scalar_curvature_values, _validate_metrics, max_abs,
                      ricci_contract, scalar_curvature)
@@ -80,15 +87,17 @@ __all__ = [
 
 REJECT_TOL = 1e-6
 REDRAW_CAP = 100
-# Trials run in blocks: one stacked n^4 grid of a block's trials stays
-# within this many bytes (at least one trial per block).
+MAX_TRIALS = 100_000
+# Trials run in blocks: the largest array of a block's trials, stacked,
+# stays within this many bytes (at least one trial per block).
 BLOCK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
 class TrialConfig:
     """Seeded configuration for one harness run.  n > 3 is required: every
-    chain under test is stated for dimension greater than three."""
+    chain under test is stated for dimension greater than three.  n and
+    trials are bounded by MAX_DIM and MAX_TRIALS."""
 
     seed: int
     trials: int = 100
@@ -99,8 +108,11 @@ class TrialConfig:
     def __post_init__(self):
         if self.n <= 3:
             raise InvalidParams(f"the verified chains require n > 3, got n={self.n}")
-        if self.trials < 1:
-            raise InvalidParams("trials must be >= 1")
+        if self.n > MAX_DIM:
+            raise InvalidParams(f"n={self.n} exceeds the dimension limit {MAX_DIM}")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise InvalidParams(f"trials must be between 1 and {MAX_TRIALS}, "
+                                f"got {self.trials}")
         if not 0.0 < self.tolerance < math.inf:
             raise InvalidParams("tolerance must be positive and finite")
 
@@ -284,56 +296,82 @@ def rank_one_coefficient(g: Metric, ricci, t) -> float:
 def selfconsistent_ricci(g: Metric, r: float, params: GenCurvParams,
                          flavor: str) -> np.ndarray:
     """Solve S = ricci_contract(reconstruct_<flavor>_flat(S, g, r)) for S,
-    with the scalar curvature pinned by the extra row tr_g(S) = r, as a dense
-    linear system over all n^2 components.  Its operator is the Ricci
-    contraction of the reconstruction of each basis bilinear E_m, taken term
-    by term without building any reconstructed grid, and its affine part
-    that of the G term, zero for W2 (see the module docstring).  The
-    solution is the unique Ricci tensor consistent with the vanishing of the
-    chosen generalized tensor at this (g, r).  (The trace row matters for the
-    W2 flavor, whose fixed-point set without it is the whole Einstein line;
-    for the other two it is consistent with the already-unique fixed
-    point.)  The system is singular when it has a kernel under the one rank
-    rule of `tensor._lstsq_kernel`, the cut every fit applies."""
-    return _fixed_point_solution(*_fixed_point_systems(g.mat, g.inv, r, params, flavor))
+    with the scalar curvature pinned by the extra row tr_g(S) = r, as blocks
+    in the frame of eigh(g) (see the module docstring).  The solution is the
+    unique Ricci tensor consistent with the vanishing of the chosen
+    generalized tensor at this (g, r).  (The trace row matters for the W2
+    flavor, whose fixed-point set without it is the whole Einstein line; for
+    the other two it is consistent with the already-unique fixed point.)
+    The system is singular when it has a kernel under the one rank rule of
+    `tensor._kernel_rule`, the cut every fit applies."""
+    return _fixed_point(g.mat[None], np.array([float(r)]), params, flavor)[0]
 
 
-def _fixed_point_systems(gm: np.ndarray, ginv: np.ndarray, r, params: GenCurvParams,
-                         flavor: str) -> tuple[np.ndarray, np.ndarray]:
-    """The systems lhs @ vec(S) = rhs of `selfconsistent_ricci` for metrics
-    and scalar curvatures stacked on leading axes: lhs (..., n^2 + 1, n^2)
-    and rhs (..., n^2 + 1), whose last entry is r.  Every operator of the
-    stack comes from one `_flat_ricci` call."""
+def _fixed_point(gm: np.ndarray, r, params: GenCurvParams, flavor: str) -> np.ndarray:
+    """`selfconsistent_ricci` for metrics and scalar curvatures stacked on
+    one leading axis, each kind of block solved for the stack in one SVD.
+    The rank rule judges a system's blocks together, so its cut follows the
+    largest singular value of the whole system.  Raises DegenerateParams for
+    the first system that is singular or inconsistent, its index as `item`."""
     n = gm.shape[-1]
-    lead = gm.shape[:-2]
     if flavor == "qc":
         params.qc_denominator(n)
     elif flavor == "pp":
         params.pp_denominator(n)
     elif flavor != "w2":
         raise InvalidParams(f"unknown flavor {flavor!r}")
-    # the zero bilinear, then the identity basis E_1 ... E_{n^2}
-    basis = np.eye(n * n + 1, n * n, k=-1).reshape(n * n + 1, n, n)
-    images = _flat_ricci(flavor, basis, gm[..., None, :, :], ginv[..., None, :, :],
-                         _lift(r, 1), params).reshape(*lead, n * n + 1, n * n)
-    affine = images[..., 0, :]
-    op = (images[..., 1:, :] - affine[..., None, :]).swapaxes(-1, -2)
-    lhs = np.concatenate([np.eye(n * n) - op, ginv.reshape(*lead, 1, n * n)], axis=-2)
-    return lhs, np.concatenate([affine, _lift(r, 1)], axis=-1)
+    mu, q = np.linalg.eigh(gm)
+    eye = np.eye(n)
+    # the zero form, the sums of the E_ab above and below the diagonal, each E_aa
+    probes = np.concatenate([np.zeros((1, n, n)), np.triu(np.ones((1, n, n)), 1),
+                             np.tril(np.ones((1, n, n)), -1), eye[:, :, None] * eye])
+    images = _flat_ricci(flavor, probes, (mu[:, :, None] * eye)[:, None],
+                         (eye / mu[:, :, None])[:, None], _lift(r, 1), params)
+    affine = images[:, 0]
+    upper, lower = images[:, 1] - affine, images[:, 2] - affine
+    # pair (x, y), x < y: unknowns (S_xy, S_yx), equations at (x, y) and (y, x)
+    x, y = np.triu_indices(n, 1)
+    pairs = np.eye(2) - np.stack([np.stack([upper[:, x, y], lower[:, x, y]], -1),
+                                  np.stack([upper[:, y, x], lower[:, y, x]], -1)], -2)
+    pair_rhs = np.stack([affine[:, x, y], affine[:, y, x]], -1)
+    # the diagonal: column b is the diagonal of the image of E_bb, then the trace row
+    d = np.arange(n)
+    images_dd = images[:, 3:, d, d] - affine[:, None, d, d]  # [b, a]: E_bb to entry (a, a)
+    diagonal = np.concatenate([eye - images_dd.swapaxes(-1, -2), 1.0 / mu[:, None, :]],
+                              axis=-2)
+    diagonal_rhs = np.concatenate([affine[:, d, d], _lift(r, 1)], axis=-1)
+    pair_svd = np.linalg.svd(pairs)
+    diagonal_svd = np.linalg.svd(diagonal, full_matrices=False)
+    cut, kernel_dim = _kernel_rule(
+        np.concatenate([pair_svd[1].reshape(len(mu), -1), diagonal_svd[1]], axis=-1), n * n)
+    s_pairs, gap_pairs = _min_norm_solve(pairs, pair_rhs, pair_svd, cut)
+    s_diagonal, gap_diagonal = _min_norm_solve(diagonal, diagonal_rhs, diagonal_svd, cut)
+    gap = np.maximum(_max_abs_items(gap_pairs, 2), _max_abs_items(gap_diagonal, 1))
+    failed = (kernel_dim > 0) | (gap > 1e-8 * (1.0 + np.abs(r)))
+    if failed.any():
+        k = int(np.argmax(failed))
+        error = DegenerateParams(
+            "the contraction fixed-point system is singular for these weights"
+            if kernel_dim[k] else
+            f"the contraction fixed-point system is inconsistent (gap {gap[k]:g})")
+        error.item = k
+        raise error
+    rotated = np.zeros(gm.shape)
+    rotated[:, x, y], rotated[:, y, x] = s_pairs[..., 0], s_pairs[..., 1]
+    rotated[:, d, d] = s_diagonal
+    return q @ rotated @ q.swapaxes(-1, -2)
 
 
-def _fixed_point_solution(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The Ricci form that solves one system of `_fixed_point_systems`."""
-    solution, kernel_dim, _ = _lstsq_kernel(lhs, rhs)
-    if kernel_dim > 0:
-        raise DegenerateParams(
-            "the contraction fixed-point system is singular for these weights")
-    gap = max_abs(lhs @ solution - rhs)
-    if gap > 1e-8 * (1.0 + abs(rhs[-1])):
-        raise DegenerateParams(
-            f"the contraction fixed-point system is inconsistent (gap {gap:g})")
-    n = math.isqrt(len(solution))
-    return solution.reshape(n, n)
+def _min_norm_solve(lhs, rhs, svd, cut):
+    """The minimum-norm solution of lhs @ x = rhs from lhs's reduced `svd`,
+    singular values at or below `cut` (one per system, on the first axis)
+    taken as zero, and its residual lhs @ x - rhs."""
+    u, sigma, vh = svd
+    coef = (u.swapaxes(-1, -2) @ rhs[..., None])[..., 0]
+    coef = np.divide(coef, sigma, out=np.zeros_like(coef),
+                     where=sigma > _lift(cut, sigma.ndim - 1))
+    solution = (vh.swapaxes(-1, -2) @ coef[..., None])[..., 0]
+    return solution, (lhs @ solution[..., None])[..., 0] - rhs
 
 
 # --------------------------------------------------------------------------
@@ -346,11 +384,14 @@ class _Check(NamedTuple):
     `compute(config, gm, ginv, *draws)` takes a stack of trials and returns
     the residual of each and a dict of per-trial extras, reported as their
     maximum; a failure raises the CurvError of the first trial that fails,
-    its index in `item` (None: the first trial)."""
+    its index in `item` (None: the first trial).  `footprint(n)` is the
+    number of floats of the largest array a trial stacks, which sets the
+    size of a block."""
 
     draw: Callable
     compute: Callable
     accept: Callable | None = None
+    footprint: Callable = lambda n: n ** 4
 
 
 def _per_trial(fn: Callable, *stacks) -> list:
@@ -432,7 +473,7 @@ def _run_check(name: str, check: _Check, config: TrialConfig, section: int,
                index: int, trials: int | None = None) -> CheckResult:
     rng = np.random.default_rng([config.seed, section, index])
     trials = config.trials if trials is None else trials
-    block = max(1, BLOCK_BYTES // (8 * config.n ** 4))
+    block = max(1, BLOCK_BYTES // (8 * check.footprint(config.n)))
     worst = 0.0
     extra: dict = {}
     for start in range(0, trials, block):
@@ -489,8 +530,7 @@ def _contraction_check(flavor: str) -> _Check:
     def compute(config, gm, ginv, s0):
         n, params = config.n, config.params
         r = _scalar_curvature_values(ginv, s0)
-        s_star = np.array(_per_trial(
-            _fixed_point_solution, *_fixed_point_systems(gm, ginv, r, params, flavor)))
+        s_star = _fixed_point(gm, r, params, flavor)
         if flavor == "qc":
             alpha = qc_flat_alpha(n, r, params)
         elif flavor == "pp":
@@ -500,7 +540,7 @@ def _contraction_check(flavor: str) -> _Check:
         residual = _max_abs_items(s_star - _lift(alpha, 2) * gm, 2) / (1.0 + np.abs(alpha))
         # the forced Ricci is Einstein by construction; report that too
         return np.maximum.reduce([residual, _einstein_values(s_star, gm, ginv)[1]]), {}
-    return _Check(draw, compute)
+    return _Check(draw, compute, footprint=lambda n: (n + 3) * n * n)
 
 
 def _draw_pairing(rng, n):

@@ -22,6 +22,7 @@ from pathlib import Path
 from .chart import MetricField
 from .errors import CurvError, ManifestError
 from .expr import parse as parse_expression
+from .tensor import MAX_DIM
 
 __all__ = ["MetricManifest", "parse_point", "parse_manifest", "load_manifest"]
 
@@ -93,8 +94,8 @@ def parse_manifest(text: str) -> MetricManifest:
     if dim != len(coords):
         raise ManifestError(
             f"dim is {dim} but {len(coords)} coordinates are declared")
-    if dim < 2:
-        raise ManifestError("dim must be >= 2")
+    if not 2 <= dim <= MAX_DIM:
+        raise ManifestError(f"dim must be between 2 and {MAX_DIM}, got {dim}")
 
     entries: dict[tuple[str, str], str] = {}
     for i, j, expr_text, lineno in raw_entries:

@@ -11,7 +11,8 @@ conventions, used consistently across the package:
 With these signs a round sphere of curvature kappa > 0 has S = kappa (n-1) g
 and r = kappa n (n-1) > 0.
 
-Storage is dense; the intended regime is desk scale (n up to ~10).
+Storage is dense; the intended regime is desk scale (n up to ~10).  The
+harness and manifests refuse dimensions above MAX_DIM.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ SYMMETRY_TOL = 1e-12
 RIEMANN_TOL = 1e-10
 INVERSE_TOL = 1e-10
 KERNEL_RCOND = 1e-10  # singular values below this times the largest count as zero
+MAX_DIM = 16  # the largest `verify --n` and manifest `dim:` accepted
 
 
 def max_abs(a) -> float:
@@ -62,8 +64,17 @@ def _lstsq_kernel(design: np.ndarray,
     kernel dimension of `design` (the columns less the singular values above
     the cut) and the cut, KERNEL_RCOND * sigma_max, which the solve applies."""
     sol, _, _, sigma = np.linalg.lstsq(design, rhs, rcond=KERNEL_RCOND)
-    cut = KERNEL_RCOND * float(sigma[0])
-    return sol, design.shape[1] - int(np.sum(sigma > cut)), cut
+    cut, kernel_dim = _kernel_rule(sigma, design.shape[1])
+    return sol, int(kernel_dim), float(cut)
+
+
+def _kernel_rule(sigma: np.ndarray, columns: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one rank rule, for the singular values of systems stacked on
+    leading axes, (..., k), all of one system's on the last axis: the cut
+    KERNEL_RCOND * sigma_max and the kernel dimension, `columns` less the
+    singular values above the cut."""
+    cut = KERNEL_RCOND * sigma.max(axis=-1, initial=0.0)
+    return cut, columns - np.count_nonzero(sigma > cut[..., None], axis=-1)
 
 
 def _as_square(a, name: str) -> np.ndarray:

@@ -405,6 +405,27 @@ def _exact_contractions(n, d):
 
 
 # --------------------------------------------------------------------------
+# The contraction fixed point as one dense system
+
+def dense_fixed_point(apply_map, n: int, trace_vec, r: float) -> np.ndarray:
+    """Solve S = F(S) with the trace pin trace_vec . vec(S) = r as one dense
+    (n^2 + 1) x n^2 linear system, assembled column by column from
+    black-box applications of F to the zero form and each basis bilinear."""
+    affine = apply_map(np.zeros((n, n))).ravel()
+    columns = np.empty((n * n, n * n))
+    for col in range(n * n):
+        basis = np.zeros(n * n)
+        basis[col] = 1.0
+        columns[:, col] = apply_map(basis.reshape(n, n)).ravel() - affine
+    lhs = np.vstack([np.eye(n * n) - columns, trace_vec])
+    rhs = np.concatenate([affine, [r]])
+    solution, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+    gap = np.abs(lhs @ solution - rhs).max()
+    assert gap <= 1e-9 * (1.0 + abs(r)), "oracle system inconsistent"
+    return solution.reshape(n, n)
+
+
+# --------------------------------------------------------------------------
 # The harness's redraw loop, one attempt at a time
 
 def sequential_trials(rng, draw, degenerate, trials: int, cap: int):

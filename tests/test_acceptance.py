@@ -21,7 +21,7 @@ from curvkit.gencurv import (GenCurvParams, pp_flat_alpha, qc_flat_alpha,
                              reconstruct_w2_flat, w2, w2_flat_alpha)
 from curvkit.tensor import Metric, max_abs, ricci_contract, scalar_curvature
 from curvkit.wrs import OneFormSystem, recover_one_forms, wrs_residual
-from oracles import random_spd
+from oracles import dense_fixed_point, random_spd
 
 
 def _report(name: str):
@@ -70,23 +70,6 @@ def test_acceptance_2_round_sphere_constants(sphere2, sphere3):
 
 # --------------------------------------------------------------------------
 
-def _solve_fixed_point(apply_map, n: int, trace_vec, r: float) -> np.ndarray:
-    """Independent oracle: solve S = F(S) (+ trace pin) as a dense linear
-    system assembled column by column from black-box applications of F."""
-    affine = apply_map(np.zeros((n, n))).ravel()
-    columns = np.empty((n * n, n * n))
-    for col in range(n * n):
-        basis = np.zeros(n * n)
-        basis[col] = 1.0
-        columns[:, col] = apply_map(basis.reshape(n, n)).ravel() - affine
-    lhs = np.vstack([np.eye(n * n) - columns, trace_vec])
-    rhs = np.concatenate([affine, [r]])
-    solution, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    gap = max_abs(lhs @ solution - rhs)
-    assert gap <= 1e-9 * (1.0 + abs(r)), "oracle system inconsistent"
-    return solution.reshape(n, n)
-
-
 def test_acceptance_3_contraction_identities():
     params = GenCurvParams(1.0, 1.0)
     # spot value first: n=4, a=b=1, r=12 forces alpha = 3
@@ -101,20 +84,20 @@ def test_acceptance_3_contraction_identities():
             r = scalar_curvature(s0, g)
             trace_vec = g.inv.ravel()
 
-            s_qc = _solve_fixed_point(
+            s_qc = dense_fixed_point(
                 lambda s: ricci_contract(reconstruct_qc_flat(s, g, r, params), g),
                 n, trace_vec, r)
             alpha = qc_flat_alpha(n, r, params)
             assert max_abs(s_qc - alpha * g.mat) <= 1e-10 * (1.0 + abs(alpha))
 
-            s_pp = _solve_fixed_point(
+            s_pp = dense_fixed_point(
                 lambda s: ricci_contract(reconstruct_pp_flat(s, g, r, params), g),
                 n, trace_vec, r)
             alpha_pp = pp_flat_alpha(n, r, params)
             assert alpha_pp == pytest.approx(r / n, rel=1e-14)
             assert max_abs(s_pp - alpha_pp * g.mat) <= 1e-10 * (1.0 + abs(alpha_pp))
 
-            s_w2 = _solve_fixed_point(
+            s_w2 = dense_fixed_point(
                 lambda s: ricci_contract(reconstruct_w2_flat(s, g), g),
                 n, trace_vec, r)
             alpha_w2 = w2_flat_alpha(n, r)

@@ -7,7 +7,8 @@ from conftest import GOLDEN, euclidean_field
 from curvkit.chart import (CurvatureBundle, MetricField, _check_bundle, christoffel,
                            curvature_bundle, nabla_riemann)
 from curvkit.errors import (CurvError, DimensionMismatch, DomainError,
-                            NumericalInconsistency, SingularMetric)
+                            NumericalInconsistency, SingularMetric, UnknownIdentifier)
+from curvkit.expr import parse
 from curvkit.tensor import Metric, max_abs, scalar_curvature
 from oracles import (exact_curvature, fd_christoffel, fd_nabla_ricci, fd_nabla_riemann,
                      fd_riemann, random_chart)
@@ -255,6 +256,15 @@ def test_entries_by_name_and_index_agree():
 def test_unknown_entry_rejected():
     with pytest.raises(DimensionMismatch):
         MetricField(["u", "v"], {("u", "w"): "1"})
+
+
+def test_expression_over_other_coordinates_rejected():
+    entry = parse("2+u^2", ["u", "v"])
+    with pytest.raises(UnknownIdentifier, match="'u'"):
+        MetricField(["x", "y"], {("x", "x"): entry, ("y", "y"): "1"})
+    # an expression over the chart's own names, in any order, is bound by name
+    field = MetricField(["u", "v"], {("u", "u"): parse("2+u^2", ["v", "u"]), ("v", "v"): "1"})
+    assert field.metric_at((0.5, 0.0)).mat[0, 0] == 2.25
 
 
 def test_module_level_wrappers(sphere2):

@@ -519,7 +519,7 @@ def test_fits_solve_at_most_n_plus_one_columns(monkeypatch, sphere3, conformal4)
 
 
 def test_every_solve_applies_the_one_rank_cut(monkeypatch, capsys):
-    # verify's fixed-point systems and every classify fit solve through
+    # verify's shape fits and every classify fit solve through
     # tensor._lstsq_kernel, so each lstsq call cuts at KERNEL_RCOND
     cuts = []
     lstsq = np.linalg.lstsq

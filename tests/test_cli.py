@@ -4,9 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
+from curvkit import harness
 from curvkit.cli import dumps, main
 from curvkit.manifest import load_manifest, parse_manifest
 from curvkit.errors import ManifestError
+from curvkit.harness import MAX_TRIALS
+from curvkit.tensor import MAX_DIM
 
 SPHERE2 = """\
 # unit round 2-sphere
@@ -231,6 +234,29 @@ def test_verify_exit_codes(capsys):
     assert main(["verify", "--n", "3"]) == 2  # the chains require n > 3
     err = capsys.readouterr().err
     assert "n > 3" in err
+
+
+@pytest.mark.parametrize("option,value,fragment", [
+    ("--n", MAX_DIM + 1, f"exceeds the dimension limit {MAX_DIM}"),
+    ("--trials", MAX_TRIALS + 1, f"trials must be between 1 and {MAX_TRIALS}"),
+])
+def test_verify_refuses_oversized_input_before_running(monkeypatch, capsys, option,
+                                                       value, fragment):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a section ran on oversized input")
+
+    monkeypatch.setattr(harness, "_verify_section", refuse)
+    assert main(["verify", option, str(value)]) == 2
+    assert fragment in capsys.readouterr().err
+
+
+def test_manifest_dimension_limit():
+    def manifest(dim):
+        return f"dim: {dim}\ncoords: {', '.join(f'x{i}' for i in range(dim))}\n"
+
+    assert parse_manifest(manifest(MAX_DIM)).dim == MAX_DIM
+    with pytest.raises(ManifestError, match=f"dim must be between 2 and {MAX_DIM}"):
+        parse_manifest(manifest(MAX_DIM + 1))
 
 
 def test_verify_with_a_zero_reports_the_precondition(capsys):

@@ -16,7 +16,7 @@ from curvkit.harness import (PointModel, TrialConfig, flat_ricci_form,
                              verify_section4)
 from curvkit.tensor import (Metric, Tensor04, max_abs, ricci_contract,
                             scalar_curvature)
-from oracles import random_spd
+from oracles import dense_fixed_point, random_spd
 
 
 def test_config_requires_n_above_3():
@@ -98,7 +98,7 @@ def test_rank_one_coefficient_and_guard():
 
 def test_selfconsistent_ricci_flavors():
     rng = np.random.default_rng(81)
-    from oracles import random_spd
+    from oracles import dense_fixed_point, random_spd
     g = Metric(random_spd(rng, 4))
     params = GenCurvParams(1.0, 1.0)
     # qc at r=12, n=4, a=b=1: the forced Einstein coefficient is 3
@@ -211,30 +211,35 @@ def test_point_model_dataclass_fields():
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 @pytest.mark.parametrize("flavor", ["qc", "pp", "w2"])
 def test_selfconsistent_matches_column_by_column_solve(n, flavor):
+    # the eigenframe split against the dense (n^2 + 1) x n^2 system, built
+    # from the public reconstructions and their expanded Ricci contraction
     rng = np.random.default_rng(600 + n)
     g = Metric(random_spd(rng, n))
     s0 = rng.standard_normal((n, n))
     r = scalar_curvature(0.5 * (s0 + s0.T), g)
-    params = GenCurvParams(1.0, 0.5)
+    for params in (GenCurvParams(1.0, 1.0), GenCurvParams(1.0, 0.5)):
+        def image(s):
+            if flavor == "qc":
+                riemann = reconstruct_qc_flat(s, g, r, params)
+            elif flavor == "pp":
+                riemann = reconstruct_pp_flat(s, g, r, params)
+            else:
+                riemann = reconstruct_w2_flat(s, g)
+            return ricci_contract(riemann, g)
 
-    def image(s):
-        if flavor == "qc":
-            riemann = reconstruct_qc_flat(s, g, r, params)
-        elif flavor == "pp":
-            riemann = reconstruct_pp_flat(s, g, r, params)
-        else:
-            riemann = reconstruct_w2_flat(s, g)
-        return ricci_contract(riemann, g).ravel()
+        expected = dense_fixed_point(image, n, g.inv.ravel(), r)
+        got = selfconsistent_ricci(g, r, params, flavor)
+        assert max_abs(got - expected) <= 1e-12 * (1.0 + max_abs(expected))
 
-    affine = image(np.zeros((n, n)))
-    op = np.empty((n * n, n * n))
-    for col in range(n * n):
-        op[:, col] = image(np.eye(n * n)[col].reshape(n, n)) - affine
-    lhs = np.vstack([np.eye(n * n) - op, g.inv.ravel()])
-    expected = np.linalg.lstsq(lhs, np.concatenate([affine, [r]]),
-                               rcond=1e-12)[0].reshape(n, n)
-    got = selfconsistent_ricci(g, r, params, flavor)
-    assert max_abs(got - expected) <= 1e-12 * (1.0 + max_abs(expected))
+
+def test_selfconsistent_ricci_singular_inside_the_rank_cut():
+    # 1 + (b/a)(n-2) = 3e-11 clears the weight guard, but the system's
+    # smallest singular values fall below the one rank cut
+    g = Metric(random_spd(np.random.default_rng(5), 5))
+    params = GenCurvParams(1.0, -1.0 / 3.0 + 1e-11)
+    params.qc_denominator(5)
+    with pytest.raises(DegenerateParams, match="singular for these weights"):
+        selfconsistent_ricci(g, 2.0, params, "qc")
 
 
 def test_selfconsistent_builds_no_grid(monkeypatch):

@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -245,25 +246,55 @@ def test_compute_failure_is_charged_to_its_trial(monkeypatch):
     assert result.extra == before.extra
 
 
-def test_singular_fixed_point_system_at_trial_3(monkeypatch):
-    section, index = 2, 0  # qc_einstein_contraction
+def _forced_at_trial_3(monkeypatch, force):
+    """qc_einstein_contraction over 10 trials, one block, with the rank
+    rule's verdict on trial 3 changed by `force(cut, kernel_dim)` in every
+    stack that holds trial 3.  Returns the result, the result of trials 0-2
+    alone, and the sizes of the stacks the rule judged for the first."""
+    section, index = 2, 0
     name, check, _ = harness._SECTIONS[section][1][index]
-    solves = []
-    kernel = harness._lstsq_kernel
+    sizes = []
+    rule = harness._kernel_rule
 
-    def fourth_singular(design, rhs):
-        solves.append(len(solves))
-        sol, kernel_dim, cut = kernel(design, rhs)
-        return sol, kernel_dim + (len(solves) == 4), cut
+    def forced(sigma, columns):
+        sizes.append(len(sigma))
+        cut, kernel_dim = rule(sigma, columns)
+        if len(sigma) > 3:
+            force(cut, kernel_dim)
+        return cut, kernel_dim
 
-    monkeypatch.setattr(harness, "_lstsq_kernel", fourth_singular)
-    result = harness._run_check(name, check, TrialConfig(seed=1, trials=10, n=4),
-                                section, index)
+    monkeypatch.setattr(harness, "_kernel_rule", forced)
+    config = TrialConfig(seed=1, trials=10, n=4)
+    result = harness._run_check(name, check, config, section, index)
+    judged = list(sizes)
+    before = harness._run_check(name, check, config, section, index, 3)
+    assert math.isinf(result.max_residual) and not result.passed
+    assert before.passed and result.extra == before.extra
+    return result, before, judged
+
+
+def test_singular_fixed_point_system_at_trial_3(monkeypatch):
+    def singular(cut, kernel_dim):
+        kernel_dim[3] += 1
+
+    result, _, judged = _forced_at_trial_3(monkeypatch, singular)
     assert result.note == ("error: the contraction fixed-point system is "
                            "singular for these weights")
-    assert result.extra == {} and not result.passed
-    # trials 0-3 solved once each, then trials 0-2 again for their extras
-    assert len(solves) == 7
+    # the block's 10 trials solved in one stack, then trials 0-2 again for
+    # their extras
+    assert judged == [10, 3]
+
+
+def test_inconsistent_fixed_point_system_at_trial_3(monkeypatch):
+    def inconsistent(cut, kernel_dim):
+        cut[3] = np.inf  # every singular value of trial 3 cut, none counted
+
+    result, _, judged = _forced_at_trial_3(monkeypatch, inconsistent)
+    # trial 3 solves to S = 0, which misses the trace row r != 0
+    match = re.fullmatch(r"error: the contraction fixed-point system is "
+                         r"inconsistent \(gap (.+)\)", result.note)
+    assert match and float(match.group(1)) > 1e-8
+    assert judged == [10, 3]
 
 
 def test_stack_wide_failure_is_charged_to_the_first_trial():
@@ -279,10 +310,10 @@ def test_stack_wide_failure_is_charged_to_the_first_trial():
 # Structure, not time
 
 def _blocks(config):
-    block = max(1, harness.BLOCK_BYTES // (8 * config.n ** 4))
-    return sum(-(-(config.trials if trials is None else trials) // block)
+    return sum(-(-(config.trials if trials is None else trials)
+                 // max(1, harness.BLOCK_BYTES // (8 * check.footprint(config.n))))
                for _, checks, _ in harness._SECTIONS.values()
-               for _, _, trials in checks)
+               for _, check, trials in checks)
 
 
 def test_metric_validation_factors_once_per_block(monkeypatch):
@@ -303,6 +334,21 @@ def test_metric_validation_factors_once_per_block(monkeypatch):
     assert max(shape[0] for shape in calls if len(shape) == 3) > 1
 
 
+def test_no_solve_in_verify_is_wider_than_n_plus_one_columns(monkeypatch):
+    n = 8
+    columns = {"svd": [], "lstsq": []}
+    for name, seen in columns.items():
+        def recording(a, *args, _solve=getattr(np.linalg, name), _seen=seen, **kwargs):
+            _seen.append(a.shape[-1])
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    code, _ = _verify(["verify", "--section", "all", "--n", str(n), "--trials", "10"])
+    assert code == 0
+    assert columns["svd"] and columns["lstsq"]
+    assert max(columns["svd"] + columns["lstsq"]) <= n + 1
+
+
 @pytest.mark.parametrize("n,trials", [(5, 100), (8, 20)])
 def test_no_stacked_grid_exceeds_the_block_budget(monkeypatch, n, trials):
     largest = [0]
@@ -316,10 +362,22 @@ def test_no_stacked_grid_exceeds_the_block_budget(monkeypatch, n, trials):
     for module in [m for name, m in list(sys.modules.items())
                    if name.startswith("curvkit") and hasattr(m, "_expand_block")]:
         monkeypatch.setattr(module, "_expand_block", measured)
+    # the contraction checks stack no grid: their largest array is the
+    # n + 3 probe images of each trial, and a block fills most of the budget
+    images = [0]
+    flat_ricci = harness._flat_ricci
+
+    def measured_images(*args):
+        out = flat_ricci(*args)
+        images[0] = max(images[0], out.nbytes)
+        return out
+
+    monkeypatch.setattr(harness, "_flat_ricci", measured_images)
     code, _ = _verify(["verify", "--section", "all", "--n", str(n),
                        "--trials", str(trials)])
     assert code == 0
     assert 8 * n ** 4 < largest[0] <= harness.BLOCK_BYTES
+    assert harness.BLOCK_BYTES // 2 < images[0] <= harness.BLOCK_BYTES
 
 
 def test_degenerate_covector_draw_is_a_rejected_attempt(monkeypatch):
