@@ -31,7 +31,7 @@ classifiers run trial by trial, on rows of the stack.  A failure is
 charged to its trial: the check ends there, with the extras of the trials
 before it.  Blocks hold as many trials as keep the largest array a trial
 stacks within BLOCK_BYTES, which bounds the memory the stacks take: an n^4
-curvature grid, or for the contraction checks the n + 3 probe images of
+curvature grid, or for the contraction checks the n + 1 probe images of
 n x n below.
 
 The contraction checks solve for the Ricci tensor that a vanishing
@@ -41,16 +41,22 @@ reconstruction (`gencurv._flat_ricci`, from the same weights and term
 tables as `reconstruct_*_flat`).  It is solved in the frame of
 eigh(g) = Q diag(mu) Q^T, orthogonal on both sides of the system, so the
 singular values stay and the minimum-norm solution rotates back as
-S = Q S' Q^T.  There F commutes with flipping the sign of any one axis:
-the image of E_ab (a != b) lies in span{E_ab, E_ba}, and E_aa and the
-affine G term map to diagonal forms.  The system splits into n(n-1)/2
-blocks of 2 x 2 and one (n+1) x n block of the diagonal and the trace row
-diag(1/mu); as their images do not overlap, n + 3 probes read every
-coefficient: the zero form, the sum of the E_ab with a < b, that with
-a > b, and each E_aa, contracted term by term without an n^4 grid.  F is
-not a closed form, so the check of the closed-form alpha stays independent
-of it; the brute-force twin trials certify the reconstruction and its
-contraction with index loops.
+S = Q diag(s) Q^T.  There every term table contracts to
+F(S) = alpha*S + beta*g*tr_g(S) + gamma*g, with no S^T term, so the
+equations split:
+- off the diagonal, where g is zero, they read (1 - alpha) S_ab = 0, so S
+  is diagonal;
+- on the diagonal, with the trace row diag(1/mu), they form one
+  (n+1) x n system, whose coefficients n + 1 probes read: the zero form
+  and each E_aa, contracted term by term without an n^4 grid.
+That system alone sets the solution, its gap and the singular verdict: for
+n >= 3 it acts as (1 - alpha)*I on the vectors orthogonal to mu and 1/mu,
+so |1 - alpha| is one of its singular values at least n - 2 times.  (At
+n = 2, 1 - alpha is the constant 1 for qc and 2 for W2; the pp value
+1 + b/a is a singular value of its system at every n.)  F is not a closed
+form, so the check of the closed-form alpha stays independent of it; the
+brute-force twin trials certify the reconstruction and its contraction
+with index loops.
 """
 
 from __future__ import annotations
@@ -87,6 +93,8 @@ __all__ = [
 
 REJECT_TOL = 1e-6
 REDRAW_CAP = 100
+# trials at n = 4; a check's work grows as n^4 per trial, so the cap is on
+# trials * n^4 (6,250 trials at n = 8, 390 at n = 16)
 MAX_TRIALS = 100_000
 # Trials run in blocks: the largest array of a block's trials, stacked,
 # stays within this many bytes (at least one trial per block).
@@ -96,8 +104,8 @@ BLOCK_BYTES = 1 << 17
 @dataclass(frozen=True)
 class TrialConfig:
     """Seeded configuration for one harness run.  n > 3 is required: every
-    chain under test is stated for dimension greater than three.  n and
-    trials are bounded by MAX_DIM and MAX_TRIALS."""
+    chain under test is stated for dimension greater than three.  n is
+    bounded by MAX_DIM, and trials * n^4 by MAX_TRIALS * 4^4."""
 
     seed: int
     trials: int = 100
@@ -110,8 +118,9 @@ class TrialConfig:
             raise InvalidParams(f"the verified chains require n > 3, got n={self.n}")
         if self.n > MAX_DIM:
             raise InvalidParams(f"n={self.n} exceeds the dimension limit {MAX_DIM}")
-        if not 1 <= self.trials <= MAX_TRIALS:
-            raise InvalidParams(f"trials must be between 1 and {MAX_TRIALS}, "
+        limit = MAX_TRIALS * 4 ** 4 // self.n ** 4
+        if not 1 <= self.trials <= limit:
+            raise InvalidParams(f"trials must be between 1 and {limit} at n={self.n}, "
                                 f"got {self.trials}")
         if not 0.0 < self.tolerance < math.inf:
             raise InvalidParams("tolerance must be positive and finite")
@@ -296,12 +305,13 @@ def rank_one_coefficient(g: Metric, ricci, t) -> float:
 def selfconsistent_ricci(g: Metric, r: float, params: GenCurvParams,
                          flavor: str) -> np.ndarray:
     """Solve S = ricci_contract(reconstruct_<flavor>_flat(S, g, r)) for S,
-    with the scalar curvature pinned by the extra row tr_g(S) = r, as blocks
-    in the frame of eigh(g) (see the module docstring).  The solution is the
-    unique Ricci tensor consistent with the vanishing of the chosen
-    generalized tensor at this (g, r).  (The trace row matters for the W2
-    flavor, whose fixed-point set without it is the whole Einstein line; for
-    the other two it is consistent with the already-unique fixed point.)
+    with the scalar curvature pinned by the extra row tr_g(S) = r, as one
+    (n+1) x n system on the diagonal of S in the frame of eigh(g) (see the
+    module docstring).  The solution is the unique Ricci tensor consistent
+    with the vanishing of the chosen generalized tensor at this (g, r).
+    (The trace row matters for the W2 flavor, whose fixed-point set without
+    it is the whole Einstein line; for the other two it is consistent with
+    the already-unique fixed point.)
     The system is singular when it has a kernel under the one rank rule of
     `tensor._kernel_rule`, the cut every fit applies."""
     return _fixed_point(g.mat[None], np.array([float(r)]), params, flavor)[0]
@@ -309,10 +319,9 @@ def selfconsistent_ricci(g: Metric, r: float, params: GenCurvParams,
 
 def _fixed_point(gm: np.ndarray, r, params: GenCurvParams, flavor: str) -> np.ndarray:
     """`selfconsistent_ricci` for metrics and scalar curvatures stacked on
-    one leading axis, each kind of block solved for the stack in one SVD.
-    The rank rule judges a system's blocks together, so its cut follows the
-    largest singular value of the whole system.  Raises DegenerateParams for
-    the first system that is singular or inconsistent, its index as `item`."""
+    one leading axis: the (n+1) x n diagonal system of each, solved for the
+    stack in one SVD, minimum-norm.  Raises DegenerateParams for the first
+    system that is singular or inconsistent, its index as `item`."""
     n = gm.shape[-1]
     if flavor == "qc":
         params.qc_denominator(n)
@@ -322,31 +331,22 @@ def _fixed_point(gm: np.ndarray, r, params: GenCurvParams, flavor: str) -> np.nd
         raise InvalidParams(f"unknown flavor {flavor!r}")
     mu, q = np.linalg.eigh(gm)
     eye = np.eye(n)
-    # the zero form, the sums of the E_ab above and below the diagonal, each E_aa
-    probes = np.concatenate([np.zeros((1, n, n)), np.triu(np.ones((1, n, n)), 1),
-                             np.tril(np.ones((1, n, n)), -1), eye[:, :, None] * eye])
+    # the zero form, then each E_aa
+    probes = np.concatenate([np.zeros((1, n, n)), eye[:, :, None] * eye])
     images = _flat_ricci(flavor, probes, (mu[:, :, None] * eye)[:, None],
                          (eye / mu[:, :, None])[:, None], _lift(r, 1), params)
-    affine = images[:, 0]
-    upper, lower = images[:, 1] - affine, images[:, 2] - affine
-    # pair (x, y), x < y: unknowns (S_xy, S_yx), equations at (x, y) and (y, x)
-    x, y = np.triu_indices(n, 1)
-    pairs = np.eye(2) - np.stack([np.stack([upper[:, x, y], lower[:, x, y]], -1),
-                                  np.stack([upper[:, y, x], lower[:, y, x]], -1)], -2)
-    pair_rhs = np.stack([affine[:, x, y], affine[:, y, x]], -1)
-    # the diagonal: column b is the diagonal of the image of E_bb, then the trace row
     d = np.arange(n)
-    images_dd = images[:, 3:, d, d] - affine[:, None, d, d]  # [b, a]: E_bb to entry (a, a)
-    diagonal = np.concatenate([eye - images_dd.swapaxes(-1, -2), 1.0 / mu[:, None, :]],
-                              axis=-2)
-    diagonal_rhs = np.concatenate([affine[:, d, d], _lift(r, 1)], axis=-1)
-    pair_svd = np.linalg.svd(pairs)
-    diagonal_svd = np.linalg.svd(diagonal, full_matrices=False)
-    cut, kernel_dim = _kernel_rule(
-        np.concatenate([pair_svd[1].reshape(len(mu), -1), diagonal_svd[1]], axis=-1), n * n)
-    s_pairs, gap_pairs = _min_norm_solve(pairs, pair_rhs, pair_svd, cut)
-    s_diagonal, gap_diagonal = _min_norm_solve(diagonal, diagonal_rhs, diagonal_svd, cut)
-    gap = np.maximum(_max_abs_items(gap_pairs, 2), _max_abs_items(gap_diagonal, 1))
+    affine = images[:, 0, d, d]
+    # column b is the diagonal of the image of E_bb, then the trace row
+    images_dd = images[:, 1:, d, d] - affine[:, None]  # [b, a]: E_bb to entry (a, a)
+    lhs = np.concatenate([eye - images_dd.swapaxes(-1, -2), 1.0 / mu[:, None, :]], axis=-2)
+    rhs = np.concatenate([affine, _lift(r, 1)], axis=-1)
+    u, sigma, vh = np.linalg.svd(lhs, full_matrices=False)
+    cut, kernel_dim = _kernel_rule(sigma, n)
+    coef = (u.swapaxes(-1, -2) @ rhs[..., None])[..., 0]
+    coef = np.divide(coef, sigma, out=np.zeros_like(coef), where=sigma > cut[:, None])
+    s = (vh.swapaxes(-1, -2) @ coef[..., None])[..., 0]
+    gap = _max_abs_items((lhs @ s[..., None])[..., 0] - rhs, 1)
     failed = (kernel_dim > 0) | (gap > 1e-8 * (1.0 + np.abs(r)))
     if failed.any():
         k = int(np.argmax(failed))
@@ -356,22 +356,7 @@ def _fixed_point(gm: np.ndarray, r, params: GenCurvParams, flavor: str) -> np.nd
             f"the contraction fixed-point system is inconsistent (gap {gap[k]:g})")
         error.item = k
         raise error
-    rotated = np.zeros(gm.shape)
-    rotated[:, x, y], rotated[:, y, x] = s_pairs[..., 0], s_pairs[..., 1]
-    rotated[:, d, d] = s_diagonal
-    return q @ rotated @ q.swapaxes(-1, -2)
-
-
-def _min_norm_solve(lhs, rhs, svd, cut):
-    """The minimum-norm solution of lhs @ x = rhs from lhs's reduced `svd`,
-    singular values at or below `cut` (one per system, on the first axis)
-    taken as zero, and its residual lhs @ x - rhs."""
-    u, sigma, vh = svd
-    coef = (u.swapaxes(-1, -2) @ rhs[..., None])[..., 0]
-    coef = np.divide(coef, sigma, out=np.zeros_like(coef),
-                     where=sigma > _lift(cut, sigma.ndim - 1))
-    solution = (vh.swapaxes(-1, -2) @ coef[..., None])[..., 0]
-    return solution, (lhs @ solution[..., None])[..., 0] - rhs
+    return (q * s[:, None, :]) @ q.swapaxes(-1, -2)
 
 
 # --------------------------------------------------------------------------
@@ -540,7 +525,7 @@ def _contraction_check(flavor: str) -> _Check:
         residual = _max_abs_items(s_star - _lift(alpha, 2) * gm, 2) / (1.0 + np.abs(alpha))
         # the forced Ricci is Einstein by construction; report that too
         return np.maximum.reduce([residual, _einstein_values(s_star, gm, ginv)[1]]), {}
-    return _Check(draw, compute, footprint=lambda n: (n + 3) * n * n)
+    return _Check(draw, compute, footprint=lambda n: (n + 1) * n * n)
 
 
 def _draw_pairing(rng, n):

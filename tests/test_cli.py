@@ -236,17 +236,19 @@ def test_verify_exit_codes(capsys):
     assert "n > 3" in err
 
 
-@pytest.mark.parametrize("option,value,fragment", [
-    ("--n", MAX_DIM + 1, f"exceeds the dimension limit {MAX_DIM}"),
-    ("--trials", MAX_TRIALS + 1, f"trials must be between 1 and {MAX_TRIALS}"),
-])
-def test_verify_refuses_oversized_input_before_running(monkeypatch, capsys, option,
-                                                       value, fragment):
+@pytest.mark.parametrize("args,fragment", [
+    (["--n", str(MAX_DIM + 1)], f"exceeds the dimension limit {MAX_DIM}"),
+    (["--trials", str(MAX_TRIALS + 1)], f"trials must be between 1 and {MAX_TRIALS}"),
+    # the cap is on trials * n^4: 390 trials at n = 16
+    (["--n", "16", "--trials", "391"], "trials must be between 1 and 390"),
+], ids=lambda value: "-".join(value) if isinstance(value, list) else value)
+def test_verify_refuses_oversized_input_before_running(monkeypatch, capsys, args,
+                                                       fragment):
     def refuse(*args, **kwargs):
         raise AssertionError("a section ran on oversized input")
 
     monkeypatch.setattr(harness, "_verify_section", refuse)
-    assert main(["verify", option, str(value)]) == 2
+    assert main(["verify", *args]) == 2
     assert fragment in capsys.readouterr().err
 
 

@@ -6,9 +6,10 @@ import pytest
 
 from curvkit import harness
 from curvkit.errors import DegenerateParams, InvalidParams
-from curvkit.gencurv import (GenCurvParams, pp_flat_alpha, qc_flat_alpha,
-                             reconstruct_pp_flat, reconstruct_qc_flat,
-                             reconstruct_w2_flat, w2_flat_alpha)
+from curvkit.gencurv import (GenCurvParams, _flat_ricci, pp_flat_alpha,
+                             qc_flat_alpha, reconstruct_pp_flat,
+                             reconstruct_qc_flat, reconstruct_w2_flat,
+                             w2_flat_alpha)
 from curvkit.harness import (PointModel, TrialConfig, flat_ricci_form,
                              product_ricci_form, random_point_model,
                              rank_one_coefficient, selfconsistent_ricci,
@@ -232,14 +233,52 @@ def test_selfconsistent_matches_column_by_column_solve(n, flavor):
         assert max_abs(got - expected) <= 1e-12 * (1.0 + max_abs(expected))
 
 
-def test_selfconsistent_ricci_singular_inside_the_rank_cut():
-    # 1 + (b/a)(n-2) = 3e-11 clears the weight guard, but the system's
-    # smallest singular values fall below the one rank cut
-    g = Metric(random_spd(np.random.default_rng(5), 5))
-    params = GenCurvParams(1.0, -1.0 / 3.0 + 1e-11)
-    params.qc_denominator(5)
+@pytest.mark.parametrize("flavor", ["qc", "pp"])
+def test_selfconsistent_ricci_singular_inside_the_rank_cut(flavor):
+    # 1 + (b/a)(n-k) = 3e-11 (k = 2 for qc, 1 for pp) clears the weight
+    # guard, but the system's smallest singular values fall below the one
+    # rank cut
+    n, k = 5, {"qc": 2, "pp": 1}[flavor]
+    g = Metric(random_spd(np.random.default_rng(5), n))
+    params = GenCurvParams(1.0, (3e-11 - 1.0) / (n - k))
+    assert getattr(params, f"{flavor}_denominator")(n) == pytest.approx(3e-11, rel=1e-4)
     with pytest.raises(DegenerateParams, match="singular for these weights"):
-        selfconsistent_ricci(g, 2.0, params, "qc")
+        selfconsistent_ricci(g, 2.0, params, flavor)
+
+
+@pytest.mark.parametrize("flavor", ["qc", "pp", "w2"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_contraction_maps_each_off_diagonal_form_to_a_multiple_of_itself(n, flavor):
+    # In the frame of eigh(g) the fixed-point operator maps the zero form to
+    # a diagonal form and each E_ab (a != b), less that image, to alpha*E_ab
+    # with one alpha: the off-diagonal equations read (1 - alpha) S_ab = 0.
+    # For n >= 3, |1 - alpha| is also a singular value of the (n+1) x n
+    # diagonal system, so that system alone decides the rank verdict.
+    rng = np.random.default_rng(700 + n)
+    mu = np.linalg.eigvalsh(random_spd(rng, n))
+    r = float(rng.uniform(0.5, 3.0))
+    eye = np.eye(n)
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    units = np.zeros((len(pairs), n, n))
+    for unit, (a, b) in zip(units, pairs):
+        unit[a, b] = 1.0
+    probes = np.concatenate([np.zeros((1, n, n)), units, eye[:, :, None] * eye])
+    for params in (GenCurvParams(1.0, 1.0), GenCurvParams(1.0, 0.5),
+                   GenCurvParams(2.0, -0.7)):
+        images = _flat_ricci(flavor, probes, np.diag(mu), np.diag(1.0 / mu), r, params)
+        affine = images[0]
+        assert np.array_equal(affine, np.diag(np.diag(affine)))
+        moved = images[1:len(pairs) + 1] - affine
+        alphas = np.array([image[a, b] for image, (a, b) in zip(moved, pairs)])
+        assert np.array_equal(moved, alphas[:, None, None] * units)
+        alpha = alphas[0]
+        assert max_abs(alphas - alpha) <= 1e-12 * (1.0 + abs(alpha))
+        if n >= 3:
+            d = np.arange(n)
+            diagonal = images[len(pairs) + 1:, d, d] - np.diag(affine)
+            block = np.concatenate([eye - diagonal.T, 1.0 / mu[None]])
+            sigma = np.linalg.svd(block, compute_uv=False)
+            assert np.min(np.abs(sigma - abs(1.0 - alpha))) <= 1e-12 * abs(1.0 - alpha)
 
 
 def test_selfconsistent_builds_no_grid(monkeypatch):

@@ -336,17 +336,19 @@ def test_metric_validation_factors_once_per_block(monkeypatch):
 
 def test_no_solve_in_verify_is_wider_than_n_plus_one_columns(monkeypatch):
     n = 8
-    columns = {"svd": [], "lstsq": []}
-    for name, seen in columns.items():
+    shapes = {"svd": [], "lstsq": []}
+    for name, seen in shapes.items():
         def recording(a, *args, _solve=getattr(np.linalg, name), _seen=seen, **kwargs):
-            _seen.append(a.shape[-1])
+            _seen.append(a.shape)
             return _solve(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, recording)
     code, _ = _verify(["verify", "--section", "all", "--n", str(n), "--trials", "10"])
     assert code == 0
-    assert columns["svd"] and columns["lstsq"]
-    assert max(columns["svd"] + columns["lstsq"]) <= n + 1
+    assert shapes["svd"] and shapes["lstsq"]
+    assert max(shape[-1] for shape in shapes["svd"] + shapes["lstsq"]) <= n + 1
+    # the contraction fixed point solves only its diagonal systems, stacked
+    assert all(len(shape) == 3 and shape[1:] == (n + 1, n) for shape in shapes["svd"])
 
 
 @pytest.mark.parametrize("n,trials", [(5, 100), (8, 20)])
@@ -363,7 +365,7 @@ def test_no_stacked_grid_exceeds_the_block_budget(monkeypatch, n, trials):
                    if name.startswith("curvkit") and hasattr(m, "_expand_block")]:
         monkeypatch.setattr(module, "_expand_block", measured)
     # the contraction checks stack no grid: their largest array is the
-    # n + 3 probe images of each trial, and a block fills most of the budget
+    # n + 1 probe images of each trial, and a block fills most of the budget
     images = [0]
     flat_ricci = harness._flat_ricci
 
