@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +22,8 @@ from .gencurv import (GenCurvParams, pseudo_projective, quasi_conformal, w2,
                       weyl_from_tensors)
 from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, Metric, Tensor04,
                      _check_bilinear, _expand_block, _lift, _lstsq_kernel,
-                     _max_abs_items, _scalar_curvature_values, max_abs,
-                     quasi_constant_shape, ricci_contract, wedge_gg)
+                     _max_abs_items, _outer, _scalar_curvature_values, max_abs,
+                     ricci_contract, wedge_gg)
 
 __all__ = [
     "EinsteinFit", "QuasiEinsteinFit", "QuasiConstantFit",
@@ -93,23 +92,24 @@ def _einstein_values(s: np.ndarray, gm: np.ndarray, ginv: np.ndarray):
 
 
 def _canonical_sign(w: np.ndarray) -> np.ndarray:
-    """Flip so the first component of nontrivial magnitude is positive."""
-    floor = 1e-12 * max(max_abs(w), 1e-300)
-    for v in w:
-        if abs(v) > floor:
-            return -w if v < 0.0 else w
-    return w
+    """Flip each covector of a stack, (m, n), so that its first component of
+    nontrivial magnitude is positive."""
+    size = np.abs(w)
+    big = size > 1e-12 * np.maximum(size.max(axis=-1, keepdims=True), 1e-300)
+    first = w[np.arange(len(w)), big.argmax(axis=-1)]
+    return np.where(((first < 0.0) & big.any(axis=-1))[:, None], -w, w)
 
 
-def _generalized_eigh(s: np.ndarray, g: Metric):
-    """Solve S v = lam g v, ascending lam, with eigenvectors normalized to
-    v^T g v = 1: reduce by the Cholesky factor g = L L^T to the ordinary
-    symmetric problem (L^-1 S L^-T) w = lam w and map back v = L^-T w."""
-    chol = np.linalg.cholesky(g.mat)
-    half = np.linalg.solve(chol, s)                  # L^-1 S
-    reduced = np.linalg.solve(chol, half.T)          # L^-1 S^T L^-T = L^-1 S L^-T
-    lam, w = np.linalg.eigh(0.5 * (reduced + reduced.T))
-    return lam, np.linalg.solve(chol.T, w)
+def _generalized_eigh(s: np.ndarray, gm: np.ndarray):
+    """Solve S v = lam g v for forms and metrics stacked on leading axes,
+    ascending lam, with eigenvectors normalized to v^T g v = 1: reduce by
+    the Cholesky factor g = L L^T to the ordinary symmetric problem
+    (L^-1 S L^-T) w = lam w and map back v = L^-T w."""
+    chol = np.linalg.cholesky(gm)
+    half = np.linalg.solve(chol, s)                            # L^-1 S
+    reduced = np.linalg.solve(chol, half.swapaxes(-1, -2))     # L^-1 S^T L^-T = L^-1 S L^-T
+    lam, w = np.linalg.eigh(0.5 * (reduced + reduced.swapaxes(-1, -2)))
+    return lam, np.linalg.solve(chol.swapaxes(-1, -2), w)
 
 
 def quasi_einstein_decompose(s, g: Metric) -> QuasiEinsteinFit:
@@ -123,49 +123,52 @@ def quasi_einstein_decompose(s, g: Metric) -> QuasiEinsteinFit:
     Raises NotQuasiEinstein when the pattern is absent, or when it collapses
     to Einstein (q ~ 0), in which case `einstein_alpha` is set on the error.
     """
-    s = _check_bilinear(s, g.n)
-    scale = max_abs(s)
-    c0 = math.ldexp(1.0, math.frexp(scale)[1]) if scale > 0.0 else 1.0
-    lam, vec = _generalized_eigh(s / c0, g)
-    spread_all = lam[-1] - lam[0]
-    lam_scale = max(1e-300, float(np.max(np.abs(lam))))
-    if spread_all <= CLUSTER_TOL * lam_scale:
-        alpha = c0 * float(np.mean(lam))
-        raise NotQuasiEinstein(
-            "eigenvalues form a single cluster: Einstein, not quasi-Einstein",
-            residual=einstein_check(s, g).residual, einstein_alpha=alpha)
-
-    def split_quality(simple_idx: int, cluster_idx) -> tuple[bool, float]:
-        cluster = lam[cluster_idx]
-        spread = float(np.max(cluster) - np.min(cluster))
-        sep = abs(lam[simple_idx] - float(np.mean(cluster)))
-        tol = CLUSTER_TOL * lam_scale
-        return (spread <= tol and sep > tol), sep
-
-    candidates = []
-    for simple_idx, cluster_idx in ((g.n - 1, slice(0, g.n - 1)),
-                                    (0, slice(1, g.n))):
-        ok, sep = split_quality(simple_idx, cluster_idx)
-        if ok:
-            candidates.append((sep, simple_idx, cluster_idx))
-    if not candidates:
-        # best-effort reconstruction residual for reporting
-        best = _split_fit(s, g, lam * c0, vec, g.n - 1, slice(0, g.n - 1))
-        raise NotQuasiEinstein(
-            "eigenvalue pattern {(n-1)-cluster, simple} is absent",
-            residual=best.residual)
-    _, simple_idx, cluster_idx = max(candidates)
-    return _split_fit(s, g, lam * c0, vec, simple_idx, cluster_idx)
+    p, q, omega, residual = _quasi_einstein_values(_check_bilinear(s, g.n)[None],
+                                                   g.mat[None], g.inv[None])
+    return QuasiEinsteinFit(p=float(p[0]), q=float(q[0]), omega=omega[0],
+                            residual=float(residual[0]))
 
 
-def _split_fit(s, g: Metric, lam, vec, simple_idx, cluster_idx) -> QuasiEinsteinFit:
-    """S = p*g + q*omega(x)omega read off one split of the eigenvalues `lam`
-    (in the units of S) into a cluster and a simple one."""
-    p = float(np.mean(lam[cluster_idx]))
-    q = float(lam[simple_idx]) - p
-    omega = _canonical_sign(g.mat @ vec[:, simple_idx])
-    residual = max_abs(s - p * g.mat - q * np.outer(omega, omega)) / (1.0 + max_abs(s))
-    return QuasiEinsteinFit(p=p, q=q, omega=omega, residual=residual)
+def _quasi_einstein_values(s: np.ndarray, gm: np.ndarray, ginv: np.ndarray):
+    """`quasi_einstein_decompose` of forms and metrics stacked on one leading
+    axis, unchecked: p, q, omega and the residual of each, stacked.  Raises
+    NotQuasiEinstein for the first form without the pattern, its index as
+    `item`; where no split has the pattern, the residual it reports is that
+    of the split whose simple eigenvalue is n - 1."""
+    n = gm.shape[-1]
+    scale = _max_abs_items(s, 2)
+    c0 = np.ldexp(1.0, np.frexp(scale)[1])  # 1 where scale is 0
+    lam, vec = _generalized_eigh(s / _lift(c0, 2), gm)
+    tol = CLUSTER_TOL * np.maximum(1e-300, np.abs(lam).max(axis=-1, keepdims=True))
+    einstein = lam[:, -1] - lam[:, 0] <= tol[:, 0]
+    # the two splits of the ascending eigenvalues, each as the index of the
+    # simple one and then of the cluster: n - 1 (as -1) and 0 .. n - 2, or
+    # 0 and 1 .. n - 1
+    order = np.arange(n) - np.array([[1], [0]])
+    splits = lam[:, order]
+    sep = np.abs(splits[..., 0] - splits[..., 1:].sum(axis=-1) / (n - 1))
+    ok = (splits[..., -1] - splits[..., 1] <= tol) & (sep > tol)
+    # the larger separation among the splits with the pattern; argmax takes
+    # the first on a tie, the simple eigenvalue n - 1
+    split = np.where(ok, sep, -1.0).argmax(axis=-1)
+    rows = np.arange(len(lam))
+    chosen = splits[rows, split] * _lift(c0, 1)  # in the units of S
+    p = chosen[:, 1:].sum(axis=-1) / (n - 1)
+    q = chosen[:, 0] - p
+    omega = _canonical_sign((gm @ vec[rows, :, order[split, 0], None])[..., 0])
+    residual = (_max_abs_items(s - _lift(p, 2) * gm - _lift(q, 2) * _outer(omega, omega), 2)
+                / (1.0 + scale))
+    failed = einstein | ~ok.any(axis=-1)
+    if failed.any():
+        k = int(np.argmax(failed))
+        if einstein[k]:
+            raise NotQuasiEinstein(
+                "eigenvalues form a single cluster: Einstein, not quasi-Einstein",
+                residual=float(_einstein_values(s[k], gm[k], ginv[k])[1]),
+                einstein_alpha=float(c0[k] * np.mean(lam[k]))).at(k)
+        raise NotQuasiEinstein("eigenvalue pattern {(n-1)-cluster, simple} is absent",
+                               residual=float(residual[k])).at(k)
+    return p, q, omega, residual
 
 
 def quasi_constant_fit(riemann: Tensor04, g: Metric,
@@ -184,40 +187,56 @@ def quasi_constant_fit(riemann: Tensor04, g: Metric,
     """
     if riemann.n != g.n:
         raise DimensionMismatch(f"riemann n={riemann.n} vs metric n={g.n}")
-    rv = riemann.values
-    scale = 1.0 + max_abs(rv)
-    gw = wedge_gg(g).values
+    a, b, a_form, residual = _quasi_constant_values(
+        riemann.values[None], g.mat[None], g.inv[None], wedge_gg(g).values[None],
+        ricci_contract(riemann, g)[None], tol)
+    return QuasiConstantFit(a=float(a[0]), b=float(b[0]), a_form=a_form[0],
+                            residual=float(residual[0]))
+
+
+def _quasi_constant_values(rv: np.ndarray, gm: np.ndarray, ginv: np.ndarray,
+                           wedge: np.ndarray, ricci: np.ndarray, tol: float):
+    """`quasi_constant_fit` of grids and metrics stacked on one leading axis,
+    unchecked, given the metrics' G grids `wedge` and the grids' Ricci
+    contractions `ricci`: a, b, A and the residual of each, stacked.  Raises
+    NotQuasiConstant for the first grid that fails, its index as `item`.
+    The two-column least-squares solves run grid by grid."""
+    rv_size = _max_abs_items(rv, 4)
+    scale = 1.0 + rv_size
     try:
-        qe = quasi_einstein_decompose(ricci_contract(riemann, g), g)
+        _, _, omega, _ = _quasi_einstein_values(ricci, gm, ginv)
     except NotQuasiEinstein as exc:
-        a_cc = float(np.vdot(gw, rv) / np.vdot(gw, gw))
-        res_cc = max_abs(rv - a_cc * gw) / scale
+        k = exc.item
+        if k:  # a grid before k may fail a later step
+            _quasi_constant_values(rv[:k], gm[:k], ginv[:k], wedge[:k], ricci[:k], tol)
+        gw, rk = wedge[k], rv[k]
+        a_cc = float(np.vdot(gw, rk) / np.vdot(gw, gw))
+        res_cc = float(max_abs(rk - a_cc * gw) / scale[k])
         if exc.einstein_alpha is not None and res_cc <= tol:
             raise NotQuasiConstant(
                 "constant curvature (the A-block coefficient vanishes)",
-                residual=res_cc, constant_curvature=a_cc) from None
-        raise NotQuasiConstant(
-            f"Ricci contraction is not quasi-Einstein: {exc}",
-            residual=res_cc) from None
-    block = quasi_constant_shape(g, qe.omega).values
-    design = np.stack([gw.ravel(), block.ravel()], axis=1)
-    (a, b), _, _ = _lstsq_kernel(design, rv.ravel())
-    residual = max_abs(rv - a * gw - b * block) / scale
-    if residual > tol:
-        raise NotQuasiConstant(
-            f"least-squares residual {residual:g} exceeds tolerance {tol:g}",
-            residual=residual)
-    floor = COEFF_FLOOR * (1.0 + max_abs(rv) / max_abs(gw))
-    if abs(b) <= floor:
-        raise NotQuasiConstant(
-            "fitted A-block coefficient is numerically zero (constant curvature)",
-            residual=residual, constant_curvature=float(a))
-    if abs(a) <= floor:
-        raise NotQuasiConstant(
-            "fitted wedge coefficient is numerically zero",
-            residual=residual)
-    return QuasiConstantFit(a=float(a), b=float(b), a_form=qe.omega,
-                            residual=residual)
+                residual=res_cc, constant_curvature=a_cc).at(k) from None
+        raise NotQuasiConstant(f"Ricci contraction is not quasi-Einstein: {exc}",
+                               residual=res_cc).at(k) from None
+    block = _expand_block(_HYPER_TERMS, gm, _outer(omega, omega))
+    a, b = np.reshape([_lstsq_kernel(np.stack([w.ravel(), x.ravel()], axis=1), r.ravel())[0]
+                       for w, x, r in zip(wedge, block, rv)], (-1, 2)).T
+    residual = _max_abs_items(rv - _lift(a, 4) * wedge - _lift(b, 4) * block, 4) / scale
+    floor = COEFF_FLOOR * (1.0 + rv_size / _max_abs_items(wedge, 4))
+    failed = (residual > tol) | (np.abs(b) <= floor) | (np.abs(a) <= floor)
+    if failed.any():
+        k = int(np.argmax(failed))
+        if residual[k] > tol:
+            raise NotQuasiConstant(
+                f"least-squares residual {residual[k]:g} exceeds tolerance {tol:g}",
+                residual=float(residual[k])).at(k)
+        if abs(b[k]) <= floor[k]:
+            raise NotQuasiConstant(
+                "fitted A-block coefficient is numerically zero (constant curvature)",
+                residual=float(residual[k]), constant_curvature=float(a[k])).at(k)
+        raise NotQuasiConstant("fitted wedge coefficient is numerically zero",
+                               residual=float(residual[k])).at(k)
+    return a, b, omega, residual
 
 
 @functools.lru_cache(maxsize=32)

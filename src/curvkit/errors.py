@@ -10,6 +10,14 @@ class CurvError(Exception):
 
     item: int | None = None
 
+    def at(self, item: int) -> "CurvError":
+        """Set `item` and return the error, to raise in one expression: an
+        error kept in a local variable of the frame that raises it forms a
+        reference cycle with that frame through its traceback, which keeps
+        the frame's arrays alive until the garbage collector runs."""
+        self.item = item
+        return self
+
 
 class ParseError(CurvError):
     """Malformed expression text.  `offset` is the byte offset of the failure."""

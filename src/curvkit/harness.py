@@ -15,24 +15,29 @@ trials, run by `_verify_section`.  All randomness flows from
 index is its position in its section's table: a fixed config yields an
 identical report, and the order of the table fixes every check's draws.
 
-A check runs in two phases per block of trials (`_Check`, `_run_check`).
-The draw phase reads the check's attempt stream: attempts are drawn one by
-one, with the same rng calls in the same order as a loop that redraws each
-trial on its own, and a rejected attempt consumes the same calls as an
-accepted one.  The redraw predicates (a near-zero pairing, r or T(rho))
-are judged over the stack of attempts, and trial k takes the k-th accepted
-attempt; REDRAW_CAP consecutive rejections end the check at their trial.
-Genuinely degenerate *inputs* raise the designated guard errors, and each
-guard has a dedicated trial asserting exactly that.  The compute phase
-validates the block's metrics in one call and runs the check's arithmetic
-once over the stack: one residual per trial, the worst of which is the
-check's.  Only the fits' small least-squares solves and the branching
-classifiers run trial by trial, on rows of the stack.  A failure is
-charged to its trial: the check ends there, with the extras of the trials
-before it.  Blocks hold as many trials as keep the largest array a trial
-stacks within BLOCK_BYTES, which bounds the memory the stacks take: an n^4
-curvature grid, or for the contraction checks the n + 1 probe images of
-n x n below.
+A check runs in two phases (`_Check`, `_run_check`).  The draw phase
+draws all of the check's trials before any is computed, as one stack: its
+attempts are drawn one by one, with the same rng calls in the same order as
+a loop that redraws each trial on its own, and a rejected attempt consumes
+the same calls as an accepted one.  Their metrics are validated in one call
+(once more per round of redraws), the redraw predicates (a near-zero
+pairing, r or T(rho)) are judged over the stack of attempts, and trial k
+takes the k-th accepted attempt; REDRAW_CAP consecutive rejections end the
+check at their trial.  Genuinely degenerate *inputs* raise the designated
+guard errors, and each guard has a dedicated trial asserting exactly that.
+The compute phase runs the check's arithmetic once per block of trials,
+over the stack: one residual per trial, the worst of which is the check's.
+The classifiers run stacked too (`classify._quasi_einstein_values`,
+`_quasi_constant_values`); only the fits' small least-squares solves and
+the one-trial brute-force twins run trial by trial, on rows of the stack.
+A failure is charged to its trial: the check ends there, with the extras
+of the trials before it.  An error of the draw phase surfaces only after
+the blocks before its trial have been computed, so a compute failure at an
+earlier trial wins.  Blocks hold as many trials as keep the largest array a
+trial stacks within BLOCK_BYTES, which bounds the memory the compute phase
+takes: an n^4 curvature grid, or for the contraction checks the n + 1
+probe images of n x n below.  The draws take at most a few n x n arrays
+per trial.
 
 The contraction checks solve for the Ricci tensor that a vanishing
 generalized tensor forces (`selfconsistent_ricci`): S = F(S) with the trace
@@ -69,8 +74,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .chart import CurvatureBundle
-from .classify import (_einstein_values, _linear_fit, quasi_constant_fit,
-                       quasi_einstein_decompose)
+from .classify import (_einstein_values, _linear_fit, _quasi_constant_values,
+                       _quasi_einstein_values)
 from .errors import (CurvError, DegenerateParams, InvalidParams,
                      SingularMetric, ZeroScalarCurvature)
 from .gencurv import (GenCurvParams, _combined_values, _flat_ricci,
@@ -79,7 +84,7 @@ from .gencurv import (GenCurvParams, _combined_values, _flat_ricci,
                       reconstruct_w2_flat, w2_flat_alpha)
 from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, MAX_DIM, Metric, Tensor04,
                      _check_oneform, _expand_block, _kernel_rule, _lift,
-                     _max_abs_items, _norm_sq_values, _ricci_contract_values,
+                     _max_abs_items, _outer, _norm_sq_values, _ricci_contract_values,
                      _scalar_curvature_values, _validate_metrics, max_abs,
                      ricci_contract, scalar_curvature)
 from .wrs import _t_identity_defects, a_from_bd
@@ -178,8 +183,15 @@ class HarnessReport:
 # Random models
 
 def _draw_metric(rng: np.random.Generator, n: int) -> np.ndarray:
-    m = rng.standard_normal((n, n))
-    return m.T @ m + n * np.eye(n)
+    """The components M of a metric g = M^T M + n*I (see `_metrics`)."""
+    return rng.standard_normal((n, n))
+
+
+def _metrics(m: np.ndarray) -> np.ndarray:
+    """g = M^T M + n*I for components M stacked on leading axes: positive
+    definite by construction, with smallest eigenvalue >= n."""
+    n = m.shape[-1]
+    return m.swapaxes(-1, -2) @ m + n * np.eye(n)
 
 
 def _draw_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -188,13 +200,14 @@ def _draw_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _draw_scalar(rng: np.random.Generator, lo: float = 0.2, hi: float = 2.0) -> float:
-    return float(rng.uniform(lo, hi) * rng.choice([-1.0, 1.0]))
+    # the sign reads the stream as rng.choice([-1.0, 1.0]) does
+    return float(rng.uniform(lo, hi) * (-1.0, 1.0)[rng.integers(2)])
 
 
 def _draw_covector(rng: np.random.Generator, n: int) -> np.ndarray:
     for _ in range(REDRAW_CAP):
         w = rng.standard_normal(n)
-        if max_abs(w) > REJECT_TOL:
+        if np.abs(w).max() > REJECT_TOL:
             return w
     raise DegenerateParams("could not draw a non-degenerate covector")
 
@@ -210,13 +223,8 @@ def random_point_model(seed, n: int) -> PointModel:
     construction, smallest eigenvalue >= n), and S = c * t(x)t with |c|
     bounded away from 0 and t bounded away from 0."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    g, c, t = _draw_point(rng, n)
-    return PointModel(g=Metric(g), ricci=c * np.outer(t, t), coeff=c, t=t)
-
-
-def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """np.outer of 1-forms stacked on the same leading axes."""
-    return u[..., :, None] * v[..., None, :]
+    m, c, t = _draw_point(rng, n)
+    return PointModel(g=Metric(_metrics(m)), ricci=c * np.outer(t, t), coeff=c, t=t)
 
 
 # --------------------------------------------------------------------------
@@ -350,12 +358,10 @@ def _fixed_point(gm: np.ndarray, r, params: GenCurvParams, flavor: str) -> np.nd
     failed = (kernel_dim > 0) | (gap > 1e-8 * (1.0 + np.abs(r)))
     if failed.any():
         k = int(np.argmax(failed))
-        error = DegenerateParams(
+        raise DegenerateParams(
             "the contraction fixed-point system is singular for these weights"
             if kernel_dim[k] else
-            f"the contraction fixed-point system is inconsistent (gap {gap[k]:g})")
-        error.item = k
-        raise error
+            f"the contraction fixed-point system is inconsistent (gap {gap[k]:g})").at(k)
     return (q * s[:, None, :]) @ q.swapaxes(-1, -2)
 
 
@@ -364,14 +370,15 @@ def _fixed_point(gm: np.ndarray, r, params: GenCurvParams, flavor: str) -> np.nd
 
 class _Check(NamedTuple):
     """One randomized check.  `draw(rng, n)` draws one attempt: its metric's
-    components, then its other draws.  `accept(gm, ginv, *draws)` says which
-    attempts of a stack are not degenerate (None: every attempt is a trial).
+    components M (see `_metrics`), then its other draws.
+    `accept(gm, ginv, *draws)` says which attempts of a stack are not
+    degenerate (None: every attempt is a trial).
     `compute(config, gm, ginv, *draws)` takes a stack of trials and returns
     the residual of each and a dict of per-trial extras, reported as their
     maximum; a failure raises the CurvError of the first trial that fails,
     its index in `item` (None: the first trial).  `footprint(n)` is the
-    number of floats of the largest array a trial stacks, which sets the
-    size of a block."""
+    number of floats of the largest array a trial stacks in `compute`,
+    which sets the size of a block."""
 
     draw: Callable
     compute: Callable
@@ -392,18 +399,20 @@ def _per_trial(fn: Callable, *stacks) -> list:
     return out
 
 
-def _draw_block(check: _Check, rng: np.random.Generator, n: int, count: int):
-    """The next `count` trials of a check, stacked as (gm, ginv, *draws), and
-    the error that ends the check at the trial after them, or None.
+def _draw_trials(check: _Check, rng: np.random.Generator, n: int, count: int):
+    """A check's `count` trials, stacked as (gm, ginv, *draws), and the error
+    that ends the check at the trial after them, or None.
 
-    Attempts are drawn in stream order, `count` less the trials filled so
-    far at a time, then validated and judged over their stack.  Trial k is
-    the k-th accepted attempt, so every trial gets the draws it had when
-    each attempt was drawn and judged on its own.  REDRAW_CAP consecutive
-    rejections end the check at the trial they were drawn for; so does an
-    attempt whose draw or metric fails, after the verdicts on the attempts
-    before it.  A draw that fails its own degeneracy guard is a rejected
-    attempt of a check that redraws."""
+    Attempts are drawn in stream order in rounds, each of `count` less the
+    trials filled so far, and each round's metrics are formed, validated
+    and judged as one stack: a check whose attempts are all accepted
+    validates its metrics once.  Trial k is the k-th accepted attempt, so
+    every trial gets the draws it had when each attempt was drawn and judged
+    on its own.  REDRAW_CAP consecutive rejections end the check at the
+    trial they were drawn for; so does an attempt whose draw or metric
+    fails, after the verdicts on the attempts before it.  A draw that fails
+    its own degeneracy guard is a rejected attempt of a check that
+    redraws."""
     parts, filled, misses, error = [], 0, 0, None
     while filled < count and error is None:
         drawn = []  # this round's attempts; None for one rejected while drawn
@@ -419,6 +428,8 @@ def _draw_block(check: _Check, rng: np.random.Generator, n: int, count: int):
         verdicts = np.zeros(len(drawn), dtype=bool)
         if at:
             stack = [np.array(column) for column in zip(*(drawn[k] for k in at))]
+            del drawn  # before validation, which takes the most memory
+            stack[0] = _metrics(stack[0])
             try:
                 stack[:1] = _validate_metrics(stack[0])
             except SingularMetric as exc:  # the check ends at that attempt
@@ -439,12 +450,12 @@ def _draw_block(check: _Check, rng: np.random.Generator, n: int, count: int):
     return [np.concatenate(column) for column in zip(*parts)], error
 
 
-def _compute_block(check: _Check, config: TrialConfig, stack, error):
+def _compute_block(check: _Check, config: TrialConfig, stack):
     """The residuals and extras of a block's trials, up to the first trial
-    whose computation fails, and the error that ends the check there (else
-    the draw phase's `error`).  On a failure at trial k the block is
-    computed again on its first k trials, which may fail earlier still."""
-    end = len(stack[0]) if stack else 0
+    whose computation fails, and the error that ends the check there, or
+    None.  On a failure at trial k the block is computed again on its first
+    k trials, which may fail earlier still."""
+    end, error = len(stack[0]), None
     while end:
         try:
             residuals, extras = check.compute(config, *(column[:end] for column in stack))
@@ -458,19 +469,25 @@ def _run_check(name: str, check: _Check, config: TrialConfig, section: int,
                index: int, trials: int | None = None) -> CheckResult:
     rng = np.random.default_rng([config.seed, section, index])
     trials = config.trials if trials is None else trials
+    stack, error = _draw_trials(check, rng, config.n, trials)
     block = max(1, BLOCK_BYTES // (8 * check.footprint(config.n)))
     worst = 0.0
     extra: dict = {}
-    for start in range(0, trials, block):
-        stack, error = _draw_block(check, rng, config.n, min(block, trials - start))
-        residuals, extras, error = _compute_block(check, config, stack, error)
+    # a compute failure in a block wins over the draw phase's error, which
+    # ends the check after the last trial drawn
+    for start in range(0, len(stack[0]) if stack else 0, block):
+        residuals, extras, failure = _compute_block(
+            check, config, [column[start:start + block] for column in stack])
         if len(residuals):
             worst = float(np.max(residuals, initial=worst))
             for k, v in extras.items():
                 extra[k] = float(np.max(v, initial=extra.get(k, 0.0)))
-        if error is not None:
-            return CheckResult(name=name, trials=trials, max_residual=float("inf"),
-                               passed=False, note=f"error: {error}", extra=extra)
+        if failure is not None:
+            error = failure
+            break
+    if error is not None:
+        return CheckResult(name=name, trials=trials, max_residual=float("inf"),
+                           passed=False, note=f"error: {error}", extra=extra)
     return CheckResult(name=name, trials=trials, max_residual=worst,
                        passed=worst <= config.tolerance, extra=extra)
 
@@ -607,9 +624,8 @@ def _rank_one_data(ginv, c, t):
     r = _scalar_curvature_values(ginv, ricci)
     t_rho, clear = _difference_norm(ginv, t)
     if not clear.all():
-        error = _zero_difference_form(t_rho[np.argmin(clear)])
-        error.item = int(np.argmin(clear))
-        raise error
+        k = int(np.argmin(clear))
+        raise _zero_difference_form(t_rho[k]).at(k)
     return ricci, r, t_rho, r / t_rho
 
 
@@ -634,22 +650,19 @@ def _qc_quasi_constant(config, gm, ginv, c, t):
     params.require_qc()
     wedge = _expand_block(_PSEUDO_TERMS, gm, gm)
     riemann = _flat_values("qc", ricci, gm, r, params, wedge)
-    tol = max(config.tolerance, 1e-8)
-    fits = _per_trial(lambda rv, g, ginv_k: quasi_constant_fit(
-        Tensor04(rv), Metric._from_validated(g, ginv_k), tol=tol), riemann, gm, ginv)
-    fit_a, fit_b, fit_residual = (np.array([getattr(f, k) for f in fits])
-                                  for k in ("a", "b", "residual"))
+    contracted = _ricci_contract_values(ginv, riemann)
+    fit_a, fit_b, a_form, fit_residual = _quasi_constant_values(
+        riemann, gm, ginv, wedge, contracted, max(config.tolerance, 1e-8))
     l_true = (r / n) * (1.0 / (n - 1) + 2.0 * params.b / params.a)
     delta_true = -(params.b / params.a) * coeff
     b_true = delta_true * t_rho
     delta_rec = fit_b / t_rho
-    weyl_ricci = _ricci_contract_values(ginv, riemann)
-    weyl = _combined_values("weyl", riemann, gm, weyl_ricci,
-                            _scalar_curvature_values(ginv, weyl_ricci), None, wedge)
+    weyl = _combined_values("weyl", riemann, gm, contracted,
+                            _scalar_curvature_values(ginv, contracted), None, wedge)
     return (np.maximum.reduce([
         fit_residual, _rel(fit_a - l_true, l_true), _rel(fit_b - b_true, b_true),
         _rel(delta_rec - delta_true, delta_true),
-        _direction_gap(np.array([f.a_form for f in fits]), t, t_rho)]),
+        _direction_gap(a_form, t, t_rho)]),
         {"weyl_norm": _max_abs_items(weyl, 4)})
 
 
@@ -706,11 +719,9 @@ def _w2_rank_one(config, gm, ginv, c, t):
     riemann = _flat_values("w2", s, gm, 0.0, None, None)
     roundtrip = (_max_abs_items(_combined_values("w2", riemann, gm, s, r, None, None), 4)
                  / (1.0 + _max_abs_items(riemann, 4)))
-    fits = _per_trial(lambda s_k, g, ginv_k: quasi_einstein_decompose(
-        s_k, Metric._from_validated(g, ginv_k)), s, gm, ginv)
-    qe_p, qe_q = (np.array([getattr(f, k) for f in fits]) for k in ("p", "q"))
+    qe_p, qe_q, omega, _ = _quasi_einstein_values(s, gm, ginv)
     return np.maximum.reduce([roundtrip, _rel(qe_p, r), _rel(qe_q - r, r),
-                              _direction_gap(np.array([f.omega for f in fits]), t, t_rho)]), {}
+                              _direction_gap(omega, t, t_rho)]), {}
 
 
 # --------------------------------------------------------------------------

@@ -54,6 +54,11 @@ def _lift(x, ndim: int) -> np.ndarray:
     return np.asarray(x)[(...,) + (None,) * ndim]
 
 
+def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """np.outer of 1-forms stacked on the same leading axes."""
+    return u[..., :, None] * v[..., None, :]
+
+
 def is_symmetric(a: np.ndarray) -> bool:
     return max_abs(a - a.T) <= SYMMETRY_TOL * max(1.0, max_abs(a))
 
@@ -123,9 +128,7 @@ def _validate_metrics(components: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for k in range(len(g)):
             why = _checked_metrics(g[k:k + 1])
             if isinstance(why, str):
-                error = SingularMetric(why)
-                error.item = k
-                raise error
+                raise SingularMetric(why).at(k)
     return checked[0].reshape(components.shape), checked[1].reshape(components.shape)
 
 

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import pathlib
 
@@ -7,7 +8,8 @@ import pytest
 from curvkit import gencurv
 from curvkit.chart import CurvatureBundle
 from curvkit.cli import main
-from curvkit.classify import (_eigenframe_plan, classification_report,
+from curvkit.classify import (_eigenframe_plan, _quasi_constant_values,
+                              _quasi_einstein_values, classification_report,
                               conformally_flat_check,
                               einstein_check, hyper_quasi_constant_fit,
                               pseudo_quasi_constant_fit, quasi_constant_fit,
@@ -17,7 +19,7 @@ from curvkit.gencurv import GenCurvParams
 from curvkit.manifest import load_manifest
 from curvkit.tensor import (_HYPER_TERMS, _PSEUDO_TERMS, KERNEL_RCOND, Metric,
                             Tensor04, hyper_shape, max_abs, pseudo_shape,
-                            quasi_constant_shape, wedge_gg)
+                            quasi_constant_shape, ricci_contract, wedge_gg)
 from oracles import random_riemann_like, random_spd
 
 
@@ -152,6 +154,62 @@ def test_quasi_einstein_recovery_sweep():
             assert max_abs(rebuilt - s) <= (fit.residual + 1e-12) * (1 + max_abs(s))
 
 
+def quasi_einstein_stack(rng, n, count):
+    """Metrics and quasi-Einstein forms p*g + q*omega(x)omega, q of either
+    sign, a rank-one form among them, stacked."""
+    gs = [Metric(random_spd(rng, n)) for _ in range(count)]
+    forms = []
+    for k, g in enumerate(gs):
+        omega = unit_covector(rng, g)
+        p = 0.0 if k == 1 else float(rng.uniform(-2, 2))
+        q = float(rng.uniform(0.5, 3.0) * rng.choice([-1, 1]))
+        forms.append(p * g.mat + q * np.outer(omega, omega))
+    return gs, np.array(forms)
+
+
+def stacked_metrics(gs):
+    return np.array([g.mat for g in gs]), np.array([g.inv for g in gs])
+
+
+@pytest.mark.parametrize("n", [2, 4, 5])
+def test_quasi_einstein_core_rows_match_the_public_function(n):
+    rng = np.random.default_rng(160 + n)
+    gs, s = quasi_einstein_stack(rng, n, 7)
+    if n == 2:  # any two distinct eigenvalues have the pattern
+        s[3] = random_spd(rng, 2)
+    p, q, omega, residual = _quasi_einstein_values(s, *stacked_metrics(gs))
+    for k, g in enumerate(gs):
+        fit = quasi_einstein_decompose(s[k], g)
+        assert (p[k], q[k], residual[k]) == (fit.p, fit.q, fit.residual)
+        assert np.array_equal(omega[k], fit.omega)
+    if n == 2:
+        # both splits qualify with the same separation: the simple
+        # eigenvalue is the larger one
+        assert (q > 0.0).all()
+
+
+# at n = 2 every form that is not Einstein has the pattern
+@pytest.mark.parametrize("n,kind", [(2, "einstein"), (4, "einstein"), (5, "einstein"),
+                                    (4, "no pattern"), (5, "no pattern")])
+def test_quasi_einstein_core_raises_for_its_first_failing_row(n, kind):
+    rng = np.random.default_rng(170 + n)
+    gs, s = quasi_einstein_stack(rng, n, 6)
+    for k in (2, 4):  # row 4 fails too, after row 2
+        if kind == "einstein":
+            s[k] = float(rng.uniform(0.5, 2.0)) * gs[k].mat
+        else:
+            s[k] = gs[k].mat @ np.diag(np.arange(1.0, n + 1) ** 2) @ gs[k].mat
+    with pytest.raises(NotQuasiEinstein) as stacked:
+        _quasi_einstein_values(s, *stacked_metrics(gs))
+    with pytest.raises(NotQuasiEinstein) as single:
+        quasi_einstein_decompose(s[2], gs[2])
+    assert stacked.value.item == 2
+    assert str(stacked.value) == str(single.value)
+    assert stacked.value.residual == single.value.residual
+    assert stacked.value.einstein_alpha == single.value.einstein_alpha
+    assert (single.value.einstein_alpha is None) == (kind == "no pattern")
+
+
 # --------------------------------------------------------------------------
 # quasi_constant_fit
 
@@ -206,6 +264,86 @@ def test_quasi_constant_recovery_sweep():
                        + fit.b * quasi_constant_shape(g, fit.a_form).values)
             assert max_abs(rebuilt - riemann.values) \
                 <= (fit.residual + 1e-12) * (1 + riemann.norm())
+
+
+def quasi_constant_stack(rng, n, count):
+    """Metrics and rank-one quasi-constant grids a*G + b*B(A), stacked with
+    the metrics' G grids and the grids' Ricci contractions."""
+    gs = [Metric(random_spd(rng, n)) for _ in range(count)]
+    grids = []
+    for g in gs:
+        a, b = rng.uniform(0.5, 2.5, 2) * rng.choice([-1, 1], 2)
+        grids.append(a * wedge_gg(g).values
+                     + b * quasi_constant_shape(g, unit_covector(rng, g)).values)
+    wedge = np.array([wedge_gg(g).values for g in gs])
+    return gs, np.array(grids), wedge
+
+
+def quasi_constant_core(gs, rv, wedge, tol=1e-8):
+    ricci = np.array([ricci_contract(Tensor04(r), g) for r, g in zip(rv, gs)])
+    return _quasi_constant_values(rv, *stacked_metrics(gs), wedge, ricci, tol)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_quasi_constant_core_rows_match_the_public_function(n):
+    rng = np.random.default_rng(180 + n)
+    gs, rv, wedge = quasi_constant_stack(rng, n, 6)
+    a, b, a_form, residual = quasi_constant_core(gs, rv, wedge)
+    for k, g in enumerate(gs):
+        fit = quasi_constant_fit(Tensor04(rv[k]), g)
+        assert (a[k], b[k], residual[k]) == (fit.a, fit.b, fit.residual)
+        assert np.array_equal(a_form[k], fit.a_form)
+
+
+MESSAGES = {"constant curvature": "constant curvature",
+            "no pattern": "Ricci contraction is not quasi-Einstein",
+            "misfit": "least-squares residual"}
+
+
+@pytest.mark.parametrize("kind", sorted(MESSAGES))
+def test_quasi_constant_core_raises_for_its_first_failing_row(kind):
+    rng = np.random.default_rng(190)
+    gs, rv, wedge = quasi_constant_stack(rng, 4, 6)
+    rv[4] = 0.7 * wedge[4]  # a later row fails as well
+    if kind == "constant curvature":
+        rv[2] = 1.3 * wedge[2]
+    elif kind == "no pattern":
+        rv[2] = random_riemann_like(rng, 4)
+    else:  # the Ricci pattern holds, the grid is off the family
+        rv[2] += 1e-6 * hyper_shape(gs[2], np.diag([1.0, -1.0, 0.0, 0.0])).values
+    with pytest.raises(NotQuasiConstant) as stacked:
+        quasi_constant_core(gs, rv, wedge)
+    with pytest.raises(NotQuasiConstant) as single:
+        quasi_constant_fit(Tensor04(rv[2]), gs[2])
+    assert stacked.value.item == 2
+    assert str(stacked.value) == str(single.value)
+    assert stacked.value.residual == single.value.residual
+    assert stacked.value.constant_curvature == single.value.constant_curvature
+    assert str(single.value).startswith(MESSAGES[kind])
+
+
+def test_failing_classifiers_leave_no_reference_cycle():
+    # an error that the raising frame keeps in a local variable forms a
+    # cycle with that frame through its traceback, and holds the frame's
+    # arrays until the garbage collector runs
+    g = Metric(np.eye(4))
+    riemann = Tensor04(random_riemann_like(np.random.default_rng(191), 4))
+    calls = [(quasi_einstein_decompose, (1.5 * g.mat, g), NotQuasiEinstein),
+             (quasi_einstein_decompose, (np.diag([1.0, 1.0, 2.0, 3.0]), g), NotQuasiEinstein),
+             (quasi_constant_fit, (riemann, g), NotQuasiConstant)]
+    gc.collect()
+    gc.disable()
+    try:
+        for fit, args, error in calls:
+            try:
+                fit(*args)
+            except error:
+                pass
+            else:
+                pytest.fail(f"{fit.__name__} raised no {error.__name__}")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,6 +300,19 @@ def test_classify_deterministic_bytes(sphere_path, capsys):
     assert main(["classify", sphere_path]) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+CLI_REFERENCE = Path(__file__).parent / "data" / "cli_reference.json"
+
+
+@pytest.mark.parametrize("case", json.loads(CLI_REFERENCE.read_text()),
+                         ids=lambda case: " ".join(case["argv"]))
+def test_manifest_commands_match_the_recorded_bytes(monkeypatch, capsys, case):
+    # stdout and exit code of each command, recorded from `python -m
+    # curvkit.cli` in the repository root
+    monkeypatch.chdir(CLI_REFERENCE.parents[2])
+    assert run_main(case["argv"]) == case["exit"]
+    assert capsys.readouterr().out == case["stdout"]
 
 
 def test_load_manifest_from_disk(tmp_path):

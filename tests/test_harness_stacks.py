@@ -230,14 +230,16 @@ def test_compute_failure_is_charged_to_its_trial(monkeypatch):
     config = TrialConfig(seed=7, trials=10, n=4)
     _, columns = _recorded(section, index, config)
     third = columns[0][3]
-    fit = harness.quasi_constant_fit
+    fit = harness._quasi_constant_values
 
-    def failing(riemann, g, tol):
-        if np.array_equal(g.mat, third):
-            raise NotQuasiConstant(f"forced at g00 = {g.mat[0, 0]!r}")
-        return fit(riemann, g, tol=tol)
+    def failing(rv, gm, *args):
+        # the stacked fit raises for its first failing grid, with its index
+        hit = [k for k, g in enumerate(gm) if np.array_equal(g, third)]
+        if hit:
+            raise NotQuasiConstant(f"forced at g00 = {third[0, 0]!r}").at(hit[0])
+        return fit(rv, gm, *args)
 
-    monkeypatch.setattr(harness, "quasi_constant_fit", failing)
+    monkeypatch.setattr(harness, "_quasi_constant_values", failing)
     result = harness._run_check(name, check, config, section, index)
     assert result.note == f"error: forced at g00 = {third[0, 0]!r}"
     assert math.isinf(result.max_residual) and not result.passed
@@ -309,14 +311,9 @@ def test_stack_wide_failure_is_charged_to_the_first_trial():
 # --------------------------------------------------------------------------
 # Structure, not time
 
-def _blocks(config):
-    return sum(-(-(config.trials if trials is None else trials)
-                 // max(1, harness.BLOCK_BYTES // (8 * check.footprint(config.n))))
-               for _, checks, _ in harness._SECTIONS.values()
-               for _, check, trials in checks)
-
-
 def test_metric_validation_factors_once_per_block(monkeypatch):
+    # a check draws all its trials before it computes any, so it validates
+    # their metrics once, however many blocks it computes them in
     calls = []
     cholesky = np.linalg.cholesky
 
@@ -328,10 +325,10 @@ def test_metric_validation_factors_once_per_block(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", counting)
     code, _ = _verify(["verify", "--section", "all", "--n", "5", "--trials", "100"])
     assert code == 0
-    config = TrialConfig(seed=0, trials=100, n=5)
-    # one factorization per block; the guard trials build six metrics more
-    assert len(calls) <= _blocks(config) + 6 < 100
-    assert max(shape[0] for shape in calls if len(shape) == 3) > 1
+    checks = sum(len(checks) for _, checks, _ in harness._SECTIONS.values())
+    # one factorization per check; the guard trials build six metrics more
+    assert len(calls) <= checks + 6
+    assert max(shape[0] for shape in calls if len(shape) == 3) == 100
 
 
 def test_no_solve_in_verify_is_wider_than_n_plus_one_columns(monkeypatch):
