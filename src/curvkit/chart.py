@@ -3,21 +3,26 @@
 A :class:`MetricField` holds the metric components as symbolic expressions of
 the chart coordinates.  The only symbolic work is exact differentiation of
 those entries: their partials up to third order (the metric's 3-jet) are
-built once, on first use, and cached as one topologically ordered node list
-per order.  A point query evaluates those lists in flat loops, up to the
-order it needs, and computes everything else with numpy -- the inverse metric and its derivative,
-the Christoffel symbols, the (0,4) curvature and its derivative, Ricci as the
-contraction of the curvature, the scalar curvature and its differential, and
-the covariant derivatives.  No nested finite differences are involved.
+built once, on first use, and compiled into one slot-indexed program per
+order.  A point query runs those programs in flat loops, up to the order it
+needs, and computes everything else with numpy -- the inverse metric and its
+derivative, the Christoffel symbols, the (0,4) curvature and its derivative,
+Ricci as the contraction of the curvature, the scalar curvature and its
+differential, and the covariant derivatives.  No nested finite differences
+are involved.
 
-The cache fill is single-writer: build it from one thread (any first query
-does), after which all point queries are pure reads and safe to run
-concurrently.
+The compiled program is immutable once built; any first query builds it.
+The curvature queries read the chart's data at a point from one memo, the
+last point evaluated, which a successful evaluation replaces in one
+attribute assignment.  So the bundle, then `nabla_riemann` or a
+weak-symmetry residual at the same point, evaluate the chart once, and
+point queries are safe to run concurrently.
 """
 
 from __future__ import annotations
 
 import itertools
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -137,6 +142,7 @@ class MetricField:
             raise DimensionMismatch("a chart needs at least 2 coordinates")
         self.n = len(self.coords)
         self._g = _normalize_entries(self.coords, entries)
+        self._last = (None, None)  # (key, data) of the last curvature evaluation
 
     # -- the symbolic metric jet (built lazily, then immutable) -------------
 
@@ -144,17 +150,21 @@ class MetricField:
     def _gamma(self):
         """The metric jet from which the Christoffel symbols and all curvature
         are evaluated: g_ij and its exact partials d^k g_ij / dx_a1 ... dx_ak,
-        k = 1, 2, 3.  (The name is kept for the benchmark's tracer, which
-        times this build as the cold symbolic Christoffel build.)
+        k = 1, 2, 3, compiled for evaluation.  (The name is kept for the
+        benchmark's tracer, which times this build as the cold symbolic
+        Christoffel build.)
 
-        Entry k is ``(nodes, roots, take)``: `roots` holds one node per sorted
-        derivative index tuple of length k and upper-triangle pair (i <= j);
-        `nodes` lists in topological order the nodes that entries 0..k-1 do
-        not reach, so evaluating entries 0..k in turn evaluates each node
-        once; `take` scatters the root values into the full (n,)*k + (n, n)
-        grid, which makes the symmetry in the derivative slots and in (i, j)
-        exact.  One differentiation memo per coordinate keeps shared subtrees
-        shared across entries and orders."""
+        Returns ``(constants, program)``.  A point's value list starts as its
+        coordinates followed by `constants` (see `expr.compile_tapes`).
+        Entry k of `program` is ``(code, ops, gather)``: `code` appends the
+        values of the nodes that entries 0..k-1 do not reach, in topological
+        order, so running entries 0..k in turn evaluates each node once;
+        `gather` indexes the value list with the full (n,)*k + (n, n) grid of
+        d^k g, one slot per sorted derivative index tuple and upper-triangle
+        pair (i <= j), which makes the symmetry in the derivative slots and
+        in (i, j) exact.  One differentiation memo per coordinate keeps
+        shared subtrees shared across entries and orders.  The result is
+        never mutated."""
         n = self.n
         pairs = [(i, j) for i in range(n) for j in range(i, n)]
         pair_of = np.array([[pairs.index((min(i, j), max(i, j))) for j in range(n)]
@@ -162,7 +172,7 @@ class MetricField:
         memos: list[dict] = [{} for _ in range(n)]
         level = {(): self._g}
         known: set[int] = set()
-        jet = []
+        tapes, grids = [], []
         for k in range(4):
             if k:
                 level = {key + (a,): ex.diff_nodes(nodes, self.coords[a], memos[a])
@@ -173,28 +183,56 @@ class MetricField:
                                for idx in itertools.product(range(n), repeat=k)])
             take = key_of.reshape((n,) * k)[..., None, None] * len(pairs) + pair_of
             roots = [node for nodes in level.values() for node in nodes]
-            nodes = ex.topological(roots, known)
-            known.update(map(id, nodes))
-            jet.append((nodes, roots, take))
-        return jet
+            tapes.append(ex.topological(roots, known))
+            known.update(map(id, tapes[-1]))
+            grids.append((roots, take))
+        constants, programs, slot = ex.compile_tapes(self.coords, tapes)
+        return constants, [(code, ops, np.array([slot[id(root)] for root in roots])[take])
+                           for (code, ops), (roots, take) in zip(programs, grids)]
 
     # -- evaluation ----------------------------------------------------------
+
+    def _coordinates(self, point: Sequence[float]) -> list[float]:
+        if len(point) != self.n:
+            raise DimensionMismatch(f"point has {len(point)} components, expected {self.n}")
+        return [float(v) for v in point]
 
     def _jet_at(self, point: Sequence[float], order: int):
         """The metric and its partials d^k g (k = 1..order) at the point.  No
         higher order is evaluated than the query needs, so a DomainError
         surfaces only from the queries whose results depend on it."""
-        if len(point) != self.n:
-            raise DimensionMismatch(f"point has {len(point)} components, expected {self.n}")
-        env = dict(zip(self.coords, (float(v) for v in point)))
-        values: dict = {}
+        constants, program = self._gamma
+        values = self._coordinates(point) + constants
 
-        def level(nodes, roots, take):
-            ex.eval_order(nodes, env, values)
-            return np.array([values[id(root)] for root in roots])[take]
+        def level(code, ops, gather):
+            ex.run_program(code, ops, values)
+            return np.array(values)[gather]
 
-        g = Metric(level(*self._gamma[0]))
-        return g, [level(*entry) for entry in self._gamma[1:order + 1]]
+        g = Metric(level(*program[0]))
+        return g, [level(*entry) for entry in program[1:order + 1]]
+
+    def _curvature_at(self, point: Sequence[float]):
+        """``(g, gamma, dginv, R, dR)`` at the point: the metric, the
+        Christoffel symbols, the partials of the inverse metric, the (0,4)
+        curvature and its partials (see `_curvature`), all read-only.
+
+        The field keeps these for the last point evaluated, keyed by the bit
+        patterns of its coordinates (so 0.0 and -0.0 are different points),
+        and a query at that point reads them back: the bundle, then
+        `nabla_riemann` or a weak-symmetry residual at one point, evaluate
+        the chart once.  It keeps one point only.  A successful evaluation
+        replaces the entry in one assignment; one that raises leaves it."""
+        x = self._coordinates(point)
+        key = struct.pack(f"{self.n}d", *x)
+        last, data = self._last
+        if last == key:
+            return data
+        g, jet = self._jet_at(x, 3)
+        data = (g, *_curvature(g, jet))
+        for array in data[1:]:
+            array.flags.writeable = False
+        self._last = (key, data)
+        return data
 
     def metric_at(self, point: Sequence[float]) -> Metric:
         """Evaluate the metric; raises SingularMetric where the chart
@@ -218,8 +256,7 @@ class MetricField:
 
     def curvature_bundle(self, point: Sequence[float]) -> CurvatureBundle:
         """Evaluate the full curvature package at a point."""
-        g, jet = self._jet_at(point, 3)
-        gamma, dginv, riemann, d_riemann = _curvature(g, jet)
+        g, gamma, dginv, riemann, d_riemann = self._curvature_at(point)
         riemann = Tensor04(riemann, riemann_like=True)
         ricci = _sym(ricci_contract(riemann, g))
         d_ricci = _sym(np.einsum("ail,ijkl->ajk", dginv, riemann.values)
@@ -241,9 +278,9 @@ class MetricField:
         return self._riemann_and_nabla(point)[1]
 
     def _riemann_and_nabla(self, point: Sequence[float]):
-        """The (0,4) curvature grid and its covariant derivative, from one
-        evaluation of the 3-jet."""
-        gamma, _, rb, drb = _curvature(*self._jet_at(point, 3))
+        """The (0,4) curvature grid (read-only) and its covariant
+        derivative."""
+        _, gamma, _, rb, drb = self._curvature_at(point)
         return rb, (drb
                     - np.einsum("pmi,pjkl->mijkl", gamma, rb)
                     - np.einsum("pmj,ipkl->mijkl", gamma, rb)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError, ParseError, UnknownIdentifier
 
@@ -316,28 +316,70 @@ def _diff_rule(node: Node, name: str, memo: dict) -> Node:
 
 # --------------------------------------------------------------------------
 # Evaluation
+#
+# Evaluation runs a compiled program over one flat list of values with a
+# slot per node: the coordinates first, then every constant, then each
+# operation in topological order, which reads its operands from earlier
+# slots and appends its own value.  A compiled program is never mutated,
+# so threads may run it at once, each on its own value list.
 
-def eval_order(order: Iterable[Node], env: Mapping[str, float], values: dict) -> dict:
-    """Evaluate each node of `order` against a name -> value environment and
-    store it in `values` (id(node) -> float), which must already hold every
-    child that `order` does not list before its parent.  Returns `values`."""
-    for node in order:
-        kind = type(node)
-        try:
-            if kind is BinOp:
-                out = _apply_binop(node.op, values[id(node.left)], values[id(node.right)])
-            elif kind is Fun:
-                out = _apply_fun(node.name, values[id(node.arg)])
-            elif kind is Neg:
-                out = -values[id(node.arg)]
-            elif kind is Var:
-                out = env[node.name]
+def compile_tapes(coords: Sequence[str], tapes: Sequence[Sequence[Node]]):
+    """Slot-indexed programs for `tapes`, lists of nodes children first, each
+    holding only the nodes that the tapes before it do not (as `topological`
+    with `known` lists them).
+
+    Returns ``(constants, programs, slot)``: the values of the slots after
+    the coordinates' (every constant of every tape, so a value list starts
+    as the point followed by `constants`); per tape, the ``(code, ops)``
+    that `run_program` takes; and `slot`, id(node) -> its slot."""
+    index = {name: k for k, name in enumerate(coords)}
+    slot: dict[int, int] = {}
+    constants: list[float] = []
+    tape_ops = []
+    for tape in tapes:
+        ops = []
+        for node in tape:
+            kind = type(node)
+            if kind is Var:
+                slot[id(node)] = index[node.name]
+            elif kind is Num:
+                slot[id(node)] = len(index) + len(constants)
+                constants.append(node.value)
             else:
-                out = node.value
-        except DomainError as exc:
-            raise DomainError(exc.args[0], _error_context(node)) from None
-        values[id(node)] = out
-    return values
+                ops.append(node)
+        tape_ops.append(ops)
+    end = len(index) + len(constants)
+    programs = []
+    for ops in tape_ops:
+        code = []
+        for node in ops:
+            kind = type(node)
+            if kind is BinOp:
+                code.append((node.op, slot[id(node.left)], slot[id(node.right)]))
+            else:  # Fun, or Neg with no name
+                code.append((node.name if kind is Fun else None, slot[id(node.arg)], -1))
+            slot[id(node)] = end
+            end += 1
+        programs.append((code, ops))
+    return constants, programs, slot
+
+
+def run_program(code: list, ops: list[Node], values: list[float]) -> None:
+    """Append the value of each operation of one compiled tape (`code`, with
+    `ops` its nodes; see `compile_tapes`) to `values`, which holds every
+    slot before the tape's.  A DomainError names the node that raised it."""
+    start = len(values)
+    append = values.append
+    try:
+        for op, i, j in code:
+            if j >= 0:
+                append(_apply_binop(op, values[i], values[j]))
+            elif op is None:
+                append(-values[i])
+            else:
+                append(_apply_fun(op, values[i]))
+    except DomainError as exc:
+        raise DomainError(exc.args[0], _error_context(ops[len(values) - start])) from None
 
 
 def _error_context(node: Node, limit: int = 120) -> str:
@@ -604,8 +646,10 @@ class Expression:
         if len(point) != len(self.coords):
             raise DomainError(
                 f"point has {len(point)} components, expected {len(self.coords)}")
-        env = dict(zip(self.coords, (float(v) for v in point)))
-        return eval_order(topological([self.root]), env, {})[id(self.root)]
+        constants, [program], slot = compile_tapes(self.coords, [topological([self.root])])
+        values = [float(v) for v in point] + constants
+        run_program(*program, values)
+        return values[slot[id(self.root)]]
 
     # identity ----------------------------------------------------------------
     def __eq__(self, other):

@@ -20,11 +20,13 @@ draws all of the check's trials before any is computed, as one stack: its
 attempts are drawn one by one, with the same rng calls in the same order as
 a loop that redraws each trial on its own, and a rejected attempt consumes
 the same calls as an accepted one.  Their metrics are validated in one call
-(once more per round of redraws), the redraw predicates (a near-zero
-pairing, r or T(rho)) are judged over the stack of attempts, and trial k
-takes the k-th accepted attempt; REDRAW_CAP consecutive rejections end the
-check at their trial.  Genuinely degenerate *inputs* raise the designated
-guard errors, and each guard has a dedicated trial asserting exactly that.
+per round (the attempts still needed, up to as many metrics as fit
+BLOCK_BYTES; one more round follows rejections), the redraw predicates (a
+near-zero pairing, r or T(rho)) are judged over the stack of attempts, and
+trial k takes the k-th accepted attempt; REDRAW_CAP consecutive rejections
+end the check at their trial.  Genuinely degenerate *inputs* raise the
+designated guard errors, and each guard has a dedicated trial asserting
+exactly that.
 The compute phase runs the check's arithmetic once per block of trials,
 over the stack: one residual per trial, the worst of which is the check's.
 The classifiers run stacked too (`classify._quasi_einstein_values`,
@@ -404,19 +406,23 @@ def _draw_trials(check: _Check, rng: np.random.Generator, n: int, count: int):
     that ends the check at the trial after them, or None.
 
     Attempts are drawn in stream order in rounds, each of `count` less the
-    trials filled so far, and each round's metrics are formed, validated
-    and judged as one stack: a check whose attempts are all accepted
-    validates its metrics once.  Trial k is the k-th accepted attempt, so
-    every trial gets the draws it had when each attempt was drawn and judged
-    on its own.  REDRAW_CAP consecutive rejections end the check at the
-    trial they were drawn for; so does an attempt whose draw or metric
-    fails, after the verdicts on the attempts before it.  A draw that fails
-    its own degeneracy guard is a rejected attempt of a check that
-    redraws."""
-    parts, filled, misses, error = [], 0, 0, None
+    trials filled so far but no more than the attempts whose metrics fit
+    BLOCK_BYTES (at least 256 at n <= 8), and each round's metrics are
+    formed, validated and judged as one stack: a check of at most that many
+    trials whose attempts are all accepted validates its metrics once, and
+    the draw phase's temporaries stay bounded however many trials a check
+    runs; the accepted attempts go straight into the check's stack.  Trial
+    k is the k-th accepted attempt, so every trial gets the draws it had
+    when each attempt was drawn and judged on its own.  REDRAW_CAP
+    consecutive rejections end the check at the trial they were drawn for;
+    so does an attempt whose draw or metric fails, after the verdicts on the
+    attempts before it.  A draw that fails its own degeneracy guard is a
+    rejected attempt of a check that redraws."""
+    columns, filled, misses, error = [], 0, 0, None
+    cap = max(1, BLOCK_BYTES // (8 * n * n))
     while filled < count and error is None:
         drawn = []  # this round's attempts; None for one rejected while drawn
-        while len(drawn) < count - filled:
+        while len(drawn) < min(count - filled, cap):
             try:
                 drawn.append(check.draw(rng, n))
             except CurvError as exc:
@@ -445,9 +451,14 @@ def _draw_trials(check: _Check, rng: np.random.Generator, n: int, count: int):
                 break
         if at:
             rows = verdicts[at] & (np.array(at) < last)
-            parts.append([column[rows] for column in stack])
-            filled += int(np.count_nonzero(rows))
-    return [np.concatenate(column) for column in zip(*parts)], error
+            if not columns:
+                columns = [np.empty((count,) + column.shape[1:], column.dtype)
+                           for column in stack]
+            kept = int(np.count_nonzero(rows))
+            for out, column in zip(columns, stack):
+                out[filled:filled + kept] = column[rows]
+            filled += kept
+    return [out[:filled] for out in columns], error
 
 
 def _compute_block(check: _Check, config: TrialConfig, stack):

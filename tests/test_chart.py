@@ -10,6 +10,7 @@ from curvkit.errors import (CurvError, DimensionMismatch, DomainError,
                             NumericalInconsistency, SingularMetric, UnknownIdentifier)
 from curvkit.expr import parse
 from curvkit.tensor import Metric, max_abs, scalar_curvature
+from curvkit.wrs import OneFormSystem, weak_symmetry_residual
 from oracles import (exact_curvature, fd_christoffel, fd_nabla_ricci, fd_nabla_riemann,
                      fd_riemann, random_chart)
 
@@ -285,3 +286,119 @@ def test_concurrent_point_queries(poly3):
         for _ in range(3):
             results = list(pool.map(lambda p: poly3.curvature_bundle(p).r, points))
             assert results == baseline
+
+
+# --------------------------------------------------------------------------
+# The last-point memo: one evaluation per point, bits as from a fresh field
+
+def _fresh_poly3():
+    return MetricField(*GOLDEN["poly3"])
+
+
+FORMS = OneFormSystem(a=[0.3, -0.2, 0.1], b=[0.05, 0.4, -0.3], d=[-0.1, 0.2, 0.25])
+
+
+def _query_bytes(field, point, query):
+    """The bytes of one query's results at the point."""
+    if query == "bundle":
+        b = field.curvature_bundle(point)
+        return [a.tobytes() for a in (b.g.mat, b.g.inv, b.riemann.values, b.ricci,
+                                      b.ricci_op, b.nabla_ricci, b.dr)] + [b.r]
+    if query == "nabla":
+        return [field.nabla_riemann(point).tobytes()]
+    return [weak_symmetry_residual(field, point, FORMS)]
+
+
+def test_interleaved_queries_match_a_fresh_field():
+    field = _fresh_poly3()
+    a, b = (0.4, 0.7, -0.3), (0.1, -0.2, 0.35)
+    for point in (a, b, a, a, b):
+        for query in ("bundle", "nabla", "ws", "nabla", "bundle"):
+            assert _query_bytes(field, point, query) == \
+                _query_bytes(_fresh_poly3(), point, query), (point, query)
+
+
+def test_one_chart_evaluation_per_point_and_only_the_last_point_is_kept(monkeypatch):
+    calls = []
+    jet_at = MetricField._jet_at
+
+    def counting(self, point, order):
+        calls.append((tuple(point), order))
+        return jet_at(self, point, order)
+
+    monkeypatch.setattr(MetricField, "_jet_at", counting)
+    field = _fresh_poly3()
+    a, b = (0.4, 0.7, -0.3), (0.1, -0.2, 0.35)
+    for point in (a, b, a):
+        field.curvature_bundle(point)
+        field.nabla_riemann(point)
+        weak_symmetry_residual(field, point, FORMS)
+    # cycling between two points evaluates each visit again
+    assert calls == [(a, 3), (b, 3), (a, 3)]
+
+
+def test_signed_zero_points_are_not_conflated():
+    field = _fresh_poly3()
+    plus, minus = (0.0, 0.3, 0.2), (-0.0, 0.3, 0.2)
+    g_plus = field.curvature_bundle(plus).g.mat.tobytes()
+    g_minus = field.curvature_bundle(minus).g.mat.tobytes()
+    assert g_plus != g_minus        # g_12 = 0.05*x1*x3 is 0.0 at one, -0.0 at the other
+    assert g_plus == _fresh_poly3().curvature_bundle(plus).g.mat.tobytes()
+    assert g_minus == _fresh_poly3().curvature_bundle(minus).g.mat.tobytes()
+    assert field.curvature_bundle(plus).g.mat.tobytes() == g_plus
+
+
+def test_held_arrays_are_read_only():
+    field = _fresh_poly3()
+    point = (0.4, 0.7, -0.3)
+    before = _query_bytes(field, point, "bundle")
+    bundle = field.curvature_bundle(point)
+    g, *arrays = field._curvature_at(point)
+    held = [g.mat, g.inv, *arrays, bundle.riemann.values,
+            field._riemann_and_nabla(point)[0]]
+    for array in held:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            array *= 2.0
+    assert _query_bytes(field, point, "bundle") == before
+    assert _query_bytes(field, point, "ws") == _query_bytes(_fresh_poly3(), point, "ws")
+
+
+@pytest.mark.parametrize("entry,bad,message", [
+    ("log(x)", (-1.0, 0.3), "log of non-positive value"),           # in g itself
+    ("1 + x^2.5", (0.0, 0.3), "zero raised to a negative power"),   # in d^3 g
+])
+def test_failed_point_query_leaves_the_last_entry(entry, bad, message):
+    field = MetricField(["x", "y"], {(0, 0): entry, (1, 1): "1 + x^2*y^2"})
+    good = (2.0, 0.3)
+    held = field._curvature_at(good)
+    for _ in range(2):  # raised again: a failure is not stored
+        with pytest.raises(DomainError, match=message):
+            field.curvature_bundle(bad)
+        with pytest.raises(DomainError, match=message):
+            field.nabla_riemann(bad)
+    assert field._curvature_at(good) is held
+
+
+def test_two_threads_alternating_points_match_the_sequential_results():
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    a, b = (0.4, 0.7, -0.3), (0.1, -0.2, 0.35)
+    # the two workers run consecutive tasks side by side: the same point,
+    # then different points
+    tasks = [(point, query) for query in ("bundle", "nabla", "ws") * 20
+             for point in (a, a, b)]
+    expected = {(p, q): _query_bytes(_fresh_poly3(), p, q) for p in (a, b)
+                for q in ("bundle", "nabla", "ws")}
+    field = _fresh_poly3()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(_query_bytes, field, *task) for task in tasks]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected[task] for task in tasks]

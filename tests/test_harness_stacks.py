@@ -193,6 +193,26 @@ def test_exhausted_redraw_cap_ends_the_check_at_its_trial(monkeypatch):
     assert result.extra == before.extra
 
 
+# BLOCK_BYTES that cap a draw round at 1 and at 7 attempts at n = 4, so that
+# the checks above draw their tens of trials in many rounds
+SMALL_ROUNDS = [8 * 4 * 4, 8 * 4 * 4 * 7]
+
+
+@pytest.mark.parametrize("block_bytes", SMALL_ROUNDS)
+@pytest.mark.parametrize("stream,tol", [("pairing", 0.02), ("flat", 0.02),
+                                        ("rank_one", 0.6)])
+def test_rejected_attempts_across_small_draw_rounds(monkeypatch, stream, tol, block_bytes):
+    monkeypatch.setattr(harness, "BLOCK_BYTES", block_bytes)
+    test_rejected_attempts_are_skipped_as_the_loop_skips_them(monkeypatch, stream, tol)
+
+
+@pytest.mark.parametrize("block_bytes", SMALL_ROUNDS)
+def test_exhausted_redraw_cap_across_small_draw_rounds(monkeypatch, block_bytes):
+    # the consecutive rejections are counted across rounds
+    monkeypatch.setattr(harness, "BLOCK_BYTES", block_bytes)
+    test_exhausted_redraw_cap_ends_the_check_at_its_trial(monkeypatch)
+
+
 # --------------------------------------------------------------------------
 # Reports recorded before trials were stacked
 
