@@ -103,7 +103,7 @@ def _bundle_from_args(args) -> tuple[MetricField, CurvatureBundle, tuple[float, 
 
 def _cmd_curvature(args) -> int:
     field, bundle, point = _bundle_from_args(args)
-    gamma = field.christoffel(point)
+    gamma = field._curvature_at(point)[1]  # read back from the bundle's evaluation
     residuals = dict(bundle.riemann.symmetry_residuals())
     # contracted second Bianchi: dr_i = 2 ginv[j,k] (nabla S)[j,i,k]
     div_s = 2.0 * np.einsum("jk,jik->i", bundle.g.inv, bundle.nabla_ricci)

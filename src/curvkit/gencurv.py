@@ -52,12 +52,17 @@ __all__ = [
 ]
 
 _GUARD_TOL = 1e-12
+# The bound on the weights' magnitudes (see GenCurvParams): within it, the
+# products and quotients that the combinations, the reconstructions and
+# their fits form from the weights stay finite and normal.
+WEIGHT_LIMIT = 1e100
 
 
 @dataclass(frozen=True)
 class GenCurvParams:
     """The constant weights (a, b) of the quasi-conformal and
-    pseudo-projective combinations; both must be finite."""
+    pseudo-projective combinations: both finite, and each of a, b and b/a
+    zero or of magnitude between 1/WEIGHT_LIMIT and WEIGHT_LIMIT."""
 
     a: float = 1.0
     b: float = 1.0
@@ -65,6 +70,16 @@ class GenCurvParams:
     def __post_init__(self):
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise InvalidParams(f"weights must be finite, got a={self.a}, b={self.b}")
+
+        def admitted(v):
+            return v == 0.0 or 1.0 / WEIGHT_LIMIT <= abs(v) <= WEIGHT_LIMIT
+
+        # b/a only once a and b are admitted, so the quotient cannot overflow
+        if not (admitted(self.a) and admitted(self.b)
+                and admitted(self.b / self.a if self.a else 0.0)):
+            raise InvalidParams(f"a, b and b/a must each be zero or of magnitude between "
+                                f"{1.0 / WEIGHT_LIMIT:g} and {WEIGHT_LIMIT:g}, "
+                                f"got a={self.a}, b={self.b}")
 
     def require_qc(self) -> None:
         if self.a == 0.0:

@@ -15,31 +15,30 @@ trials, run by `_verify_section`.  All randomness flows from
 index is its position in its section's table: a fixed config yields an
 identical report, and the order of the table fixes every check's draws.
 
-A check runs in two phases (`_Check`, `_run_check`).  The draw phase
-draws all of the check's trials before any is computed, as one stack: its
-attempts are drawn one by one, with the same rng calls in the same order as
-a loop that redraws each trial on its own, and a rejected attempt consumes
-the same calls as an accepted one.  Their metrics are validated in one call
-per round (the attempts still needed, up to as many metrics as fit
-BLOCK_BYTES; one more round follows rejections), the redraw predicates (a
-near-zero pairing, r or T(rho)) are judged over the stack of attempts, and
-trial k takes the k-th accepted attempt; REDRAW_CAP consecutive rejections
-end the check at their trial.  Genuinely degenerate *inputs* raise the
-designated guard errors, and each guard has a dedicated trial asserting
-exactly that.
-The compute phase runs the check's arithmetic once per block of trials,
-over the stack: one residual per trial, the worst of which is the check's.
+A check runs in one pass (`_Check`, `_run_check`): it draws a round of
+trials, computes them, and then draws the next round.  A round's attempts
+are drawn one by one, with the same rng calls in the same order as a loop
+that redraws each trial on its own, and a rejected attempt consumes the
+same calls as an accepted one.  Their metrics are validated in one call per
+round (the attempts still needed, up to as many metrics as fit BLOCK_BYTES;
+one more round follows rejections), the redraw predicates (a near-zero
+pairing, r or T(rho)) are judged over the stack of attempts, and trial k
+takes the k-th accepted attempt; REDRAW_CAP consecutive rejections end the
+check at their trial.  Genuinely degenerate *inputs* raise the designated
+guard errors, and each guard has a dedicated trial asserting exactly that.
+A round's trials are computed once per block of trials, over the stack: one
+residual per trial, the worst of which is the check's.
 The classifiers run stacked too (`classify._quasi_einstein_values`,
 `_quasi_constant_values`); only the fits' small least-squares solves and
 the one-trial brute-force twins run trial by trial, on rows of the stack.
 A failure is charged to its trial: the check ends there, with the extras
-of the trials before it.  An error of the draw phase surfaces only after
-the blocks before its trial have been computed, so a compute failure at an
-earlier trial wins.  Blocks hold as many trials as keep the largest array a
-trial stacks within BLOCK_BYTES, which bounds the memory the compute phase
-takes: an n^4 curvature grid, or for the contraction checks the n + 1
-probe images of n x n below.  The draws take at most a few n x n arrays
-per trial.
+of the trials before it.  A round is computed before an error of its draws
+is reported, so a compute failure at an earlier trial wins.  Blocks hold as
+many trials as keep the largest array a trial stacks within BLOCK_BYTES,
+which bounds the memory a block takes: an n^4 curvature grid, or for the
+contraction checks the n + 1 probe images of n x n below.  The draws take
+at most a few n x n arrays per attempt of one round, so no array grows with
+the number of trials.
 
 The contraction checks solve for the Ricci tensor that a vanishing
 generalized tensor forces (`selfconsistent_ricci`): S = F(S) with the trace
@@ -388,41 +387,49 @@ class _Check(NamedTuple):
     footprint: Callable = lambda n: n ** 4
 
 
-def _per_trial(fn: Callable, *stacks) -> list:
-    """fn over the rows of stacks of trials, in trial order; a CurvError
-    carries the index of its trial."""
-    out = []
-    for k, rows in enumerate(zip(*stacks)):
+def _compute_block(check: _Check, config: TrialConfig, stack):
+    """The residuals and extras of a block's trials, up to the first trial
+    whose computation fails, and the error that ends the check there, or
+    None.  On a failure at trial k the block is computed again on its first
+    k trials, which may fail earlier still."""
+    end, error = len(stack[0]), None
+    while end:
         try:
-            out.append(fn(*rows))
+            residuals, extras = check.compute(config, *(column[:end] for column in stack))
+            return residuals, extras, error
         except CurvError as exc:
-            exc.item = k
-            raise
-    return out
+            end, error = exc.item or 0, exc
+    return np.zeros(0), {}, error
 
 
-def _draw_trials(check: _Check, rng: np.random.Generator, n: int, count: int):
-    """A check's `count` trials, stacked as (gm, ginv, *draws), and the error
-    that ends the check at the trial after them, or None.
+def _run_check(name: str, check: _Check, config: TrialConfig, section: int,
+               index: int, trials: int | None = None) -> CheckResult:
+    """Run `trials` trials of a check (default config.trials), one round at
+    a time: draw a round, compute its trials in blocks, draw the next.
 
-    Attempts are drawn in stream order in rounds, each of `count` less the
-    trials filled so far but no more than the attempts whose metrics fit
-    BLOCK_BYTES (at least 256 at n <= 8), and each round's metrics are
-    formed, validated and judged as one stack: a check of at most that many
-    trials whose attempts are all accepted validates its metrics once, and
-    the draw phase's temporaries stay bounded however many trials a check
-    runs; the accepted attempts go straight into the check's stack.  Trial
-    k is the k-th accepted attempt, so every trial gets the draws it had
-    when each attempt was drawn and judged on its own.  REDRAW_CAP
-    consecutive rejections end the check at the trial they were drawn for;
-    so does an attempt whose draw or metric fails, after the verdicts on the
-    attempts before it.  A draw that fails its own degeneracy guard is a
-    rejected attempt of a check that redraws."""
-    columns, filled, misses, error = [], 0, 0, None
+    A round's attempts are drawn in stream order: the trials still needed,
+    but no more than the attempts whose metrics fit BLOCK_BYTES (at least
+    256 at n <= 8).  Its metrics are formed, validated and judged as one
+    stack, so a check of at most that many trials whose attempts are all
+    accepted validates its metrics once, and no array grows with the number
+    of trials a check runs.  Trial k is the k-th accepted attempt, so every
+    trial gets the draws it had when each attempt was drawn and judged on
+    its own.  REDRAW_CAP consecutive rejections, counted across rounds, end
+    the check at the trial they were drawn for; so does an attempt whose
+    draw or metric fails, after the verdicts on the attempts before it.  A
+    draw that fails its own degeneracy guard is a rejected attempt of a
+    check that redraws.  The round's accepted trials are computed before
+    either error is reported, so a compute failure at an earlier trial
+    wins."""
+    n = config.n
+    rng = np.random.default_rng([config.seed, section, index])
+    trials = config.trials if trials is None else trials
     cap = max(1, BLOCK_BYTES // (8 * n * n))
-    while filled < count and error is None:
+    block = max(1, BLOCK_BYTES // (8 * check.footprint(n)))
+    filled, misses, error, worst, extra = 0, 0, None, 0.0, {}
+    while filled < trials and error is None:
         drawn = []  # this round's attempts; None for one rejected while drawn
-        while len(drawn) < min(count - filled, cap):
+        while len(drawn) < min(trials - filled, cap):
             try:
                 drawn.append(check.draw(rng, n))
             except CurvError as exc:
@@ -432,6 +439,7 @@ def _draw_trials(check: _Check, rng: np.random.Generator, n: int, count: int):
                 drawn.append(None)
         at = [k for k, attempt in enumerate(drawn) if attempt is not None]
         verdicts = np.zeros(len(drawn), dtype=bool)
+        stack = [np.zeros(0)]
         if at:
             stack = [np.array(column) for column in zip(*(drawn[k] for k in at))]
             del drawn  # before validation, which takes the most memory
@@ -451,51 +459,18 @@ def _draw_trials(check: _Check, rng: np.random.Generator, n: int, count: int):
                 break
         if at:
             rows = verdicts[at] & (np.array(at) < last)
-            if not columns:
-                columns = [np.empty((count,) + column.shape[1:], column.dtype)
-                           for column in stack]
-            kept = int(np.count_nonzero(rows))
-            for out, column in zip(columns, stack):
-                out[filled:filled + kept] = column[rows]
-            filled += kept
-    return [out[:filled] for out in columns], error
-
-
-def _compute_block(check: _Check, config: TrialConfig, stack):
-    """The residuals and extras of a block's trials, up to the first trial
-    whose computation fails, and the error that ends the check there, or
-    None.  On a failure at trial k the block is computed again on its first
-    k trials, which may fail earlier still."""
-    end, error = len(stack[0]), None
-    while end:
-        try:
-            residuals, extras = check.compute(config, *(column[:end] for column in stack))
-            return residuals, extras, error
-        except CurvError as exc:
-            end, error = exc.item or 0, exc
-    return np.zeros(0), {}, error
-
-
-def _run_check(name: str, check: _Check, config: TrialConfig, section: int,
-               index: int, trials: int | None = None) -> CheckResult:
-    rng = np.random.default_rng([config.seed, section, index])
-    trials = config.trials if trials is None else trials
-    stack, error = _draw_trials(check, rng, config.n, trials)
-    block = max(1, BLOCK_BYTES // (8 * check.footprint(config.n)))
-    worst = 0.0
-    extra: dict = {}
-    # a compute failure in a block wins over the draw phase's error, which
-    # ends the check after the last trial drawn
-    for start in range(0, len(stack[0]) if stack else 0, block):
-        residuals, extras, failure = _compute_block(
-            check, config, [column[start:start + block] for column in stack])
-        if len(residuals):
-            worst = float(np.max(residuals, initial=worst))
-            for k, v in extras.items():
-                extra[k] = float(np.max(v, initial=extra.get(k, 0.0)))
-        if failure is not None:
-            error = failure
-            break
+            stack = [column[rows] for column in stack]
+        filled += len(stack[0])
+        for start in range(0, len(stack[0]), block):
+            residuals, extras, failure = _compute_block(
+                check, config, [column[start:start + block] for column in stack])
+            if len(residuals):
+                worst = float(np.max(residuals, initial=worst))
+                for k, v in extras.items():
+                    extra[k] = float(np.max(v, initial=extra.get(k, 0.0)))
+            if failure is not None:
+                error = failure
+                break
     if error is not None:
         return CheckResult(name=name, trials=trials, max_residual=float("inf"),
                            passed=False, note=f"error: {error}", extra=extra)
@@ -784,9 +759,10 @@ def _twin_check(flavor: str) -> _Check:
         return max(worst, max_abs(contracted - slow) / (1.0 + max_abs(slow)))
 
     def compute(config, gm, ginv, c, t):
-        def trial(g, g_inv, c_k, t_k):
-            return check(config, Metric._from_validated(g, g_inv), c_k * np.outer(t_k, t_k))
-        return np.array(_per_trial(trial, gm, ginv, c, t)), {}
+        # no extras, so a failure charged to the first trial reads the same
+        return np.array([check(config, Metric._from_validated(g, g_inv),
+                               c_k * np.outer(t_k, t_k))
+                         for g, g_inv, c_k, t_k in zip(gm, ginv, c, t)]), {}
     return _Check(_draw_point, compute)
 
 

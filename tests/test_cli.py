@@ -315,6 +315,24 @@ def test_manifest_commands_match_the_recorded_bytes(monkeypatch, capsys, case):
     assert capsys.readouterr().out == case["stdout"]
 
 
+def test_curvature_evaluates_the_chart_once(monkeypatch, capsys):
+    # the bundle runs the jet programs of orders 0-3 once; the Christoffel
+    # symbols of the report are read back from that evaluation
+    from curvkit import expr
+    runs = []
+    run_program = expr.run_program
+
+    def counting(*args):
+        runs.append(1)
+        return run_program(*args)
+
+    monkeypatch.setattr(expr, "run_program", counting)
+    monkeypatch.chdir(CLI_REFERENCE.parents[2])
+    assert main(["curvature", "manifests/poly3.txt"]) == 0
+    assert len(runs) == 4
+    assert json.loads(capsys.readouterr().out)["result"]["christoffel"]
+
+
 def test_load_manifest_from_disk(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text(EUCLID4)
@@ -384,3 +402,27 @@ def test_point_line_and_at_parse_alike(tmp_path, capsys, text):
     else:
         assert code == 2
         assert from_line.err == from_at.err.replace("\n", " (line 5)\n")
+
+
+# weights of every magnitude: 0, +-1e-310 (subnormal), +-1e-200, +-1,
+# +-1e200, +-5e307, +-1e308 (near the largest float)
+WEIGHTS = sorted({sign * m for m in (0.0, 1e-310, 1e-200, 1.0, 1e200, 5e307, 1e308)
+                  for sign in (1.0, -1.0)})
+
+
+@pytest.mark.parametrize("a", WEIGHTS, ids=repr)
+def test_extreme_weights_end_in_a_verdict_or_one_error_line(capfd, a):
+    sphere3 = Path(__file__).parents[1] / "manifests" / "sphere3.txt"
+    for b in WEIGHTS:
+        for argv in (["verify", "--n", "4", "--trials", "3"], ["classify", str(sphere3)]):
+            argv = argv + [f"--a={a!r}", f"--b={b!r}"]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run_main(argv)
+            out, err = capfd.readouterr()  # file-descriptor level: LAPACK writes there
+            assert not caught, (argv, [str(w.message) for w in caught])
+            if code == 2:
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+            else:
+                assert code in (0, 1) and err == "", argv
+                assert '"nan"' not in out, argv
