@@ -32,8 +32,8 @@ import numpy as np
 from . import expr as ex
 from .errors import (CurvError, DimensionMismatch, NumericalInconsistency,
                      UnknownIdentifier)
-from .tensor import (Metric, Tensor04, max_abs, ricci_contract, ricci_operator,
-                     scalar_curvature)
+from .tensor import (Metric, Tensor04, _check_bilinear, max_abs, ricci_contract,
+                     ricci_operator, scalar_curvature)
 
 __all__ = ["MetricField", "CurvatureBundle", "christoffel", "curvature_bundle",
            "nabla_riemann"]
@@ -79,10 +79,7 @@ class CurvatureBundle:
             if riemann is None:
                 raise DimensionMismatch("need riemann or ricci to build a bundle")
             ricci = ricci_contract(riemann, g)
-        ricci = np.asarray(ricci, dtype=float)
-        if ricci.shape != (g.n, g.n):
-            raise DimensionMismatch(
-                f"ricci must have shape ({g.n},{g.n}), got {ricci.shape}")
+        ricci = _check_bilinear(ricci, g.n)
         if riemann is not None and riemann.n != g.n:
             raise DimensionMismatch(f"riemann n={riemann.n} vs metric n={g.n}")
         if r is None:
@@ -241,7 +238,8 @@ class MetricField:
 
     def christoffel(self, point: Sequence[float]) -> np.ndarray:
         """Christoffel symbols gamma[k,i,j] at the point (exactly symmetric in i,j)."""
-        return _christoffel(*self._jet_at(point, 1))
+        g, (dg,) = self._jet_at(point, 1)
+        return _christoffel(g, _first_kind(dg))
 
     def scalar_curvature_expression(self):
         """Deprecated: always raises CurvError.
@@ -305,9 +303,10 @@ def _first_kind(d: np.ndarray) -> np.ndarray:
     return 0.5 * (np.moveaxis(d, -1, -3) + np.swapaxes(d, -1, -3) - d)
 
 
-def _christoffel(g: Metric, jet: list[np.ndarray]) -> np.ndarray:
-    """gamma[k,i,j] = ginv[k,l] c[l,i,j] from the metric and its first partials."""
-    return _sym(np.einsum("kl,lij->kij", g.inv, _first_kind(jet[0])))
+def _christoffel(g: Metric, c: np.ndarray) -> np.ndarray:
+    """gamma[k,i,j] = ginv[k,l] c[l,i,j] from the metric and its first-kind
+    symbols c (`_first_kind`)."""
+    return _sym(np.einsum("kl,lij->kij", g.inv, c))
 
 
 def _curvature(g: Metric, jet: list[np.ndarray]):
@@ -323,7 +322,7 @@ def _curvature(g: Metric, jet: list[np.ndarray]):
     ginv = g.inv
     dginv = -np.einsum("kp,apq,ql->akl", ginv, dg, ginv)
     c, dc = _first_kind(dg), _first_kind(ddg)
-    gamma = _christoffel(g, jet)
+    gamma = _christoffel(g, c)
     dgamma = (np.einsum("akl,lij->akij", dginv, c)
               + np.einsum("kl,alij->akij", ginv, dc))
     t = (0.5 * (np.einsum("kilj->ijkl", ddg) + np.einsum("ljki->ijkl", ddg))

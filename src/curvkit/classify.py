@@ -10,7 +10,6 @@ residual.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +34,12 @@ __all__ = [
 
 COEFF_FLOOR = 1e-10  # relative threshold below which a fitted scalar counts as zero
 CLUSTER_TOL = 1e-6   # relative spread within which eigenvalues form one cluster
+# The bound on the magnitude of a classified metric's largest entry: the fits
+# form products of up to four metric entries (the squared norm of the G
+# grid), which stay finite and normal for entries between 1/METRIC_LIMIT and
+# METRIC_LIMIT at every admitted dimension and weight.  (Scaled golden charts
+# classified alike, without a warning, from 1e-80 to 1e76.)
+METRIC_LIMIT = 1e70
 
 
 @dataclass(frozen=True)
@@ -200,7 +205,8 @@ def _quasi_constant_values(rv: np.ndarray, gm: np.ndarray, ginv: np.ndarray,
     unchecked, given the metrics' G grids `wedge` and the grids' Ricci
     contractions `ricci`: a, b, A and the residual of each, stacked.  Raises
     NotQuasiConstant for the first grid that fails, its index as `item`.
-    The two-column least-squares solves run grid by grid."""
+    The two-column least-squares solves run grid by grid, in
+    `tensor._lstsq_kernel`."""
     rv_size = _max_abs_items(rv, 4)
     scale = 1.0 + rv_size
     try:
@@ -219,8 +225,8 @@ def _quasi_constant_values(rv: np.ndarray, gm: np.ndarray, ginv: np.ndarray,
         raise NotQuasiConstant(f"Ricci contraction is not quasi-Einstein: {exc}",
                                residual=res_cc).at(k) from None
     block = _expand_block(_HYPER_TERMS, gm, _outer(omega, omega))
-    a, b = np.reshape([_lstsq_kernel(np.stack([w.ravel(), x.ravel()], axis=1), r.ravel())[0]
-                       for w, x, r in zip(wedge, block, rv)], (-1, 2)).T
+    design = np.stack([wedge, block], axis=-1).reshape(len(rv), -1, 2)
+    a, b = _lstsq_kernel(design, rv.reshape(len(rv), -1))[0].T
     residual = _max_abs_items(rv - _lift(a, 4) * wedge - _lift(b, 4) * block, 4) / scale
     floor = COEFF_FLOOR * (1.0 + rv_size / _max_abs_items(wedge, 4))
     failed = (residual > tol) | (np.abs(b) <= floor) | (np.abs(a) <= floor)
@@ -312,12 +318,12 @@ def _linear_fit(rv: np.ndarray, gm: np.ndarray, ginv: np.ndarray, wedge: np.ndar
     P -> Q^T P Q).  There every off-diagonal P_ab column is orthogonal to
     every other column (`_eigenframe_plan`), so it is one projection of the
     rotated R divided by its squared norm; only a and the diagonal P_aa
-    couple, in one least-squares solve with n + 1 columns per fit (a loop:
-    `lstsq` does not stack).  The singular values of the full design are
-    those of that solve and the off-diagonal column norms, which no P_aa
-    column exceeds, so `kernel_dim` counts both against the one cut of
-    `tensor._lstsq_kernel`.  The residual is measured on the full
-    coordinate grid."""
+    couple, in one least-squares solve with n + 1 columns per fit, which
+    `tensor._lstsq_kernel` runs for the stack, one call per fit.  The
+    singular values of the full design are those of that solve and the
+    off-diagonal column norms, which no P_aa column exceeds, so `kernel_dim`
+    counts both against the one cut of `tensor._lstsq_kernel`.  The residual
+    is measured on the full coordinate grid."""
     n = gm.shape[-1]
     lead = gm.shape[:-2]
     rows, (x, y), lin, (entries, signs, m) = _eigenframe_plan(terms, n)
@@ -327,11 +333,7 @@ def _linear_fit(rv: np.ndarray, gm: np.ndarray, ginv: np.ndarray, wedge: np.ndar
     design = np.empty(lead + (len(rows), n + 1))
     design[..., 0] = np.concatenate([mu_xy, -mu_xy], axis=-1)
     design[..., 1:] = (lin @ mu[..., None, :, None])[..., 0]
-    sol = np.empty(lead + (n + 1,))
-    kernel_dim = np.empty(lead, dtype=int)
-    cut = np.empty(lead)
-    for k in itertools.product(*map(range, lead)):
-        sol[k], kernel_dim[k], cut[k] = _lstsq_kernel(design[k], rot[k][rows])
+    sol, kernel_dim, cut = _lstsq_kernel(design, rot[..., rows])
     column = signs * mu[..., m]  # each off-diagonal column's entries
     # a sum of squares of the entries left after the plan's cancellations:
     # exactly 0 where all cancel (the hyper block at n = 2), never the
@@ -456,8 +458,14 @@ def classification_report(bundle: CurvatureBundle,
                           params: GenCurvParams = GenCurvParams(),
                           tol: float = 1e-8) -> ClassificationReport:
     """Run every classifier on one bundle and collect verdicts + residuals,
-    along with the max-norms of the three generalized curvature tensors."""
+    along with the max-norms of the three generalized curvature tensors.
+    Raises InvalidParams, before any fit runs, when the metric's largest
+    entry lies outside the bound METRIC_LIMIT sets."""
     s, g = bundle.ricci, bundle.g
+    size = max_abs(g.mat)
+    if not 1.0 / METRIC_LIMIT <= size <= METRIC_LIMIT:
+        raise InvalidParams(f"classify needs the metric's largest entry between "
+                            f"{1.0 / METRIC_LIMIT:g} and {METRIC_LIMIT:g}, got {size:g}")
     ein = einstein_check(s, g, tol)
     qe = qe_err = None
     try:

@@ -194,10 +194,8 @@ def _cmd_verify(args) -> int:
     config = TrialConfig(seed=args.seed, trials=args.trials, n=args.n,
                          params=GenCurvParams(a=args.a, b=args.b),
                          tolerance=args.tol)
-    sections = {"2": [verify_section2], "3": [verify_section3],
-                "4": [verify_section4],
-                "all": [verify_section2, verify_section3, verify_section4]}
-    reports = [run(config) for run in sections[args.section]]
+    sections = {"2": verify_section2, "3": verify_section3, "4": verify_section4}
+    reports = [run(config) for key, run in sections.items() if args.section in (key, "all")]
     checks = []
     verdicts = {}
     worst = 0.0

@@ -20,10 +20,12 @@ class CurvError(Exception):
 
 
 class ParseError(CurvError):
-    """Malformed expression text.  `offset` is the byte offset of the failure."""
+    """Malformed expression text.  `offset` is the byte offset of the
+    failure, None for a coordinate name, which is not part of the text."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
+    def __init__(self, message: str, offset: int | None):
+        where = f" (byte offset {offset})" if offset is not None else ""
+        super().__init__(f"{message}{where}")
         self.offset = offset
 
 

@@ -611,9 +611,9 @@ def _check_coords(coords: Iterable[str]) -> tuple[str, ...]:
     seen = set()
     for c in coords:
         if not _IDENT_RE.match(c):
-            raise ParseError(f"invalid coordinate name {c!r}", 0)
+            raise ParseError(f"invalid coordinate name {c!r}", None)
         if c in seen:
-            raise ParseError(f"duplicate coordinate name {c!r}", 0)
+            raise ParseError(f"duplicate coordinate name {c!r}", None)
         seen.add(c)
     return coords
 

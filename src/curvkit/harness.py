@@ -29,8 +29,9 @@ guard errors, and each guard has a dedicated trial asserting exactly that.
 A round's trials are computed once per block of trials, over the stack: one
 residual per trial, the worst of which is the check's.
 The classifiers run stacked too (`classify._quasi_einstein_values`,
-`_quasi_constant_values`); only the fits' small least-squares solves and
-the one-trial brute-force twins run trial by trial, on rows of the stack.
+`_quasi_constant_values`); only the fits' small least-squares solves (in
+`tensor._lstsq_kernel`) and the one-trial brute-force twins run trial by
+trial, on rows of the stack.
 A failure is charged to its trial: the check ends there, with the extras
 of the trials before it.  A round is computed before an error of its draws
 is reported, so a compute failure at an earlier trial wins.  Blocks hold as
@@ -109,9 +110,10 @@ BLOCK_BYTES = 1 << 17
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Seeded configuration for one harness run.  n > 3 is required: every
-    chain under test is stated for dimension greater than three.  n is
-    bounded by MAX_DIM, and trials * n^4 by MAX_TRIALS * 4^4."""
+    """Seeded configuration for one harness run.  The seed is non-negative,
+    and n > 3 is required: every chain under test is stated for dimension
+    greater than three.  n is bounded by MAX_DIM, and trials * n^4 by
+    MAX_TRIALS * 4^4."""
 
     seed: int
     trials: int = 100
@@ -120,6 +122,8 @@ class TrialConfig:
     tolerance: float = 1e-8
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidParams(f"seed must be non-negative, got {self.seed}")
         if self.n <= 3:
             raise InvalidParams(f"the verified chains require n > 3, got n={self.n}")
         if self.n > MAX_DIM:
@@ -464,10 +468,9 @@ def _run_check(name: str, check: _Check, config: TrialConfig, section: int,
         for start in range(0, len(stack[0]), block):
             residuals, extras, failure = _compute_block(
                 check, config, [column[start:start + block] for column in stack])
-            if len(residuals):
-                worst = float(np.max(residuals, initial=worst))
-                for k, v in extras.items():
-                    extra[k] = float(np.max(v, initial=extra.get(k, 0.0)))
+            worst = float(np.max(residuals, initial=worst))
+            for k, v in extras.items():
+                extra[k] = float(np.max(v, initial=extra.get(k, 0.0)))
             if failure is not None:
                 error = failure
                 break
@@ -511,6 +514,12 @@ def _direction_gap(w, t, t_rho):
 # Each computes over a stack of trials (leading axis); gm and ginv are the
 # validated metrics and their inverses.
 
+# flavor -> the closed-form Einstein coefficient alpha(n, r, params) of its
+# flat reconstruction
+_FLAT_ALPHA = {"qc": qc_flat_alpha, "pp": pp_flat_alpha,
+               "w2": lambda n, r, params: w2_flat_alpha(n, r)}
+
+
 def _contraction_check(flavor: str) -> _Check:
     def draw(rng, n):
         return _draw_metric(rng, n), _draw_symmetric(rng, n)
@@ -519,12 +528,7 @@ def _contraction_check(flavor: str) -> _Check:
         n, params = config.n, config.params
         r = _scalar_curvature_values(ginv, s0)
         s_star = _fixed_point(gm, r, params, flavor)
-        if flavor == "qc":
-            alpha = qc_flat_alpha(n, r, params)
-        elif flavor == "pp":
-            alpha = pp_flat_alpha(n, r, params)
-        else:
-            alpha = w2_flat_alpha(n, r)
+        alpha = _FLAT_ALPHA[flavor](n, r, params)
         residual = _max_abs_items(s_star - _lift(alpha, 2) * gm, 2) / (1.0 + np.abs(alpha))
         # the forced Ricci is Einstein by construction; report that too
         return np.maximum.reduce([residual, _einstein_values(s_star, gm, ginv)[1]]), {}
@@ -554,6 +558,8 @@ def _flat_fit_check(flavor: str) -> _Check:
     """Reconstruct the curvature from the substituted Ricci form and fit the
     corresponding shape family; the fit must reproduce the exact closed-form
     coefficients (up to the documented trace gauge)."""
+    terms, gauge_weight = (_HYPER_TERMS, 2.0) if flavor == "qc" else (_PSEUDO_TERMS, 1.0)
+
     def draw(rng, n):
         # the covectors in the order flat_ricci_form takes them
         return (_draw_metric(rng, n), _draw_scalar(rng, lo=0.5, hi=3.0) * n,
@@ -565,30 +571,23 @@ def _flat_fit_check(flavor: str) -> _Check:
         return (np.abs(r) > REJECT_TOL) & _pairing(ginv, a_form, d_form, b_form)[1]
 
     def compute(config, gm, ginv, r, b_form, b_bar, d_form, d_bar):
-        n = config.n
-        params = config.params
-        if flavor == "qc":  # the reconstruction's precondition, before b / a
-            params.require_qc()
-        else:
-            params.require_pp()
+        n, params = config.n, config.params
+        # the reconstruction's precondition, before b / a
+        (params.require_qc if flavor == "qc" else params.require_pp)()
         a_form = _flat_first_form(b_bar, d_bar, r)
         s = _product_matrix(a_form, d_form, b_bar, _pairing(ginv, a_form, d_form, b_form)[0])
         ba = params.b / params.a
         p_true = -ba * s
         trace = _scalar_curvature_values(ginv, p_true)
         wedge = _expand_block(_PSEUDO_TERMS, gm, gm)
+        riemann = _flat_values(flavor, s, gm, r, params, wedge)
+        fit_a, fit_p, fit_residual, _ = _linear_fit(riemann, gm, ginv, wedge, terms,
+                                                    gauge_weight)
         if flavor == "qc":
-            riemann = _flat_values("qc", s, gm, r, params, wedge)
-            fit_a, fit_p, fit_residual, _ = _linear_fit(riemann, gm, ginv, wedge,
-                                                        _HYPER_TERMS, 2.0)
             alpha = (r / n) * (1.0 / (n - 1) + 2.0 * ba)
-            a_true = alpha + 2.0 * trace / n
         else:
-            riemann = _flat_values("pp", s, gm, r, params, wedge)
-            fit_a, fit_p, fit_residual, _ = _linear_fit(riemann, gm, ginv, wedge,
-                                                        _PSEUDO_TERMS, 1.0)
             alpha = (r / (params.a * n)) * (params.a / (n - 1) + params.b)
-            a_true = alpha + trace / n
+        a_true = alpha + gauge_weight * trace / n
         p_hat = p_true - _lift(trace / n, 2) * gm
         return np.maximum.reduce([
             fit_residual, _rel(fit_a - a_true, a_true),

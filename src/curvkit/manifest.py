@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .chart import MetricField
-from .errors import CurvError, ManifestError
+from .errors import CurvError, ManifestError, ParseError
+from .expr import _check_coords
 from .expr import parse as parse_expression
 from .tensor import MAX_DIM
 
@@ -55,6 +56,7 @@ def parse_manifest(text: str) -> MetricManifest:
     coords: tuple[str, ...] | None = None
     raw_entries: list[tuple[str, str, str, int]] = []  # (i, j, expression, line)
     points: list[tuple[float, ...]] = []
+    first_line: dict = {}  # the line of each key and of each unordered entry pair
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -72,7 +74,10 @@ def parse_manifest(text: str) -> MetricManifest:
                 raise ManifestError(f"dim must be an integer, got {value!r}",
                                     lineno) from None
         elif key == "coords":
-            coords = tuple(c.strip() for c in value.split(",") if c.strip())
+            try:
+                coords = _check_coords(c.strip() for c in value.split(",") if c.strip())
+            except ParseError as exc:
+                raise ManifestError(str(exc), lineno) from None
         elif key == "g":
             if "=" not in value:
                 raise ManifestError("metric entry must look like "
@@ -86,6 +91,10 @@ def parse_manifest(text: str) -> MetricManifest:
             points.append(parse_point(value, lineno))
         else:
             raise ManifestError(f"unknown key {key!r}", lineno)
+        if key != "point":  # each other key once, and each unordered entry pair
+            first = first_line.setdefault(frozenset(names) if key == "g" else key, lineno)
+            if first != lineno:
+                raise ManifestError(f"{line!r} repeats what line {first} sets", lineno)
 
     if dim is None:
         raise ManifestError("missing 'dim:' line")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularMetric
+from .errors import DimensionMismatch, NumericalInconsistency, SingularMetric
 
 __all__ = [
     "Metric", "Tensor04",
@@ -64,13 +64,27 @@ def is_symmetric(a: np.ndarray) -> bool:
 
 
 def _lstsq_kernel(design: np.ndarray,
-                  rhs: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """The minimum-norm least-squares solution of design @ x = rhs, the
-    kernel dimension of `design` (the columns less the singular values above
-    the cut) and the cut, KERNEL_RCOND * sigma_max, which the solve applies."""
-    sol, _, _, sigma = np.linalg.lstsq(design, rhs, rcond=KERNEL_RCOND)
-    cut, kernel_dim = _kernel_rule(sigma, design.shape[1])
-    return sol, int(kernel_dim), float(cut)
+                  rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The minimum-norm least-squares solutions of design @ x = rhs for
+    systems stacked on leading axes (none for one system): designs
+    (..., m, k) and right-hand sides (..., m).  Returns the solutions, the
+    kernel dimension of each design (the columns less the singular values
+    above the cut) and the cut, KERNEL_RCOND * sigma_max, which the solve
+    applies, stacked.  `lstsq` does not stack, so this is the one loop that
+    hands systems to it, one call per system.  Raises NumericalInconsistency
+    for the first system with a non-finite coefficient, its flat index as
+    `item`, before any is solved: LAPACK may not return on one."""
+    lead, columns = design.shape[:-2], design.shape[-1]
+    if not (np.isfinite(design).all() and np.isfinite(rhs).all()):
+        finite = np.isfinite(design).all(axis=(-2, -1)) & np.isfinite(rhs).all(axis=-1)
+        raise NumericalInconsistency("a least-squares system has a non-finite "
+                                     "coefficient").at(int(np.argmin(finite)))
+    sol = np.empty(lead + (columns,))
+    sigma = np.empty(lead + (min(design.shape[-2:]),))
+    for k in itertools.product(*map(range, lead)):
+        sol[k], _, _, sigma[k] = np.linalg.lstsq(design[k], rhs[k], rcond=KERNEL_RCOND)
+    cut, kernel_dim = _kernel_rule(sigma, columns)
+    return sol, kernel_dim, cut
 
 
 def _kernel_rule(sigma: np.ndarray, columns: int) -> tuple[np.ndarray, np.ndarray]:
@@ -166,10 +180,7 @@ class Metric:
 
     def raise_index(self, covector) -> np.ndarray:
         """Metric dual of a 1-form: v^i = ginv[i,j] w_j."""
-        w = np.asarray(covector, dtype=float)
-        if w.shape != (self.n,):
-            raise DimensionMismatch(f"1-form must have shape ({self.n},), got {w.shape}")
-        return self.inv @ w
+        return self.inv @ _check_oneform(covector, self.n)
 
     def norm_sq(self, covector) -> float:
         """Squared metric norm of a 1-form: ginv[i,j] w_i w_j."""

@@ -24,7 +24,7 @@ import numpy as np
 
 from .chart import CurvatureBundle, MetricField
 from .errors import DegenerateRicci, DimensionMismatch, ZeroScalarCurvature
-from .tensor import _lift, _lstsq_kernel, max_abs
+from .tensor import _check_oneform, _lift, _lstsq_kernel, max_abs
 
 __all__ = [
     "OneFormSystem", "wrs_residual", "weak_symmetry_residual",
@@ -153,10 +153,7 @@ def a_from_bd(bundle: CurvatureBundle, b, d) -> np.ndarray:
 
     Raises ZeroScalarCurvature when |r| <= ZERO_R_TOL; in that regime the
     identity degenerates to b(QX) + d(QX) = 0 instead."""
-    b = np.asarray(b, dtype=float)
-    d = np.asarray(d, dtype=float)
-    if b.shape != (bundle.n,) or d.shape != (bundle.n,):
-        raise DimensionMismatch("b and d must be length-n covectors")
+    b, d = _check_oneform(b, bundle.n), _check_oneform(d, bundle.n)
     if abs(bundle.r) <= ZERO_R_TOL:
         raise ZeroScalarCurvature(
             f"scalar curvature {bundle.r:g} is numerically zero; "
@@ -215,4 +212,4 @@ def recover_one_forms(bundle: CurvatureBundle) -> tuple[OneFormSystem, float, in
     solution, kernel_dim, _ = _lstsq_kernel(design, rhs)
     forms = OneFormSystem(a=solution[:n], b=solution[n:2 * n], d=solution[2 * n:])
     residual = wrs_residual(bundle, forms)
-    return forms, residual, kernel_dim
+    return forms, residual, int(kernel_dim)

@@ -1,11 +1,17 @@
 import json
+import os
+import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import curvkit
 from curvkit import harness
+from curvkit.classify import METRIC_LIMIT
 from curvkit.cli import dumps, main
 from curvkit.manifest import load_manifest, parse_manifest
 from curvkit.errors import ManifestError
@@ -75,6 +81,18 @@ def test_manifest_missing_entries_are_zero():
     ("dim: 2\ncoords: u, v\nwhat: 7\n", "unknown key"),
     ("dim: two\ncoords: u, v\n", "dim must be an integer"),
     ("dim: 2\ncoords: u, v\nnonsense\n", "expected 'key: value'"),
+    # a repeated line is refused at the repeat, naming the first
+    ("dim: 2\ncoords: u, v\ndim: 2\n", "'dim: 2' repeats what line 1 sets (line 3)"),
+    ("dim: 2\ncoords: u, v\ncoords: v, u\n",
+     "'coords: v, u' repeats what line 2 sets (line 3)"),
+    ("dim: 2\ncoords: u, v\ng: v,v = 1\ng: v,v = 4\n",
+     "'g: v,v = 4' repeats what line 3 sets (line 4)"),
+    ("dim: 2\ncoords: u, v\ng: u,v = 1\n# a comment\ng: v,u = 0.5\n",
+     "'g: v,u = 0.5' repeats what line 3 sets (line 5)"),
+    # the coordinate names are checked on their own line
+    ("dim: 2\ncoords: u, u\ng: u,u = 1\n", "duplicate coordinate name 'u' (line 2)"),
+    ("dim: 2\ncoords: u, u\n", "duplicate coordinate name 'u' (line 2)"),
+    ("dim: 2\ncoords: u, 2v\ng: u,u = 1\n", "invalid coordinate name '2v' (line 2)"),
 ])
 def test_manifest_errors(text, fragment):
     with pytest.raises(ManifestError) as err:
@@ -242,6 +260,7 @@ def test_verify_exit_codes(capsys):
     (["--trials", str(MAX_TRIALS + 1)], f"trials must be between 1 and {MAX_TRIALS}"),
     # the cap is on trials * n^4: 390 trials at n = 16
     (["--n", "16", "--trials", "391"], "trials must be between 1 and 390"),
+    (["--seed", "-1"], "seed must be non-negative, got -1"),
 ], ids=lambda value: "-".join(value) if isinstance(value, list) else value)
 def test_verify_refuses_oversized_input_before_running(monkeypatch, capsys, args,
                                                        fragment):
@@ -426,3 +445,71 @@ def test_extreme_weights_end_in_a_verdict_or_one_error_line(capfd, a):
             else:
                 assert code in (0, 1) and err == "", argv
                 assert '"nan"' not in out, argv
+
+
+# metrics of extreme magnitude: a flat chart, the unit 3-sphere with every
+# entry scaled, and the conformal4 chart far along x1, where its metric is
+# exp(2*x1) times the identity
+MANIFESTS = Path(__file__).parents[1] / "manifests"
+FLAT = "dim: 2\ncoords: x, y\ng: x,x = {s}\ng: y,y = {s}\npoint: 1, 0.5\n"
+
+
+def _scaled_sphere3(scale: str) -> str:
+    return re.sub(r"^(g: [^=]*= )(.*)$", rf"\g<1>{scale} * (\2)",
+                  (MANIFESTS / "sphere3.txt").read_text(), flags=re.M)
+
+
+EXTREME_CHARTS = {
+    # name: (manifest text, --at, the same chart at a moderate scale)
+    "flat-1e200": (FLAT.format(s="1e200"), None, FLAT.format(s="1")),
+    "sphere3-x1e155": (_scaled_sphere3("1e155"), None, _scaled_sphere3("1")),
+    "sphere3-x1e77": (_scaled_sphere3("1e77"), None, _scaled_sphere3("1")),
+    "sphere3-x1e-100": (_scaled_sphere3("1e-100"), None, _scaled_sphere3("1")),
+    "conformal4-at-178": ((MANIFESTS / "conformal4.txt").read_text(), "178,0,0,0", None),
+    "conformal4-at--200": ((MANIFESTS / "conformal4.txt").read_text(), "-200,0,0,0", None),
+}
+
+
+def _verdicts(out: str) -> dict:
+    result = json.loads(out)["result"]
+    verdicts = {name: (v["verdict"], v.get("reason")) for name, v in result.items()
+                if isinstance(v, dict) and "verdict" in v}
+    return {**verdicts, "conformally_flat": result["conformally_flat"]}
+
+
+@pytest.mark.parametrize("name", EXTREME_CHARTS)
+def test_classify_at_an_extreme_metric_scale_ends_cleanly(tmp_path, capfd, name):
+    text, at, moderate = EXTREME_CHARTS[name]
+    path = tmp_path / "chart.txt"
+    path.write_text(text)
+    argv = ["classify", str(path)] + (["--at", at] if at else [])
+    # a fresh process with a timeout: LAPACK did not return on such a fit
+    env = {**os.environ, "PYTHONPATH": str(Path(curvkit.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "curvkit.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    if done.returncode == 2:
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert f"between {1 / METRIC_LIMIT:g} and {METRIC_LIMIT:g}" in done.stderr
+    else:
+        assert done.returncode == 0 and done.stderr == ""
+        if moderate is None:  # the manifest's own point, x1 = 0.3
+            moderate, argv = text, argv[:2]
+        path.write_text(moderate)
+        assert main(argv) == 0
+        assert _verdicts(done.stdout) == _verdicts(capfd.readouterr().out)
+
+
+def test_classify_admits_metrics_at_the_scale_bound(tmp_path, capfd):
+    # the sphere's verdicts and reasons do not depend on its scale
+    verdicts = []
+    for scale in ("1", f"{METRIC_LIMIT:g}", f"{1 / METRIC_LIMIT:g}"):
+        path = tmp_path / "sphere3.txt"
+        path.write_text(_scaled_sphere3(scale))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["classify", str(path)]) == 0
+        out, err = capfd.readouterr()
+        assert not caught and err == ""
+        verdicts.append(_verdicts(out))
+    assert verdicts[0] == verdicts[1] == verdicts[2]

@@ -25,6 +25,8 @@ def test_config_requires_n_above_3():
         TrialConfig(seed=0, n=3)
     with pytest.raises(InvalidParams):
         TrialConfig(seed=0, trials=0)
+    with pytest.raises(InvalidParams, match="seed must be non-negative, got -1"):
+        TrialConfig(seed=-1)
     assert TrialConfig(seed=0, n=4).tolerance == 1e-8
 
 

@@ -332,8 +332,8 @@ def test_stack_wide_failure_is_charged_to_the_first_trial():
 # Structure, not time
 
 def test_metric_validation_factors_once_per_block(monkeypatch):
-    # a check draws all its trials before it computes any, so it validates
-    # their metrics once, however many blocks it computes them in
+    # a check validates its metrics once per round, however many blocks it
+    # computes them in, and every 100-trial check is one round
     calls = []
     cholesky = np.linalg.cholesky
 
@@ -416,3 +416,24 @@ def test_degenerate_covector_draw_is_a_rejected_attempt(monkeypatch):
     name, check, _ = harness._SECTIONS[2][1][1]
     result = harness._run_check(name, check, TrialConfig(seed=1, trials=5, n=4), 2, 1)
     assert result.passed and result.note == ""
+
+
+def test_a_metric_that_fails_validation_ends_its_check_at_its_trial(monkeypatch):
+    index = 4
+    name, check, _ = harness._SECTIONS[2][1][index]
+    assert name == "quasi_constant_fit"
+    config = TrialConfig(seed=3, trials=10, n=4)
+    clean = harness._run_check(name, check, config, 2, index, trials=6)
+    metrics = harness._metrics
+
+    def negated(m):
+        g = metrics(m)
+        g[6] = -g[6]  # attempt 6 of the round
+        return g
+
+    monkeypatch.setattr(harness, "_metrics", negated)
+    result = harness._run_check(name, check, config, 2, index)
+    assert result.note == "error: metric is not positive definite"
+    assert result.max_residual == math.inf and not result.passed
+    # the extras of trials 0 .. 5, as a run of those six trials reports them
+    assert result.extra == clean.extra and "weyl_norm" in result.extra

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from curvkit.errors import DimensionMismatch, SingularMetric
-from curvkit.tensor import (_HYPER_TERMS, _PSEUDO_TERMS, _W2_TERMS, Metric,
-                            Tensor04, _contract_block, _expand_block,
+from curvkit.errors import DimensionMismatch, NumericalInconsistency, SingularMetric
+from curvkit.tensor import (_HYPER_TERMS, _PSEUDO_TERMS, _W2_TERMS, KERNEL_RCOND,
+                            Metric, Tensor04, _contract_block, _expand_block,
+                            _lstsq_kernel,
                             _ricci_contract_values, hyper_shape, is_symmetric,
                             max_abs, pseudo_shape, quasi_constant_shape,
                             ricci_contract, ricci_operator, scalar_curvature,
@@ -72,6 +73,66 @@ def test_raise_lower_roundtrip():
     w = rng.standard_normal(5)
     assert np.allclose(g.mat @ g.raise_index(w), w, atol=1e-12)
     assert g.norm_sq(w) == pytest.approx(float(w @ g.inv @ w))
+
+
+@pytest.mark.parametrize("shape", [(3,), (5,), (4, 1), ()])
+def test_raise_index_refuses_a_wrong_shape(shape):
+    g = Metric(np.eye(4))
+    with pytest.raises(DimensionMismatch, match=r"1-form must have shape \(4,\)"):
+        g.raise_index(np.ones(shape))
+
+
+# --------------------------------------------------------------------------
+# The least-squares loop
+
+def _lstsq_systems(rng):
+    """Six 7 x 3 systems on leading axes (2, 3); the one at (1, 0) has a
+    kernel of dimension 1 and the one at (0, 2) of dimension 2."""
+    design = rng.standard_normal((2, 3, 7, 3))
+    design[1, 0, :, 2] = design[1, 0, :, 0] - design[1, 0, :, 1]
+    design[0, 2, :, 1:] = design[0, 2, :, :1]
+    return design, rng.standard_normal((2, 3, 7))
+
+
+def test_lstsq_kernel_solves_a_stack_as_one_call_per_system():
+    design, rhs = _lstsq_systems(np.random.default_rng(30))
+    sol, kernel_dim, cut = _lstsq_kernel(design, rhs)
+    assert sol.shape == (2, 3, 3) and kernel_dim.shape == cut.shape == (2, 3)
+    for k in np.ndindex(2, 3):
+        one, _, _, sigma = np.linalg.lstsq(design[k], rhs[k], rcond=KERNEL_RCOND)
+        assert np.array_equal(sol[k], one)  # bit for bit
+        assert cut[k] == KERNEL_RCOND * sigma.max()
+        assert kernel_dim[k] == 3 - np.count_nonzero(sigma > cut[k])
+    assert kernel_dim.tolist() == [[0, 0, 2], [1, 0, 0]]
+
+
+def test_lstsq_kernel_takes_one_system_without_leading_axes():
+    design, rhs = _lstsq_systems(np.random.default_rng(31))
+    sol, kernel_dim, cut = _lstsq_kernel(design[1, 0], rhs[1, 0])
+    stacked = _lstsq_kernel(design, rhs)
+    assert sol.shape == (3,) and np.shape(kernel_dim) == np.shape(cut) == ()
+    assert np.array_equal(sol, stacked[0][1, 0])
+    assert int(kernel_dim) == 1 and float(cut) == stacked[2][1, 0]
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("where", ["design", "rhs"])
+def test_lstsq_kernel_refuses_a_non_finite_system_before_solving(monkeypatch, bad, where):
+    design, rhs = _lstsq_systems(np.random.default_rng(32))
+    if where == "design":
+        design[1, 1, 4, 2] = bad
+        design[1, 2, 0, 0] = bad
+    else:
+        rhs[1, 1, 6] = bad
+        rhs[1, 2, 0] = bad
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a system reached lstsq")
+
+    monkeypatch.setattr(np.linalg, "lstsq", unreachable)
+    with pytest.raises(NumericalInconsistency, match="non-finite") as err:
+        _lstsq_kernel(design, rhs)
+    assert err.value.item == 4  # the flat index of system (1, 1)
 
 
 # --------------------------------------------------------------------------

@@ -257,6 +257,14 @@ def test_a_from_bd_zero_scalar_curvature_guard():
         a_from_bd(bundle, np.ones(n), np.ones(n))
 
 
+@pytest.mark.parametrize("b_shape,d_shape", [((3,), (4,)), ((4,), (5,)), ((4, 1), (4,))])
+def test_a_from_bd_refuses_wrong_shape_forms(b_shape, d_shape):
+    n = 4
+    bundle = synthetic_bundle(Metric(np.eye(n)), np.diag([1.0, 2.0, 3.0, 4.0]))
+    with pytest.raises(DimensionMismatch, match=r"1-form must have shape \(4,\)"):
+        a_from_bd(bundle, np.ones(b_shape), np.ones(d_shape))
+
+
 # --------------------------------------------------------------------------
 # T identities
 
