@@ -8,11 +8,11 @@ verification harness for the associated identity chains.
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .chart import CurvatureBundle, MetricField
 from .errors import CurvError
 from .expr import Expression, parse
-from .gencurv import GenCurvParams
-from .harness import TrialConfig
 from .tensor import Metric, Tensor04
 
 __all__ = [
@@ -20,3 +20,12 @@ __all__ = [
     "Expression", "parse", "GenCurvParams", "TrialConfig", "Metric",
     "Tensor04",
 ]
+
+
+def __getattr__(name):
+    # GenCurvParams and TrialConfig import their modules on first use, so
+    # `import curvkit` runs neither gencurv nor harness
+    module = {"GenCurvParams": "gencurv", "TrialConfig": "harness"}.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)

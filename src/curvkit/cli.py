@@ -13,6 +13,7 @@ digits, so identical inputs produce byte-identical output.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import re
@@ -22,16 +23,35 @@ import numpy as np
 
 from . import __version__
 from .chart import CurvatureBundle, MetricField
-from .classify import classification_report
 from .errors import CurvError
-from .gencurv import GenCurvParams
-from .harness import TrialConfig, verify_section2, verify_section3, verify_section4
-from .manifest import load_manifest, parse_point
 from .tensor import max_abs
-from .wrs import (check_dr_identity, recover_one_forms, t_identities,
-                  ws_to_wrs_condition)
 
 __all__ = ["main", "dumps"]
+
+
+def _lazy(name: str):
+    """The submodule `name` of curvkit, run on its first attribute access,
+    so a command runs only the modules it uses.  From the start it is in
+    `sys.modules` and an attribute of the package, as an eager import
+    leaves it, so `import curvkit.<name>` finds this one module."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    setattr(sys.modules[__package__], name, module)
+    loader.exec_module(module)
+    return module
+
+
+classify = _lazy("classify")
+gencurv = _lazy("gencurv")
+harness = _lazy("harness")
+manifest = _lazy("manifest")
+wrs = _lazy("wrs")
 
 
 # --------------------------------------------------------------------------
@@ -86,15 +106,15 @@ def _envelope(command: str, input_info: dict, *, checks=None, residuals=None,
 # Shared helpers
 
 def _bundle_from_args(args) -> tuple[MetricField, CurvatureBundle, tuple[float, ...]]:
-    manifest = load_manifest(args.manifest)
+    metric = manifest.load_manifest(args.manifest)
     if args.at is not None:
-        point = parse_point(args.at)
-    elif manifest.points:
-        point = manifest.points[0]
+        point = manifest.parse_point(args.at)
+    elif metric.points:
+        point = metric.points[0]
     else:
         raise CurvError("no point given: pass --at or add a 'point:' line "
                         "to the manifest")
-    field = manifest.to_field()
+    field = metric.to_field()
     return field, field.curvature_bundle(point), point
 
 
@@ -145,8 +165,8 @@ def _print_text_curvature(result: dict, residuals: dict) -> None:
 
 def _cmd_classify(args) -> int:
     _, bundle, point = _bundle_from_args(args)
-    params = GenCurvParams(a=args.a, b=args.b)
-    report = classification_report(bundle, params=params, tol=args.tol)
+    params = gencurv.GenCurvParams(a=args.a, b=args.b)
+    report = classify.classification_report(bundle, params=params, tol=args.tol)
     rd = report.to_dict()
     verdicts = {name: rd[name]["verdict"]
                 for name in ("einstein", "quasi_einstein", "quasi_constant",
@@ -168,14 +188,14 @@ def _cmd_classify(args) -> int:
 
 def _cmd_wrs(args) -> int:
     _, bundle, point = _bundle_from_args(args)
-    forms, residual, kernel_dim = recover_one_forms(bundle)
-    res_tq, res_ts = t_identities(bundle, forms)
+    forms, residual, kernel_dim = wrs.recover_one_forms(bundle)
+    res_tq, res_ts = wrs.t_identities(bundle, forms)
     residuals = {
         "wrs_fit": residual,
-        "dr_identity": check_dr_identity(bundle, forms),
+        "dr_identity": wrs.check_dr_identity(bundle, forms),
         "t_ricci_operator": res_tq,
         "t_ricci_exchange": res_ts,
-        "ws_extra_term": ws_to_wrs_condition(bundle, forms),
+        "ws_extra_term": wrs.ws_to_wrs_condition(bundle, forms),
     }
     result = {
         "a": forms.a, "b": forms.b, "d": forms.d, "t": forms.t,
@@ -191,10 +211,11 @@ def _cmd_wrs(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = TrialConfig(seed=args.seed, trials=args.trials, n=args.n,
-                         params=GenCurvParams(a=args.a, b=args.b),
-                         tolerance=args.tol)
-    sections = {"2": verify_section2, "3": verify_section3, "4": verify_section4}
+    config = harness.TrialConfig(seed=args.seed, trials=args.trials, n=args.n,
+                                 params=gencurv.GenCurvParams(a=args.a, b=args.b),
+                                 tolerance=args.tol)
+    sections = {"2": harness.verify_section2, "3": harness.verify_section3,
+                "4": harness.verify_section4}
     reports = [run(config) for key, run in sections.items() if args.section in (key, "all")]
     checks = []
     verdicts = {}

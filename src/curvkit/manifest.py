@@ -127,4 +127,5 @@ def parse_manifest(text: str) -> MetricManifest:
 
 
 def load_manifest(path) -> MetricManifest:
-    return parse_manifest(Path(path).read_text(encoding="utf-8"))
+    # utf-8-sig: a byte-order mark, as some editors write, is not part of line 1
+    return parse_manifest(Path(path).read_text(encoding="utf-8-sig"))

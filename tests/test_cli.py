@@ -359,6 +359,20 @@ def test_load_manifest_from_disk(tmp_path):
     assert m.dim == 4
 
 
+@pytest.mark.parametrize("command", ["curvature", "classify", "wrs"])
+def test_manifest_with_a_byte_order_mark(tmp_path, capsys, command):
+    # some editors start a UTF-8 file with a byte-order mark
+    original = CLI_REFERENCE.parents[2] / "manifests" / "sphere2.txt"
+    bom = tmp_path / "sphere2.txt"
+    bom.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+    reports = []
+    for path in (original, bom):
+        assert main([command, str(path)]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    for key in ("result", "verdicts", "residuals"):
+        assert reports[0][key] == reports[1][key]
+
+
 # --------------------------------------------------------------------------
 # numbers from outside
 

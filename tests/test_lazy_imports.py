@@ -1,0 +1,92 @@
+"""Each CLI command runs only the curvkit modules it uses.
+
+`curvkit.cli` binds classify, gencurv, harness, manifest and wrs as lazy
+modules: each is in `sys.modules` from the start and runs on its first
+attribute access.  So "not in sys.modules" cannot tell an unexecuted module
+from a run one; the module's own `__dict__`, read past the lazy module's
+`__getattribute__`, can: it holds the module's public names only once the
+module has run.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import curvkit
+
+ROOT = Path(__file__).resolve().parents[1]
+CHILD = ROOT / "perfbench" / "child.py"
+TRACE_MARK = "PERFBENCH-TRACE "
+LAZY = ("classify", "gencurv", "harness", "manifest", "wrs")
+
+# what a command leaves unexecuted; it runs every other lazy module
+UNEXECUTED = {
+    ("curvature", "manifests/sphere3.txt"): {"classify", "gencurv", "harness", "wrs"},
+    ("classify", "manifests/sphere3.txt"): {"harness", "wrs"},
+    ("wrs", "manifests/sphere3.txt"): {"classify", "gencurv", "harness"},
+    ("verify", "--n", "4", "--trials", "3"): {"manifest"},
+}
+
+PROBE = """
+import json, sys
+import curvkit.cli
+public = json.loads(sys.argv[1])
+status = curvkit.cli.main(sys.argv[2:])
+ran = {}
+for name, names in public.items():
+    own = object.__getattribute__(sys.modules["curvkit." + name], "__dict__")
+    ran[name] = [n for n in names if n in own]
+print(json.dumps({"status": status, "ran": ran}))
+"""
+
+
+def _env() -> dict:
+    return {**os.environ, "PYTHONPATH": str(Path(curvkit.__file__).parents[1])}
+
+
+def _python(*argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *argv], cwd=ROOT, env=_env(),
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv", list(UNEXECUTED), ids=lambda argv: argv[0])
+def test_a_command_runs_only_the_modules_it_uses(argv):
+    public = {name: importlib.import_module(f"curvkit.{name}").__all__
+              for name in LAZY}
+    done = _python("-c", PROBE, json.dumps(public), *argv)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["status"] == 0
+    for name in LAZY:
+        expected = [] if name in UNEXECUTED[argv] else public[name]
+        assert report["ran"][name] == expected, name
+
+
+def test_package_names_load_their_modules_on_first_use():
+    import curvkit.gencurv
+    import curvkit.harness
+    assert curvkit.TrialConfig is curvkit.harness.TrialConfig
+    assert curvkit.GenCurvParams is curvkit.gencurv.GenCurvParams
+    with pytest.raises(AttributeError, match="nope"):
+        curvkit.nope
+
+
+@pytest.mark.parametrize("argv", list(UNEXECUTED), ids=lambda argv: argv[0])
+def test_the_benchmarks_traced_cli_still_runs(argv):
+    plain = _python("-m", "curvkit.cli", *argv)
+    traced = _python(str(CHILD), "cli", *argv)
+    assert traced.returncode == plain.returncode == 0
+    assert traced.stdout == plain.stdout
+    *rest, last = traced.stderr.splitlines()
+    assert last.startswith(TRACE_MARK) and "".join(rest) == plain.stderr
+    counts = json.loads(last[len(TRACE_MARK):])["counts"]
+    # the tracer reached the layers loaded on first use
+    if argv[0] == "classify":
+        assert counts["classify.fit_calls"] > 0
+    if argv[0] == "verify":
+        assert counts["gencurv.reconstruct_calls"] > 0
