@@ -196,17 +196,18 @@ class MetricField:
 
     def _jet_at(self, point: Sequence[float], order: int):
         """The metric and its partials d^k g (k = 1..order) at the point.  No
-        higher order is evaluated than the query needs, so a DomainError
-        surfaces only from the queries whose results depend on it."""
+        higher order is evaluated than the query needs, nor before the metric
+        is validated, so a DomainError surfaces only from the queries whose
+        results depend on it, and never at a singular metric."""
         constants, program = self._gamma
         values = self._coordinates(point) + constants
-
-        def level(code, ops, gather):
+        (code, ops, gather), higher = program[0], program[1:order + 1]
+        ex.run_program(code, ops, values)
+        g = Metric(np.array(values)[gather])
+        for code, ops, _ in higher:
             ex.run_program(code, ops, values)
-            return np.array(values)[gather]
-
-        g = Metric(level(*program[0]))
-        return g, [level(*entry) for entry in program[1:order + 1]]
+        values = np.array(values)
+        return g, [values[gather] for _, _, gather in higher]
 
     def _curvature_at(self, point: Sequence[float]):
         """``(g, gamma, dginv, R, dR)`` at the point: the metric, the

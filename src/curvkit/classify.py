@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -71,6 +72,7 @@ class HyperQuasiConstantFit:
     p: np.ndarray  # trace-free gauge representative
     residual: float
     kernel_dim: int
+    shape: ClassVar = (_HYPER_TERMS, 2.0)  # the block kernel; a's wedges per unit trace of P
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,7 @@ class PseudoQuasiConstantFit:
     p: np.ndarray
     residual: float
     kernel_dim: int
+    shape: ClassVar = (_PSEUDO_TERMS, 1.0)
 
 
 def einstein_check(s, g: Metric, tol: float = 1e-8) -> EinsteinFit:
@@ -204,30 +207,40 @@ def _quasi_constant_values(rv: np.ndarray, gm: np.ndarray, ginv: np.ndarray,
     """`quasi_constant_fit` of grids and metrics stacked on one leading axis,
     unchecked, given the metrics' G grids `wedge` and the grids' Ricci
     contractions `ricci`: a, b, A and the residual of each, stacked.  Raises
-    NotQuasiConstant for the first grid that fails, its index as `item`.
-    The two-column least-squares solves run grid by grid, in
-    `tensor._lstsq_kernel`."""
-    rv_size = _max_abs_items(rv, 4)
-    scale = 1.0 + rv_size
+    NotQuasiConstant for the first grid that fails, its index as `item`."""
     try:
-        _, _, omega, _ = _quasi_einstein_values(ricci, gm, ginv)
+        omega = _quasi_einstein_values(ricci, gm, ginv)[2]
     except NotQuasiEinstein as exc:
         k = exc.item
         if k:  # a grid before k may fail a later step
             _quasi_constant_values(rv[:k], gm[:k], ginv[:k], wedge[:k], ricci[:k], tol)
-        gw, rk = wedge[k], rv[k]
-        a_cc = float(np.vdot(gw, rk) / np.vdot(gw, gw))
-        res_cc = float(max_abs(rk - a_cc * gw) / scale[k])
-        if exc.einstein_alpha is not None and res_cc <= tol:
-            raise NotQuasiConstant(
-                "constant curvature (the A-block coefficient vanishes)",
-                residual=res_cc, constant_curvature=a_cc).at(k) from None
-        raise NotQuasiConstant(f"Ricci contraction is not quasi-Einstein: {exc}",
-                               residual=res_cc).at(k) from None
+        raise _not_quasi_constant(exc, rv[k], wedge[k], tol).at(k) from None
+    return _quasi_constant_along(rv, gm, wedge, omega, tol)
+
+
+def _not_quasi_constant(exc: NotQuasiEinstein, rv: np.ndarray, wedge: np.ndarray,
+                        tol: float) -> NotQuasiConstant:
+    """The NotQuasiConstant, unraised, of one grid whose Ricci contraction
+    failed the quasi-Einstein decomposition with `exc`."""
+    a_cc = float(np.vdot(wedge, rv) / np.vdot(wedge, wedge))
+    res_cc = float(max_abs(rv - a_cc * wedge) / (1.0 + max_abs(rv)))
+    if exc.einstein_alpha is not None and res_cc <= tol:
+        return NotQuasiConstant("constant curvature (the A-block coefficient vanishes)",
+                                residual=res_cc, constant_curvature=a_cc)
+    return NotQuasiConstant(f"Ricci contraction is not quasi-Einstein: {exc}",
+                            residual=res_cc)
+
+
+def _quasi_constant_along(rv: np.ndarray, gm: np.ndarray, wedge: np.ndarray,
+                          omega: np.ndarray, tol: float):
+    """`_quasi_constant_values` given the A of each grid, `omega`: the
+    two-column least-squares fits, grid by grid in `tensor._lstsq_kernel`."""
     block = _expand_block(_HYPER_TERMS, gm, _outer(omega, omega))
     design = np.stack([wedge, block], axis=-1).reshape(len(rv), -1, 2)
     a, b = _lstsq_kernel(design, rv.reshape(len(rv), -1))[0].T
-    residual = _max_abs_items(rv - _lift(a, 4) * wedge - _lift(b, 4) * block, 4) / scale
+    rv_size = _max_abs_items(rv, 4)
+    residual = (_max_abs_items(rv - _lift(a, 4) * wedge - _lift(b, 4) * block, 4)
+                / (1.0 + rv_size))
     floor = COEFF_FLOOR * (1.0 + rv_size / _max_abs_items(wedge, 4))
     failed = (residual > tol) | (np.abs(b) <= floor) | (np.abs(a) <= floor)
     if failed.any():
@@ -292,23 +305,24 @@ def _eigenframe_plan(terms, n: int):
     return rows, (x, y), lin, np.reshape(off, (3, len(x), -1))
 
 
-def _rotate(rv: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """R'[a,b,c,d] = Q[i,a] Q[j,b] Q[k,c] Q[l,d] R[i,j,k,l] for grids and
-    rotations stacked on the same leading axes: each product rotates the
+def _eigenframe(rv: np.ndarray, gm: np.ndarray):
+    """eigh(g) = Q diag(mu) Q^T and, flattened, the grids in that frame,
+    R'[a,b,c,d] = Q[i,a] Q[j,b] Q[k,c] Q[l,d] R[i,j,k,l], for grids and
+    metrics stacked on the same leading axes: each product rotates the
     leading slot and moves it last, so four restore the order."""
-    n = q.shape[-1]
-    lead = q.shape[:-2]
+    mu, q = np.linalg.eigh(gm)
+    lead, n = gm.shape[:-2], gm.shape[-1]
     for _ in range(4):
         rv = rv.reshape(*lead, n, -1).swapaxes(-1, -2) @ q
-    return rv.reshape(*lead, n, n, n, n)
+    return mu, q, rv.reshape(*lead, -1)
 
 
 def _linear_fit(rv: np.ndarray, gm: np.ndarray, ginv: np.ndarray, wedge: np.ndarray,
-                terms, gauge_weight: float):
+                terms, gauge_weight: float, frame):
     """Least-squares fit R ~ a * wedge_gg + B(P) over (a, P), with the
     trace part of P moved into a (`gauge_weight` wedges per unit trace), for
     grids R and metrics (with their G grids `wedge`) stacked on the same
-    leading axes, unchecked.
+    leading axes, unchecked, given their `_eigenframe` (one for all fits).
     Returns a, P, the residual and the kernel dimension, each stacked.
 
     `terms` is the term table of a `tensor` block kernel B.  The fit is the
@@ -327,8 +341,7 @@ def _linear_fit(rv: np.ndarray, gm: np.ndarray, ginv: np.ndarray, wedge: np.ndar
     n = gm.shape[-1]
     lead = gm.shape[:-2]
     rows, (x, y), lin, (entries, signs, m) = _eigenframe_plan(terms, n)
-    mu, q = np.linalg.eigh(gm)
-    rot = _rotate(rv, q).reshape(*lead, -1)
+    mu, q, rot = frame
     mu_xy = mu[..., x] * mu[..., y]  # G in the eigenframe, at the coupled entries
     design = np.empty(lead + (len(rows), n + 1))
     design[..., 0] = np.concatenate([mu_xy, -mu_xy], axis=-1)
@@ -356,13 +369,18 @@ def _linear_fit(rv: np.ndarray, gm: np.ndarray, ginv: np.ndarray, wedge: np.ndar
     return a_hat, p_hat, residual, kernel_dim
 
 
-def _checked_fit(riemann: Tensor04, g: Metric, terms, gauge_weight: float):
-    """`_linear_fit` of one grid, as plain floats and an int."""
+def _shape_fits(riemann: Tensor04, g: Metric, *kinds):
+    """The `_linear_fit` of one grid to the `shape` of each fit class of
+    `kinds`, as an instance of that class, all in one `_eigenframe`."""
     if riemann.n != g.n:
         raise DimensionMismatch(f"riemann n={riemann.n} vs metric n={g.n}")
-    a, p, residual, kernel = _linear_fit(riemann.values, g.mat, g.inv, wedge_gg(g).values,
-                                         terms, gauge_weight)
-    return float(a), p, float(residual), int(kernel)
+    frame = _eigenframe(riemann.values, g.mat)
+    fits = []
+    for kind in kinds:
+        a, p, residual, kernel = _linear_fit(riemann.values, g.mat, g.inv, wedge_gg(g).values,
+                                             *kind.shape, frame)
+        fits.append(kind(a=float(a), p=p, residual=float(residual), kernel_dim=int(kernel)))
+    return fits
 
 
 def hyper_quasi_constant_fit(riemann: Tensor04, g: Metric) -> HyperQuasiConstantFit:
@@ -370,16 +388,14 @@ def hyper_quasi_constant_fit(riemann: Tensor04, g: Metric) -> HyperQuasiConstant
     trace-free (P -> P + c*g is absorbed by a -> a - 2c).  Always returns;
     `residual` says how well the fit explains the input and `kernel_dim`
     reports the null directions of the design operator (>= 1, the gauge)."""
-    a, p, residual, kernel = _checked_fit(riemann, g, _HYPER_TERMS, gauge_weight=2.0)
-    return HyperQuasiConstantFit(a=a, p=p, residual=residual, kernel_dim=kernel)
+    return _shape_fits(riemann, g, HyperQuasiConstantFit)[0]
 
 
 def pseudo_quasi_constant_fit(riemann: Tensor04, g: Metric) -> PseudoQuasiConstantFit:
     """Fit R = a * wedge_gg(g) + pseudo_shape(g, P), trace-free gauge
     (P -> P + c*g is absorbed by a -> a + c).  Accepts generalized inputs;
     the two-term shape need not be riemann-like."""
-    a, p, residual, kernel = _checked_fit(riemann, g, _PSEUDO_TERMS, gauge_weight=1.0)
-    return PseudoQuasiConstantFit(a=a, p=p, residual=residual, kernel_dim=kernel)
+    return _shape_fits(riemann, g, PseudoQuasiConstantFit)[0]
 
 
 def conformally_flat_check(bundle: CurvatureBundle,
@@ -467,18 +483,24 @@ def classification_report(bundle: CurvatureBundle,
         raise InvalidParams(f"classify needs the metric's largest entry between "
                             f"{1.0 / METRIC_LIMIT:g} and {METRIC_LIMIT:g}, got {size:g}")
     ein = einstein_check(s, g, tol)
-    qe = qe_err = None
+    hyper, pseudo = _shape_fits(bundle.riemann, g, HyperQuasiConstantFit,
+                                PseudoQuasiConstantFit)
+    # one quasi-Einstein decomposition of s, pass or fail, serves both verdicts
+    rv, wedge = bundle.riemann.values, wedge_gg(g).values
+    qe = qe_err = qc = qc_err = None
     try:
         qe = quasi_einstein_decompose(s, g)
     except NotQuasiEinstein as exc:
         qe_err = str(exc)
-    qc = qc_err = None
-    try:
-        qc = quasi_constant_fit(bundle.riemann, g, tol)
-    except NotQuasiConstant as exc:
-        qc_err = str(exc)
-    hyper = hyper_quasi_constant_fit(bundle.riemann, g)
-    pseudo = pseudo_quasi_constant_fit(bundle.riemann, g)
+        qc_err = str(_not_quasi_constant(exc, rv, wedge, tol))
+    else:
+        try:
+            a, b, a_form, residual = _quasi_constant_along(
+                rv[None], g.mat[None], wedge[None], qe.omega[None], tol)
+            qc = QuasiConstantFit(a=float(a[0]), b=float(b[0]), a_form=a_form[0],
+                                  residual=float(residual[0]))
+        except NotQuasiConstant as exc:
+            qc_err = str(exc)
     weyl_norm, conf_flat = conformally_flat_check(bundle, tol)
     gen_norms = {
         "quasi_conformal": max_abs(quasi_conformal(bundle, params).values),

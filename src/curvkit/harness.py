@@ -76,8 +76,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .chart import CurvatureBundle
-from .classify import (_einstein_values, _linear_fit, _quasi_constant_values,
-                       _quasi_einstein_values)
+from .classify import (_eigenframe, _einstein_values, _linear_fit,
+                       _quasi_constant_values, _quasi_einstein_values)
 from .errors import (CurvError, DegenerateParams, InvalidParams,
                      SingularMetric, ZeroScalarCurvature)
 from .gencurv import (GenCurvParams, _combined_values, _flat_ricci,
@@ -582,7 +582,7 @@ def _flat_fit_check(flavor: str) -> _Check:
         wedge = _expand_block(_PSEUDO_TERMS, gm, gm)
         riemann = _flat_values(flavor, s, gm, r, params, wedge)
         fit_a, fit_p, fit_residual, _ = _linear_fit(riemann, gm, ginv, wedge, terms,
-                                                    gauge_weight)
+                                                    gauge_weight, _eigenframe(riemann, gm))
         if flavor == "qc":
             alpha = (r / n) * (1.0 / (n - 1) + 2.0 * ba)
         else:
@@ -660,7 +660,8 @@ def _pp_quasi_constant(config, gm, ginv, c, t):
     params.require_pp()
     wedge = _expand_block(_PSEUDO_TERMS, gm, gm)
     riemann = _flat_values("pp", ricci, gm, r, params, wedge)
-    fit_a, fit_p, fit_residual, _ = _linear_fit(riemann, gm, ginv, wedge, _PSEUDO_TERMS, 1.0)
+    fit_a, fit_p, fit_residual, _ = _linear_fit(riemann, gm, ginv, wedge, _PSEUDO_TERMS, 1.0,
+                                                _eigenframe(riemann, gm))
     gamma1 = (r / (params.a * n)) * (params.a / (n - 1) + params.b)
     delta1 = -(params.b / params.a) * coeff
     a_true = gamma1 + delta1 * t_rho / n

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from curvkit import gencurv
-from curvkit.chart import CurvatureBundle
+from curvkit.chart import CurvatureBundle, MetricField
 from curvkit.cli import main
-from curvkit.classify import (_eigenframe_plan, _quasi_constant_values,
-                              _quasi_einstein_values, classification_report,
+from curvkit.classify import (_eigenframe_plan, _not_quasi_constant,
+                              _quasi_constant_values, _quasi_einstein_values,
+                              classification_report,
                               conformally_flat_check,
                               einstein_check, hyper_quasi_constant_fit,
                               pseudo_quasi_constant_fit, quasi_constant_fit,
@@ -20,7 +21,10 @@ from curvkit.manifest import load_manifest
 from curvkit.tensor import (_HYPER_TERMS, _PSEUDO_TERMS, KERNEL_RCOND, Metric,
                             Tensor04, hyper_shape, max_abs, pseudo_shape,
                             quasi_constant_shape, ricci_contract, wedge_gg)
+from curvkit.wrs import recover_one_forms, weak_symmetry_residual
 from oracles import random_riemann_like, random_spd
+
+MANIFESTS = pathlib.Path(__file__).parents[1] / "manifests"
 
 
 def unit_covector(rng, g: Metric) -> np.ndarray:
@@ -344,6 +348,108 @@ def test_failing_classifiers_leave_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def dense_field(n: int) -> MetricField:
+    """A chart with every upper-triangle entry nonzero, positive definite
+    for |x_i| <= 0.5: g_ii = 2 + 0.1 sin(x_{i+1}) x_i^2,
+    g_ij = 0.05 x_i cos(x_j)."""
+    xs = [f"x{i + 1}" for i in range(n)]
+    entries = {(i, i): f"2 + 0.1*sin({xs[(i + 1) % n]})*{xs[i]}^2" for i in range(n)}
+    entries.update({(i, j): f"0.05*{xs[i]}*cos({xs[j]})"
+                    for i in range(n) for j in range(i + 1, n)})
+    return MetricField(xs, entries)
+
+
+@pytest.mark.parametrize("chart, quasi_einstein", [
+    ("dense4", False), ("dense5", False), ("conformal4", True), ("conformal5", True)])
+def test_a_chart_point_leaves_no_reference_cycle(request, chart, quasi_einstein):
+    # every query of a point, on both outcomes of the quasi-Einstein
+    # decomposition: an error kept past its except clause would hold the
+    # point's arrays in a cycle until the garbage collector runs
+    if chart.startswith("dense"):
+        field = dense_field(int(chart[-1]))
+        points = [tuple(np.random.default_rng([121, k]).uniform(-0.5, 0.5, field.n))
+                  for k in range(3)]
+    elif chart == "conformal4":
+        field = request.getfixturevalue("conformal4")
+        points = [(0.3, -0.2, 0.5, 0.1), (0.1, 0.4, -0.3, 0.2), (-0.2, 0.1, 0.3, 0.4)]
+    else:
+        field = load_manifest(MANIFESTS / "conformal5.txt").to_field()
+        points = [tuple(np.random.default_rng([122, k]).uniform(-1.0, 1.0, 5))
+                  for k in range(3)]
+
+    def evaluate(x):
+        bundle = field.curvature_bundle(x)
+        report = classification_report(bundle)
+        forms, _, _ = recover_one_forms(bundle)
+        weak_symmetry_residual(field, x, forms)
+        return report
+
+    evaluate(points[0])
+    gc.collect()
+    gc.disable()
+    try:
+        reports = [evaluate(x) for x in points]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert all((r.quasi_einstein is not None) == quasi_einstein for r in reports)
+
+
+def quasi_constant_bundles():
+    """conformal5 at 10 seeded points, conformal4 at its manifest's point,
+    and synthetic a * G + b * B(omega (x) omega) bundles at n = 4, 5, 6."""
+    field = load_manifest(MANIFESTS / "conformal5.txt").to_field()
+    rng = np.random.default_rng(123)
+    for _ in range(10):
+        yield field.curvature_bundle(tuple(rng.uniform(-1.0, 1.0, 5)))
+    yield load_manifest(MANIFESTS / "conformal4.txt").to_field().curvature_bundle(
+        (0.3, -0.2, 0.5, 0.1))
+    for n in (4, 5, 6):
+        for _ in range(4):
+            g = Metric(random_spd(rng, n))
+            a, b = rng.uniform(0.5, 2.5, 2) * rng.choice([-1, 1], 2)
+            riemann = (a * wedge_gg(g).values
+                       + b * quasi_constant_shape(g, unit_covector(rng, g)).values)
+            yield CurvatureBundle.from_tensors(g, Tensor04(riemann, riemann_like=True))
+
+
+def test_the_quasi_constant_fit_reads_the_reports_decomposition():
+    # one decomposition per report: the fitted A is its omega, bit for bit
+    count = 0
+    for bundle in quasi_constant_bundles():
+        report = classification_report(bundle)
+        assert report.quasi_einstein is not None and report.quasi_constant is not None
+        assert report.quasi_constant.a_form.tobytes() == report.quasi_einstein.omega.tobytes()
+        count += 1
+    assert count == 23
+
+
+def test_the_reports_quasi_constant_reason_is_its_decompositions():
+    rng = np.random.default_rng(124)
+    g = Metric(random_spd(rng, 4))
+    bundle = CurvatureBundle.from_tensors(
+        g, riemann=Tensor04(random_riemann_like(rng, 4), riemann_like=True))
+    report = classification_report(bundle)
+    assert not report.einstein.ok and report.quasi_einstein is None
+    assert report.quasi_constant_error == ("Ricci contraction is not quasi-Einstein: "
+                                           + report.quasi_einstein_error)
+
+
+def test_the_report_keeps_sphere3s_constant_curvature(sphere3):
+    bundle = sphere3.curvature_bundle((1.0, 0.9, 0.5))
+    report = classification_report(bundle)
+    assert report.quasi_constant_error == "constant curvature (the A-block coefficient vanishes)"
+    with pytest.raises(NotQuasiEinstein) as qe:
+        quasi_einstein_decompose(bundle.ricci, bundle.g)
+    with pytest.raises(NotQuasiConstant) as fit:
+        quasi_constant_fit(bundle.riemann, bundle.g)
+    shared = _not_quasi_constant(qe.value, bundle.riemann.values,
+                                 wedge_gg(bundle.g).values, 1e-8)
+    assert str(shared) == str(fit.value) == report.quasi_constant_error
+    assert (shared.residual, shared.constant_curvature) == (fit.value.residual,
+                                                             fit.value.constant_curvature)
 
 
 # --------------------------------------------------------------------------

@@ -6,8 +6,9 @@ tests/test_walks.py."""
 import numpy as np
 import pytest
 
+from curvkit import expr
 from curvkit.chart import MetricField
-from curvkit.errors import DomainError
+from curvkit.errors import DomainError, SingularMetric
 
 # Entries g_yy whose third partials leave the domain at the point while g
 # and its first partials stay finite, with the message each query raised
@@ -62,3 +63,33 @@ def test_the_program_is_built_once_per_field(monkeypatch):
     with pytest.raises(DomainError):
         MetricField(["x", "y"], {(0, 0): "log(x)", (1, 1): "1"}).metric_at((-1.0, 0.0))
     assert len(builds) == 2 and builds[0] is field
+
+
+def test_each_query_runs_the_orders_it_needs_once(monkeypatch):
+    # one program run per order: 0 for the metric, 0-1 for the Christoffel
+    # symbols, 0-3 for the bundle
+    runs = []
+    run_program = expr.run_program
+
+    def counting(*args):
+        runs.append(1)
+        return run_program(*args)
+
+    field = MetricField(["x", "y", "z"], {(0, 0): "2 + x*sin(y)", (1, 1): "2 + z^2",
+                                          (2, 2): "3 + cos(x)", (0, 2): "0.1*y*z"})
+    field.metric_at((0.0, 0.0, 0.0))  # builds the program
+    monkeypatch.setattr(expr, "run_program", counting)
+    for query, count in ((field.metric_at, 1), (field.christoffel, 2),
+                         (field.curvature_bundle, 4)):
+        runs.clear()
+        query((0.1, 0.2, 0.3))
+        assert len(runs) == count, query.__name__
+
+
+def test_a_singular_metric_wins_over_a_failing_partial():
+    # at x = 0 the metric diag(x^2.5, 1) is singular, and the third partial
+    # of x^2.5 raises zero to a negative power
+    field = MetricField(["x", "y"], {(0, 0): "x^2.5", (1, 1): "1"})
+    for query in (field.metric_at, field.christoffel, field.curvature_bundle):
+        with pytest.raises(SingularMetric):
+            query((0.0, 0.3))
