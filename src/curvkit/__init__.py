@@ -10,10 +10,8 @@ __version__ = "0.1.0"
 
 import importlib
 
-from .chart import CurvatureBundle, MetricField
 from .errors import CurvError
-from .expr import Expression, parse
-from .tensor import Metric, Tensor04
+from .tensor import CurvatureBundle, Metric, Tensor04
 
 __all__ = [
     "__version__", "CurvatureBundle", "MetricField", "CurvError",
@@ -23,9 +21,10 @@ __all__ = [
 
 
 def __getattr__(name):
-    # GenCurvParams and TrialConfig import their modules on first use, so
-    # `import curvkit` runs neither gencurv nor harness
-    module = {"GenCurvParams": "gencurv", "TrialConfig": "harness"}.get(name)
+    # these names import their modules on first use, so `import curvkit`
+    # runs none of chart, expr, gencurv and harness
+    module = {"MetricField": "chart", "Expression": "expr", "parse": "expr",
+              "GenCurvParams": "gencurv", "TrialConfig": "harness"}.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(importlib.import_module(f".{module}", __name__), name)

@@ -23,79 +23,19 @@ from __future__ import annotations
 
 import itertools
 import struct
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import expr as ex
-from .errors import (CurvError, DimensionMismatch, NumericalInconsistency,
-                     UnknownIdentifier)
-from .tensor import (Metric, Tensor04, _check_bilinear, max_abs, ricci_contract,
-                     ricci_operator, scalar_curvature)
+from .errors import (CurvError, DimensionMismatch, DomainError,
+                     NumericalInconsistency, UnknownIdentifier)
+from .tensor import CurvatureBundle, Metric, Tensor04, max_abs, ricci_contract
 
 __all__ = ["MetricField", "CurvatureBundle", "christoffel", "curvature_bundle",
            "nabla_riemann"]
 
-
-@dataclass(frozen=True)
-class CurvatureBundle:
-    """All pointwise curvature data derived from a metric at one point.
-
-    `riemann` uses the (0,4) convention R[i,j,k,l] = g(R(e_i,e_j)e_k, e_l);
-    `nabla_ricci[i,j,k]` is the covariant derivative (nabla_i S)(e_j, e_k);
-    `dr[i]` is the coordinate differential of the scalar curvature.
-
-    Synthetic pointwise data (no chart behind it) is built with
-    :meth:`from_tensors`, in which case `point`, `nabla_ricci`, `dr` and even
-    `riemann` may be absent (None).
-    """
-
-    g: Metric
-    riemann: Tensor04 | None
-    ricci: np.ndarray
-    ricci_op: np.ndarray
-    r: float
-    point: tuple[float, ...] | None = None
-    nabla_ricci: np.ndarray | None = None
-    dr: np.ndarray | None = None
-
-    @property
-    def n(self) -> int:
-        return self.g.n
-
-    @classmethod
-    def from_tensors(cls, g: Metric, riemann: Tensor04 | None = None,
-                     ricci=None, r: float | None = None,
-                     nabla_ricci=None, dr=None,
-                     point: Sequence[float] | None = None) -> "CurvatureBundle":
-        """Assemble a bundle from raw pointwise tensors.
-
-        `ricci` defaults to the contraction of `riemann`; `r` defaults to the
-        metric trace of `ricci`.  The Ricci operator is always recomputed.
-        """
-        if ricci is None:
-            if riemann is None:
-                raise DimensionMismatch("need riemann or ricci to build a bundle")
-            ricci = ricci_contract(riemann, g)
-        ricci = _check_bilinear(ricci, g.n)
-        if riemann is not None and riemann.n != g.n:
-            raise DimensionMismatch(f"riemann n={riemann.n} vs metric n={g.n}")
-        if r is None:
-            r = scalar_curvature(ricci, g)
-        q = ricci_operator(ricci, g)
-        if nabla_ricci is not None:
-            nabla_ricci = np.asarray(nabla_ricci, dtype=float)
-        if dr is not None:
-            dr = np.asarray(dr, dtype=float)
-        if point is not None:
-            point = tuple(float(v) for v in point)
-        return cls(g=g, riemann=riemann, ricci=ricci, ricci_op=q, r=float(r),
-                   point=point, nabla_ricci=nabla_ricci, dr=dr)
-
-
-# --------------------------------------------------------------------------
 
 def _normalize_entries(coords: Sequence[str], entries: Mapping) -> list[ex.Node]:
     """The upper-triangle AST nodes g_ij (i <= j), row by row; missing entries are zero."""
@@ -192,7 +132,10 @@ class MetricField:
     def _coordinates(self, point: Sequence[float]) -> list[float]:
         if len(point) != self.n:
             raise DimensionMismatch(f"point has {len(point)} components, expected {self.n}")
-        return [float(v) for v in point]
+        try:
+            return [float(v) for v in point]
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"point coordinates must be numbers: {exc}") from None
 
     def _jet_at(self, point: Sequence[float], order: int):
         """The metric and its partials d^k g (k = 1..order) at the point.  No

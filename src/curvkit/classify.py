@@ -15,15 +15,14 @@ from typing import ClassVar
 
 import numpy as np
 
-from .chart import CurvatureBundle
 from .errors import (DimensionMismatch, InvalidParams, NotQuasiConstant,
                      NotQuasiEinstein)
 from .gencurv import (GenCurvParams, pseudo_projective, quasi_conformal, w2,
                       weyl_from_tensors)
-from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, Metric, Tensor04,
-                     _check_bilinear, _expand_block, _lift, _lstsq_kernel,
-                     _max_abs_items, _outer, _scalar_curvature_values, max_abs,
-                     ricci_contract, wedge_gg)
+from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, CurvatureBundle, Metric,
+                     Tensor04, _check_bilinear, _expand_block, _lift,
+                     _lstsq_kernel, _max_abs_items, _outer,
+                     _scalar_curvature_values, max_abs, ricci_contract, wedge_gg)
 
 __all__ = [
     "EinsteinFit", "QuasiEinsteinFit", "QuasiConstantFit",
@@ -475,8 +474,11 @@ def classification_report(bundle: CurvatureBundle,
                           tol: float = 1e-8) -> ClassificationReport:
     """Run every classifier on one bundle and collect verdicts + residuals,
     along with the max-norms of the three generalized curvature tensors.
-    Raises InvalidParams, before any fit runs, when the metric's largest
+    Raises DimensionMismatch, before any fit runs, when the bundle carries
+    no (0,4) curvature tensor, and InvalidParams when the metric's largest
     entry lies outside the bound METRIC_LIMIT sets."""
+    if bundle.riemann is None:
+        raise DimensionMismatch("bundle carries no (0,4) curvature tensor")
     s, g = bundle.ricci, bundle.g
     size = max_abs(g.mat)
     if not 1.0 / METRIC_LIMIT <= size <= METRIC_LIMIT:

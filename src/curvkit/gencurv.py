@@ -7,7 +7,7 @@ Every tensor here has the one form
 a weighted sum of the (0,4) curvature R, a block kernel B of `tensor`
 applied to the Ricci form S, and the constant-curvature shape G, all in the
 package's lowered (0,4) convention and built from a
-:class:`~curvkit.chart.CurvatureBundle`.  The kinds differ only in their
+:class:`~curvkit.tensor.CurvatureBundle`.  The kinds differ only in their
 weights (`_weights`):
 
     kind              a   b          B(S)                     c
@@ -37,12 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import CurvatureBundle
 from .errors import DegenerateParams, DimensionMismatch, InvalidParams
-from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, _W2_TERMS, Metric,
-                     Tensor04, _check_bilinear, _contract_block, _expand_block,
-                     _lift, is_symmetric, ricci_contract, scalar_curvature,
-                     wedge_gg)
+from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, _W2_TERMS, CurvatureBundle,
+                     Metric, Tensor04, _check_bilinear, _contract_block,
+                     _expand_block, _lift, is_symmetric, ricci_contract,
+                     scalar_curvature, wedge_gg)
 
 __all__ = [
     "GenCurvParams",

@@ -75,7 +75,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .chart import CurvatureBundle
 from .classify import (_eigenframe, _einstein_values, _linear_fit,
                        _quasi_constant_values, _quasi_einstein_values)
 from .errors import (CurvError, DegenerateParams, InvalidParams,
@@ -84,9 +83,10 @@ from .gencurv import (GenCurvParams, _combined_values, _flat_ricci,
                       _flat_values, pp_flat_alpha, qc_flat_alpha,
                       reconstruct_pp_flat, reconstruct_qc_flat,
                       reconstruct_w2_flat, w2_flat_alpha)
-from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, MAX_DIM, Metric, Tensor04,
-                     _check_oneform, _expand_block, _kernel_rule, _lift,
-                     _max_abs_items, _outer, _norm_sq_values, _ricci_contract_values,
+from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, MAX_DIM, CurvatureBundle,
+                     Metric, Tensor04, _check_oneform, _expand_block,
+                     _kernel_rule, _lift, _max_abs_items, _outer,
+                     _norm_sq_values, _ricci_contract_values,
                      _scalar_curvature_values, _validate_metrics, max_abs,
                      ricci_contract, scalar_curvature)
 from .wrs import _t_identity_defects, a_from_bd
@@ -212,7 +212,7 @@ def _draw_scalar(rng: np.random.Generator, lo: float = 0.2, hi: float = 2.0) -> 
 def _draw_covector(rng: np.random.Generator, n: int) -> np.ndarray:
     for _ in range(REDRAW_CAP):
         w = rng.standard_normal(n)
-        if np.abs(w).max() > REJECT_TOL:
+        if max(map(abs, w.tolist())) > REJECT_TOL:
             return w
     raise DegenerateParams("could not draw a non-degenerate covector")
 
@@ -722,37 +722,38 @@ def _twin_check(flavor: str) -> _Check:
         n = config.n
         params = config.params
         r = scalar_curvature(s, g)
-        gm, ginv = g.mat, g.inv
+        fast = (reconstruct_qc_flat(s, g, r, params) if flavor == "qc" else
+                reconstruct_pp_flat(s, g, r, params) if flavor == "pp" else
+                reconstruct_w2_flat(s, g)).values
+        # the loops read Python floats: numpy scalars, one entry at a time,
+        # would make the same products several times slower
+        gm, ginv, s = g.mat.tolist(), g.inv.tolist(), s.tolist()
         a, b = params.a, params.b
         # each flavor's entry R[i,j,k,l], as its reconstruction's docstring
         # writes it
         if flavor == "qc":
-            fast = reconstruct_qc_flat(s, g, r, params).values
             coeff = (r / n) * (1.0 / (n - 1) + 2.0 * b / a)
 
             def entry(i, j, k, l):
-                return (-(b / a) * (s[j, k] * gm[i, l] - s[i, k] * gm[j, l]
-                                    + gm[j, k] * s[i, l] - gm[i, k] * s[j, l])
-                        + coeff * (gm[j, k] * gm[i, l] - gm[i, k] * gm[j, l]))
+                return (-(b / a) * (s[j][k] * gm[i][l] - s[i][k] * gm[j][l]
+                                    + gm[j][k] * s[i][l] - gm[i][k] * s[j][l])
+                        + coeff * (gm[j][k] * gm[i][l] - gm[i][k] * gm[j][l]))
         elif flavor == "pp":
-            fast = reconstruct_pp_flat(s, g, r, params).values
             coeff = (r / (a * n)) * (a / (n - 1) + b)
 
             def entry(i, j, k, l):
-                return (-(b / a) * (s[j, k] * gm[i, l] - s[i, k] * gm[j, l])
-                        + coeff * (gm[j, k] * gm[i, l] - gm[i, k] * gm[j, l]))
+                return (-(b / a) * (s[j][k] * gm[i][l] - s[i][k] * gm[j][l])
+                        + coeff * (gm[j][k] * gm[i][l] - gm[i][k] * gm[j][l]))
         else:
-            fast = reconstruct_w2_flat(s, g).values
-
             def entry(i, j, k, l):
-                return (gm[j, k] * s[i, l] - gm[i, k] * s[j, l]) / (n - 1)
-        # one pass over the grid fills each entry and adds it into its
-        # contraction slow[j,k] = sum over (i, l) of ginv[i,l] * loops[i,j,k,l]
-        loops = np.zeros((n, n, n, n))
-        slow = np.zeros((n, n))
+                return (gm[j][k] * s[i][l] - gm[i][k] * s[j][l]) / (n - 1)
+        # one pass over the grid lists each entry in C order and adds it into
+        # its contraction slow[j][k] = sum over (i, l) of ginv[i][l] * entry
+        loops, slow = [], [[0.0] * n for _ in range(n)]
         for i, j, k, l in itertools.product(range(n), repeat=4):
-            loops[i, j, k, l] = entry(i, j, k, l)
-            slow[j, k] += ginv[i, l] * loops[i, j, k, l]
+            loops.append(entry(i, j, k, l))
+            slow[j][k] += ginv[i][l] * loops[-1]
+        loops, slow = np.array(loops).reshape((n,) * 4), np.array(slow)
         worst = max_abs(fast - loops) / (1.0 + max_abs(fast))
         # contraction twin: the loop sums against the einsum path
         contracted = ricci_contract(Tensor04(fast), g)

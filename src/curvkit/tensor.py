@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalInconsistency, SingularMetric
 
 __all__ = [
-    "Metric", "Tensor04",
+    "Metric", "Tensor04", "CurvatureBundle",
     "ricci_contract", "scalar_curvature", "ricci_operator",
     "wedge_gg", "quasi_constant_shape", "hyper_shape", "pseudo_shape",
     "max_abs", "is_symmetric",
@@ -97,7 +98,10 @@ def _kernel_rule(sigma: np.ndarray, columns: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _as_square(a, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+    try:
+        a = np.asarray(a, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"{name} must be a matrix of numbers: {exc}") from None
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{name} must be a square matrix, got shape {a.shape}")
     return a
@@ -217,10 +221,13 @@ class Tensor04:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "n", v.shape[0])
         if self.riemann_like:
+            norm = self.norm()
+            if not np.isfinite(norm):  # before the residuals, which would warn on it
+                raise DimensionMismatch("riemann-like tensor has a non-finite component")
             res = self.symmetry_residuals()
             # absolute floor: a numerically-zero tensor is all rounding noise,
             # and noise cannot beat a purely relative symmetry tolerance
-            tol = RIEMANN_TOL * self.norm() + 1e-12
+            tol = RIEMANN_TOL * norm + 1e-12
             bad = {k: r for k, r in res.items() if r > tol}
             if bad:
                 raise DimensionMismatch(
@@ -250,6 +257,62 @@ class Tensor04:
             "first_bianchi": max_abs(v + v.transpose(1, 2, 0, 3)
                                      + v.transpose(2, 0, 1, 3)),
         }
+
+
+@dataclass(frozen=True)
+class CurvatureBundle:
+    """All pointwise curvature data derived from a metric at one point.
+
+    `riemann` uses the (0,4) convention R[i,j,k,l] = g(R(e_i,e_j)e_k, e_l);
+    `nabla_ricci[i,j,k]` is the covariant derivative (nabla_i S)(e_j, e_k);
+    `dr[i]` is the coordinate differential of the scalar curvature.
+
+    Synthetic pointwise data (no chart behind it) is built with
+    :meth:`from_tensors`, in which case `point`, `nabla_ricci`, `dr` and even
+    `riemann` may be absent (None).
+    """
+
+    g: Metric
+    riemann: Tensor04 | None
+    ricci: np.ndarray
+    ricci_op: np.ndarray
+    r: float
+    point: tuple[float, ...] | None = None
+    nabla_ricci: np.ndarray | None = None
+    dr: np.ndarray | None = None
+
+    @property
+    def n(self) -> int:
+        return self.g.n
+
+    @classmethod
+    def from_tensors(cls, g: Metric, riemann: Tensor04 | None = None,
+                     ricci=None, r: float | None = None,
+                     nabla_ricci=None, dr=None,
+                     point: Sequence[float] | None = None) -> "CurvatureBundle":
+        """Assemble a bundle from raw pointwise tensors.
+
+        `ricci` defaults to the contraction of `riemann`; `r` defaults to the
+        metric trace of `ricci`.  The Ricci operator is always recomputed.
+        """
+        if ricci is None:
+            if riemann is None:
+                raise DimensionMismatch("need riemann or ricci to build a bundle")
+            ricci = ricci_contract(riemann, g)
+        ricci = _check_bilinear(ricci, g.n)
+        if riemann is not None and riemann.n != g.n:
+            raise DimensionMismatch(f"riemann n={riemann.n} vs metric n={g.n}")
+        if r is None:
+            r = scalar_curvature(ricci, g)
+        q = ricci_operator(ricci, g)
+        if nabla_ricci is not None:
+            nabla_ricci = np.asarray(nabla_ricci, dtype=float)
+        if dr is not None:
+            dr = np.asarray(dr, dtype=float)
+        if point is not None:
+            point = tuple(float(v) for v in point)
+        return cls(g=g, riemann=riemann, ricci=ricci, ricci_op=q, r=float(r),
+                   point=point, nabla_ricci=nabla_ricci, dr=dr)
 
 
 def _check_bilinear(p, n: int) -> np.ndarray:

@@ -19,12 +19,15 @@ normalized by (1 + max|lhs data|), the pure identity checks are raw.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .chart import CurvatureBundle, MetricField
 from .errors import DegenerateRicci, DimensionMismatch, ZeroScalarCurvature
-from .tensor import _check_oneform, _lift, _lstsq_kernel, max_abs
+from .tensor import CurvatureBundle, _check_oneform, _lift, _lstsq_kernel, max_abs
+
+if TYPE_CHECKING:
+    from .chart import MetricField
 
 __all__ = [
     "OneFormSystem", "wrs_residual", "weak_symmetry_residual",

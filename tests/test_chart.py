@@ -241,6 +241,13 @@ def test_wrong_point_length(sphere2):
         sphere2.curvature_bundle((0.5,))
 
 
+@pytest.mark.parametrize("query", ["curvature_bundle", "metric_at", "christoffel",
+                                   "nabla_riemann"])
+def test_point_coordinates_must_be_numbers(sphere2, query):
+    with pytest.raises(DomainError, match="must be numbers"):
+        getattr(sphere2, query)(("a", "b"))
+
+
 def test_metric_field_needs_two_coords():
     with pytest.raises(DimensionMismatch):
         MetricField(["x"], {(0, 0): "1"})

@@ -565,6 +565,14 @@ def test_conformally_flat_check_needs_riemann(n):
         conformally_flat_check(bundle)
 
 
+def test_classification_report_needs_riemann():
+    # from_tensors allows a bundle of Ricci data alone; the report refuses
+    # it before any fit reads the missing (0,4) tensor
+    bundle = CurvatureBundle.from_tensors(Metric(np.eye(4)), ricci=np.diag([1, 1, 1, 2]))
+    with pytest.raises(DimensionMismatch, match="no \\(0,4\\) curvature tensor"):
+        classification_report(bundle)
+
+
 def test_conformally_flat_generic_failure():
     rng = np.random.default_rng(76)
     g = Metric(random_spd(rng, 4))

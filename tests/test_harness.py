@@ -177,6 +177,18 @@ def test_twin_catches_a_wrong_reconstruction(monkeypatch, verify, reconstruct):
     assert twin.max_residual > 1e-8
 
 
+@pytest.mark.parametrize("verify", [verify_section2, verify_section3, verify_section4])
+def test_twin_catches_a_wrong_ricci_contraction(monkeypatch, verify):
+    # the contraction half: the twin's loop sum against `ricci_contract`
+    original = harness.ricci_contract
+    monkeypatch.setattr(harness, "ricci_contract",
+                        lambda *args: original(*args) + 1e-6)
+    report = verify(TrialConfig(seed=5, trials=1, n=4))
+    twin = next(c for c in report.checks if c.name.endswith("brute_force_twin"))
+    assert not twin.passed
+    assert twin.max_residual > 1e-8
+
+
 def test_weyl_norm_reported_not_asserted(small_reports):
     s2 = small_reports[0]
     qc_fit = next(c for c in s2.checks if c.name == "qc_quasi_constant_fit")

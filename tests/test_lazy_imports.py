@@ -1,7 +1,7 @@
 """Each CLI command runs only the curvkit modules it uses.
 
-`curvkit.cli` binds classify, gencurv, harness, manifest and wrs as lazy
-modules: each is in `sys.modules` from the start and runs on its first
+`curvkit.cli` binds chart, classify, expr, gencurv, harness, manifest and
+wrs as lazy modules: each is in `sys.modules` from the start and runs on its first
 attribute access.  So "not in sys.modules" cannot tell an unexecuted module
 from a run one; the module's own `__dict__`, read past the lazy module's
 `__getattribute__`, can: it holds the module's public names only once the
@@ -22,14 +22,14 @@ import curvkit
 ROOT = Path(__file__).resolve().parents[1]
 CHILD = ROOT / "perfbench" / "child.py"
 TRACE_MARK = "PERFBENCH-TRACE "
-LAZY = ("classify", "gencurv", "harness", "manifest", "wrs")
+LAZY = ("chart", "classify", "expr", "gencurv", "harness", "manifest", "wrs")
 
 # what a command leaves unexecuted; it runs every other lazy module
 UNEXECUTED = {
     ("curvature", "manifests/sphere3.txt"): {"classify", "gencurv", "harness", "wrs"},
     ("classify", "manifests/sphere3.txt"): {"harness", "wrs"},
     ("wrs", "manifests/sphere3.txt"): {"classify", "gencurv", "harness"},
-    ("verify", "--n", "4", "--trials", "3"): {"manifest"},
+    ("verify", "--n", "4", "--trials", "3"): {"chart", "expr", "manifest"},
 }
 
 PROBE = """
@@ -68,12 +68,31 @@ def test_a_command_runs_only_the_modules_it_uses(argv):
 
 
 def test_package_names_load_their_modules_on_first_use():
+    import curvkit.chart
+    import curvkit.expr
     import curvkit.gencurv
     import curvkit.harness
+    import curvkit.tensor
     assert curvkit.TrialConfig is curvkit.harness.TrialConfig
     assert curvkit.GenCurvParams is curvkit.gencurv.GenCurvParams
+    assert curvkit.MetricField is curvkit.chart.MetricField
+    assert curvkit.Expression is curvkit.expr.Expression
+    assert curvkit.parse is curvkit.expr.parse
+    assert curvkit.CurvatureBundle is curvkit.chart.CurvatureBundle is \
+        curvkit.tensor.CurvatureBundle
     with pytest.raises(AttributeError, match="nope"):
         curvkit.nope
+
+
+def test_the_numeric_layers_import_no_symbolic_module():
+    # verify's whole import graph: tensor, harness and the layers it calls
+    done = _python("-c", "import sys, curvkit, curvkit.tensor, curvkit.harness, "
+                   "curvkit.classify, curvkit.gencurv, curvkit.wrs; "
+                   "print(' '.join(m for m in sys.modules if m.startswith('curvkit')))")
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.split()
+    assert "curvkit.harness" in loaded
+    assert "curvkit.chart" not in loaded and "curvkit.expr" not in loaded
 
 
 @pytest.mark.parametrize("argv", list(UNEXECUTED), ids=lambda argv: argv[0])

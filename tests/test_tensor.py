@@ -60,6 +60,12 @@ def test_metric_rejects_nonsquare_and_small():
         Metric(np.ones((1, 1)))
 
 
+@pytest.mark.parametrize("components", [[["a"]], [[1.0, 0.0], [0.0]], {}])
+def test_metric_rejects_components_that_are_not_numbers(components):
+    with pytest.raises(DimensionMismatch, match="matrix of numbers"):
+        Metric(components)
+
+
 def test_metric_inverse_quality():
     rng = np.random.default_rng(0)
     for n in (2, 4, 6):
@@ -145,6 +151,14 @@ def test_riemann_like_flag_validates():
     assert all(v <= 1e-12 * t.norm() for v in t.symmetry_residuals().values())
     with pytest.raises(DimensionMismatch):
         Tensor04(rng.standard_normal((3, 3, 3, 3)), riemann_like=True)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_riemann_like_flag_refuses_non_finite_values(bad):
+    # refused before the symmetry residuals, so numpy warns of nothing
+    with pytest.raises(DimensionMismatch, match="non-finite"):
+        Tensor04(np.full((3,) * 4, bad), riemann_like=True)
 
 
 # --------------------------------------------------------------------------
