@@ -130,8 +130,13 @@ class MetricField:
     # -- evaluation ----------------------------------------------------------
 
     def _coordinates(self, point: Sequence[float]) -> list[float]:
-        if len(point) != self.n:
-            raise DimensionMismatch(f"point has {len(point)} components, expected {self.n}")
+        try:
+            size = len(point)
+        except TypeError:
+            raise DimensionMismatch(f"a point is a sequence of {self.n} numbers, "
+                                    f"got {type(point).__name__}") from None
+        if size != self.n:
+            raise DimensionMismatch(f"point has {size} components, expected {self.n}")
         try:
             return [float(v) for v in point]
         except (TypeError, ValueError) as exc:
@@ -221,13 +226,24 @@ class MetricField:
 
     def _riemann_and_nabla(self, point: Sequence[float]):
         """The (0,4) curvature grid (read-only) and its covariant
-        derivative."""
+        derivative: d_m R less, for each slot of R in turn, gamma[p,m,a]
+        contracted with R's index p in that slot.  Each term is one
+        (n^2, n) @ (n, n^3) matrix product, with the slot moved to the
+        front of R and moved back after."""
         _, gamma, _, rb, drb = self._curvature_at(point)
-        return rb, (drb
-                    - np.einsum("pmi,pjkl->mijkl", gamma, rb)
-                    - np.einsum("pmj,ipkl->mijkl", gamma, rb)
-                    - np.einsum("pmk,ijpl->mijkl", gamma, rb)
-                    - np.einsum("pml,ijkp->mijkl", gamma, rb))
+        n = self.n
+        gamma_ma = gamma.reshape(n, n * n).T  # [(m, a), p]
+        nabla = drb
+        for first, back in _SLOT_AXES:
+            term = (gamma_ma @ rb.transpose(first).reshape(n, -1)).reshape((n,) * 5)
+            nabla = nabla - term.transpose(back)
+        return rb, nabla
+
+
+# Per slot s of a (0,4) grid: the axes that move s to the front, and the
+# axes that move the second axis of [m, s, other slots] back to slot s.
+_SLOT_AXES = [((s, *(t for t in range(4) if t != s)),
+               (0, *range(2, s + 2), 1, *range(s + 2, 5))) for s in range(4)]
 
 
 # --------------------------------------------------------------------------

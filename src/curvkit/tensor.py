@@ -97,11 +97,17 @@ def _kernel_rule(sigma: np.ndarray, columns: int) -> tuple[np.ndarray, np.ndarra
     return cut, columns - np.count_nonzero(sigma > cut[..., None], axis=-1)
 
 
-def _as_square(a, name: str) -> np.ndarray:
+def _as_floats(a, what: str) -> np.ndarray:
+    """`a` as a float array; DimensionMismatch, saying `what` it must be,
+    where it holds something that is not a number."""
     try:
-        a = np.asarray(a, dtype=float)
+        return np.asarray(a, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise DimensionMismatch(f"{name} must be a matrix of numbers: {exc}") from None
+        raise DimensionMismatch(f"{what} of numbers: {exc}") from None
+
+
+def _as_square(a, name: str) -> np.ndarray:
+    a = _as_floats(a, f"{name} must be a matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{name} must be a square matrix, got shape {a.shape}")
     return a
@@ -188,7 +194,7 @@ class Metric:
 
     def norm_sq(self, covector) -> float:
         """Squared metric norm of a 1-form: ginv[i,j] w_i w_j."""
-        return float(_norm_sq_values(self.inv, np.asarray(covector, dtype=float)))
+        return float(_norm_sq_values(self.inv, _check_oneform(covector, self.n)))
 
     def __repr__(self):
         return f"Metric(n={self.n})"
@@ -215,7 +221,7 @@ class Tensor04:
     n: int = field(init=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = _as_floats(self.values, "(0,4) tensor must be a grid")
         if v.ndim != 4 or len(set(v.shape)) != 1:
             raise DimensionMismatch(f"(0,4) tensor must be n^4, got shape {v.shape}")
         object.__setattr__(self, "values", v)
@@ -306,9 +312,9 @@ class CurvatureBundle:
             r = scalar_curvature(ricci, g)
         q = ricci_operator(ricci, g)
         if nabla_ricci is not None:
-            nabla_ricci = np.asarray(nabla_ricci, dtype=float)
+            nabla_ricci = _as_floats(nabla_ricci, "nabla_ricci must be a grid")
         if dr is not None:
-            dr = np.asarray(dr, dtype=float)
+            dr = _as_floats(dr, "dr must be a vector")
         if point is not None:
             point = tuple(float(v) for v in point)
         return cls(g=g, riemann=riemann, ricci=ricci, ricci_op=q, r=float(r),
@@ -316,14 +322,14 @@ class CurvatureBundle:
 
 
 def _check_bilinear(p, n: int) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
+    p = _as_floats(p, "bilinear form must be a matrix")
     if p.shape != (n, n):
         raise DimensionMismatch(f"bilinear form must have shape ({n},{n}), got {p.shape}")
     return p
 
 
 def _check_oneform(w, n: int) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
+    w = _as_floats(w, "1-form must be a vector")
     if w.shape != (n,):
         raise DimensionMismatch(f"1-form must have shape ({n},), got {w.shape}")
     return w

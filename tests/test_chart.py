@@ -248,6 +248,12 @@ def test_point_coordinates_must_be_numbers(sphere2, query):
         getattr(sphere2, query)(("a", "b"))
 
 
+@pytest.mark.parametrize("query,point", [("curvature_bundle", 1.0), ("metric_at", None)])
+def test_a_point_that_is_not_a_sequence_is_refused(sphere2, query, point):
+    with pytest.raises(DimensionMismatch, match="a point is a sequence of 2 numbers"):
+        getattr(sphere2, query)(point)
+
+
 def test_metric_field_needs_two_coords():
     with pytest.raises(DimensionMismatch):
         MetricField(["x"], {(0, 0): "1"})

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -352,6 +353,24 @@ def test_curvature_evaluates_the_chart_once(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["result"]["christoffel"]
 
 
+@pytest.mark.parametrize("command", ["curvature", "classify", "wrs"])
+def test_each_manifest_entry_is_parsed_once(monkeypatch, capsys, command):
+    # parse_manifest keeps the Expressions it validated, and the field takes them
+    from curvkit import expr
+    parses = []
+    parse = expr._Parser.parse
+
+    def counting(self):
+        parses.append(1)
+        return parse(self)
+
+    monkeypatch.setattr(expr._Parser, "parse", counting)
+    monkeypatch.chdir(CLI_REFERENCE.parents[2])
+    path = "manifests/conformal5.txt"
+    assert main([command, path]) == 0
+    assert len(parses) == len(load_manifest(path).entries) == 15
+
+
 def test_load_manifest_from_disk(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text(EUCLID4)
@@ -527,3 +546,36 @@ def test_classify_admits_metrics_at_the_scale_bound(tmp_path, capfd):
         assert not caught and err == ""
         verdicts.append(_verdicts(out))
     assert verdicts[0] == verdicts[1] == verdicts[2]
+
+
+# --------------------------------------------------------------------------
+# the process entry
+
+# run the CLI as `python -m curvkit.cli` does, and report at exit, after
+# the command, how many objects the collector has frozen
+ENTRY_PROBE = """\
+import atexit, gc, pathlib, runpy, sys
+frozen = pathlib.Path(sys.argv.pop(1))
+atexit.register(lambda: frozen.write_text(str(gc.get_freeze_count())))
+runpy.run_module("curvkit.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["curvature", "manifests/sphere2.txt"], 0),
+    (["verify", "--n", "17"], 2),
+    (["--version"], 0),
+], ids=["curvature", "verify --n 17", "--version"])
+def test_the_process_entry_freezes_at_exit_and_keeps_the_bytes(tmp_path, monkeypatch,
+                                                               capsys, argv, code):
+    root = CLI_REFERENCE.parents[2]
+    frozen = tmp_path / "frozen"
+    env = {**os.environ, "PYTHONPATH": str(Path(curvkit.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", ENTRY_PROBE, str(frozen), *argv],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=60)
+    assert int(frozen.read_text()) > 0
+    monkeypatch.chdir(root)
+    freezes = gc.get_freeze_count()
+    assert run_main(argv) == done.returncode == code
+    assert gc.get_freeze_count() == freezes  # main() called in-process never freezes
+    assert capsys.readouterr() == (done.stdout, done.stderr)

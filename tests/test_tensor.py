@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from curvkit.classify import einstein_check
 from curvkit.errors import DimensionMismatch, NumericalInconsistency, SingularMetric
 from curvkit.tensor import (_HYPER_TERMS, _PSEUDO_TERMS, _W2_TERMS, KERNEL_RCOND,
-                            Metric, Tensor04, _contract_block, _expand_block,
+                            CurvatureBundle, Metric, Tensor04, _contract_block, _expand_block,
                             _lstsq_kernel,
                             _ricci_contract_values, hyper_shape, is_symmetric,
                             max_abs, pseudo_shape, quasi_constant_shape,
@@ -64,6 +65,28 @@ def test_metric_rejects_nonsquare_and_small():
 def test_metric_rejects_components_that_are_not_numbers(components):
     with pytest.raises(DimensionMismatch, match="matrix of numbers"):
         Metric(components)
+
+
+WORDS = [["a", "b"], ["c", "d"]]
+
+
+@pytest.mark.parametrize("build", [
+    lambda g: CurvatureBundle.from_tensors(g, ricci=WORDS),
+    lambda g: CurvatureBundle.from_tensors(g, ricci=np.eye(2), nabla_ricci=[WORDS] * 2),
+    lambda g: CurvatureBundle.from_tensors(g, ricci=np.eye(2), dr=["a", "b"]),
+    lambda g: g.raise_index(["a", "b"]),
+    lambda g: g.norm_sq(["a", "b"]),
+    lambda g: hyper_shape(g, WORDS),
+    lambda g: pseudo_shape(g, WORDS),
+    lambda g: quasi_constant_shape(g, ["a", "b"]),
+    lambda g: einstein_check(WORDS, g),
+    lambda g: Tensor04([[[["a"]]]]),
+], ids=["from_tensors", "from_tensors-nabla_ricci", "from_tensors-dr", "raise_index",
+        "norm_sq", "hyper_shape", "pseudo_shape", "quasi_constant_shape", "einstein_check",
+        "Tensor04"])
+def test_entries_that_are_not_numbers_are_refused(build):
+    with pytest.raises(DimensionMismatch, match="of numbers"):
+        build(Metric(np.eye(2)))
 
 
 def test_metric_inverse_quality():
