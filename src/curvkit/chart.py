@@ -22,6 +22,7 @@ point queries are safe to run concurrently.
 from __future__ import annotations
 
 import itertools
+import operator
 import struct
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -31,7 +32,8 @@ import numpy as np
 from . import expr as ex
 from .errors import (CurvError, DimensionMismatch, DomainError,
                      NumericalInconsistency, UnknownIdentifier)
-from .tensor import CurvatureBundle, Metric, Tensor04, max_abs, ricci_contract
+from .tensor import (CurvatureBundle, Metric, Tensor04, _as_array, _scalar_curvature_values,
+                     max_abs, ricci_contract)
 
 __all__ = ["MetricField", "CurvatureBundle", "christoffel", "curvature_bundle",
            "nabla_riemann"]
@@ -43,11 +45,11 @@ def _normalize_entries(coords: Sequence[str], entries: Mapping) -> list[ex.Node]
     index = {name: i for i, name in enumerate(coords)}
     upper: dict[tuple[int, int], ex.Node] = {}
     for key, value in entries.items():
-        i, j = key
-        if isinstance(i, str):
-            if i not in index or j not in index:
-                raise DimensionMismatch(f"metric entry {key!r} names unknown coordinates")
-            i, j = index[i], index[j]
+        try:
+            i, j = (index[k] if isinstance(k, str) else operator.index(k) for k in key)
+        except (KeyError, TypeError, ValueError):
+            raise DimensionMismatch(f"metric entry key {key!r} is not a pair of indices "
+                                    "or coordinate names") from None
         if not (0 <= i < n and 0 <= j < n):
             raise DimensionMismatch(f"metric entry index {key!r} out of range")
         if isinstance(value, ex.Expression):
@@ -57,7 +59,7 @@ def _normalize_entries(coords: Sequence[str], entries: Mapping) -> list[ex.Node]
                 raise UnknownIdentifier(stray[0])
             node = value.root
         elif isinstance(value, (int, float)):
-            node = ex.num(value)
+            node = ex.num(_as_array(value, f"metric entry {key!r}", 0, finite=False))
         else:
             node = ex.parse(str(value), coords).root
         upper[min(i, j), max(i, j)] = node
@@ -138,8 +140,8 @@ class MetricField:
         if size != self.n:
             raise DimensionMismatch(f"point has {size} components, expected {self.n}")
         try:
-            return [float(v) for v in point]
-        except (TypeError, ValueError) as exc:
+            return _as_array(point, "point", 1, self.n, finite=False).tolist()
+        except DimensionMismatch as exc:
             raise DomainError(f"point coordinates must be numbers: {exc}") from None
 
     def _jet_at(self, point: Sequence[float], order: int):
@@ -213,9 +215,10 @@ class MetricField:
                        - np.einsum("lik,jl->ijk", gamma, ricci))
         dr = (np.einsum("ajk,jk->a", dginv, ricci)
               + np.einsum("jk,ajk->a", g.inv, d_ricci))
-        bundle = CurvatureBundle.from_tensors(g, riemann, ricci=ricci,
-                                              nabla_ricci=nabla_ricci, dr=dr,
-                                              point=point)
+        # built here from a validated metric: assembled without from_tensors' checks
+        bundle = CurvatureBundle(g, riemann, ricci, g.inv @ ricci,
+                                 float(_scalar_curvature_values(g.inv, ricci)),
+                                 tuple(self._coordinates(point)), nabla_ricci, dr)
         _check_bundle(bundle)
         return bundle
 

@@ -18,9 +18,9 @@ import numpy as np
 from .errors import (DimensionMismatch, InvalidParams, NotQuasiConstant,
                      NotQuasiEinstein)
 from .gencurv import (GenCurvParams, pseudo_projective, quasi_conformal, w2,
-                      weyl_from_tensors)
+                      weyl)
 from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, CurvatureBundle, Metric,
-                     Tensor04, _check_bilinear, _expand_block, _lift,
+                     Tensor04, _as_array, _expand_block, _lift,
                      _lstsq_kernel, _max_abs_items, _outer,
                      _scalar_curvature_values, max_abs, ricci_contract, wedge_gg)
 
@@ -49,7 +49,7 @@ class EinsteinFit:
     ok: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuasiEinsteinFit:
     p: float
     q: float
@@ -57,7 +57,7 @@ class QuasiEinsteinFit:
     residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuasiConstantFit:
     a: float
     b: float
@@ -65,7 +65,7 @@ class QuasiConstantFit:
     residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HyperQuasiConstantFit:
     a: float
     p: np.ndarray  # trace-free gauge representative
@@ -74,7 +74,7 @@ class HyperQuasiConstantFit:
     shape: ClassVar = (_HYPER_TERMS, 2.0)  # the block kernel; a's wedges per unit trace of P
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PseudoQuasiConstantFit:
     a: float
     p: np.ndarray
@@ -85,7 +85,7 @@ class PseudoQuasiConstantFit:
 
 def einstein_check(s, g: Metric, tol: float = 1e-8) -> EinsteinFit:
     """Fit S = alpha * g with alpha = r/n; residual is max-norm relative."""
-    alpha, residual = _einstein_values(_check_bilinear(s, g.n), g.mat, g.inv)
+    alpha, residual = _einstein_values(_as_array(s, "bilinear form", 2, g.n), g.mat, g.inv)
     return EinsteinFit(alpha=float(alpha), residual=float(residual),
                        ok=bool(residual <= tol))
 
@@ -130,7 +130,7 @@ def quasi_einstein_decompose(s, g: Metric) -> QuasiEinsteinFit:
     Raises NotQuasiEinstein when the pattern is absent, or when it collapses
     to Einstein (q ~ 0), in which case `einstein_alpha` is set on the error.
     """
-    p, q, omega, residual = _quasi_einstein_values(_check_bilinear(s, g.n)[None],
+    p, q, omega, residual = _quasi_einstein_values(_as_array(s, "bilinear form", 2, g.n)[None],
                                                    g.mat[None], g.inv[None])
     return QuasiEinsteinFit(p=float(p[0]), q=float(q[0]), omega=omega[0],
                             residual=float(residual[0]))
@@ -405,15 +405,14 @@ def conformally_flat_check(bundle: CurvatureBundle,
     n = 2, where the tensor is not even defined.)"""
     if bundle.riemann is None:
         raise DimensionMismatch("bundle carries no (0,4) curvature tensor")
-    norm = 0.0 if bundle.n < 3 else max_abs(weyl_from_tensors(
-        bundle.riemann, bundle.g, bundle.ricci, bundle.r).values)
+    norm = 0.0 if bundle.n < 3 else max_abs(weyl(bundle).values)
     return norm, norm <= tol * (1.0 + bundle.riemann.norm())
 
 
 # --------------------------------------------------------------------------
 # Combined report
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassificationReport:
     """Structured verdicts for one bundle; see `classification_report`."""
 

@@ -32,14 +32,13 @@ weighted combination it appears in.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateParams, DimensionMismatch, InvalidParams
 from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, _W2_TERMS, CurvatureBundle,
-                     Metric, Tensor04, _check_bilinear, _contract_block,
+                     Metric, Tensor04, _as_array, _contract_block,
                      _expand_block, _lift, is_symmetric, ricci_contract,
                      scalar_curvature, wedge_gg)
 
@@ -60,15 +59,20 @@ WEIGHT_LIMIT = 1e100
 @dataclass(frozen=True)
 class GenCurvParams:
     """The constant weights (a, b) of the quasi-conformal and
-    pseudo-projective combinations: both finite, and each of a, b and b/a
-    zero or of magnitude between 1/WEIGHT_LIMIT and WEIGHT_LIMIT."""
+    pseudo-projective combinations: both finite real numbers, held as
+    floats, and each of a, b and b/a zero or of magnitude between
+    1/WEIGHT_LIMIT and WEIGHT_LIMIT."""
 
     a: float = 1.0
     b: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise InvalidParams(f"weights must be finite, got a={self.a}, b={self.b}")
+        for name in ("a", "b"):
+            try:
+                value = float(_as_array(getattr(self, name), name, 0))
+            except DimensionMismatch as exc:
+                raise InvalidParams(f"weights must be finite numbers: {exc}") from None
+            object.__setattr__(self, name, value)
 
         def admitted(v):
             return v == 0.0 or 1.0 / WEIGHT_LIMIT <= abs(v) <= WEIGHT_LIMIT
@@ -133,8 +137,8 @@ def _combine(kind: str, riemann: Tensor04 | None, g: Metric, s, r: float,
         raise DimensionMismatch("bundle carries no (0,4) curvature tensor")
     if riemann.n != g.n:
         raise DimensionMismatch(f"riemann n={riemann.n} vs metric n={g.n}")
-    return Tensor04(_combined_values(kind, riemann.values, g.mat, s, r, params,
-                                     wedge_gg(g).values))
+    return Tensor04._unvalidated(_combined_values(kind, riemann.values, g.mat, s, r, params,
+                                                  wedge_gg(g).values))
 
 
 def _combined_values(kind: str, rv: np.ndarray, gm: np.ndarray, s: np.ndarray,
@@ -216,24 +220,23 @@ def weyl_from_tensors(riemann: Tensor04, g: Metric,
 
     with S and r derived from `riemann` when not supplied.
     """
-    if ricci is None:
-        ricci = ricci_contract(riemann, g)
-    if r is None:
-        r = scalar_curvature(ricci, g)
-    return _combine("weyl", riemann, g, _check_bilinear(ricci, g.n), r)
+    ricci = (ricci_contract(riemann, g) if ricci is None
+             else _as_array(ricci, "ricci", 2, g.n))
+    r = scalar_curvature(ricci, g) if r is None else float(_as_array(r, "r", 0))
+    return _combine("weyl", riemann, g, ricci, r)
 
 
 # --------------------------------------------------------------------------
 # Flat reconstructions: solve <combination> = 0 for R
 
-def _check_sr(s, g: Metric, r: float, strict: bool) -> np.ndarray:
-    s = _check_bilinear(s, g.n)
+def _check_sr(s, g: Metric, r: float, strict: bool) -> tuple[np.ndarray, float]:
+    s, r = _as_array(s, "bilinear form", 2, g.n), float(_as_array(r, "r", 0))
     if strict:
         tr = scalar_curvature(s, g)
         if abs(tr - r) > 1e-10 * (1.0 + abs(r)):
             raise InvalidParams(
                 f"strict mode: r={r:g} is not the metric trace of S ({tr:g})")
-    return s
+    return s, r
 
 
 def reconstruct_qc_flat(s, g: Metric, r: float, params: GenCurvParams,
@@ -248,7 +251,7 @@ def reconstruct_qc_flat(s, g: Metric, r: float, params: GenCurvParams,
     so the flag is set without checking the grid.
     """
     params.require_qc()
-    s = _check_sr(s, g, r, strict)
+    s, r = _check_sr(s, g, r, strict)
     return Tensor04._unvalidated(_flat_values("qc", s, g.mat, r, params, wedge_gg(g).values),
                                  riemann_like=is_symmetric(s))
 
@@ -260,8 +263,8 @@ def reconstruct_pp_flat(s, g: Metric, r: float, params: GenCurvParams,
         R = -(b/a) * [S_jk g_il - S_ik g_jl] + (r/(a n))(a/(n-1) + b) * G
     """
     params.require_pp()
-    s = _check_sr(s, g, r, strict)
-    return Tensor04(_flat_values("pp", s, g.mat, r, params, wedge_gg(g).values))
+    s, r = _check_sr(s, g, r, strict)
+    return Tensor04._unvalidated(_flat_values("pp", s, g.mat, r, params, wedge_gg(g).values))
 
 
 def reconstruct_w2_flat(s, g: Metric) -> Tensor04:
@@ -269,7 +272,8 @@ def reconstruct_w2_flat(s, g: Metric) -> Tensor04:
 
         R = 1/(n-1) * [g_jk S_il - g_ik S_jl]
     """
-    return Tensor04(_flat_values("w2", _check_bilinear(s, g.n), g.mat, 0.0, None, None))
+    s = _as_array(s, "bilinear form", 2, g.n)
+    return Tensor04._unvalidated(_flat_values("w2", s, g.mat, 0.0, None, None))
 
 
 # --------------------------------------------------------------------------

@@ -75,8 +75,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .classify import (_eigenframe, _einstein_values, _linear_fit,
-                       _quasi_constant_values, _quasi_einstein_values)
+from .classify import (HyperQuasiConstantFit, PseudoQuasiConstantFit, _eigenframe,
+                       _einstein_values, _linear_fit, _quasi_constant_values,
+                       _quasi_einstein_values)
 from .errors import (CurvError, DegenerateParams, InvalidParams,
                      SingularMetric, ZeroScalarCurvature)
 from .gencurv import (GenCurvParams, _combined_values, _flat_ricci,
@@ -84,7 +85,7 @@ from .gencurv import (GenCurvParams, _combined_values, _flat_ricci,
                       reconstruct_pp_flat, reconstruct_qc_flat,
                       reconstruct_w2_flat, w2_flat_alpha)
 from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, MAX_DIM, CurvatureBundle,
-                     Metric, Tensor04, _check_oneform, _expand_block,
+                     Metric, Tensor04, _as_array, _expand_block,
                      _kernel_rule, _lift, _max_abs_items, _outer,
                      _norm_sq_values, _ricci_contract_values,
                      _scalar_curvature_values, _validate_metrics, max_abs,
@@ -136,9 +137,10 @@ class TrialConfig:
             raise InvalidParams("tolerance must be positive and finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointModel:
-    """Random pointwise data with a rank-one Ricci form S = coeff * t(x)t."""
+    """Random pointwise data with a rank-one Ricci form S = coeff * t(x)t.
+    Models compare and hash by identity."""
 
     g: Metric
     ricci: np.ndarray
@@ -276,13 +278,13 @@ def product_ricci_form(g: Metric, a_form, d_form, b_form, b_bar
     """S = (1/s) (a - d)(x)b_bar with the pairing scalar
     s = (a - d)(dual of b).  Raises DegenerateParams when s ~ 0 (the pairing
     the construction divides by)."""
-    a_form = np.asarray(a_form, float)
-    d_form = np.asarray(d_form, float)
-    s, clear = _pairing(g.inv, a_form, d_form, _check_oneform(b_form, g.n))
+    a_form, d_form = _as_array(a_form, "a_form", 1, g.n), _as_array(d_form, "d_form", 1, g.n)
+    b_form, b_bar = _as_array(b_form, "b_form", 1, g.n), _as_array(b_bar, "b_bar", 1, g.n)
+    s, clear = _pairing(g.inv, a_form, d_form, b_form)
     if not clear:
         raise DegenerateParams(
             f"pairing (a-d)(b-dual) = {s:g} is numerically zero")
-    return _product_matrix(a_form, d_form, np.asarray(b_bar, float), s), float(s)
+    return _product_matrix(a_form, d_form, b_bar, s), float(s)
 
 
 def flat_ricci_form(g: Metric, b_form, b_bar, d_form, d_bar, r: float
@@ -293,12 +295,12 @@ def flat_ricci_form(g: Metric, b_form, b_bar, d_form, d_bar, r: float
         S = -(1/(s*r)) (b_bar + d_bar)(x)b_bar - (1/s) d(x)b_bar
 
     with s the pairing scalar of that substituted a against d and b."""
+    r = float(_as_array(r, "r", 0))
     if abs(r) <= REJECT_TOL:
         raise DegenerateParams(f"scalar curvature r = {r:g} is numerically zero")
-    b_bar = np.asarray(b_bar, float)
-    a_form = _flat_first_form(b_bar, np.asarray(d_bar, float), r)
-    s_matrix, _ = product_ricci_form(g, a_form, d_form, b_form, b_bar)
-    return s_matrix
+    b_bar = _as_array(b_bar, "b_bar", 1, g.n)
+    a_form = _flat_first_form(b_bar, _as_array(d_bar, "d_bar", 1, g.n), r)
+    return product_ricci_form(g, a_form, d_form, b_form, b_bar)[0]
 
 
 def rank_one_coefficient(g: Metric, ricci, t) -> float:
@@ -306,10 +308,10 @@ def rank_one_coefficient(g: Metric, ricci, t) -> float:
     where T(rho) is the squared metric norm of t.  Raises DegenerateParams
     when t is numerically zero (the degenerate T(rho) = 0 case the chains
     rule out)."""
-    t_rho, clear = _difference_norm(g.inv, np.asarray(t, float))
+    t_rho, clear = _difference_norm(g.inv, _as_array(t, "t", 1, g.n))
     if not clear:
         raise _zero_difference_form(t_rho)
-    return scalar_curvature(np.asarray(ricci, float), g) / float(t_rho)
+    return scalar_curvature(ricci, g) / float(t_rho)
 
 
 # --------------------------------------------------------------------------
@@ -327,7 +329,7 @@ def selfconsistent_ricci(g: Metric, r: float, params: GenCurvParams,
     the already-unique fixed point.)
     The system is singular when it has a kernel under the one rank rule of
     `tensor._kernel_rule`, the cut every fit applies."""
-    return _fixed_point(g.mat[None], np.array([float(r)]), params, flavor)[0]
+    return _fixed_point(g.mat[None], _as_array(r, "r", 0).reshape(1), params, flavor)[0]
 
 
 def _fixed_point(gm: np.ndarray, r, params: GenCurvParams, flavor: str) -> np.ndarray:
@@ -554,11 +556,22 @@ def _pairing_identity(config, gm, ginv, a_form, d_form, b_form, b_bar):
     return _max_abs_items(lhs, 2) / (1.0 + _max_abs_items(scaled, 2)), {}
 
 
+def _flat_weights(flavor: str, n: int, r, params: GenCurvParams):
+    """(c/a, -b/a) of the flat reconstruction R = (c/a)*G - (b/a)*B(S) of
+    the "qc" or "pp" flavor, as the reconstructions' docstrings write them:
+    apart from `gencurv._weights`, so the checks stay independent of it."""
+    a, b = params.a, params.b
+    if flavor == "qc":
+        return (r / n) * (1.0 / (n - 1) + 2.0 * b / a), -(b / a)
+    return (r / (a * n)) * (a / (n - 1) + b), -(b / a)
+
+
 def _flat_fit_check(flavor: str) -> _Check:
     """Reconstruct the curvature from the substituted Ricci form and fit the
     corresponding shape family; the fit must reproduce the exact closed-form
     coefficients (up to the documented trace gauge)."""
-    terms, gauge_weight = (_HYPER_TERMS, 2.0) if flavor == "qc" else (_PSEUDO_TERMS, 1.0)
+    terms, gauge_weight = (HyperQuasiConstantFit if flavor == "qc"
+                           else PseudoQuasiConstantFit).shape
 
     def draw(rng, n):
         # the covectors in the order flat_ricci_form takes them
@@ -576,17 +589,13 @@ def _flat_fit_check(flavor: str) -> _Check:
         (params.require_qc if flavor == "qc" else params.require_pp)()
         a_form = _flat_first_form(b_bar, d_bar, r)
         s = _product_matrix(a_form, d_form, b_bar, _pairing(ginv, a_form, d_form, b_form)[0])
-        ba = params.b / params.a
-        p_true = -ba * s
+        alpha, beta = _flat_weights(flavor, n, r, params)
+        p_true = beta * s
         trace = _scalar_curvature_values(ginv, p_true)
         wedge = _expand_block(_PSEUDO_TERMS, gm, gm)
         riemann = _flat_values(flavor, s, gm, r, params, wedge)
         fit_a, fit_p, fit_residual, _ = _linear_fit(riemann, gm, ginv, wedge, terms,
                                                     gauge_weight, _eigenframe(riemann, gm))
-        if flavor == "qc":
-            alpha = (r / n) * (1.0 / (n - 1) + 2.0 * ba)
-        else:
-            alpha = (r / (params.a * n)) * (params.a / (n - 1) + params.b)
         a_true = alpha + gauge_weight * trace / n
         p_hat = p_true - _lift(trace / n, 2) * gm
         return np.maximum.reduce([
@@ -638,8 +647,8 @@ def _qc_quasi_constant(config, gm, ginv, c, t):
     contracted = _ricci_contract_values(ginv, riemann)
     fit_a, fit_b, a_form, fit_residual = _quasi_constant_values(
         riemann, gm, ginv, wedge, contracted, max(config.tolerance, 1e-8))
-    l_true = (r / n) * (1.0 / (n - 1) + 2.0 * params.b / params.a)
-    delta_true = -(params.b / params.a) * coeff
+    l_true, beta = _flat_weights("qc", n, r, params)
+    delta_true = beta * coeff
     b_true = delta_true * t_rho
     delta_rec = fit_b / t_rho
     weyl = _combined_values("weyl", riemann, gm, contracted,
@@ -660,10 +669,11 @@ def _pp_quasi_constant(config, gm, ginv, c, t):
     params.require_pp()
     wedge = _expand_block(_PSEUDO_TERMS, gm, gm)
     riemann = _flat_values("pp", ricci, gm, r, params, wedge)
-    fit_a, fit_p, fit_residual, _ = _linear_fit(riemann, gm, ginv, wedge, _PSEUDO_TERMS, 1.0,
+    fit_a, fit_p, fit_residual, _ = _linear_fit(riemann, gm, ginv, wedge,
+                                                *PseudoQuasiConstantFit.shape,
                                                 _eigenframe(riemann, gm))
-    gamma1 = (r / (params.a * n)) * (params.a / (n - 1) + params.b)
-    delta1 = -(params.b / params.a) * coeff
+    gamma1, beta = _flat_weights("pp", n, r, params)
+    delta1 = beta * coeff
     a_true = gamma1 + delta1 * t_rho / n
     p_hat = _lift(delta1, 2) * (_outer(t, t) - _lift(t_rho / n, 2) * gm)
     unit = t / _lift(np.sqrt(t_rho), 1)
@@ -724,29 +734,23 @@ def _twin_check(flavor: str) -> _Check:
         r = scalar_curvature(s, g)
         fast = (reconstruct_qc_flat(s, g, r, params) if flavor == "qc" else
                 reconstruct_pp_flat(s, g, r, params) if flavor == "pp" else
-                reconstruct_w2_flat(s, g)).values
+                reconstruct_w2_flat(s, g))
         # the loops read Python floats: numpy scalars, one entry at a time,
         # would make the same products several times slower
         gm, ginv, s = g.mat.tolist(), g.inv.tolist(), s.tolist()
-        a, b = params.a, params.b
         # each flavor's entry R[i,j,k,l], as its reconstruction's docstring
         # writes it
-        if flavor == "qc":
-            coeff = (r / n) * (1.0 / (n - 1) + 2.0 * b / a)
-
-            def entry(i, j, k, l):
-                return (-(b / a) * (s[j][k] * gm[i][l] - s[i][k] * gm[j][l]
-                                    + gm[j][k] * s[i][l] - gm[i][k] * s[j][l])
-                        + coeff * (gm[j][k] * gm[i][l] - gm[i][k] * gm[j][l]))
-        elif flavor == "pp":
-            coeff = (r / (a * n)) * (a / (n - 1) + b)
-
-            def entry(i, j, k, l):
-                return (-(b / a) * (s[j][k] * gm[i][l] - s[i][k] * gm[j][l])
-                        + coeff * (gm[j][k] * gm[i][l] - gm[i][k] * gm[j][l]))
-        else:
+        if flavor == "w2":
             def entry(i, j, k, l):
                 return (gm[j][k] * s[i][l] - gm[i][k] * s[j][l]) / (n - 1)
+        else:
+            coeff, beta = _flat_weights(flavor, n, r, params)
+
+            def entry(i, j, k, l):
+                block = s[j][k] * gm[i][l] - s[i][k] * gm[j][l]
+                if flavor == "qc":  # the four-term block
+                    block = block + gm[j][k] * s[i][l] - gm[i][k] * s[j][l]
+                return beta * block + coeff * (gm[j][k] * gm[i][l] - gm[i][k] * gm[j][l])
         # one pass over the grid lists each entry in C order and adds it into
         # its contraction slow[j][k] = sum over (i, l) of ginv[i][l] * entry
         loops, slow = [], [[0.0] * n for _ in range(n)]
@@ -754,9 +758,9 @@ def _twin_check(flavor: str) -> _Check:
             loops.append(entry(i, j, k, l))
             slow[j][k] += ginv[i][l] * loops[-1]
         loops, slow = np.array(loops).reshape((n,) * 4), np.array(slow)
-        worst = max_abs(fast - loops) / (1.0 + max_abs(fast))
+        worst = max_abs(fast.values - loops) / (1.0 + fast.norm())
         # contraction twin: the loop sums against the einsum path
-        contracted = ricci_contract(Tensor04(fast), g)
+        contracted = ricci_contract(fast, g)
         return max(worst, max_abs(contracted - slow) / (1.0 + max_abs(slow)))
 
     def compute(config, gm, ginv, c, t):

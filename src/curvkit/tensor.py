@@ -40,8 +40,7 @@ MAX_DIM = 16  # the largest `verify --n` and manifest `dim:` accepted
 
 
 def max_abs(a) -> float:
-    a = np.asarray(a, dtype=float)
-    return float(np.abs(a).max()) if a.size else 0.0
+    return float(np.abs(a).max(initial=0.0))
 
 
 def _max_abs_items(a: np.ndarray, ndim: int) -> np.ndarray:
@@ -97,19 +96,28 @@ def _kernel_rule(sigma: np.ndarray, columns: int) -> tuple[np.ndarray, np.ndarra
     return cut, columns - np.count_nonzero(sigma > cut[..., None], axis=-1)
 
 
-def _as_floats(a, what: str) -> np.ndarray:
-    """`a` as a float array; DimensionMismatch, saying `what` it must be,
-    where it holds something that is not a number."""
+def _as_array(x, name: str, rank: int, n: int | None = None,
+              finite: bool = True) -> np.ndarray:
+    """The one conversion of a caller's argument: `x` as a float array of
+    `rank` axes (0 for a scalar), each of length n, or all of one length
+    when n is None.  Raises DimensionMismatch naming the argument `name`
+    when x is not made of real numbers, has another shape, or holds a
+    non-finite entry.  finite=False leaves non-finite entries to the
+    caller: `Metric` refuses them as SingularMetric, and a chart evaluates
+    its entries at any coordinates.  A float array is returned as it is."""
     try:
-        return np.asarray(a, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DimensionMismatch(f"{what} of numbers: {exc}") from None
-
-
-def _as_square(a, name: str) -> np.ndarray:
-    a = _as_floats(a, f"{name} must be a matrix")
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"{name} must be a square matrix, got shape {a.shape}")
+        a = np.asarray(x)
+        if a.dtype.kind not in "biufO":  # complex, text, times: no real numbers
+            raise TypeError(f"got {a.dtype} entries")
+        a = a.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        noun = ("a scalar", "a vector", "a matrix")[rank] if rank < 3 else "a grid"
+        raise DimensionMismatch(f"{name} must be {noun} of numbers: {exc}") from None
+    if a.ndim != rank or len(set(a.shape) if n is None else {n, *a.shape}) > 1:
+        want = f"{rank} axes of one length" if n is None and rank else f"shape {(n,) * rank}"
+        raise DimensionMismatch(f"{name} must have {want}, got shape {a.shape}")
+    if finite and not np.isfinite(a).all():
+        raise DimensionMismatch(f"{name} has a non-finite component")
     return a
 
 
@@ -167,7 +175,7 @@ class Metric:
     __slots__ = ("n", "mat", "inv", "_wedge")
 
     def __init__(self, components):
-        g = _as_square(components, "metric")
+        g = _as_array(components, "metric", 2, finite=False)
         if g.shape[0] < 2:
             raise DimensionMismatch(f"metric dimension must be >= 2, got {g.shape[0]}")
         self._hold(*_validate_metrics(g))
@@ -190,17 +198,17 @@ class Metric:
 
     def raise_index(self, covector) -> np.ndarray:
         """Metric dual of a 1-form: v^i = ginv[i,j] w_j."""
-        return self.inv @ _check_oneform(covector, self.n)
+        return self.inv @ _as_array(covector, "1-form", 1, self.n)
 
     def norm_sq(self, covector) -> float:
         """Squared metric norm of a 1-form: ginv[i,j] w_i w_j."""
-        return float(_norm_sq_values(self.inv, _check_oneform(covector, self.n)))
+        return float(_norm_sq_values(self.inv, _as_array(covector, "1-form", 1, self.n)))
 
     def __repr__(self):
         return f"Metric(n={self.n})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tensor04:
     """A (0,4) tensor as a dense n^4 grid.
 
@@ -213,7 +221,7 @@ class Tensor04:
     builders whose output has the symmetries by construction (`wedge_gg`,
     `quasi_constant_shape`, and `hyper_shape` and
     `gencurv.reconstruct_qc_flat` of a symmetric form) set the flag
-    unchecked.
+    unchecked.  Tensors compare and hash by identity.
     """
 
     values: np.ndarray
@@ -221,34 +229,32 @@ class Tensor04:
     n: int = field(init=False)
 
     def __post_init__(self):
-        v = _as_floats(self.values, "(0,4) tensor must be a grid")
-        if v.ndim != 4 or len(set(v.shape)) != 1:
-            raise DimensionMismatch(f"(0,4) tensor must be n^4, got shape {v.shape}")
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "n", v.shape[0])
+        self._hold(_as_array(self.values, "(0,4) tensor", 4))
         if self.riemann_like:
-            norm = self.norm()
-            if not np.isfinite(norm):  # before the residuals, which would warn on it
-                raise DimensionMismatch("riemann-like tensor has a non-finite component")
-            res = self.symmetry_residuals()
             # absolute floor: a numerically-zero tensor is all rounding noise,
             # and noise cannot beat a purely relative symmetry tolerance
-            tol = RIEMANN_TOL * norm + 1e-12
-            bad = {k: r for k, r in res.items() if r > tol}
+            tol = RIEMANN_TOL * self.norm() + 1e-12
+            bad = {k: r for k, r in self.symmetry_residuals().items() if r > tol}
             if bad:
                 raise DimensionMismatch(
                     f"tensor flagged riemann-like violates curvature symmetries: {bad}")
-        v.flags.writeable = False
 
     @classmethod
-    def _unvalidated(cls, values, riemann_like: bool) -> "Tensor04":
-        """A tensor whose flag holds by construction, such as a four-term
-        block kernel of a symmetric form: set without the n^4 symmetry check.
-        Only the library's own builders use it; data from outside goes
-        through the constructor, which checks."""
-        tensor = cls(values)
+    def _unvalidated(cls, values: np.ndarray, riemann_like: bool = False) -> "Tensor04":
+        """A grid that the library built from inputs it has checked, whose
+        flag holds by construction, such as a four-term block kernel of a
+        symmetric form: set without the conversion and the n^4 symmetry
+        check.  Data from outside goes through the constructor, which
+        checks."""
+        tensor = cls.__new__(cls)
         object.__setattr__(tensor, "riemann_like", riemann_like)
+        tensor._hold(values)
         return tensor
+
+    def _hold(self, values: np.ndarray) -> None:
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "n", values.shape[0])
 
     def norm(self) -> float:
         return max_abs(self.values)
@@ -265,7 +271,7 @@ class Tensor04:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurvatureBundle:
     """All pointwise curvature data derived from a metric at one point.
 
@@ -275,7 +281,7 @@ class CurvatureBundle:
 
     Synthetic pointwise data (no chart behind it) is built with
     :meth:`from_tensors`, in which case `point`, `nabla_ricci`, `dr` and even
-    `riemann` may be absent (None).
+    `riemann` may be absent (None).  Bundles compare and hash by identity.
     """
 
     g: Metric
@@ -300,39 +306,25 @@ class CurvatureBundle:
 
         `ricci` defaults to the contraction of `riemann`; `r` defaults to the
         metric trace of `ricci`.  The Ricci operator is always recomputed.
+        Every axis of an array given has the metric's length n: ricci is
+        (n, n), nabla_ricci (n, n, n), dr and point (n,).
         """
+        if riemann is not None and riemann.n != g.n:
+            raise DimensionMismatch(f"riemann n={riemann.n} vs metric n={g.n}")
         if ricci is None:
             if riemann is None:
                 raise DimensionMismatch("need riemann or ricci to build a bundle")
-            ricci = ricci_contract(riemann, g)
-        ricci = _check_bilinear(ricci, g.n)
-        if riemann is not None and riemann.n != g.n:
-            raise DimensionMismatch(f"riemann n={riemann.n} vs metric n={g.n}")
-        if r is None:
-            r = scalar_curvature(ricci, g)
-        q = ricci_operator(ricci, g)
+            ricci = _ricci_contract_values(g.inv, riemann.values)
+        ricci = _as_array(ricci, "ricci", 2, g.n)
+        r = _scalar_curvature_values(g.inv, ricci) if r is None else _as_array(r, "r", 0)
         if nabla_ricci is not None:
-            nabla_ricci = _as_floats(nabla_ricci, "nabla_ricci must be a grid")
+            nabla_ricci = _as_array(nabla_ricci, "nabla_ricci", 3, g.n)
         if dr is not None:
-            dr = _as_floats(dr, "dr must be a vector")
+            dr = _as_array(dr, "dr", 1, g.n)
         if point is not None:
-            point = tuple(float(v) for v in point)
-        return cls(g=g, riemann=riemann, ricci=ricci, ricci_op=q, r=float(r),
+            point = tuple(_as_array(point, "point", 1, g.n).tolist())
+        return cls(g=g, riemann=riemann, ricci=ricci, ricci_op=g.inv @ ricci, r=float(r),
                    point=point, nabla_ricci=nabla_ricci, dr=dr)
-
-
-def _check_bilinear(p, n: int) -> np.ndarray:
-    p = _as_floats(p, "bilinear form must be a matrix")
-    if p.shape != (n, n):
-        raise DimensionMismatch(f"bilinear form must have shape ({n},{n}), got {p.shape}")
-    return p
-
-
-def _check_oneform(w, n: int) -> np.ndarray:
-    w = _as_floats(w, "1-form must be a vector")
-    if w.shape != (n,):
-        raise DimensionMismatch(f"1-form must have shape ({n},), got {w.shape}")
-    return w
 
 
 # --------------------------------------------------------------------------
@@ -355,7 +347,7 @@ def _ricci_contract_values(ginv: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def scalar_curvature(ricci, g: Metric) -> float:
     """Full metric trace of a bilinear form: r = ginv[j,k] S[j,k]."""
-    return float(_scalar_curvature_values(g.inv, _check_bilinear(ricci, g.n)))
+    return float(_scalar_curvature_values(g.inv, _as_array(ricci, "ricci", 2, g.n)))
 
 
 def _scalar_curvature_values(ginv: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -370,8 +362,7 @@ def _norm_sq_values(ginv: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def ricci_operator(ricci, g: Metric) -> np.ndarray:
     """The endomorphism Q with g(QX,Y) = S(X,Y): Q[i,j] = ginv[i,k] S[k,j]."""
-    s = _check_bilinear(ricci, g.n)
-    return g.inv @ s
+    return g.inv @ _as_array(ricci, "ricci", 2, g.n)
 
 
 # --------------------------------------------------------------------------
@@ -458,7 +449,7 @@ def quasi_constant_shape(g: Metric, a_form) -> Tensor04:
 
     Riemann-like for every covector A.  Callers apply their own scalar weight.
     """
-    a = _check_oneform(a_form, g.n)
+    a = _as_array(a_form, "1-form", 1, g.n)
     return Tensor04._unvalidated(_expand_block(_HYPER_TERMS, g.mat, np.outer(a, a)),
                                  riemann_like=True)
 
@@ -471,7 +462,7 @@ def hyper_shape(g: Metric, p) -> Tensor04:
     for a general (not necessarily symmetric) bilinear P.  Riemann-like
     exactly when P is symmetric.  Gauge: replacing P by P + c*g adds
     2c * wedge_gg(g)."""
-    p = _check_bilinear(p, g.n)
+    p = _as_array(p, "bilinear form", 2, g.n)
     return Tensor04._unvalidated(_expand_block(_HYPER_TERMS, g.mat, p),
                                  riemann_like=is_symmetric(p))
 
@@ -481,6 +472,6 @@ def pseudo_shape(g: Metric, p) -> Tensor04:
 
     Not riemann-like in general (no second-pair antisymmetry).  Gauge:
     replacing P by P + c*g adds c * wedge_gg(g)."""
-    p = _check_bilinear(p, g.n)
-    return Tensor04(_expand_block(_PSEUDO_TERMS, g.mat, p), riemann_like=False)
+    p = _as_array(p, "bilinear form", 2, g.n)
+    return Tensor04._unvalidated(_expand_block(_PSEUDO_TERMS, g.mat, p))
 

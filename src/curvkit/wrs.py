@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DegenerateRicci, DimensionMismatch, ZeroScalarCurvature
-from .tensor import CurvatureBundle, _check_oneform, _lift, _lstsq_kernel, max_abs
+from .tensor import CurvatureBundle, _as_array, _lift, _lstsq_kernel, max_abs
 
 if TYPE_CHECKING:
     from .chart import MetricField
@@ -38,13 +38,14 @@ __all__ = [
 ZERO_R_TOL = 1e-12  # |r| at or below this counts as zero scalar curvature
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OneFormSystem:
     """The coefficient 1-forms of the weak-symmetry conditions.
 
-    `a`, `b`, `d` are the three covectors of the Ricci-level condition.  The
-    curvature-level condition is checked in its reduced form, where its
-    second pair of forms repeats (b, d) (`weak_symmetry_residual_tensors`).
+    `a`, `b`, `d` are the three covectors of the Ricci-level condition, of
+    one length.  The curvature-level condition is checked in its reduced
+    form, where its second pair of forms repeats (b, d)
+    (`weak_symmetry_residual_tensors`).  Compared and hashed by identity.
     """
 
     a: np.ndarray
@@ -52,14 +53,11 @@ class OneFormSystem:
     d: np.ndarray
 
     def __post_init__(self):
-        # copies, so that freezing them leaves the caller's arrays writable
-        forms = {name: np.array(getattr(self, name), dtype=float)
-                 for name in ("a", "b", "d")}
-        for name, v in forms.items():
-            if v.ndim != 1:
-                raise DimensionMismatch(f"1-form {name!r} must be a vector")
-            if v.shape != forms["a"].shape:
-                raise DimensionMismatch("1-forms must share a common length")
+        n = None
+        for name in ("a", "b", "d"):
+            # a copy, so that freezing it leaves the caller's array writable
+            v = _as_array(getattr(self, name), f"1-form {name}", 1, n).copy()
+            n = len(v)
             v.flags.writeable = False
             object.__setattr__(self, name, v)
 
@@ -104,12 +102,11 @@ def weak_symmetry_residual_tensors(nabla_riemann: np.ndarray,
                                + d(V) R(Y,Z,U,X)
 
     on raw pointwise grids, normalized by (1 + max|nabla R|): the general
-    condition with five forms (a, b, c, d, e), reduced by c = b and e = d."""
-    nr = np.asarray(nabla_riemann, dtype=float)
-    rb = np.asarray(riemann, dtype=float)
+    condition with five forms (a, b, c, d, e), reduced by c = b and e = d.
+    The grids have the forms' length n on every axis."""
+    nr = _as_array(nabla_riemann, "nabla_riemann", 5, forms.n)
+    rb = _as_array(riemann, "riemann", 4, forms.n)
     a, b, d = forms.a, forms.b, forms.d
-    if a.shape[0] != rb.shape[0]:
-        raise DimensionMismatch(f"forms n={a.shape[0]} vs tensor n={rb.shape[0]}")
     rhs = (np.einsum("m,ijkl->mijkl", a, rb)
            + np.einsum("i,mjkl->mijkl", b, rb)
            + np.einsum("j,imkl->mijkl", b, rb)
@@ -156,7 +153,7 @@ def a_from_bd(bundle: CurvatureBundle, b, d) -> np.ndarray:
 
     Raises ZeroScalarCurvature when |r| <= ZERO_R_TOL; in that regime the
     identity degenerates to b(QX) + d(QX) = 0 instead."""
-    b, d = _check_oneform(b, bundle.n), _check_oneform(d, bundle.n)
+    b, d = _as_array(b, "1-form", 1, bundle.n), _as_array(d, "1-form", 1, bundle.n)
     if abs(bundle.r) <= ZERO_R_TOL:
         raise ZeroScalarCurvature(
             f"scalar curvature {bundle.r:g} is numerically zero; "

@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from curvkit.chart import MetricField
+
+# Every property test draws the same examples on every run, so that a
+# failure reproduces, and keeps no example database in the tree.  Each test
+# still sets its own max_examples and deadline.
+settings.register_profile("repeatable", derandomize=True, database=None)
+settings.load_profile("repeatable")
 
 
 def euclidean_field(n: int) -> MetricField:

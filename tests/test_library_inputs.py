@@ -1,0 +1,193 @@
+"""Every argument the library takes either works or ends in a CurvError.
+
+The arguments are drawn arrays of rank 0-5 and side 0-6 (mostly of the
+shape the parameter takes), of float, int, bool, complex, text and object
+dtypes, with NaN, +-inf and ints beyond float range among their entries,
+given as arrays or as nested lists; and None, ragged lists, dicts and bare
+strings.  They go to the README's library calls and to the constructors and
+functions that take arrays from a caller.  Each call runs with warnings
+turned into errors: it returns, or raises a CurvError, and never warns.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from curvkit.chart import MetricField
+from curvkit.classify import (classification_report, hyper_quasi_constant_fit,
+                              pseudo_quasi_constant_fit, quasi_constant_fit,
+                              quasi_einstein_decompose)
+from curvkit.errors import CurvError
+from curvkit.gencurv import GenCurvParams, quasi_conformal
+from curvkit.harness import random_point_model
+from curvkit.tensor import (CurvatureBundle, Metric, Tensor04, hyper_shape,
+                            wedge_gg)
+from curvkit.wrs import (OneFormSystem, a_from_bd, check_dr_identity,
+                         recover_one_forms, t_identities,
+                         weak_symmetry_residual_tensors, wrs_residual,
+                         ws_to_wrs_condition)
+
+_ENTRIES = {
+    "float": (float, st.floats(-4.0, 4.0)),
+    "float32": (np.float32, st.floats(-4.0, 4.0, width=32)),
+    "non-finite": (float, st.floats(-4.0, 4.0) | st.sampled_from([np.nan, np.inf, -np.inf])),
+    "int": (np.int64, st.integers(-4, 4)),
+    "bool": (bool, st.booleans()),
+    "complex": (complex, st.complex_numbers(max_magnitude=4.0)),
+    "text": ("U3", st.sampled_from(["x", "1.5", ""])),
+    "object": (object, st.sampled_from([0.5, -2, True, 10**400, -10**400, None, "x", 1j])),
+}
+_ODD = [None, [[1.0, 0.0], [0.0]], {}, 10**400, "x"]
+
+
+@st.composite
+def _argument(draw, shape):
+    """An argument for a parameter that takes an array of `shape`."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(st.sampled_from(_ODD))
+    if draw(st.integers(0, 5)) == 0:
+        shape = draw(hnp.array_shapes(min_dims=0, max_dims=5, min_side=0, max_side=6))
+    kind = draw(st.sampled_from(["float"] * 8 + list(_ENTRIES)))
+    dtype, entries = _ENTRIES[kind]
+    array = draw(hnp.arrays(dtype, shape, elements=entries))
+    return array.tolist() if draw(st.booleans()) else array
+
+
+def _optional(shape):
+    return st.none() | _argument(shape)
+
+
+def _returns_or_refuses(call, *args, **kwargs):
+    """call(*args, **kwargs), or None where it raises a CurvError; any other
+    exception, and any warning, fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return call(*args, **kwargs)
+        except CurvError:
+            return None
+
+
+def _metric(n):
+    return Metric(np.eye(n) + 0.25 * np.ones((n, n)))
+
+
+@st.composite
+def _tensors(draw, n):
+    """A Tensor04 from inside or outside the library, possibly of another
+    dimension, or None where the drawn grid is refused."""
+    g = _metric(n)
+    source = draw(st.sampled_from(["grid", "wedge", "hyper"]))
+    if source == "wedge":
+        return wedge_gg(g)
+    if source == "hyper":
+        p = draw(hnp.arrays(float, (n, n), elements=st.floats(-4.0, 4.0)))
+        return hyper_shape(g, p + p.T)
+    side = draw(st.sampled_from([n, n, n + 1]))
+    return _returns_or_refuses(Tensor04, draw(_argument((side,) * 4)),
+                               riemann_like=draw(st.booleans()))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_metric_and_tensor04_take_numbers_or_refuse(data):
+    n = data.draw(st.integers(2, 4))
+    _returns_or_refuses(Metric, data.draw(_argument((n, n))))
+    _returns_or_refuses(Tensor04, data.draw(_argument((n,) * 4)),
+                        riemann_like=data.draw(st.booleans()))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_bundles_and_their_calls_take_numbers_or_refuse(data):
+    n = data.draw(st.integers(2, 4))
+    g = _metric(n)
+    riemann = data.draw(st.none() | _tensors(n))
+    bundle = _returns_or_refuses(
+        CurvatureBundle.from_tensors, g, riemann=riemann,
+        ricci=data.draw(_optional((n, n))), r=data.draw(_optional(())),
+        nabla_ricci=data.draw(_optional((n,) * 3)), dr=data.draw(_optional((n,))),
+        point=data.draw(_optional((n,))))
+    params = _returns_or_refuses(GenCurvParams, data.draw(_argument(())),
+                                 data.draw(_argument(())))
+    forms = _returns_or_refuses(OneFormSystem, *(data.draw(_argument((n,))) for _ in "abd"))
+    if bundle is None:  # the calls below still take a bundle
+        bundle = CurvatureBundle.from_tensors(g, wedge_gg(g), nabla_ricci=np.zeros((n,) * 3),
+                                              dr=np.zeros(n))
+    if params is not None:
+        _returns_or_refuses(quasi_conformal, bundle, params)
+        _returns_or_refuses(classification_report, bundle, params)
+    _returns_or_refuses(classification_report, bundle)
+    _returns_or_refuses(recover_one_forms, bundle)
+    _returns_or_refuses(quasi_einstein_decompose, data.draw(_argument((n, n))), g)
+    _returns_or_refuses(a_from_bd, bundle, data.draw(_argument((n,))),
+                        data.draw(_argument((n,))))
+    if bundle.riemann is not None:
+        for fit in (quasi_constant_fit, hyper_quasi_constant_fit, pseudo_quasi_constant_fit):
+            _returns_or_refuses(fit, bundle.riemann, g)
+    if forms is not None:
+        for check in (wrs_residual, check_dr_identity, t_identities, ws_to_wrs_condition):
+            _returns_or_refuses(check, bundle, forms)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_one_forms_and_grids_of_wrs_take_numbers_or_refuse(data):
+    n = data.draw(st.integers(2, 4))
+    forms = _returns_or_refuses(OneFormSystem, *(data.draw(_argument((n,))) for _ in "abd"))
+    _returns_or_refuses(weak_symmetry_residual_tensors, data.draw(_argument((n,) * 5)),
+                        data.draw(_argument((n,) * 4)),
+                        forms or OneFormSystem(*np.ones((3, n))))
+
+
+_KEYS = st.sampled_from([(0, 0), (1, 1), (0, 1), ("x", "y"), ("y", "y"), (2, 0),
+                         (-1, 0), ("z", "x"), ("x", 1), (0,), (0, 1, 2), "xy", 0,
+                         (0.5, 1), (None, 0)])
+_VALUES = (st.sampled_from(["1", "2 + x^2", "sin(", "q", "exp(y)", "1e999"])
+           | st.floats(allow_nan=True, allow_infinity=True) | st.integers(-3, 3)
+           | st.sampled_from([10**400, None, 1j, True, [1.0]]))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_charts_take_numbers_or_refuse(data):
+    entries = {(0, 0): "2 + x^2", (1, 1): "2 + y^2"}
+    entries.update(data.draw(st.dictionaries(_KEYS, _VALUES, max_size=3)))
+    field = _returns_or_refuses(MetricField, ["x", "y"], entries)
+    if field is None:
+        return
+    point = data.draw(_argument((2,)) | st.just((10**400, 0.0)))
+    _returns_or_refuses(field.curvature_bundle, point)
+
+
+def _fits():
+    g = _metric(4)
+    t = np.array([1.0, -0.5, 0.25, 2.0])
+    qc = Tensor04(2.0 * wedge_gg(g).values
+                  + 0.5 * hyper_shape(g, np.outer(t, t)).values, riemann_like=True)
+    return g, qc
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Tensor04(np.ones((3,) * 4)),
+    lambda: CurvatureBundle.from_tensors(_metric(3), ricci=np.eye(3)),
+    lambda: OneFormSystem(a=np.ones(3), b=np.zeros(3), d=np.ones(3)),
+    lambda: random_point_model(5, 4),
+    lambda: quasi_einstein_decompose(np.diag([1.0, 1.0, 1.0, 3.0]), Metric(np.eye(4))),
+    lambda: quasi_constant_fit(_fits()[1], _fits()[0]),
+    lambda: hyper_quasi_constant_fit(_fits()[1], _fits()[0]),
+    lambda: pseudo_quasi_constant_fit(_fits()[1], _fits()[0]),
+    lambda: classification_report(CurvatureBundle.from_tensors(_fits()[0], _fits()[1])),
+], ids=["Tensor04", "CurvatureBundle", "OneFormSystem", "PointModel", "QuasiEinsteinFit",
+        "QuasiConstantFit", "HyperQuasiConstantFit", "PseudoQuasiConstantFit",
+        "ClassificationReport"])
+def test_records_that_hold_arrays_compare_and_hash_by_identity(build):
+    first, second = build(), build()
+    assert first == first
+    assert first != second  # equal values, distinct instances
+    assert hash(first) == hash(first) and hash(second) != hash(first)
+    assert len({first, second, first}) == 2

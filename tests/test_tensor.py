@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from curvkit.classify import einstein_check
+from curvkit.classify import (classification_report, einstein_check,
+                              hyper_quasi_constant_fit, quasi_constant_fit,
+                              quasi_einstein_decompose)
 from curvkit.errors import DimensionMismatch, NumericalInconsistency, SingularMetric
+from curvkit.gencurv import GenCurvParams
+from curvkit.harness import (flat_ricci_form, product_ricci_form, rank_one_coefficient,
+                             selfconsistent_ricci)
 from curvkit.tensor import (_HYPER_TERMS, _PSEUDO_TERMS, _W2_TERMS, KERNEL_RCOND,
                             CurvatureBundle, Metric, Tensor04, _contract_block, _expand_block,
                             _lstsq_kernel,
@@ -10,6 +15,8 @@ from curvkit.tensor import (_HYPER_TERMS, _PSEUDO_TERMS, _W2_TERMS, KERNEL_RCOND
                             max_abs, pseudo_shape, quasi_constant_shape,
                             ricci_contract, ricci_operator, scalar_curvature,
                             wedge_gg)
+from curvkit.wrs import (OneFormSystem, check_dr_identity, recover_one_forms,
+                         weak_symmetry_residual_tensors, wrs_residual)
 from oracles import (loop_curvature_symmetry_defect, loop_hyper_shape,
                      loop_pseudo_shape, loop_quasi_constant_shape,
                      loop_ricci_contract, loop_scalar, loop_wedge,
@@ -81,12 +88,74 @@ WORDS = [["a", "b"], ["c", "d"]]
     lambda g: quasi_constant_shape(g, ["a", "b"]),
     lambda g: einstein_check(WORDS, g),
     lambda g: Tensor04([[[["a"]]]]),
+    lambda g: Metric(np.eye(2) * (1 + 1j)),
+    lambda g: hyper_shape(g, np.eye(2) * (1 + 0j)),
+    lambda g: hyper_shape(g, [[10**400, 0], [0, 1]]),
+    lambda g: CurvatureBundle.from_tensors(g, ricci=np.eye(2), point=["a", "b"]),
+    lambda g: CurvatureBundle.from_tensors(g, ricci=np.eye(2), r="x"),
+    lambda g: OneFormSystem(a=["x", "y"], b=np.ones(2), d=np.ones(2)),
+    lambda g: weak_symmetry_residual_tensors([["a"]], np.zeros((2,) * 4), _forms(2)),
+    lambda g: product_ricci_form(g, "x", np.zeros(2), np.ones(2), np.ones(2)),
+    lambda g: flat_ricci_form(g, np.ones(2), "x", np.zeros(2), np.ones(2), 1.0),
+    lambda g: selfconsistent_ricci(g, "x", GenCurvParams(), "qc"),
 ], ids=["from_tensors", "from_tensors-nabla_ricci", "from_tensors-dr", "raise_index",
         "norm_sq", "hyper_shape", "pseudo_shape", "quasi_constant_shape", "einstein_check",
-        "Tensor04"])
+        "Tensor04", "Metric-complex", "hyper_shape-complex", "hyper_shape-int-beyond-float",
+        "from_tensors-point", "from_tensors-r", "OneFormSystem",
+        "weak_symmetry_residual_tensors", "product_ricci_form", "flat_ricci_form",
+        "selfconsistent_ricci"])
 def test_entries_that_are_not_numbers_are_refused(build):
     with pytest.raises(DimensionMismatch, match="of numbers"):
         build(Metric(np.eye(2)))
+
+
+def _forms(n):
+    return OneFormSystem(a=np.ones(n), b=np.ones(n), d=np.ones(n))
+
+
+def _bundle_with(**arrays):
+    return CurvatureBundle.from_tensors(Metric(np.eye(4)), ricci=np.diag([1.0, 2.0, 3.0, 4.0]),
+                                        **arrays)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    lambda: _bundle_with(point=[1.0] * 3),
+    lambda: wrs_residual(_bundle_with(nabla_ricci=np.zeros((2, 2))), _forms(4)),
+    lambda: recover_one_forms(_bundle_with(nabla_ricci=np.zeros((2, 2)))),
+    lambda: check_dr_identity(_bundle_with(dr=np.zeros(3)), _forms(4)),
+    lambda: weak_symmetry_residual_tensors(np.zeros((4, 4)), np.zeros((4,) * 4), _forms(4)),
+    lambda: product_ricci_form(Metric(np.eye(4)), np.ones(3), np.zeros(4), np.ones(4),
+                               np.ones(4)),
+    lambda: rank_one_coefficient(Metric(np.eye(4)), np.eye(4), np.ones(3)),
+], ids=["from_tensors-point", "wrs_residual", "recover_one_forms", "check_dr_identity",
+        "weak_symmetry_residual_tensors", "product_ricci_form", "rank_one_coefficient"])
+def test_arguments_of_a_wrong_shape_are_refused(call):
+    with pytest.raises(DimensionMismatch, match="must have shape"):
+        call()
+
+
+def _grid(value):
+    return Tensor04(np.full((4,) * 4, value))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    lambda g: CurvatureBundle.from_tensors(g, ricci=np.full((4, 4), np.inf)),
+    lambda g: quasi_einstein_decompose(np.full((4, 4), np.nan), g),
+    lambda g: classification_report(CurvatureBundle.from_tensors(
+        g, Tensor04(np.zeros((4,) * 4)), ricci=np.full((4, 4), np.nan))),
+    lambda g: quasi_constant_fit(_grid(np.nan), g),
+    lambda g: quasi_constant_fit(_grid(np.inf), g),
+    lambda g: hyper_quasi_constant_fit(_grid(np.inf), g),
+    lambda g: classification_report(CurvatureBundle.from_tensors(g, _grid(np.inf),
+                                                                 ricci=np.eye(4))),
+], ids=["from_tensors-inf", "quasi_einstein_decompose-nan", "classification_report-nan",
+        "quasi_constant_fit-nan", "quasi_constant_fit-inf", "hyper_quasi_constant_fit-inf",
+        "classification_report-inf"])
+def test_non_finite_arguments_are_refused(call):
+    with pytest.raises(DimensionMismatch, match="non-finite"):
+        call(Metric(np.eye(4)))
 
 
 def test_metric_inverse_quality():
