@@ -15,14 +15,14 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import (DimensionMismatch, InvalidParams, NotQuasiConstant,
-                     NotQuasiEinstein)
+from .errors import InvalidParams, NotQuasiConstant, NotQuasiEinstein
 from .gencurv import (GenCurvParams, pseudo_projective, quasi_conformal, w2,
                       weyl)
 from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, CurvatureBundle, Metric,
-                     Tensor04, _as_array, _expand_block, _lift,
-                     _lstsq_kernel, _max_abs_items, _outer,
-                     _scalar_curvature_values, max_abs, ricci_contract, wedge_gg)
+                     Tensor04, _as_array, _bundle_part, _expand_block,
+                     _grid_of, _lift, _lstsq_kernel, _max_abs_items, _outer,
+                     _ricci_contract_values, _scalar_curvature_values,
+                     max_abs, wedge_gg)
 
 __all__ = [
     "EinsteinFit", "QuasiEinsteinFit", "QuasiConstantFit",
@@ -87,7 +87,7 @@ def einstein_check(s, g: Metric, tol: float = 1e-8) -> EinsteinFit:
     """Fit S = alpha * g with alpha = r/n; residual is max-norm relative."""
     alpha, residual = _einstein_values(_as_array(s, "bilinear form", 2, g.n), g.mat, g.inv)
     return EinsteinFit(alpha=float(alpha), residual=float(residual),
-                       ok=bool(residual <= tol))
+                       ok=bool(residual <= float(_as_array(tol, "tol", 0))))
 
 
 def _einstein_values(s: np.ndarray, gm: np.ndarray, ginv: np.ndarray):
@@ -192,11 +192,10 @@ def quasi_constant_fit(riemann: Tensor04, g: Metric,
     least-squares residual exceeds `tol`, or when the fitted b collapses to
     zero; in the last case `constant_curvature` carries the pure wedge fit.
     """
-    if riemann.n != g.n:
-        raise DimensionMismatch(f"riemann n={riemann.n} vs metric n={g.n}")
+    rv = _grid_of(riemann, "riemann", g)
     a, b, a_form, residual = _quasi_constant_values(
-        riemann.values[None], g.mat[None], g.inv[None], wedge_gg(g).values[None],
-        ricci_contract(riemann, g)[None], tol)
+        rv[None], g.mat[None], g.inv[None], wedge_gg(g).values[None],
+        _ricci_contract_values(g.inv, rv)[None], float(_as_array(tol, "tol", 0)))
     return QuasiConstantFit(a=float(a[0]), b=float(b[0]), a_form=a_form[0],
                             residual=float(residual[0]))
 
@@ -371,12 +370,11 @@ def _linear_fit(rv: np.ndarray, gm: np.ndarray, ginv: np.ndarray, wedge: np.ndar
 def _shape_fits(riemann: Tensor04, g: Metric, *kinds):
     """The `_linear_fit` of one grid to the `shape` of each fit class of
     `kinds`, as an instance of that class, all in one `_eigenframe`."""
-    if riemann.n != g.n:
-        raise DimensionMismatch(f"riemann n={riemann.n} vs metric n={g.n}")
-    frame = _eigenframe(riemann.values, g.mat)
+    rv = _grid_of(riemann, "riemann", g)
+    frame = _eigenframe(rv, g.mat)
     fits = []
     for kind in kinds:
-        a, p, residual, kernel = _linear_fit(riemann.values, g.mat, g.inv, wedge_gg(g).values,
+        a, p, residual, kernel = _linear_fit(rv, g.mat, g.inv, wedge_gg(g).values,
                                              *kind.shape, frame)
         fits.append(kind(a=float(a), p=p, residual=float(residual), kernel_dim=int(kernel)))
     return fits
@@ -403,10 +401,9 @@ def conformally_flat_check(bundle: CurvatureBundle,
     (For n <= 3 the Weyl tensor vanishes identically, so the verdict is
     vacuous there and only meaningful from n = 4 on; the norm reads 0 at
     n = 2, where the tensor is not even defined.)"""
-    if bundle.riemann is None:
-        raise DimensionMismatch("bundle carries no (0,4) curvature tensor")
+    riemann = _bundle_part(bundle, "riemann")
     norm = 0.0 if bundle.n < 3 else max_abs(weyl(bundle).values)
-    return norm, norm <= tol * (1.0 + bundle.riemann.norm())
+    return norm, norm <= float(_as_array(tol, "tol", 0)) * (1.0 + riemann.norm())
 
 
 # --------------------------------------------------------------------------
@@ -476,18 +473,17 @@ def classification_report(bundle: CurvatureBundle,
     Raises DimensionMismatch, before any fit runs, when the bundle carries
     no (0,4) curvature tensor, and InvalidParams when the metric's largest
     entry lies outside the bound METRIC_LIMIT sets."""
-    if bundle.riemann is None:
-        raise DimensionMismatch("bundle carries no (0,4) curvature tensor")
+    riemann = _bundle_part(bundle, "riemann")
+    tol = float(_as_array(tol, "tol", 0))
     s, g = bundle.ricci, bundle.g
     size = max_abs(g.mat)
     if not 1.0 / METRIC_LIMIT <= size <= METRIC_LIMIT:
         raise InvalidParams(f"classify needs the metric's largest entry between "
                             f"{1.0 / METRIC_LIMIT:g} and {METRIC_LIMIT:g}, got {size:g}")
     ein = einstein_check(s, g, tol)
-    hyper, pseudo = _shape_fits(bundle.riemann, g, HyperQuasiConstantFit,
-                                PseudoQuasiConstantFit)
+    hyper, pseudo = _shape_fits(riemann, g, HyperQuasiConstantFit, PseudoQuasiConstantFit)
     # one quasi-Einstein decomposition of s, pass or fail, serves both verdicts
-    rv, wedge = bundle.riemann.values, wedge_gg(g).values
+    rv, wedge = riemann.values, wedge_gg(g).values
     qe = qe_err = qc = qc_err = None
     try:
         qe = quasi_einstein_decompose(s, g)

@@ -38,8 +38,8 @@ import numpy as np
 
 from .errors import DegenerateParams, DimensionMismatch, InvalidParams
 from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, _W2_TERMS, CurvatureBundle,
-                     Metric, Tensor04, _as_array, _contract_block,
-                     _expand_block, _lift, is_symmetric, ricci_contract,
+                     Metric, Tensor04, _as_array, _bundle_part, _contract_block,
+                     _expand_block, _grid_of, _lift, is_symmetric,
                      scalar_curvature, wedge_gg)
 
 __all__ = [
@@ -131,14 +131,12 @@ def _weights(kind: str, n: int, r: float, params: GenCurvParams | None):
     return 1.0, -1.0 / (n - 2), _HYPER_TERMS, -r / ((n - 1) * (n - 2))
 
 
-def _combine(kind: str, riemann: Tensor04 | None, g: Metric, s, r: float,
+def _combine(kind: str, bundle: CurvatureBundle,
              params: GenCurvParams | None = None) -> Tensor04:
-    if riemann is None:
-        raise DimensionMismatch("bundle carries no (0,4) curvature tensor")
-    if riemann.n != g.n:
-        raise DimensionMismatch(f"riemann n={riemann.n} vs metric n={g.n}")
-    return Tensor04._unvalidated(_combined_values(kind, riemann.values, g.mat, s, r, params,
-                                                  wedge_gg(g).values))
+    """K of one kind for a bundle that carries its (0,4) tensor."""
+    rv = _grid_of(_bundle_part(bundle, "riemann"), "riemann", bundle.g)
+    return Tensor04._unvalidated(_combined_values(kind, rv, bundle.g.mat, bundle.ricci,
+                                                  bundle.r, params, wedge_gg(bundle.g).values))
 
 
 def _combined_values(kind: str, rv: np.ndarray, gm: np.ndarray, s: np.ndarray,
@@ -189,7 +187,7 @@ def quasi_conformal(bundle: CurvatureBundle, params: GenCurvParams) -> Tensor04:
 
     Vanishes identically on constant-curvature data for every (a, b).
     """
-    return _combine("qc", bundle.riemann, bundle.g, bundle.ricci, bundle.r, params)
+    return _combine("qc", bundle, params)
 
 
 def pseudo_projective(bundle: CurvatureBundle, params: GenCurvParams) -> Tensor04:
@@ -198,18 +196,18 @@ def pseudo_projective(bundle: CurvatureBundle, params: GenCurvParams) -> Tensor0
     Requires a != 0 and b != 0.  Not riemann-like in general.
     """
     params.require_pp()
-    return _combine("pp", bundle.riemann, bundle.g, bundle.ricci, bundle.r, params)
+    return _combine("pp", bundle, params)
 
 
 def w2(bundle: CurvatureBundle) -> Tensor04:
     """R + 1/(n-1) * [g_ik S_jl - g_jk S_il]."""
-    return _combine("w2", bundle.riemann, bundle.g, bundle.ricci, bundle.r)
+    return _combine("w2", bundle)
 
 
 def weyl(bundle: CurvatureBundle) -> Tensor04:
     """Weyl tensor of the bundle; identically zero at n = 3, the conformal
     curvature for n >= 4.  Totally trace-free."""
-    return _combine("weyl", bundle.riemann, bundle.g, bundle.ricci, bundle.r)
+    return _combine("weyl", bundle)
 
 
 def weyl_from_tensors(riemann: Tensor04, g: Metric,
@@ -220,10 +218,8 @@ def weyl_from_tensors(riemann: Tensor04, g: Metric,
 
     with S and r derived from `riemann` when not supplied.
     """
-    ricci = (ricci_contract(riemann, g) if ricci is None
-             else _as_array(ricci, "ricci", 2, g.n))
-    r = scalar_curvature(ricci, g) if r is None else float(_as_array(r, "r", 0))
-    return _combine("weyl", riemann, g, ricci, r)
+    _grid_of(riemann, "riemann", g)  # required here, where from_tensors takes None
+    return _combine("weyl", CurvatureBundle.from_tensors(g, riemann, ricci, r))
 
 
 # --------------------------------------------------------------------------
@@ -279,6 +275,20 @@ def reconstruct_w2_flat(s, g: Metric) -> Tensor04:
 # --------------------------------------------------------------------------
 # Einstein coefficients forced by the contractions of the reconstructions
 
+def _flat_alpha(kind: str, n: int, r, params: GenCurvParams | None):
+    """The alpha of the public `<kind>_flat_alpha` for scalars r stacked on
+    leading axes, unchecked."""
+    if kind == "qc":
+        denom = params.qc_denominator(n)
+        ba = params.b / params.a
+        return (r / denom) * (-ba + (1.0 + 2.0 * params.b * (n - 1) / params.a) / n)
+    if kind == "pp":
+        params.pp_denominator(n)
+    elif n < 2:
+        raise DimensionMismatch("need n >= 2")
+    return r / n
+
+
 def qc_flat_alpha(n: int, r: float, params: GenCurvParams) -> float:
     """The coefficient alpha with S = alpha*g for the self-consistent Ricci of
     a vanishing quasi-conformal combination:
@@ -288,20 +298,15 @@ def qc_flat_alpha(n: int, r: float, params: GenCurvParams) -> float:
     Equals r/n whenever r is the metric trace of S (the formula is the
     general contraction before imposing trace consistency).
     """
-    denom = params.qc_denominator(n)
-    ba = params.b / params.a
-    return (r / denom) * (-ba + (1.0 + 2.0 * params.b * (n - 1) / params.a) / n)
+    return _flat_alpha("qc", n, float(_as_array(r, "r", 0)), params)
 
 
 def pp_flat_alpha(n: int, r: float, params: GenCurvParams) -> float:
     """alpha = r/n for a vanishing pseudo-projective combination (the
     contraction divides by 1 + (b/a)(n-1), which must be nonzero)."""
-    params.pp_denominator(n)
-    return r / n
+    return _flat_alpha("pp", n, float(_as_array(r, "r", 0)), params)
 
 
 def w2_flat_alpha(n: int, r: float) -> float:
     """alpha = r/n for vanishing W2 (no parameter degeneracy for n >= 2)."""
-    if n < 2:
-        raise DimensionMismatch("need n >= 2")
-    return r / n
+    return _flat_alpha("w2", n, float(_as_array(r, "r", 0)), None)

@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -80,10 +81,9 @@ from .classify import (HyperQuasiConstantFit, PseudoQuasiConstantFit, _eigenfram
                        _quasi_einstein_values)
 from .errors import (CurvError, DegenerateParams, InvalidParams,
                      SingularMetric, ZeroScalarCurvature)
-from .gencurv import (GenCurvParams, _combined_values, _flat_ricci,
-                      _flat_values, pp_flat_alpha, qc_flat_alpha,
-                      reconstruct_pp_flat, reconstruct_qc_flat,
-                      reconstruct_w2_flat, w2_flat_alpha)
+from .gencurv import (GenCurvParams, _combined_values, _flat_alpha, _flat_ricci,
+                      _flat_values, qc_flat_alpha, reconstruct_pp_flat,
+                      reconstruct_qc_flat, reconstruct_w2_flat)
 from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, MAX_DIM, CurvatureBundle,
                      Metric, Tensor04, _as_array, _expand_block,
                      _kernel_rule, _lift, _max_abs_items, _outer,
@@ -114,7 +114,9 @@ class TrialConfig:
     """Seeded configuration for one harness run.  The seed is non-negative,
     and n > 3 is required: every chain under test is stated for dimension
     greater than three.  n is bounded by MAX_DIM, and trials * n^4 by
-    MAX_TRIALS * 4^4."""
+    MAX_TRIALS * 4^4.  Any other value, or a seed, trials or n that is not
+    an integer, a tolerance that is not a number or params that are not
+    GenCurvParams, raises InvalidParams."""
 
     seed: int
     trials: int = 100
@@ -123,6 +125,11 @@ class TrialConfig:
     tolerance: float = 1e-8
 
     def __post_init__(self):
+        for name in ("seed", "trials", "n"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise InvalidParams(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not isinstance(self.params, GenCurvParams):
+            raise InvalidParams(f"params must be a GenCurvParams, got {self.params!r}")
         if self.seed < 0:
             raise InvalidParams(f"seed must be non-negative, got {self.seed}")
         if self.n <= 3:
@@ -133,7 +140,7 @@ class TrialConfig:
         if not 1 <= self.trials <= limit:
             raise InvalidParams(f"trials must be between 1 and {limit} at n={self.n}, "
                                 f"got {self.trials}")
-        if not 0.0 < self.tolerance < math.inf:
+        if not (isinstance(self.tolerance, numbers.Real) and 0.0 < self.tolerance < math.inf):
             raise InvalidParams("tolerance must be positive and finite")
 
 
@@ -516,12 +523,6 @@ def _direction_gap(w, t, t_rho):
 # Each computes over a stack of trials (leading axis); gm and ginv are the
 # validated metrics and their inverses.
 
-# flavor -> the closed-form Einstein coefficient alpha(n, r, params) of its
-# flat reconstruction
-_FLAT_ALPHA = {"qc": qc_flat_alpha, "pp": pp_flat_alpha,
-               "w2": lambda n, r, params: w2_flat_alpha(n, r)}
-
-
 def _contraction_check(flavor: str) -> _Check:
     def draw(rng, n):
         return _draw_metric(rng, n), _draw_symmetric(rng, n)
@@ -530,7 +531,7 @@ def _contraction_check(flavor: str) -> _Check:
         n, params = config.n, config.params
         r = _scalar_curvature_values(ginv, s0)
         s_star = _fixed_point(gm, r, params, flavor)
-        alpha = _FLAT_ALPHA[flavor](n, r, params)
+        alpha = _flat_alpha(flavor, n, r, params)
         residual = _max_abs_items(s_star - _lift(alpha, 2) * gm, 2) / (1.0 + np.abs(alpha))
         # the forced Ricci is Einstein by construction; report that too
         return np.maximum.reduce([residual, _einstein_values(s_star, gm, ginv)[1]]), {}

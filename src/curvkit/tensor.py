@@ -121,6 +121,32 @@ def _as_array(x, name: str, rank: int, n: int | None = None,
     return a
 
 
+def _instance(x, cls: type, name: str):
+    """x, after checking that it is a `cls`; raises DimensionMismatch naming
+    the argument `name` otherwise."""
+    if not isinstance(x, cls):
+        raise DimensionMismatch(f"{name} must be a {cls.__name__}, got {type(x).__name__}")
+    return x
+
+
+def _grid_of(tensor, name: str, g) -> np.ndarray:
+    """The grid of the (0,4) argument `name`, after checking that it is a
+    `Tensor04` and g a `Metric` of the same n."""
+    if _instance(tensor, Tensor04, name).n != _instance(g, Metric, "g").n:
+        raise DimensionMismatch(f"{name} n={tensor.n} vs metric n={g.n}")
+    return tensor.values
+
+
+def _bundle_part(bundle, part: str):
+    """bundle.<part>, after checking that bundle is a `CurvatureBundle` that
+    carries it (`from_tensors` may leave riemann, nabla_ricci and dr out)."""
+    value = getattr(_instance(bundle, CurvatureBundle, "bundle"), part)
+    if value is None:
+        noun = "(0,4) curvature tensor" if part == "riemann" else part
+        raise DimensionMismatch(f"bundle carries no {noun}")
+    return value
+
+
 def _checked_metrics(g: np.ndarray):
     """Metrics stacked as (m, n, n), exactly symmetrized, and their
     symmetrized inverses; or, when some metric fails a check, the reason
@@ -309,13 +335,12 @@ class CurvatureBundle:
         Every axis of an array given has the metric's length n: ricci is
         (n, n), nabla_ricci (n, n, n), dr and point (n,).
         """
-        if riemann is not None and riemann.n != g.n:
-            raise DimensionMismatch(f"riemann n={riemann.n} vs metric n={g.n}")
+        rv = None if riemann is None else _grid_of(riemann, "riemann", g)
         if ricci is None:
-            if riemann is None:
+            if rv is None:
                 raise DimensionMismatch("need riemann or ricci to build a bundle")
-            ricci = _ricci_contract_values(g.inv, riemann.values)
-        ricci = _as_array(ricci, "ricci", 2, g.n)
+            ricci = _ricci_contract_values(g.inv, rv)
+        ricci = _as_array(ricci, "ricci", 2, _instance(g, Metric, "g").n)
         r = _scalar_curvature_values(g.inv, ricci) if r is None else _as_array(r, "r", 0)
         if nabla_ricci is not None:
             nabla_ricci = _as_array(nabla_ricci, "nabla_ricci", 3, g.n)
@@ -334,9 +359,8 @@ def ricci_contract(tensor: Tensor04, g: Metric) -> np.ndarray:
     """Trace a (0,4) tensor over its first and fourth slots:
     S[j,k] = ginv[i,l] R[i,j,k,l].  Symmetric whenever the input is
     riemann-like; general bilinear otherwise."""
-    if tensor.n != g.n:
-        raise DimensionMismatch(f"tensor n={tensor.n} vs metric n={g.n}")
-    return _ricci_contract_values(g.inv, tensor.values)
+    values = _grid_of(tensor, "tensor", g)
+    return _ricci_contract_values(g.inv, values)
 
 
 def _ricci_contract_values(ginv: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -387,14 +411,8 @@ _HYPER_TERMS = _PSEUDO_TERMS + ((+1, "il", "jk"), (-1, "jl", "ik"))
 _W2_TERMS = ((+1, "jl", "ik"), (-1, "il", "jk"))
 
 
-def _on_slots(x: np.ndarray, slots: str) -> np.ndarray:
-    """A view of x[..., a, b] with a and b on the grid slots `slots`, two of
-    "ijkl", and length-1 axes on the other two."""
-    if slots[0] > slots[1]:
-        x, slots = x.swapaxes(-1, -2), slots[::-1]
-    return x[_SLOT_INDEX[slots]]
-
-
+# The index that views x[..., a, b] with a and b on the grid slots of its
+# key, a pair of "ijkl" in ascending order, as every table lists its pairs.
 _SLOT_INDEX = {a + b: (..., *(slice(None) if s in a + b else None for s in "ijkl"))
                for a, b in itertools.combinations("ijkl", 2)}
 
@@ -405,7 +423,7 @@ def _expand_block(terms, gm: np.ndarray, p: np.ndarray) -> np.ndarray:
     four slots, so each has the output's shape."""
     out = term = None
     for sign, ps, gs in terms:
-        term = np.multiply(_on_slots(p, ps), _on_slots(gm, gs), out=term)
+        term = np.multiply(p[_SLOT_INDEX[ps]], gm[_SLOT_INDEX[gs]], out=term)
         if out is None:  # every table opens with a + term
             out, term = term, None
         elif sign > 0:

@@ -24,7 +24,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DegenerateRicci, DimensionMismatch, ZeroScalarCurvature
-from .tensor import CurvatureBundle, _as_array, _lift, _lstsq_kernel, max_abs
+from .tensor import (CurvatureBundle, _as_array, _bundle_part, _instance, _lift,
+                     _lstsq_kernel, max_abs)
 
 if TYPE_CHECKING:
     from .chart import MetricField
@@ -71,9 +72,13 @@ class OneFormSystem:
         return self.b - self.d
 
 
-def _check_forms(bundle: CurvatureBundle, forms: OneFormSystem) -> None:
-    if forms.n != bundle.n:
+def _check_forms(bundle: CurvatureBundle, forms: OneFormSystem, part: str):
+    """The bundle's `part` (`tensor._bundle_part`), after checking that
+    forms is a `OneFormSystem` of the bundle's n."""
+    value = _bundle_part(bundle, part)
+    if _instance(forms, OneFormSystem, "forms").n != bundle.n:
         raise DimensionMismatch(f"forms n={forms.n} vs bundle n={bundle.n}")
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -82,14 +87,12 @@ def _check_forms(bundle: CurvatureBundle, forms: OneFormSystem) -> None:
 def wrs_residual(bundle: CurvatureBundle, forms: OneFormSystem) -> float:
     """Max-norm residual of the Ricci-level decomposition, normalized by
     (1 + max|nabla_ricci|).  Zero iff the condition holds at the point."""
-    _check_forms(bundle, forms)
-    if bundle.nabla_ricci is None:
-        raise DimensionMismatch("bundle carries no nabla_ricci")
+    nabla_ricci = _check_forms(bundle, forms, "nabla_ricci")
     s = bundle.ricci
     rhs = (np.einsum("i,jk->ijk", forms.a, s)
            + np.einsum("j,ik->ijk", forms.b, s)
            + np.einsum("k,ij->ijk", forms.d, s))
-    return max_abs(bundle.nabla_ricci - rhs) / (1.0 + max_abs(bundle.nabla_ricci))
+    return max_abs(nabla_ricci - rhs) / (1.0 + max_abs(nabla_ricci))
 
 
 def weak_symmetry_residual_tensors(nabla_riemann: np.ndarray,
@@ -104,8 +107,9 @@ def weak_symmetry_residual_tensors(nabla_riemann: np.ndarray,
     on raw pointwise grids, normalized by (1 + max|nabla R|): the general
     condition with five forms (a, b, c, d, e), reduced by c = b and e = d.
     The grids have the forms' length n on every axis."""
-    nr = _as_array(nabla_riemann, "nabla_riemann", 5, forms.n)
-    rb = _as_array(riemann, "riemann", 4, forms.n)
+    n = _instance(forms, OneFormSystem, "forms").n
+    nr = _as_array(nabla_riemann, "nabla_riemann", 5, n)
+    rb = _as_array(riemann, "riemann", 4, n)
     a, b, d = forms.a, forms.b, forms.d
     rhs = (np.einsum("m,ijkl->mijkl", a, rb)
            + np.einsum("i,mjkl->mijkl", b, rb)
@@ -125,10 +129,7 @@ def ws_to_wrs_condition(bundle: CurvatureBundle, forms: OneFormSystem) -> float:
     """Raw max-norm of  b(R(X,Z)U) + d(R(X,U)Z)  over all basis triples:
     the extra term by which the curvature-level condition exceeds the
     Ricci-level one after contraction.  Zero means the two agree here."""
-    _check_forms(bundle, forms)
-    if bundle.riemann is None:
-        raise DimensionMismatch("bundle carries no (0,4) curvature tensor")
-    rb = bundle.riemann.values
+    rb = _check_forms(bundle, forms, "riemann").values
     b_vec = bundle.g.raise_index(forms.b)
     d_vec = bundle.g.raise_index(forms.d)
     term_b = np.einsum("ijkl,l->ijk", rb, b_vec)
@@ -138,12 +139,10 @@ def ws_to_wrs_condition(bundle: CurvatureBundle, forms: OneFormSystem) -> float:
 
 def check_dr_identity(bundle: CurvatureBundle, forms: OneFormSystem) -> float:
     """Raw max-norm residual of  dr(X) = r a(X) + b(QX) + d(QX)  over basis X."""
-    _check_forms(bundle, forms)
-    if bundle.dr is None:
-        raise DimensionMismatch("bundle carries no dr")
+    dr = _check_forms(bundle, forms, "dr")
     q = bundle.ricci_op
     rhs = bundle.r * forms.a + forms.b @ q + forms.d @ q
-    return max_abs(bundle.dr - rhs)
+    return max_abs(dr - rhs)
 
 
 def a_from_bd(bundle: CurvatureBundle, b, d) -> np.ndarray:
@@ -153,12 +152,12 @@ def a_from_bd(bundle: CurvatureBundle, b, d) -> np.ndarray:
 
     Raises ZeroScalarCurvature when |r| <= ZERO_R_TOL; in that regime the
     identity degenerates to b(QX) + d(QX) = 0 instead."""
+    q = _bundle_part(bundle, "ricci_op")
     b, d = _as_array(b, "1-form", 1, bundle.n), _as_array(d, "1-form", 1, bundle.n)
     if abs(bundle.r) <= ZERO_R_TOL:
         raise ZeroScalarCurvature(
             f"scalar curvature {bundle.r:g} is numerically zero; "
             "the closed form for the first 1-form does not apply")
-    q = bundle.ricci_op
     return -(b @ q + d @ q) / bundle.r
 
 
@@ -168,8 +167,8 @@ def t_identities(bundle: CurvatureBundle, forms: OneFormSystem) -> tuple[float, 
         res_tq  = max_i | (T Q)_i - r T_i |
         res_ts  = max_{i,j,k} | T_j S_ik - T_k S_ij |
     """
-    _check_forms(bundle, forms)
-    tq, ts = _t_identity_defects(forms.t, bundle.ricci_op, bundle.r, bundle.ricci)
+    q = _check_forms(bundle, forms, "ricci_op")
+    tq, ts = _t_identity_defects(forms.t, q, bundle.r, bundle.ricci)
     return max_abs(tq), max_abs(ts)
 
 
@@ -197,8 +196,7 @@ def recover_one_forms(bundle: CurvatureBundle) -> tuple[OneFormSystem, float, in
 
     Raises DegenerateRicci when S is numerically zero (the system is vacuous).
     """
-    if bundle.nabla_ricci is None:
-        raise DimensionMismatch("bundle carries no nabla_ricci")
+    nabla_ricci = _bundle_part(bundle, "nabla_ricci")
     s = bundle.ricci
     n = bundle.n
     if max_abs(s) <= 1e-13:
@@ -208,7 +206,7 @@ def recover_one_forms(bundle: CurvatureBundle) -> tuple[OneFormSystem, float, in
     block_b = np.einsum("jp,ik->ijkp", eye, s).reshape(n**3, n)
     block_d = np.einsum("kp,ij->ijkp", eye, s).reshape(n**3, n)
     design = np.hstack([block_a, block_b, block_d])
-    rhs = bundle.nabla_ricci.reshape(n**3)
+    rhs = nabla_ricci.reshape(n**3)
     solution, kernel_dim, _ = _lstsq_kernel(design, rhs)
     forms = OneFormSystem(a=solution[:n], b=solution[n:2 * n], d=solution[2 * n:])
     residual = wrs_residual(bundle, forms)

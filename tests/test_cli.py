@@ -94,6 +94,12 @@ def test_manifest_missing_entries_are_zero():
     ("dim: 2\ncoords: u, u\ng: u,u = 1\n", "duplicate coordinate name 'u' (line 2)"),
     ("dim: 2\ncoords: u, u\n", "duplicate coordinate name 'u' (line 2)"),
     ("dim: 2\ncoords: u, 2v\ng: u,u = 1\n", "invalid coordinate name '2v' (line 2)"),
+    # a metric entry without '=' or without two indices, at its own line
+    ("dim: 2\ncoords: u, v\n\ng: u,u 1\n",
+     "metric entry must look like 'g: i,j = expression' (line 4)"),
+    ("dim: 2\ncoords: u, v\ng: u = 1\n", "bad index pair 'u' (line 3)"),
+    ("dim: 2\ncoords: u, v\ng: u,v,u = 1\n", "bad index pair 'u,v,u' (line 3)"),
+    ("dim: 2\ncoords: u, v\ng: u, = 1\n", "bad index pair 'u,' (line 3)"),
 ])
 def test_manifest_errors(text, fragment):
     with pytest.raises(ManifestError) as err:

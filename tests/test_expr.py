@@ -331,3 +331,16 @@ def test_byte_offsets_in_long_input(pad):
     with pytest.raises(UnknownIdentifier) as err:
         parse(text, ["x"])
     assert err.value.offset == pad % 7
+
+
+def test_expressions_compare_and_hash_by_structure():
+    text = "sin(x*y)^2 + exp(-x)/(1 + y^2)"
+    first, second = parse(text, ["x", "y"]), parse(text, ["x", "y"])
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert len({first, second}) == 1
+    assert first.diff("x") == second.diff("x")
+    for coords in (["x", "y", "z"], ["y", "x"]):
+        assert parse(text, coords) != first
+    assert parse("x*y", ["x", "y"]) != parse("y*x", ["x", "y"])
+    assert first != text

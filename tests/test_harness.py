@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 
 import numpy as np
@@ -30,10 +31,23 @@ def test_config_requires_n_above_3():
     assert TrialConfig(seed=0, n=4).tolerance == 1e-8
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), "x"])
 def test_config_tolerance_positive_and_finite(tol):
     with pytest.raises(InvalidParams, match="positive and finite"):
         TrialConfig(seed=0, tolerance=tol)
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"seed": "x"}, "seed must be an integer, got 'x'"),
+    ({"seed": 1.0}, "seed must be an integer, got 1.0"),
+    ({"seed": 1, "n": 4.5}, "n must be an integer, got 4.5"),
+    ({"seed": 1, "trials": "10"}, "trials must be an integer, got '10'"),
+    ({"seed": 1, "params": None}, "params must be a GenCurvParams, got None"),
+    ({"seed": 1, "params": (1.0, 1.0)}, "params must be a GenCurvParams"),
+], ids=["seed-text", "seed-float", "n-float", "trials-text", "params-None", "params-tuple"])
+def test_config_fields_of_another_type_are_refused(fields, message):
+    with pytest.raises(InvalidParams, match=re.escape(message)):
+        TrialConfig(**fields)
 
 
 # --------------------------------------------------------------------------
@@ -88,6 +102,21 @@ def test_flat_ricci_form_guard_zero_r():
     w = np.ones(4)
     with pytest.raises(DegenerateParams):
         flat_ricci_form(g, w, w, w, w, 0.0)
+
+
+def test_flat_ricci_form_matches_its_closed_form():
+    rng = np.random.default_rng(41)
+    n, r = 5, -2.5
+    g = Metric(random_spd(rng, n))
+    b, b_bar, d, d_bar = rng.standard_normal((4, n))
+    # S = -(1/(s r)) (b_bar + d_bar)(x)b_bar - (1/s) d(x)b_bar, where s pairs
+    # the substituted a = -(b_bar + d_bar)/r against d and the dual of b
+    a = -(b_bar + d_bar) / r
+    s = float((a - d) @ np.linalg.solve(g.mat, b))
+    expected = -np.outer(b_bar + d_bar, b_bar) / (s * r) - np.outer(d, b_bar) / s
+    got = flat_ricci_form(g, b, b_bar, d, d_bar, r)
+    assert got.shape == (n, n)
+    assert max_abs(got - expected) <= 1e-12 * max_abs(expected)
 
 
 def test_rank_one_coefficient_and_guard():

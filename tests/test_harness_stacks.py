@@ -437,3 +437,28 @@ def test_a_metric_that_fails_validation_ends_its_check_at_its_trial(monkeypatch)
     assert result.max_residual == math.inf and not result.passed
     # the extras of trials 0 .. 5, as a run of those six trials reports them
     assert result.extra == clean.extra and "weyl_norm" in result.extra
+
+
+@pytest.mark.parametrize("index", [3, 4], ids=["rank_one_ricci", "quasi_constant_fit"])
+def test_a_zero_difference_form_ends_its_check_at_its_trial(index):
+    """rank_one_ricci does not redraw, so a t of zero norm at trial 5 reaches
+    the rank-one guard; quasi_constant_fit, whose trials report weyl_norm,
+    is run the same way with its redraw turned off."""
+    section = 2
+    name, check, _ = harness._SECTIONS[section][1][index]
+    draws = [0]
+
+    def zero_t_at_5(rng, n):
+        m, c, t = harness._draw_point(rng, n)
+        draws[0] += 1
+        return (m, c, np.zeros(n)) if draws[0] == 6 else (m, c, t)
+
+    config = TrialConfig(seed=4, trials=10, n=4)
+    result = harness._run_check(name, check._replace(draw=zero_t_at_5, accept=None),
+                                config, section, index)
+    assert result.note == ("error: difference form has squared norm 0; "
+                           "the rank-one coefficient divides by it")
+    assert math.isinf(result.max_residual) and not result.passed
+    before = harness._run_check(name, check, config, section, index, 5)
+    assert before.passed and result.extra == before.extra
+    assert set(result.extra) == ({"weyl_norm"} if index == 4 else set())

@@ -18,14 +18,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from curvkit.chart import MetricField
-from curvkit.classify import (classification_report, hyper_quasi_constant_fit,
-                              pseudo_quasi_constant_fit, quasi_constant_fit,
-                              quasi_einstein_decompose)
-from curvkit.errors import CurvError
-from curvkit.gencurv import GenCurvParams, quasi_conformal
+from curvkit.classify import (classification_report, conformally_flat_check,
+                              hyper_quasi_constant_fit, pseudo_quasi_constant_fit,
+                              quasi_constant_fit, quasi_einstein_decompose)
+from curvkit.errors import CurvError, DimensionMismatch
+from curvkit.gencurv import (GenCurvParams, pseudo_projective, quasi_conformal, w2,
+                             weyl, weyl_from_tensors)
 from curvkit.harness import random_point_model
 from curvkit.tensor import (CurvatureBundle, Metric, Tensor04, hyper_shape,
-                            wedge_gg)
+                            ricci_contract, wedge_gg)
 from curvkit.wrs import (OneFormSystem, a_from_bd, check_dr_identity,
                          recover_one_forms, t_identities,
                          weak_symmetry_residual_tensors, wrs_residual,
@@ -191,3 +192,77 @@ def test_records_that_hold_arrays_compare_and_hash_by_identity(build):
     assert first != second  # equal values, distinct instances
     assert hash(first) == hash(first) and hash(second) != hash(first)
     assert len({first, second, first}) == 2
+
+
+# --------------------------------------------------------------------------
+# Parameters that take a record: a Metric, a Tensor04, a CurvatureBundle or a
+# OneFormSystem
+
+def _arguments(n):
+    """One valid argument of each kind a call below takes, at dimension n."""
+    g = _metric(n)
+    return {"g": g, "tensor": wedge_gg(g),
+            "bundle": CurvatureBundle.from_tensors(g, wedge_gg(g), nabla_ricci=np.zeros((n,) * 3),
+                                                   dr=np.zeros(n)),
+            "forms": OneFormSystem(*np.ones((3, n))), "1-form": np.ones(n),
+            "params": GenCurvParams(), "grid4": np.zeros((n,) * 4), "grid5": np.zeros((n,) * 5)}
+
+
+# each public call of tensor, classify, gencurv and wrs that takes a record,
+# with its arguments in order: a record parameter by its name, and any other
+# argument by its kind
+_RECORD_CALLS = {
+    "from_tensors": (CurvatureBundle.from_tensors, "g riemann"),
+    "from_tensors-ricci": (lambda g: CurvatureBundle.from_tensors(g, ricci=np.eye(3)), "g"),
+    "ricci_contract": (ricci_contract, "tensor g"),
+    "quasi_constant_fit": (quasi_constant_fit, "riemann g"),
+    "hyper_quasi_constant_fit": (hyper_quasi_constant_fit, "riemann g"),
+    "pseudo_quasi_constant_fit": (pseudo_quasi_constant_fit, "riemann g"),
+    "weyl_from_tensors": (weyl_from_tensors, "riemann g"),
+    "conformally_flat_check": (conformally_flat_check, "bundle"),
+    "classification_report": (classification_report, "bundle params"),
+    "quasi_conformal": (quasi_conformal, "bundle params"),
+    "pseudo_projective": (pseudo_projective, "bundle params"),
+    "w2": (w2, "bundle"),
+    "weyl": (weyl, "bundle"),
+    "wrs_residual": (wrs_residual, "bundle forms"),
+    "ws_to_wrs_condition": (ws_to_wrs_condition, "bundle forms"),
+    "check_dr_identity": (check_dr_identity, "bundle forms"),
+    "t_identities": (t_identities, "bundle forms"),
+    "a_from_bd": (a_from_bd, "bundle 1-form 1-form"),
+    "recover_one_forms": (recover_one_forms, "bundle"),
+    "weak_symmetry_residual_tensors": (weak_symmetry_residual_tensors, "grid5 grid4 forms"),
+}
+_KIND = {"g": "g", "riemann": "tensor", "tensor": "tensor", "bundle": "bundle",
+         "forms": "forms"}
+
+
+def _record_parameters():
+    for name, (_, params) in sorted(_RECORD_CALLS.items()):
+        for at, param in enumerate(params.split()):
+            if param in _KIND:
+                yield pytest.param(name, at, id=f"{name}-{param}")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name,at", _record_parameters())
+def test_record_parameters_refuse_any_other_object(name, at):
+    """None, an array, a dict or a tuple in place of a record ends in
+    DimensionMismatch naming the parameter and the type given; so does a
+    record of another dimension, where another argument fixes n."""
+    call, params = _RECORD_CALLS[name]
+    params = params.split()
+    n, param = 3, params[at]
+    arguments = _arguments(n)
+    valid = [arguments[_KIND.get(p, p)] for p in params]
+    record = type(valid[at]).__name__
+    others = [None, np.zeros((n,) * 4), {}, (1.0,) * n]
+    if (name, param) == ("from_tensors", "riemann"):
+        others = others[1:]  # from_tensors takes None for an absent riemann
+    for other in others:
+        message = f"^{param} must be a {record}, got {type(other).__name__}$"
+        with pytest.raises(DimensionMismatch, match=message):
+            call(*valid[:at], other, *valid[at + 1:])
+    if len(params) - params.count("params") > 1:  # another argument fixes n
+        with pytest.raises(DimensionMismatch):
+            call(*valid[:at], _arguments(n + 1)[_KIND[param]], *valid[at + 1:])

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from curvkit.classify import (classification_report, einstein_check,
-                              hyper_quasi_constant_fit, quasi_constant_fit,
-                              quasi_einstein_decompose)
+from curvkit.classify import (classification_report, conformally_flat_check,
+                              einstein_check, hyper_quasi_constant_fit,
+                              quasi_constant_fit, quasi_einstein_decompose)
 from curvkit.errors import DimensionMismatch, NumericalInconsistency, SingularMetric
-from curvkit.gencurv import GenCurvParams
+from curvkit.gencurv import GenCurvParams, pp_flat_alpha, qc_flat_alpha, w2_flat_alpha
 from curvkit.harness import (flat_ricci_form, product_ricci_form, rank_one_coefficient,
                              selfconsistent_ricci)
 from curvkit.tensor import (_HYPER_TERMS, _PSEUDO_TERMS, _W2_TERMS, KERNEL_RCOND,
@@ -98,12 +98,21 @@ WORDS = [["a", "b"], ["c", "d"]]
     lambda g: product_ricci_form(g, "x", np.zeros(2), np.ones(2), np.ones(2)),
     lambda g: flat_ricci_form(g, np.ones(2), "x", np.zeros(2), np.ones(2), 1.0),
     lambda g: selfconsistent_ricci(g, "x", GenCurvParams(), "qc"),
+    lambda g: einstein_check(np.eye(2), g, tol="x"),
+    lambda g: quasi_constant_fit(wedge_gg(g), g, tol="x"),
+    lambda g: conformally_flat_check(CurvatureBundle.from_tensors(g, wedge_gg(g)), tol="x"),
+    lambda g: classification_report(CurvatureBundle.from_tensors(g, wedge_gg(g)), tol="x"),
+    lambda g: qc_flat_alpha(4, "x", GenCurvParams()),
+    lambda g: pp_flat_alpha(4, "x", GenCurvParams()),
+    lambda g: w2_flat_alpha(4, "x"),
 ], ids=["from_tensors", "from_tensors-nabla_ricci", "from_tensors-dr", "raise_index",
         "norm_sq", "hyper_shape", "pseudo_shape", "quasi_constant_shape", "einstein_check",
         "Tensor04", "Metric-complex", "hyper_shape-complex", "hyper_shape-int-beyond-float",
         "from_tensors-point", "from_tensors-r", "OneFormSystem",
         "weak_symmetry_residual_tensors", "product_ricci_form", "flat_ricci_form",
-        "selfconsistent_ricci"])
+        "selfconsistent_ricci", "einstein_check-tol", "quasi_constant_fit-tol",
+        "conformally_flat_check-tol", "classification_report-tol", "qc_flat_alpha-r",
+        "pp_flat_alpha-r", "w2_flat_alpha-r"])
 def test_entries_that_are_not_numbers_are_refused(build):
     with pytest.raises(DimensionMismatch, match="of numbers"):
         build(Metric(np.eye(2)))
@@ -455,6 +464,16 @@ BLOCK_FORMULAS = {
     "w2": (_W2_TERMS,
            lambda p, g, i, j, k, l: g[i][k] * p[j][l] - g[j][k] * p[i][l]),
 }
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCK_FORMULAS))
+def test_term_tables_list_slot_pairs_in_ascending_order(kind):
+    """`_expand_block` views each pair of slots as it stands, without a
+    transpose: a table that lists a pair descending must fail here."""
+    terms, _ = BLOCK_FORMULAS[kind]
+    for _, p_slots, g_slots in terms:
+        for pair in (p_slots, g_slots):
+            assert len(pair) == 2 and pair[0] < pair[1] and set(pair) <= set("ijkl"), pair
 
 
 def loop_block(formula, gm, stack):
