@@ -32,8 +32,8 @@ import numpy as np
 from . import expr as ex
 from .errors import (CurvError, DimensionMismatch, DomainError,
                      NumericalInconsistency, UnknownIdentifier)
-from .tensor import (CurvatureBundle, Metric, Tensor04, _as_array, _scalar_curvature_values,
-                     max_abs, ricci_contract)
+from .tensor import (CurvatureBundle, Metric, Tensor04, _as_array, _instance,
+                     _scalar_curvature_values, max_abs, ricci_contract)
 
 __all__ = ["MetricField", "CurvatureBundle", "christoffel", "curvature_bundle",
            "nabla_riemann"]
@@ -309,12 +309,12 @@ def _check_bundle(bundle: CurvatureBundle) -> None:
 # Module-level conveniences mirroring the method API.
 
 def christoffel(field: MetricField, point: Sequence[float]) -> np.ndarray:
-    return field.christoffel(point)
+    return _instance(field, MetricField, "field").christoffel(point)
 
 
 def curvature_bundle(field: MetricField, point: Sequence[float]) -> CurvatureBundle:
-    return field.curvature_bundle(point)
+    return _instance(field, MetricField, "field").curvature_bundle(point)
 
 
 def nabla_riemann(field: MetricField, point: Sequence[float]) -> np.ndarray:
-    return field.nabla_riemann(point)
+    return _instance(field, MetricField, "field").nabla_riemann(point)

@@ -20,7 +20,7 @@ from .gencurv import (GenCurvParams, pseudo_projective, quasi_conformal, w2,
                       weyl)
 from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, CurvatureBundle, Metric,
                      Tensor04, _as_array, _bundle_part, _expand_block,
-                     _grid_of, _lift, _lstsq_kernel, _max_abs_items, _outer,
+                     _grid_of, _instance, _lift, _lstsq_kernel, _max_abs_items, _outer,
                      _ricci_contract_values, _scalar_curvature_values,
                      max_abs, wedge_gg)
 
@@ -85,9 +85,14 @@ class PseudoQuasiConstantFit:
 
 def einstein_check(s, g: Metric, tol: float = 1e-8) -> EinsteinFit:
     """Fit S = alpha * g with alpha = r/n; residual is max-norm relative."""
-    alpha, residual = _einstein_values(_as_array(s, "bilinear form", 2, g.n), g.mat, g.inv)
-    return EinsteinFit(alpha=float(alpha), residual=float(residual),
-                       ok=bool(residual <= float(_as_array(tol, "tol", 0))))
+    s = _as_array(s, "bilinear form", 2, _instance(g, Metric, "g").n)
+    return _einstein_fit(s, g, float(_as_array(tol, "tol", 0)))
+
+
+def _einstein_fit(s: np.ndarray, g: Metric, tol: float) -> EinsteinFit:
+    """`einstein_check` of a form and a tolerance already checked."""
+    alpha, residual = _einstein_values(s, g.mat, g.inv)
+    return EinsteinFit(alpha=float(alpha), residual=float(residual), ok=bool(residual <= tol))
 
 
 def _einstein_values(s: np.ndarray, gm: np.ndarray, ginv: np.ndarray):
@@ -130,8 +135,12 @@ def quasi_einstein_decompose(s, g: Metric) -> QuasiEinsteinFit:
     Raises NotQuasiEinstein when the pattern is absent, or when it collapses
     to Einstein (q ~ 0), in which case `einstein_alpha` is set on the error.
     """
-    p, q, omega, residual = _quasi_einstein_values(_as_array(s, "bilinear form", 2, g.n)[None],
-                                                   g.mat[None], g.inv[None])
+    return _quasi_einstein_fit(_as_array(s, "bilinear form", 2, _instance(g, Metric, "g").n), g)
+
+
+def _quasi_einstein_fit(s: np.ndarray, g: Metric) -> QuasiEinsteinFit:
+    """`quasi_einstein_decompose` of a form already checked."""
+    p, q, omega, residual = _quasi_einstein_values(s[None], g.mat[None], g.inv[None])
     return QuasiEinsteinFit(p=float(p[0]), q=float(q[0]), omega=omega[0],
                             residual=float(residual[0]))
 
@@ -236,9 +245,10 @@ def _quasi_constant_along(rv: np.ndarray, gm: np.ndarray, wedge: np.ndarray,
     block = _expand_block(_HYPER_TERMS, gm, _outer(omega, omega))
     design = np.stack([wedge, block], axis=-1).reshape(len(rv), -1, 2)
     a, b = _lstsq_kernel(design, rv.reshape(len(rv), -1))[0].T
+    del design
+    block *= _lift(b, 4)
     rv_size = _max_abs_items(rv, 4)
-    residual = (_max_abs_items(rv - _lift(a, 4) * wedge - _lift(b, 4) * block, 4)
-                / (1.0 + rv_size))
+    residual = _misfit_size(rv, a, wedge, block) / (1.0 + rv_size)
     floor = COEFF_FLOOR * (1.0 + rv_size / _max_abs_items(wedge, 4))
     failed = (residual > tol) | (np.abs(b) <= floor) | (np.abs(a) <= floor)
     if failed.any():
@@ -340,6 +350,7 @@ def _linear_fit(rv: np.ndarray, gm: np.ndarray, ginv: np.ndarray, wedge: np.ndar
     lead = gm.shape[:-2]
     rows, (x, y), lin, (entries, signs, m) = _eigenframe_plan(terms, n)
     mu, q, rot = frame
+    del frame  # a frame passed inline is released with rot below
     mu_xy = mu[..., x] * mu[..., y]  # G in the eigenframe, at the coupled entries
     design = np.empty(lead + (len(rows), n + 1))
     design[..., 0] = np.concatenate([mu_xy, -mu_xy], axis=-1)
@@ -352,6 +363,7 @@ def _linear_fit(rv: np.ndarray, gm: np.ndarray, ginv: np.ndarray, wedge: np.ndar
     norm_sq = np.einsum("...ck,...ck->...c", column, column)
     kept = np.sqrt(norm_sq) > cut[..., None]
     projection = np.einsum("...ck,...ck->...c", column, rot[..., entries])
+    del rot
     p_rot = np.zeros(lead + (n, n))
     p_rot[..., x, y] = np.divide(projection, norm_sq, out=np.zeros(lead + (len(x),)),
                                  where=kept)
@@ -362,9 +374,22 @@ def _linear_fit(rv: np.ndarray, gm: np.ndarray, ginv: np.ndarray, wedge: np.ndar
     trace = np.einsum("...ij,...ij->...", ginv, p0)
     p_hat = p0 - _lift(trace / n, 2) * gm
     a_hat = sol[..., 0] + gauge_weight * trace / n
-    misfit = rv - _lift(a_hat, 4) * wedge - _expand_block(terms, gm, p_hat)
-    residual = _max_abs_items(misfit, 4) / (1.0 + _max_abs_items(rv, 4))
+    residual = (_misfit_size(rv, a_hat, wedge, _expand_block(terms, gm, p_hat))
+                / (1.0 + _max_abs_items(rv, 4)))
     return a_hat, p_hat, residual, kernel_dim
+
+
+def _misfit_size(rv: np.ndarray, a, wedge: np.ndarray, fitted: np.ndarray) -> np.ndarray:
+    """max|R - a*G - fitted| of each fit of a stack, a the fitted wedge
+    coefficients and `fitted` the rest of the fitted grids: the misfit is
+    written into one new grid, in the order of that expression, and its
+    size taken in place, so the fit holds one n^4 grid more than its
+    arguments."""
+    misfit = np.multiply(_lift(a, 4), wedge)
+    np.subtract(rv, misfit, out=misfit)
+    misfit -= fitted
+    del fitted  # a grid passed inline is released here
+    return np.abs(misfit, out=misfit).max(axis=(-4, -3, -2, -1), initial=0.0)
 
 
 def _shape_fits(riemann: Tensor04, g: Metric, *kinds):
@@ -471,22 +496,24 @@ def classification_report(bundle: CurvatureBundle,
     """Run every classifier on one bundle and collect verdicts + residuals,
     along with the max-norms of the three generalized curvature tensors.
     Raises DimensionMismatch, before any fit runs, when the bundle carries
-    no (0,4) curvature tensor, and InvalidParams when the metric's largest
-    entry lies outside the bound METRIC_LIMIT sets."""
+    no (0,4) curvature tensor or params is not a GenCurvParams, and
+    InvalidParams when the metric's largest entry lies outside the bound
+    METRIC_LIMIT sets."""
     riemann = _bundle_part(bundle, "riemann")
+    _instance(params, GenCurvParams, "params")
     tol = float(_as_array(tol, "tol", 0))
-    s, g = bundle.ricci, bundle.g
+    s, g = bundle.ricci, bundle.g  # checked when the bundle was built
     size = max_abs(g.mat)
     if not 1.0 / METRIC_LIMIT <= size <= METRIC_LIMIT:
         raise InvalidParams(f"classify needs the metric's largest entry between "
                             f"{1.0 / METRIC_LIMIT:g} and {METRIC_LIMIT:g}, got {size:g}")
-    ein = einstein_check(s, g, tol)
+    ein = _einstein_fit(s, g, tol)
     hyper, pseudo = _shape_fits(riemann, g, HyperQuasiConstantFit, PseudoQuasiConstantFit)
     # one quasi-Einstein decomposition of s, pass or fail, serves both verdicts
     rv, wedge = riemann.values, wedge_gg(g).values
     qe = qe_err = qc = qc_err = None
     try:
-        qe = quasi_einstein_decompose(s, g)
+        qe = _quasi_einstein_fit(s, g)
     except NotQuasiEinstein as exc:
         qe_err = str(exc)
         qc_err = str(_not_quasi_constant(exc, rv, wedge, tol))

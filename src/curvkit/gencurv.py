@@ -39,7 +39,7 @@ import numpy as np
 from .errors import DegenerateParams, DimensionMismatch, InvalidParams
 from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, _W2_TERMS, CurvatureBundle,
                      Metric, Tensor04, _as_array, _bundle_part, _contract_block,
-                     _expand_block, _grid_of, _lift, is_symmetric,
+                     _expand_block, _grid_of, _instance, _lift, is_symmetric,
                      scalar_curvature, wedge_gg)
 
 __all__ = [
@@ -155,7 +155,9 @@ def _flat_values(kind: str, s: np.ndarray, gm: np.ndarray, r,
     axes, (..., n, n) -> (..., n, n, n, n), unchecked.  The public
     reconstructions wrap it; `_flat_ricci` is its Ricci contraction."""
     a, b, block, c = _weights(kind, gm.shape[-1], r, params)
-    return _minus_g(-(b / a) * _expand_block(block, gm, s), -c / a, wedge)
+    values = _expand_block(block, gm, s)
+    values *= -(b / a)
+    return _minus_g(values, -c / a, wedge)
 
 
 def _flat_ricci(kind: str, s: np.ndarray, gm: np.ndarray, ginv: np.ndarray,
@@ -163,9 +165,10 @@ def _flat_ricci(kind: str, s: np.ndarray, gm: np.ndarray, ginv: np.ndarray,
     """The Ricci contraction of `_flat_values`,
     (c/a)*contract(G) - (b/a)*contract(B(S)), for S, g, ginv and r on
     leading axes that broadcast, (..., n, n) -> (..., n, n), unchecked.  It
-    contracts before expanding: no n^4 grid is built, and contract(G) is
-    the pseudo block's at P = g.  The harness applies it to a whole basis
-    for a stack of metrics in one call."""
+    contracts before expanding (`tensor._contract_block`): no array it
+    builds is larger than its output, and contract(G) is the pseudo block's
+    at P = g.  The harness applies it to a whole basis for a stack of
+    metrics in one call."""
     a, b, block, c = _weights(kind, gm.shape[-1], r, params)
     out = -(b / a) * _contract_block(block, ginv, gm, s)
     if np.any(c):
@@ -174,9 +177,12 @@ def _flat_ricci(kind: str, s: np.ndarray, gm: np.ndarray, ginv: np.ndarray,
 
 
 def _minus_g(values: np.ndarray, c, wedge) -> np.ndarray:
-    """values - c*G, c one scalar per metric; with a zero weight (the W2
-    kind) G is not read, so its callers pass None for it."""
-    return values - _lift(c, 4) * wedge if np.any(c) else values
+    """values - c*G, c one scalar per metric, written into `values`, a grid
+    its caller has just made; with a zero weight (the W2 kind) G is not
+    read, so its callers pass None for it."""
+    if np.any(c):
+        values -= _lift(c, 4) * wedge
+    return values
 
 
 # --------------------------------------------------------------------------
@@ -187,7 +193,7 @@ def quasi_conformal(bundle: CurvatureBundle, params: GenCurvParams) -> Tensor04:
 
     Vanishes identically on constant-curvature data for every (a, b).
     """
-    return _combine("qc", bundle, params)
+    return _combine("qc", bundle, _instance(params, GenCurvParams, "params"))
 
 
 def pseudo_projective(bundle: CurvatureBundle, params: GenCurvParams) -> Tensor04:
@@ -195,7 +201,7 @@ def pseudo_projective(bundle: CurvatureBundle, params: GenCurvParams) -> Tensor0
 
     Requires a != 0 and b != 0.  Not riemann-like in general.
     """
-    params.require_pp()
+    _instance(params, GenCurvParams, "params").require_pp()
     return _combine("pp", bundle, params)
 
 
@@ -226,7 +232,8 @@ def weyl_from_tensors(riemann: Tensor04, g: Metric,
 # Flat reconstructions: solve <combination> = 0 for R
 
 def _check_sr(s, g: Metric, r: float, strict: bool) -> tuple[np.ndarray, float]:
-    s, r = _as_array(s, "bilinear form", 2, g.n), float(_as_array(r, "r", 0))
+    s = _as_array(s, "bilinear form", 2, _instance(g, Metric, "g").n)
+    r = float(_as_array(r, "r", 0))
     if strict:
         tr = scalar_curvature(s, g)
         if abs(tr - r) > 1e-10 * (1.0 + abs(r)):
@@ -246,7 +253,7 @@ def reconstruct_qc_flat(s, g: Metric, r: float, params: GenCurvParams,
     four-term block of a symmetric S and G have every curvature symmetry,
     so the flag is set without checking the grid.
     """
-    params.require_qc()
+    _instance(params, GenCurvParams, "params").require_qc()
     s, r = _check_sr(s, g, r, strict)
     return Tensor04._unvalidated(_flat_values("qc", s, g.mat, r, params, wedge_gg(g).values),
                                  riemann_like=is_symmetric(s))
@@ -258,7 +265,7 @@ def reconstruct_pp_flat(s, g: Metric, r: float, params: GenCurvParams,
 
         R = -(b/a) * [S_jk g_il - S_ik g_jl] + (r/(a n))(a/(n-1) + b) * G
     """
-    params.require_pp()
+    _instance(params, GenCurvParams, "params").require_pp()
     s, r = _check_sr(s, g, r, strict)
     return Tensor04._unvalidated(_flat_values("pp", s, g.mat, r, params, wedge_gg(g).values))
 
@@ -268,7 +275,7 @@ def reconstruct_w2_flat(s, g: Metric) -> Tensor04:
 
         R = 1/(n-1) * [g_jk S_il - g_ik S_jl]
     """
-    s = _as_array(s, "bilinear form", 2, g.n)
+    s = _as_array(s, "bilinear form", 2, _instance(g, Metric, "g").n)
     return Tensor04._unvalidated(_flat_values("w2", s, g.mat, 0.0, None, None))
 
 
@@ -298,13 +305,15 @@ def qc_flat_alpha(n: int, r: float, params: GenCurvParams) -> float:
     Equals r/n whenever r is the metric trace of S (the formula is the
     general contraction before imposing trace consistency).
     """
-    return _flat_alpha("qc", n, float(_as_array(r, "r", 0)), params)
+    return _flat_alpha("qc", n, float(_as_array(r, "r", 0)),
+                       _instance(params, GenCurvParams, "params"))
 
 
 def pp_flat_alpha(n: int, r: float, params: GenCurvParams) -> float:
     """alpha = r/n for a vanishing pseudo-projective combination (the
     contraction divides by 1 + (b/a)(n-1), which must be nonzero)."""
-    return _flat_alpha("pp", n, float(_as_array(r, "r", 0)), params)
+    return _flat_alpha("pp", n, float(_as_array(r, "r", 0)),
+                       _instance(params, GenCurvParams, "params"))
 
 
 def w2_flat_alpha(n: int, r: float) -> float:

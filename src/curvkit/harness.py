@@ -37,9 +37,13 @@ of the trials before it.  A round is computed before an error of its draws
 is reported, so a compute failure at an earlier trial wins.  Blocks hold as
 many trials as keep the largest array a trial stacks within BLOCK_BYTES,
 which bounds the memory a block takes: an n^4 curvature grid, or for the
-contraction checks the n + 1 probe images of n x n below.  The draws take
-at most a few n x n arrays per attempt of one round, so no array grows with
-the number of trials.
+contraction checks the n + 1 probe images of n x n below, and no
+intermediate is larger.  A fit check holds a few such grids at once, its
+misfit written in place, so a check's traced peak stays within
+8 * BLOCK_BYTES, and a contraction check's within 6 * BLOCK_BYTES
+(tests/test_harness_stacks.py pins both).  The draws take at most a few
+n x n arrays per attempt of one round, so no array grows with the number of
+trials.
 
 The contraction checks solve for the Ricci tensor that a vanishing
 generalized tensor forces (`selfconsistent_ricci`): S = F(S) with the trace
@@ -86,7 +90,7 @@ from .gencurv import (GenCurvParams, _combined_values, _flat_alpha, _flat_ricci,
                       reconstruct_qc_flat, reconstruct_w2_flat)
 from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, MAX_DIM, CurvatureBundle,
                      Metric, Tensor04, _as_array, _expand_block,
-                     _kernel_rule, _lift, _max_abs_items, _outer,
+                     _instance, _kernel_rule, _lift, _max_abs_items, _outer,
                      _norm_sq_values, _ricci_contract_values,
                      _scalar_curvature_values, _validate_metrics, max_abs,
                      ricci_contract, scalar_curvature)
@@ -285,8 +289,9 @@ def product_ricci_form(g: Metric, a_form, d_form, b_form, b_bar
     """S = (1/s) (a - d)(x)b_bar with the pairing scalar
     s = (a - d)(dual of b).  Raises DegenerateParams when s ~ 0 (the pairing
     the construction divides by)."""
-    a_form, d_form = _as_array(a_form, "a_form", 1, g.n), _as_array(d_form, "d_form", 1, g.n)
-    b_form, b_bar = _as_array(b_form, "b_form", 1, g.n), _as_array(b_bar, "b_bar", 1, g.n)
+    n = _instance(g, Metric, "g").n
+    a_form, d_form = _as_array(a_form, "a_form", 1, n), _as_array(d_form, "d_form", 1, n)
+    b_form, b_bar = _as_array(b_form, "b_form", 1, n), _as_array(b_bar, "b_bar", 1, n)
     s, clear = _pairing(g.inv, a_form, d_form, b_form)
     if not clear:
         raise DegenerateParams(
@@ -305,8 +310,9 @@ def flat_ricci_form(g: Metric, b_form, b_bar, d_form, d_bar, r: float
     r = float(_as_array(r, "r", 0))
     if abs(r) <= REJECT_TOL:
         raise DegenerateParams(f"scalar curvature r = {r:g} is numerically zero")
-    b_bar = _as_array(b_bar, "b_bar", 1, g.n)
-    a_form = _flat_first_form(b_bar, _as_array(d_bar, "d_bar", 1, g.n), r)
+    n = _instance(g, Metric, "g").n
+    b_bar = _as_array(b_bar, "b_bar", 1, n)
+    a_form = _flat_first_form(b_bar, _as_array(d_bar, "d_bar", 1, n), r)
     return product_ricci_form(g, a_form, d_form, b_form, b_bar)[0]
 
 
@@ -315,7 +321,8 @@ def rank_one_coefficient(g: Metric, ricci, t) -> float:
     where T(rho) is the squared metric norm of t.  Raises DegenerateParams
     when t is numerically zero (the degenerate T(rho) = 0 case the chains
     rule out)."""
-    t_rho, clear = _difference_norm(g.inv, _as_array(t, "t", 1, g.n))
+    t = _as_array(t, "t", 1, _instance(g, Metric, "g").n)
+    t_rho, clear = _difference_norm(g.inv, t)
     if not clear:
         raise _zero_difference_form(t_rho)
     return scalar_curvature(ricci, g) / float(t_rho)
@@ -336,7 +343,9 @@ def selfconsistent_ricci(g: Metric, r: float, params: GenCurvParams,
     the already-unique fixed point.)
     The system is singular when it has a kernel under the one rank rule of
     `tensor._kernel_rule`, the cut every fit applies."""
-    return _fixed_point(g.mat[None], _as_array(r, "r", 0).reshape(1), params, flavor)[0]
+    gm = _instance(g, Metric, "g").mat[None]
+    return _fixed_point(gm, _as_array(r, "r", 0).reshape(1),
+                        _instance(params, GenCurvParams, "params"), flavor)[0]
 
 
 def _fixed_point(gm: np.ndarray, r, params: GenCurvParams, flavor: str) -> np.ndarray:
@@ -392,7 +401,8 @@ class _Check(NamedTuple):
     maximum; a failure raises the CurvError of the first trial that fails,
     its index in `item` (None: the first trial).  `footprint(n)` is the
     number of floats of the largest array a trial stacks in `compute`,
-    which sets the size of a block."""
+    intermediates included, which sets the size of a block: a block's
+    largest array stays within BLOCK_BYTES."""
 
     draw: Callable
     compute: Callable
@@ -844,6 +854,7 @@ _SECTIONS = {
 
 
 def _verify_section(section: int, config: TrialConfig) -> HarnessReport:
+    _instance(config, TrialConfig, "config")
     flavor, checks, guards = _SECTIONS[section]
     results = [_run_check(f"{flavor}_{name}", check, config, section, index, trials)
                for index, (name, check, trials) in enumerate(checks)]

@@ -121,7 +121,8 @@ def weak_symmetry_residual_tensors(nabla_riemann: np.ndarray,
 
 def weak_symmetry_residual(field: MetricField, point, forms: OneFormSystem) -> float:
     """Curvature-level residual evaluated on a chart metric at a point."""
-    rb, nr = field._riemann_and_nabla(point)
+    from .chart import MetricField  # loaded already wherever a field was built
+    rb, nr = _instance(field, MetricField, "field")._riemann_and_nabla(point)
     return weak_symmetry_residual_tensors(nr, rb, forms)
 
 

@@ -11,6 +11,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -370,6 +371,8 @@ def test_no_solve_in_verify_is_wider_than_n_plus_one_columns(monkeypatch):
 
 @pytest.mark.parametrize("n,trials", [(5, 100), (8, 20)])
 def test_no_stacked_grid_exceeds_the_block_budget(monkeypatch, n, trials):
+    argv = ["verify", "--section", "all", "--n", str(n), "--trials", str(trials)]
+    assert _verify(argv)[0] == 0  # first use: imports and caches, not blocks
     largest = [0]
     expand = tensor._expand_block
 
@@ -392,11 +395,45 @@ def test_no_stacked_grid_exceeds_the_block_budget(monkeypatch, n, trials):
         return out
 
     monkeypatch.setattr(harness, "_flat_ricci", measured_images)
-    code, _ = _verify(["verify", "--section", "all", "--n", str(n),
-                       "--trials", str(trials)])
+    # and no einsum of their contraction builds an n^4 intermediate
+    contracted = [0]
+    einsum = np.einsum
+
+    def measured_einsum(*args, **kwargs):
+        out = einsum(*args, **kwargs)
+        if sys._getframe(1).f_code.co_name == "_contract_block":
+            contracted[0] = max(contracted[0], out.nbytes)
+        return out
+
+    monkeypatch.setattr(np, "einsum", measured_einsum)
+    # the traced peak of each check, in units of BLOCK_BYTES
+    peaks = {}
+    run_check = harness._run_check
+
+    def traced(name, *args):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = run_check(name, *args)
+        peaks[name] = (tracemalloc.get_traced_memory()[1] - base) / harness.BLOCK_BYTES
+        return result
+
+    monkeypatch.setattr(harness, "_run_check", traced)
+    tracemalloc.start()
+    try:
+        code, _ = _verify(argv)
+    finally:
+        tracemalloc.stop()
     assert code == 0
     assert 8 * n ** 4 < largest[0] <= harness.BLOCK_BYTES
     assert harness.BLOCK_BYTES // 2 < images[0] <= harness.BLOCK_BYTES
+    assert 0 < contracted[0] <= harness.BLOCK_BYTES
+    # a fit check holds a few grids of a block at once (the G grid, the
+    # reconstruction, its rotation, a fitted grid and the misfit) and the
+    # contraction checks fewer arrays of that size
+    assert len(peaks) == sum(len(checks) for _, checks, _ in harness._SECTIONS.values())
+    assert max(peaks.values()) <= 8
+    for flavor in ("qc", "w2"):
+        assert peaks[f"{flavor}_einstein_contraction"] <= 6
 
 
 def test_degenerate_covector_draw_is_a_rejected_attempt(monkeypatch):

@@ -103,9 +103,10 @@ def test_the_benchmarks_traced_cli_still_runs(argv):
     assert traced.stdout == plain.stdout
     *rest, last = traced.stderr.splitlines()
     assert last.startswith(TRACE_MARK) and "".join(rest) == plain.stderr
-    counts = json.loads(last[len(TRACE_MARK):])["counts"]
-    # the tracer reached the layers loaded on first use
+    summary = json.loads(last[len(TRACE_MARK):])
+    # the tracer reached the layers loaded on first use (the report calls
+    # none of the public fits, so its own span shows classify)
     if argv[0] == "classify":
-        assert counts["classify.fit_calls"] > 0
+        assert summary["times"]["classify.report_s"] > 0
     if argv[0] == "verify":
-        assert counts["gencurv.reconstruct_calls"] > 0
+        assert summary["counts"]["gencurv.reconstruct_calls"] > 0

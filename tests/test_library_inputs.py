@@ -17,18 +17,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from curvkit import chart
 from curvkit.chart import MetricField
 from curvkit.classify import (classification_report, conformally_flat_check,
-                              hyper_quasi_constant_fit, pseudo_quasi_constant_fit,
-                              quasi_constant_fit, quasi_einstein_decompose)
+                              einstein_check, hyper_quasi_constant_fit,
+                              pseudo_quasi_constant_fit, quasi_constant_fit,
+                              quasi_einstein_decompose)
 from curvkit.errors import CurvError, DimensionMismatch
-from curvkit.gencurv import (GenCurvParams, pseudo_projective, quasi_conformal, w2,
-                             weyl, weyl_from_tensors)
-from curvkit.harness import random_point_model
-from curvkit.tensor import (CurvatureBundle, Metric, Tensor04, hyper_shape,
-                            ricci_contract, wedge_gg)
+from curvkit.gencurv import (GenCurvParams, pp_flat_alpha, pseudo_projective, qc_flat_alpha,
+                             quasi_conformal, reconstruct_pp_flat, reconstruct_qc_flat,
+                             reconstruct_w2_flat, w2, weyl, weyl_from_tensors)
+from curvkit.harness import (TrialConfig, flat_ricci_form, product_ricci_form,
+                             random_point_model, rank_one_coefficient, selfconsistent_ricci,
+                             verify_all, verify_section2, verify_section3, verify_section4)
+from curvkit.tensor import (CurvatureBundle, Metric, Tensor04, hyper_shape, pseudo_shape,
+                            quasi_constant_shape, ricci_contract, ricci_operator,
+                            scalar_curvature, wedge_gg)
 from curvkit.wrs import (OneFormSystem, a_from_bd, check_dr_identity,
-                         recover_one_forms, t_identities,
+                         recover_one_forms, t_identities, weak_symmetry_residual,
                          weak_symmetry_residual_tensors, wrs_residual,
                          ws_to_wrs_condition)
 
@@ -195,23 +201,53 @@ def test_records_that_hold_arrays_compare_and_hash_by_identity(build):
 
 
 # --------------------------------------------------------------------------
-# Parameters that take a record: a Metric, a Tensor04, a CurvatureBundle or a
-# OneFormSystem
+# Parameters that take a record: a Metric, a Tensor04, a CurvatureBundle, a
+# OneFormSystem, a GenCurvParams, a TrialConfig or a MetricField
 
 def _arguments(n):
     """One valid argument of each kind a call below takes, at dimension n."""
     g = _metric(n)
+    coords = "xyzw"[:n]
+    entries = {(k, k): f"2 + {c}^2" for k, c in enumerate(coords)}
     return {"g": g, "tensor": wedge_gg(g),
             "bundle": CurvatureBundle.from_tensors(g, wedge_gg(g), nabla_ricci=np.zeros((n,) * 3),
                                                    dr=np.zeros(n)),
-            "forms": OneFormSystem(*np.ones((3, n))), "1-form": np.ones(n),
-            "params": GenCurvParams(), "grid4": np.zeros((n,) * 4), "grid5": np.zeros((n,) * 5)}
+            "forms": OneFormSystem(*np.ones((3, n))), "1-form": np.arange(1.0, n + 1),
+            "bilinear": np.eye(n) + 0.5, "r": 1.0, "n": n, "flavor": "qc",
+            "params": GenCurvParams(), "config": TrialConfig(seed=0),
+            "field": MetricField(list(coords), entries),
+            "point": np.full(n, 0.5), "grid4": np.zeros((n,) * 4), "grid5": np.zeros((n,) * 5)}
 
 
-# each public call of tensor, classify, gencurv and wrs that takes a record,
-# with its arguments in order: a record parameter by its name, and any other
-# argument by its kind
+# each public call of tensor, classify, gencurv, harness, wrs and chart that
+# takes a record, with its arguments in order: a record parameter by its
+# name, and any other argument by its kind
 _RECORD_CALLS = {
+    "scalar_curvature": (scalar_curvature, "bilinear g"),
+    "ricci_operator": (ricci_operator, "bilinear g"),
+    "wedge_gg": (wedge_gg, "g"),
+    "quasi_constant_shape": (quasi_constant_shape, "g 1-form"),
+    "hyper_shape": (hyper_shape, "g bilinear"),
+    "pseudo_shape": (pseudo_shape, "g bilinear"),
+    "einstein_check": (einstein_check, "bilinear g"),
+    "quasi_einstein_decompose": (quasi_einstein_decompose, "bilinear g"),
+    "reconstruct_qc_flat": (reconstruct_qc_flat, "bilinear g r params"),
+    "reconstruct_pp_flat": (reconstruct_pp_flat, "bilinear g r params"),
+    "reconstruct_w2_flat": (reconstruct_w2_flat, "bilinear g"),
+    "qc_flat_alpha": (qc_flat_alpha, "n r params"),
+    "pp_flat_alpha": (pp_flat_alpha, "n r params"),
+    "product_ricci_form": (product_ricci_form, "g 1-form 1-form 1-form 1-form"),
+    "flat_ricci_form": (flat_ricci_form, "g 1-form 1-form 1-form 1-form r"),
+    "rank_one_coefficient": (rank_one_coefficient, "g bilinear 1-form"),
+    "selfconsistent_ricci": (selfconsistent_ricci, "g r params flavor"),
+    "verify_section2": (verify_section2, "config"),
+    "verify_section3": (verify_section3, "config"),
+    "verify_section4": (verify_section4, "config"),
+    "verify_all": (verify_all, "config"),
+    "weak_symmetry_residual": (weak_symmetry_residual, "field point forms"),
+    "chart.christoffel": (chart.christoffel, "field point"),
+    "chart.curvature_bundle": (chart.curvature_bundle, "field point"),
+    "chart.nabla_riemann": (chart.nabla_riemann, "field point"),
     "from_tensors": (CurvatureBundle.from_tensors, "g riemann"),
     "from_tensors-ricci": (lambda g: CurvatureBundle.from_tensors(g, ricci=np.eye(3)), "g"),
     "ricci_contract": (ricci_contract, "tensor g"),
@@ -234,7 +270,8 @@ _RECORD_CALLS = {
     "weak_symmetry_residual_tensors": (weak_symmetry_residual_tensors, "grid5 grid4 forms"),
 }
 _KIND = {"g": "g", "riemann": "tensor", "tensor": "tensor", "bundle": "bundle",
-         "forms": "forms"}
+         "forms": "forms", "params": "params", "config": "config", "field": "field"}
+_UNSIZED = {"r", "n", "flavor", "params", "config"}  # kinds that fix no dimension
 
 
 def _record_parameters():
@@ -263,6 +300,7 @@ def test_record_parameters_refuse_any_other_object(name, at):
         message = f"^{param} must be a {record}, got {type(other).__name__}$"
         with pytest.raises(DimensionMismatch, match=message):
             call(*valid[:at], other, *valid[at + 1:])
-    if len(params) - params.count("params") > 1:  # another argument fixes n
+    sized = [p for p in params if _KIND.get(p, p) not in _UNSIZED]
+    if param in sized and len(sized) > 1:  # another argument fixes n
         with pytest.raises(DimensionMismatch):
             call(*valid[:at], _arguments(n + 1)[_KIND[param]], *valid[at + 1:])
