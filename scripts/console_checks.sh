@@ -1,0 +1,60 @@
+#!/usr/bin/env bash
+# The console-script checks that CI runs: exit statuses, outputs and the
+# benchmark's child entry points, from the repository root.
+#
+# Where the `curvkit` console script is installed (`pip install -e .`), it is
+# checked against `python -m curvkit.cli`; without it, `python -m
+# curvkit.cli` runs every command:
+#
+#   PYTHONPATH=src scripts/console_checks.sh
+set -euo pipefail
+cd "$(dirname "$0")/.."
+if command -v curvkit >/dev/null; then
+    curvkit=(curvkit)
+else
+    curvkit=(python -m curvkit.cli)
+fi
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+set -x
+"${curvkit[@]}" --version
+for args in "classify manifests/conformal4.txt" "verify --n 17"; do
+    s1=0; "${curvkit[@]}" $args > "$tmp/script.out" 2> "$tmp/script.err" || s1=$?
+    s2=0; python -m curvkit.cli $args > "$tmp/module.out" 2> "$tmp/module.err" || s2=$?
+    test "$s1" -eq "$s2"
+    cmp "$tmp/script.out" "$tmp/module.out"
+    cmp "$tmp/script.err" "$tmp/module.err"
+done
+python -c "from curvkit import MetricField, Expression, parse, CurvatureBundle, Metric, Tensor04"
+python -c "import sys, curvkit.cli as c; c.main(['verify', '--n', '4', '--trials', '2']); assert 'parse' not in object.__getattribute__(sys.modules['curvkit.expr'], '__dict__')"
+"${curvkit[@]}" curvature manifests/sphere2.txt
+"${curvkit[@]}" curvature manifests/poly3.txt --at -0.0,0.3,0.2
+"${curvkit[@]}" classify manifests/sphere3.txt --a 1 --b 1
+"${curvkit[@]}" classify manifests/conformal4.txt
+"${curvkit[@]}" wrs manifests/sphere3.txt
+"${curvkit[@]}" wrs manifests/poly3.txt
+"${curvkit[@]}" curvature manifests/conformal5.txt
+"${curvkit[@]}" classify manifests/conformal5.txt
+"${curvkit[@]}" wrs manifests/conformal5.txt
+"${curvkit[@]}" verify --section all --n 4 --trials 10
+"${curvkit[@]}" verify --section all --n 5 --trials 100
+"${curvkit[@]}" verify --section all --n 8 --trials 10
+"${curvkit[@]}" verify --section all --n 5 --trials 700
+"${curvkit[@]}" verify --section all --n 16 --trials 2
+status=0; "${curvkit[@]}" verify --n 17 || status=$?
+test "$status" -eq 2
+status=0; "${curvkit[@]}" verify --n 16 --trials 391 || status=$?
+test "$status" -eq 2
+status=0; "${curvkit[@]}" verify --a 1e308 --b 1e308 || status=$?
+test "$status" -eq 2
+status=0; "${curvkit[@]}" verify --seed -1 || status=$?
+test "$status" -eq 2
+printf 'dim: 2\ncoords: x, y\ng: x,x = 1e200\ng: y,y = 1e200\npoint: 1, 0.5\n' > "$tmp/flat1e200.txt"
+status=0; timeout 60 "${curvkit[@]}" classify "$tmp/flat1e200.txt" || status=$?
+test "$status" -eq 0 -o "$status" -eq 2
+printf '\xef\xbb\xbfdim: 2\ncoords: theta, phi\ng: theta,theta = 1\ng: phi,phi = sin(theta)^2\npoint: 1, 0.2\n' > "$tmp/bom.txt"
+"${curvkit[@]}" curvature "$tmp/bom.txt"
+python perfbench/child.py cli classify manifests/sphere3.txt
+python perfbench/child.py cli verify --n 4 --trials 3
+python perfbench/child.py chart-warm --seed 1 --n 5 --points 6 | python -c "import json,sys; d=json.loads(sys.stdin.read().splitlines()[-1]); assert d['failed'] == 0, d['problems']"

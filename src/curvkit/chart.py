@@ -33,7 +33,7 @@ from . import expr as ex
 from .errors import (CurvError, DimensionMismatch, DomainError,
                      NumericalInconsistency, UnknownIdentifier)
 from .tensor import (CurvatureBundle, Metric, Tensor04, _as_array, _instance,
-                     _scalar_curvature_values, max_abs, ricci_contract)
+                     _ricci_contract_values, max_abs)
 
 __all__ = ["MetricField", "CurvatureBundle", "christoffel", "curvature_bundle",
            "nabla_riemann"]
@@ -132,6 +132,7 @@ class MetricField:
     # -- evaluation ----------------------------------------------------------
 
     def _coordinates(self, point: Sequence[float]) -> list[float]:
+        """The point as n floats; DomainError for coordinates that are not finite numbers."""
         try:
             size = len(point)
         except TypeError:
@@ -140,17 +141,17 @@ class MetricField:
         if size != self.n:
             raise DimensionMismatch(f"point has {size} components, expected {self.n}")
         try:
-            return _as_array(point, "point", 1, self.n, finite=False).tolist()
+            return _as_array(point, "point", 1, self.n).tolist()
         except DimensionMismatch as exc:
             raise DomainError(f"point coordinates must be numbers: {exc}") from None
 
-    def _jet_at(self, point: Sequence[float], order: int):
-        """The metric and its partials d^k g (k = 1..order) at the point.  No
-        higher order is evaluated than the query needs, nor before the metric
-        is validated, so a DomainError surfaces only from the queries whose
-        results depend on it, and never at a singular metric."""
+    def _jet_at(self, x: Sequence[float], order: int):
+        """The metric and its partials d^k g (k = 1..order) at coordinates x.
+        No higher order is evaluated than the query needs, nor before the
+        metric is validated, so a DomainError surfaces only from the queries
+        whose results depend on it, and never at a singular metric."""
         constants, program = self._gamma
-        values = self._coordinates(point) + constants
+        values = list(x) + constants
         (code, ops, gather), higher = program[0], program[1:order + 1]
         ex.run_program(code, ops, values)
         g = Metric(np.array(values)[gather])
@@ -159,8 +160,8 @@ class MetricField:
         values = np.array(values)
         return g, [values[gather] for _, _, gather in higher]
 
-    def _curvature_at(self, point: Sequence[float]):
-        """``(g, gamma, dginv, R, dR)`` at the point: the metric, the
+    def _curvature_at(self, x: Sequence[float]):
+        """``(g, gamma, dginv, R, dR)`` at coordinates x: the metric, the
         Christoffel symbols, the partials of the inverse metric, the (0,4)
         curvature and its partials (see `_curvature`), all read-only.
 
@@ -170,7 +171,6 @@ class MetricField:
         `nabla_riemann` or a weak-symmetry residual at one point, evaluate
         the chart once.  It keeps one point only.  A successful evaluation
         replaces the entry in one assignment; one that raises leaves it."""
-        x = self._coordinates(point)
         key = struct.pack(f"{self.n}d", *x)
         last, data = self._last
         if last == key:
@@ -185,11 +185,11 @@ class MetricField:
     def metric_at(self, point: Sequence[float]) -> Metric:
         """Evaluate the metric; raises SingularMetric where the chart
         degenerates.  The first call on a field builds its whole jet."""
-        return self._jet_at(point, 0)[0]
+        return self._jet_at(self._coordinates(point), 0)[0]
 
     def christoffel(self, point: Sequence[float]) -> np.ndarray:
         """Christoffel symbols gamma[k,i,j] at the point (exactly symmetric in i,j)."""
-        g, (dg,) = self._jet_at(point, 1)
+        g, (dg,) = self._jet_at(self._coordinates(point), 1)
         return _christoffel(g, _first_kind(dg))
 
     def scalar_curvature_expression(self):
@@ -205,20 +205,20 @@ class MetricField:
 
     def curvature_bundle(self, point: Sequence[float]) -> CurvatureBundle:
         """Evaluate the full curvature package at a point."""
-        g, gamma, dginv, riemann, d_riemann = self._curvature_at(point)
-        riemann = Tensor04(riemann, riemann_like=True)
-        ricci = _sym(ricci_contract(riemann, g))
-        d_ricci = _sym(np.einsum("ail,ijkl->ajk", dginv, riemann.values)
-                       + np.einsum("il,aijkl->ajk", g.inv, d_riemann))
-        nabla_ricci = (d_ricci
-                       - np.einsum("lij,lk->ijk", gamma, ricci)
-                       - np.einsum("lik,jl->ijk", gamma, ricci))
+        x = self._coordinates(point)
+        g, gamma, dginv, rv, d_rv = self._curvature_at(x)
+        riemann = Tensor04(rv, riemann_like=True)
+        ricci = _sym(_ricci_contract_values(g.inv, rv))
+        d_ricci = _sym(np.einsum("ail,ijkl->ajk", dginv, rv)
+                       + np.einsum("il,aijkl->ajk", g.inv, d_rv))
+        # the second Christoffel term is the first with j and k exchanged,
+        # since S is exactly symmetric
+        t = np.einsum("lij,lk->ijk", gamma, ricci)
+        nabla_ricci = d_ricci - t - t.swapaxes(1, 2)
         dr = (np.einsum("ajk,jk->a", dginv, ricci)
               + np.einsum("jk,ajk->a", g.inv, d_ricci))
-        # built here from a validated metric: assembled without from_tensors' checks
-        bundle = CurvatureBundle(g, riemann, ricci, g.inv @ ricci,
-                                 float(_scalar_curvature_values(g.inv, ricci)),
-                                 tuple(self._coordinates(point)), nabla_ricci, dr)
+        bundle = CurvatureBundle.from_tensors(g, riemann, ricci, nabla_ricci=nabla_ricci,
+                                              dr=dr, point=x)
         _check_bundle(bundle)
         return bundle
 
@@ -233,7 +233,7 @@ class MetricField:
         contracted with R's index p in that slot.  Each term is one
         (n^2, n) @ (n, n^3) matrix product, with the slot moved to the
         front of R and moved back after."""
-        _, gamma, _, rb, drb = self._curvature_at(point)
+        _, gamma, _, rb, drb = self._curvature_at(self._coordinates(point))
         n = self.n
         gamma_ma = gamma.reshape(n, n * n).T  # [(m, a), p]
         nabla = drb

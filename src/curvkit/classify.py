@@ -16,13 +16,12 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import InvalidParams, NotQuasiConstant, NotQuasiEinstein
-from .gencurv import (GenCurvParams, pseudo_projective, quasi_conformal, w2,
-                      weyl)
+from .gencurv import GenCurvParams, _combined_values
 from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, CurvatureBundle, Metric,
                      Tensor04, _as_array, _bundle_part, _expand_block,
                      _grid_of, _instance, _lift, _lstsq_kernel, _max_abs_items, _outer,
-                     _ricci_contract_values, _scalar_curvature_values,
-                     max_abs, wedge_gg)
+                     _ricci_contract_values, _scalar_curvature_values, _wedge_gg,
+                     max_abs)
 
 __all__ = [
     "EinsteinFit", "QuasiEinsteinFit", "QuasiConstantFit",
@@ -203,7 +202,7 @@ def quasi_constant_fit(riemann: Tensor04, g: Metric,
     """
     rv = _grid_of(riemann, "riemann", g)
     a, b, a_form, residual = _quasi_constant_values(
-        rv[None], g.mat[None], g.inv[None], wedge_gg(g).values[None],
+        rv[None], g.mat[None], g.inv[None], _wedge_gg(g).values[None],
         _ricci_contract_values(g.inv, rv)[None], float(_as_array(tol, "tol", 0)))
     return QuasiConstantFit(a=float(a[0]), b=float(b[0]), a_form=a_form[0],
                             residual=float(residual[0]))
@@ -392,14 +391,13 @@ def _misfit_size(rv: np.ndarray, a, wedge: np.ndarray, fitted: np.ndarray) -> np
     return np.abs(misfit, out=misfit).max(axis=(-4, -3, -2, -1), initial=0.0)
 
 
-def _shape_fits(riemann: Tensor04, g: Metric, *kinds):
-    """The `_linear_fit` of one grid to the `shape` of each fit class of
-    `kinds`, as an instance of that class, all in one `_eigenframe`."""
-    rv = _grid_of(riemann, "riemann", g)
+def _shape_fits(rv: np.ndarray, g: Metric, *kinds):
+    """The `_linear_fit` of one checked grid to the `shape` of each fit class
+    of `kinds`, as an instance of that class, all in one `_eigenframe`."""
     frame = _eigenframe(rv, g.mat)
     fits = []
     for kind in kinds:
-        a, p, residual, kernel = _linear_fit(rv, g.mat, g.inv, wedge_gg(g).values,
+        a, p, residual, kernel = _linear_fit(rv, g.mat, g.inv, _wedge_gg(g).values,
                                              *kind.shape, frame)
         fits.append(kind(a=float(a), p=p, residual=float(residual), kernel_dim=int(kernel)))
     return fits
@@ -410,14 +408,14 @@ def hyper_quasi_constant_fit(riemann: Tensor04, g: Metric) -> HyperQuasiConstant
     trace-free (P -> P + c*g is absorbed by a -> a - 2c).  Always returns;
     `residual` says how well the fit explains the input and `kernel_dim`
     reports the null directions of the design operator (>= 1, the gauge)."""
-    return _shape_fits(riemann, g, HyperQuasiConstantFit)[0]
+    return _shape_fits(_grid_of(riemann, "riemann", g), g, HyperQuasiConstantFit)[0]
 
 
 def pseudo_quasi_constant_fit(riemann: Tensor04, g: Metric) -> PseudoQuasiConstantFit:
     """Fit R = a * wedge_gg(g) + pseudo_shape(g, P), trace-free gauge
     (P -> P + c*g is absorbed by a -> a + c).  Accepts generalized inputs;
     the two-term shape need not be riemann-like."""
-    return _shape_fits(riemann, g, PseudoQuasiConstantFit)[0]
+    return _shape_fits(_grid_of(riemann, "riemann", g), g, PseudoQuasiConstantFit)[0]
 
 
 def conformally_flat_check(bundle: CurvatureBundle,
@@ -426,9 +424,15 @@ def conformally_flat_check(bundle: CurvatureBundle,
     (For n <= 3 the Weyl tensor vanishes identically, so the verdict is
     vacuous there and only meaningful from n = 4 on; the norm reads 0 at
     n = 2, where the tensor is not even defined.)"""
-    riemann = _bundle_part(bundle, "riemann")
-    norm = 0.0 if bundle.n < 3 else max_abs(weyl(bundle).values)
-    return norm, norm <= float(_as_array(tol, "tol", 0)) * (1.0 + riemann.norm())
+    rv = _grid_of(_bundle_part(bundle, "riemann"), "riemann", bundle.g)
+    return _conformally_flat(rv, bundle, float(_as_array(tol, "tol", 0)))
+
+
+def _conformally_flat(rv: np.ndarray, bundle: CurvatureBundle, tol: float):
+    """`conformally_flat_check` of a checked grid rv of the bundle and tolerance."""
+    norm = 0.0 if bundle.n < 3 else max_abs(_combined_values(
+        "weyl", rv, bundle.g.mat, bundle.ricci, bundle.r, None, _wedge_gg(bundle.g).values))
+    return norm, norm <= tol * (1.0 + max_abs(rv))
 
 
 # --------------------------------------------------------------------------
@@ -499,7 +503,7 @@ def classification_report(bundle: CurvatureBundle,
     no (0,4) curvature tensor or params is not a GenCurvParams, and
     InvalidParams when the metric's largest entry lies outside the bound
     METRIC_LIMIT sets."""
-    riemann = _bundle_part(bundle, "riemann")
+    rv = _grid_of(_bundle_part(bundle, "riemann"), "riemann", bundle.g)
     _instance(params, GenCurvParams, "params")
     tol = float(_as_array(tol, "tol", 0))
     s, g = bundle.ricci, bundle.g  # checked when the bundle was built
@@ -508,9 +512,9 @@ def classification_report(bundle: CurvatureBundle,
         raise InvalidParams(f"classify needs the metric's largest entry between "
                             f"{1.0 / METRIC_LIMIT:g} and {METRIC_LIMIT:g}, got {size:g}")
     ein = _einstein_fit(s, g, tol)
-    hyper, pseudo = _shape_fits(riemann, g, HyperQuasiConstantFit, PseudoQuasiConstantFit)
+    hyper, pseudo = _shape_fits(rv, g, HyperQuasiConstantFit, PseudoQuasiConstantFit)
     # one quasi-Einstein decomposition of s, pass or fail, serves both verdicts
-    rv, wedge = riemann.values, wedge_gg(g).values
+    wedge = _wedge_gg(g).values
     qe = qe_err = qc = qc_err = None
     try:
         qe = _quasi_einstein_fit(s, g)
@@ -525,16 +529,13 @@ def classification_report(bundle: CurvatureBundle,
                                   residual=float(residual[0]))
         except NotQuasiConstant as exc:
             qc_err = str(exc)
-    weyl_norm, conf_flat = conformally_flat_check(bundle, tol)
-    gen_norms = {
-        "quasi_conformal": max_abs(quasi_conformal(bundle, params).values),
-        "w2": max_abs(w2(bundle).values),
-    }
-    try:
-        gen_norms["pseudo_projective"] = max_abs(
-            pseudo_projective(bundle, params).values)
-    except InvalidParams:
-        gen_norms["pseudo_projective"] = None  # undefined when a*b = 0
+    weyl_norm, conf_flat = _conformally_flat(rv, bundle, tol)
+
+    def norm(kind):
+        return max_abs(_combined_values(kind, rv, g.mat, s, bundle.r, params, wedge))
+
+    gen_norms = {"quasi_conformal": norm("qc"), "w2": norm("w2"),
+                 "pseudo_projective": norm("pp") if params.a and params.b else None}
     return ClassificationReport(
         n=bundle.n, tol=tol, params=params, einstein=ein,
         quasi_einstein=qe, quasi_einstein_error=qe_err,

@@ -39,8 +39,8 @@ import numpy as np
 from .errors import DegenerateParams, DimensionMismatch, InvalidParams
 from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, _W2_TERMS, CurvatureBundle,
                      Metric, Tensor04, _as_array, _bundle_part, _contract_block,
-                     _expand_block, _grid_of, _instance, _lift, is_symmetric,
-                     scalar_curvature, wedge_gg)
+                     _expand_block, _grid_of, _instance, _lift,
+                     _scalar_curvature_values, _wedge_gg, is_symmetric)
 
 __all__ = [
     "GenCurvParams",
@@ -135,15 +135,15 @@ def _combine(kind: str, bundle: CurvatureBundle,
              params: GenCurvParams | None = None) -> Tensor04:
     """K of one kind for a bundle that carries its (0,4) tensor."""
     rv = _grid_of(_bundle_part(bundle, "riemann"), "riemann", bundle.g)
-    return Tensor04._unvalidated(_combined_values(kind, rv, bundle.g.mat, bundle.ricci,
-                                                  bundle.r, params, wedge_gg(bundle.g).values))
+    return Tensor04(_combined_values(kind, rv, bundle.g.mat, bundle.ricci, bundle.r, params,
+                                     _wedge_gg(bundle.g).values))
 
 
 def _combined_values(kind: str, rv: np.ndarray, gm: np.ndarray, s: np.ndarray,
                      r, params: GenCurvParams | None, wedge) -> np.ndarray:
     """K = a*R + b*B(S) - c*G for grids R, metrics g (with their G grids
     `wedge`), forms S and scalars r stacked on the same leading axes,
-    unchecked.  `_combine` wraps it."""
+    unchecked.  `_combine` wraps it, and the report takes its norms from it."""
     a, b, block, c = _weights(kind, gm.shape[-1], r, params)
     return _minus_g(a * rv + b * _expand_block(block, gm, s), c, wedge)
 
@@ -235,7 +235,7 @@ def _check_sr(s, g: Metric, r: float, strict: bool) -> tuple[np.ndarray, float]:
     s = _as_array(s, "bilinear form", 2, _instance(g, Metric, "g").n)
     r = float(_as_array(r, "r", 0))
     if strict:
-        tr = scalar_curvature(s, g)
+        tr = float(_scalar_curvature_values(g.inv, s))
         if abs(tr - r) > 1e-10 * (1.0 + abs(r)):
             raise InvalidParams(
                 f"strict mode: r={r:g} is not the metric trace of S ({tr:g})")
@@ -251,12 +251,12 @@ def reconstruct_qc_flat(s, g: Metric, r: float, params: GenCurvParams,
     Feeding the result back through `quasi_conformal` (with the same S, r)
     returns zero identically.  Riemann-like whenever S is symmetric: the
     four-term block of a symmetric S and G have every curvature symmetry,
-    so the flag is set without checking the grid.
+    so the flag is set then, and checked on the grid like any other.
     """
     _instance(params, GenCurvParams, "params").require_qc()
     s, r = _check_sr(s, g, r, strict)
-    return Tensor04._unvalidated(_flat_values("qc", s, g.mat, r, params, wedge_gg(g).values),
-                                 riemann_like=is_symmetric(s))
+    return Tensor04(_flat_values("qc", s, g.mat, r, params, _wedge_gg(g).values),
+                    riemann_like=is_symmetric(s))
 
 
 def reconstruct_pp_flat(s, g: Metric, r: float, params: GenCurvParams,
@@ -267,7 +267,7 @@ def reconstruct_pp_flat(s, g: Metric, r: float, params: GenCurvParams,
     """
     _instance(params, GenCurvParams, "params").require_pp()
     s, r = _check_sr(s, g, r, strict)
-    return Tensor04._unvalidated(_flat_values("pp", s, g.mat, r, params, wedge_gg(g).values))
+    return Tensor04(_flat_values("pp", s, g.mat, r, params, _wedge_gg(g).values))
 
 
 def reconstruct_w2_flat(s, g: Metric) -> Tensor04:
@@ -276,7 +276,7 @@ def reconstruct_w2_flat(s, g: Metric) -> Tensor04:
         R = 1/(n-1) * [g_jk S_il - g_ik S_jl]
     """
     s = _as_array(s, "bilinear form", 2, _instance(g, Metric, "g").n)
-    return Tensor04._unvalidated(_flat_values("w2", s, g.mat, 0.0, None, None))
+    return Tensor04(_flat_values("w2", s, g.mat, 0.0, None, None))
 
 
 # --------------------------------------------------------------------------

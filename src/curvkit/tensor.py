@@ -243,11 +243,11 @@ class Tensor04:
     index pairs, pair exchange symmetry, and the first Bianchi identity, each
     within 1e-10 * max|values|.  Generalized curvature tensors (the
     quasi-conformal, pseudo-projective and W2 combinations) do not in general
-    enjoy all of these and carry `riemann_like=False`.  The library's own
-    builders whose output has the symmetries by construction (`wedge_gg`,
-    `quasi_constant_shape`, and `hyper_shape` and
-    `gencurv.reconstruct_qc_flat` of a symmetric form) set the flag
-    unchecked.  Tensors compare and hash by identity.
+    enjoy all of these and carry `riemann_like=False`.  Every construction
+    checks the flag, the library's own builders included, whose output has
+    the symmetries by construction (`wedge_gg`, `quasi_constant_shape`, and
+    `hyper_shape` and `gencurv.reconstruct_qc_flat` of a symmetric form).
+    The grid is held read-only.  Tensors compare and hash by identity.
     """
 
     values: np.ndarray
@@ -255,7 +255,10 @@ class Tensor04:
     n: int = field(init=False)
 
     def __post_init__(self):
-        self._hold(_as_array(self.values, "(0,4) tensor", 4))
+        values = _as_array(self.values, "(0,4) tensor", 4)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "n", values.shape[0])
         if self.riemann_like:
             # absolute floor: a numerically-zero tensor is all rounding noise,
             # and noise cannot beat a purely relative symmetry tolerance
@@ -264,23 +267,6 @@ class Tensor04:
             if bad:
                 raise DimensionMismatch(
                     f"tensor flagged riemann-like violates curvature symmetries: {bad}")
-
-    @classmethod
-    def _unvalidated(cls, values: np.ndarray, riemann_like: bool = False) -> "Tensor04":
-        """A grid that the library built from inputs it has checked, whose
-        flag holds by construction, such as a four-term block kernel of a
-        symmetric form: set without the conversion and the n^4 symmetry
-        check.  Data from outside goes through the constructor, which
-        checks."""
-        tensor = cls.__new__(cls)
-        object.__setattr__(tensor, "riemann_like", riemann_like)
-        tensor._hold(values)
-        return tensor
-
-    def _hold(self, values: np.ndarray) -> None:
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "n", values.shape[0])
 
     def norm(self) -> float:
         return max_abs(self.values)
@@ -305,10 +291,10 @@ class CurvatureBundle:
     `nabla_ricci[i,j,k]` is the covariant derivative (nabla_i S)(e_j, e_k);
     `dr[i]` is the coordinate differential of the scalar curvature.
 
-    Synthetic pointwise data (no chart behind it) is built with
-    :meth:`from_tensors`, in which case `point`, `nabla_ricci`, `dr` and even
-    `riemann` may be absent (None).  Bundles compare and hash by identity.
-    """
+    The library builds every bundle with :meth:`from_tensors`, which checks
+    its parts; synthetic data (no chart behind it) may leave `point`,
+    `nabla_ricci`, `dr` and even `riemann` out (None).  Bundles compare and
+    hash by identity."""
 
     g: Metric
     riemann: Tensor04 | None
@@ -462,9 +448,13 @@ def wedge_gg(g: Metric) -> Tensor04:
     """G[i,j,k,l] = g[j,k] g[i,l] - g[i,k] g[j,l]; the constant-curvature shape.
     Its Ricci contraction is (n-1) g.  Built once per metric;
     every later call returns the same read-only tensor."""
-    if _instance(g, Metric, "g")._wedge is None:
-        g._wedge = Tensor04._unvalidated(_expand_block(_PSEUDO_TERMS, g.mat, g.mat),
-                                         riemann_like=True)
+    return _wedge_gg(_instance(g, Metric, "g"))
+
+
+def _wedge_gg(g: Metric) -> Tensor04:
+    """`wedge_gg` of a metric already checked."""
+    if g._wedge is None:
+        g._wedge = Tensor04(_expand_block(_PSEUDO_TERMS, g.mat, g.mat), riemann_like=True)
     return g._wedge
 
 
@@ -476,8 +466,7 @@ def quasi_constant_shape(g: Metric, a_form) -> Tensor04:
     Riemann-like for every covector A.  Callers apply their own scalar weight.
     """
     a = _as_array(a_form, "1-form", 1, _instance(g, Metric, "g").n)
-    return Tensor04._unvalidated(_expand_block(_HYPER_TERMS, g.mat, np.outer(a, a)),
-                                 riemann_like=True)
+    return Tensor04(_expand_block(_HYPER_TERMS, g.mat, np.outer(a, a)), riemann_like=True)
 
 
 def hyper_shape(g: Metric, p) -> Tensor04:
@@ -489,8 +478,7 @@ def hyper_shape(g: Metric, p) -> Tensor04:
     exactly when P is symmetric.  Gauge: replacing P by P + c*g adds
     2c * wedge_gg(g)."""
     p = _as_array(p, "bilinear form", 2, _instance(g, Metric, "g").n)
-    return Tensor04._unvalidated(_expand_block(_HYPER_TERMS, g.mat, p),
-                                 riemann_like=is_symmetric(p))
+    return Tensor04(_expand_block(_HYPER_TERMS, g.mat, p), riemann_like=is_symmetric(p))
 
 
 def pseudo_shape(g: Metric, p) -> Tensor04:
@@ -499,5 +487,5 @@ def pseudo_shape(g: Metric, p) -> Tensor04:
     Not riemann-like in general (no second-pair antisymmetry).  Gauge:
     replacing P by P + c*g adds c * wedge_gg(g)."""
     p = _as_array(p, "bilinear form", 2, _instance(g, Metric, "g").n)
-    return Tensor04._unvalidated(_expand_block(_PSEUDO_TERMS, g.mat, p))
+    return Tensor04(_expand_block(_PSEUDO_TERMS, g.mat, p))
 

@@ -88,11 +88,17 @@ def wrs_residual(bundle: CurvatureBundle, forms: OneFormSystem) -> float:
     """Max-norm residual of the Ricci-level decomposition, normalized by
     (1 + max|nabla_ricci|).  Zero iff the condition holds at the point."""
     nabla_ricci = _check_forms(bundle, forms, "nabla_ricci")
-    s = bundle.ricci
-    rhs = (np.einsum("i,jk->ijk", forms.a, s)
-           + np.einsum("j,ik->ijk", forms.b, s)
-           + np.einsum("k,ij->ijk", forms.d, s))
+    rhs = _wrs_terms(bundle.ricci, forms.a, forms.b, forms.d)
     return max_abs(nabla_ricci - rhs) / (1.0 + max_abs(nabla_ricci))
+
+
+def _wrs_terms(s: np.ndarray, a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The right-hand side a(X) S(Z,U) + b(Z) S(X,U) + d(U) S(X,Z) of the
+    Ricci-level condition over the basis triples, out[..., X, Z, U], for
+    1-forms a, b, d stacked on the same leading axes, unchecked."""
+    return (np.einsum("...i,jk->...ijk", a, s)
+            + np.einsum("...j,ik->...ijk", b, s)
+            + np.einsum("...k,ij->...ijk", d, s))
 
 
 def weak_symmetry_residual_tensors(nabla_riemann: np.ndarray,
@@ -108,14 +114,17 @@ def weak_symmetry_residual_tensors(nabla_riemann: np.ndarray,
     condition with five forms (a, b, c, d, e), reduced by c = b and e = d.
     The grids have the forms' length n on every axis."""
     n = _instance(forms, OneFormSystem, "forms").n
-    nr = _as_array(nabla_riemann, "nabla_riemann", 5, n)
-    rb = _as_array(riemann, "riemann", 4, n)
-    a, b, d = forms.a, forms.b, forms.d
-    rhs = (np.einsum("m,ijkl->mijkl", a, rb)
-           + np.einsum("i,mjkl->mijkl", b, rb)
-           + np.einsum("j,imkl->mijkl", b, rb)
-           + np.einsum("k,ijml->mijkl", d, rb)
-           + np.einsum("l,ijkm->mijkl", d, rb))
+    return _weak_symmetry_residual(_as_array(nabla_riemann, "nabla_riemann", 5, n),
+                                   _as_array(riemann, "riemann", 4, n), forms)
+
+
+def _weak_symmetry_residual(nr: np.ndarray, rb: np.ndarray, forms: OneFormSystem) -> float:
+    """`weak_symmetry_residual_tensors` of grids already checked."""
+    rhs = (np.einsum("m,ijkl->mijkl", forms.a, rb)
+           + np.einsum("i,mjkl->mijkl", forms.b, rb)
+           + np.einsum("j,imkl->mijkl", forms.b, rb)
+           + np.einsum("k,ijml->mijkl", forms.d, rb)
+           + np.einsum("l,ijkm->mijkl", forms.d, rb))
     return max_abs(nr - rhs) / (1.0 + max_abs(nr))
 
 
@@ -123,7 +132,9 @@ def weak_symmetry_residual(field: MetricField, point, forms: OneFormSystem) -> f
     """Curvature-level residual evaluated on a chart metric at a point."""
     from .chart import MetricField  # loaded already wherever a field was built
     rb, nr = _instance(field, MetricField, "field")._riemann_and_nabla(point)
-    return weak_symmetry_residual_tensors(nr, rb, forms)
+    if _instance(forms, OneFormSystem, "forms").n != field.n:
+        raise DimensionMismatch(f"forms n={forms.n} vs field n={field.n}")
+    return _weak_symmetry_residual(nr, rb, forms)
 
 
 def ws_to_wrs_condition(bundle: CurvatureBundle, forms: OneFormSystem) -> float:
@@ -131,8 +142,8 @@ def ws_to_wrs_condition(bundle: CurvatureBundle, forms: OneFormSystem) -> float:
     the extra term by which the curvature-level condition exceeds the
     Ricci-level one after contraction.  Zero means the two agree here."""
     rb = _check_forms(bundle, forms, "riemann").values
-    b_vec = bundle.g.raise_index(forms.b)
-    d_vec = bundle.g.raise_index(forms.d)
+    b_vec = bundle.g.inv @ forms.b
+    d_vec = bundle.g.inv @ forms.d
     term_b = np.einsum("ijkl,l->ijk", rb, b_vec)
     term_d = np.einsum("ijkl,l->ijk", rb, d_vec)
     return max_abs(term_b + term_d.transpose(0, 2, 1))
@@ -202,13 +213,11 @@ def recover_one_forms(bundle: CurvatureBundle) -> tuple[OneFormSystem, float, in
     n = bundle.n
     if max_abs(s) <= 1e-13:
         raise DegenerateRicci("Ricci tensor is numerically zero")
-    eye = np.eye(n)
-    block_a = np.einsum("ip,jk->ijkp", eye, s).reshape(n**3, n)
-    block_b = np.einsum("jp,ik->ijkp", eye, s).reshape(n**3, n)
-    block_d = np.einsum("kp,ij->ijkp", eye, s).reshape(n**3, n)
-    design = np.hstack([block_a, block_b, block_d])
-    rhs = nabla_ricci.reshape(n**3)
-    solution, kernel_dim, _ = _lstsq_kernel(design, rhs)
+    # column p of the design: the right-hand side at the p-th unit vector of (a, b, d)
+    units = np.eye(3 * n).reshape(3 * n, 3, n).transpose(1, 0, 2)
+    design = _wrs_terms(s, *units).reshape(3 * n, n**3).T
+    solution, kernel_dim, _ = _lstsq_kernel(design, nabla_ricci.reshape(n**3))
     forms = OneFormSystem(a=solution[:n], b=solution[n:2 * n], d=solution[2 * n:])
-    residual = wrs_residual(bundle, forms)
+    rhs = _wrs_terms(s, forms.a, forms.b, forms.d)
+    residual = max_abs(nabla_ricci - rhs) / (1.0 + max_abs(nabla_ricci))
     return forms, residual, int(kernel_dim)

@@ -248,6 +248,16 @@ def test_point_coordinates_must_be_numbers(sphere2, query):
         getattr(sphere2, query)(("a", "b"))
 
 
+@pytest.mark.parametrize("query", ["curvature_bundle", "metric_at", "christoffel",
+                                   "nabla_riemann"])
+@pytest.mark.parametrize("point", [(math.nan, 0.0), (0.0, -math.inf)])
+def test_non_finite_point_coordinates_are_refused(query, point):
+    # a constant chart evaluates at any coordinates: the point itself is refused
+    field = MetricField(["x", "y"], {(0, 0): "1", (1, 1): "2"})
+    with pytest.raises(DomainError, match="point has a non-finite component"):
+        getattr(field, query)(point)
+
+
 @pytest.mark.parametrize("query,point", [("curvature_bundle", 1.0), ("metric_at", None)])
 def test_a_point_that_is_not_a_sequence_is_refused(sphere2, query, point):
     with pytest.raises(DimensionMismatch, match="a point is a sequence of 2 numbers"):

@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from curvkit import gencurv
+from curvkit import classify
 from curvkit.chart import CurvatureBundle, MetricField
 from curvkit.cli import main
 from curvkit.classify import (_eigenframe_plan, _not_quasi_constant,
@@ -798,13 +798,13 @@ def test_quasi_constant_report_builds_one_weyl_grid(monkeypatch):
                        + 5.0 * quasi_constant_shape(g, unit_covector(rng, g)).values,
                        riemann_like=True)
     kinds = []
-    combine = gencurv._combine
+    combined_values = classify._combined_values
 
     def recording(kind, *args, **kwargs):
         kinds.append(kind)
-        return combine(kind, *args, **kwargs)
+        return combined_values(kind, *args, **kwargs)
 
-    monkeypatch.setattr(gencurv, "_combine", recording)
+    monkeypatch.setattr(classify, "_combined_values", recording)
     report = classification_report(CurvatureBundle.from_tensors(g, riemann=riemann))
     assert report.quasi_constant is not None
     assert kinds.count("weyl") == 1
