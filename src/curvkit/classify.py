@@ -20,7 +20,7 @@ from .gencurv import GenCurvParams, _combined_values
 from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, CurvatureBundle, Metric,
                      Tensor04, _as_array, _bundle_part, _expand_block,
                      _grid_of, _instance, _lift, _lstsq_kernel, _max_abs_items, _outer,
-                     _ricci_contract_values, _scalar_curvature_values, _wedge_gg,
+                     _ricci_contract_values, _scalar_curvature_values, _wedge_values,
                      max_abs)
 
 __all__ = [
@@ -202,7 +202,7 @@ def quasi_constant_fit(riemann: Tensor04, g: Metric,
     """
     rv = _grid_of(riemann, "riemann", g)
     a, b, a_form, residual = _quasi_constant_values(
-        rv[None], g.mat[None], g.inv[None], _wedge_gg(g).values[None],
+        rv[None], g.mat[None], g.inv[None], _wedge_values(g.mat)[None],
         _ricci_contract_values(g.inv, rv)[None], float(_as_array(tol, "tol", 0)))
     return QuasiConstantFit(a=float(a[0]), b=float(b[0]), a_form=a_form[0],
                             residual=float(residual[0]))
@@ -355,13 +355,13 @@ def _linear_fit(rv: np.ndarray, gm: np.ndarray, ginv: np.ndarray, wedge: np.ndar
     design[..., 0] = np.concatenate([mu_xy, -mu_xy], axis=-1)
     design[..., 1:] = (lin @ mu[..., None, :, None])[..., 0]
     sol, kernel_dim, cut = _lstsq_kernel(design, rot[..., rows])
-    column = signs * mu[..., m]  # each off-diagonal column's entries
+    column = signs * np.take(mu, m, axis=-1)  # each off-diagonal column's entries
     # a sum of squares of the entries left after the plan's cancellations:
     # exactly 0 where all cancel (the hyper block at n = 2), never the
     # rounding noise that a difference of sums would leave above the cut
     norm_sq = np.einsum("...ck,...ck->...c", column, column)
     kept = np.sqrt(norm_sq) > cut[..., None]
-    projection = np.einsum("...ck,...ck->...c", column, rot[..., entries])
+    projection = np.einsum("...ck,...ck->...c", column, np.take(rot, entries, axis=-1))
     del rot
     p_rot = np.zeros(lead + (n, n))
     p_rot[..., x, y] = np.divide(projection, norm_sq, out=np.zeros(lead + (len(x),)),
@@ -391,14 +391,13 @@ def _misfit_size(rv: np.ndarray, a, wedge: np.ndarray, fitted: np.ndarray) -> np
     return np.abs(misfit, out=misfit).max(axis=(-4, -3, -2, -1), initial=0.0)
 
 
-def _shape_fits(rv: np.ndarray, g: Metric, *kinds):
-    """The `_linear_fit` of one checked grid to the `shape` of each fit class
-    of `kinds`, as an instance of that class, all in one `_eigenframe`."""
+def _shape_fits(rv: np.ndarray, g: Metric, wedge: np.ndarray, *kinds):
+    """The `_linear_fit` of one checked grid, with the G grid of g, to the
+    `shape` of each fit class of `kinds`, as its instance, in one `_eigenframe`."""
     frame = _eigenframe(rv, g.mat)
     fits = []
     for kind in kinds:
-        a, p, residual, kernel = _linear_fit(rv, g.mat, g.inv, _wedge_gg(g).values,
-                                             *kind.shape, frame)
+        a, p, residual, kernel = _linear_fit(rv, g.mat, g.inv, wedge, *kind.shape, frame)
         fits.append(kind(a=float(a), p=p, residual=float(residual), kernel_dim=int(kernel)))
     return fits
 
@@ -408,14 +407,16 @@ def hyper_quasi_constant_fit(riemann: Tensor04, g: Metric) -> HyperQuasiConstant
     trace-free (P -> P + c*g is absorbed by a -> a - 2c).  Always returns;
     `residual` says how well the fit explains the input and `kernel_dim`
     reports the null directions of the design operator (>= 1, the gauge)."""
-    return _shape_fits(_grid_of(riemann, "riemann", g), g, HyperQuasiConstantFit)[0]
+    rv = _grid_of(riemann, "riemann", g)
+    return _shape_fits(rv, g, _wedge_values(g.mat), HyperQuasiConstantFit)[0]
 
 
 def pseudo_quasi_constant_fit(riemann: Tensor04, g: Metric) -> PseudoQuasiConstantFit:
     """Fit R = a * wedge_gg(g) + pseudo_shape(g, P), trace-free gauge
     (P -> P + c*g is absorbed by a -> a + c).  Accepts generalized inputs;
     the two-term shape need not be riemann-like."""
-    return _shape_fits(_grid_of(riemann, "riemann", g), g, PseudoQuasiConstantFit)[0]
+    rv = _grid_of(riemann, "riemann", g)
+    return _shape_fits(rv, g, _wedge_values(g.mat), PseudoQuasiConstantFit)[0]
 
 
 def conformally_flat_check(bundle: CurvatureBundle,
@@ -424,14 +425,14 @@ def conformally_flat_check(bundle: CurvatureBundle,
     (For n <= 3 the Weyl tensor vanishes identically, so the verdict is
     vacuous there and only meaningful from n = 4 on; the norm reads 0 at
     n = 2, where the tensor is not even defined.)"""
-    rv = _grid_of(_bundle_part(bundle, "riemann"), "riemann", bundle.g)
-    return _conformally_flat(rv, bundle, float(_as_array(tol, "tol", 0)))
+    rv, tol = _bundle_part(bundle, "riemann").values, float(_as_array(tol, "tol", 0))
+    return _conformally_flat(rv, bundle, _wedge_values(bundle.g.mat), tol)
 
 
-def _conformally_flat(rv: np.ndarray, bundle: CurvatureBundle, tol: float):
-    """`conformally_flat_check` of a checked grid rv of the bundle and tolerance."""
+def _conformally_flat(rv: np.ndarray, bundle: CurvatureBundle, wedge, tol: float):
+    """`conformally_flat_check` of the bundle's grid rv and G grid, tol checked."""
     norm = 0.0 if bundle.n < 3 else max_abs(_combined_values(
-        "weyl", rv, bundle.g.mat, bundle.ricci, bundle.r, None, _wedge_gg(bundle.g).values))
+        "weyl", rv, bundle.g.mat, bundle.ricci, bundle.r, None, wedge))
     return norm, norm <= tol * (1.0 + max_abs(rv))
 
 
@@ -503,18 +504,17 @@ def classification_report(bundle: CurvatureBundle,
     no (0,4) curvature tensor or params is not a GenCurvParams, and
     InvalidParams when the metric's largest entry lies outside the bound
     METRIC_LIMIT sets."""
-    rv = _grid_of(_bundle_part(bundle, "riemann"), "riemann", bundle.g)
+    rv, s, g = _bundle_part(bundle, "riemann").values, bundle.ricci, bundle.g
     _instance(params, GenCurvParams, "params")
     tol = float(_as_array(tol, "tol", 0))
-    s, g = bundle.ricci, bundle.g  # checked when the bundle was built
     size = max_abs(g.mat)
     if not 1.0 / METRIC_LIMIT <= size <= METRIC_LIMIT:
         raise InvalidParams(f"classify needs the metric's largest entry between "
                             f"{1.0 / METRIC_LIMIT:g} and {METRIC_LIMIT:g}, got {size:g}")
     ein = _einstein_fit(s, g, tol)
-    hyper, pseudo = _shape_fits(rv, g, HyperQuasiConstantFit, PseudoQuasiConstantFit)
+    wedge = _wedge_values(g.mat)
+    hyper, pseudo = _shape_fits(rv, g, wedge, HyperQuasiConstantFit, PseudoQuasiConstantFit)
     # one quasi-Einstein decomposition of s, pass or fail, serves both verdicts
-    wedge = _wedge_gg(g).values
     qe = qe_err = qc = qc_err = None
     try:
         qe = _quasi_einstein_fit(s, g)
@@ -529,7 +529,7 @@ def classification_report(bundle: CurvatureBundle,
                                   residual=float(residual[0]))
         except NotQuasiConstant as exc:
             qc_err = str(exc)
-    weyl_norm, conf_flat = _conformally_flat(rv, bundle, tol)
+    weyl_norm, conf_flat = _conformally_flat(rv, bundle, wedge, tol)
 
     def norm(kind):
         return max_abs(_combined_values(kind, rv, g.mat, s, bundle.r, params, wedge))

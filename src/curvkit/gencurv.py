@@ -40,7 +40,7 @@ from .errors import DegenerateParams, DimensionMismatch, InvalidParams
 from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, _W2_TERMS, CurvatureBundle,
                      Metric, Tensor04, _as_array, _bundle_part, _contract_block,
                      _expand_block, _grid_of, _instance, _lift,
-                     _scalar_curvature_values, _wedge_gg, is_symmetric)
+                     _scalar_curvature_values, _wedge_values, is_symmetric)
 
 __all__ = [
     "GenCurvParams",
@@ -134,9 +134,9 @@ def _weights(kind: str, n: int, r: float, params: GenCurvParams | None):
 def _combine(kind: str, bundle: CurvatureBundle,
              params: GenCurvParams | None = None) -> Tensor04:
     """K of one kind for a bundle that carries its (0,4) tensor."""
-    rv = _grid_of(_bundle_part(bundle, "riemann"), "riemann", bundle.g)
-    return Tensor04(_combined_values(kind, rv, bundle.g.mat, bundle.ricci, bundle.r, params,
-                                     _wedge_gg(bundle.g).values))
+    rv, gm = _bundle_part(bundle, "riemann").values, bundle.g.mat
+    return Tensor04(_combined_values(kind, rv, gm, bundle.ricci, bundle.r, params,
+                                     _wedge_values(gm)))
 
 
 def _combined_values(kind: str, rv: np.ndarray, gm: np.ndarray, s: np.ndarray,
@@ -255,7 +255,7 @@ def reconstruct_qc_flat(s, g: Metric, r: float, params: GenCurvParams,
     """
     _instance(params, GenCurvParams, "params").require_qc()
     s, r = _check_sr(s, g, r, strict)
-    return Tensor04(_flat_values("qc", s, g.mat, r, params, _wedge_gg(g).values),
+    return Tensor04(_flat_values("qc", s, g.mat, r, params, _wedge_values(g.mat)),
                     riemann_like=is_symmetric(s))
 
 
@@ -267,7 +267,7 @@ def reconstruct_pp_flat(s, g: Metric, r: float, params: GenCurvParams,
     """
     _instance(params, GenCurvParams, "params").require_pp()
     s, r = _check_sr(s, g, r, strict)
-    return Tensor04(_flat_values("pp", s, g.mat, r, params, _wedge_gg(g).values))
+    return Tensor04(_flat_values("pp", s, g.mat, r, params, _wedge_values(g.mat)))
 
 
 def reconstruct_w2_flat(s, g: Metric) -> Tensor04:
@@ -291,9 +291,16 @@ def _flat_alpha(kind: str, n: int, r, params: GenCurvParams | None):
         return (r / denom) * (-ba + (1.0 + 2.0 * params.b * (n - 1) / params.a) / n)
     if kind == "pp":
         params.pp_denominator(n)
-    elif n < 2:
-        raise DimensionMismatch("need n >= 2")
     return r / n
+
+
+def _n_and_r(n, r) -> tuple[int, float]:
+    """The n and r of the public `*_flat_alpha` functions, checked: n a whole
+    number of at least 2 and r a number; DimensionMismatch otherwise."""
+    value = float(_as_array(n, "n", 0))
+    if value < 2 or not value.is_integer():
+        raise DimensionMismatch(f"n must be an integer of at least 2, got {value:g}")
+    return int(value), float(_as_array(r, "r", 0))
 
 
 def qc_flat_alpha(n: int, r: float, params: GenCurvParams) -> float:
@@ -305,17 +312,15 @@ def qc_flat_alpha(n: int, r: float, params: GenCurvParams) -> float:
     Equals r/n whenever r is the metric trace of S (the formula is the
     general contraction before imposing trace consistency).
     """
-    return _flat_alpha("qc", n, float(_as_array(r, "r", 0)),
-                       _instance(params, GenCurvParams, "params"))
+    return _flat_alpha("qc", *_n_and_r(n, r), _instance(params, GenCurvParams, "params"))
 
 
 def pp_flat_alpha(n: int, r: float, params: GenCurvParams) -> float:
     """alpha = r/n for a vanishing pseudo-projective combination (the
     contraction divides by 1 + (b/a)(n-1), which must be nonzero)."""
-    return _flat_alpha("pp", n, float(_as_array(r, "r", 0)),
-                       _instance(params, GenCurvParams, "params"))
+    return _flat_alpha("pp", *_n_and_r(n, r), _instance(params, GenCurvParams, "params"))
 
 
 def w2_flat_alpha(n: int, r: float) -> float:
     """alpha = r/n for vanishing W2 (no parameter degeneracy for n >= 2)."""
-    return _flat_alpha("w2", n, float(_as_array(r, "r", 0)), None)
+    return _flat_alpha("w2", *_n_and_r(n, r), None)

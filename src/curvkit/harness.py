@@ -92,7 +92,7 @@ from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, MAX_DIM, CurvatureBundle,
                      Metric, Tensor04, _as_array, _expand_block,
                      _instance, _kernel_rule, _lift, _max_abs_items, _outer,
                      _norm_sq_values, _ricci_contract_values,
-                     _scalar_curvature_values, _validate_metrics, max_abs,
+                     _scalar_curvature_values, _validate_metrics, _wedge_values, max_abs,
                      ricci_contract, scalar_curvature)
 from .wrs import _t_identity_defects, a_from_bd
 
@@ -366,10 +366,10 @@ def _fixed_point(gm: np.ndarray, r, params: GenCurvParams, flavor: str) -> np.nd
     probes = np.concatenate([np.zeros((1, n, n)), eye[:, :, None] * eye])
     images = _flat_ricci(flavor, probes, (mu[:, :, None] * eye)[:, None],
                          (eye / mu[:, :, None])[:, None], _lift(r, 1), params)
-    d = np.arange(n)
-    affine = images[:, 0, d, d]
+    diagonals = np.diagonal(images, axis1=-2, axis2=-1)  # stack axis outermost
+    affine = diagonals[:, 0]
     # column b is the diagonal of the image of E_bb, then the trace row
-    images_dd = images[:, 1:, d, d] - affine[:, None]  # [b, a]: E_bb to entry (a, a)
+    images_dd = diagonals[:, 1:] - affine[:, None]  # [b, a]: E_bb to entry (a, a)
     lhs = np.concatenate([eye - images_dd.swapaxes(-1, -2), 1.0 / mu[:, None, :]], axis=-2)
     rhs = np.concatenate([affine, _lift(r, 1)], axis=-1)
     u, sigma, vh = np.linalg.svd(lhs, full_matrices=False)
@@ -603,7 +603,7 @@ def _flat_fit_check(flavor: str) -> _Check:
         alpha, beta = _flat_weights(flavor, n, r, params)
         p_true = beta * s
         trace = _scalar_curvature_values(ginv, p_true)
-        wedge = _expand_block(_PSEUDO_TERMS, gm, gm)
+        wedge = _wedge_values(gm)
         riemann = _flat_values(flavor, s, gm, r, params, wedge)
         fit_a, fit_p, fit_residual, _ = _linear_fit(riemann, gm, ginv, wedge, terms,
                                                     gauge_weight, _eigenframe(riemann, gm))
@@ -653,7 +653,7 @@ def _qc_quasi_constant(config, gm, ginv, c, t):
     params = config.params
     ricci, r, t_rho, coeff = _rank_one_data(ginv, c, t)
     params.require_qc()
-    wedge = _expand_block(_PSEUDO_TERMS, gm, gm)
+    wedge = _wedge_values(gm)
     riemann = _flat_values("qc", ricci, gm, r, params, wedge)
     contracted = _ricci_contract_values(ginv, riemann)
     fit_a, fit_b, a_form, fit_residual = _quasi_constant_values(
@@ -678,7 +678,7 @@ def _pp_quasi_constant(config, gm, ginv, c, t):
     params = config.params
     ricci, r, t_rho, coeff = _rank_one_data(ginv, c, t)
     params.require_pp()
-    wedge = _expand_block(_PSEUDO_TERMS, gm, gm)
+    wedge = _wedge_values(gm)
     riemann = _flat_values("pp", ricci, gm, r, params, wedge)
     fit_a, fit_p, fit_residual, _ = _linear_fit(riemann, gm, ginv, wedge,
                                                 *PseudoQuasiConstantFit.shape,

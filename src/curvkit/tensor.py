@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -198,7 +197,7 @@ class Metric:
     the quality of the cached inverse (g @ ginv = I within 1e-10).
     """
 
-    __slots__ = ("n", "mat", "inv", "_wedge")
+    __slots__ = ("n", "mat", "inv")
 
     def __init__(self, components):
         g = _as_array(components, "metric", 2, finite=False)
@@ -215,12 +214,8 @@ class Metric:
         return metric
 
     def _hold(self, mat: np.ndarray, inv: np.ndarray) -> None:
-        mat.flags.writeable = False
-        inv.flags.writeable = False
-        self.n = mat.shape[0]
-        self.mat = mat
-        self.inv = inv
-        self._wedge = None  # wedge_gg(self), built on first use
+        mat.flags.writeable = inv.flags.writeable = False
+        self.n, self.mat, self.inv = mat.shape[0], mat, inv
 
     def raise_index(self, covector) -> np.ndarray:
         """Metric dual of a 1-form: v^i = ginv[i,j] w_j."""
@@ -291,51 +286,55 @@ class CurvatureBundle:
     `nabla_ricci[i,j,k]` is the covariant derivative (nabla_i S)(e_j, e_k);
     `dr[i]` is the coordinate differential of the scalar curvature.
 
-    The library builds every bundle with :meth:`from_tensors`, which checks
-    its parts; synthetic data (no chart behind it) may leave `point`,
-    `nabla_ricci`, `dr` and even `riemann` out (None).  Bundles compare and
-    hash by identity."""
+    Construction checks every part (each axis of length n), fills the
+    defaults (`ricci` contracts `riemann`, `r` traces `ricci`) and derives
+    `ricci_op = ginv @ ricci`; the arrays are held as read-only copies.
+    Synthetic data may leave `point`, `nabla_ricci`, `dr` and even `riemann`
+    out (None).  Bundles compare and hash by identity."""
 
     g: Metric
-    riemann: Tensor04 | None
-    ricci: np.ndarray
-    ricci_op: np.ndarray
-    r: float
-    point: tuple[float, ...] | None = None
+    riemann: Tensor04 | None = None
+    ricci: np.ndarray | None = None
+    r: float | None = None
     nabla_ricci: np.ndarray | None = None
     dr: np.ndarray | None = None
+    point: tuple[float, ...] | None = None
+    ricci_op: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        g, ricci, r = self.g, self.ricci, self.r
+        rv = None if self.riemann is None else _grid_of(self.riemann, "riemann", g)
+        if ricci is None:
+            if rv is None:
+                raise DimensionMismatch("need riemann or ricci to build a bundle")
+            ricci = _ricci_contract_values(g.inv, rv)
+        ricci = _frozen(_as_array(ricci, "ricci", 2, _instance(g, Metric, "g").n))
+        r = _scalar_curvature_values(g.inv, ricci) if r is None else _as_array(r, "r", 0)
+        held = {"ricci": ricci, "ricci_op": _frozen(g.inv @ ricci), "r": float(r)}
+        for name, rank in (("nabla_ricci", 3), ("dr", 1)):
+            if getattr(self, name) is not None:
+                held[name] = _frozen(_as_array(getattr(self, name), name, rank, g.n))
+        if self.point is not None:
+            held["point"] = tuple(_as_array(self.point, "point", 1, g.n).tolist())
+        for name, value in held.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
         return self.g.n
 
     @classmethod
-    def from_tensors(cls, g: Metric, riemann: Tensor04 | None = None,
-                     ricci=None, r: float | None = None,
-                     nabla_ricci=None, dr=None,
-                     point: Sequence[float] | None = None) -> "CurvatureBundle":
-        """Assemble a bundle from raw pointwise tensors.
+    def from_tensors(cls, *parts, **named) -> "CurvatureBundle":
+        """`CurvatureBundle(...)` by its documented name: the parts g,
+        riemann, ricci, r, nabla_ricci, dr and point, in that order."""
+        return cls(*parts, **named)
 
-        `ricci` defaults to the contraction of `riemann`; `r` defaults to the
-        metric trace of `ricci`.  The Ricci operator is always recomputed.
-        Every axis of an array given has the metric's length n: ricci is
-        (n, n), nabla_ricci (n, n, n), dr and point (n,).
-        """
-        rv = None if riemann is None else _grid_of(riemann, "riemann", g)
-        if ricci is None:
-            if rv is None:
-                raise DimensionMismatch("need riemann or ricci to build a bundle")
-            ricci = _ricci_contract_values(g.inv, rv)
-        ricci = _as_array(ricci, "ricci", 2, _instance(g, Metric, "g").n)
-        r = _scalar_curvature_values(g.inv, ricci) if r is None else _as_array(r, "r", 0)
-        if nabla_ricci is not None:
-            nabla_ricci = _as_array(nabla_ricci, "nabla_ricci", 3, g.n)
-        if dr is not None:
-            dr = _as_array(dr, "dr", 1, g.n)
-        if point is not None:
-            point = tuple(_as_array(point, "point", 1, g.n).tolist())
-        return cls(g=g, riemann=riemann, ricci=ricci, ricci_op=g.inv @ ricci, r=float(r),
-                   point=point, nabla_ricci=nabla_ricci, dr=dr)
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of a: the caller's array stays writable and unshared."""
+    a = a.copy()
+    a.flags.writeable = False
+    return a
 
 
 # --------------------------------------------------------------------------
@@ -446,16 +445,14 @@ def _contract_block(terms, ginv: np.ndarray, gm: np.ndarray,
 
 def wedge_gg(g: Metric) -> Tensor04:
     """G[i,j,k,l] = g[j,k] g[i,l] - g[i,k] g[j,l]; the constant-curvature shape.
-    Its Ricci contraction is (n-1) g.  Built once per metric;
-    every later call returns the same read-only tensor."""
-    return _wedge_gg(_instance(g, Metric, "g"))
+    Its Ricci contraction is (n-1) g."""
+    return Tensor04(_wedge_values(_instance(g, Metric, "g").mat), riemann_like=True)
 
 
-def _wedge_gg(g: Metric) -> Tensor04:
-    """`wedge_gg` of a metric already checked."""
-    if g._wedge is None:
-        g._wedge = Tensor04(_expand_block(_PSEUDO_TERMS, g.mat, g.mat), riemann_like=True)
-    return g._wedge
+def _wedge_values(gm: np.ndarray) -> np.ndarray:
+    """The G grid of `wedge_gg` for metrics stacked on leading axes,
+    (..., n, n) -> (..., n, n, n, n), unchecked: the pseudo block at P = g."""
+    return _expand_block(_PSEUDO_TERMS, gm, gm)
 
 
 def quasi_constant_shape(g: Metric, a_form) -> Tensor04:

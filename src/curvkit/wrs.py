@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DegenerateRicci, DimensionMismatch, ZeroScalarCurvature
-from .tensor import (CurvatureBundle, _as_array, _bundle_part, _instance, _lift,
+from .tensor import (CurvatureBundle, _as_array, _bundle_part, _frozen, _instance, _lift,
                      _lstsq_kernel, max_abs)
 
 if TYPE_CHECKING:
@@ -56,10 +56,8 @@ class OneFormSystem:
     def __post_init__(self):
         n = None
         for name in ("a", "b", "d"):
-            # a copy, so that freezing it leaves the caller's array writable
-            v = _as_array(getattr(self, name), f"1-form {name}", 1, n).copy()
+            v = _frozen(_as_array(getattr(self, name), f"1-form {name}", 1, n))
             n = len(v)
-            v.flags.writeable = False
             object.__setattr__(self, name, v)
 
     @property

@@ -197,6 +197,13 @@ def test_nabla_ricci_symmetry(poly3):
     assert max_abs(ns - np.swapaxes(ns, 1, 2)) <= 1e-9 * (1.0 + max_abs(ns))
 
 
+def test_chart_bundle_arrays_are_read_only(sphere2):
+    bundle = sphere2.curvature_bundle((1.0, 0.3))
+    for part in ("ricci", "ricci_op", "nabla_ricci", "dr"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(bundle, part)[0] = 0.0
+
+
 def test_check_bundle_rejects_asymmetric_nabla_ricci():
     g = Metric(np.eye(3))
     nabla = np.zeros((3, 3, 3))

@@ -539,6 +539,32 @@ def test_classify_at_an_extreme_metric_scale_ends_cleanly(tmp_path, capfd, name)
         assert _verdicts(done.stdout) == _verdicts(capfd.readouterr().out)
 
 
+# refusals reached in the process itself: the metric scale bound of the
+# report, and values that leave float range while a chart is evaluated
+REFUSED_CHARTS = {
+    "metric-above-the-limit": (FLAT.format(s="1e75"), "classify",
+                               f"between {1 / METRIC_LIMIT:g} and {METRIC_LIMIT:g}, got 1e+75"),
+    "metric-below-the-limit": (FLAT.format(s="1e-75"), "classify",
+                               f"between {1 / METRIC_LIMIT:g} and {METRIC_LIMIT:g}, got 1e-75"),
+    "exp-overflow": ("dim: 2\ncoords: x, y\ng: x,x = exp(x)\ng: y,y = 1\npoint: 1000, 0\n",
+                     "curvature", "exp failed: math range error in 'exp(x)'"),
+    "product-overflow": ("dim: 2\ncoords: x, y\ng: x,x = 1 + x*x*x\ng: y,y = 1\n"
+                         "point: 1e120, 0\n", "curvature",
+                         "operation produced non-finite value in 'x*x*x'"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED_CHARTS)
+def test_refused_charts_exit_2_with_one_error_line(tmp_path, capsys, name):
+    text, command, message = REFUSED_CHARTS[name]
+    path = tmp_path / "chart.txt"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_classify_admits_metrics_at_the_scale_bound(tmp_path, capfd):
     # the sphere's verdicts and reasons do not depend on its scale
     verdicts = []

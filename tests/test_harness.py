@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from curvkit import harness
-from curvkit.errors import DegenerateParams, InvalidParams
+from curvkit.errors import DegenerateParams, InvalidParams, ZeroScalarCurvature
 from curvkit.gencurv import (GenCurvParams, _flat_ricci, pp_flat_alpha,
                              qc_flat_alpha, reconstruct_pp_flat,
                              reconstruct_qc_flat, reconstruct_w2_flat,
@@ -178,6 +178,21 @@ def test_guard_checks_present(small_reports):
                     if c.name.startswith("guard_")]
     assert len(total_guards) == 6
     assert all(c.passed for c in total_guards)
+
+
+def test_a_guard_that_raises_another_error_or_none_fails():
+    config = TrialConfig(seed=0)
+
+    def wrong(config):
+        raise DegenerateParams("not the guarded error")
+
+    result = harness._run_guard("guard_wrong", wrong, config, ZeroScalarCurvature)
+    assert not result.passed and result.max_residual == float("inf")
+    assert result.note == "raised DegenerateParams instead of ZeroScalarCurvature"
+    result = harness._run_guard("guard_silent", lambda config: None, config,
+                                ZeroScalarCurvature)
+    assert not result.passed and result.max_residual == float("inf")
+    assert result.note == "no ZeroScalarCurvature raised"
 
 
 def test_brute_force_twins_present(small_reports):

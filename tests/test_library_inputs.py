@@ -26,7 +26,7 @@ from curvkit.classify import (classification_report, conformally_flat_check,
 from curvkit.errors import CurvError, DimensionMismatch
 from curvkit.gencurv import (GenCurvParams, pp_flat_alpha, pseudo_projective, qc_flat_alpha,
                              quasi_conformal, reconstruct_pp_flat, reconstruct_qc_flat,
-                             reconstruct_w2_flat, w2, weyl, weyl_from_tensors)
+                             reconstruct_w2_flat, w2, w2_flat_alpha, weyl, weyl_from_tensors)
 from curvkit.harness import (TrialConfig, flat_ricci_form, product_ricci_form,
                              random_point_model, rank_one_coefficient, selfconsistent_ricci,
                              verify_all, verify_section2, verify_section3, verify_section4)
@@ -198,6 +198,27 @@ def test_records_that_hold_arrays_compare_and_hash_by_identity(build):
     assert first != second  # equal values, distinct instances
     assert hash(first) == hash(first) and hash(second) != hash(first)
     assert len({first, second, first}) == 2
+
+
+# the n of the *_flat_alpha functions: an integer of at least 2, or a refusal
+_ALPHAS = {"qc_flat_alpha": lambda n: qc_flat_alpha(n, 1.0, GenCurvParams()),
+           "pp_flat_alpha": lambda n: pp_flat_alpha(n, 1.0, GenCurvParams()),
+           "w2_flat_alpha": lambda n: w2_flat_alpha(n, 1.0)}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", ["5", None, 0, 1, -3, 4.5, np.nan, np.inf, -np.inf, 10**400,
+                               1j, [4], np.ones(2)], ids=repr)
+@pytest.mark.parametrize("name", sorted(_ALPHAS))
+def test_flat_alphas_refuse_every_n_but_an_integer_of_at_least_2(name, n):
+    with pytest.raises(DimensionMismatch, match="^n "):
+        _ALPHAS[name](n)
+
+
+@pytest.mark.parametrize("name", sorted(_ALPHAS))
+def test_flat_alphas_take_an_integer_n_of_any_type(name):
+    alphas = {_ALPHAS[name](n) for n in (4, np.int64(4), 4.0, np.float32(4.0))}
+    assert alphas == {0.25}
 
 
 # --------------------------------------------------------------------------

@@ -512,12 +512,43 @@ def test_contracted_blocks_match_expanded(kind, n):
     assert max_abs(got - expected) <= 1e-13 * max_abs(expected)
 
 
-def test_wedge_built_once_per_metric():
+def test_wedge_is_read_only_and_matches_the_loops():
     g = Metric(random_spd(np.random.default_rng(8), 4))
-    first = wedge_gg(g)
-    assert wedge_gg(g) is first
-    assert not first.values.flags.writeable
-    assert np.array_equal(first.values, loop_wedge(g.mat))
+    wedge = wedge_gg(g)
+    assert not wedge.values.flags.writeable
+    assert np.array_equal(wedge.values, loop_wedge(g.mat))
+
+
+def test_bundle_parts_stay_consistent_after_the_caller_writes_its_arrays():
+    g = Metric(np.eye(3))
+    s, nabla, dr = np.eye(3), np.zeros((3, 3, 3)), np.ones(3)
+    bundle = CurvatureBundle.from_tensors(g, ricci=s, nabla_ricci=nabla, dr=dr)
+    s[0, 0], nabla[0, 0, 0], dr[0] = 5.0, 5.0, 5.0
+    assert bundle.ricci[0, 0] == bundle.ricci_op[0, 0] == 1.0
+    assert bundle.r == np.trace(bundle.ricci) == 3.0
+    assert bundle.nabla_ricci[0, 0, 0] == 0.0 and bundle.dr[0] == 1.0
+    for part in ("ricci", "ricci_op", "nabla_ricci", "dr"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(bundle, part)[0] = 2.0
+
+
+def test_a_bundle_built_directly_is_the_bundle_from_tensors_builds():
+    g = Metric(random_spd(np.random.default_rng(9), 3))
+    riemann = Tensor04(2.0 * loop_wedge(g.mat), riemann_like=True)
+    parts = (g, riemann, None, None, np.zeros((3, 3, 3)), np.ones(3), (0.5, 1, 2))
+    direct, named = CurvatureBundle(*parts), CurvatureBundle.from_tensors(*parts)
+    for part in ("ricci", "ricci_op", "nabla_ricci", "dr"):
+        assert np.array_equal(getattr(direct, part), getattr(named, part))
+    assert np.array_equal(direct.ricci_op, g.inv @ direct.ricci)
+    assert direct.r == named.r and direct.point == named.point == (0.5, 1.0, 2.0)
+    with pytest.raises(DimensionMismatch, match="ricci must have shape"):
+        CurvatureBundle(g, ricci=np.eye(2))
+    with pytest.raises(DimensionMismatch, match="need riemann or ricci"):
+        CurvatureBundle(g)
+    with pytest.raises(DimensionMismatch, match="^g must be a Metric"):
+        CurvatureBundle(g.mat, ricci=np.eye(3))
+    with pytest.raises(TypeError, match="ricci_op"):
+        CurvatureBundle(g, ricci=np.eye(3), ricci_op=np.zeros((3, 3)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
