@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidParams, NotQuasiConstant, NotQuasiEinstein
 from .gencurv import GenCurvParams, _combined_values
 from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, CurvatureBundle, Metric,
-                     Tensor04, _as_array, _bundle_part, _expand_block,
+                     Tensor04, _ArrayRecord, _as_array, _bundle_part, _expand_block,
                      _grid_of, _instance, _lift, _lstsq_kernel, _max_abs_items, _outer,
                      _ricci_contract_values, _scalar_curvature_values, _wedge_values,
                      max_abs)
@@ -49,7 +49,7 @@ class EinsteinFit:
 
 
 @dataclass(frozen=True, eq=False)
-class QuasiEinsteinFit:
+class QuasiEinsteinFit(_ArrayRecord):
     p: float
     q: float
     omega: np.ndarray  # g-unit covector, sign-canonicalized
@@ -57,7 +57,7 @@ class QuasiEinsteinFit:
 
 
 @dataclass(frozen=True, eq=False)
-class QuasiConstantFit:
+class QuasiConstantFit(_ArrayRecord):
     a: float
     b: float
     a_form: np.ndarray  # g-unit covector, sign-canonicalized
@@ -65,7 +65,7 @@ class QuasiConstantFit:
 
 
 @dataclass(frozen=True, eq=False)
-class HyperQuasiConstantFit:
+class HyperQuasiConstantFit(_ArrayRecord):
     a: float
     p: np.ndarray  # trace-free gauge representative
     residual: float
@@ -74,7 +74,7 @@ class HyperQuasiConstantFit:
 
 
 @dataclass(frozen=True, eq=False)
-class PseudoQuasiConstantFit:
+class PseudoQuasiConstantFit(_ArrayRecord):
     a: float
     p: np.ndarray
     residual: float

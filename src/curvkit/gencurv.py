@@ -84,32 +84,6 @@ class GenCurvParams:
                                 f"{1.0 / WEIGHT_LIMIT:g} and {WEIGHT_LIMIT:g}, "
                                 f"got a={self.a}, b={self.b}")
 
-    def require_qc(self) -> None:
-        if self.a == 0.0:
-            raise InvalidParams("quasi-conformal combination requires a != 0")
-
-    def require_pp(self) -> None:
-        if self.a == 0.0 or self.b == 0.0:
-            raise InvalidParams("pseudo-projective combination requires a != 0 and b != 0")
-
-    def qc_denominator(self, n: int) -> float:
-        """1 + (b/a)(n-2); raises DegenerateParams near zero (the
-        quasi-conformal Einstein-coefficient formula divides by it)."""
-        self.require_qc()
-        return self._denominator(n, 2)
-
-    def pp_denominator(self, n: int) -> float:
-        """1 + (b/a)(n-1), the analogous guard for the pseudo-projective case."""
-        self.require_pp()
-        return self._denominator(n, 1)
-
-    def _denominator(self, n: int, k: int) -> float:
-        ba = self.b / self.a
-        d = 1.0 + ba * (n - k)
-        if abs(d) <= _GUARD_TOL * (1.0 + abs(ba) * n):
-            raise DegenerateParams(f"1 + (b/a)(n-{k}) = {d:g} is numerically zero")
-        return d
-
 
 # --------------------------------------------------------------------------
 # The one form K = a*R + b*B(S) - c*G
@@ -126,9 +100,33 @@ def _weights(kind: str, n: int, r: float, params: GenCurvParams | None):
                 (r / n) * (params.a / (n - 1) + params.b))
     if kind == "w2":
         return 1.0, 1.0 / (n - 1), _W2_TERMS, 0.0
+    if kind != "weyl":
+        raise InvalidParams(f"unknown kind {kind!r}")
     if n < 3:
         raise DimensionMismatch("the Weyl tensor needs n >= 3")
     return 1.0, -1.0 / (n - 2), _HYPER_TERMS, -r / ((n - 1) * (n - 2))
+
+
+def _require(kind: str, params: GenCurvParams | None, n: int | None = None):
+    """The preconditions of the weights of one kind's flat formulas, stated
+    once: InvalidParams for a kind with no flat formula and for a = 0 (qc,
+    pp) or b = 0 (pp), DimensionMismatch for params not a GenCurvParams.
+    Given n, it returns alpha's denominator 1 + (b/a)(n-k), k = 2 for qc and
+    1 for pp, with DegenerateParams near zero (None for W2)."""
+    if kind not in ("qc", "pp", "w2"):
+        raise InvalidParams(f"unknown flavor {kind!r}")
+    if kind == "w2":
+        return None
+    if _instance(params, GenCurvParams, "params").a == 0.0 or (kind == "pp" and params.b == 0.0):
+        raise InvalidParams("quasi-conformal combination requires a != 0" if kind == "qc" else
+                            "pseudo-projective combination requires a != 0 and b != 0")
+    if n is None:
+        return None
+    k, ba = (2 if kind == "qc" else 1), params.b / params.a
+    d = 1.0 + ba * (n - k)
+    if abs(d) <= _GUARD_TOL * (1.0 + abs(ba) * n):
+        raise DegenerateParams(f"1 + (b/a)(n-{k}) = {d:g} is numerically zero")
+    return d
 
 
 def _combine(kind: str, bundle: CurvatureBundle,
@@ -152,8 +150,9 @@ def _flat_values(kind: str, s: np.ndarray, gm: np.ndarray, r,
                  params: GenCurvParams | None, wedge) -> np.ndarray:
     """The R that makes K vanish, (c/a)*G - (b/a)*B(S), for forms S, metrics
     g (with their G grids `wedge`) and scalars r stacked on the same leading
-    axes, (..., n, n) -> (..., n, n, n, n), unchecked.  The public
-    reconstructions wrap it; `_flat_ricci` is its Ricci contraction."""
+    axes, (..., n, n) -> (..., n, n, n, n); only the weights are checked.
+    The reconstructions wrap it; `_flat_ricci` is its Ricci contraction."""
+    _require(kind, params)
     a, b, block, c = _weights(kind, gm.shape[-1], r, params)
     values = _expand_block(block, gm, s)
     values *= -(b / a)
@@ -164,11 +163,12 @@ def _flat_ricci(kind: str, s: np.ndarray, gm: np.ndarray, ginv: np.ndarray,
                 r, params: GenCurvParams | None) -> np.ndarray:
     """The Ricci contraction of `_flat_values`,
     (c/a)*contract(G) - (b/a)*contract(B(S)), for S, g, ginv and r on
-    leading axes that broadcast, (..., n, n) -> (..., n, n), unchecked.  It
-    contracts before expanding (`tensor._contract_block`): no array it
-    builds is larger than its output, and contract(G) is the pseudo block's
-    at P = g.  The harness applies it to a whole basis for a stack of
-    metrics in one call."""
+    leading axes that broadcast, (..., n, n) -> (..., n, n), checking only
+    the weights.  It contracts before expanding (`tensor._contract_block`):
+    no array it builds is larger than its output, and contract(G) is the
+    pseudo block's at P = g.  The harness applies it to a whole basis for a
+    stack of metrics in one call."""
+    _require(kind, params)
     a, b, block, c = _weights(kind, gm.shape[-1], r, params)
     out = -(b / a) * _contract_block(block, ginv, gm, s)
     if np.any(c):
@@ -201,7 +201,7 @@ def pseudo_projective(bundle: CurvatureBundle, params: GenCurvParams) -> Tensor0
 
     Requires a != 0 and b != 0.  Not riemann-like in general.
     """
-    _instance(params, GenCurvParams, "params").require_pp()
+    _require("pp", params)
     return _combine("pp", bundle, params)
 
 
@@ -231,7 +231,11 @@ def weyl_from_tensors(riemann: Tensor04, g: Metric,
 # --------------------------------------------------------------------------
 # Flat reconstructions: solve <combination> = 0 for R
 
-def _check_sr(s, g: Metric, r: float, strict: bool) -> tuple[np.ndarray, float]:
+def _flat_grid(kind: str, s, g: Metric, r: float, params: GenCurvParams,
+               strict: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The grid of `reconstruct_<kind>_flat` and its S, after checking the
+    weights, then S and r, and in strict mode r = trace(S)."""
+    _require(kind, params)
     s = _as_array(s, "bilinear form", 2, _instance(g, Metric, "g").n)
     r = float(_as_array(r, "r", 0))
     if strict:
@@ -239,7 +243,7 @@ def _check_sr(s, g: Metric, r: float, strict: bool) -> tuple[np.ndarray, float]:
         if abs(tr - r) > 1e-10 * (1.0 + abs(r)):
             raise InvalidParams(
                 f"strict mode: r={r:g} is not the metric trace of S ({tr:g})")
-    return s, r
+    return _flat_values(kind, s, g.mat, r, params, _wedge_values(g.mat)), s
 
 
 def reconstruct_qc_flat(s, g: Metric, r: float, params: GenCurvParams,
@@ -253,10 +257,8 @@ def reconstruct_qc_flat(s, g: Metric, r: float, params: GenCurvParams,
     four-term block of a symmetric S and G have every curvature symmetry,
     so the flag is set then, and checked on the grid like any other.
     """
-    _instance(params, GenCurvParams, "params").require_qc()
-    s, r = _check_sr(s, g, r, strict)
-    return Tensor04(_flat_values("qc", s, g.mat, r, params, _wedge_values(g.mat)),
-                    riemann_like=is_symmetric(s))
+    values, s = _flat_grid("qc", s, g, r, params, strict)
+    return Tensor04(values, riemann_like=is_symmetric(s))
 
 
 def reconstruct_pp_flat(s, g: Metric, r: float, params: GenCurvParams,
@@ -265,9 +267,7 @@ def reconstruct_pp_flat(s, g: Metric, r: float, params: GenCurvParams,
 
         R = -(b/a) * [S_jk g_il - S_ik g_jl] + (r/(a n))(a/(n-1) + b) * G
     """
-    _instance(params, GenCurvParams, "params").require_pp()
-    s, r = _check_sr(s, g, r, strict)
-    return Tensor04(_flat_values("pp", s, g.mat, r, params, _wedge_values(g.mat)))
+    return Tensor04(_flat_grid("pp", s, g, r, params, strict)[0])
 
 
 def reconstruct_w2_flat(s, g: Metric) -> Tensor04:
@@ -284,23 +284,21 @@ def reconstruct_w2_flat(s, g: Metric) -> Tensor04:
 
 def _flat_alpha(kind: str, n: int, r, params: GenCurvParams | None):
     """The alpha of the public `<kind>_flat_alpha` for scalars r stacked on
-    leading axes, unchecked."""
+    leading axes, checking only the weights."""
+    denom = _require(kind, params, n)
     if kind == "qc":
-        denom = params.qc_denominator(n)
         ba = params.b / params.a
         return (r / denom) * (-ba + (1.0 + 2.0 * params.b * (n - 1) / params.a) / n)
-    if kind == "pp":
-        params.pp_denominator(n)
     return r / n
 
 
-def _n_and_r(n, r) -> tuple[int, float]:
-    """The n and r of the public `*_flat_alpha` functions, checked: n a whole
-    number of at least 2 and r a number; DimensionMismatch otherwise."""
+def _dimension(n, top: int | None = None) -> int:
+    """n checked, a whole number from 2 to `top`; DimensionMismatch naming n otherwise."""
     value = float(_as_array(n, "n", 0))
-    if value < 2 or not value.is_integer():
-        raise DimensionMismatch(f"n must be an integer of at least 2, got {value:g}")
-    return int(value), float(_as_array(r, "r", 0))
+    if value < 2 or not value.is_integer() or (top is not None and value > top):
+        most = "" if top is None else f" and at most {top}"
+        raise DimensionMismatch(f"n must be an integer of at least 2{most}, got {value:g}")
+    return int(value)
 
 
 def qc_flat_alpha(n: int, r: float, params: GenCurvParams) -> float:
@@ -312,15 +310,15 @@ def qc_flat_alpha(n: int, r: float, params: GenCurvParams) -> float:
     Equals r/n whenever r is the metric trace of S (the formula is the
     general contraction before imposing trace consistency).
     """
-    return _flat_alpha("qc", *_n_and_r(n, r), _instance(params, GenCurvParams, "params"))
+    return _flat_alpha("qc", _dimension(n), float(_as_array(r, "r", 0)), params)
 
 
 def pp_flat_alpha(n: int, r: float, params: GenCurvParams) -> float:
     """alpha = r/n for a vanishing pseudo-projective combination (the
     contraction divides by 1 + (b/a)(n-1), which must be nonzero)."""
-    return _flat_alpha("pp", *_n_and_r(n, r), _instance(params, GenCurvParams, "params"))
+    return _flat_alpha("pp", _dimension(n), float(_as_array(r, "r", 0)), params)
 
 
 def w2_flat_alpha(n: int, r: float) -> float:
     """alpha = r/n for vanishing W2 (no parameter degeneracy for n >= 2)."""
-    return _flat_alpha("w2", *_n_and_r(n, r), None)
+    return _flat_alpha("w2", _dimension(n), float(_as_array(r, "r", 0)), None)

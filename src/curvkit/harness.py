@@ -85,13 +85,12 @@ from .classify import (HyperQuasiConstantFit, PseudoQuasiConstantFit, _eigenfram
                        _quasi_einstein_values)
 from .errors import (CurvError, DegenerateParams, InvalidParams,
                      SingularMetric, ZeroScalarCurvature)
-from .gencurv import (GenCurvParams, _combined_values, _flat_alpha, _flat_ricci,
-                      _flat_values, qc_flat_alpha, reconstruct_pp_flat,
-                      reconstruct_qc_flat, reconstruct_w2_flat)
-from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, MAX_DIM, CurvatureBundle,
-                     Metric, Tensor04, _as_array, _expand_block,
-                     _instance, _kernel_rule, _lift, _max_abs_items, _outer,
-                     _norm_sq_values, _ricci_contract_values,
+from .gencurv import (GenCurvParams, _combined_values, _dimension, _flat_alpha,
+                      _flat_ricci, _flat_values, _require, qc_flat_alpha,
+                      reconstruct_pp_flat, reconstruct_qc_flat, reconstruct_w2_flat)
+from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, MAX_DIM, CurvatureBundle, Metric,
+                     _ArrayRecord, _as_array, _expand_block, _instance, _kernel_rule,
+                     _lift, _max_abs_items, _norm_sq_values, _outer, _ricci_contract_values,
                      _scalar_curvature_values, _validate_metrics, _wedge_values, max_abs,
                      ricci_contract, scalar_curvature)
 from .wrs import _t_identity_defects, a_from_bd
@@ -149,7 +148,7 @@ class TrialConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class PointModel:
+class PointModel(_ArrayRecord):
     """Random pointwise data with a rank-one Ricci form S = coeff * t(x)t.
     Models compare and hash by identity."""
 
@@ -236,10 +235,11 @@ def _draw_point(rng: np.random.Generator, n: int):
 
 
 def random_point_model(seed, n: int) -> PointModel:
-    """Seeded pointwise data.  `seed` may be an int, a seed sequence, or an
-    existing Generator.  g = M^T M + n*I for random M (positive definite by
-    construction, smallest eigenvalue >= n), and S = c * t(x)t with |c|
-    bounded away from 0 and t bounded away from 0."""
+    """Seeded pointwise data in dimension n, an integer from 2 to MAX_DIM
+    checked before any draw; `seed` is an int, a seed sequence or a Generator.
+    g = M^T M + n*I for random M (positive definite by construction, smallest
+    eigenvalue >= n), and S = c * t(x)t with |c| and t bounded away from 0."""
+    n = _dimension(n, MAX_DIM)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     m, c, t = _draw_point(rng, n)
     return PointModel(g=Metric(_metrics(m)), ricci=c * np.outer(t, t), coeff=c, t=t)
@@ -354,12 +354,7 @@ def _fixed_point(gm: np.ndarray, r, params: GenCurvParams, flavor: str) -> np.nd
     stack in one SVD, minimum-norm.  Raises DegenerateParams for the first
     system that is singular or inconsistent, its index as `item`."""
     n = gm.shape[-1]
-    if flavor == "qc":
-        params.qc_denominator(n)
-    elif flavor == "pp":
-        params.pp_denominator(n)
-    elif flavor != "w2":
-        raise InvalidParams(f"unknown flavor {flavor!r}")
+    _require(flavor, params, n)
     mu, q = np.linalg.eigh(gm)
     eye = np.eye(n)
     # the zero form, then each E_aa
@@ -596,15 +591,14 @@ def _flat_fit_check(flavor: str) -> _Check:
 
     def compute(config, gm, ginv, r, b_form, b_bar, d_form, d_bar):
         n, params = config.n, config.params
-        # the reconstruction's precondition, before b / a
-        (params.require_qc if flavor == "qc" else params.require_pp)()
         a_form = _flat_first_form(b_bar, d_bar, r)
         s = _product_matrix(a_form, d_form, b_bar, _pairing(ginv, a_form, d_form, b_form)[0])
+        wedge = _wedge_values(gm)
+        # the reconstruction checks the weights before the oracle divides by a
+        riemann = _flat_values(flavor, s, gm, r, params, wedge)
         alpha, beta = _flat_weights(flavor, n, r, params)
         p_true = beta * s
         trace = _scalar_curvature_values(ginv, p_true)
-        wedge = _wedge_values(gm)
-        riemann = _flat_values(flavor, s, gm, r, params, wedge)
         fit_a, fit_p, fit_residual, _ = _linear_fit(riemann, gm, ginv, wedge, terms,
                                                     gauge_weight, _eigenframe(riemann, gm))
         a_true = alpha + gauge_weight * trace / n
@@ -652,7 +646,6 @@ def _qc_quasi_constant(config, gm, ginv, c, t):
     n = config.n
     params = config.params
     ricci, r, t_rho, coeff = _rank_one_data(ginv, c, t)
-    params.require_qc()
     wedge = _wedge_values(gm)
     riemann = _flat_values("qc", ricci, gm, r, params, wedge)
     contracted = _ricci_contract_values(ginv, riemann)
@@ -677,7 +670,6 @@ def _pp_quasi_constant(config, gm, ginv, c, t):
     n = config.n
     params = config.params
     ricci, r, t_rho, coeff = _rank_one_data(ginv, c, t)
-    params.require_pp()
     wedge = _wedge_values(gm)
     riemann = _flat_values("pp", ricci, gm, r, params, wedge)
     fit_a, fit_p, fit_residual, _ = _linear_fit(riemann, gm, ginv, wedge,

@@ -337,6 +337,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class _ArrayRecord:
+    """Base of frozen dataclass records: each array field is a read-only copy."""
+
+    def __post_init__(self):
+        for name, value in list(vars(self).items()):
+            if isinstance(value, np.ndarray):
+                object.__setattr__(self, name, _frozen(value))
+
+
 # --------------------------------------------------------------------------
 # Contractions
 

@@ -288,14 +288,38 @@ def test_manifest_dimension_limit():
         parse_manifest(manifest(MAX_DIM + 1))
 
 
-def test_verify_with_a_zero_reports_the_precondition(capsys):
-    # a = 0 violates the precondition of both reconstructions: each check
-    # that needs one ends with that error, none with a traceback
-    assert main(["verify", "--n", "4", "--trials", "2", "--a", "0"]) == 1
-    notes = {c["name"]: c["note"] for c in json.loads(capsys.readouterr().out)["checks"]}
-    assert notes["s2.qc_hyper_fit"] == "error: quasi-conformal combination requires a != 0"
-    assert notes["s3.pp_pseudo_fit"] == ("error: pseudo-projective combination "
-                                         "requires a != 0 and b != 0")
+_QC_NEEDS_A = {f"s2.qc_{name}": "error: quasi-conformal combination requires a != 0"
+               for name in ("einstein_contraction", "hyper_fit", "quasi_constant_fit",
+                            "brute_force_twin")}
+_PP_NEEDS_AB = {f"s3.pp_{name}": ("error: pseudo-projective combination "
+                                  "requires a != 0 and b != 0")
+                for name in ("einstein_contraction", "pseudo_fit", "quasi_constant_fit",
+                             "brute_force_twin")}
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("a, b, failed", [
+    (0.0, lambda n: 1.0, {**_QC_NEEDS_A, **_PP_NEEDS_AB}),
+    # b = 0 leaves the quasi-conformal reconstruction of constant curvature
+    (1.0, lambda n: 0.0, {"s2.qc_quasi_constant_fit": "error: constant curvature "
+                                                       "(the A-block coefficient vanishes)",
+                          **_PP_NEEDS_AB}),
+    (0.0, lambda n: 0.0, {**_QC_NEEDS_A, **_PP_NEEDS_AB}),
+    (1.0, lambda n: -1.0 / (n - 2), {"s2.qc_einstein_contraction":
+                                     "error: 1 + (b/a)(n-2) = 0 is numerically zero"}),
+    (1.0, lambda n: -1.0 / (n - 1), {"s3.pp_einstein_contraction":
+                                     "error: 1 + (b/a)(n-1) = 0 is numerically zero"}),
+], ids=["a=0", "b=0", "a=b=0", "qc-denominator-0", "pp-denominator-0"])
+def test_verify_with_a_zero_reports_the_precondition(capsys, n, a, b, failed):
+    # weights outside a flat formula's preconditions: each check that needs
+    # the formula ends with that error, every other check passes, and none
+    # ends in a traceback
+    assert main(["verify", "--n", str(n), "--trials", "2", "--a", repr(a),
+                 "--b", repr(b(n))]) == 1
+    out, err = capsys.readouterr()
+    checks = json.loads(out)["checks"]
+    assert {c["name"]: c["note"] for c in checks if not c["passed"]} == failed
+    assert err == ""
 
 
 def test_verify_all_sections(capsys):

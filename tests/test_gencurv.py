@@ -3,12 +3,13 @@ import pytest
 
 from curvkit.chart import CurvatureBundle
 from curvkit.errors import DegenerateParams, DimensionMismatch, InvalidParams
-from curvkit.gencurv import (GenCurvParams, _flat_ricci, _flat_values,
-                             pp_flat_alpha, pseudo_projective,
+from curvkit.gencurv import (GenCurvParams, _flat_alpha, _flat_ricci, _flat_values,
+                             _weights, pp_flat_alpha, pseudo_projective,
                              qc_flat_alpha, quasi_conformal,
                              reconstruct_pp_flat, reconstruct_qc_flat,
                              reconstruct_w2_flat, w2, w2_flat_alpha, weyl,
                              weyl_from_tensors)
+from curvkit.harness import selfconsistent_ricci
 from curvkit.tensor import (Metric, Tensor04, _ricci_contract_values, max_abs,
                             ricci_contract, scalar_curvature, wedge_gg)
 from oracles import (loop_curvature_symmetry_defect, loop_pseudo_projective,
@@ -293,6 +294,43 @@ def test_guards():
         qc_flat_alpha(4, 1.0, GenCurvParams(1.0, -0.5))  # 1 + (b/a)(n-2) = 0
     with pytest.raises(DegenerateParams):
         pp_flat_alpha(4, 1.0, GenCurvParams(3.0, -1.0))  # 1 + (b/a)(n-1) = 0
+
+
+def _flat_cores(kind, params, n=4):
+    """Each core that evaluates a kind's flat formula, at one point."""
+    g, s = Metric(np.eye(n)), np.eye(n)
+    wedge = wedge_gg(g).values
+    return {"_flat_values": lambda: _flat_values(kind, s, g.mat, 4.0, params, wedge),
+            "_flat_ricci": lambda: _flat_ricci(kind, s, g.mat, g.inv, 4.0, params),
+            "_flat_alpha": lambda: _flat_alpha(kind, n, 4.0, params),
+            "selfconsistent_ricci": lambda: selfconsistent_ricci(g, 4.0, params, kind)}
+
+
+_CORES = sorted(_flat_cores("qc", GenCurvParams()))
+
+
+@pytest.mark.parametrize("core", _CORES)
+@pytest.mark.parametrize("kind, params", [("qc", GenCurvParams(0.0, 1.0)),
+                                          ("pp", GenCurvParams(0.0, 1.0)),
+                                          ("pp", GenCurvParams(1.0, 0.0))],
+                         ids=["qc-a=0", "pp-a=0", "pp-b=0"])
+def test_flat_cores_refuse_weights_outside_their_preconditions(kind, params, core):
+    # the cores divide by a: a zero weight is refused before that division
+    with pytest.raises(InvalidParams, match=r"combination requires a != 0"):
+        _flat_cores(kind, params)[core]()
+
+
+@pytest.mark.parametrize("core", _CORES)
+@pytest.mark.parametrize("kind", ["weyl", "x", "QC", ""])
+def test_flat_cores_refuse_a_kind_without_a_flat_formula(kind, core):
+    with pytest.raises(InvalidParams, match="unknown flavor"):
+        _flat_cores(kind, GenCurvParams())[core]()
+
+
+@pytest.mark.parametrize("kind", ["x", "QC", "", "w3"])
+def test_weights_refuse_an_unknown_kind(kind):
+    with pytest.raises(InvalidParams, match="unknown kind"):
+        _weights(kind, 4, 1.0, GenCurvParams())
 
 
 def test_combinations_linear_in_bundle():

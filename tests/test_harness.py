@@ -7,7 +7,7 @@ import pytest
 
 from curvkit import harness
 from curvkit.errors import DegenerateParams, InvalidParams, ZeroScalarCurvature
-from curvkit.gencurv import (GenCurvParams, _flat_ricci, pp_flat_alpha,
+from curvkit.gencurv import (GenCurvParams, _flat_ricci, _require, pp_flat_alpha,
                              qc_flat_alpha, reconstruct_pp_flat,
                              reconstruct_qc_flat, reconstruct_w2_flat,
                              w2_flat_alpha)
@@ -299,7 +299,7 @@ def test_selfconsistent_ricci_singular_inside_the_rank_cut(flavor):
     n, k = 5, {"qc": 2, "pp": 1}[flavor]
     g = Metric(random_spd(np.random.default_rng(5), n))
     params = GenCurvParams(1.0, (3e-11 - 1.0) / (n - k))
-    assert getattr(params, f"{flavor}_denominator")(n) == pytest.approx(3e-11, rel=1e-4)
+    assert _require(flavor, params, n) == pytest.approx(3e-11, rel=1e-4)
     with pytest.raises(DegenerateParams, match="singular for these weights"):
         selfconsistent_ricci(g, 2.0, params, flavor)
 

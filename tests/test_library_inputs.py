@@ -9,6 +9,7 @@ functions that take arrays from a caller.  Each call runs with warnings
 turned into errors: it returns, or raises a CurvError, and never warns.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -30,9 +31,9 @@ from curvkit.gencurv import (GenCurvParams, pp_flat_alpha, pseudo_projective, qc
 from curvkit.harness import (TrialConfig, flat_ricci_form, product_ricci_form,
                              random_point_model, rank_one_coefficient, selfconsistent_ricci,
                              verify_all, verify_section2, verify_section3, verify_section4)
-from curvkit.tensor import (CurvatureBundle, Metric, Tensor04, hyper_shape, pseudo_shape,
-                            quasi_constant_shape, ricci_contract, ricci_operator,
-                            scalar_curvature, wedge_gg)
+from curvkit.tensor import (MAX_DIM, CurvatureBundle, Metric, Tensor04, hyper_shape,
+                            pseudo_shape, quasi_constant_shape, ricci_contract,
+                            ricci_operator, scalar_curvature, wedge_gg)
 from curvkit.wrs import (OneFormSystem, a_from_bd, check_dr_identity,
                          recover_one_forms, t_identities, weak_symmetry_residual,
                          weak_symmetry_residual_tensors, wrs_residual,
@@ -198,6 +199,18 @@ def test_records_that_hold_arrays_compare_and_hash_by_identity(build):
     assert first != second  # equal values, distinct instances
     assert hash(first) == hash(first) and hash(second) != hash(first)
     assert len({first, second, first}) == 2
+    # and hold every array read-only, in their fields and in the records there
+    arrays = list(_arrays_of(first))
+    assert arrays and not any(array.flags.writeable for array in arrays)
+
+
+def _arrays_of(record):
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, np.ndarray):
+            yield value
+        elif dataclasses.is_dataclass(value):
+            yield from _arrays_of(value)
 
 
 # the n of the *_flat_alpha functions: an integer of at least 2, or a refusal
@@ -219,6 +232,21 @@ def test_flat_alphas_refuse_every_n_but_an_integer_of_at_least_2(name, n):
 def test_flat_alphas_take_an_integer_n_of_any_type(name):
     alphas = {_ALPHAS[name](n) for n in (4, np.int64(4), 4.0, np.float32(4.0))}
     assert alphas == {0.25}
+
+
+# the n of random_point_model: an integer from 2 to MAX_DIM, checked before
+# any draw or allocation
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", ["5", 0, -2, 4.5, 10**400, MAX_DIM + 1], ids=repr)
+def test_random_point_model_refuses_every_n_but_an_integer_from_2_to_max_dim(n):
+    with pytest.raises(DimensionMismatch, match="^n "):
+        random_point_model(0, n)
+
+
+def test_random_point_model_takes_an_integer_n_of_any_type():
+    models = [random_point_model(0, n) for n in (4, np.int64(4), 4.0, np.float32(4.0))]
+    assert all(np.array_equal(m.ricci, models[0].ricci) for m in models)
+    assert random_point_model(0, MAX_DIM).g.n == MAX_DIM
 
 
 # --------------------------------------------------------------------------
