@@ -42,6 +42,9 @@ python -c "import sys, curvkit.cli as c; c.main(['verify', '--n', '4', '--trials
 "${curvkit[@]}" verify --section all --n 8 --trials 10
 "${curvkit[@]}" verify --section all --n 5 --trials 700
 "${curvkit[@]}" verify --section all --n 16 --trials 2
+# this seed draws one degenerate pairing, which its check redraws
+"${curvkit[@]}" verify --section all --n 8 --seed 21 --trials 100 > "$tmp/redraw.out" 2> "$tmp/redraw.err"
+test ! -s "$tmp/redraw.err"
 status=0; "${curvkit[@]}" verify --n 17 || status=$?
 test "$status" -eq 2
 status=0; "${curvkit[@]}" verify --n 16 --trials 391 || status=$?

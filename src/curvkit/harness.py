@@ -19,13 +19,14 @@ A check runs in one pass (`_Check`, `_run_check`): it draws a round of
 trials, computes them, and then draws the next round.  A round's attempts
 are drawn one by one, with the same rng calls in the same order as a loop
 that redraws each trial on its own, and a rejected attempt consumes the
-same calls as an accepted one.  Their metrics are validated in one call per
-round (the attempts still needed, up to as many metrics as fit BLOCK_BYTES;
-one more round follows rejections), the redraw predicates (a near-zero
-pairing, r or T(rho)) are judged over the stack of attempts, and trial k
-takes the k-th accepted attempt; REDRAW_CAP consecutive rejections end the
-check at their trial.  Genuinely degenerate *inputs* raise the designated
-guard errors, and each guard has a dedicated trial asserting exactly that.
+same calls as an accepted one.  A draw cannot fail.  Their metrics are
+validated in one call per round (the attempts still needed, up to as many
+metrics as fit BLOCK_BYTES; one more round follows rejections), the check's
+accept predicate (a near-zero pairing, r or T(rho)) is judged over the
+stack of attempts, and trial k takes the k-th accepted attempt;
+REDRAW_CAP consecutive rejections end the check at their trial.  Genuinely
+degenerate *inputs* raise the designated guard errors, and each guard has a
+dedicated trial asserting exactly that.
 A round's trials are computed once per block of trials, over the stack: one
 residual per trial, the worst of which is the check's.
 The classifiers run stacked too (`classify._quasi_einstein_values`,
@@ -33,8 +34,9 @@ The classifiers run stacked too (`classify._quasi_einstein_values`,
 `tensor._lstsq_kernel`) and the one-trial brute-force twins run trial by
 trial, on rows of the stack.
 A failure is charged to its trial: the check ends there, with the extras
-of the trials before it.  A round is computed before an error of its draws
-is reported, so a compute failure at an earlier trial wins.  Blocks hold as
+of the trials before it.  A round is computed before an error of its
+metrics or its redraws is reported, so a compute failure at an earlier
+trial wins.  Blocks hold as
 many trials as keep the largest array a trial stacks within BLOCK_BYTES,
 which bounds the memory a block takes: an n^4 curvature grid, or for the
 contraction checks the n + 1 probe images of n x n below, and no
@@ -221,24 +223,17 @@ def _draw_scalar(rng: np.random.Generator, lo: float = 0.2, hi: float = 2.0) -> 
     return float(rng.uniform(lo, hi) * (-1.0, 1.0)[rng.integers(2)])
 
 
-def _draw_covector(rng: np.random.Generator, n: int) -> np.ndarray:
-    for _ in range(REDRAW_CAP):
-        w = rng.standard_normal(n)
-        if max(map(abs, w.tolist())) > REJECT_TOL:
-            return w
-    raise DegenerateParams("could not draw a non-degenerate covector")
-
-
 def _draw_point(rng: np.random.Generator, n: int):
     """The draws of a point model: metric components, c and t."""
-    return _draw_metric(rng, n), _draw_scalar(rng), _draw_covector(rng, n)
+    return _draw_metric(rng, n), _draw_scalar(rng), rng.standard_normal(n)
 
 
 def random_point_model(seed, n: int) -> PointModel:
     """Seeded pointwise data in dimension n, an integer from 2 to MAX_DIM
     checked before any draw; `seed` is an int, a seed sequence or a Generator.
     g = M^T M + n*I for random M (positive definite by construction, smallest
-    eigenvalue >= n), and S = c * t(x)t with |c| and t bounded away from 0."""
+    eigenvalue >= n), and S = c * t(x)t with |c| in [0.2, 2] and t a
+    standard normal covector."""
     n = _dimension(n, MAX_DIM)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     m, c, t = _draw_point(rng, n)
@@ -390,7 +385,8 @@ class _Check(NamedTuple):
     """One randomized check.  `draw(rng, n)` draws one attempt: its metric's
     components M (see `_metrics`), then its other draws.
     `accept(gm, ginv, *draws)` says which attempts of a stack are not
-    degenerate (None: every attempt is a trial).
+    degenerate, the check's only rejection (None: every attempt is a
+    trial).
     `compute(config, gm, ginv, *draws)` takes a stack of trials and returns
     the residual of each and a dict of per-trial extras, reported as their
     maximum; a failure raises the CurvError of the first trial that fails,
@@ -432,13 +428,11 @@ def _run_check(name: str, check: _Check, config: TrialConfig, section: int,
     accepted validates its metrics once, and no array grows with the number
     of trials a check runs.  Trial k is the k-th accepted attempt, so every
     trial gets the draws it had when each attempt was drawn and judged on
-    its own.  REDRAW_CAP consecutive rejections, counted across rounds, end
-    the check at the trial they were drawn for; so does an attempt whose
-    draw or metric fails, after the verdicts on the attempts before it.  A
-    draw that fails its own degeneracy guard is a rejected attempt of a
-    check that redraws.  The round's accepted trials are computed before
-    either error is reported, so a compute failure at an earlier trial
-    wins."""
+    its own.  REDRAW_CAP consecutive rejections by `check.accept`, counted
+    across rounds, end the check at the trial they were drawn for; so does
+    an attempt whose metric fails, after the verdicts on the attempts before
+    it.  The round's accepted trials are computed before either error is
+    reported, so a compute failure at an earlier trial wins."""
     n = config.n
     rng = np.random.default_rng([config.seed, section, index])
     trials = config.trials if trials is None else trials
@@ -446,38 +440,22 @@ def _run_check(name: str, check: _Check, config: TrialConfig, section: int,
     block = max(1, BLOCK_BYTES // (8 * check.footprint(n)))
     filled, misses, error, worst, extra = 0, 0, None, 0.0, {}
     while filled < trials and error is None:
-        drawn = []  # this round's attempts; None for one rejected while drawn
-        while len(drawn) < min(trials - filled, cap):
-            try:
-                drawn.append(check.draw(rng, n))
-            except CurvError as exc:
-                if check.accept is None or not isinstance(exc, DegenerateParams):
-                    error = exc
-                    break
-                drawn.append(None)
-        at = [k for k, attempt in enumerate(drawn) if attempt is not None]
-        verdicts = np.zeros(len(drawn), dtype=bool)
-        stack = [np.zeros(0)]
-        if at:
-            stack = [np.array(column) for column in zip(*(drawn[k] for k in at))]
-            del drawn  # before validation, which takes the most memory
-            stack[0] = _metrics(stack[0])
-            try:
-                stack[:1] = _validate_metrics(stack[0])
-            except SingularMetric as exc:  # the check ends at that attempt
-                error, verdicts, at = exc, verdicts[:at[exc.item]], at[:exc.item]
-                stack = [column[:exc.item] for column in stack]
-                stack[:1] = _validate_metrics(stack[0])
-            verdicts[at] = True if check.accept is None else check.accept(*stack)
-        last = len(verdicts)
+        stack = [np.array(column) for column in
+                 zip(*(check.draw(rng, n) for _ in range(min(trials - filled, cap))))]
+        stack[0] = _metrics(stack[0])
+        try:
+            stack[:1] = _validate_metrics(stack[0])
+        except SingularMetric as exc:  # the check ends at that attempt
+            error, stack = exc, [column[:exc.item] for column in stack]
+            stack[:1] = _validate_metrics(stack[0])
+        verdicts = (np.ones(len(stack[0]), dtype=bool) if check.accept is None
+                    else check.accept(*stack))
         for k, accepted in enumerate(verdicts):
             misses = 0 if accepted else misses + 1
             if misses == REDRAW_CAP:
-                error, last = DegenerateParams("redraw cap exhausted"), k
+                error, verdicts = DegenerateParams("redraw cap exhausted"), verdicts[:k]
                 break
-        if at:
-            rows = verdicts[at] & (np.array(at) < last)
-            stack = [column[rows] for column in stack]
+        stack = [column[:len(verdicts)][verdicts] for column in stack]
         filled += len(stack[0])
         for start in range(0, len(stack[0]), block):
             residuals, extras, failure = _compute_block(
@@ -544,8 +522,7 @@ def _contraction_check(flavor: str) -> _Check:
 
 
 def _draw_pairing(rng, n):
-    return (_draw_metric(rng, n), _draw_covector(rng, n), _draw_covector(rng, n),
-            _draw_covector(rng, n), _draw_covector(rng, n))
+    return _draw_metric(rng, n), *rng.standard_normal((4, n))
 
 
 def _accept_pairing(gm, ginv, a_form, d_form, b_form, b_bar):
@@ -582,8 +559,7 @@ def _flat_fit_check(flavor: str) -> _Check:
     def draw(rng, n):
         # the covectors in the order flat_ricci_form takes them
         return (_draw_metric(rng, n), _draw_scalar(rng, lo=0.5, hi=3.0) * n,
-                _draw_covector(rng, n), _draw_covector(rng, n),
-                _draw_covector(rng, n), _draw_covector(rng, n))
+                *rng.standard_normal((4, n)))
 
     def accept(gm, ginv, r, b_form, b_bar, d_form, d_bar):
         a_form = _flat_first_form(b_bar, d_bar, r)
@@ -697,8 +673,7 @@ def _bd_expansion_check(flavor: str) -> _Check:
     terms = _HYPER_TERMS if flavor == "qc" else _PSEUDO_TERMS
 
     def draw(rng, n):
-        return (_draw_metric(rng, n), _draw_covector(rng, n), _draw_covector(rng, n),
-                _draw_scalar(rng))
+        return _draw_metric(rng, n), *rng.standard_normal((2, n)), _draw_scalar(rng)
 
     def compute(config, gm, ginv, b_form, d_form, delta):
         t = b_form - d_form
@@ -768,9 +743,8 @@ def _twin_check(flavor: str) -> _Check:
 
     def compute(config, gm, ginv, c, t):
         # no extras, so a failure charged to the first trial reads the same
-        return np.array([check(config, Metric._from_validated(g, g_inv),
-                               c_k * np.outer(t_k, t_k))
-                         for g, g_inv, c_k, t_k in zip(gm, ginv, c, t)]), {}
+        return np.array([check(config, Metric(g), c_k * np.outer(t_k, t_k))
+                         for g, c_k, t_k in zip(gm, c, t)]), {}
     return _Check(_draw_point, compute)
 
 

@@ -203,17 +203,7 @@ class Metric:
         g = _as_array(components, "metric", 2, finite=False)
         if g.shape[0] < 2:
             raise DimensionMismatch(f"metric dimension must be >= 2, got {g.shape[0]}")
-        self._hold(*_validate_metrics(g))
-
-    @classmethod
-    def _from_validated(cls, mat: np.ndarray, inv: np.ndarray) -> "Metric":
-        """One metric of a stack that `_validate_metrics` passed, with its
-        inverse from the same call, set without validating it again."""
-        metric = cls.__new__(cls)
-        metric._hold(mat, inv)
-        return metric
-
-    def _hold(self, mat: np.ndarray, inv: np.ndarray) -> None:
+        mat, inv = _validate_metrics(g)
         mat.flags.writeable = inv.flags.writeable = False
         self.n, self.mat, self.inv = mat.shape[0], mat, inv
 

@@ -70,12 +70,20 @@ class OneFormSystem:
         return self.b - self.d
 
 
+def _forms_n(forms: OneFormSystem, n: int | None = None, owner: str = "") -> int:
+    """The n of forms, after checking that it is a `OneFormSystem`, and when
+    n is given, that it is n, the n of `owner`."""
+    m = _instance(forms, OneFormSystem, "forms").n
+    if n is not None and m != n:
+        raise DimensionMismatch(f"forms n={m} vs {owner} n={n}")
+    return m
+
+
 def _check_forms(bundle: CurvatureBundle, forms: OneFormSystem, part: str):
     """The bundle's `part` (`tensor._bundle_part`), after checking that
     forms is a `OneFormSystem` of the bundle's n."""
     value = _bundle_part(bundle, part)
-    if _instance(forms, OneFormSystem, "forms").n != bundle.n:
-        raise DimensionMismatch(f"forms n={forms.n} vs bundle n={bundle.n}")
+    _forms_n(forms, bundle.n, "bundle")
     return value
 
 
@@ -86,8 +94,15 @@ def wrs_residual(bundle: CurvatureBundle, forms: OneFormSystem) -> float:
     """Max-norm residual of the Ricci-level decomposition, normalized by
     (1 + max|nabla_ricci|).  Zero iff the condition holds at the point."""
     nabla_ricci = _check_forms(bundle, forms, "nabla_ricci")
-    rhs = _wrs_terms(bundle.ricci, forms.a, forms.b, forms.d)
-    return max_abs(nabla_ricci - rhs) / (1.0 + max_abs(nabla_ricci))
+    return _wrs_defect(nabla_ricci, bundle.ricci, forms.a, forms.b, forms.d)
+
+
+def _wrs_defect(nabla_ricci: np.ndarray, s: np.ndarray, a: np.ndarray, b: np.ndarray,
+                d: np.ndarray) -> float:
+    """max|nabla S - (a(X) S(Z,U) + b(Z) S(X,U) + d(U) S(X,Z))|
+    / (1 + max|nabla S|), unchecked: the one residual of the Ricci-level
+    condition."""
+    return max_abs(nabla_ricci - _wrs_terms(s, a, b, d)) / (1.0 + max_abs(nabla_ricci))
 
 
 def _wrs_terms(s: np.ndarray, a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -111,7 +126,7 @@ def weak_symmetry_residual_tensors(nabla_riemann: np.ndarray,
     on raw pointwise grids, normalized by (1 + max|nabla R|): the general
     condition with five forms (a, b, c, d, e), reduced by c = b and e = d.
     The grids have the forms' length n on every axis."""
-    n = _instance(forms, OneFormSystem, "forms").n
+    n = _forms_n(forms)
     return _weak_symmetry_residual(_as_array(nabla_riemann, "nabla_riemann", 5, n),
                                    _as_array(riemann, "riemann", 4, n), forms)
 
@@ -130,8 +145,7 @@ def weak_symmetry_residual(field: MetricField, point, forms: OneFormSystem) -> f
     """Curvature-level residual evaluated on a chart metric at a point."""
     from .chart import MetricField  # loaded already wherever a field was built
     rb, nr = _instance(field, MetricField, "field")._riemann_and_nabla(point)
-    if _instance(forms, OneFormSystem, "forms").n != field.n:
-        raise DimensionMismatch(f"forms n={forms.n} vs field n={field.n}")
+    _forms_n(forms, field.n, "field")
     return _weak_symmetry_residual(nr, rb, forms)
 
 
@@ -215,7 +229,6 @@ def recover_one_forms(bundle: CurvatureBundle) -> tuple[OneFormSystem, float, in
     units = np.eye(3 * n).reshape(3 * n, 3, n).transpose(1, 0, 2)
     design = _wrs_terms(s, *units).reshape(3 * n, n**3).T
     solution, kernel_dim, _ = _lstsq_kernel(design, nabla_ricci.reshape(n**3))
-    forms = OneFormSystem(a=solution[:n], b=solution[n:2 * n], d=solution[2 * n:])
-    rhs = _wrs_terms(s, forms.a, forms.b, forms.d)
-    residual = max_abs(nabla_ricci - rhs) / (1.0 + max_abs(nabla_ricci))
-    return forms, residual, int(kernel_dim)
+    a, b, d = solution[:n], solution[n:2 * n], solution[2 * n:]
+    residual = _wrs_defect(nabla_ricci, s, a, b, d)
+    return OneFormSystem(a=a, b=b, d=d), residual, int(kernel_dim)

@@ -430,16 +430,15 @@ def dense_fixed_point(apply_map, n: int, trace_vec, r: float) -> np.ndarray:
 
 def sequential_trials(rng, draw, degenerate, trials: int, cap: int):
     """The draws of `trials` trials as a loop that redraws each trial on
-    its own: `draw(rng)` draws one attempt (None when a draw gave up inside
-    it), and a trial takes the first attempt that is not None and not
-    `degenerate`.  `cap` consecutive failed attempts end the loop.  Returns
-    the accepted attempts and the trial at which the cap ran out (None when
-    every trial was filled)."""
+    its own: `draw(rng)` draws one attempt, and a trial takes the first
+    attempt that is not `degenerate`.  `cap` consecutive degenerate attempts
+    end the loop.  Returns the accepted attempts and the trial at which the
+    cap ran out (None when every trial was filled)."""
     accepted = []
     for k in range(trials):
         for _ in range(cap):
             attempt = draw(rng)
-            if attempt is not None and not degenerate(attempt):
+            if not degenerate(attempt):
                 accepted.append(attempt)
                 break
         else:

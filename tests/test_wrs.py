@@ -1,4 +1,5 @@
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from conftest import GOLDEN
 from curvkit.chart import CurvatureBundle, MetricField
 from curvkit.errors import (DegenerateRicci, DimensionMismatch, DomainError,
                             ZeroScalarCurvature)
+from curvkit.manifest import load_manifest
 from curvkit.tensor import Metric, Tensor04, max_abs
 from curvkit.wrs import (OneFormSystem, a_from_bd, check_dr_identity,
                          recover_one_forms, t_identities,
@@ -14,6 +16,8 @@ from curvkit.wrs import (OneFormSystem, a_from_bd, check_dr_identity,
                          weak_symmetry_residual_tensors, wrs_residual,
                          ws_to_wrs_condition)
 from oracles import random_riemann_like, random_spd
+
+MANIFESTS = pathlib.Path(__file__).parents[1] / "manifests"
 
 
 def synthetic_bundle(g, s, forms=None, nabla=None, riemann=None, r=None, dr=None):
@@ -373,13 +377,21 @@ def test_recover_degenerate_ricci():
 
 
 def test_recovery_residual_idempotent():
-    # the reported residual IS wrs_residual of the recovered forms (bit-equal)
+    # the reported residual IS wrs_residual of the recovered forms (bit-equal),
+    # on a random bundle and at the first point of each manifest but the flat
+    # one, whose S = 0 recovery refuses
     rng = np.random.default_rng(52)
     n = 4
     g = Metric(random_spd(rng, n))
     s = 0.5 * (lambda m: m + m.T)(rng.standard_normal((n, n))) + n * np.eye(n)
     nabla = rng.standard_normal((n, n, n))
     nabla = 0.5 * (nabla + nabla.transpose(0, 2, 1))
-    bundle = synthetic_bundle(g, s, nabla=nabla)
-    forms, residual, _ = recover_one_forms(bundle)
-    assert residual == wrs_residual(bundle, forms)
+    bundles = [synthetic_bundle(g, s, nabla=nabla)]
+    for path in sorted(MANIFESTS.glob("*.txt")):
+        if path.stem != "euclidean3":
+            manifest = load_manifest(path)
+            bundles.append(manifest.to_field().curvature_bundle(manifest.points[0]))
+    assert len(bundles) == 6
+    for bundle in bundles:
+        forms, residual, _ = recover_one_forms(bundle)
+        assert residual == wrs_residual(bundle, forms)
