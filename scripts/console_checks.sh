@@ -8,6 +8,8 @@
 #
 #   PYTHONPATH=src scripts/console_checks.sh
 set -euo pipefail
+# a numpy warning in any run below fails the check instead of being printed
+export PYTHONWARNINGS=error::RuntimeWarning
 cd "$(dirname "$0")/.."
 if command -v curvkit >/dev/null; then
     curvkit=(curvkit)

@@ -33,7 +33,7 @@ from . import expr as ex
 from .errors import (CurvError, DimensionMismatch, DomainError,
                      NumericalInconsistency, UnknownIdentifier)
 from .tensor import (CurvatureBundle, Metric, Tensor04, _as_array, _instance,
-                     _ricci_contract_values, max_abs)
+                     _ricci_contract_values, _tolerance, max_abs)
 
 __all__ = ["MetricField", "CurvatureBundle", "christoffel", "curvature_bundle",
            "nabla_riemann"]
@@ -301,7 +301,7 @@ def _check_bundle(bundle: CurvatureBundle) -> None:
     (j,k) symmetry of the Ricci tensor."""
     ns = bundle.nabla_ricci
     sym = max_abs(ns - np.swapaxes(ns, 1, 2))
-    if sym > 1e-9 * (1.0 + max_abs(ns)):
+    if sym > _tolerance(1e-9, max_abs(ns)):
         raise NumericalInconsistency(
             f"nabla_ricci lost its (j,k) symmetry: residual {sym:g}")
 

@@ -20,8 +20,8 @@ from .gencurv import GenCurvParams, _combined_values
 from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, CurvatureBundle, Metric,
                      Tensor04, _ArrayRecord, _as_array, _bundle_part, _expand_block,
                      _grid_of, _instance, _lift, _lstsq_kernel, _max_abs_items, _outer,
-                     _ricci_contract_values, _scalar_curvature_values, _wedge_values,
-                     max_abs)
+                     _relative, _ricci_contract_values, _scalar_curvature_values,
+                     _tolerance, _wedge_values, max_abs)
 
 __all__ = [
     "EinsteinFit", "QuasiEinsteinFit", "QuasiConstantFit",
@@ -98,7 +98,7 @@ def _einstein_values(s: np.ndarray, gm: np.ndarray, ginv: np.ndarray):
     """`einstein_check`'s alpha and residual for forms and metrics stacked
     on leading axes, unchecked."""
     alpha = _scalar_curvature_values(ginv, s) / gm.shape[-1]
-    residual = _max_abs_items(s - _lift(alpha, 2) * gm, 2) / (1.0 + _max_abs_items(s, 2))
+    residual = _relative(s - _lift(alpha, 2) * gm, _max_abs_items(s, 2), 2)
     return alpha, residual
 
 
@@ -171,8 +171,7 @@ def _quasi_einstein_values(s: np.ndarray, gm: np.ndarray, ginv: np.ndarray):
     p = chosen[:, 1:].sum(axis=-1) / (n - 1)
     q = chosen[:, 0] - p
     omega = _canonical_sign((gm @ vec[rows, :, order[split, 0], None])[..., 0])
-    residual = (_max_abs_items(s - _lift(p, 2) * gm - _lift(q, 2) * _outer(omega, omega), 2)
-                / (1.0 + scale))
+    residual = _relative(s - _lift(p, 2) * gm - _lift(q, 2) * _outer(omega, omega), scale, 2)
     failed = einstein | ~ok.any(axis=-1)
     if failed.any():
         k = int(np.argmax(failed))
@@ -229,7 +228,7 @@ def _not_quasi_constant(exc: NotQuasiEinstein, rv: np.ndarray, wedge: np.ndarray
     """The NotQuasiConstant, unraised, of one grid whose Ricci contraction
     failed the quasi-Einstein decomposition with `exc`."""
     a_cc = float(np.vdot(wedge, rv) / np.vdot(wedge, wedge))
-    res_cc = float(max_abs(rv - a_cc * wedge) / (1.0 + max_abs(rv)))
+    res_cc = float(_relative(rv - a_cc * wedge, max_abs(rv), 4))
     if exc.einstein_alpha is not None and res_cc <= tol:
         return NotQuasiConstant("constant curvature (the A-block coefficient vanishes)",
                                 residual=res_cc, constant_curvature=a_cc)
@@ -247,8 +246,8 @@ def _quasi_constant_along(rv: np.ndarray, gm: np.ndarray, wedge: np.ndarray,
     del design
     block *= _lift(b, 4)
     rv_size = _max_abs_items(rv, 4)
-    residual = _misfit_size(rv, a, wedge, block) / (1.0 + rv_size)
-    floor = COEFF_FLOOR * (1.0 + rv_size / _max_abs_items(wedge, 4))
+    residual = _relative(_misfit_size(rv, a, wedge, block), rv_size, 0)
+    floor = _tolerance(COEFF_FLOOR, rv_size / _max_abs_items(wedge, 4))
     failed = (residual > tol) | (np.abs(b) <= floor) | (np.abs(a) <= floor)
     if failed.any():
         k = int(np.argmax(failed))
@@ -373,8 +372,8 @@ def _linear_fit(rv: np.ndarray, gm: np.ndarray, ginv: np.ndarray, wedge: np.ndar
     trace = np.einsum("...ij,...ij->...", ginv, p0)
     p_hat = p0 - _lift(trace / n, 2) * gm
     a_hat = sol[..., 0] + gauge_weight * trace / n
-    residual = (_misfit_size(rv, a_hat, wedge, _expand_block(terms, gm, p_hat))
-                / (1.0 + _max_abs_items(rv, 4)))
+    residual = _relative(_misfit_size(rv, a_hat, wedge, _expand_block(terms, gm, p_hat)),
+                         _max_abs_items(rv, 4), 0)
     return a_hat, p_hat, residual, kernel_dim
 
 
@@ -433,7 +432,7 @@ def _conformally_flat(rv: np.ndarray, bundle: CurvatureBundle, wedge, tol: float
     """`conformally_flat_check` of the bundle's grid rv and G grid, tol checked."""
     norm = 0.0 if bundle.n < 3 else max_abs(_combined_values(
         "weyl", rv, bundle.g.mat, bundle.ricci, bundle.r, None, wedge))
-    return norm, norm <= tol * (1.0 + max_abs(rv))
+    return norm, norm <= _tolerance(tol, max_abs(rv))
 
 
 # --------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .errors import CurvError
-from .tensor import CurvatureBundle, max_abs
+from .tensor import CurvatureBundle, _relative, max_abs
 
 __all__ = ["main", "run", "dumps"]
 
@@ -130,8 +130,7 @@ def _cmd_curvature(args) -> int:
     residuals = dict(bundle.riemann.symmetry_residuals())
     # contracted second Bianchi: dr_i = 2 ginv[j,k] (nabla S)[j,i,k]
     div_s = 2.0 * np.einsum("jk,jik->i", bundle.g.inv, bundle.nabla_ricci)
-    residuals["contracted_second_bianchi"] = \
-        max_abs(bundle.dr - div_s) / (1.0 + max_abs(bundle.dr))
+    residuals["contracted_second_bianchi"] = _relative(bundle.dr - div_s, max_abs(bundle.dr), 1)
     result = {
         "point": list(point),
         "g": bundle.g.mat,

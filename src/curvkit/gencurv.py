@@ -40,7 +40,7 @@ from .errors import DegenerateParams, DimensionMismatch, InvalidParams
 from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, _W2_TERMS, CurvatureBundle,
                      Metric, Tensor04, _as_array, _bundle_part, _contract_block,
                      _expand_block, _grid_of, _instance, _lift,
-                     _scalar_curvature_values, _wedge_values, is_symmetric)
+                     _scalar_curvature_values, _tolerance, _wedge_values, is_symmetric)
 
 __all__ = [
     "GenCurvParams",
@@ -124,7 +124,7 @@ def _require(kind: str, params: GenCurvParams | None, n: int | None = None):
         return None
     k, ba = (2 if kind == "qc" else 1), params.b / params.a
     d = 1.0 + ba * (n - k)
-    if abs(d) <= _GUARD_TOL * (1.0 + abs(ba) * n):
+    if abs(d) <= _tolerance(_GUARD_TOL, abs(ba) * n):
         raise DegenerateParams(f"1 + (b/a)(n-{k}) = {d:g} is numerically zero")
     return d
 
@@ -240,7 +240,7 @@ def _flat_grid(kind: str, s, g: Metric, r: float, params: GenCurvParams,
     r = float(_as_array(r, "r", 0))
     if strict:
         tr = float(_scalar_curvature_values(g.inv, s))
-        if abs(tr - r) > 1e-10 * (1.0 + abs(r)):
+        if abs(tr - r) > _tolerance(1e-10, abs(r)):
             raise InvalidParams(
                 f"strict mode: r={r:g} is not the metric trace of S ({tr:g})")
     return _flat_values(kind, s, g.mat, r, params, _wedge_values(g.mat)), s

@@ -92,9 +92,10 @@ from .gencurv import (GenCurvParams, _combined_values, _dimension, _flat_alpha,
                       reconstruct_pp_flat, reconstruct_qc_flat, reconstruct_w2_flat)
 from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, MAX_DIM, CurvatureBundle, Metric,
                      _ArrayRecord, _as_array, _expand_block, _instance, _kernel_rule,
-                     _lift, _max_abs_items, _norm_sq_values, _outer, _ricci_contract_values,
-                     _scalar_curvature_values, _validate_metrics, _wedge_values, max_abs,
-                     ricci_contract, scalar_curvature)
+                     _lift, _max_abs_items, _norm_sq_values, _outer, _relative,
+                     _ricci_contract_values, _scalar_curvature_values, _tolerance,
+                     _validate_metrics, _wedge_values, max_abs, ricci_contract,
+                     scalar_curvature)
 from .wrs import _t_identity_defects, a_from_bd
 
 __all__ = [
@@ -368,7 +369,7 @@ def _fixed_point(gm: np.ndarray, r, params: GenCurvParams, flavor: str) -> np.nd
     coef = np.divide(coef, sigma, out=np.zeros_like(coef), where=sigma > cut[:, None])
     s = (vh.swapaxes(-1, -2) @ coef[..., None])[..., 0]
     gap = _max_abs_items((lhs @ s[..., None])[..., 0] - rhs, 1)
-    failed = (kernel_dim > 0) | (gap > 1e-8 * (1.0 + np.abs(r)))
+    failed = (kernel_dim > 0) | (gap > _tolerance(1e-8, np.abs(r)))
     if failed.any():
         k = int(np.argmax(failed))
         raise DegenerateParams(
@@ -489,10 +490,6 @@ def _run_guard(name: str, guard: Callable, config: TrialConfig,
                        passed=False, note=f"no {expected.__name__} raised")
 
 
-def _rel(x, scale):
-    return np.abs(x) / (1.0 + np.abs(scale))
-
-
 def _direction_gap(w, t, t_rho):
     """How far each fitted unit covector w is from the direction of t, up to
     sign: min over the sign of max|w -+ t / sqrt(T(rho))|."""
@@ -515,7 +512,7 @@ def _contraction_check(flavor: str) -> _Check:
         r = _scalar_curvature_values(ginv, s0)
         s_star = _fixed_point(gm, r, params, flavor)
         alpha = _flat_alpha(flavor, n, r, params)
-        residual = _max_abs_items(s_star - _lift(alpha, 2) * gm, 2) / (1.0 + np.abs(alpha))
+        residual = _relative(s_star - _lift(alpha, 2) * gm, np.abs(alpha), 2)
         # the forced Ricci is Einstein by construction; report that too
         return np.maximum.reduce([residual, _einstein_values(s_star, gm, ginv)[1]]), {}
     return _Check(draw, compute, footprint=lambda n: (n + 1) * n * n)
@@ -536,7 +533,7 @@ def _pairing_identity(config, gm, ginv, a_form, d_form, b_form, b_bar):
     s, _ = _pairing(ginv, a_form, d_form, b_form)
     scaled = _lift(s, 2) * _product_matrix(a_form, d_form, b_bar, s)
     lhs = _outer(a_form - d_form, b_bar) - scaled
-    return _max_abs_items(lhs, 2) / (1.0 + _max_abs_items(scaled, 2)), {}
+    return _relative(lhs, _max_abs_items(scaled, 2), 2), {}
 
 
 def _flat_weights(flavor: str, n: int, r, params: GenCurvParams):
@@ -580,8 +577,8 @@ def _flat_fit_check(flavor: str) -> _Check:
         a_true = alpha + gauge_weight * trace / n
         p_hat = p_true - _lift(trace / n, 2) * gm
         return np.maximum.reduce([
-            fit_residual, _rel(fit_a - a_true, a_true),
-            _max_abs_items(fit_p - p_hat, 2) / (1.0 + _max_abs_items(p_hat, 2))]), {}
+            fit_residual, _relative(fit_a - a_true, np.abs(a_true), 0),
+            _relative(fit_p - p_hat, _max_abs_items(p_hat, 2), 2)]), {}
     return _Check(draw, compute, accept)
 
 
@@ -610,9 +607,9 @@ def _rank_one(config, gm, ginv, c, t):
     ricci, r, _, coeff = _rank_one_data(ginv, c, t)
     # the T-identities of the forms (a, b, d) = (0, t, 0), so T = t
     tq, ts = _t_identity_defects(t, ginv @ ricci, r, ricci)
-    scale = 1.0 + _max_abs_items(ricci, 2) * (1.0 + _max_abs_items(t, 1))
-    return np.maximum.reduce([_rel(coeff - c, c), _max_abs_items(tq, 1) / scale,
-                              _max_abs_items(ts, 3) / scale]), {}
+    scale = _max_abs_items(ricci, 2) * (1.0 + _max_abs_items(t, 1))
+    return np.maximum.reduce([_relative(coeff - c, np.abs(c), 0), _relative(tq, scale, 1),
+                              _relative(ts, scale, 3)]), {}
 
 
 def _qc_quasi_constant(config, gm, ginv, c, t):
@@ -634,8 +631,9 @@ def _qc_quasi_constant(config, gm, ginv, c, t):
     weyl = _combined_values("weyl", riemann, gm, contracted,
                             _scalar_curvature_values(ginv, contracted), None, wedge)
     return (np.maximum.reduce([
-        fit_residual, _rel(fit_a - l_true, l_true), _rel(fit_b - b_true, b_true),
-        _rel(delta_rec - delta_true, delta_true),
+        fit_residual, _relative(fit_a - l_true, np.abs(l_true), 0),
+        _relative(fit_b - b_true, np.abs(b_true), 0),
+        _relative(delta_rec - delta_true, np.abs(delta_true), 0),
         _direction_gap(a_form, t, t_rho)]),
         {"weyl_norm": _max_abs_items(weyl, 4)})
 
@@ -659,9 +657,9 @@ def _pp_quasi_constant(config, gm, ginv, c, t):
     along = (((unit[..., None, :] @ ginv) @ fit_p) @ ginv) @ unit[..., :, None]
     delta_rec = along[..., 0, 0] / (t_rho * (1.0 - 1.0 / n))
     return np.maximum.reduce([
-        fit_residual, _rel(fit_a - a_true, a_true),
-        _max_abs_items(fit_p - p_hat, 2) / (1.0 + _max_abs_items(p_hat, 2)),
-        _rel(delta_rec - delta1, delta1)]), {}
+        fit_residual, _relative(fit_a - a_true, np.abs(a_true), 0),
+        _relative(fit_p - p_hat, _max_abs_items(p_hat, 2), 2),
+        _relative(delta_rec - delta1, np.abs(delta1), 0)]), {}
 
 
 def _bd_expansion_check(flavor: str) -> _Check:
@@ -681,7 +679,7 @@ def _bd_expansion_check(flavor: str) -> _Check:
                                       - _outer(d_form, b_form) + _outer(d_form, d_form))
         lhs = _expand_block(terms, gm, bd_block)
         rhs = _lift(delta, 4) * _expand_block(terms, gm, _outer(t, t))
-        return _max_abs_items(lhs - rhs, 4) / (1.0 + _max_abs_items(rhs, 4)), {}
+        return _relative(lhs - rhs, _max_abs_items(rhs, 4), 4), {}
     return _Check(draw, compute)
 
 
@@ -691,10 +689,11 @@ def _w2_rank_one(config, gm, ginv, c, t):
     recovers (p, q, omega) = (0, r, t-direction)."""
     s, r, t_rho, _ = _rank_one_data(ginv, c, t)
     riemann = _flat_values("w2", s, gm, 0.0, None, None)
-    roundtrip = (_max_abs_items(_combined_values("w2", riemann, gm, s, r, None, None), 4)
-                 / (1.0 + _max_abs_items(riemann, 4)))
+    roundtrip = _relative(_combined_values("w2", riemann, gm, s, r, None, None),
+                          _max_abs_items(riemann, 4), 4)
     qe_p, qe_q, omega, _ = _quasi_einstein_values(s, gm, ginv)
-    return np.maximum.reduce([roundtrip, _rel(qe_p, r), _rel(qe_q - r, r),
+    return np.maximum.reduce([roundtrip, _relative(qe_p, np.abs(r), 0),
+                              _relative(qe_q - r, np.abs(r), 0),
                               _direction_gap(omega, t, t_rho)]), {}
 
 
@@ -736,10 +735,10 @@ def _twin_check(flavor: str) -> _Check:
             loops.append(entry(i, j, k, l))
             slow[j][k] += ginv[i][l] * loops[-1]
         loops, slow = np.array(loops).reshape((n,) * 4), np.array(slow)
-        worst = max_abs(fast.values - loops) / (1.0 + fast.norm())
+        worst = _relative(fast.values - loops, fast.norm(), 4)
         # contraction twin: the loop sums against the einsum path
         contracted = ricci_contract(fast, g)
-        return max(worst, max_abs(contracted - slow) / (1.0 + max_abs(slow)))
+        return max(worst, _relative(contracted - slow, max_abs(slow), 2))
 
     def compute(config, gm, ginv, c, t):
         # no extras, so a failure charged to the first trial reads the same

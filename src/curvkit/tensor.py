@@ -47,6 +47,22 @@ def _max_abs_items(a: np.ndarray, ndim: int) -> np.ndarray:
     return np.abs(a).max(axis=tuple(range(-ndim, 0)), initial=0.0)
 
 
+def _relative(x, scale, ndim: int):
+    """max|x| / (1 + scale), the one normalized residual: max|x| over the
+    last `ndim` axes of each stacked item (|x| itemwise for 0), and scale
+    >= 0 the size of what x is compared against.  Absolute, not scale-free.
+    Not of this form, and so written where they stand: the pairing's
+    product scale (`harness._pairing`), the max(1, .) tests of
+    `is_symmetric` and `_checked_metrics`, RIEMANN_TOL * |R| + 1e-12,
+    CLUSTER_TOL * max|lambda|, `_kernel_rule`'s cut and `gencurv`'s weights."""
+    return _max_abs_items(x, ndim) / (1.0 + scale)
+
+
+def _tolerance(tol, scale):
+    """tol * (1 + scale), the one threshold for a quantity of that scale."""
+    return tol * (1.0 + scale)
+
+
 def _lift(x, ndim: int) -> np.ndarray:
     """Per-item scalars (shape s) reshaped to s + (1,) * ndim, so that they
     scale items with `ndim` axes of their own."""
@@ -397,21 +413,18 @@ _HYPER_TERMS = _PSEUDO_TERMS + ((+1, "il", "jk"), (-1, "jl", "ik"))
 _W2_TERMS = ((+1, "jl", "ik"), (-1, "il", "jk"))
 
 
-# The index that views x[..., a, b] with a and b on the grid slots of its
-# key, a pair of "ijkl" in ascending order, as every table lists its pairs.
-_SLOT_INDEX = {a + b: (..., *(slice(None) if s in a + b else None for s in "ijkl"))
-               for a, b in itertools.combinations("ijkl", 2)}
-
-
 def _expand_block(terms, gm: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """The grid of the block that `terms` describe.  Each term is one
-    broadcast product of a view of P and a view of g; every term spans all
-    four slots, so each has the output's shape."""
-    out = term = None
+    """The grid of the block that `terms` describe.  g (x) P is formed once
+    per stacked item, P[a,b] * g[c,d] on axes abcd; each term is a
+    transposed view of it, and the views are summed in table order."""
+    product = gm[..., None, None, :, :] * p[..., :, :, None, None]
+    stacked = "0123456789"[:product.ndim - 4]  # a name for each stacked axis
+    out = None
     for sign, ps, gs in terms:
-        term = np.multiply(p[_SLOT_INDEX[ps]], gm[_SLOT_INDEX[gs]], out=term)
+        # the product's axes are named stacked + ps + gs, the term's stacked + ijkl
+        term = product.transpose(tuple(map((stacked + ps + gs).index, stacked + "ijkl")))
         if out is None:  # every table opens with a + term
-            out, term = term, None
+            out = term.copy()
         elif sign > 0:
             out += term
         else:

@@ -13,19 +13,23 @@ a residual reporter, and `recover_one_forms` solves the defining relation in
 the least-squares sense.
 
 All residuals are max-norm; `wrs_residual` and `weak_symmetry_residual` are
-normalized by (1 + max|lhs data|), the pure identity checks are raw.
+normalized by (1 + max|lhs data|), the pure identity checks are raw.  A
+reporter of a bundle or of given grids, and `a_from_bd`, ends in
+NumericalInconsistency where its result overflows.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DegenerateRicci, DimensionMismatch, ZeroScalarCurvature
+from .errors import (DegenerateRicci, DimensionMismatch, NumericalInconsistency,
+                     ZeroScalarCurvature)
 from .tensor import (CurvatureBundle, _as_array, _bundle_part, _frozen, _instance, _lift,
-                     _lstsq_kernel, max_abs)
+                     _lstsq_kernel, _relative, max_abs)
 
 if TYPE_CHECKING:
     from .chart import MetricField
@@ -87,9 +91,24 @@ def _check_forms(bundle: CurvatureBundle, forms: OneFormSystem, part: str):
     return value
 
 
+def _finite(func):
+    """func, with numpy's overflow warnings off, ending in
+    NumericalInconsistency where its result is not finite: every array it
+    reads is checked finite, so only an overflow makes the result so."""
+    @functools.wraps(func)
+    def checked(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = func(*args, **kwargs)
+        if not np.isfinite(result).all():
+            raise NumericalInconsistency(f"{func.__name__} overflows on these inputs")
+        return result
+    return checked
+
+
 # --------------------------------------------------------------------------
 # Residual reporters
 
+@_finite
 def wrs_residual(bundle: CurvatureBundle, forms: OneFormSystem) -> float:
     """Max-norm residual of the Ricci-level decomposition, normalized by
     (1 + max|nabla_ricci|).  Zero iff the condition holds at the point."""
@@ -102,7 +121,7 @@ def _wrs_defect(nabla_ricci: np.ndarray, s: np.ndarray, a: np.ndarray, b: np.nda
     """max|nabla S - (a(X) S(Z,U) + b(Z) S(X,U) + d(U) S(X,Z))|
     / (1 + max|nabla S|), unchecked: the one residual of the Ricci-level
     condition."""
-    return max_abs(nabla_ricci - _wrs_terms(s, a, b, d)) / (1.0 + max_abs(nabla_ricci))
+    return float(_relative(nabla_ricci - _wrs_terms(s, a, b, d), max_abs(nabla_ricci), 3))
 
 
 def _wrs_terms(s: np.ndarray, a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -114,6 +133,7 @@ def _wrs_terms(s: np.ndarray, a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np
             + np.einsum("...k,ij->...ijk", d, s))
 
 
+@_finite
 def weak_symmetry_residual_tensors(nabla_riemann: np.ndarray,
                                    riemann: np.ndarray,
                                    forms: OneFormSystem) -> float:
@@ -138,7 +158,7 @@ def _weak_symmetry_residual(nr: np.ndarray, rb: np.ndarray, forms: OneFormSystem
            + np.einsum("j,imkl->mijkl", forms.b, rb)
            + np.einsum("k,ijml->mijkl", forms.d, rb)
            + np.einsum("l,ijkm->mijkl", forms.d, rb))
-    return max_abs(nr - rhs) / (1.0 + max_abs(nr))
+    return float(_relative(nr - rhs, max_abs(nr), 5))
 
 
 def weak_symmetry_residual(field: MetricField, point, forms: OneFormSystem) -> float:
@@ -149,6 +169,7 @@ def weak_symmetry_residual(field: MetricField, point, forms: OneFormSystem) -> f
     return _weak_symmetry_residual(nr, rb, forms)
 
 
+@_finite
 def ws_to_wrs_condition(bundle: CurvatureBundle, forms: OneFormSystem) -> float:
     """Raw max-norm of  b(R(X,Z)U) + d(R(X,U)Z)  over all basis triples:
     the extra term by which the curvature-level condition exceeds the
@@ -161,6 +182,7 @@ def ws_to_wrs_condition(bundle: CurvatureBundle, forms: OneFormSystem) -> float:
     return max_abs(term_b + term_d.transpose(0, 2, 1))
 
 
+@_finite
 def check_dr_identity(bundle: CurvatureBundle, forms: OneFormSystem) -> float:
     """Raw max-norm residual of  dr(X) = r a(X) + b(QX) + d(QX)  over basis X."""
     dr = _check_forms(bundle, forms, "dr")
@@ -169,6 +191,7 @@ def check_dr_identity(bundle: CurvatureBundle, forms: OneFormSystem) -> float:
     return max_abs(dr - rhs)
 
 
+@_finite
 def a_from_bd(bundle: CurvatureBundle, b, d) -> np.ndarray:
     """Closed form for the first 1-form under nonzero scalar curvature:
 
@@ -185,6 +208,7 @@ def a_from_bd(bundle: CurvatureBundle, b, d) -> np.ndarray:
     return -(b @ q + d @ q) / bundle.r
 
 
+@_finite
 def t_identities(bundle: CurvatureBundle, forms: OneFormSystem) -> tuple[float, float]:
     """Raw max-norm residuals of the two T-identities for T = b - d:
 

@@ -24,7 +24,7 @@ from curvkit.classify import (classification_report, conformally_flat_check,
                               einstein_check, hyper_quasi_constant_fit,
                               pseudo_quasi_constant_fit, quasi_constant_fit,
                               quasi_einstein_decompose)
-from curvkit.errors import CurvError, DimensionMismatch
+from curvkit.errors import CurvError, DimensionMismatch, NumericalInconsistency
 from curvkit.gencurv import (GenCurvParams, pp_flat_alpha, pseudo_projective, qc_flat_alpha,
                              quasi_conformal, reconstruct_pp_flat, reconstruct_qc_flat,
                              reconstruct_w2_flat, w2, w2_flat_alpha, weyl, weyl_from_tensors)
@@ -150,6 +150,50 @@ def test_one_forms_and_grids_of_wrs_take_numbers_or_refuse(data):
     _returns_or_refuses(weak_symmetry_residual_tensors, data.draw(_argument((n,) * 5)),
                         data.draw(_argument((n,) * 4)),
                         forms or OneFormSystem(*np.ones((3, n))))
+
+
+# Large finite entries, which the drawn arguments above (within +-4) never
+# reach: n = 2, g = I, the curvature, the Ricci form and its derivative
+# filled with one size, dr = 0, and the forms (0, 0, size) or (size, size,
+# 0).  At 1e300 every product of a form with S overflows; at 1e150 none
+# does, and the values are those the reporters gave before they checked.
+_WRS_CALLS = {
+    "wrs_residual": wrs_residual,
+    "check_dr_identity": check_dr_identity,
+    "t_identities": t_identities,
+    "ws_to_wrs_condition": ws_to_wrs_condition,
+    "a_from_bd": lambda bundle, forms: a_from_bd(bundle, forms.b, forms.d),
+    "weak_symmetry_residual_tensors": lambda bundle, forms: weak_symmetry_residual_tensors(
+        np.full((2,) * 5, bundle.r / 2), bundle.riemann.values, forms),
+}
+_AT_1E150 = {  # (forms (0, 0, x), forms (x, x, 0))
+    "wrs_residual": (1e150, 2e150),
+    "check_dr_identity": (1.9999999999999998e300, 3.9999999999999996e300),
+    "t_identities": ((0.0, 0.0), (0.0, 0.0)),
+    "ws_to_wrs_condition": (1.9999999999999998e300, 1.9999999999999998e300),
+    "a_from_bd": ([-1e150, -1e150], [-1e150, -1e150]),
+    "weak_symmetry_residual_tensors": (2e150, 2.9999999999999998e150),
+}
+
+
+def _sized_data(size, which):
+    bundle = CurvatureBundle.from_tensors(
+        Metric(np.eye(2)), Tensor04(np.full((2,) * 4, size)), np.full((2, 2), size),
+        nabla_ricci=np.full((2,) * 3, size), dr=np.zeros(2))
+    forms = (0.0, 0.0, size) if which == 0 else (size, size, 0.0)
+    return bundle, OneFormSystem(*(np.full(2, v) for v in forms))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("which", [0, 1], ids=["d", "ab"])
+@pytest.mark.parametrize("name", sorted(_WRS_CALLS))
+def test_wrs_reporters_on_large_finite_data(name, which):
+    """An overflow ends in NumericalInconsistency naming it, without a
+    warning; data one step smaller keeps its finite values."""
+    with pytest.raises(NumericalInconsistency, match=f"^{name} overflows"):
+        _WRS_CALLS[name](*_sized_data(1e300, which))
+    got = _WRS_CALLS[name](*_sized_data(1e150, which))
+    assert np.array_equal(got, _AT_1E150[name][which])
 
 
 _KEYS = st.sampled_from([(0, 0), (1, 1), (0, 1), ("x", "y"), ("y", "y"), (2, 0),

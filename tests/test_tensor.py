@@ -467,28 +467,28 @@ BLOCK_FORMULAS = {
 
 
 @pytest.mark.parametrize("kind", sorted(BLOCK_FORMULAS))
-def test_term_tables_list_slot_pairs_in_ascending_order(kind):
-    """`_expand_block` views each pair of slots as it stands, without a
-    transpose: a table that lists a pair descending must fail here."""
+def test_term_tables_span_the_four_slots(kind):
+    """Each term puts P on two output slots and g on the other two, so
+    every evaluator of a table reads each term as a relabeling of g (x) P."""
     terms, _ = BLOCK_FORMULAS[kind]
-    for _, p_slots, g_slots in terms:
-        for pair in (p_slots, g_slots):
-            assert len(pair) == 2 and pair[0] < pair[1] and set(pair) <= set("ijkl"), pair
+    for sign, p_slots, g_slots in terms:
+        assert sign in (+1, -1) and len(p_slots) == len(g_slots) == 2
+        assert sorted(p_slots + g_slots) == list("ijkl"), (p_slots, g_slots)
 
 
 def loop_block(formula, gm, stack):
-    """The formula at every stacked item and every grid entry."""
-    n = gm.shape[0]
+    """The formula at every stacked item and every grid entry; gm is one
+    metric for every item, or one per item."""
+    n = gm.shape[-1]
     out = np.empty(stack.shape[:-2] + (n,) * 4)
-    g = gm.tolist()
     for idx in np.ndindex(stack.shape[:-2]):
-        p = stack[idx].tolist()
+        p, g = stack[idx].tolist(), (gm if gm.ndim == 2 else gm[idx]).tolist()
         for i, j, k, l in np.ndindex((n,) * 4):
             out[idx + (i, j, k, l)] = formula(p, g, i, j, k, l)
     return out
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", range(2, 9))
 @pytest.mark.parametrize("kind", sorted(BLOCK_FORMULAS))
 def test_expanded_blocks_match_loop_formulas(kind, n):
     terms, formula = BLOCK_FORMULAS[kind]
@@ -497,6 +497,9 @@ def test_expanded_blocks_match_loop_formulas(kind, n):
     stack = rng.standard_normal((2, n, n))
     assert np.array_equal(_expand_block(terms, g.mat, stack),
                           loop_block(formula, g.mat, stack))
+    # one metric per stacked item
+    gms = np.stack([g.mat, Metric(random_spd(rng, n)).mat])
+    assert np.array_equal(_expand_block(terms, gms, stack), loop_block(formula, gms, stack))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
