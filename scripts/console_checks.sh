@@ -56,11 +56,13 @@ test "$status" -eq 2
 status=0; "${curvkit[@]}" verify --seed -1 || status=$?
 test "$status" -eq 2
 # weights outside a flat formula's preconditions fail their checks (exit 1);
-# an empty stderr tells a failed check from a traceback, which also exits 1
+# an empty stderr tells a failed check from a traceback, which also exits 1,
+# and the errored checks make the top-level worst residual inf
 for weights in "--n 4 --a 0" "--n 5 --a 1 --b -0.3333333333333333"; do
     status=0; "${curvkit[@]}" verify --trials 2 $weights > "$tmp/weights.out" 2> "$tmp/weights.err" || status=$?
     test "$status" -eq 1
     test ! -s "$tmp/weights.err"
+    python -c "import json, sys; assert json.load(sys.stdin)['residuals']['max_residual'] == 'inf'" < "$tmp/weights.out"
 done
 printf 'dim: 2\ncoords: x, y\ng: x,x = 1e200\ng: y,y = 1e200\npoint: 1, 0.5\n' > "$tmp/flat1e200.txt"
 status=0; timeout 60 "${curvkit[@]}" classify "$tmp/flat1e200.txt" || status=$?

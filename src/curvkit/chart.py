@@ -76,7 +76,7 @@ class MetricField:
     """
 
     def __init__(self, coords: Sequence[str], entries: Mapping):
-        self.coords = tuple(coords)
+        self.coords = ex._check_coords(coords)
         if len(self.coords) < 2:
             raise DimensionMismatch("a chart needs at least 2 coordinates")
         self.n = len(self.coords)

@@ -221,14 +221,12 @@ def _cmd_verify(args) -> int:
     reports = [run(config) for key, run in sections.items() if args.section in (key, "all")]
     checks = []
     verdicts = {}
-    worst = 0.0
     for report in reports:
         verdicts[f"section{report.section}"] = "pass" if report.passed else "fail"
         for c in report.to_dict()["checks"]:
             c["name"] = f"s{report.section}.{c['name']}"
             checks.append(c)
-            if math.isfinite(c["max_residual"]):
-                worst = max(worst, c["max_residual"])
+    worst = float(np.max([c["max_residual"] for c in checks]))  # inf where a check errored
     all_pass = all(r.passed for r in reports)
     exit_status = 0 if all_pass else 1
     envelope = _envelope("verify",

@@ -255,11 +255,6 @@ def topological(roots: Iterable[Node], known=()) -> list[Node]:
     return order
 
 
-def diff_node(node: Node, name: str) -> Node:
-    """Exact partial derivative of `node` with respect to the coordinate `name`."""
-    return diff_nodes([node], name)[0]
-
-
 def diff_nodes(nodes: Sequence[Node], name: str, memo: dict | None = None) -> list[Node]:
     """The partials of several nodes along `name`, in one traversal.  `memo`
     maps id(node) -> derivative; one dict passed across calls shares the
@@ -607,9 +602,16 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 def _check_coords(coords: Iterable[str]) -> tuple[str, ...]:
-    coords = tuple(coords)
+    """`coords` as a tuple of distinct identifiers, or a ParseError."""
+    try:
+        coords = tuple(coords)
+    except TypeError:
+        raise ParseError(f"coordinate names must be a sequence, got "
+                         f"{type(coords).__name__}", None) from None
     seen = set()
     for c in coords:
+        if not isinstance(c, str):
+            raise ParseError(f"a coordinate name must be text, got {type(c).__name__}", None)
         if not _IDENT_RE.match(c):
             raise ParseError(f"invalid coordinate name {c!r}", None)
         if c in seen:
@@ -640,7 +642,7 @@ class Expression:
     def diff(self, name: str) -> "Expression":
         if name not in self.coords:
             raise UnknownIdentifier(name)
-        return Expression(diff_node(self.root, name), self.coords)
+        return Expression(diff_nodes([self.root], name)[0], self.coords)
 
     def __call__(self, point: Sequence[float]) -> float:
         if len(point) != len(self.coords):

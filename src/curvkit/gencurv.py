@@ -22,9 +22,8 @@ Setting any of the first three to zero and solving for R gives
 R = (c/a)*G - (b/a)*B(S), the `reconstruct_*` functions; feeding a
 reconstruction back through its combination returns zero identically.  The
 quasi-conformal and pseudo-projective reconstructions accept S and r
-independently so callers can probe inconsistent inputs; their `strict=True`
-enforces r = trace(S).  The W2 reconstruction takes no r: its weights do not
-involve it.
+independently, so callers can probe inconsistent inputs.  The W2
+reconstruction takes no r: its weights do not involve it.
 
 The scalar curvature is one quantity and is named `r` throughout, whichever
 weighted combination it appears in.
@@ -39,8 +38,8 @@ import numpy as np
 from .errors import DegenerateParams, DimensionMismatch, InvalidParams
 from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, _W2_TERMS, CurvatureBundle,
                      Metric, Tensor04, _as_array, _bundle_part, _contract_block,
-                     _expand_block, _grid_of, _instance, _lift,
-                     _scalar_curvature_values, _tolerance, _wedge_values, is_symmetric)
+                     _expand_block, _grid_of, _instance, _lift, _tolerance,
+                     _wedge_values, is_symmetric)
 
 __all__ = [
     "GenCurvParams",
@@ -231,23 +230,17 @@ def weyl_from_tensors(riemann: Tensor04, g: Metric,
 # --------------------------------------------------------------------------
 # Flat reconstructions: solve <combination> = 0 for R
 
-def _flat_grid(kind: str, s, g: Metric, r: float, params: GenCurvParams,
-               strict: bool) -> tuple[np.ndarray, np.ndarray]:
+def _flat_grid(kind: str, s, g: Metric, r: float,
+               params: GenCurvParams) -> tuple[np.ndarray, np.ndarray]:
     """The grid of `reconstruct_<kind>_flat` and its S, after checking the
-    weights, then S and r, and in strict mode r = trace(S)."""
+    weights, then S and r."""
     _require(kind, params)
     s = _as_array(s, "bilinear form", 2, _instance(g, Metric, "g").n)
     r = float(_as_array(r, "r", 0))
-    if strict:
-        tr = float(_scalar_curvature_values(g.inv, s))
-        if abs(tr - r) > _tolerance(1e-10, abs(r)):
-            raise InvalidParams(
-                f"strict mode: r={r:g} is not the metric trace of S ({tr:g})")
     return _flat_values(kind, s, g.mat, r, params, _wedge_values(g.mat)), s
 
 
-def reconstruct_qc_flat(s, g: Metric, r: float, params: GenCurvParams,
-                        strict: bool = False) -> Tensor04:
+def reconstruct_qc_flat(s, g: Metric, r: float, params: GenCurvParams) -> Tensor04:
     """R under a vanishing quasi-conformal combination:
 
         R = -(b/a) * (S-wedge) + (r/n)(1/(n-1) + 2b/a) * G
@@ -257,17 +250,16 @@ def reconstruct_qc_flat(s, g: Metric, r: float, params: GenCurvParams,
     four-term block of a symmetric S and G have every curvature symmetry,
     so the flag is set then, and checked on the grid like any other.
     """
-    values, s = _flat_grid("qc", s, g, r, params, strict)
+    values, s = _flat_grid("qc", s, g, r, params)
     return Tensor04(values, riemann_like=is_symmetric(s))
 
 
-def reconstruct_pp_flat(s, g: Metric, r: float, params: GenCurvParams,
-                        strict: bool = False) -> Tensor04:
+def reconstruct_pp_flat(s, g: Metric, r: float, params: GenCurvParams) -> Tensor04:
     """R under a vanishing pseudo-projective combination:
 
         R = -(b/a) * [S_jk g_il - S_ik g_jl] + (r/(a n))(a/(n-1) + b) * G
     """
-    return Tensor04(_flat_grid("pp", s, g, r, params, strict)[0])
+    return Tensor04(_flat_grid("pp", s, g, r, params)[0])
 
 
 def reconstruct_w2_flat(s, g: Metric) -> Tensor04:

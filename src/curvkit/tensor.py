@@ -223,14 +223,6 @@ class Metric:
         mat.flags.writeable = inv.flags.writeable = False
         self.n, self.mat, self.inv = mat.shape[0], mat, inv
 
-    def raise_index(self, covector) -> np.ndarray:
-        """Metric dual of a 1-form: v^i = ginv[i,j] w_j."""
-        return self.inv @ _as_array(covector, "1-form", 1, self.n)
-
-    def norm_sq(self, covector) -> float:
-        """Squared metric norm of a 1-form: ginv[i,j] w_i w_j."""
-        return float(_norm_sq_values(self.inv, _as_array(covector, "1-form", 1, self.n)))
-
     def __repr__(self):
         return f"Metric(n={self.n})"
 
@@ -381,7 +373,8 @@ def _scalar_curvature_values(ginv: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _norm_sq_values(ginv: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """`Metric.norm_sq` of 1-forms stacked on leading axes, unchecked."""
+    """Squared metric norms ginv[i,j] w_i w_j of 1-forms stacked on leading
+    axes, unchecked."""
     return ((w[..., None, :] @ ginv) @ w[..., :, None])[..., 0, 0]
 
 

@@ -23,8 +23,8 @@ from curvkit.classify import classification_report
 from curvkit.gencurv import (GenCurvParams, pseudo_projective, quasi_conformal,
                              reconstruct_pp_flat, reconstruct_qc_flat, reconstruct_w2_flat,
                              w2, weyl)
-from curvkit.tensor import (CurvatureBundle, Metric, Tensor04, hyper_shape, pseudo_shape,
-                            quasi_constant_shape, wedge_gg)
+from curvkit.tensor import (CurvatureBundle, Metric, Tensor04, _norm_sq_values, hyper_shape,
+                            pseudo_shape, quasi_constant_shape, wedge_gg)
 from curvkit.wrs import recover_one_forms, weak_symmetry_residual
 from oracles import random_chart, random_spd
 
@@ -41,8 +41,8 @@ def _quasi_constant_bundle(n=5):
     rng = np.random.default_rng(26)
     g = Metric(random_spd(rng, n))
     w = rng.standard_normal(n)
-    riemann = Tensor04(2.0 * wedge_gg(g).values
-                       + 5.0 * quasi_constant_shape(g, w / np.sqrt(g.norm_sq(w))).values,
+    unit = w / np.sqrt(float(_norm_sq_values(g.inv, w)))
+    riemann = Tensor04(2.0 * wedge_gg(g).values + 5.0 * quasi_constant_shape(g, unit).values,
                        riemann_like=True)
     return CurvatureBundle.from_tensors(g, riemann=riemann)
 

@@ -19,7 +19,7 @@ from curvkit.errors import DimensionMismatch, NotQuasiConstant, NotQuasiEinstein
 from curvkit.gencurv import GenCurvParams
 from curvkit.manifest import load_manifest
 from curvkit.tensor import (_HYPER_TERMS, _PSEUDO_TERMS, KERNEL_RCOND, Metric,
-                            Tensor04, hyper_shape, max_abs, pseudo_shape,
+                            Tensor04, _norm_sq_values, hyper_shape, max_abs, pseudo_shape,
                             quasi_constant_shape, ricci_contract, wedge_gg)
 from curvkit.wrs import recover_one_forms, weak_symmetry_residual
 from oracles import random_riemann_like, random_spd
@@ -29,7 +29,7 @@ MANIFESTS = pathlib.Path(__file__).parents[1] / "manifests"
 
 def unit_covector(rng, g: Metric) -> np.ndarray:
     w = rng.standard_normal(g.n)
-    return w / np.sqrt(g.norm_sq(w))
+    return w / np.sqrt(float(_norm_sq_values(g.inv, w)))
 
 
 def tracefree(p: np.ndarray, g: Metric) -> np.ndarray:

@@ -317,8 +317,9 @@ def test_verify_with_a_zero_reports_the_precondition(capsys, n, a, b, failed):
     assert main(["verify", "--n", str(n), "--trials", "2", "--a", repr(a),
                  "--b", repr(b(n))]) == 1
     out, err = capsys.readouterr()
-    checks = json.loads(out)["checks"]
-    assert {c["name"]: c["note"] for c in checks if not c["passed"]} == failed
+    report = json.loads(out)
+    assert {c["name"]: c["note"] for c in report["checks"] if not c["passed"]} == failed
+    assert report["residuals"]["max_residual"] == "inf"  # the errored checks count
     assert err == ""
 
 

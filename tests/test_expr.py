@@ -275,7 +275,7 @@ def test_derivatives_stay_in_node_vocabulary():
     for _ in range(100):
         node = _gen_ast(rng, coords, depth=rng.randint(1, 5))
         for var in coords:
-            walk(ex.diff_node(node, var))
+            walk(ex.diff_nodes([node], var)[0])
 
 
 def test_evaluation_is_deterministic():

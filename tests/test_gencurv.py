@@ -275,17 +275,6 @@ def test_qc_alpha_consistent_with_trace():
             assert alpha * n == pytest.approx(r, rel=1e-10, abs=1e-12)
 
 
-def test_strict_mode_rejects_inconsistent_scalar():
-    rng = np.random.default_rng(36)
-    g = Metric(random_spd(rng, 4))
-    s = g.mat.copy()
-    with pytest.raises(InvalidParams):
-        reconstruct_qc_flat(s, g, 99.0, GenCurvParams(), strict=True)
-    rec = reconstruct_qc_flat(s, g, scalar_curvature(s, g), GenCurvParams(),
-                              strict=True)
-    assert rec.n == 4
-
-
 def test_guards():
     with pytest.raises(InvalidParams):
         reconstruct_qc_flat(np.zeros((4, 4)), Metric(np.eye(4)), 0.0,

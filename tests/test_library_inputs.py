@@ -18,13 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import curvkit
 from curvkit import chart
 from curvkit.chart import MetricField
 from curvkit.classify import (classification_report, conformally_flat_check,
                               einstein_check, hyper_quasi_constant_fit,
                               pseudo_quasi_constant_fit, quasi_constant_fit,
                               quasi_einstein_decompose)
-from curvkit.errors import CurvError, DimensionMismatch, NumericalInconsistency
+from curvkit.errors import CurvError, DimensionMismatch, NumericalInconsistency, ParseError
 from curvkit.gencurv import (GenCurvParams, pp_flat_alpha, pseudo_projective, qc_flat_alpha,
                              quasi_conformal, reconstruct_pp_flat, reconstruct_qc_flat,
                              reconstruct_w2_flat, w2, w2_flat_alpha, weyl, weyl_from_tensors)
@@ -214,6 +215,21 @@ def test_charts_take_numbers_or_refuse(data):
         return
     point = data.draw(_argument((2,)) | st.just((10**400, 0.0)))
     _returns_or_refuses(field.curvature_bundle, point)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MetricField(["x", "x"], {(0, 0): 5.0, (0, 1): 0.5, (1, 1): 7.0}),
+    lambda: MetricField(["x", "1bad"], {(0, 0): 1.0, (1, 1): 1.0}),
+    lambda: MetricField(["x", "y z"], {(0, 0): 1.0, (1, 1): 1.0}),
+    lambda: MetricField(["x", 1], {(0, 0): 1.0, (1, 1): 1.0}),
+    lambda: MetricField(5, {(0, 0): 1.0, (1, 1): 1.0}),
+    lambda: curvkit.parse("x", [1]),
+    lambda: curvkit.parse("x", None),
+], ids=["chart-duplicate", "chart-leading-digit", "chart-space", "chart-int", "chart-int-coords",
+        "parse-int", "parse-none"])
+def test_charts_and_expressions_refuse_bad_coordinate_names(build):
+    with pytest.raises(ParseError):
+        build()
 
 
 def _fits():

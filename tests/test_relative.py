@@ -22,8 +22,7 @@ import pytest
 
 import curvkit
 from curvkit import chart, classify, cli, gencurv, harness, tensor, wrs
-from curvkit.errors import (DegenerateParams, InvalidParams, NotQuasiConstant,
-                            NumericalInconsistency)
+from curvkit.errors import DegenerateParams, NotQuasiConstant, NumericalInconsistency
 from curvkit.gencurv import GenCurvParams
 from curvkit.tensor import Metric, quasi_constant_shape
 from oracles import random_spd
@@ -119,10 +118,11 @@ def test_point_commands_print_every_normalized_residual_through_relative(monkeyp
 
 @pytest.mark.parametrize("n,trials", [(4, 20), (8, 4)])
 def test_verify_reports_every_check_through_relative(monkeypatch, n, trials):
-    """Each check's max_residual reads inf.  A check that still runs all its
-    trials keeps its extras (the raw Weyl norm); the fit whose verdict rests
-    on its residual ends at its first trial, and its extras go with it.
-    The guard trials print no residual and keep their bytes."""
+    """Each check's max_residual reads inf, and so does the worst of them.
+    A check that still runs all its trials keeps its extras (the raw Weyl
+    norm); the fit whose verdict rests on its residual ends at its first
+    trial, and its extras go with it.  The guard trials print no residual
+    and keep their bytes."""
     argv = ["verify", "--section", "all", "--n", str(n), "--trials", str(trials)]
     code, base, _ = _run(monkeypatch, argv)
     _patch(monkeypatch, "_relative", _inf)
@@ -139,6 +139,7 @@ def test_verify_reports_every_check_through_relative(monkeypatch, n, trials):
         else:
             assert cli.dumps(now["extra"]) == cli.dumps(was["extra"]), now["name"]
     assert ended == ["s2.qc_quasi_constant_fit"]
+    assert patched["residuals"]["max_residual"] == "inf"  # the worst over every check
 
 
 def _sphere():
@@ -163,9 +164,6 @@ def _tolerance_sites():
         "classify.conformally_flat": lambda: classify.conformally_flat_check(bundle)[1],
         # gencurv.py: the nonzero denominator of the forced Einstein coefficient
         "gencurv._require": lambda: gencurv.qc_flat_alpha(4, 1.0, params),
-        # gencurv.py: strict mode's r = trace(S)
-        "gencurv.strict": lambda: gencurv.reconstruct_qc_flat(
-            np.eye(4), Metric(np.eye(4)), 4.0, GenCurvParams(), strict=True).n,
         # harness.py: the fixed-point system's consistency gap
         "harness._fixed_point": lambda: harness.selfconsistent_ricci(
             Metric(np.diag([1.0, 2.0, 3.0, 4.0])), 2.0, GenCurvParams(), "qc").shape,
@@ -176,7 +174,7 @@ def _outcome(call):
     """What a site's call gives: the error it raises, a verdict, or 'returns'."""
     try:
         value = call()
-    except (DegenerateParams, InvalidParams, NotQuasiConstant, NumericalInconsistency) as exc:
+    except (DegenerateParams, NotQuasiConstant, NumericalInconsistency) as exc:
         return f"raises {type(exc).__name__}"
     return bool(value) if isinstance(value, (bool, np.bool_)) else "returns"
 
@@ -186,7 +184,6 @@ EXPECTED = {  # (today, with the threshold at -1)
     "classify.COEFF_FLOOR": ("raises NotQuasiConstant", "returns"),
     "classify.conformally_flat": (True, False),
     "gencurv._require": ("raises DegenerateParams", "returns"),
-    "gencurv.strict": ("returns", "raises InvalidParams"),
     "harness._fixed_point": ("returns", "raises DegenerateParams"),
 }
 

@@ -199,7 +199,7 @@ def test_ws_to_wrs_sphere_loop_oracle(sphere2):
     res = ws_to_wrs_condition(bundle, forms)
     # loop oracle: max over (i,j,k) of |R(i,j,k,.)b# + R(i,k,j,.)d#|
     rb = bundle.riemann.values
-    bs = bundle.g.raise_index(e1)
+    bs = bundle.g.inv @ e1
     worst = 0.0
     for i in range(n):
         for j in range(n):
@@ -297,7 +297,7 @@ def test_t_identities_rank_one_ricci():
     assert res_tq <= 1e-12 * scale
     assert res_ts <= 1e-12 * scale
     # r = c * |t|_g^2 for the rank-one Ricci model
-    assert bundle.r == pytest.approx(c * g.norm_sq(t), rel=1e-12)
+    assert bundle.r == pytest.approx(c * float(t @ g.inv @ t), rel=1e-12)
 
 
 def test_t_identities_identity_ricci_pattern():
