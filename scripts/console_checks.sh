@@ -44,6 +44,9 @@ python -c "import sys, curvkit.cli as c; c.main(['verify', '--n', '4', '--trials
 "${curvkit[@]}" verify --section all --n 8 --trials 10
 "${curvkit[@]}" verify --section all --n 5 --trials 700
 "${curvkit[@]}" verify --section all --n 16 --trials 2
+# the stacked least-squares fits of 2,000 trials pass without a warning
+"${curvkit[@]}" verify --section all --n 4 --trials 2000 > "$tmp/stacked.out" 2> "$tmp/stacked.err"
+test ! -s "$tmp/stacked.err"
 # this seed draws one degenerate pairing, which its check redraws
 "${curvkit[@]}" verify --section all --n 8 --seed 21 --trials 100 > "$tmp/redraw.out" 2> "$tmp/redraw.err"
 test ! -s "$tmp/redraw.err"

@@ -239,7 +239,7 @@ def _not_quasi_constant(exc: NotQuasiEinstein, rv: np.ndarray, wedge: np.ndarray
 def _quasi_constant_along(rv: np.ndarray, gm: np.ndarray, wedge: np.ndarray,
                           omega: np.ndarray, tol: float):
     """`_quasi_constant_values` given the A of each grid, `omega`: the
-    two-column least-squares fits, grid by grid in `tensor._lstsq_kernel`."""
+    two-column least-squares fits, in one `tensor._lstsq_kernel` call."""
     block = _expand_block(_HYPER_TERMS, gm, _outer(omega, omega))
     design = np.stack([wedge, block], axis=-1).reshape(len(rv), -1, 2)
     a, b = _lstsq_kernel(design, rv.reshape(len(rv), -1))[0].T
@@ -339,7 +339,7 @@ def _linear_fit(rv: np.ndarray, gm: np.ndarray, ginv: np.ndarray, wedge: np.ndar
     every other column (`_eigenframe_plan`), so it is one projection of the
     rotated R divided by its squared norm; only a and the diagonal P_aa
     couple, in one least-squares solve with n + 1 columns per fit, which
-    `tensor._lstsq_kernel` runs for the stack, one call per fit.  The
+    `tensor._lstsq_kernel` runs for the whole stack in one SVD.  The
     singular values of the full design are those of that solve and the
     off-diagonal column norms, which no P_aa column exceeds, so `kernel_dim`
     counts both against the one cut of `tensor._lstsq_kernel`.  The residual

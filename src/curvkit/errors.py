@@ -21,7 +21,7 @@ class CurvError(Exception):
 
 class ParseError(CurvError):
     """Malformed expression text.  `offset` is the byte offset of the
-    failure, None for a coordinate name, which is not part of the text."""
+    failure, None for a coordinate name or for text that is not a string."""
 
     def __init__(self, message: str, offset: int | None):
         where = f" (byte offset {offset})" if offset is not None else ""
@@ -40,7 +40,8 @@ class UnknownIdentifier(CurvError):
 
 
 class DomainError(CurvError):
-    """Evaluation left the real domain (log/sqrt/division/power)."""
+    """Evaluation left the real domain (log/sqrt/division/power), or was
+    given a point that is not one number per coordinate."""
 
     def __init__(self, message: str, node_text: str | None = None):
         if node_text is not None:

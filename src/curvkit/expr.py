@@ -645,11 +645,15 @@ class Expression:
         return Expression(diff_nodes([self.root], name)[0], self.coords)
 
     def __call__(self, point: Sequence[float]) -> float:
-        if len(point) != len(self.coords):
+        try:
+            values = [float(v) for v in point]
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"a point must be a sequence of numbers: {exc}") from None
+        if len(values) != len(self.coords):
             raise DomainError(
-                f"point has {len(point)} components, expected {len(self.coords)}")
+                f"point has {len(values)} components, expected {len(self.coords)}")
         constants, [program], slot = compile_tapes(self.coords, [topological([self.root])])
-        values = [float(v) for v in point] + constants
+        values += constants
         run_program(*program, values)
         return values[slot[id(self.root)]]
 
@@ -671,6 +675,8 @@ class Expression:
 def parse(text: str, coords: Sequence[str]) -> Expression:
     """Parse infix `text` into an Expression over the given coordinate names."""
     coords = _check_coords(coords)
+    if not isinstance(text, str):
+        raise ParseError(f"expression text must be a string, got {type(text).__name__}", None)
     return Expression(_Parser(text, coords).parse(), coords)
 
 

@@ -29,9 +29,9 @@ degenerate *inputs* raise the designated guard errors, and each guard has a
 dedicated trial asserting exactly that.
 A round's trials are computed once per block of trials, over the stack: one
 residual per trial, the worst of which is the check's.
-The classifiers run stacked too (`classify._quasi_einstein_values`,
-`_quasi_constant_values`); only the fits' small least-squares solves (in
-`tensor._lstsq_kernel`) and the one-trial brute-force twins run trial by
+The classifiers and their least-squares fits run stacked too
+(`classify._quasi_einstein_values`, `_quasi_constant_values`,
+`tensor._lstsq_kernel`); only the one-trial brute-force twins run trial by
 trial, on rows of the stack.
 A failure is charged to its trial: the check ends there, with the extras
 of the trials before it.  A round is computed before an error of its
@@ -91,8 +91,8 @@ from .gencurv import (GenCurvParams, _combined_values, _dimension, _flat_alpha,
                       _flat_ricci, _flat_values, _require, qc_flat_alpha,
                       reconstruct_pp_flat, reconstruct_qc_flat, reconstruct_w2_flat)
 from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, MAX_DIM, CurvatureBundle, Metric,
-                     _ArrayRecord, _as_array, _expand_block, _instance, _kernel_rule,
-                     _lift, _max_abs_items, _norm_sq_values, _outer, _relative,
+                     _ArrayRecord, _as_array, _expand_block, _instance, _lift,
+                     _lstsq_kernel, _max_abs_items, _norm_sq_values, _outer, _relative,
                      _ricci_contract_values, _scalar_curvature_values, _tolerance,
                      _validate_metrics, _wedge_values, max_abs, ricci_contract,
                      scalar_curvature)
@@ -337,8 +337,8 @@ def selfconsistent_ricci(g: Metric, r: float, params: GenCurvParams,
     (The trace row matters for the W2 flavor, whose fixed-point set without
     it is the whole Einstein line; for the other two it is consistent with
     the already-unique fixed point.)
-    The system is singular when it has a kernel under the one rank rule of
-    `tensor._kernel_rule`, the cut every fit applies."""
+    It is solved by `tensor._lstsq_kernel`, the one least-squares solve,
+    and is singular when it has a kernel under the cut every fit applies."""
     gm = _instance(g, Metric, "g").mat[None]
     return _fixed_point(gm, _as_array(r, "r", 0).reshape(1),
                         _instance(params, GenCurvParams, "params"), flavor)[0]
@@ -347,8 +347,8 @@ def selfconsistent_ricci(g: Metric, r: float, params: GenCurvParams,
 def _fixed_point(gm: np.ndarray, r, params: GenCurvParams, flavor: str) -> np.ndarray:
     """`selfconsistent_ricci` for metrics and scalar curvatures stacked on
     one leading axis: the (n+1) x n diagonal system of each, solved for the
-    stack in one SVD, minimum-norm.  Raises DegenerateParams for the first
-    system that is singular or inconsistent, its index as `item`."""
+    stack in one `_lstsq_kernel` call.  Raises DegenerateParams for the
+    first system that is singular or inconsistent, its index as `item`."""
     n = gm.shape[-1]
     _require(flavor, params, n)
     mu, q = np.linalg.eigh(gm)
@@ -363,11 +363,7 @@ def _fixed_point(gm: np.ndarray, r, params: GenCurvParams, flavor: str) -> np.nd
     images_dd = diagonals[:, 1:] - affine[:, None]  # [b, a]: E_bb to entry (a, a)
     lhs = np.concatenate([eye - images_dd.swapaxes(-1, -2), 1.0 / mu[:, None, :]], axis=-2)
     rhs = np.concatenate([affine, _lift(r, 1)], axis=-1)
-    u, sigma, vh = np.linalg.svd(lhs, full_matrices=False)
-    cut, kernel_dim = _kernel_rule(sigma, n)
-    coef = (u.swapaxes(-1, -2) @ rhs[..., None])[..., 0]
-    coef = np.divide(coef, sigma, out=np.zeros_like(coef), where=sigma > cut[:, None])
-    s = (vh.swapaxes(-1, -2) @ coef[..., None])[..., 0]
+    s, kernel_dim, _ = _lstsq_kernel(lhs, rhs)
     gap = _max_abs_items((lhs @ s[..., None])[..., 0] - rhs, 1)
     failed = (kernel_dim > 0) | (gap > _tolerance(1e-8, np.abs(r)))
     if failed.any():

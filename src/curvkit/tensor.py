@@ -17,7 +17,6 @@ harness and manifests refuse dimensions above MAX_DIM.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,26 +79,24 @@ def is_symmetric(a: np.ndarray) -> bool:
 
 def _lstsq_kernel(design: np.ndarray,
                   rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The minimum-norm least-squares solutions of design @ x = rhs for
-    systems stacked on leading axes (none for one system): designs
-    (..., m, k) and right-hand sides (..., m).  Returns the solutions, the
-    kernel dimension of each design (the columns less the singular values
-    above the cut) and the cut, KERNEL_RCOND * sigma_max, which the solve
-    applies, stacked.  `lstsq` does not stack, so this is the one loop that
-    hands systems to it, one call per system.  Raises NumericalInconsistency
-    for the first system with a non-finite coefficient, its flat index as
-    `item`, before any is solved: LAPACK may not return on one."""
-    lead, columns = design.shape[:-2], design.shape[-1]
+    """The one least-squares solve: the minimum-norm solutions of
+    design @ x = rhs for systems stacked on leading axes (none for one
+    system), designs (..., m, k) and right-hand sides (..., m), in one
+    stacked SVD.  Returns the solutions, the kernel dimension of each design
+    (the columns less the singular values above the cut) and the cut,
+    KERNEL_RCOND * sigma_max, which the solve applies, stacked.  Raises
+    NumericalInconsistency for the first system with a non-finite
+    coefficient, its flat index as `item`, before any is solved: LAPACK may
+    not return on one."""
     if not (np.isfinite(design).all() and np.isfinite(rhs).all()):
         finite = np.isfinite(design).all(axis=(-2, -1)) & np.isfinite(rhs).all(axis=-1)
         raise NumericalInconsistency("a least-squares system has a non-finite "
                                      "coefficient").at(int(np.argmin(finite)))
-    sol = np.empty(lead + (columns,))
-    sigma = np.empty(lead + (min(design.shape[-2:]),))
-    for k in itertools.product(*map(range, lead)):
-        sol[k], _, _, sigma[k] = np.linalg.lstsq(design[k], rhs[k], rcond=KERNEL_RCOND)
-    cut, kernel_dim = _kernel_rule(sigma, columns)
-    return sol, kernel_dim, cut
+    u, sigma, vh = np.linalg.svd(design, full_matrices=False)
+    cut, kernel_dim = _kernel_rule(sigma, design.shape[-1])
+    coef = (u.swapaxes(-1, -2) @ rhs[..., None])[..., 0]
+    coef = np.divide(coef, sigma, out=np.zeros_like(coef), where=sigma > cut[..., None])
+    return (vh.swapaxes(-1, -2) @ coef[..., None])[..., 0], kernel_dim, cut
 
 
 def _kernel_rule(sigma: np.ndarray, columns: int) -> tuple[np.ndarray, np.ndarray]:

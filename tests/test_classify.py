@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from curvkit import classify
+from curvkit import classify, tensor
 from curvkit.chart import CurvatureBundle, MetricField
 from curvkit.cli import main
 from curvkit.classify import (_eigenframe_plan, _not_quasi_constant,
@@ -18,7 +18,7 @@ from curvkit.classify import (_eigenframe_plan, _not_quasi_constant,
 from curvkit.errors import DimensionMismatch, NotQuasiConstant, NotQuasiEinstein
 from curvkit.gencurv import GenCurvParams
 from curvkit.manifest import load_manifest
-from curvkit.tensor import (_HYPER_TERMS, _PSEUDO_TERMS, KERNEL_RCOND, Metric,
+from curvkit.tensor import (_HYPER_TERMS, _PSEUDO_TERMS, Metric,
                             Tensor04, _norm_sq_values, hyper_shape, max_abs, pseudo_shape,
                             quasi_constant_shape, ricci_contract, wedge_gg)
 from curvkit.wrs import recover_one_forms, weak_symmetry_residual
@@ -744,15 +744,20 @@ def test_eigenframe_plan_matches_closed_forms():
                 assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
+def _unreachable(*args, **kwargs):
+    raise AssertionError("a system reached np.linalg.lstsq")
+
+
 def test_fits_solve_at_most_n_plus_one_columns(monkeypatch, sphere3, conformal4):
     shapes = []
-    lstsq = np.linalg.lstsq
+    svd = np.linalg.svd
 
-    def recording(design, rhs, *args, **kwargs):
+    def recording(design, *args, **kwargs):
         shapes.append(design.shape)
-        return lstsq(design, rhs, *args, **kwargs)
+        return svd(design, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "lstsq", recording)
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    monkeypatch.setattr(np.linalg, "lstsq", _unreachable)
     rng = np.random.default_rng(560)
     for n in range(2, 9):
         g = Metric(random_spd(rng, n))
@@ -761,34 +766,39 @@ def test_fits_solve_at_most_n_plus_one_columns(monkeypatch, sphere3, conformal4)
         hyper_quasi_constant_fit(riemann, g)
         pseudo_quasi_constant_fit(riemann, g)
         assert len(shapes) == 2
-        assert all(cols <= n + 1 for _, cols in shapes)
+        assert all(shape[-1] <= n + 1 for shape in shapes)
     for field, point in ((sphere3, (1.0, 0.9, 0.5)), (conformal4, (0.3, -0.2, 0.5, 0.1))):
         shapes.clear()
         classification_report(field.curvature_bundle(point))
         n = len(point)
         # quasi_constant_fit's own two-column solve is the only other one
-        assert shapes and all(cols <= n + 1 for _, cols in shapes)
+        assert shapes and all(shape[-1] <= n + 1 for shape in shapes)
 
 
 def test_every_solve_applies_the_one_rank_cut(monkeypatch, capsys):
-    # verify's shape fits and every classify fit solve through
-    # tensor._lstsq_kernel, so each lstsq call cuts at KERNEL_RCOND
-    cuts = []
-    lstsq = np.linalg.lstsq
+    # verify's shape fits and fixed points and every classify fit solve
+    # through tensor._lstsq_kernel, whose one cut is tensor._kernel_rule's
+    columns, solves = [], []
+    rule, svd = tensor._kernel_rule, np.linalg.svd
 
-    def recording(*args, **kwargs):
-        cuts.append(kwargs.get("rcond", args[2] if len(args) > 2 else "default"))
-        return lstsq(*args, **kwargs)
+    def recording(sigma, width):
+        columns.append(width)
+        return rule(sigma, width)
 
-    monkeypatch.setattr(np.linalg, "lstsq", recording)
+    def solving(*args, **kwargs):
+        solves.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(tensor, "_kernel_rule", recording)
+    monkeypatch.setattr(np.linalg, "svd", solving)
+    monkeypatch.setattr(np.linalg, "lstsq", _unreachable)
     assert main(["verify", "--section", "all", "--n", "4", "--trials", "5"]) == 0
     capsys.readouterr()
-    verify_calls = len(cuts)
+    verify_calls = len(columns)
     for path in sorted(pathlib.Path(__file__).parent.parent.glob("manifests/*.txt")):
         manifest = load_manifest(path)
         classification_report(manifest.to_field().curvature_bundle(manifest.points[0]))
-    assert 0 < verify_calls < len(cuts)
-    assert set(cuts) == {KERNEL_RCOND}
+    assert 0 < verify_calls < len(columns) == len(solves)
 
 
 def test_quasi_constant_report_builds_one_weyl_grid(monkeypatch):

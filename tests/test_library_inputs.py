@@ -25,7 +25,8 @@ from curvkit.classify import (classification_report, conformally_flat_check,
                               einstein_check, hyper_quasi_constant_fit,
                               pseudo_quasi_constant_fit, quasi_constant_fit,
                               quasi_einstein_decompose)
-from curvkit.errors import CurvError, DimensionMismatch, NumericalInconsistency, ParseError
+from curvkit.errors import (CurvError, DimensionMismatch, DomainError, NumericalInconsistency,
+                            ParseError)
 from curvkit.gencurv import (GenCurvParams, pp_flat_alpha, pseudo_projective, qc_flat_alpha,
                              quasi_conformal, reconstruct_pp_flat, reconstruct_qc_flat,
                              reconstruct_w2_flat, w2, w2_flat_alpha, weyl, weyl_from_tensors)
@@ -230,6 +231,19 @@ def test_charts_take_numbers_or_refuse(data):
 def test_charts_and_expressions_refuse_bad_coordinate_names(build):
     with pytest.raises(ParseError):
         build()
+
+
+@pytest.mark.parametrize("text", [5, None, b"x"], ids=["int", "none", "bytes"])
+def test_parse_refuses_text_that_is_not_a_string(text):
+    with pytest.raises(ParseError, match="must be a string"):
+        curvkit.parse(text, ["x"])
+
+
+@pytest.mark.parametrize("point", [None, 5, ["a", "b"], [1.0, 2j], [10**400, 1.0]],
+                         ids=["none", "int", "text", "complex", "int-beyond-float"])
+def test_an_expression_refuses_a_point_that_is_not_numbers(point):
+    with pytest.raises(DomainError, match="sequence of numbers"):
+        curvkit.parse("x*y", ["x", "y"])(point)
 
 
 def _fits():
