@@ -30,9 +30,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import expr as ex
-from .errors import (CurvError, DimensionMismatch, DomainError,
-                     NumericalInconsistency, UnknownIdentifier)
-from .tensor import (CurvatureBundle, Metric, Tensor04, _as_array, _instance,
+from .errors import CurvError, DimensionMismatch, NumericalInconsistency, UnknownIdentifier
+from .tensor import (CurvatureBundle, Metric, Tensor04, _as_array, _instance, _point_values,
                      _ricci_contract_values, _tolerance, max_abs)
 
 __all__ = ["MetricField", "CurvatureBundle", "christoffel", "curvature_bundle",
@@ -43,7 +42,7 @@ def _normalize_entries(coords: Sequence[str], entries: Mapping) -> list[ex.Node]
     """The upper-triangle AST nodes g_ij (i <= j), row by row; missing entries are zero."""
     n = len(coords)
     index = {name: i for i, name in enumerate(coords)}
-    upper: dict[tuple[int, int], ex.Node] = {}
+    upper: dict[tuple[int, int], tuple] = {}  # (the key, the node) of each pair
     for key, value in entries.items():
         try:
             i, j = (index[k] if isinstance(k, str) else operator.index(k) for k in key)
@@ -52,6 +51,9 @@ def _normalize_entries(coords: Sequence[str], entries: Mapping) -> list[ex.Node]
                                     "or coordinate names") from None
         if not (0 <= i < n and 0 <= j < n):
             raise DimensionMismatch(f"metric entry index {key!r} out of range")
+        pair = min(i, j), max(i, j)
+        if pair in upper:
+            raise DimensionMismatch(f"keys {upper[pair][0]!r} and {key!r} name one metric entry")
         if isinstance(value, ex.Expression):
             # its variables are bound by name: each must be a chart coordinate
             stray = [c for c in value.coords if c not in index]
@@ -62,16 +64,16 @@ def _normalize_entries(coords: Sequence[str], entries: Mapping) -> list[ex.Node]
             node = ex.num(_as_array(value, f"metric entry {key!r}", 0, finite=False))
         else:
             node = ex.parse(str(value), coords).root
-        upper[min(i, j), max(i, j)] = node
+        upper[pair] = key, node
     zero = ex.num(0.0)
-    return [upper.get((i, j), zero) for i in range(n) for j in range(i, n)]
+    return [upper.get((i, j), (None, zero))[1] for i in range(n) for j in range(i, n)]
 
 
 class MetricField:
     """Symbolic metric over named chart coordinates.
 
-    `entries` maps upper-triangle index pairs -- ``(i, j)`` with integers or
-    coordinate-name pairs -- to expression strings, numbers, or parsed
+    `entries` maps index pairs, one key per unordered pair -- ``(i, j)`` with
+    integers or coordinate names -- to expression strings, numbers, or parsed
     :class:`~curvkit.expr.Expression` objects.  Missing entries are zero.
     """
 
@@ -140,10 +142,7 @@ class MetricField:
                                     f"got {type(point).__name__}") from None
         if size != self.n:
             raise DimensionMismatch(f"point has {size} components, expected {self.n}")
-        try:
-            return _as_array(point, "point", 1, self.n).tolist()
-        except DimensionMismatch as exc:
-            raise DomainError(f"point coordinates must be numbers: {exc}") from None
+        return _point_values(point, self.n)
 
     def _jet_at(self, x: Sequence[float], order: int):
         """The metric and its partials d^k g (k = 1..order) at coordinates x.

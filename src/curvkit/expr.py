@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DomainError, ParseError, UnknownIdentifier
+from .tensor import _point_values
 
 __all__ = [
     "Expression", "parse", "differentiate", "evaluate",
@@ -645,13 +646,7 @@ class Expression:
         return Expression(diff_nodes([self.root], name)[0], self.coords)
 
     def __call__(self, point: Sequence[float]) -> float:
-        try:
-            values = [float(v) for v in point]
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DomainError(f"a point must be a sequence of numbers: {exc}") from None
-        if len(values) != len(self.coords):
-            raise DomainError(
-                f"point has {len(values)} components, expected {len(self.coords)}")
+        values = _point_values(point, len(self.coords))
         constants, [program], slot = compile_tapes(self.coords, [topological([self.root])])
         values += constants
         run_program(*program, values)

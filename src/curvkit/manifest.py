@@ -34,13 +34,9 @@ class MetricManifest:
     coords: tuple[str, ...]
     entries: dict[tuple[str, str], str]
     points: tuple[tuple[float, ...], ...] = field(default_factory=tuple)
-    # the Expression of each entry, kept by parse_manifest so that to_field
-    # does not parse the text again; empty on a manifest built directly or
-    # by dataclasses.replace, whose to_field parses `entries`
-    _parsed: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def to_field(self) -> MetricField:
-        return MetricField(self.coords, {**self.entries, **self._parsed})
+        return MetricField(self.coords, self.entries)
 
 
 def parse_point(text: str, line: int | None = None) -> tuple[float, ...]:
@@ -111,13 +107,12 @@ def parse_manifest(text: str) -> MetricManifest:
         raise ManifestError(f"dim must be between 2 and {MAX_DIM}, got {dim}")
 
     entries: dict[tuple[str, str], str] = {}
-    parsed = {}
     for i, j, expr_text, lineno in raw_entries:
         if i not in coords or j not in coords:
             raise ManifestError(f"metric entry names unknown coordinate "
                                 f"in ({i},{j})", lineno)
         try:
-            parsed[(i, j)] = parse_expression(expr_text, coords)
+            parse_expression(expr_text, coords)
         except CurvError as exc:
             raise ManifestError(f"bad metric expression: {exc}", lineno) from None
         entries[(i, j)] = expr_text
@@ -127,10 +122,7 @@ def parse_manifest(text: str) -> MetricManifest:
             raise ManifestError(
                 f"sample point has {len(p)} components, expected {dim}")
 
-    manifest = MetricManifest(dim=dim, coords=coords, entries=entries,
-                              points=tuple(points))
-    object.__setattr__(manifest, "_parsed", parsed)
-    return manifest
+    return MetricManifest(dim=dim, coords=coords, entries=entries, points=tuple(points))
 
 
 def load_manifest(path) -> MetricManifest:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericalInconsistency, SingularMetric
+from .errors import DimensionMismatch, DomainError, NumericalInconsistency, SingularMetric
 
 __all__ = [
     "Metric", "Tensor04", "CurvatureBundle",
@@ -133,6 +133,16 @@ def _as_array(x, name: str, rank: int, n: int | None = None,
     return a
 
 
+def _point_values(point, n: int) -> list[float]:
+    """The n coordinates of a point as floats, the one conversion of a point
+    that `Expression` and `MetricField` share: DomainError unless it is a
+    sequence of n real, finite numbers."""
+    try:
+        return _as_array(point, "point", 1, n).tolist()
+    except DimensionMismatch as exc:
+        raise DomainError(f"a point must be a sequence of numbers: {exc}") from None
+
+
 def _instance(x, cls: type, name: str):
     """x, after checking that it is a `cls`; raises DimensionMismatch naming
     the argument `name` otherwise."""
@@ -224,8 +234,22 @@ class Metric:
         return f"Metric(n={self.n})"
 
 
+class _ArrayRecord:
+    """Base of the frozen dataclass records that hold arrays, each array
+    field as a read-only copy: the caller's array stays writable and
+    unshared.  A record's own `__post_init__` converts and checks its fields,
+    then calls this one, which takes the copies."""
+
+    def __post_init__(self):
+        for name, value in list(vars(self).items()):
+            if isinstance(value, np.ndarray):
+                value = value.copy()
+                value.flags.writeable = False
+                object.__setattr__(self, name, value)
+
+
 @dataclass(frozen=True, eq=False)
-class Tensor04:
+class Tensor04(_ArrayRecord):
     """A (0,4) tensor as a dense n^4 grid.
 
     `riemann_like=True` asserts (and validates on construction) the full set
@@ -237,7 +261,7 @@ class Tensor04:
     checks the flag, the library's own builders included, whose output has
     the symmetries by construction (`wedge_gg`, `quasi_constant_shape`, and
     `hyper_shape` and `gencurv.reconstruct_qc_flat` of a symmetric form).
-    The grid is held read-only.  Tensors compare and hash by identity.
+    The grid is held as a read-only copy.  Tensors compare and hash by identity.
     """
 
     values: np.ndarray
@@ -246,7 +270,6 @@ class Tensor04:
 
     def __post_init__(self):
         values = _as_array(self.values, "(0,4) tensor", 4)
-        values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "n", values.shape[0])
         if self.riemann_like:
@@ -257,6 +280,7 @@ class Tensor04:
             if bad:
                 raise DimensionMismatch(
                     f"tensor flagged riemann-like violates curvature symmetries: {bad}")
+        super().__post_init__()
 
     def norm(self) -> float:
         return max_abs(self.values)
@@ -274,7 +298,7 @@ class Tensor04:
 
 
 @dataclass(frozen=True, eq=False)
-class CurvatureBundle:
+class CurvatureBundle(_ArrayRecord):
     """All pointwise curvature data derived from a metric at one point.
 
     `riemann` uses the (0,4) convention R[i,j,k,l] = g(R(e_i,e_j)e_k, e_l);
@@ -303,16 +327,17 @@ class CurvatureBundle:
             if rv is None:
                 raise DimensionMismatch("need riemann or ricci to build a bundle")
             ricci = _ricci_contract_values(g.inv, rv)
-        ricci = _frozen(_as_array(ricci, "ricci", 2, _instance(g, Metric, "g").n))
+        ricci = _as_array(ricci, "ricci", 2, _instance(g, Metric, "g").n)
         r = _scalar_curvature_values(g.inv, ricci) if r is None else _as_array(r, "r", 0)
-        held = {"ricci": ricci, "ricci_op": _frozen(g.inv @ ricci), "r": float(r)}
+        held = {"ricci": ricci, "ricci_op": g.inv @ ricci, "r": float(r)}
         for name, rank in (("nabla_ricci", 3), ("dr", 1)):
             if getattr(self, name) is not None:
-                held[name] = _frozen(_as_array(getattr(self, name), name, rank, g.n))
+                held[name] = _as_array(getattr(self, name), name, rank, g.n)
         if self.point is not None:
             held["point"] = tuple(_as_array(self.point, "point", 1, g.n).tolist())
         for name, value in held.items():
             object.__setattr__(self, name, value)
+        super().__post_init__()
 
     @property
     def n(self) -> int:
@@ -323,22 +348,6 @@ class CurvatureBundle:
         """`CurvatureBundle(...)` by its documented name: the parts g,
         riemann, ricci, r, nabla_ricci, dr and point, in that order."""
         return cls(*parts, **named)
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """A read-only copy of a: the caller's array stays writable and unshared."""
-    a = a.copy()
-    a.flags.writeable = False
-    return a
-
-
-class _ArrayRecord:
-    """Base of frozen dataclass records: each array field is a read-only copy."""
-
-    def __post_init__(self):
-        for name, value in list(vars(self).items()):
-            if isinstance(value, np.ndarray):
-                object.__setattr__(self, name, _frozen(value))
 
 
 # --------------------------------------------------------------------------

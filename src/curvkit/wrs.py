@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (DegenerateRicci, DimensionMismatch, NumericalInconsistency,
                      ZeroScalarCurvature)
-from .tensor import (CurvatureBundle, _as_array, _bundle_part, _frozen, _instance, _lift,
+from .tensor import (CurvatureBundle, _ArrayRecord, _as_array, _bundle_part, _instance, _lift,
                      _lstsq_kernel, _relative, max_abs)
 
 if TYPE_CHECKING:
@@ -44,7 +44,7 @@ ZERO_R_TOL = 1e-12  # |r| at or below this counts as zero scalar curvature
 
 
 @dataclass(frozen=True, eq=False)
-class OneFormSystem:
+class OneFormSystem(_ArrayRecord):
     """The coefficient 1-forms of the weak-symmetry conditions.
 
     `a`, `b`, `d` are the three covectors of the Ricci-level condition, of
@@ -60,9 +60,10 @@ class OneFormSystem:
     def __post_init__(self):
         n = None
         for name in ("a", "b", "d"):
-            v = _frozen(_as_array(getattr(self, name), f"1-form {name}", 1, n))
+            v = _as_array(getattr(self, name), f"1-form {name}", 1, n)
             n = len(v)
             object.__setattr__(self, name, v)
+        super().__post_init__()
 
     @property
     def n(self) -> int:

@@ -251,7 +251,7 @@ def test_wrong_point_length(sphere2):
 @pytest.mark.parametrize("query", ["curvature_bundle", "metric_at", "christoffel",
                                    "nabla_riemann"])
 def test_point_coordinates_must_be_numbers(sphere2, query):
-    with pytest.raises(DomainError, match="must be numbers"):
+    with pytest.raises(DomainError, match="sequence of numbers"):
         getattr(sphere2, query)(("a", "b"))
 
 
@@ -276,12 +276,25 @@ def test_metric_field_needs_two_coords():
         MetricField(["x"], {(0, 0): "1"})
 
 
+@pytest.mark.parametrize("entries,keys", [
+    ({("x", "y"): "0.1", ("y", "x"): "0.3"}, r"\('x', 'y'\) and \('y', 'x'\)"),
+    ({(0, 0): "2", ("x", "x"): "3"}, r"\(0, 0\) and \('x', 'x'\)"),
+    ({(0, 1): 0.1, (1, 0): 0.1}, r"\(0, 1\) and \(1, 0\)"),
+], ids=["names-both-orders", "index-and-name", "indices-both-orders"])
+def test_two_entries_for_one_pair_are_refused(entries, keys):
+    # as a manifest refuses a repeated pair, instead of keeping the last entry
+    with pytest.raises(DimensionMismatch, match=keys):
+        MetricField(["x", "y"], {(0, 0): "2", (1, 1): "2", **entries})
+
+
 def test_entries_by_name_and_index_agree():
     by_idx = MetricField(["u", "v"], {(0, 0): "1+u^2", (1, 1): "2", (0, 1): "u*v"})
     by_name = MetricField(["u", "v"], {("u", "u"): "1+u^2", ("v", "v"): "2",
                                        ("u", "v"): "u*v"})
+    lower = MetricField(["u", "v"], {(0, 0): "1+u^2", (1, 1): "2", ("v", "u"): "u*v"})
     p = (0.4, 0.8)
     assert max_abs(by_idx.metric_at(p).mat - by_name.metric_at(p).mat) == 0.0
+    assert max_abs(by_idx.metric_at(p).mat - lower.metric_at(p).mat) == 0.0
 
 
 def test_unknown_entry_rejected():

@@ -9,8 +9,10 @@ functions that take arrays from a caller.  Each call runs with warnings
 turned into errors: it returns, or raises a CurvError, and never warns.
 """
 
+import ast
 import dataclasses
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,11 +241,16 @@ def test_parse_refuses_text_that_is_not_a_string(text):
         curvkit.parse(text, ["x"])
 
 
-@pytest.mark.parametrize("point", [None, 5, ["a", "b"], [1.0, 2j], [10**400, 1.0]],
-                         ids=["none", "int", "text", "complex", "int-beyond-float"])
-def test_an_expression_refuses_a_point_that_is_not_numbers(point):
+@pytest.mark.parametrize("text,point", [
+    ("x*y", None), ("x*y", 5), ("x*y", ["a", "b"]), ("x*y", [1.0, 2j]), ("x*y", [10**400, 1.0]),
+    ("x", ["0.5", "2"]), ("x", [b"1", 2]), ("x", [np.nan, 1.0]), ("x", [np.inf, 1.0]),
+    ("2*y", [np.nan, 1.0]),
+], ids=["none", "int", "text", "complex", "int-beyond-float", "numeric-text", "bytes", "nan",
+        "inf", "nan-of-an-unused-coordinate"])
+def test_an_expression_refuses_a_point_that_is_not_numbers(text, point):
+    # the point a chart refuses (tests/test_chart.py), with the same conversion
     with pytest.raises(DomainError, match="sequence of numbers"):
-        curvkit.parse("x*y", ["x", "y"])(point)
+        curvkit.parse(text, ["x", "y"])(point)
 
 
 def _fits():
@@ -254,28 +261,57 @@ def _fits():
     return g, qc
 
 
+# each build passes the arrays it gives a record through `keep`
 @pytest.mark.parametrize("build", [
-    lambda: Tensor04(np.ones((3,) * 4)),
-    lambda: CurvatureBundle.from_tensors(_metric(3), ricci=np.eye(3)),
-    lambda: OneFormSystem(a=np.ones(3), b=np.zeros(3), d=np.ones(3)),
-    lambda: random_point_model(5, 4),
-    lambda: quasi_einstein_decompose(np.diag([1.0, 1.0, 1.0, 3.0]), Metric(np.eye(4))),
-    lambda: quasi_constant_fit(_fits()[1], _fits()[0]),
-    lambda: hyper_quasi_constant_fit(_fits()[1], _fits()[0]),
-    lambda: pseudo_quasi_constant_fit(_fits()[1], _fits()[0]),
-    lambda: classification_report(CurvatureBundle.from_tensors(_fits()[0], _fits()[1])),
+    lambda keep: Tensor04(keep(np.ones((3,) * 4))),
+    lambda keep: CurvatureBundle.from_tensors(_metric(3), ricci=keep(np.eye(3)),
+                                              dr=keep(np.ones(3))),
+    lambda keep: OneFormSystem(a=keep(np.ones(3)), b=keep(np.zeros(3)), d=keep(np.ones(3))),
+    lambda keep: random_point_model(5, 4),
+    lambda keep: quasi_einstein_decompose(keep(np.diag([1.0, 1.0, 1.0, 3.0])), Metric(np.eye(4))),
+    lambda keep: quasi_constant_fit(_fits()[1], _fits()[0]),
+    lambda keep: hyper_quasi_constant_fit(_fits()[1], _fits()[0]),
+    lambda keep: pseudo_quasi_constant_fit(_fits()[1], _fits()[0]),
+    lambda keep: classification_report(CurvatureBundle.from_tensors(_fits()[0], _fits()[1])),
 ], ids=["Tensor04", "CurvatureBundle", "OneFormSystem", "PointModel", "QuasiEinsteinFit",
         "QuasiConstantFit", "HyperQuasiConstantFit", "PseudoQuasiConstantFit",
         "ClassificationReport"])
 def test_records_that_hold_arrays_compare_and_hash_by_identity(build):
-    first, second = build(), build()
+    given = []
+    first, second = (build(lambda a: given.append(a) or a) for _ in range(2))
     assert first == first
     assert first != second  # equal values, distinct instances
     assert hash(first) == hash(first) and hash(second) != hash(first)
     assert len({first, second, first}) == 2
     # and hold every array read-only, in their fields and in the records there
-    arrays = list(_arrays_of(first))
+    arrays = list(_arrays_of(first)) + list(_arrays_of(second))
     assert arrays and not any(array.flags.writeable for array in arrays)
+    # as copies: the caller's arrays stay writable and unshared
+    assert all(a.flags.writeable for a in given)
+    assert not any(np.shares_memory(a, b) for a in given for b in arrays)
+
+
+def test_only_the_record_base_freezes_arrays_it_is_given():
+    # Metric and the chart's memo freeze the arrays they create themselves
+    freezers = set()
+    for path in Path(curvkit.__file__).parent.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        assert "setflags" not in text, path.name
+        freezers.update(_freezers(ast.parse(text)))
+    assert freezers == {"_ArrayRecord.__post_init__", "Metric.__init__",
+                        "MetricField._curvature_at"}
+
+
+def _freezers(node, scope=""):
+    """The qualified name of each function in `node` that sets a `writeable` flag."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            yield from _freezers(child, f"{scope}.{child.name}".lstrip("."))
+        elif isinstance(child, ast.Assign) and any(
+                isinstance(t, ast.Attribute) and t.attr == "writeable" for t in child.targets):
+            yield scope
+        else:
+            yield from _freezers(child, scope)
 
 
 def _arrays_of(record):
