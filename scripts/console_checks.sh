@@ -34,6 +34,10 @@ python -c "import sys, curvkit.cli as c; c.main(['verify', '--n', '4', '--trials
 "${curvkit[@]}" curvature manifests/poly3.txt --at -0.0,0.3,0.2
 "${curvkit[@]}" classify manifests/sphere3.txt --a 1 --b 1
 "${curvkit[@]}" classify manifests/conformal4.txt
+# n = 2, where the hyper fit's normal operator is singular; a flat chart; n = 3
+"${curvkit[@]}" classify manifests/sphere2.txt
+"${curvkit[@]}" classify manifests/euclidean3.txt
+"${curvkit[@]}" classify manifests/poly3.txt
 "${curvkit[@]}" wrs manifests/sphere3.txt
 "${curvkit[@]}" wrs manifests/poly3.txt
 "${curvkit[@]}" curvature manifests/conformal5.txt

@@ -45,6 +45,8 @@ def _normalize_entries(coords: Sequence[str], entries: Mapping) -> list[ex.Node]
     upper: dict[tuple[int, int], tuple] = {}  # (the key, the node) of each pair
     for key, value in entries.items():
         try:
+            if isinstance(key, str):  # 'xy' unpacks, but names no pair
+                raise TypeError
             i, j = (index[k] if isinstance(k, str) else operator.index(k) for k in key)
         except (KeyError, TypeError, ValueError):
             raise DimensionMismatch(f"metric entry key {key!r} is not a pair of indices "

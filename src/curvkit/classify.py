@@ -18,10 +18,10 @@ import numpy as np
 from .errors import InvalidParams, NotQuasiConstant, NotQuasiEinstein
 from .gencurv import GenCurvParams, _combined_values
 from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, CurvatureBundle, Metric,
-                     Tensor04, _ArrayRecord, _as_array, _bundle_part, _expand_block,
-                     _grid_of, _instance, _lift, _lstsq_kernel, _max_abs_items, _outer,
-                     _relative, _ricci_contract_values, _scalar_curvature_values,
-                     _tolerance, _wedge_values, max_abs)
+                     Tensor04, _ArrayRecord, _adjoint_block, _as_array, _bundle_part,
+                     _expand_block, _grid_of, _instance, _lift, _lstsq_kernel,
+                     _max_abs_items, _outer, _relative, _ricci_contract_values,
+                     _scalar_curvature_values, _tolerance, _wedge_values, max_abs)
 
 __all__ = [
     "EinsteinFit", "QuasiEinsteinFit", "QuasiConstantFit",
@@ -192,12 +192,14 @@ def quasi_constant_fit(riemann: Tensor04, g: Metric,
 
     Strategy: the Ricci contraction of such an R is quasi-Einstein, and its
     simple eigendirection fixes A up to sign; (a, b) then come from a linear
-    least-squares fit.  The class definition additionally demands conformal
-    flatness, which `conformally_flat_check` decides from the Weyl norm.
+    least-squares fit in the g-norm, so they do not depend on the chart.
+    The class definition additionally demands conformal flatness, which
+    `conformally_flat_check` decides from the Weyl norm.
 
     Raises NotQuasiConstant when the Ricci pattern is absent, when the
     least-squares residual exceeds `tol`, or when the fitted b collapses to
     zero; in the last case `constant_curvature` carries the pure wedge fit.
+    The residual is the coordinate max-norm of the misfit over 1 + max|R|.
     """
     rv = _grid_of(riemann, "riemann", g)
     a, b, a_form, residual = _quasi_constant_values(
@@ -219,15 +221,20 @@ def _quasi_constant_values(rv: np.ndarray, gm: np.ndarray, ginv: np.ndarray,
         k = exc.item
         if k:  # a grid before k may fail a later step
             _quasi_constant_values(rv[:k], gm[:k], ginv[:k], wedge[:k], ricci[:k], tol)
-        raise _not_quasi_constant(exc, rv[k], wedge[k], tol).at(k) from None
-    return _quasi_constant_along(rv, gm, wedge, omega, tol)
+        raise _not_quasi_constant(exc, rv[k], ginv[k], wedge[k], tol).at(k) from None
+    return _quasi_constant_along(rv, gm, ginv, wedge, omega, tol)
 
 
-def _not_quasi_constant(exc: NotQuasiEinstein, rv: np.ndarray, wedge: np.ndarray,
-                        tol: float) -> NotQuasiConstant:
+def _not_quasi_constant(exc: NotQuasiEinstein, rv: np.ndarray, ginv: np.ndarray,
+                        wedge: np.ndarray, tol: float) -> NotQuasiConstant:
     """The NotQuasiConstant, unraised, of one grid whose Ricci contraction
-    failed the quasi-Einstein decomposition with `exc`."""
-    a_cc = float(np.vdot(wedge, rv) / np.vdot(wedge, wedge))
+    failed the quasi-Einstein decomposition with `exc`.  The constant
+    curvature is the g-orthogonal projection of R on G,
+    <G, R>_g / <G, G>_g = tr_g(Y) / (4n(n-1)), Y the hyper block's
+    `tensor._adjoint_block` of R."""
+    n = len(ginv)
+    a_cc = float(_scalar_curvature_values(ginv, _adjoint_block(_HYPER_TERMS, ginv, rv))
+                 / (4 * n * (n - 1)))
     res_cc = float(_relative(rv - a_cc * wedge, max_abs(rv), 4))
     if exc.einstein_alpha is not None and res_cc <= tol:
         return NotQuasiConstant("constant curvature (the A-block coefficient vanishes)",
@@ -236,14 +243,24 @@ def _not_quasi_constant(exc: NotQuasiEinstein, rv: np.ndarray, wedge: np.ndarray
                             residual=res_cc)
 
 
-def _quasi_constant_along(rv: np.ndarray, gm: np.ndarray, wedge: np.ndarray,
-                          omega: np.ndarray, tol: float):
+def _quasi_constant_along(rv: np.ndarray, gm: np.ndarray, ginv: np.ndarray,
+                          wedge: np.ndarray, omega: np.ndarray, tol: float):
     """`_quasi_constant_values` given the A of each grid, `omega`: the
-    two-column least-squares fits, in one `tensor._lstsq_kernel` call."""
+    least-squares fit R ~ a * G + b * H in the g-norm, H the hyper block at
+    A (x) A.  For a g-unit A the Gram matrix of G and H is the constant
+    [[2n(n-1), 4(n-1)], [4(n-1), 4(n-1)]], and with Y the hyper block's
+    `tensor._adjoint_block` of R the right side is <G, R>_g = tr_g(Y) / 2
+    (G is the hyper block at g / 2) and <H, R>_g = Y(A#, A#), A# = ginv A.
+    The 2 x 2 system, singular at n = 2, is solved for the whole stack in
+    one `tensor._lstsq_kernel` call."""
+    n = gm.shape[-1]
+    y = _adjoint_block(_HYPER_TERMS, ginv, rv)
+    sharp = ginv @ omega[..., None]
+    rhs = np.stack([_scalar_curvature_values(ginv, y) / 2,
+                    (sharp.swapaxes(-1, -2) @ y @ sharp)[..., 0, 0]], axis=-1)
+    gram = np.array([[2 * n * (n - 1), 4 * (n - 1)], [4 * (n - 1), 4 * (n - 1)]], dtype=float)
+    a, b = _lstsq_kernel(gram, rhs)[0].T
     block = _expand_block(_HYPER_TERMS, gm, _outer(omega, omega))
-    design = np.stack([wedge, block], axis=-1).reshape(len(rv), -1, 2)
-    a, b = _lstsq_kernel(design, rv.reshape(len(rv), -1))[0].T
-    del design
     block *= _lift(b, 4)
     rv_size = _max_abs_items(rv, 4)
     residual = _relative(_misfit_size(rv, a, wedge, block), rv_size, 0)
@@ -265,116 +282,47 @@ def _quasi_constant_along(rv: np.ndarray, gm: np.ndarray, wedge: np.ndarray,
 
 
 @functools.lru_cache(maxsize=32)
-def _eigenframe_plan(terms, n: int):
-    """The design of the fit R ~ a * G + B(P) where g = diag(mu), read off
-    the term table of the block kernel B.  There a term (sign, ps, gs) puts
-    sign * mu_m in the column of P_ab at the grid entry holding a, b in the
-    slots `ps` and m in both slots `gs`.  For both fitted tables each
-    off-diagonal column P_ab (a != b) has entries that no other column
-    touches, and the n diagonal columns P_aa share the 2n(n-1) coupled
-    entries (x,y,y,x) and (x,y,x,y), x != y, with G, which is
-    +-mu_x mu_y there and zero elsewhere.  Returns
-
-    * `rows`: the flat grid indices of the coupled entries, (x,y,y,x) for
-      the pairs x != y in row-major order, then (x,y,x,y);
-    * `(x, y)`: those pairs, which also index the off-diagonal columns;
-    * `lin`: the small design's column of P_aa is lin[:, a] @ mu;
-    * `off`: flat grid indices, signs and eigenvalue indices m, of shape
-      (3, n(n-1), k): the column of P_xy holds sign * mu[m] at those
-      entries.  Relabeling the indices maps one off-diagonal column onto
-      another, so all have the same k."""
-    # entries[t, a, b, m]: the flat grid index that term t writes in the
-    # column of P_ab for eigenvalue m (an entry determines m)
-    a, b, m = np.indices((n, n, n))
-    entries = []
-    for _, ps, gs in terms:
-        at = dict(zip(ps + gs, (a, b, m, m)))
-        i, j, k, l = (at[s] for s in "ijkl")
-        entries.append(((i * n + j) * n + k) * n + l)
-    entries = np.array(entries)
-    # terms that write one entry add, and may cancel; the first keeps the sum
-    same = entries[:, None] == entries[None]
-    coef = np.tensordot([t[0] for t in terms], same, axes=(0, 0))
-    earlier = np.tril(np.ones((len(terms),) * 2, dtype=bool), -1)
-    kept = (coef != 0) & ~np.any(same & earlier[..., None, None, None], axis=1)
-    m = np.broadcast_to(m, entries.shape)
-    x, y = np.nonzero(~np.eye(n, dtype=bool))
-    rows = np.concatenate([((x * n + y) * n + y) * n + x, ((x * n + y) * n + x) * n + y])
-    row_of = np.zeros(n ** 4, dtype=int)
-    row_of[rows] = np.arange(len(rows))
-    diagonal = kept & (a == b)
-    lin = np.zeros((len(rows), n, n))
-    lin[row_of[entries[diagonal]], np.nonzero(diagonal)[1], m[diagonal]] = coef[diagonal]
-    # the off-diagonal items grouped by column: (a, b) before term and m
-    off = kept & (a != b)
-    off = [v.transpose(1, 2, 0, 3)[off.transpose(1, 2, 0, 3)] for v in (entries, coef, m)]
-    return rows, (x, y), lin, np.reshape(off, (3, len(x), -1))
-
-
-def _eigenframe(rv: np.ndarray, gm: np.ndarray):
-    """eigh(g) = Q diag(mu) Q^T and, flattened, the grids in that frame,
-    R'[a,b,c,d] = Q[i,a] Q[j,b] Q[k,c] Q[l,d] R[i,j,k,l], for grids and
-    metrics stacked on the same leading axes: each product rotates the
-    leading slot and moves it last, so four restore the order."""
-    mu, q = np.linalg.eigh(gm)
-    lead, n = gm.shape[:-2], gm.shape[-1]
-    for _ in range(4):
-        rv = rv.reshape(*lead, n, -1).swapaxes(-1, -2) @ q
-    return mu, q, rv.reshape(*lead, -1)
+def _normal_weights(terms, n: int) -> tuple[float, float]:
+    """(lam, mu) of the normal operator B*B(P) = lam * P + mu * tr_g(P) * g of
+    the block B that `terms` describe, at dimension n, B* its
+    `tensor._adjoint_block`: hyper 4(n-2) and 4, pseudo 2(n-1) and 0.  Both
+    tables act so on every bilinear P at every g (tests/test_classify.py),
+    so one probe at g = I, P = E_00, reads them off: its 00 entry is
+    lam + mu and its 11 entry mu."""
+    eye = np.eye(n)
+    probe = _adjoint_block(terms, eye, _expand_block(terms, eye, np.outer(eye[0], eye[0])))
+    return float(probe[0, 0] - probe[1, 1]), float(probe[1, 1])
 
 
 def _linear_fit(rv: np.ndarray, gm: np.ndarray, ginv: np.ndarray, wedge: np.ndarray,
-                terms, gauge_weight: float, frame):
-    """Least-squares fit R ~ a * wedge_gg + B(P) over (a, P), with the
-    trace part of P moved into a (`gauge_weight` wedges per unit trace), for
-    grids R and metrics (with their G grids `wedge`) stacked on the same
-    leading axes, unchecked, given their `_eigenframe` (one for all fits).
+                terms, gauge_weight: float):
+    """Least-squares fit R ~ a * wedge_gg + B(P) over (a, P) in the g-norm
+    |X|_g^2 = X_ijkl X^ijkl, with the trace part of P moved into a
+    (`gauge_weight` wedges per unit trace), for grids R and metrics (with
+    their G grids `wedge`) stacked on the same leading axes, unchecked.
     Returns a, P, the residual and the kernel dimension, each stacked.
 
-    `terms` is the term table of a `tensor` block kernel B.  The fit is the
-    minimum-norm solution over the full n^4 grid, solved in the frame of
-    eigh(g) = Q diag(mu) Q^T: rotating all four slots by Q keeps the
-    Frobenius norm, and the minimum-norm solution rotates with it (a stays,
-    P -> Q^T P Q).  There every off-diagonal P_ab column is orthogonal to
-    every other column (`_eigenframe_plan`), so it is one projection of the
-    rotated R divided by its squared norm; only a and the diagonal P_aa
-    couple, in one least-squares solve with n + 1 columns per fit, which
-    `tensor._lstsq_kernel` runs for the whole stack in one SVD.  The
-    singular values of the full design are those of that solve and the
-    off-diagonal column norms, which no P_aa column exceeds, so `kernel_dim`
-    counts both against the one cut of `tensor._lstsq_kernel`.  The residual
-    is measured on the full coordinate grid."""
+    `terms` is the term table of a `tensor` block kernel B, and G is
+    B(g) / gauge_weight, so the fitted grid is B(P') for P' = P + (a /
+    gauge_weight) g.  The normal equations of P' read
+    lam * P' + mu * tr_g(P') * g = Y (`_normal_weights`), Y = B*(R) the
+    block's `tensor._adjoint_block` of R, so in closed form the trace-free
+    part of P' is (Y - tr_g(Y) / n * g) / lam and its trace
+    tr_g(Y) / (lam + n mu).  Where lam = 0 (the hyper block at n = 2) every
+    trace-free P' is in the kernel, and the minimum-norm answer takes it 0:
+    the kernel dimension is n^2 there and 1, the gauge, elsewhere.  The
+    g-norm is the Frobenius norm of the components in any g-orthonormal
+    frame, so (a, P) follow the chart as tensors do.  The residual is
+    measured on the full coordinate grid."""
     n = gm.shape[-1]
-    lead = gm.shape[:-2]
-    rows, (x, y), lin, (entries, signs, m) = _eigenframe_plan(terms, n)
-    mu, q, rot = frame
-    del frame  # a frame passed inline is released with rot below
-    mu_xy = mu[..., x] * mu[..., y]  # G in the eigenframe, at the coupled entries
-    design = np.empty(lead + (len(rows), n + 1))
-    design[..., 0] = np.concatenate([mu_xy, -mu_xy], axis=-1)
-    design[..., 1:] = (lin @ mu[..., None, :, None])[..., 0]
-    sol, kernel_dim, cut = _lstsq_kernel(design, rot[..., rows])
-    column = signs * np.take(mu, m, axis=-1)  # each off-diagonal column's entries
-    # a sum of squares of the entries left after the plan's cancellations:
-    # exactly 0 where all cancel (the hyper block at n = 2), never the
-    # rounding noise that a difference of sums would leave above the cut
-    norm_sq = np.einsum("...ck,...ck->...c", column, column)
-    kept = np.sqrt(norm_sq) > cut[..., None]
-    projection = np.einsum("...ck,...ck->...c", column, np.take(rot, entries, axis=-1))
-    del rot
-    p_rot = np.zeros(lead + (n, n))
-    p_rot[..., x, y] = np.divide(projection, norm_sq, out=np.zeros(lead + (len(x),)),
-                                 where=kept)
-    diagonal = np.arange(n)
-    p_rot[..., diagonal, diagonal] = sol[..., 1:]
-    kernel_dim += len(x) - kept.sum(axis=-1)
-    p0 = q @ p_rot @ q.swapaxes(-1, -2)
-    trace = np.einsum("...ij,...ij->...", ginv, p0)
-    p_hat = p0 - _lift(trace / n, 2) * gm
-    a_hat = sol[..., 0] + gauge_weight * trace / n
+    lam, mu = _normal_weights(terms, n)
+    y = _adjoint_block(terms, ginv, rv)
+    trace = _scalar_curvature_values(ginv, y)
+    p_hat = (y - _lift(trace / n, 2) * gm) / lam if lam else np.zeros_like(y)
+    a_hat = gauge_weight * trace / (n * (lam + n * mu))
     residual = _relative(_misfit_size(rv, a_hat, wedge, _expand_block(terms, gm, p_hat)),
                          _max_abs_items(rv, 4), 0)
-    return a_hat, p_hat, residual, kernel_dim
+    return a_hat, p_hat, residual, np.full(gm.shape[:-2], 1 if lam else n * n)
 
 
 def _misfit_size(rv: np.ndarray, a, wedge: np.ndarray, fitted: np.ndarray) -> np.ndarray:
@@ -392,28 +340,31 @@ def _misfit_size(rv: np.ndarray, a, wedge: np.ndarray, fitted: np.ndarray) -> np
 
 def _shape_fits(rv: np.ndarray, g: Metric, wedge: np.ndarray, *kinds):
     """The `_linear_fit` of one checked grid, with the G grid of g, to the
-    `shape` of each fit class of `kinds`, as its instance, in one `_eigenframe`."""
-    frame = _eigenframe(rv, g.mat)
+    `shape` of each fit class of `kinds`, as its instance."""
     fits = []
     for kind in kinds:
-        a, p, residual, kernel = _linear_fit(rv, g.mat, g.inv, wedge, *kind.shape, frame)
+        a, p, residual, kernel = _linear_fit(rv, g.mat, g.inv, wedge, *kind.shape)
         fits.append(kind(a=float(a), p=p, residual=float(residual), kernel_dim=int(kernel)))
     return fits
 
 
 def hyper_quasi_constant_fit(riemann: Tensor04, g: Metric) -> HyperQuasiConstantFit:
     """Fit R = a * wedge_gg(g) + hyper_shape(g, P) with P gauge-fixed to be
-    trace-free (P -> P + c*g is absorbed by a -> a - 2c).  Always returns;
-    `residual` says how well the fit explains the input and `kernel_dim`
-    reports the null directions of the design operator (>= 1, the gauge)."""
+    trace-free (P -> P + c*g is absorbed by a -> a - 2c), by least squares
+    in the g-norm |X|_g^2 = X_ijkl X^ijkl, so (a, P) do not depend on the
+    chart.  Always returns; `residual`, the coordinate max-norm of the misfit
+    over 1 + max|R|, says how well the fit explains the input and
+    `kernel_dim` reports the null directions of the design operator: 1, the
+    gauge, except n^2 at n = 2, where the block is a multiple of G."""
     rv = _grid_of(riemann, "riemann", g)
     return _shape_fits(rv, g, _wedge_values(g.mat), HyperQuasiConstantFit)[0]
 
 
 def pseudo_quasi_constant_fit(riemann: Tensor04, g: Metric) -> PseudoQuasiConstantFit:
     """Fit R = a * wedge_gg(g) + pseudo_shape(g, P), trace-free gauge
-    (P -> P + c*g is absorbed by a -> a + c).  Accepts generalized inputs;
-    the two-term shape need not be riemann-like."""
+    (P -> P + c*g is absorbed by a -> a + c), fitted as
+    `hyper_quasi_constant_fit` is.  Accepts generalized inputs; the two-term
+    shape need not be riemann-like."""
     rv = _grid_of(riemann, "riemann", g)
     return _shape_fits(rv, g, _wedge_values(g.mat), PseudoQuasiConstantFit)[0]
 
@@ -519,11 +470,11 @@ def classification_report(bundle: CurvatureBundle,
         qe = _quasi_einstein_fit(s, g)
     except NotQuasiEinstein as exc:
         qe_err = str(exc)
-        qc_err = str(_not_quasi_constant(exc, rv, wedge, tol))
+        qc_err = str(_not_quasi_constant(exc, rv, g.inv, wedge, tol))
     else:
         try:
             a, b, a_form, residual = _quasi_constant_along(
-                rv[None], g.mat[None], wedge[None], qe.omega[None], tol)
+                rv[None], g.mat[None], g.inv[None], wedge[None], qe.omega[None], tol)
             qc = QuasiConstantFit(a=float(a[0]), b=float(b[0]), a_form=a_form[0],
                                   residual=float(residual[0]))
         except NotQuasiConstant as exc:

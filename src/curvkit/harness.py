@@ -31,7 +31,7 @@ A round's trials are computed once per block of trials, over the stack: one
 residual per trial, the worst of which is the check's.
 The classifiers and their least-squares fits run stacked too
 (`classify._quasi_einstein_values`, `_quasi_constant_values`,
-`tensor._lstsq_kernel`); only the one-trial brute-force twins run trial by
+`_linear_fit`); only the one-trial brute-force twins run trial by
 trial, on rows of the stack.
 A failure is charged to its trial: the check ends there, with the extras
 of the trials before it.  A round is computed before an error of its
@@ -82,9 +82,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .classify import (HyperQuasiConstantFit, PseudoQuasiConstantFit, _eigenframe,
-                       _einstein_values, _linear_fit, _quasi_constant_values,
-                       _quasi_einstein_values)
+from .classify import (HyperQuasiConstantFit, PseudoQuasiConstantFit, _einstein_values,
+                       _linear_fit, _quasi_constant_values, _quasi_einstein_values)
 from .errors import (CurvError, DegenerateParams, InvalidParams,
                      SingularMetric, ZeroScalarCurvature)
 from .gencurv import (GenCurvParams, _combined_values, _dimension, _flat_alpha,
@@ -568,8 +567,7 @@ def _flat_fit_check(flavor: str) -> _Check:
         alpha, beta = _flat_weights(flavor, n, r, params)
         p_true = beta * s
         trace = _scalar_curvature_values(ginv, p_true)
-        fit_a, fit_p, fit_residual, _ = _linear_fit(riemann, gm, ginv, wedge, terms,
-                                                    gauge_weight, _eigenframe(riemann, gm))
+        fit_a, fit_p, fit_residual, _ = _linear_fit(riemann, gm, ginv, wedge, terms, gauge_weight)
         a_true = alpha + gauge_weight * trace / n
         p_hat = p_true - _lift(trace / n, 2) * gm
         return np.maximum.reduce([
@@ -643,8 +641,7 @@ def _pp_quasi_constant(config, gm, ginv, c, t):
     wedge = _wedge_values(gm)
     riemann = _flat_values("pp", ricci, gm, r, params, wedge)
     fit_a, fit_p, fit_residual, _ = _linear_fit(riemann, gm, ginv, wedge,
-                                                *PseudoQuasiConstantFit.shape,
-                                                _eigenframe(riemann, gm))
+                                                *PseudoQuasiConstantFit.shape)
     gamma1, beta = _flat_weights("pp", n, r, params)
     delta1 = beta * coeff
     a_true = gamma1 + delta1 * t_rho / n

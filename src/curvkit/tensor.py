@@ -80,9 +80,9 @@ def is_symmetric(a: np.ndarray) -> bool:
 def _lstsq_kernel(design: np.ndarray,
                   rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one least-squares solve: the minimum-norm solutions of
-    design @ x = rhs for systems stacked on leading axes (none for one
-    system), designs (..., m, k) and right-hand sides (..., m), in one
-    stacked SVD.  Returns the solutions, the kernel dimension of each design
+    design @ x = rhs for systems stacked on leading axes that broadcast
+    (none for one system), designs (..., m, k) and right-hand sides
+    (..., m), in one stacked SVD.  Returns the solutions, the kernel dimension of each design
     (the columns less the singular values above the cut) and the cut,
     KERNEL_RCOND * sigma_max, which the solve applies, stacked.  Raises
     NumericalInconsistency for the first system with a non-finite
@@ -402,10 +402,10 @@ def ricci_operator(ricci, g: Metric) -> np.ndarray:
 # is a fixed sum of products, so a stacked call equals the item-by-item
 # grids bit for bit.  `_contract_block` returns the Ricci contraction of
 # that grid without building it.  The builders here and in `gencurv` pass
-# their table to one of the two directly.  The fits of `classify` read the same tables a third way: in
-# the frame where g is diagonal, they list which grid entries each column
-# of P touches (`classify._eigenframe_plan`), and solve without a design
-# over the grid.
+# their table to one of the two directly.  A third reader, `_adjoint_block`,
+# maps a grid back to a bilinear by the g-adjoint of the block, which is
+# all the shape fits of `classify` need: their normal equations, in the
+# g-norm, are one such contraction of the fitted grid.
 
 _PSEUDO_TERMS = ((+1, "jk", "il"), (-1, "ik", "jl"))
 _HYPER_TERMS = _PSEUDO_TERMS + ((+1, "il", "jk"), (-1, "jl", "ik"))
@@ -450,6 +450,21 @@ def _contract_block(terms, ginv: np.ndarray, gm: np.ndarray,
         kept = "".join(dict.fromkeys(c for c in "il" + fs if c in ss + "jk"))
         weight = np.einsum(f"...il,...{fs}->...{kept}", ginv, first)
         term = np.einsum(f"...{ss},...{kept}->...jk", second, weight)
+        out = out + term if sign > 0 else out - term
+    return out
+
+
+def _adjoint_block(terms, ginv: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Y = B*(R), the g-adjoint of the block B that `terms` describe, for
+    grids R and inverse metrics stacked on leading axes that broadcast:
+    <R, B(P)>_g = <Y, P>_g for every bilinear P, where <X, Z>_g contracts
+    every slot pair with ginv.  Per term (sign, ps, gs), R has its slots
+    gs contracted with ginv and its slots ps kept, in that order; the terms
+    are summed in table order.  The pseudo block gives c14 - c24 and the
+    hyper block c14 - c24 + c23 - c13, c14 being `_ricci_contract_values`."""
+    out = 0.0
+    for sign, ps, gs in terms:
+        term = np.einsum(f"...{gs},...ijkl->...{ps}", ginv, values)
         out = out + term if sign > 0 else out - term
     return out
 

@@ -8,7 +8,7 @@ import pytest
 from curvkit import classify, tensor
 from curvkit.chart import CurvatureBundle, MetricField
 from curvkit.cli import main
-from curvkit.classify import (_eigenframe_plan, _not_quasi_constant,
+from curvkit.classify import (_normal_weights, _not_quasi_constant,
                               _quasi_constant_values, _quasi_einstein_values,
                               classification_report,
                               conformally_flat_check,
@@ -18,9 +18,10 @@ from curvkit.classify import (_eigenframe_plan, _not_quasi_constant,
 from curvkit.errors import DimensionMismatch, NotQuasiConstant, NotQuasiEinstein
 from curvkit.gencurv import GenCurvParams
 from curvkit.manifest import load_manifest
-from curvkit.tensor import (_HYPER_TERMS, _PSEUDO_TERMS, Metric,
-                            Tensor04, _norm_sq_values, hyper_shape, max_abs, pseudo_shape,
-                            quasi_constant_shape, ricci_contract, wedge_gg)
+from curvkit.tensor import (_HYPER_TERMS, _PSEUDO_TERMS, Metric, Tensor04, _adjoint_block,
+                            _expand_block, _norm_sq_values, hyper_shape, max_abs,
+                            pseudo_shape, quasi_constant_shape, ricci_contract,
+                            scalar_curvature, wedge_gg)
 from curvkit.wrs import recover_one_forms, weak_symmetry_residual
 from oracles import random_riemann_like, random_spd
 
@@ -445,7 +446,7 @@ def test_the_report_keeps_sphere3s_constant_curvature(sphere3):
         quasi_einstein_decompose(bundle.ricci, bundle.g)
     with pytest.raises(NotQuasiConstant) as fit:
         quasi_constant_fit(bundle.riemann, bundle.g)
-    shared = _not_quasi_constant(qe.value, bundle.riemann.values,
+    shared = _not_quasi_constant(qe.value, bundle.riemann.values, bundle.g.inv,
                                  wedge_gg(bundle.g).values, 1e-8)
     assert str(shared) == str(fit.value) == report.quasi_constant_error
     assert (shared.residual, shared.constant_curvature) == (fit.value.residual,
@@ -606,7 +607,7 @@ def test_classification_report_generic():
 
 
 # --------------------------------------------------------------------------
-# The reduced-row fits against the full n^4-row least squares
+# The closed-form fits against a dense least-squares fit in the g-norm
 
 # (sign, metric slots, P slots) of each term of the two shapes, as written
 # in their docstrings
@@ -614,9 +615,22 @@ HYPER_TERMS = ((1, "il", "jk"), (-1, "ik", "jl"), (1, "jk", "il"), (-1, "jl", "i
 PSEUDO_TERMS = ((1, "il", "jk"), (-1, "jl", "ik"))
 
 
+def each_slot(m, x, slots):
+    """x with each of its first `slots` slots contracted with m,
+    x'[a, ...] = m[a, i] x[i, ...], one slot at a time."""
+    for axis in range(slots):
+        x = np.moveaxis(np.tensordot(m, x, axes=(1, axis)), 0, axis)
+    return x
+
+
 def full_row_fit(rv, g: Metric, terms, gauge_weight):
-    """The fit R ~ a * G + shape(P) on all n^4 rows, with the design written
-    out entry by entry from the formulas."""
+    """The fit R ~ a * G + shape(P) in the g-norm, densely: the design on
+    all n^4 rows written out entry by entry from the formulas, then rows and
+    grid whitened into the Cholesky frame of g, where the g-norm is the
+    Frobenius norm, and the unknowns P = L Q L^T taken as the frame
+    components Q, so that the minimum-norm solution is minimal in the g-norm
+    too.  Returns a, P in the trace-free gauge, the coordinate max-norm
+    residual and the design's rank deficit."""
     n = g.n
     gm = g.mat
     design = np.zeros((n ** 4, n * n + 1))
@@ -625,39 +639,22 @@ def full_row_fit(rv, g: Metric, terms, gauge_weight):
         design[row, 0] = gm[j, k] * gm[i, l] - gm[i, k] * gm[j, l]
         for sign, gs, ps in terms:
             design[row, 1 + at[ps[0]] * n + at[ps[1]]] += sign * gm[at[gs[0]], at[gs[1]]]
-    sol, _, _, sigma = np.linalg.lstsq(design, rv.ravel(), rcond=1e-10)
-    kernel_dim = design.shape[1] - int(np.sum(sigma > 1e-10 * sigma[0]))
-    p0 = sol[1:].reshape(n, n)
+    chol = np.linalg.cholesky(gm)
+    linv = np.linalg.inv(chol)
+    columns = np.zeros((n * n + 1,) * 2)
+    columns[0, 0] = 1.0
+    columns[1:, 1:] = np.kron(chol, chol)  # vec(P) = kron(L, L) vec(Q), row-major
+    # the components in the g-orthonormal frame e'_a = linv[a, i] e_i
+    whitened = each_slot(linv, design.reshape((n,) * 4 + (-1,)), 4).reshape(n ** 4, -1) @ columns
+    sol, _, rank, _ = np.linalg.lstsq(whitened, each_slot(linv, rv, 4).ravel(), rcond=1e-10)
+    p0 = chol @ sol[1:].reshape(n, n) @ chol.T
     trace = float(np.sum(g.inv * p0))
     p_hat = p0 - (trace / n) * gm
     a_hat = sol[0] + gauge_weight * trace / n
     fitted = design @ np.concatenate([[a_hat], p_hat.ravel()])
     residual = np.max(np.abs(rv.ravel() - fitted)) / (1.0 + np.max(np.abs(rv)))
-    return a_hat, p_hat, residual, kernel_dim
+    return a_hat, p_hat, residual, design.shape[1] - rank
 
-
-@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
-@pytest.mark.parametrize("target", ["general", "riemann-like"])
-def test_fits_match_full_row_reference(n, target):
-    rng = np.random.default_rng(500 + n)
-    g = Metric(random_spd(rng, n))
-    if target == "general":
-        rv = rng.standard_normal((n,) * 4)
-    else:
-        rv = random_riemann_like(rng, n)
-    riemann = Tensor04(rv)
-    for fit_fn, terms, weight in ((hyper_quasi_constant_fit, HYPER_TERMS, 2.0),
-                                  (pseudo_quasi_constant_fit, PSEUDO_TERMS, 1.0)):
-        fit = fit_fn(riemann, g)
-        a, p, residual, kernel_dim = full_row_fit(rv, g, terms, weight)
-        assert abs(fit.a - a) <= 1e-10 * abs(a)
-        assert max_abs(fit.p - p) <= 1e-10 * max_abs(p)
-        assert abs(fit.residual - residual) <= 1e-10 * residual
-        assert fit.kernel_dim == kernel_dim
-
-
-# --------------------------------------------------------------------------
-# The eigenframe solve
 
 def assert_fits_match_reference(rv, g: Metric):
     """Both fits against `full_row_fit`, with an absolute floor for targets
@@ -675,8 +672,20 @@ def assert_fits_match_reference(rv, g: Metric):
 
 
 @pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("target", ["general", "riemann-like"])
+def test_fits_match_full_row_reference(n, target):
+    rng = np.random.default_rng(500 + n)
+    g = Metric(random_spd(rng, n))
+    if target == "general":
+        rv = rng.standard_normal((n,) * 4)
+    else:
+        rv = random_riemann_like(rng, n)
+    assert_fits_match_reference(rv, g)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
 def test_fits_match_reference_at_identity_metric(n):
-    # every eigenvalue of g = I is repeated, so eigh's frame is arbitrary
+    # at g = I the g-norm is the Frobenius norm of the components
     rng = np.random.default_rng(520 + n)
     g = Metric(np.eye(n))
     assert_fits_match_reference(rng.standard_normal((n,) * 4), g)
@@ -716,39 +725,133 @@ def test_fits_reproduce_exact_targets(n):
 
 
 def test_sphere2_hyper_kernel(sphere2):
-    # at n = 2 the off-diagonal hyper columns are exactly zero: with the
-    # wedge and the two diagonal columns of rank one, four null directions
+    # at n = 2 the hyper block of P is tr_g(P) * G: every trace-free P is
+    # null, with the gauge four null directions, and the minimum-norm P is 0
     bundle = sphere2.curvature_bundle((1.0471975511965976, 0.2))
     fit = hyper_quasi_constant_fit(bundle.riemann, bundle.g)
     assert fit.kernel_dim == 4
     assert fit.residual <= 1e-14
+    assert max_abs(fit.p) == 0.0
 
 
-def test_eigenframe_plan_matches_closed_forms():
-    """The plan read off each term table: off-diagonal columns touch entries
-    of their own, and their squared norms are the closed forms
-    2 * sum_{m != a} mu_m^2 (pseudo) and 4 * sum_{m not in {a, b}} mu_m^2
-    (hyper)."""
-    rng = np.random.default_rng(550)
-    for n in range(2, 7):
-        mu = rng.uniform(0.5, 2.0, n)
-        for terms, count in ((_PSEUDO_TERMS, 2), (_HYPER_TERMS, 4)):
-            rows, (x, y), _, (entries, signs, m) = _eigenframe_plan(terms, n)
-            assert len(set(entries.ravel().tolist())) == entries.size
-            assert not set(entries.ravel().tolist()) & set(rows.tolist())
-            norm_sq = np.sum((signs * mu[m]) ** 2, axis=-1)
-            for a, b, got in zip(x, y, norm_sq):
-                others = [c for c in range(n)
-                          if c != a and (terms is _PSEUDO_TERMS or c != b)]
-                expected = count * sum(mu[c] ** 2 for c in others)
-                assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
+def g_inner(x, z, ginv):
+    """<X, Z>_g of two grids or two bilinears: every slot pair contracted
+    with ginv."""
+    return float(np.sum(each_slot(ginv, x, x.ndim) * z))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_the_adjoint_block_is_the_g_adjoint(n):
+    rng = np.random.default_rng(545 + n)
+    g = Metric(random_spd(rng, n))
+    rv, p = rng.standard_normal((n,) * 4), rng.standard_normal((n, n))
+    for terms in (_PSEUDO_TERMS, _HYPER_TERMS):
+        lhs = g_inner(rv, _expand_block(terms, g.mat, p), g.inv)
+        rhs = g_inner(_adjoint_block(terms, g.inv, rv), p, g.inv)
+        assert rhs == pytest.approx(lhs, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_normal_weights_are_the_normal_operator(n):
+    """B*B(P) = lam * P + mu * tr_g(P) * g for every bilinear P at every g,
+    with hyper (4(n-2), 4) and pseudo (2(n-1), 0)."""
+    rng = np.random.default_rng(550 + n)
+    g = Metric(random_spd(rng, n))
+    p = rng.standard_normal((n, n))
+    for terms, weights in ((_HYPER_TERMS, (4 * (n - 2), 4)), (_PSEUDO_TERMS, (2 * (n - 1), 0))):
+        assert _normal_weights(terms, n) == weights
+        lam, mu = weights
+        normal = _adjoint_block(terms, g.inv, _expand_block(terms, g.mat, p))
+        want = lam * p + mu * float(np.sum(g.inv * p)) * g.mat
+        assert max_abs(normal - want) <= 1e-12 * (1 + max_abs(want))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_fits_of_a_curvature_tensor_take_the_textbook_forms(n):
+    """On a curvature tensor both fits give a = r / (n(n-1)), and P the
+    trace-free Ricci tensor over n - 2 (hyper, 0 at n = 2) or n - 1
+    (pseudo)."""
+    rng = np.random.default_rng(555 + n)
+    for _ in range(3):
+        g = Metric(random_spd(rng, n))
+        riemann = Tensor04(random_riemann_like(rng, n), riemann_like=True)
+        s = ricci_contract(riemann, g)
+        r = scalar_curvature(s, g)
+        tracefree_s = s - (r / n) * g.mat
+        scale = 1.0 + max_abs(s)
+        for fit_fn, divisor in ((hyper_quasi_constant_fit, n - 2),
+                                (pseudo_quasi_constant_fit, n - 1)):
+            fit = fit_fn(riemann, g)
+            assert fit.a == pytest.approx(r / (n * (n - 1)), rel=1e-12, abs=1e-14 * scale)
+            want = tracefree_s / divisor if divisor else np.zeros((n, n))
+            assert max_abs(fit.p - want) <= 1e-12 * scale
+
+
+def random_congruence(rng, n):
+    """A = I + 0.3 N(0, 1), redrawn until cond(A) <= 100."""
+    while True:
+        a = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+        if np.linalg.cond(a) <= 100:
+            return a
+
+
+def congruent(a, g: Metric, rv):
+    """(A^T g A, R(A., A., A., A.)): the same metric and grid in the frame
+    whose vectors are the columns of A."""
+    return Metric(a.T @ g.mat @ a), np.einsum("ia,jb,kc,ld,ijkl->abcd", a, a, a, a, rv)
+
+
+def weyl_part(rv, g: Metric):
+    """The trace-free part of a curvature grid, R - KN(S, g) / (n - 2)
+    + r / ((n-1)(n-2)) G, whose Ricci contraction vanishes."""
+    n = g.n
+    s = ricci_contract(Tensor04(rv), g)
+    r = scalar_curvature(s, g)
+    return (rv - hyper_shape(g, s).values / (n - 2)
+            + r / ((n - 1) * (n - 2)) * wedge_gg(g).values)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_fits_do_not_depend_on_the_frame(n):
+    """The fits of (A^T g A, A^4 R) give the same a (and b), and P -> A^T P A
+    (A -> A^T A for the 1-form): the fits minimize the g-norm, which no
+    change of frame moves."""
+    rng = np.random.default_rng(560 + n)
+    for _ in range(3):
+        g = Metric(random_spd(rng, n))
+        a = random_congruence(rng, n)
+        for rv in (rng.standard_normal((n,) * 4), random_riemann_like(rng, n)):
+            g2, rv2 = congruent(a, g, rv)
+            for fit_fn in (hyper_quasi_constant_fit, pseudo_quasi_constant_fit):
+                fit, fit2 = fit_fn(Tensor04(rv), g), fit_fn(Tensor04(rv2), g2)
+                assert abs(fit2.a - fit.a) <= 1e-9 * (1 + abs(fit.a))
+                moved = a.T @ fit.p @ a
+                assert max_abs(fit2.p - moved) <= 1e-9 * (1 + max_abs(moved))
+                assert fit2.kernel_dim == fit.kernel_dim
+        if n < 4:
+            continue
+        # a quasi-constant grid plus a Weyl part, which keeps its Ricci
+        # contraction quasi-Einstein and leaves the fit a residual to spread
+        omega = unit_covector(rng, g)
+        rv = (0.8 * wedge_gg(g).values + 1.7 * quasi_constant_shape(g, omega).values
+              + 0.5 * weyl_part(random_riemann_like(rng, n), g))
+        g2, rv2 = congruent(a, g, rv)
+        fit = quasi_constant_fit(Tensor04(rv), g, tol=1.0)
+        fit2 = quasi_constant_fit(Tensor04(rv2), g2, tol=1.0)
+        assert fit.residual > 1e-3
+        for got, want in ((fit2.a, fit.a), (fit2.b, fit.b)):
+            assert abs(got - want) <= 1e-9 * (1 + abs(want))
+        moved = a.T @ fit.a_form
+        assert min(max_abs(fit2.a_form - moved), max_abs(fit2.a_form + moved)) <= 1e-9
 
 
 def _unreachable(*args, **kwargs):
     raise AssertionError("a system reached np.linalg.lstsq")
 
 
-def test_fits_solve_at_most_n_plus_one_columns(monkeypatch, sphere3, conformal4):
+def test_the_shape_fits_solve_no_system(monkeypatch, sphere3, conformal4):
+    # the hyper and pseudo fits are closed forms, and a report's only SVD is
+    # the quasi-constant fit's 2 x 2 normal equations
     shapes = []
     svd = np.linalg.svd
 
@@ -758,26 +861,26 @@ def test_fits_solve_at_most_n_plus_one_columns(monkeypatch, sphere3, conformal4)
 
     monkeypatch.setattr(np.linalg, "svd", recording)
     monkeypatch.setattr(np.linalg, "lstsq", _unreachable)
-    rng = np.random.default_rng(560)
+    rng = np.random.default_rng(565)
     for n in range(2, 9):
         g = Metric(random_spd(rng, n))
         riemann = Tensor04(rng.standard_normal((n,) * 4))
-        shapes.clear()
         hyper_quasi_constant_fit(riemann, g)
         pseudo_quasi_constant_fit(riemann, g)
-        assert len(shapes) == 2
-        assert all(shape[-1] <= n + 1 for shape in shapes)
-    for field, point in ((sphere3, (1.0, 0.9, 0.5)), (conformal4, (0.3, -0.2, 0.5, 0.1))):
+    assert shapes == []
+    # sphere3 is not quasi-Einstein, so it reaches no quasi-constant fit
+    for field, point, solves in ((sphere3, (1.0, 0.9, 0.5), []),
+                                 (conformal4, (0.3, -0.2, 0.5, 0.1), [(2, 2)])):
+        report = classification_report(field.curvature_bundle(point))
+        assert (report.quasi_constant is not None) == bool(solves)
+        assert shapes == solves
         shapes.clear()
-        classification_report(field.curvature_bundle(point))
-        n = len(point)
-        # quasi_constant_fit's own two-column solve is the only other one
-        assert shapes and all(shape[-1] <= n + 1 for shape in shapes)
 
 
 def test_every_solve_applies_the_one_rank_cut(monkeypatch, capsys):
-    # verify's shape fits and fixed points and every classify fit solve
-    # through tensor._lstsq_kernel, whose one cut is tensor._kernel_rule's
+    # verify's fixed points and quasi-constant fits, and classify's
+    # quasi-constant fit, solve through tensor._lstsq_kernel, whose one cut
+    # is tensor._kernel_rule's
     columns, solves = [], []
     rule, svd = tensor._kernel_rule, np.linalg.svd
 

@@ -220,6 +220,17 @@ def test_charts_take_numbers_or_refuse(data):
     _returns_or_refuses(field.curvature_bundle, point)
 
 
+@pytest.mark.parametrize("entries", [
+    {"xx": "2", "yy": "3", "xy": "0.5"},
+    {(0, 0): "2", (1, 1): "3", "xy": "0.5"},
+], ids=["all-strings", "one-string"])
+def test_a_chart_refuses_a_bare_string_key(entries):
+    # a two-letter string unpacks as two coordinate names, but is no pair
+    bad = next(key for key in entries if isinstance(key, str))
+    with pytest.raises(DimensionMismatch, match=f"^metric entry key '{bad}' is not a pair"):
+        MetricField(["x", "y"], entries)
+
+
 @pytest.mark.parametrize("build", [
     lambda: MetricField(["x", "x"], {(0, 0): 5.0, (0, 1): 0.5, (1, 1): 7.0}),
     lambda: MetricField(["x", "1bad"], {(0, 0): 1.0, (1, 1): 1.0}),
