@@ -42,10 +42,13 @@ python -c "import sys, curvkit.cli as c; c.main(['verify', '--n', '4', '--trials
 "${curvkit[@]}" wrs manifests/poly3.txt
 "${curvkit[@]}" curvature manifests/conformal5.txt
 "${curvkit[@]}" classify manifests/conformal5.txt
+# non-default weights shift the bilinear of each block by a different multiple of g
+"${curvkit[@]}" classify manifests/conformal5.txt --a 2 --b -0.7
 "${curvkit[@]}" wrs manifests/conformal5.txt
 "${curvkit[@]}" verify --section all --n 4 --trials 10
 "${curvkit[@]}" verify --section all --n 5 --trials 100
 "${curvkit[@]}" verify --section all --n 8 --trials 10
+"${curvkit[@]}" verify --section all --n 8 --trials 10 --a 2 --b -0.7
 "${curvkit[@]}" verify --section all --n 5 --trials 700
 "${curvkit[@]}" verify --section all --n 16 --trials 2
 # the stacked least-squares fits of 2,000 trials pass without a warning

@@ -17,11 +17,12 @@ import numpy as np
 
 from .errors import InvalidParams, NotQuasiConstant, NotQuasiEinstein
 from .gencurv import GenCurvParams, _combined_values
-from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, CurvatureBundle, Metric,
-                     Tensor04, _ArrayRecord, _adjoint_block, _as_array, _bundle_part,
-                     _expand_block, _grid_of, _instance, _lift, _lstsq_kernel,
-                     _max_abs_items, _outer, _relative, _ricci_contract_values,
-                     _scalar_curvature_values, _tolerance, _wedge_values, max_abs)
+from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, _WEDGE_WEIGHT, CurvatureBundle,
+                     Metric, Tensor04, _ArrayRecord, _adjoint_block, _as_array,
+                     _bundle_part, _expand_block, _expand_with_wedge, _grid_of,
+                     _instance, _lift, _lstsq_kernel, _max_abs_items, _outer, _relative,
+                     _ricci_contract_values, _scalar_curvature_values, _tolerance,
+                     _wedge_values, max_abs)
 
 __all__ = [
     "EinsteinFit", "QuasiEinsteinFit", "QuasiConstantFit",
@@ -70,7 +71,7 @@ class HyperQuasiConstantFit(_ArrayRecord):
     p: np.ndarray  # trace-free gauge representative
     residual: float
     kernel_dim: int
-    shape: ClassVar = (_HYPER_TERMS, 2.0)  # the block kernel; a's wedges per unit trace of P
+    shape: ClassVar = (_HYPER_TERMS, _WEDGE_WEIGHT[_HYPER_TERMS])  # the block, B(g) / G
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,13 +80,20 @@ class PseudoQuasiConstantFit(_ArrayRecord):
     p: np.ndarray
     residual: float
     kernel_dim: int
-    shape: ClassVar = (_PSEUDO_TERMS, 1.0)
+    shape: ClassVar = (_PSEUDO_TERMS, _WEDGE_WEIGHT[_PSEUDO_TERMS])
 
 
 def einstein_check(s, g: Metric, tol: float = 1e-8) -> EinsteinFit:
     """Fit S = alpha * g with alpha = r/n; residual is max-norm relative."""
     s = _as_array(s, "bilinear form", 2, _instance(g, Metric, "g").n)
-    return _einstein_fit(s, g, float(_as_array(tol, "tol", 0)))
+    return _einstein_fit(s, g, _positive_tol(tol))
+
+
+def _positive_tol(tol) -> float:
+    """The caller's tol, a finite number (DimensionMismatch) above zero (InvalidParams)."""
+    if (value := float(_as_array(tol, "tol", 0))) <= 0.0:
+        raise InvalidParams(f"tol must be positive, got {value:g}")
+    return value
 
 
 def _einstein_fit(s: np.ndarray, g: Metric, tol: float) -> EinsteinFit:
@@ -203,39 +211,40 @@ def quasi_constant_fit(riemann: Tensor04, g: Metric,
     """
     rv = _grid_of(riemann, "riemann", g)
     a, b, a_form, residual = _quasi_constant_values(
-        rv[None], g.mat[None], g.inv[None], _wedge_values(g.mat)[None],
-        _ricci_contract_values(g.inv, rv)[None], float(_as_array(tol, "tol", 0)))
+        rv[None], g.mat[None], g.inv[None], _ricci_contract_values(g.inv, rv)[None],
+        _positive_tol(tol))
     return QuasiConstantFit(a=float(a[0]), b=float(b[0]), a_form=a_form[0],
                             residual=float(residual[0]))
 
 
 def _quasi_constant_values(rv: np.ndarray, gm: np.ndarray, ginv: np.ndarray,
-                           wedge: np.ndarray, ricci: np.ndarray, tol: float):
+                           ricci: np.ndarray, tol: float):
     """`quasi_constant_fit` of grids and metrics stacked on one leading axis,
-    unchecked, given the metrics' G grids `wedge` and the grids' Ricci
-    contractions `ricci`: a, b, A and the residual of each, stacked.  Raises
-    NotQuasiConstant for the first grid that fails, its index as `item`."""
+    unchecked, given the grids' Ricci contractions `ricci`: a, b, A and the
+    residual of each, stacked.  Raises NotQuasiConstant for the first grid
+    that fails, its index as `item`."""
     try:
         omega = _quasi_einstein_values(ricci, gm, ginv)[2]
     except NotQuasiEinstein as exc:
         k = exc.item
         if k:  # a grid before k may fail a later step
-            _quasi_constant_values(rv[:k], gm[:k], ginv[:k], wedge[:k], ricci[:k], tol)
-        raise _not_quasi_constant(exc, rv[k], ginv[k], wedge[k], tol).at(k) from None
-    return _quasi_constant_along(rv, gm, ginv, wedge, omega, tol)
+            _quasi_constant_values(rv[:k], gm[:k], ginv[:k], ricci[:k], tol)
+        raise _not_quasi_constant(exc, rv[k], gm[k], ginv[k], tol).at(k) from None
+    return _quasi_constant_along(rv, gm, ginv, omega, tol)
 
 
-def _not_quasi_constant(exc: NotQuasiEinstein, rv: np.ndarray, ginv: np.ndarray,
-                        wedge: np.ndarray, tol: float) -> NotQuasiConstant:
+def _not_quasi_constant(exc: NotQuasiEinstein, rv: np.ndarray, gm: np.ndarray,
+                        ginv: np.ndarray, tol: float) -> NotQuasiConstant:
     """The NotQuasiConstant, unraised, of one grid whose Ricci contraction
     failed the quasi-Einstein decomposition with `exc`.  The constant
     curvature is the g-orthogonal projection of R on G,
     <G, R>_g / <G, G>_g = tr_g(Y) / (4n(n-1)), Y the hyper block's
-    `tensor._adjoint_block` of R."""
+    `tensor._adjoint_block` of R, and a_cc * G the pseudo block at a_cc * g."""
     n = len(ginv)
     a_cc = float(_scalar_curvature_values(ginv, _adjoint_block(_HYPER_TERMS, ginv, rv))
                  / (4 * n * (n - 1)))
-    res_cc = float(_relative(rv - a_cc * wedge, max_abs(rv), 4))
+    res_cc = float(_relative(
+        _misfit_size(rv, _expand_block(_PSEUDO_TERMS, gm, a_cc * gm)), max_abs(rv), 0))
     if exc.einstein_alpha is not None and res_cc <= tol:
         return NotQuasiConstant("constant curvature (the A-block coefficient vanishes)",
                                 residual=res_cc, constant_curvature=a_cc)
@@ -244,10 +253,11 @@ def _not_quasi_constant(exc: NotQuasiEinstein, rv: np.ndarray, ginv: np.ndarray,
 
 
 def _quasi_constant_along(rv: np.ndarray, gm: np.ndarray, ginv: np.ndarray,
-                          wedge: np.ndarray, omega: np.ndarray, tol: float):
+                          omega: np.ndarray, tol: float):
     """`_quasi_constant_values` given the A of each grid, `omega`: the
     least-squares fit R ~ a * G + b * H in the g-norm, H the hyper block at
-    A (x) A.  For a g-unit A the Gram matrix of G and H is the constant
+    A (x) A, the fitted grid the hyper block at (a / 2) g + b A (x) A.  For
+    a g-unit A the Gram matrix of G and H is the constant
     [[2n(n-1), 4(n-1)], [4(n-1), 4(n-1)]], and with Y the hyper block's
     `tensor._adjoint_block` of R the right side is <G, R>_g = tr_g(Y) / 2
     (G is the hyper block at g / 2) and <H, R>_g = Y(A#, A#), A# = ginv A.
@@ -260,11 +270,10 @@ def _quasi_constant_along(rv: np.ndarray, gm: np.ndarray, ginv: np.ndarray,
                     (sharp.swapaxes(-1, -2) @ y @ sharp)[..., 0, 0]], axis=-1)
     gram = np.array([[2 * n * (n - 1), 4 * (n - 1)], [4 * (n - 1), 4 * (n - 1)]], dtype=float)
     a, b = _lstsq_kernel(gram, rhs)[0].T
-    block = _expand_block(_HYPER_TERMS, gm, _outer(omega, omega))
-    block *= _lift(b, 4)
     rv_size = _max_abs_items(rv, 4)
-    residual = _relative(_misfit_size(rv, a, wedge, block), rv_size, 0)
-    floor = _tolerance(COEFF_FLOOR, rv_size / _max_abs_items(wedge, 4))
+    floor = _tolerance(COEFF_FLOOR, rv_size / _max_abs_items(_wedge_values(gm), 4))
+    fitted = _expand_with_wedge(_HYPER_TERMS, gm, _lift(b, 2) * _outer(omega, omega), a)
+    residual = _relative(_misfit_size(rv, fitted), rv_size, 0)
     failed = (residual > tol) | (np.abs(b) <= floor) | (np.abs(a) <= floor)
     if failed.any():
         k = int(np.argmax(failed))
@@ -294,17 +303,17 @@ def _normal_weights(terms, n: int) -> tuple[float, float]:
     return float(probe[0, 0] - probe[1, 1]), float(probe[1, 1])
 
 
-def _linear_fit(rv: np.ndarray, gm: np.ndarray, ginv: np.ndarray, wedge: np.ndarray,
+def _linear_fit(rv: np.ndarray, gm: np.ndarray, ginv: np.ndarray,
                 terms, gauge_weight: float):
     """Least-squares fit R ~ a * wedge_gg + B(P) over (a, P) in the g-norm
     |X|_g^2 = X_ijkl X^ijkl, with the trace part of P moved into a
-    (`gauge_weight` wedges per unit trace), for grids R and metrics (with
-    their G grids `wedge`) stacked on the same leading axes, unchecked.
-    Returns a, P, the residual and the kernel dimension, each stacked.
+    (`gauge_weight` wedges per unit trace), for grids R and metrics stacked
+    on the same leading axes, unchecked.  Returns a, P, the residual and the
+    kernel dimension, each stacked.
 
     `terms` is the term table of a `tensor` block kernel B, and G is
-    B(g) / gauge_weight, so the fitted grid is B(P') for P' = P + (a /
-    gauge_weight) g.  The normal equations of P' read
+    B(g) / gauge_weight, so the fitted grid is the one block B(P') for
+    P' = P + (a / gauge_weight) g.  The normal equations of P' read
     lam * P' + mu * tr_g(P') * g = Y (`_normal_weights`), Y = B*(R) the
     block's `tensor._adjoint_block` of R, so in closed form the trace-free
     part of P' is (Y - tr_g(Y) / n * g) / lam and its trace
@@ -320,32 +329,23 @@ def _linear_fit(rv: np.ndarray, gm: np.ndarray, ginv: np.ndarray, wedge: np.ndar
     trace = _scalar_curvature_values(ginv, y)
     p_hat = (y - _lift(trace / n, 2) * gm) / lam if lam else np.zeros_like(y)
     a_hat = gauge_weight * trace / (n * (lam + n * mu))
-    residual = _relative(_misfit_size(rv, a_hat, wedge, _expand_block(terms, gm, p_hat)),
+    residual = _relative(_misfit_size(rv, _expand_with_wedge(terms, gm, p_hat, a_hat)),
                          _max_abs_items(rv, 4), 0)
     return a_hat, p_hat, residual, np.full(gm.shape[:-2], 1 if lam else n * n)
 
 
-def _misfit_size(rv: np.ndarray, a, wedge: np.ndarray, fitted: np.ndarray) -> np.ndarray:
-    """max|R - a*G - fitted| of each fit of a stack, a the fitted wedge
-    coefficients and `fitted` the rest of the fitted grids: the misfit is
-    written into one new grid, in the order of that expression, and its
-    size taken in place, so the fit holds one n^4 grid more than its
-    arguments."""
-    misfit = np.multiply(_lift(a, 4), wedge)
-    np.subtract(rv, misfit, out=misfit)
-    misfit -= fitted
-    del fitted  # a grid passed inline is released here
-    return np.abs(misfit, out=misfit).max(axis=(-4, -3, -2, -1), initial=0.0)
+def _misfit_size(rv: np.ndarray, fitted: np.ndarray) -> np.ndarray:
+    """max|R - fitted| of each fit of a stack, written into `fitted`, the
+    grids its caller has just built, so a fit holds no n^4 grid more."""
+    np.subtract(rv, fitted, out=fitted)
+    return np.abs(fitted, out=fitted).max(axis=(-4, -3, -2, -1), initial=0.0)
 
 
-def _shape_fits(rv: np.ndarray, g: Metric, wedge: np.ndarray, *kinds):
-    """The `_linear_fit` of one checked grid, with the G grid of g, to the
-    `shape` of each fit class of `kinds`, as its instance."""
-    fits = []
-    for kind in kinds:
-        a, p, residual, kernel = _linear_fit(rv, g.mat, g.inv, wedge, *kind.shape)
-        fits.append(kind(a=float(a), p=p, residual=float(residual), kernel_dim=int(kernel)))
-    return fits
+def _shape_fit(rv: np.ndarray, g: Metric, kind):
+    """The `_linear_fit` of one checked grid to the `shape` of the fit class
+    `kind`, as its instance."""
+    a, p, residual, kernel = _linear_fit(rv, g.mat, g.inv, *kind.shape)
+    return kind(a=float(a), p=p, residual=float(residual), kernel_dim=int(kernel))
 
 
 def hyper_quasi_constant_fit(riemann: Tensor04, g: Metric) -> HyperQuasiConstantFit:
@@ -357,7 +357,7 @@ def hyper_quasi_constant_fit(riemann: Tensor04, g: Metric) -> HyperQuasiConstant
     `kernel_dim` reports the null directions of the design operator: 1, the
     gauge, except n^2 at n = 2, where the block is a multiple of G."""
     rv = _grid_of(riemann, "riemann", g)
-    return _shape_fits(rv, g, _wedge_values(g.mat), HyperQuasiConstantFit)[0]
+    return _shape_fit(rv, g, HyperQuasiConstantFit)
 
 
 def pseudo_quasi_constant_fit(riemann: Tensor04, g: Metric) -> PseudoQuasiConstantFit:
@@ -366,7 +366,7 @@ def pseudo_quasi_constant_fit(riemann: Tensor04, g: Metric) -> PseudoQuasiConsta
     `hyper_quasi_constant_fit` is.  Accepts generalized inputs; the two-term
     shape need not be riemann-like."""
     rv = _grid_of(riemann, "riemann", g)
-    return _shape_fits(rv, g, _wedge_values(g.mat), PseudoQuasiConstantFit)[0]
+    return _shape_fit(rv, g, PseudoQuasiConstantFit)
 
 
 def conformally_flat_check(bundle: CurvatureBundle,
@@ -375,14 +375,14 @@ def conformally_flat_check(bundle: CurvatureBundle,
     (For n <= 3 the Weyl tensor vanishes identically, so the verdict is
     vacuous there and only meaningful from n = 4 on; the norm reads 0 at
     n = 2, where the tensor is not even defined.)"""
-    rv, tol = _bundle_part(bundle, "riemann").values, float(_as_array(tol, "tol", 0))
-    return _conformally_flat(rv, bundle, _wedge_values(bundle.g.mat), tol)
+    return _conformally_flat(_bundle_part(bundle, "riemann").values, bundle,
+                             _positive_tol(tol))
 
 
-def _conformally_flat(rv: np.ndarray, bundle: CurvatureBundle, wedge, tol: float):
-    """`conformally_flat_check` of the bundle's grid rv and G grid, tol checked."""
+def _conformally_flat(rv: np.ndarray, bundle: CurvatureBundle, tol: float):
+    """`conformally_flat_check` of the bundle's grid rv, tol checked."""
     norm = 0.0 if bundle.n < 3 else max_abs(_combined_values(
-        "weyl", rv, bundle.g.mat, bundle.ricci, bundle.r, None, wedge))
+        "weyl", rv, bundle.g.mat, bundle.ricci, bundle.r, None))
     return norm, norm <= _tolerance(tol, max_abs(rv))
 
 
@@ -456,33 +456,33 @@ def classification_report(bundle: CurvatureBundle,
     METRIC_LIMIT sets."""
     rv, s, g = _bundle_part(bundle, "riemann").values, bundle.ricci, bundle.g
     _instance(params, GenCurvParams, "params")
-    tol = float(_as_array(tol, "tol", 0))
+    tol = _positive_tol(tol)
     size = max_abs(g.mat)
     if not 1.0 / METRIC_LIMIT <= size <= METRIC_LIMIT:
         raise InvalidParams(f"classify needs the metric's largest entry between "
                             f"{1.0 / METRIC_LIMIT:g} and {METRIC_LIMIT:g}, got {size:g}")
     ein = _einstein_fit(s, g, tol)
-    wedge = _wedge_values(g.mat)
-    hyper, pseudo = _shape_fits(rv, g, wedge, HyperQuasiConstantFit, PseudoQuasiConstantFit)
+    hyper = _shape_fit(rv, g, HyperQuasiConstantFit)
+    pseudo = _shape_fit(rv, g, PseudoQuasiConstantFit)
     # one quasi-Einstein decomposition of s, pass or fail, serves both verdicts
     qe = qe_err = qc = qc_err = None
     try:
         qe = _quasi_einstein_fit(s, g)
     except NotQuasiEinstein as exc:
         qe_err = str(exc)
-        qc_err = str(_not_quasi_constant(exc, rv, g.inv, wedge, tol))
+        qc_err = str(_not_quasi_constant(exc, rv, g.mat, g.inv, tol))
     else:
         try:
             a, b, a_form, residual = _quasi_constant_along(
-                rv[None], g.mat[None], g.inv[None], wedge[None], qe.omega[None], tol)
+                rv[None], g.mat[None], g.inv[None], qe.omega[None], tol)
             qc = QuasiConstantFit(a=float(a[0]), b=float(b[0]), a_form=a_form[0],
                                   residual=float(residual[0]))
         except NotQuasiConstant as exc:
             qc_err = str(exc)
-    weyl_norm, conf_flat = _conformally_flat(rv, bundle, wedge, tol)
+    weyl_norm, conf_flat = _conformally_flat(rv, bundle, tol)
 
     def norm(kind):
-        return max_abs(_combined_values(kind, rv, g.mat, s, bundle.r, params, wedge))
+        return max_abs(_combined_values(kind, rv, g.mat, s, bundle.r, params))
 
     gen_norms = {"quasi_conformal": norm("qc"), "w2": norm("w2"),
                  "pseudo_projective": norm("pp") if params.a and params.b else None}

@@ -2,13 +2,15 @@
 
 Every tensor here has the one form
 
-    K = a*R + b*B(S) - c*G,        G = wedge_gg(g),
+    K = a*R + b*B(S) - c*G = a*R + B(b*S - (c/w)*g),      G = wedge_gg(g) = B(g)/w,
 
 a weighted sum of the (0,4) curvature R, a block kernel B of `tensor`
 applied to the Ricci form S, and the constant-curvature shape G, all in the
 package's lowered (0,4) convention and built from a
-:class:`~curvkit.tensor.CurvatureBundle`.  The kinds differ only in their
-weights (`_weights`):
+:class:`~curvkit.tensor.CurvatureBundle`.  G is the block at g over its
+weight w (`tensor._WEDGE_WEIGHT`: 2 for the four-term block, 1 for the
+two-term block), so each K is one block expansion.  The kinds differ only
+in their weights (`_weights`):
 
     kind              a   b          B(S)                     c
     quasi-conformal   a   b          S-wedge (four-term)      (r/n)(a/(n-1) + 2b)
@@ -19,11 +21,12 @@ weights (`_weights`):
 The Weyl tensor serves as the conformal-flatness predicate.
 
 Setting any of the first three to zero and solving for R gives
-R = (c/a)*G - (b/a)*B(S), the `reconstruct_*` functions; feeding a
-reconstruction back through its combination returns zero identically.  The
-quasi-conformal and pseudo-projective reconstructions accept S and r
-independently, so callers can probe inconsistent inputs.  The W2
-reconstruction takes no r: its weights do not involve it.
+R = (c/a)*G - (b/a)*B(S) = B(-(b/a)*S + (c/(a*w))*g), the `reconstruct_*`
+functions; feeding a reconstruction back through its combination returns
+zero identically.  The quasi-conformal and pseudo-projective
+reconstructions accept S and r independently, so callers can probe
+inconsistent inputs.  The W2 reconstruction takes no r: its weights do not
+involve it.
 
 The scalar curvature is one quantity and is named `r` throughout, whichever
 weighted combination it appears in.
@@ -38,8 +41,8 @@ import numpy as np
 from .errors import DegenerateParams, DimensionMismatch, InvalidParams
 from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, _W2_TERMS, CurvatureBundle,
                      Metric, Tensor04, _as_array, _bundle_part, _contract_block,
-                     _expand_block, _grid_of, _instance, _lift, _tolerance,
-                     _wedge_values, is_symmetric)
+                     _expand_with_wedge, _grid_of, _instance, _lift, _tolerance,
+                     is_symmetric)
 
 __all__ = [
     "GenCurvParams",
@@ -131,31 +134,30 @@ def _require(kind: str, params: GenCurvParams | None, n: int | None = None):
 def _combine(kind: str, bundle: CurvatureBundle,
              params: GenCurvParams | None = None) -> Tensor04:
     """K of one kind for a bundle that carries its (0,4) tensor."""
-    rv, gm = _bundle_part(bundle, "riemann").values, bundle.g.mat
-    return Tensor04(_combined_values(kind, rv, gm, bundle.ricci, bundle.r, params,
-                                     _wedge_values(gm)))
+    rv = _bundle_part(bundle, "riemann").values
+    return Tensor04(_combined_values(kind, rv, bundle.g.mat, bundle.ricci, bundle.r, params))
 
 
 def _combined_values(kind: str, rv: np.ndarray, gm: np.ndarray, s: np.ndarray,
-                     r, params: GenCurvParams | None, wedge) -> np.ndarray:
-    """K = a*R + b*B(S) - c*G for grids R, metrics g (with their G grids
-    `wedge`), forms S and scalars r stacked on the same leading axes,
-    unchecked.  `_combine` wraps it, and the report takes its norms from it."""
+                     r, params: GenCurvParams | None) -> np.ndarray:
+    """K = a*R + B(b*S - (c/w)*g), one block expansion, for grids R, metrics
+    g, forms S and scalars r stacked on the same leading axes, unchecked.
+    `_combine` wraps it, and the report takes its norms from it."""
     a, b, block, c = _weights(kind, gm.shape[-1], r, params)
-    return _minus_g(a * rv + b * _expand_block(block, gm, s), c, wedge)
+    values = _expand_with_wedge(block, gm, b * s, -c)
+    values += a * rv
+    return values
 
 
 def _flat_values(kind: str, s: np.ndarray, gm: np.ndarray, r,
-                 params: GenCurvParams | None, wedge) -> np.ndarray:
-    """The R that makes K vanish, (c/a)*G - (b/a)*B(S), for forms S, metrics
-    g (with their G grids `wedge`) and scalars r stacked on the same leading
-    axes, (..., n, n) -> (..., n, n, n, n); only the weights are checked.
+                 params: GenCurvParams | None) -> np.ndarray:
+    """The R that makes K vanish, B(-(b/a)*S + (c/(a*w))*g), for forms S,
+    metrics g and scalars r stacked on the same leading axes,
+    (..., n, n) -> (..., n, n, n, n); only the weights are checked.
     The reconstructions wrap it; `_flat_ricci` is its Ricci contraction."""
     _require(kind, params)
     a, b, block, c = _weights(kind, gm.shape[-1], r, params)
-    values = _expand_block(block, gm, s)
-    values *= -(b / a)
-    return _minus_g(values, -c / a, wedge)
+    return _expand_with_wedge(block, gm, -(b / a) * s, c / a)
 
 
 def _flat_ricci(kind: str, s: np.ndarray, gm: np.ndarray, ginv: np.ndarray,
@@ -173,15 +175,6 @@ def _flat_ricci(kind: str, s: np.ndarray, gm: np.ndarray, ginv: np.ndarray,
     if np.any(c):
         out = out + _lift(c / a, 2) * _contract_block(_PSEUDO_TERMS, ginv, gm, gm)
     return out
-
-
-def _minus_g(values: np.ndarray, c, wedge) -> np.ndarray:
-    """values - c*G, c one scalar per metric, written into `values`, a grid
-    its caller has just made; with a zero weight (the W2 kind) G is not
-    read, so its callers pass None for it."""
-    if np.any(c):
-        values -= _lift(c, 4) * wedge
-    return values
 
 
 # --------------------------------------------------------------------------
@@ -237,7 +230,7 @@ def _flat_grid(kind: str, s, g: Metric, r: float,
     _require(kind, params)
     s = _as_array(s, "bilinear form", 2, _instance(g, Metric, "g").n)
     r = float(_as_array(r, "r", 0))
-    return _flat_values(kind, s, g.mat, r, params, _wedge_values(g.mat)), s
+    return _flat_values(kind, s, g.mat, r, params), s
 
 
 def reconstruct_qc_flat(s, g: Metric, r: float, params: GenCurvParams) -> Tensor04:
@@ -268,7 +261,7 @@ def reconstruct_w2_flat(s, g: Metric) -> Tensor04:
         R = 1/(n-1) * [g_jk S_il - g_ik S_jl]
     """
     s = _as_array(s, "bilinear form", 2, _instance(g, Metric, "g").n)
-    return Tensor04(_flat_values("w2", s, g.mat, 0.0, None, None))
+    return Tensor04(_flat_values("w2", s, g.mat, 0.0, None))
 
 
 # --------------------------------------------------------------------------

@@ -40,9 +40,9 @@ trial wins.  Blocks hold as
 many trials as keep the largest array a trial stacks within BLOCK_BYTES,
 which bounds the memory a block takes: an n^4 curvature grid, or for the
 contraction checks the n + 1 probe images of n x n below, and no
-intermediate is larger.  A fit check holds a few such grids at once, its
-misfit written in place, so a check's traced peak stays within
-8 * BLOCK_BYTES, and a contraction check's within 6 * BLOCK_BYTES
+intermediate is larger.  A fit check builds no G grid: it expands one
+fitted grid and writes its misfit into it, so a check's traced peak stays
+within 5 * BLOCK_BYTES, and a contraction check's within 4.5 * BLOCK_BYTES
 (tests/test_harness_stacks.py pins both).  The draws take at most a few
 n x n arrays per attempt of one round, so no array grows with the number of
 trials.
@@ -93,8 +93,7 @@ from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, MAX_DIM, CurvatureBundle, Metr
                      _ArrayRecord, _as_array, _expand_block, _instance, _lift,
                      _lstsq_kernel, _max_abs_items, _norm_sq_values, _outer, _relative,
                      _ricci_contract_values, _scalar_curvature_values, _tolerance,
-                     _validate_metrics, _wedge_values, max_abs, ricci_contract,
-                     scalar_curvature)
+                     _validate_metrics, max_abs, ricci_contract, scalar_curvature)
 from .wrs import _t_identity_defects, a_from_bd
 
 __all__ = [
@@ -561,13 +560,12 @@ def _flat_fit_check(flavor: str) -> _Check:
         n, params = config.n, config.params
         a_form = _flat_first_form(b_bar, d_bar, r)
         s = _product_matrix(a_form, d_form, b_bar, _pairing(ginv, a_form, d_form, b_form)[0])
-        wedge = _wedge_values(gm)
         # the reconstruction checks the weights before the oracle divides by a
-        riemann = _flat_values(flavor, s, gm, r, params, wedge)
+        riemann = _flat_values(flavor, s, gm, r, params)
         alpha, beta = _flat_weights(flavor, n, r, params)
         p_true = beta * s
         trace = _scalar_curvature_values(ginv, p_true)
-        fit_a, fit_p, fit_residual, _ = _linear_fit(riemann, gm, ginv, wedge, terms, gauge_weight)
+        fit_a, fit_p, fit_residual, _ = _linear_fit(riemann, gm, ginv, terms, gauge_weight)
         a_true = alpha + gauge_weight * trace / n
         p_hat = p_true - _lift(trace / n, 2) * gm
         return np.maximum.reduce([
@@ -613,17 +611,16 @@ def _qc_quasi_constant(config, gm, ginv, c, t):
     n = config.n
     params = config.params
     ricci, r, t_rho, coeff = _rank_one_data(ginv, c, t)
-    wedge = _wedge_values(gm)
-    riemann = _flat_values("qc", ricci, gm, r, params, wedge)
+    riemann = _flat_values("qc", ricci, gm, r, params)
     contracted = _ricci_contract_values(ginv, riemann)
     fit_a, fit_b, a_form, fit_residual = _quasi_constant_values(
-        riemann, gm, ginv, wedge, contracted, max(config.tolerance, 1e-8))
+        riemann, gm, ginv, contracted, max(config.tolerance, 1e-8))
     l_true, beta = _flat_weights("qc", n, r, params)
     delta_true = beta * coeff
     b_true = delta_true * t_rho
     delta_rec = fit_b / t_rho
     weyl = _combined_values("weyl", riemann, gm, contracted,
-                            _scalar_curvature_values(ginv, contracted), None, wedge)
+                            _scalar_curvature_values(ginv, contracted), None)
     return (np.maximum.reduce([
         fit_residual, _relative(fit_a - l_true, np.abs(l_true), 0),
         _relative(fit_b - b_true, np.abs(b_true), 0),
@@ -638,10 +635,8 @@ def _pp_quasi_constant(config, gm, ginv, c, t):
     n = config.n
     params = config.params
     ricci, r, t_rho, coeff = _rank_one_data(ginv, c, t)
-    wedge = _wedge_values(gm)
-    riemann = _flat_values("pp", ricci, gm, r, params, wedge)
-    fit_a, fit_p, fit_residual, _ = _linear_fit(riemann, gm, ginv, wedge,
-                                                *PseudoQuasiConstantFit.shape)
+    riemann = _flat_values("pp", ricci, gm, r, params)
+    fit_a, fit_p, fit_residual, _ = _linear_fit(riemann, gm, ginv, *PseudoQuasiConstantFit.shape)
     gamma1, beta = _flat_weights("pp", n, r, params)
     delta1 = beta * coeff
     a_true = gamma1 + delta1 * t_rho / n
@@ -681,8 +676,8 @@ def _w2_rank_one(config, gm, ginv, c, t):
     the W2 combination is exactly zero and the quasi-Einstein decomposition
     recovers (p, q, omega) = (0, r, t-direction)."""
     s, r, t_rho, _ = _rank_one_data(ginv, c, t)
-    riemann = _flat_values("w2", s, gm, 0.0, None, None)
-    roundtrip = _relative(_combined_values("w2", riemann, gm, s, r, None, None),
+    riemann = _flat_values("w2", s, gm, 0.0, None)
+    roundtrip = _relative(_combined_values("w2", riemann, gm, s, r, None),
                           _max_abs_items(riemann, 4), 4)
     qe_p, qe_q, omega, _ = _quasi_einstein_values(s, gm, ginv)
     return np.maximum.reduce([roundtrip, _relative(qe_p, np.abs(r), 0),

@@ -405,11 +405,14 @@ def ricci_operator(ricci, g: Metric) -> np.ndarray:
 # their table to one of the two directly.  A third reader, `_adjoint_block`,
 # maps a grid back to a bilinear by the g-adjoint of the block, which is
 # all the shape fits of `classify` need: their normal equations, in the
-# g-norm, are one such contraction of the fitted grid.
+# g-norm, are one such contraction of the fitted grid.  G is a block too:
+# each table gives B(g) = w * G, w its `_WEDGE_WEIGHT`, so a term c * G joins
+# an expanded block as the shift (c / w) * g of P (`_expand_with_wedge`).
 
 _PSEUDO_TERMS = ((+1, "jk", "il"), (-1, "ik", "jl"))
 _HYPER_TERMS = _PSEUDO_TERMS + ((+1, "il", "jk"), (-1, "jl", "ik"))
 _W2_TERMS = ((+1, "jl", "ik"), (-1, "il", "jk"))
+_WEDGE_WEIGHT = {_PSEUDO_TERMS: 1.0, _HYPER_TERMS: 2.0, _W2_TERMS: -1.0}
 
 
 def _expand_block(terms, gm: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -429,6 +432,11 @@ def _expand_block(terms, gm: np.ndarray, p: np.ndarray) -> np.ndarray:
         else:
             out -= term
     return out
+
+
+def _expand_with_wedge(terms, gm: np.ndarray, p: np.ndarray, c) -> np.ndarray:
+    """B(P) + c*G, c one scalar per stacked metric, as the one block B(P + (c / w) g)."""
+    return _expand_block(terms, gm, p + _lift(c / _WEDGE_WEIGHT[terms], 2) * gm)
 
 
 def _contract_block(terms, ginv: np.ndarray, gm: np.ndarray,

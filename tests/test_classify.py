@@ -284,16 +284,16 @@ def quasi_constant_stack(rng, n, count):
     return gs, np.array(grids), wedge
 
 
-def quasi_constant_core(gs, rv, wedge, tol=1e-8):
+def quasi_constant_core(gs, rv, tol=1e-8):
     ricci = np.array([ricci_contract(Tensor04(r), g) for r, g in zip(rv, gs)])
-    return _quasi_constant_values(rv, *stacked_metrics(gs), wedge, ricci, tol)
+    return _quasi_constant_values(rv, *stacked_metrics(gs), ricci, tol)
 
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_quasi_constant_core_rows_match_the_public_function(n):
     rng = np.random.default_rng(180 + n)
-    gs, rv, wedge = quasi_constant_stack(rng, n, 6)
-    a, b, a_form, residual = quasi_constant_core(gs, rv, wedge)
+    gs, rv, _ = quasi_constant_stack(rng, n, 6)
+    a, b, a_form, residual = quasi_constant_core(gs, rv)
     for k, g in enumerate(gs):
         fit = quasi_constant_fit(Tensor04(rv[k]), g)
         assert (a[k], b[k], residual[k]) == (fit.a, fit.b, fit.residual)
@@ -317,7 +317,7 @@ def test_quasi_constant_core_raises_for_its_first_failing_row(kind):
     else:  # the Ricci pattern holds, the grid is off the family
         rv[2] += 1e-6 * hyper_shape(gs[2], np.diag([1.0, -1.0, 0.0, 0.0])).values
     with pytest.raises(NotQuasiConstant) as stacked:
-        quasi_constant_core(gs, rv, wedge)
+        quasi_constant_core(gs, rv)
     with pytest.raises(NotQuasiConstant) as single:
         quasi_constant_fit(Tensor04(rv[2]), gs[2])
     assert stacked.value.item == 2
@@ -446,8 +446,8 @@ def test_the_report_keeps_sphere3s_constant_curvature(sphere3):
         quasi_einstein_decompose(bundle.ricci, bundle.g)
     with pytest.raises(NotQuasiConstant) as fit:
         quasi_constant_fit(bundle.riemann, bundle.g)
-    shared = _not_quasi_constant(qe.value, bundle.riemann.values, bundle.g.inv,
-                                 wedge_gg(bundle.g).values, 1e-8)
+    shared = _not_quasi_constant(qe.value, bundle.riemann.values, bundle.g.mat,
+                                 bundle.g.inv, 1e-8)
     assert str(shared) == str(fit.value) == report.quasi_constant_error
     assert (shared.residual, shared.constant_curvature) == (fit.value.residual,
                                                              fit.value.constant_curvature)

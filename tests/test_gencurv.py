@@ -288,8 +288,7 @@ def test_guards():
 def _flat_cores(kind, params, n=4):
     """Each core that evaluates a kind's flat formula, at one point."""
     g, s = Metric(np.eye(n)), np.eye(n)
-    wedge = wedge_gg(g).values
-    return {"_flat_values": lambda: _flat_values(kind, s, g.mat, 4.0, params, wedge),
+    return {"_flat_values": lambda: _flat_values(kind, s, g.mat, 4.0, params),
             "_flat_ricci": lambda: _flat_ricci(kind, s, g.mat, g.inv, 4.0, params),
             "_flat_alpha": lambda: _flat_alpha(kind, n, 4.0, params),
             "selfconsistent_ricci": lambda: selfconsistent_ricci(g, 4.0, params, kind)}
@@ -365,7 +364,6 @@ def test_stacked_reconstructions_match_single_calls(n):
     rng = np.random.default_rng(400 + n)
     metrics = [Metric(random_spd(rng, n)) for _ in range(5)]
     gm = np.array([g.mat for g in metrics])
-    wedge = np.array([wedge_gg(g).values for g in metrics])
     params = GenCurvParams(1.3, -0.4)
     r = np.linspace(-2.0, 2.7, 5)
     stack = rng.standard_normal((5, n, n))
@@ -373,8 +371,8 @@ def test_stacked_reconstructions_match_single_calls(n):
             ("qc", lambda s, g, r: reconstruct_qc_flat(s, g, r, params)),
             ("pp", lambda s, g, r: reconstruct_pp_flat(s, g, r, params)),
             ("w2", lambda s, g, r: reconstruct_w2_flat(s, g))):
-        stacked = _flat_values(kind, stack, gm, r, params, wedge)
-        at_one_point = _flat_values(kind, stack, gm[0], r[0], params, wedge[0])
+        stacked = _flat_values(kind, stack, gm, r, params)
+        at_one_point = _flat_values(kind, stack, gm[0], r[0], params)
         for q, s in enumerate(stack):
             assert np.array_equal(stacked[q], single(s, metrics[q], r[q]).values), (kind, q)
             assert np.array_equal(at_one_point[q], single(s, metrics[0], r[0]).values), (kind, q)
@@ -390,8 +388,7 @@ def test_contracted_reconstructions_match_expanded(kind, n):
     params = GenCurvParams(1.3, -0.4)
     r = np.array([2.7, -1.0, 0.5, 3.0])
     stack = rng.standard_normal((4, n, n))
-    wedge = np.array([wedge_gg(g).values for g in metrics])
-    expected = _ricci_contract_values(ginv, _flat_values(kind, stack, gm, r, params, wedge))
+    expected = _ricci_contract_values(ginv, _flat_values(kind, stack, gm, r, params))
     got = _flat_ricci(kind, stack, gm, ginv, r, params)
     assert got.shape == (4, n, n)
     assert max_abs(got - expected) <= 1e-13 * max_abs(expected)

@@ -24,7 +24,7 @@ PARAMS = GenCurvParams(0.5, 2.0)
 
 
 def _trials(n, seed):
-    """40 seeded trials: metrics, their inverses and G grids, a generic
+    """40 seeded trials: metrics and their inverses, a generic
     symmetric form, the scalar curvature of a rank-one Ricci form, a
     quasi-Einstein form, the qc reconstruction of the rank-one form (a
     quasi-constant grid) and a generic grid near a hyper shape."""
@@ -36,18 +36,17 @@ def _trials(n, seed):
     t = rng.standard_normal((TRIALS, n))
     ricci = rng.uniform(0.2, 2.0, (TRIALS, 1, 1)) * _outer(t, t)
     r = _scalar_curvature_values(ginv, ricci)
-    wedge = _wedge_values(gm)
     omega = rng.standard_normal((TRIALS, n))
     qe = (rng.uniform(1, 2, (TRIALS, 1, 1)) * gm
           + rng.uniform(3, 4, (TRIALS, 1, 1)) * _outer(omega, omega))
-    qc = _flat_values("qc", ricci, gm, r, PARAMS, wedge)
-    generic = (_expand_block(_HYPER_TERMS, gm, sym) + 0.3 * wedge
+    qc = _flat_values("qc", ricci, gm, r, PARAMS)
+    generic = (_expand_block(_HYPER_TERMS, gm, sym) + 0.3 * _wedge_values(gm)
                + 1e-3 * rng.standard_normal((TRIALS,) + (n,) * 4))
-    return dict(gm=gm, ginv=ginv, sym=sym, r=r, wedge=wedge, qe=qe, qc=qc, generic=generic)
+    return dict(gm=gm, ginv=ginv, sym=sym, r=r, qe=qe, qc=qc, generic=generic)
 
 
 def _linear(shape, grid):
-    return lambda d: _linear_fit(d[grid], d["gm"], d["ginv"], d["wedge"], *shape)
+    return lambda d: _linear_fit(d[grid], d["gm"], d["ginv"], *shape)
 
 
 CORES = {
@@ -57,11 +56,10 @@ CORES = {
     "linear_fit-pseudo-qc": _linear(PseudoQuasiConstantFit.shape, "qc"),
     "quasi_einstein": lambda d: _quasi_einstein_values(d["qe"], d["gm"], d["ginv"]),
     "quasi_constant": lambda d: _quasi_constant_values(
-        d["qc"], d["gm"], d["ginv"], d["wedge"], _ricci_contract_values(d["ginv"], d["qc"]),
-        1e-8),
+        d["qc"], d["gm"], d["ginv"], _ricci_contract_values(d["ginv"], d["qc"]), 1e-8),
     "einstein": lambda d: _einstein_values(d["sym"], d["gm"], d["ginv"]),
     **{f"flat_values-{kind}": (lambda d, kind=kind: _flat_values(
-        kind, d["sym"], d["gm"], d["r"], PARAMS, d["wedge"])) for kind in ("qc", "pp", "w2")},
+        kind, d["sym"], d["gm"], d["r"], PARAMS)) for kind in ("qc", "pp", "w2")},
     **{f"flat_ricci-{kind}": (lambda d, kind=kind: _flat_ricci(
         kind, d["sym"], d["gm"], d["ginv"], d["r"], PARAMS)) for kind in ("qc", "pp", "w2")},
     **{f"fixed_point-{flavor}": (lambda d, flavor=flavor: _fixed_point(

@@ -4,12 +4,14 @@ import pytest
 from curvkit.classify import (classification_report, conformally_flat_check,
                               einstein_check, hyper_quasi_constant_fit,
                               quasi_constant_fit, quasi_einstein_decompose)
-from curvkit.errors import DimensionMismatch, NumericalInconsistency, SingularMetric
+from curvkit.errors import (DimensionMismatch, InvalidParams, NumericalInconsistency,
+                            SingularMetric)
 from curvkit.gencurv import GenCurvParams, pp_flat_alpha, qc_flat_alpha, w2_flat_alpha
 from curvkit.harness import (flat_ricci_form, product_ricci_form, rank_one_coefficient,
                              selfconsistent_ricci)
-from curvkit.tensor import (_HYPER_TERMS, _PSEUDO_TERMS, _W2_TERMS, KERNEL_RCOND,
-                            CurvatureBundle, Metric, Tensor04, _contract_block, _expand_block,
+from curvkit.tensor import (_HYPER_TERMS, _PSEUDO_TERMS, _W2_TERMS, _WEDGE_WEIGHT,
+                            KERNEL_RCOND, CurvatureBundle, Metric, Tensor04,
+                            _contract_block, _expand_block, _expand_with_wedge,
                             _lstsq_kernel, _norm_sq_values,
                             _ricci_contract_values, hyper_shape, is_symmetric,
                             max_abs, pseudo_shape, quasi_constant_shape,
@@ -114,6 +116,21 @@ WORDS = [["a", "b"], ["c", "d"]]
 def test_entries_that_are_not_numbers_are_refused(build):
     with pytest.raises(DimensionMismatch, match="of numbers"):
         build(Metric(np.eye(2)))
+
+
+@pytest.mark.parametrize("tol", [0.0, -0.0, -1.0, -1e-300])
+@pytest.mark.parametrize("check", [
+    lambda g, tol: einstein_check(np.eye(3), g, tol=tol),
+    lambda g, tol: quasi_constant_fit(wedge_gg(g), g, tol=tol),
+    lambda g, tol: conformally_flat_check(CurvatureBundle.from_tensors(g, wedge_gg(g)), tol=tol),
+    lambda g, tol: classification_report(CurvatureBundle.from_tensors(g, wedge_gg(g)), tol=tol),
+], ids=["einstein_check", "quasi_constant_fit", "conformally_flat_check",
+        "classification_report"])
+def test_a_tolerance_that_is_not_positive_is_refused(check, tol):
+    # an exactly Einstein, constant-curvature input would fail every verdict
+    # at such a tolerance; the CLI's --tol refuses it as well
+    with pytest.raises(InvalidParams, match="tol must be positive"):
+        check(Metric(np.eye(3)), tol)
 
 
 def _forms(n):
@@ -345,6 +362,22 @@ def test_wedge_contraction_identity():
         g = Metric(random_spd(rng, n))
         s = ricci_contract(wedge_gg(g), g)
         assert max_abs(s - (n - 1) * g.mat) <= 1e-12 * max_abs(s)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("terms", [_PSEUDO_TERMS, _HYPER_TERMS, _W2_TERMS],
+                         ids=["pseudo", "hyper", "w2"])
+def test_each_block_at_g_is_its_weight_times_g(terms, n):
+    # B(g) = w * G is what lets every c * G term join its block as the shift
+    # (c / w) * g of the block's bilinear
+    rng = np.random.default_rng(60 + n)
+    g = random_spd(rng, n)
+    wedge = loop_wedge(g)
+    weight = _WEDGE_WEIGHT[terms]
+    assert max_abs(_expand_block(terms, g, g) - weight * wedge) <= 1e-14 * max_abs(wedge)
+    p = rng.standard_normal((n, n))
+    want = _expand_block(terms, g, p) - 0.7 * wedge
+    assert max_abs(_expand_with_wedge(terms, g, p, -0.7) - want) <= 1e-14 * max_abs(want)
 
 
 def test_quasi_constant_shape_zero_form():
