@@ -38,8 +38,16 @@ python -c "import sys, curvkit.cli as c; c.main(['verify', '--n', '4', '--trials
 "${curvkit[@]}" classify manifests/sphere2.txt
 "${curvkit[@]}" classify manifests/euclidean3.txt
 "${curvkit[@]}" classify manifests/poly3.txt
+# the derivatives of curvature (nabla S, dr and nabla R) on every manifest
+"${curvkit[@]}" curvature manifests/sphere3.txt
+"${curvkit[@]}" curvature manifests/conformal4.txt
 "${curvkit[@]}" wrs manifests/sphere3.txt
 "${curvkit[@]}" wrs manifests/poly3.txt
+"${curvkit[@]}" wrs manifests/conformal4.txt
+# a flat chart has no Ricci tensor to recover forms from: exit 2, no traceback
+status=0; "${curvkit[@]}" wrs manifests/euclidean3.txt 2> "$tmp/flat.err" || status=$?
+test "$status" -eq 2
+test "$(cat "$tmp/flat.err")" = "error: Ricci tensor is numerically zero"
 "${curvkit[@]}" curvature manifests/conformal5.txt
 "${curvkit[@]}" classify manifests/conformal5.txt
 # non-default weights shift the bilinear of each block by a different multiple of g

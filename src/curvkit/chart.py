@@ -5,18 +5,18 @@ the chart coordinates.  The only symbolic work is exact differentiation of
 those entries: their partials up to third order (the metric's 3-jet) are
 built once, on first use, and compiled into one slot-indexed program per
 order.  A point query runs those programs in flat loops, up to the order it
-needs, and computes everything else with numpy -- the inverse metric and its
-derivative, the Christoffel symbols, the (0,4) curvature and its derivative,
-Ricci as the contraction of the curvature, the scalar curvature and its
-differential, and the covariant derivatives.  No nested finite differences
-are involved.
+needs, and computes everything else with numpy -- the inverse metric, the
+Christoffel symbols, the (0,4) curvature R and its covariant derivative
+nabla R, the one derivative of curvature a point evaluates.  Ricci is the
+contraction of R, and nabla S and the scalar differential dr are the same
+traces of nabla R.  No nested finite differences are involved.
 
 The compiled program is immutable once built; any first query builds it.
-The curvature queries read the chart's data at a point from one memo, the
-last point evaluated, which a successful evaluation replaces in one
-attribute assignment.  So the bundle, then `nabla_riemann` or a
-weak-symmetry residual at the same point, evaluate the chart once, and
-point queries are safe to run concurrently.
+The curvature queries read the chart's data at a point (g, gamma, R,
+nabla R) from one memo, the last point evaluated, which a successful
+evaluation replaces in one attribute assignment.  So the bundle, then
+`nabla_riemann` or a weak-symmetry residual at the same point, evaluate
+the chart once, and point queries are safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import expr as ex
-from .errors import CurvError, DimensionMismatch, NumericalInconsistency, UnknownIdentifier
+from .errors import CurvError, DimensionMismatch, UnknownIdentifier
 from .tensor import (CurvatureBundle, Metric, Tensor04, _as_array, _instance, _point_values,
-                     _ricci_contract_values, _tolerance, max_abs)
+                     _ricci_contract_values, _scalar_curvature_values)
 
 __all__ = ["MetricField", "CurvatureBundle", "christoffel", "curvature_bundle",
            "nabla_riemann"]
@@ -162,9 +162,9 @@ class MetricField:
         return g, [values[gather] for _, _, gather in higher]
 
     def _curvature_at(self, x: Sequence[float]):
-        """``(g, gamma, dginv, R, dR)`` at coordinates x: the metric, the
-        Christoffel symbols, the partials of the inverse metric, the (0,4)
-        curvature and its partials (see `_curvature`), all read-only.
+        """``(g, gamma, R, nabla_R)`` at coordinates x: the metric, the
+        Christoffel symbols, the (0,4) curvature and its covariant
+        derivative (see `_curvature`), all read-only.
 
         The field keeps these for the last point evaluated, keyed by the bit
         patterns of its coordinates (so 0.0 and -0.0 are different points),
@@ -205,49 +205,26 @@ class MetricField:
                         "curvature_bundle(point).r and .dr instead")
 
     def curvature_bundle(self, point: Sequence[float]) -> CurvatureBundle:
-        """Evaluate the full curvature package at a point."""
+        """Evaluate the full curvature package at a point.  Ricci, nabla S
+        and dr are contractions of the held R and nabla R:
+        S = sym(ginv[i,l] R[i,j,k,l]), nabla_m S = sym(ginv[i,l]
+        nabla_m R[i,j,k,l]) and dr_m = ginv[j,k] nabla_m S[j,k]."""
         x = self._coordinates(point)
-        g, gamma, dginv, rv, d_rv = self._curvature_at(x)
-        riemann = Tensor04(rv, riemann_like=True)
+        g, _, rv, nabla_rv = self._curvature_at(x)
         ricci = _sym(_ricci_contract_values(g.inv, rv))
-        d_ricci = _sym(np.einsum("ail,ijkl->ajk", dginv, rv)
-                       + np.einsum("il,aijkl->ajk", g.inv, d_rv))
-        # the second Christoffel term is the first with j and k exchanged,
-        # since S is exactly symmetric
-        t = np.einsum("lij,lk->ijk", gamma, ricci)
-        nabla_ricci = d_ricci - t - t.swapaxes(1, 2)
-        dr = (np.einsum("ajk,jk->a", dginv, ricci)
-              + np.einsum("jk,ajk->a", g.inv, d_ricci))
-        bundle = CurvatureBundle.from_tensors(g, riemann, ricci, nabla_ricci=nabla_ricci,
-                                              dr=dr, point=x)
-        _check_bundle(bundle)
-        return bundle
+        nabla_ricci = _sym(_ricci_contract_values(g.inv, nabla_rv))
+        return CurvatureBundle.from_tensors(
+            g, Tensor04(rv, riemann_like=True), ricci, nabla_ricci=nabla_ricci,
+            dr=_scalar_curvature_values(g.inv, nabla_ricci), point=x)
 
     def nabla_riemann(self, point: Sequence[float]) -> np.ndarray:
         """Covariant derivative of the (0,4) curvature: out[m,i,j,k,l] =
-        (nabla_m R)(e_i,e_j,e_k,e_l)."""
+        (nabla_m R)(e_i,e_j,e_k,e_l), the field's held read-only grid."""
         return self._riemann_and_nabla(point)[1]
 
     def _riemann_and_nabla(self, point: Sequence[float]):
-        """The (0,4) curvature grid (read-only) and its covariant
-        derivative: d_m R less, for each slot of R in turn, gamma[p,m,a]
-        contracted with R's index p in that slot.  Each term is one
-        (n^2, n) @ (n, n^3) matrix product, with the slot moved to the
-        front of R and moved back after."""
-        _, gamma, _, rb, drb = self._curvature_at(self._coordinates(point))
-        n = self.n
-        gamma_ma = gamma.reshape(n, n * n).T  # [(m, a), p]
-        nabla = drb
-        for first, back in _SLOT_AXES:
-            term = (gamma_ma @ rb.transpose(first).reshape(n, -1)).reshape((n,) * 5)
-            nabla = nabla - term.transpose(back)
-        return rb, nabla
-
-
-# Per slot s of a (0,4) grid: the axes that move s to the front, and the
-# axes that move the second axis of [m, s, other slots] back to slot s.
-_SLOT_AXES = [((s, *(t for t in range(4) if t != s)),
-               (0, *range(2, s + 2), 1, *range(s + 2, 5))) for s in range(4)]
+        """The held (0,4) curvature grid and its covariant derivative."""
+        return self._curvature_at(self._coordinates(point))[2:]
 
 
 # --------------------------------------------------------------------------
@@ -273,17 +250,26 @@ def _christoffel(g: Metric, c: np.ndarray) -> np.ndarray:
     return _sym(np.einsum("kl,lij->kij", g.inv, c))
 
 
+# Per slot s of a (0,4) grid: the axes that move s to the front, and the
+# axes that move the second axis of [m, s, other slots] back to slot s.
+_SLOT_AXES = [((s, *(t for t in range(4) if t != s)),
+               (0, *range(2, s + 2), 1, *range(s + 2, 5))) for s in range(4)]
+
+
 def _curvature(g: Metric, jet: list[np.ndarray]):
-    """Christoffel symbols, the partials of the inverse metric, R(0,4) and
-    its partials d_a R, from the metric and its 3-jet.
+    """Christoffel symbols, R(0,4) and its covariant derivative nabla R, from
+    the metric and its 3-jet.
 
     With c the first-kind symbols, R[i,j,k,l] = T[i,j,k,l] - T[j,i,k,l] where
     T[i,j,k,l] = (d_k d_i g_lj + d_l d_j g_ki) / 2 + c[p,k,i] gamma[p,l,j];
     the swapped T holds the two negative terms of the classical formula, so
     the (i, j) antisymmetry is exact.  d(ginv) = -ginv (dg) ginv is the only
-    derivative of the inverse that d_a R needs."""
+    derivative of the inverse that the partials d_m R need.  nabla_m R is
+    d_m R less, for each slot of R in turn, gamma[p,m,a] contracted with R's
+    index p in that slot: one (n^2, n) @ (n, n^3) matrix product per slot,
+    with the slot moved to the front of R and moved back after."""
     dg, ddg, dddg = jet
-    ginv = g.inv
+    ginv, n = g.inv, g.n
     dginv = -np.einsum("kp,apq,ql->akl", ginv, dg, ginv)
     c, dc = _first_kind(dg), _first_kind(ddg)
     gamma = _christoffel(g, c)
@@ -294,17 +280,12 @@ def _curvature(g: Metric, jet: list[np.ndarray]):
     dt = (0.5 * (np.einsum("akilj->aijkl", dddg) + np.einsum("aljki->aijkl", dddg))
           + np.einsum("apki,plj->aijkl", dc, gamma)
           + np.einsum("pki,aplj->aijkl", c, dgamma))
-    return gamma, dginv, t - np.swapaxes(t, 0, 1), dt - np.swapaxes(dt, 1, 2)
-
-
-def _check_bundle(bundle: CurvatureBundle) -> None:
-    """Internal consistency of a chart-produced bundle: nabla_ricci keeps the
-    (j,k) symmetry of the Ricci tensor."""
-    ns = bundle.nabla_ricci
-    sym = max_abs(ns - np.swapaxes(ns, 1, 2))
-    if sym > _tolerance(1e-9, max_abs(ns)):
-        raise NumericalInconsistency(
-            f"nabla_ricci lost its (j,k) symmetry: residual {sym:g}")
+    riemann, nabla = t - np.swapaxes(t, 0, 1), dt - np.swapaxes(dt, 1, 2)
+    gamma_ma = gamma.reshape(n, n * n).T  # [(m, a), p]
+    for first, back in _SLOT_AXES:
+        nabla -= (gamma_ma @ riemann.transpose(first).reshape(n, -1)).reshape(
+            (n,) * 5).transpose(back)
+    return gamma, riemann, nabla
 
 
 # Module-level conveniences mirroring the method API.

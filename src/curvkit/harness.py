@@ -41,11 +41,11 @@ many trials as keep the largest array a trial stacks within BLOCK_BYTES,
 which bounds the memory a block takes: an n^4 curvature grid, or for the
 contraction checks the n + 1 probe images of n x n below, and no
 intermediate is larger.  A fit check builds no G grid: it expands one
-fitted grid and writes its misfit into it, so a check's traced peak stays
-within 5 * BLOCK_BYTES, and a contraction check's within 4.5 * BLOCK_BYTES
-(tests/test_harness_stacks.py pins both).  The draws take at most a few
-n x n arrays per attempt of one round, so no array grows with the number of
-trials.
+fitted grid and writes its misfit into it, and an expansion check writes
+its difference into one of its two grids, so every check's traced peak
+stays within 4.5 * BLOCK_BYTES (tests/test_harness_stacks.py pins it).
+The draws take at most a few n x n arrays per attempt of one round, so no
+array grows with the number of trials.
 
 The contraction checks solve for the Ricci tensor that a vanishing
 generalized tensor forces (`selfconsistent_ricci`): S = F(S) with the trace
@@ -666,8 +666,10 @@ def _bd_expansion_check(flavor: str) -> _Check:
         bd_block = _lift(delta, 2) * (_outer(b_form, b_form) - _outer(b_form, d_form)
                                       - _outer(d_form, b_form) + _outer(d_form, d_form))
         lhs = _expand_block(terms, gm, bd_block)
-        rhs = _lift(delta, 4) * _expand_block(terms, gm, _outer(t, t))
-        return _relative(lhs - rhs, _max_abs_items(rhs, 4), 4), {}
+        rhs = _expand_block(terms, gm, _outer(t, t))
+        rhs *= _lift(delta, 4)
+        np.subtract(lhs, rhs, out=lhs)
+        return _relative(lhs, _max_abs_items(rhs, 4), 4), {}
     return _Check(draw, compute)
 
 

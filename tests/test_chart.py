@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import GOLDEN, euclidean_field
-from curvkit.chart import (CurvatureBundle, MetricField, _check_bundle, christoffel,
-                           curvature_bundle, nabla_riemann)
-from curvkit.errors import (CurvError, DimensionMismatch, DomainError,
-                            NumericalInconsistency, SingularMetric, UnknownIdentifier)
+from curvkit import chart
+from curvkit.chart import MetricField, christoffel, curvature_bundle, nabla_riemann
+from curvkit.errors import (CurvError, DimensionMismatch, DomainError, SingularMetric,
+                            UnknownIdentifier)
 from curvkit.expr import parse
-from curvkit.tensor import Metric, max_abs, scalar_curvature
+from curvkit.tensor import max_abs, scalar_curvature
 from curvkit.wrs import OneFormSystem, weak_symmetry_residual
 from oracles import (exact_curvature, fd_christoffel, fd_nabla_ricci, fd_nabla_riemann,
                      fd_riemann, random_chart)
@@ -204,18 +204,6 @@ def test_chart_bundle_arrays_are_read_only(sphere2):
             getattr(bundle, part)[0] = 0.0
 
 
-def test_check_bundle_rejects_asymmetric_nabla_ricci():
-    g = Metric(np.eye(3))
-    nabla = np.zeros((3, 3, 3))
-    nabla[0, 1, 2] = nabla[0, 2, 1] = 1.0
-    _check_bundle(CurvatureBundle.from_tensors(g, ricci=np.eye(3), nabla_ricci=nabla))
-    nabla[0, 2, 1] = 0.0
-    with pytest.raises(NumericalInconsistency, match="symmetry"):
-        _check_bundle(CurvatureBundle.from_tensors(g, ricci=np.eye(3),
-                                                   nabla_ricci=nabla))
-    assert issubclass(NumericalInconsistency, CurvError)  # exit status 2
-
-
 # --------------------------------------------------------------------------
 # Degeneracies and errors
 
@@ -378,6 +366,24 @@ def test_one_chart_evaluation_per_point_and_only_the_last_point_is_kept(monkeypa
         weak_symmetry_residual(field, point, FORMS)
     # cycling between two points evaluates each visit again
     assert calls == [(a, 3), (b, 3), (a, 3)]
+
+
+def test_nabla_riemann_is_built_once_and_nabla_s_and_dr_are_its_traces(monkeypatch):
+    calls = []
+    curvature = chart._curvature
+    monkeypatch.setattr(chart, "_curvature",
+                        lambda g, jet: calls.append(g.n) or curvature(g, jet))
+    field = _fresh_poly3()
+    point = (0.4, 0.7, -0.3)
+    bundle = field.curvature_bundle(point)
+    nabla = field.nabla_riemann(point)
+    weak_symmetry_residual(field, point, FORMS)
+    assert calls == [3]
+    assert nabla is field._curvature_at(point)[3]
+    ginv = bundle.g.inv
+    nabla_s = np.einsum("il,mijkl->mjk", ginv, nabla)
+    assert np.array_equal(bundle.nabla_ricci, 0.5 * (nabla_s + nabla_s.swapaxes(1, 2)))
+    assert np.array_equal(bundle.dr, np.einsum("jk,mjk->m", ginv, bundle.nabla_ricci))
 
 
 def test_signed_zero_points_are_not_conflated():

@@ -12,7 +12,8 @@ A -> J^T A, and the 1-form recovery has an equal kernel and, on a weakly
 Ricci symmetric chart, forms a, b, d -> J^T a, J^T b, J^T d.  The oracle is
 the Jacobian, written by hand below beside phi and evaluated with `math`,
 apart from curvkit's jet.  Residual values are not compared: they are
-coordinate max-norms, which move with the chart.
+coordinate max-norms, which move with the chart.  The dense seeded charts
+of `oracles.random_chart` take the same map, for the tensors alone.
 """
 
 import math
@@ -25,6 +26,7 @@ import pytest
 from curvkit.classify import classification_report
 from curvkit.manifest import parse_manifest
 from curvkit.wrs import recover_one_forms
+from oracles import random_chart
 
 MANIFESTS = Path(__file__).parents[1] / "manifests"
 QUASI_CONSTANT = {"conformal4"}  # the charts whose quasi-constant verdict passes
@@ -88,14 +90,14 @@ def assert_transforms(got, want, tol=1e-10):
     assert np.abs(got - want).max() <= tol * (1.0 + np.abs(want).max())
 
 
-@pytest.mark.parametrize("name", ["sphere3", "poly3", "conformal4"])
-def test_a_change_of_chart_transforms_the_curvature_as_a_tensor(name):
-    text = (MANIFESTS / f"{name}.txt").read_text()
-    manifest = parse_manifest(text)
-    point = np.array(manifest.points[0])
-    y0 = tuple(0.9 * point + 0.05 * np.random.default_rng(16).standard_normal(len(point)))
+def tensors_transform(text: str, point):
+    """The bundles of the manifest `text` at x0 = phi(y0) and of its y-chart
+    at y0, a point near `point`, and J at y0, once r, g, S, R, nabla S, dr
+    and nabla R are checked to agree through J."""
+    y0 = tuple(0.9 * np.asarray(point)
+               + 0.05 * np.random.default_rng(16).standard_normal(len(point)))
     x0 = phi(y0)
-    field_x, field_y = manifest.to_field(), parse_manifest(composed(text)).to_field()
+    field_x, field_y = parse_manifest(text).to_field(), parse_manifest(composed(text)).to_field()
     bx, by = field_x.curvature_bundle(x0), field_y.curvature_bundle(y0)
     jac = jacobian(y0)
     assert by.r == pytest.approx(bx.r, rel=1e-10, abs=1e-12)
@@ -108,8 +110,14 @@ def test_a_change_of_chart_transforms_the_curvature_as_a_tensor(name):
     assert_transforms(by.dr, jac.T @ bx.dr)
     assert_transforms(field_y.nabla_riemann(y0),
                       np.einsum("ma,ib,jc,kd,le,mijkl->abcde", jac, jac, jac, jac, jac,
-                                field_x.nabla_riemann(x0)))
+                                field_x.nabla_riemann(x0), optimize=True))
+    return bx, by, jac
 
+
+@pytest.mark.parametrize("name", ["sphere3", "poly3", "conformal4"])
+def test_a_change_of_chart_transforms_the_curvature_as_a_tensor(name):
+    text = (MANIFESTS / f"{name}.txt").read_text()
+    bx, by, jac = tensors_transform(text, parse_manifest(text).points[0])
     rx, ry = classification_report(bx), classification_report(by)
     assert verdicts(ry) == verdicts(rx)
     for fx, fy in ((rx.hyper, ry.hyper), (rx.pseudo, ry.pseudo)):
@@ -126,3 +134,12 @@ def test_a_change_of_chart_transforms_the_curvature_as_a_tensor(name):
     if name in WEAKLY_RICCI_SYMMETRIC:
         for part in ("a", "b", "d"):
             assert_transforms(getattr(forms_y, part), jac.T @ getattr(forms_x, part))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_a_change_of_chart_on_a_dense_chart(n):
+    coords, entries, point = random_chart(0, n)
+    text = "\n".join([f"dim: {n}", "coords: " + ", ".join(coords)]
+                     + [f"g: {coords[i]},{coords[j]} = {entry}"
+                        for (i, j), entry in entries.items()]) + "\n"
+    tensors_transform(text, point)

@@ -196,6 +196,7 @@ def test_wrs_reporters_on_large_finite_data(name, which):
     warning; data one step smaller keeps its finite values."""
     with pytest.raises(NumericalInconsistency, match=f"^{name} overflows"):
         _WRS_CALLS[name](*_sized_data(1e300, which))
+    assert issubclass(NumericalInconsistency, CurvError)  # exit status 2
     got = _WRS_CALLS[name](*_sized_data(1e150, which))
     assert np.array_equal(got, _AT_1E150[name][which])
 

@@ -89,8 +89,8 @@ DECIDED = {
 def test_the_patches_reach_every_module_that_binds_them(monkeypatch):
     assert _patch(monkeypatch, "_relative", _inf) == ["classify", "cli", "harness",
                                                        "tensor", "wrs"]
-    assert _patch(monkeypatch, "_tolerance", None) == ["chart", "classify", "gencurv",
-                                                        "harness", "tensor"]
+    assert _patch(monkeypatch, "_tolerance", None) == ["classify", "gencurv", "harness",
+                                                        "tensor"]
 
 
 @pytest.mark.parametrize("argv", [[c, m] + extra for m in MANIFESTS
@@ -155,8 +155,6 @@ def _tolerance_sites():
     unit = np.array([1.0, 0.5, -0.3, 0.2])
     params = GenCurvParams(a=1.0, b=-0.5 * (1.0 + 1e-13))  # 1 + (b/a)(n - 2) ~ 1e-13
     return {
-        # chart.py: the bundle's nabla_ricci symmetry check
-        "chart._check_bundle": lambda: _sphere().curvature_bundle((1.0, 0.9, 0.5)).r,
         # classify.py: the floor under which a fitted coefficient is zero
         "classify.COEFF_FLOOR": lambda: classify.quasi_constant_fit(
             quasi_constant_shape(g, unit), g).b,
@@ -180,7 +178,6 @@ def _outcome(call):
 
 
 EXPECTED = {  # (today, with the threshold at -1)
-    "chart._check_bundle": ("returns", "raises NumericalInconsistency"),
     "classify.COEFF_FLOOR": ("raises NotQuasiConstant", "returns"),
     "classify.conformally_flat": (True, False),
     "gencurv._require": ("raises DegenerateParams", "returns"),

@@ -395,3 +395,49 @@ def test_recovery_residual_idempotent():
     for bundle in bundles:
         forms, residual, _ = recover_one_forms(bundle)
         assert residual == wrs_residual(bundle, forms)
+
+
+# --------------------------------------------------------------------------
+# A chart whose forms are known in closed form
+
+def _exponential_conformal_chart(seed, n):
+    """g = exp(2 w.x) * B as entry text, with w, B and a point drawn from the
+    seed: B = M^T M + n I is constant and positive definite.  A conformal
+    factor exp(2f) of a flat metric with f = w.x linear is weakly Ricci
+    symmetric with a = -2w and b = d = -w in chart coordinates, and its
+    Ricci tensor is quasi-Einstein along omega = +-w / |w|_g."""
+    rng = np.random.default_rng([seed, n])
+    w = rng.uniform(-0.6, 0.6, n)
+    m = rng.standard_normal((n, n))
+    b = m.T @ m + n * np.eye(n)
+    coords = [f"x{i}" for i in range(1, n + 1)]
+    factor = "exp(2*(" + " + ".join(f"({float(wi)!r})*{c}"
+                                    for wi, c in zip(w, coords)) + "))"
+    entries = {(i, j): f"({float(b[i, j])!r})*{factor}"
+               for i in range(n) for j in range(i, n)}
+    return coords, entries, tuple(rng.uniform(-0.5, 0.5, n)), w
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 8])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_recovery_on_an_exponential_conformal_chart(n, seed):
+    from curvkit.classify import classification_report
+    coords, entries, point, w = _exponential_conformal_chart(seed, n)
+    bundle = MetricField(coords, entries).curvature_bundle(point)
+    forms, residual, kernel = recover_one_forms(bundle)
+    assert kernel == 0
+    assert residual <= 1e-13
+    tol = 1e-12 * (1.0 + max_abs(w))
+    assert max_abs(forms.a + 2.0 * w) <= tol
+    assert max_abs(forms.b + w) <= tol
+    assert max_abs(forms.d + w) <= tol
+    report = classification_report(bundle)
+    verdicts = {name: entry["verdict"] for name, entry in report.to_dict().items()
+                if isinstance(entry, dict) and "verdict" in entry}
+    assert verdicts == {"einstein": "fail", "quasi_einstein": "pass",
+                        "quasi_constant": "pass", "hyper_quasi_constant": "pass",
+                        "pseudo_quasi_constant": "fail"}
+    assert report.conformally_flat is True
+    unit = w / np.sqrt(w @ bundle.g.inv @ w)
+    omega = report.quasi_einstein.omega
+    assert min(max_abs(omega - unit), max_abs(omega + unit)) <= 1e-12
