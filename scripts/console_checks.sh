@@ -57,6 +57,7 @@ test "$(cat "$tmp/flat.err")" = "error: Ricci tensor is numerically zero"
 "${curvkit[@]}" verify --section all --n 5 --trials 100
 "${curvkit[@]}" verify --section all --n 8 --trials 10
 "${curvkit[@]}" verify --section all --n 8 --trials 10 --a 2 --b -0.7
+"${curvkit[@]}" verify --section all --n 6 --trials 50 --a 2 --b -0.7
 "${curvkit[@]}" verify --section all --n 5 --trials 700
 "${curvkit[@]}" verify --section all --n 16 --trials 2
 # the stacked least-squares fits of 2,000 trials pass without a warning
@@ -85,6 +86,17 @@ done
 printf 'dim: 2\ncoords: x, y\ng: x,x = 1e200\ng: y,y = 1e200\npoint: 1, 0.5\n' > "$tmp/flat1e200.txt"
 status=0; timeout 60 "${curvkit[@]}" classify "$tmp/flat1e200.txt" || status=$?
 test "$status" -eq 2
+# entries near the float limit: the metric check halves them before it adds
+printf 'dim: 2\ncoords: x, y\ng: x,x = 1.5e308\ng: y,y = 1.5e308\npoint: 1, 0.5\n' > "$tmp/huge.txt"
+"${curvkit[@]}" curvature "$tmp/huge.txt"
+status=0; "${curvkit[@]}" classify "$tmp/huge.txt" || status=$?
+test "$status" -eq 2
+# a finite jet whose curvature overflows (inf - inf): exit 2, one error line
+printf 'dim: 2\ncoords: x0, x1\ng: x0,x0 = 1e-8 + tan(log(x0)) + (cos(x1*1e-150) + 3)*1e-3\n' > "$tmp/overflow.txt"
+printf 'g: x0,x1 = 1e-9\ng: x1,x1 = 1e-8 + x1*1e100\npoint: 1e10, 0\n' >> "$tmp/overflow.txt"
+status=0; "${curvkit[@]}" curvature "$tmp/overflow.txt" 2> "$tmp/overflow.err" || status=$?
+test "$status" -eq 2
+test "$(cat "$tmp/overflow.err")" = "error: nabla_riemann is not finite at this point"
 printf '\xef\xbb\xbfdim: 2\ncoords: theta, phi\ng: theta,theta = 1\ng: phi,phi = sin(theta)^2\npoint: 1, 0.2\n' > "$tmp/bom.txt"
 "${curvkit[@]}" curvature "$tmp/bom.txt"
 python perfbench/child.py cli classify manifests/sphere3.txt

@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import expr as ex
-from .errors import CurvError, DimensionMismatch, UnknownIdentifier
+from .errors import CurvError, DimensionMismatch, NumericalInconsistency, UnknownIdentifier
 from .tensor import (CurvatureBundle, Metric, Tensor04, _as_array, _instance, _point_values,
                      _ricci_contract_values, _scalar_curvature_values)
 
@@ -171,14 +171,18 @@ class MetricField:
         and a query at that point reads them back: the bundle, then
         `nabla_riemann` or a weak-symmetry residual at one point, evaluate
         the chart once.  It keeps one point only.  A successful evaluation
-        replaces the entry in one assignment; one that raises leaves it."""
+        replaces the entry in one assignment; one that raises leaves it
+        (NumericalInconsistency names the first part that is not finite)."""
         key = struct.pack(f"{self.n}d", *x)
         last, data = self._last
         if last == key:
             return data
         g, jet = self._jet_at(x, 3)
-        data = (g, *_curvature(g, jet))
-        for array in data[1:]:
+        with np.errstate(over="ignore", invalid="ignore"):  # a finite jet may overflow
+            data = (g, *_curvature(g, jet))
+        for name, array in zip(("christoffel", "riemann", "nabla_riemann"), data[1:]):
+            if not np.isfinite(array).all():
+                raise NumericalInconsistency(f"{name} is not finite at this point")
             array.flags.writeable = False
         self._last = (key, data)
         return data

@@ -4,12 +4,12 @@
 Each fit either returns a result object carrying the fitted parameters and a
 reconstruction residual, or raises the matching Not* error.  Every accepted
 fit re-expands through the tensor builders to the input within its reported
-residual.
+residual.  The reading is strict: an Einstein Ricci tensor is not
+quasi-Einstein, and constant curvature is not quasi-constant.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -19,7 +19,7 @@ from .errors import InvalidParams, NotQuasiConstant, NotQuasiEinstein
 from .gencurv import GenCurvParams, _combined_values
 from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, _WEDGE_WEIGHT, CurvatureBundle,
                      Metric, Tensor04, _ArrayRecord, _adjoint_block, _as_array,
-                     _bundle_part, _expand_block, _expand_with_wedge, _grid_of,
+                     _block_weights, _bundle_part, _expand_block, _expand_with_wedge, _grid_of,
                      _instance, _lift, _lstsq_kernel, _max_abs_items, _outer, _relative,
                      _ricci_contract_values, _scalar_curvature_values, _tolerance,
                      _wedge_values, max_abs)
@@ -290,19 +290,6 @@ def _quasi_constant_along(rv: np.ndarray, gm: np.ndarray, ginv: np.ndarray,
     return a, b, omega, residual
 
 
-@functools.lru_cache(maxsize=32)
-def _normal_weights(terms, n: int) -> tuple[float, float]:
-    """(lam, mu) of the normal operator B*B(P) = lam * P + mu * tr_g(P) * g of
-    the block B that `terms` describe, at dimension n, B* its
-    `tensor._adjoint_block`: hyper 4(n-2) and 4, pseudo 2(n-1) and 0.  Both
-    tables act so on every bilinear P at every g (tests/test_classify.py),
-    so one probe at g = I, P = E_00, reads them off: its 00 entry is
-    lam + mu and its 11 entry mu."""
-    eye = np.eye(n)
-    probe = _adjoint_block(terms, eye, _expand_block(terms, eye, np.outer(eye[0], eye[0])))
-    return float(probe[0, 0] - probe[1, 1]), float(probe[1, 1])
-
-
 def _linear_fit(rv: np.ndarray, gm: np.ndarray, ginv: np.ndarray,
                 terms, gauge_weight: float):
     """Least-squares fit R ~ a * wedge_gg + B(P) over (a, P) in the g-norm
@@ -314,7 +301,7 @@ def _linear_fit(rv: np.ndarray, gm: np.ndarray, ginv: np.ndarray,
     `terms` is the term table of a `tensor` block kernel B, and G is
     B(g) / gauge_weight, so the fitted grid is the one block B(P') for
     P' = P + (a / gauge_weight) g.  The normal equations of P' read
-    lam * P' + mu * tr_g(P') * g = Y (`_normal_weights`), Y = B*(R) the
+    lam * P' + mu * tr_g(P') * g = Y (`tensor._block_weights`), Y = B*(R) the
     block's `tensor._adjoint_block` of R, so in closed form the trace-free
     part of P' is (Y - tr_g(Y) / n * g) / lam and its trace
     tr_g(Y) / (lam + n mu).  Where lam = 0 (the hyper block at n = 2) every
@@ -324,7 +311,7 @@ def _linear_fit(rv: np.ndarray, gm: np.ndarray, ginv: np.ndarray,
     frame, so (a, P) follow the chart as tensors do.  The residual is
     measured on the full coordinate grid."""
     n = gm.shape[-1]
-    lam, mu = _normal_weights(terms, n)
+    lam, mu = _block_weights(terms, n, normal=True)
     y = _adjoint_block(terms, ginv, rv)
     trace = _scalar_curvature_values(ginv, y)
     p_hat = (y - _lift(trace / n, 2) * gm) / lam if lam else np.zeros_like(y)

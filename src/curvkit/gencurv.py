@@ -40,9 +40,9 @@ import numpy as np
 
 from .errors import DegenerateParams, DimensionMismatch, InvalidParams
 from .tensor import (_HYPER_TERMS, _PSEUDO_TERMS, _W2_TERMS, CurvatureBundle,
-                     Metric, Tensor04, _as_array, _bundle_part, _contract_block,
-                     _expand_with_wedge, _grid_of, _instance, _lift, _tolerance,
-                     is_symmetric)
+                     Metric, Tensor04, _as_array, _block_weights, _bundle_part,
+                     _expand_with_wedge, _grid_of, _instance, _lift,
+                     _scalar_curvature_values, _tolerance, is_symmetric)
 
 __all__ = [
     "GenCurvParams",
@@ -163,17 +163,20 @@ def _flat_values(kind: str, s: np.ndarray, gm: np.ndarray, r,
 def _flat_ricci(kind: str, s: np.ndarray, gm: np.ndarray, ginv: np.ndarray,
                 r, params: GenCurvParams | None) -> np.ndarray:
     """The Ricci contraction of `_flat_values`,
-    (c/a)*contract(G) - (b/a)*contract(B(S)), for S, g, ginv and r on
-    leading axes that broadcast, (..., n, n) -> (..., n, n), checking only
-    the weights.  It contracts before expanding (`tensor._contract_block`):
-    no array it builds is larger than its output, and contract(G) is the
-    pseudo block's at P = g.  The harness applies it to a whole basis for a
-    stack of metrics in one call."""
+    -(b/a)*(alpha*S + beta*tr_g(S)*g) + (c/a)*(n-1)*g, for S, g, ginv and r
+    on leading axes that broadcast, (..., n, n) -> (..., n, n), checking only
+    the weights.  (alpha, beta) are the block's contraction weights
+    (`tensor._block_weights`), and contract(G) = (n-1)*g the pseudo
+    block's alpha at P = g, so no array it builds is larger than its
+    output.  The harness applies it to a whole basis for a stack of metrics
+    in one call."""
     _require(kind, params)
-    a, b, block, c = _weights(kind, gm.shape[-1], r, params)
-    out = -(b / a) * _contract_block(block, ginv, gm, s)
+    n = gm.shape[-1]
+    a, b, block, c = _weights(kind, n, r, params)
+    alpha, beta = _block_weights(block, n, normal=False)
+    out = -(b / a) * (alpha * s + _lift(beta * _scalar_curvature_values(ginv, s), 2) * gm)
     if np.any(c):
-        out = out + _lift(c / a, 2) * _contract_block(_PSEUDO_TERMS, ginv, gm, gm)
+        out = out + _lift(c / a, 2) * (_block_weights(_PSEUDO_TERMS, n, normal=False)[0] * gm)
     return out
 
 

@@ -51,25 +51,26 @@ The contraction checks solve for the Ricci tensor that a vanishing
 generalized tensor forces (`selfconsistent_ricci`): S = F(S) with the trace
 row tr_g(S) = r, F the Ricci contraction of the library's own flat
 reconstruction (`gencurv._flat_ricci`, from the same weights and term
-tables as `reconstruct_*_flat`).  It is solved in the frame of
-eigh(g) = Q diag(mu) Q^T, orthogonal on both sides of the system, so the
-singular values stay and the minimum-norm solution rotates back as
-S = Q diag(s) Q^T.  There every term table contracts to
-F(S) = alpha*S + beta*g*tr_g(S) + gamma*g, with no S^T term, so the
-equations split:
+tables as `reconstruct_*_flat`).  Each table's Ricci contraction is two
+weights that one probe reads (`tensor._block_weights`), so
+F(S) = alpha*S + beta*g*tr_g(S) + gamma*g, with no S^T term.  It is solved
+in the frame of eigh(g) = Q diag(mu) Q^T, orthogonal on both sides of the
+system, so the singular values stay and the minimum-norm solution rotates
+back as S = Q diag(s) Q^T.  There the equations split:
 - off the diagonal, where g is zero, they read (1 - alpha) S_ab = 0, so S
   is diagonal;
 - on the diagonal, with the trace row diag(1/mu), they form one
-  (n+1) x n system, whose coefficients n + 1 probes read: the zero form
-  and each E_aa, contracted term by term without an n^4 grid.
+  (n+1) x n system, whose coefficients n + 1 probes of F read: the zero
+  form and each E_aa, without an n^4 grid.
 That system alone sets the solution, its gap and the singular verdict: for
 n >= 3 it acts as (1 - alpha)*I on the vectors orthogonal to mu and 1/mu,
 so |1 - alpha| is one of its singular values at least n - 2 times.  (At
 n = 2, 1 - alpha is the constant 1 for qc and 2 for W2; the pp value
-1 + b/a is a singular value of its system at every n.)  F is not a closed
-form, so the check of the closed-form alpha stays independent of it; the
-brute-force twin trials certify the reconstruction and its contraction
-with index loops.
+1 + b/a is a singular value of its system at every n.)  F is probed and
+solved, not reduced to the closed-form Einstein coefficient of
+`gencurv._flat_alpha`, so the check of that coefficient stays independent
+of it; the brute-force twin trials certify the reconstruction and its
+contraction with index loops.
 """
 
 from __future__ import annotations

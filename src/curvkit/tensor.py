@@ -17,6 +17,7 @@ harness and manifests refuse dimensions above MAX_DIM.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,10 +177,14 @@ def _checked_metrics(g: np.ndarray):
     size = _max_abs_items(g, 2)
     if not np.isfinite(size).all():  # before any arithmetic that would warn on it
         return "metric has a non-finite component"
-    g_t = g.swapaxes(-1, -2)
-    if not (_max_abs_items(g - g_t, 2) <= SYMMETRY_TOL * np.maximum(1.0, size)).all():
+    # g and its inverse are halved before any sum of two entries, which
+    # cannot overflow then; halving is exact in the normal range
+    half = 0.5 * g
+    half_t = half.swapaxes(-1, -2)
+    tol = 0.5 * SYMMETRY_TOL * np.maximum(1.0, size)
+    if not (_max_abs_items(half - half_t, 2) <= tol).all():
         return "metric is not symmetric"
-    g = 0.5 * (g + g_t)  # exact symmetrization of rounding noise
+    g = half + half_t  # exact symmetrization of rounding noise
     try:
         chol = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
@@ -187,9 +192,10 @@ def _checked_metrics(g: np.ndarray):
     pivots = chol.diagonal(axis1=-2, axis2=-1).min(axis=-1)
     if not (pivots ** 2 > 1e-12 * _max_abs_items(g, 2)).all():
         return "metric is numerically singular (tiny Cholesky pivot)"
-    inv = np.linalg.inv(g)
-    inv = 0.5 * (inv + inv.swapaxes(-1, -2))
-    if not (_max_abs_items(g @ inv - np.eye(g.shape[-1]), 2) <= INVERSE_TOL).all():
+    inv = 0.5 * np.linalg.inv(g)
+    inv = inv + inv.swapaxes(-1, -2)
+    if not (np.isfinite(inv).all()  # an overflowed inverse fails before any product
+            and (_max_abs_items(g @ inv - np.eye(g.shape[-1]), 2) <= INVERSE_TOL).all()):
         return "metric inverse failed the identity check"
     return g, inv
 
@@ -400,12 +406,13 @@ def ricci_operator(ricci, g: Metric) -> np.ndarray:
 # bilinears stacked on leading axes, P of shape (..., n, n) giving
 # (..., n, n, n, n), with g stacked the same way or not at all; each entry
 # is a fixed sum of products, so a stacked call equals the item-by-item
-# grids bit for bit.  `_contract_block` returns the Ricci contraction of
-# that grid without building it.  The builders here and in `gencurv` pass
-# their table to one of the two directly.  A third reader, `_adjoint_block`,
-# maps a grid back to a bilinear by the g-adjoint of the block, which is
-# all the shape fits of `classify` need: their normal equations, in the
-# g-norm, are one such contraction of the fitted grid.  G is a block too:
+# grids bit for bit.  The builders here and in `gencurv` pass their table
+# to it directly.  `_adjoint_block` maps a grid back to a bilinear by the
+# g-adjoint of the block, which is all the shape fits of `classify` read.
+# Every other linear map of a block is two weights: its Ricci contraction
+# c14(B(P)) and its normal operator B*B(P) are each
+# alpha * P + beta * tr_g(P) * g at every g and every P, and
+# `_block_weights` reads (alpha, beta) from one probe.  G is a block too:
 # each table gives B(g) = w * G, w its `_WEDGE_WEIGHT`, so a term c * G joins
 # an expanded block as the shift (c / w) * g of P (`_expand_with_wedge`).
 
@@ -439,29 +446,6 @@ def _expand_with_wedge(terms, gm: np.ndarray, p: np.ndarray, c) -> np.ndarray:
     return _expand_block(terms, gm, p + _lift(c / _WEDGE_WEIGHT[terms], 2) * gm)
 
 
-def _contract_block(terms, ginv: np.ndarray, gm: np.ndarray,
-                    p: np.ndarray) -> np.ndarray:
-    """S[..., j, k] = ginv[i,l] B(P)[..., i, j, k, l] for the block that
-    `terms` describe, P, g and ginv stacked on leading axes that broadcast,
-    without building the grid: per term, ginv is summed first into the
-    factor that holds both its slots i and l (a term P[il] g[jk] becomes
-    tr_g(P) g), or into the g factor when each holds one, and what is left
-    is contracted with the other factor.  So no intermediate has more than
-    two slots of length n: per stacked item the largest array is n x n, and
-    a block of the harness's contraction checks, whose n + 1 probe images
-    fill BLOCK_BYTES, builds no einsum output above BLOCK_BYTES
-    (tests/test_harness_stacks.py pins it)."""
-    out = 0.0
-    for sign, ps, gs in terms:
-        first, fs, second, ss = (p, ps, gm, gs) if set("il") <= set(ps) else (gm, gs, p, ps)
-        # the slots of ginv and the first factor that the second or the output needs
-        kept = "".join(dict.fromkeys(c for c in "il" + fs if c in ss + "jk"))
-        weight = np.einsum(f"...il,...{fs}->...{kept}", ginv, first)
-        term = np.einsum(f"...{ss},...{kept}->...jk", second, weight)
-        out = out + term if sign > 0 else out - term
-    return out
-
-
 def _adjoint_block(terms, ginv: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Y = B*(R), the g-adjoint of the block B that `terms` describe, for
     grids R and inverse metrics stacked on leading axes that broadcast:
@@ -475,6 +459,20 @@ def _adjoint_block(terms, ginv: np.ndarray, values: np.ndarray) -> np.ndarray:
         term = np.einsum(f"...{gs},...ijkl->...{ps}", ginv, values)
         out = out + term if sign > 0 else out - term
     return out
+
+
+@functools.lru_cache(maxsize=32)
+def _block_weights(terms, n: int, normal: bool) -> tuple[float, float]:
+    """(alpha, beta) of the block B of `terms` at dimension n, whose linear
+    maps are alpha * P + beta * tr_g(P) * g at every g and P (g^il g_lk =
+    delta_ik is all it takes): its Ricci contraction c14(B(P)), pseudo
+    (n-1, 0), hyper (n-2, 1), W2 (1, -1), or with `normal` its normal
+    operator B*B(P), pseudo (2(n-1), 0), hyper (4(n-2), 4).  One probe at
+    g = I, P = E_00 reads them: its 00 entry is alpha + beta, its 11 beta."""
+    eye = np.eye(n)
+    grid = _expand_block(terms, eye, np.outer(eye[0], eye[0]))
+    probe = _adjoint_block(terms, eye, grid) if normal else _ricci_contract_values(eye, grid)
+    return float(probe[0, 0] - probe[1, 1]), float(probe[1, 1])
 
 
 def wedge_gg(g: Metric) -> Tensor04:

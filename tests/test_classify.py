@@ -8,7 +8,7 @@ import pytest
 from curvkit import classify, tensor
 from curvkit.chart import CurvatureBundle, MetricField
 from curvkit.cli import main
-from curvkit.classify import (_normal_weights, _not_quasi_constant,
+from curvkit.classify import (_not_quasi_constant,
                               _quasi_constant_values, _quasi_einstein_values,
                               classification_report,
                               conformally_flat_check,
@@ -19,7 +19,7 @@ from curvkit.errors import DimensionMismatch, NotQuasiConstant, NotQuasiEinstein
 from curvkit.gencurv import GenCurvParams
 from curvkit.manifest import load_manifest
 from curvkit.tensor import (_HYPER_TERMS, _PSEUDO_TERMS, Metric, Tensor04, _adjoint_block,
-                            _expand_block, _norm_sq_values, hyper_shape, max_abs,
+                            _block_weights, _expand_block, _norm_sq_values, hyper_shape, max_abs,
                             pseudo_shape, quasi_constant_shape, ricci_contract,
                             scalar_curvature, wedge_gg)
 from curvkit.wrs import recover_one_forms, weak_symmetry_residual
@@ -759,7 +759,7 @@ def test_normal_weights_are_the_normal_operator(n):
     g = Metric(random_spd(rng, n))
     p = rng.standard_normal((n, n))
     for terms, weights in ((_HYPER_TERMS, (4 * (n - 2), 4)), (_PSEUDO_TERMS, (2 * (n - 1), 0))):
-        assert _normal_weights(terms, n) == weights
+        assert _block_weights(terms, n, normal=True) == weights
         lam, mu = weights
         normal = _adjoint_block(terms, g.inv, _expand_block(terms, g.mat, p))
         want = lam * p + mu * float(np.sum(g.inv * p)) * g.mat

@@ -209,6 +209,45 @@ def test_overflowing_literal_is_a_parse_error(tmp_path, capsys):
     assert "numeric literal '1e999' overflows a float (byte offset 0) (line 3)" in err
 
 
+def run_quietly(capsys, argv):
+    """main(argv) with every warning recorded: its exit code, stdout and
+    stderr, after asserting that no RuntimeWarning was raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    return code, out, err
+
+
+def test_entries_near_the_float_limit_do_not_overflow_the_metric_check(tmp_path, capsys):
+    """g + g^T of entries above half the largest float would overflow: the
+    metric check halves first, so the flat chart is reported and classify
+    gives its own limit."""
+    path = tmp_path / "huge.txt"
+    path.write_text("dim: 2\ncoords: x, y\ng: x,x = 1.5e308\ng: y,y = 1.5e308\n"
+                    "point: 1, 0.5\n")
+    code, out, _ = run_quietly(capsys, ["curvature", str(path)])
+    assert code == 0 and json.loads(out)["result"]["scalar_curvature"] == 0
+    code, _, err = run_quietly(capsys, ["classify", str(path)])
+    assert code == 2
+    assert err == (f"error: classify needs the metric's largest entry between "
+                   f"{1 / METRIC_LIMIT:g} and {METRIC_LIMIT:g}, got 1.5e+308\n")
+
+
+@pytest.mark.parametrize("command", ["curvature", "classify", "wrs"])
+def test_a_finite_jet_whose_curvature_overflows_is_named(tmp_path, capsys, command):
+    """A finite 3-jet whose covariant derivative of curvature comes out as
+    inf - inf: exit 2 naming it, with no warning."""
+    path = tmp_path / "overflow.txt"
+    path.write_text("dim: 2\ncoords: x0, x1\n"
+                    "g: x0,x0 = 1e-8 + tan(log(x0)) + (cos(x1*1e-150) + 3)*1e-3\n"
+                    "g: x0,x1 = 1e-9\ng: x1,x1 = 1e-8 + x1*1e100\npoint: 1e10, 0\n")
+    code, out, err = run_quietly(capsys, [command, str(path)])
+    assert (code, out, err) == (2, "", "error: nabla_riemann is not finite at this point\n")
+
+
 @pytest.mark.parametrize("entry", ["0*log(x)", "log(x)*0", "0/log(x)", "log(x)^0"])
 def test_zero_factor_does_not_skip_evaluation(tmp_path, capsys, entry):
     """A literal zero factor (or exponent) does not hide the domain error of

@@ -340,8 +340,24 @@ def test_contraction_maps_each_off_diagonal_form_to_a_multiple_of_itself(n, flav
 
 
 def test_selfconsistent_builds_no_grid(monkeypatch):
-    # The operator is contracted term by term; expanding any block grid, for
-    # a basis or for G, is what this guards against (no timing involved).
+    # The operator reads two weights of each table; expanding any block
+    # grid, for a basis or for G, is what this guards against (no timing
+    # involved).  Only the cached probe of each table and dimension
+    # (`tensor._block_weights`) expands a grid, at g = I, so the solves run
+    # once to fill that cache before the expansion is refused.
+    n, r = 8, 3.5
+    g = Metric(random_spd(np.random.default_rng(5), n))
+    params = GenCurvParams(1.0, 0.5)
+
+    def solve_each_flavor():
+        for flavor, alpha in (("qc", qc_flat_alpha(n, r, params)),
+                              ("pp", pp_flat_alpha(n, r, params)),
+                              ("w2", w2_flat_alpha(n, r))):
+            s = selfconsistent_ricci(g, r, params, flavor)
+            assert max_abs(s - alpha * g.mat) <= 1e-10 * (1.0 + abs(alpha))
+
+    solve_each_flavor()
+
     def refuse(*args, **kwargs):
         raise AssertionError("the fixed-point operator expanded a block grid")
 
@@ -350,14 +366,7 @@ def test_selfconsistent_builds_no_grid(monkeypatch):
     assert patched
     for module in patched:
         monkeypatch.setattr(module, "_expand_block", refuse)
-    n, r = 8, 3.5
-    g = Metric(random_spd(np.random.default_rng(5), n))
-    params = GenCurvParams(1.0, 0.5)
-    for flavor, alpha in (("qc", qc_flat_alpha(n, r, params)),
-                          ("pp", pp_flat_alpha(n, r, params)),
-                          ("w2", w2_flat_alpha(n, r))):
-        s = selfconsistent_ricci(g, r, params, flavor)
-        assert max_abs(s - alpha * g.mat) <= 1e-10 * (1.0 + abs(alpha))
+    solve_each_flavor()
 
 
 def test_section_layout():

@@ -11,7 +11,7 @@ from curvkit.harness import (flat_ricci_form, product_ricci_form, rank_one_coeff
                              selfconsistent_ricci)
 from curvkit.tensor import (_HYPER_TERMS, _PSEUDO_TERMS, _W2_TERMS, _WEDGE_WEIGHT,
                             KERNEL_RCOND, CurvatureBundle, Metric, Tensor04,
-                            _contract_block, _expand_block, _expand_with_wedge,
+                            _block_weights, _expand_block, _expand_with_wedge,
                             _lstsq_kernel, _norm_sq_values,
                             _ricci_contract_values, hyper_shape, is_symmetric,
                             max_abs, pseudo_shape, quasi_constant_shape,
@@ -61,6 +61,15 @@ def test_metric_rejects_non_finite(bad):
     # raised before any arithmetic on the entry, so numpy warns of nothing
     with pytest.raises(SingularMetric, match="non-finite"):
         Metric([[1.0, bad], [bad, 1.0]])
+
+
+def test_metrics_near_the_float_limits_are_checked_without_a_warning():
+    # g + g^T and ginv + ginv^T of these finite entries would overflow; the
+    # check halves before it adds, and pytest makes any warning an error
+    assert Metric(np.eye(2) * 1.5e308).mat[0, 0] == 1.5e308
+    assert Metric(np.eye(2) * 1e-308).inv[0, 0] == 1e308
+    with pytest.raises(SingularMetric, match="identity check"):  # its inverse overflows
+        Metric(np.array([[1.0, 0.5], [0.5, 1.0]]) * 4e-309)
 
 
 def test_metric_rejects_nonsquare_and_small():
@@ -528,15 +537,24 @@ def test_expanded_blocks_match_loop_formulas(kind, n):
     assert np.array_equal(_expand_block(terms, gms, stack), loop_block(formula, gms, stack))
 
 
+CONTRACTION_WEIGHTS = {"pseudo": lambda n: (n - 1, 0), "hyper": lambda n: (n - 2, 1),
+                       "w2": lambda n: (1, -1)}
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 @pytest.mark.parametrize("kind", sorted(BLOCK_FORMULAS))
 def test_contracted_blocks_match_expanded(kind, n):
+    """c14(B(P)) = alpha * P + beta * tr_g(P) * g for general (not symmetric)
+    P at a random g, with the weights that one probe at g = I reads."""
     terms, _ = BLOCK_FORMULAS[kind]
+    alpha, beta = _block_weights(terms, n, normal=False)
+    assert (alpha, beta) == CONTRACTION_WEIGHTS[kind](n)
     rng = np.random.default_rng(800 + n)
     g = Metric(random_spd(rng, n))
     stack = rng.standard_normal((3, 2, n, n))
     expected = _ricci_contract_values(g.inv, _expand_block(terms, g.mat, stack))
-    got = _contract_block(terms, g.inv, g.mat, stack)
+    trace = np.einsum("jk,...jk->...", g.inv, stack)
+    got = alpha * stack + beta * trace[..., None, None] * g.mat
     assert got.shape == (3, 2, n, n)
     assert max_abs(got - expected) <= 1e-13 * max_abs(expected)
 

@@ -8,6 +8,7 @@ from conftest import GOLDEN
 from curvkit.chart import CurvatureBundle, MetricField
 from curvkit.errors import (DegenerateRicci, DimensionMismatch, DomainError,
                             ZeroScalarCurvature)
+from curvkit.gencurv import GenCurvParams
 from curvkit.manifest import load_manifest
 from curvkit.tensor import Metric, Tensor04, max_abs
 from curvkit.wrs import (OneFormSystem, a_from_bd, check_dr_identity,
@@ -441,3 +442,12 @@ def test_recovery_on_an_exponential_conformal_chart(n, seed):
     unit = w / np.sqrt(w @ bundle.g.inv @ w)
     omega = report.quasi_einstein.omega
     assert min(max_abs(omega - unit), max_abs(omega + unit)) <= 1e-12
+    # at the Weyl weights b/a = -1/(n-2) the quasi-conformal tensor is the
+    # Weyl tensor, which vanishes on a conformally flat chart; at other
+    # weights it does not
+    size = 1.0 + max_abs(bundle.riemann.values)
+    for a, b, vanishes in ((1.0, -1.0 / (n - 2), True), (2.0, -2.0 / (n - 2), True),
+                           (1.0, 1.0, False), (1.0, 0.0, False)):
+        report = classification_report(bundle, GenCurvParams(a, b))
+        norm = report.gen_norms["quasi_conformal"] / size
+        assert norm <= 1e-13 if vanishes else norm >= 0.1, (a, b, norm)
